@@ -22,6 +22,7 @@ import (
 	"leases/internal/core"
 	"leases/internal/experiments"
 	"leases/internal/netsim"
+	"leases/internal/proto"
 	"leases/internal/tokensim"
 	"leases/internal/trace"
 	"leases/internal/tracesim"
@@ -480,6 +481,56 @@ func BenchmarkTCPUncachedRead(b *testing.B) {
 	}
 }
 
+// BenchmarkTCPNestedWarmOpen measures a repeated open of a depth-3 path
+// whose every directory is leased: resolved from the cached edges, no
+// frame leaves the client.
+func BenchmarkTCPNestedWarmOpen(b *testing.B) {
+	c := benchClient(b, time.Hour)
+	if _, err := c.Lookup(benchNested); err != nil {
+		b.Fatal(err)
+	}
+	sent := benchRequests(c)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Lookup(benchNested); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if n := benchRequests(c) - sent; n != 0 {
+		b.Fatalf("%d warm opens sent %d requests, want none", b.N, n)
+	}
+}
+
+// BenchmarkTCPColdReadOneRTT measures a read of a depth-3 path with
+// nothing cached (the zero-term regime): one path-addressed TRead, the
+// lookup folded into it.
+func BenchmarkTCPColdReadOneRTT(b *testing.B) {
+	c := benchClient(b, 0)
+	sent := benchRequests(c)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Read(benchNested); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if n := benchRequests(c) - sent; n != uint64(b.N) {
+		b.Fatalf("%d cold reads sent %d requests, want one each", b.N, n)
+	}
+}
+
+// benchNested is the depth-3 file benchClient seeds beside /bench.
+const benchNested = "/a/b/c"
+
+// benchRequests counts the lookup and read requests c has sent.
+func benchRequests(c *leases.Client) uint64 {
+	ws := c.WireStats()
+	return ws.Frames(proto.TLookup, "out") + ws.Frames(proto.TRead, "out")
+}
+
 // BenchmarkTCPWriteUnshared measures a write with no conflicting
 // leaseholders: one round trip, no deferral.
 func BenchmarkTCPWriteUnshared(b *testing.B) {
@@ -509,6 +560,14 @@ func benchClient(b *testing.B, term time.Duration) *leases.Client {
 		b.Fatal(err)
 	}
 	if _, _, err := st.WriteFile(a.ID, []byte("contents")); err != nil {
+		b.Fatal(err)
+	}
+	for _, dir := range []string{"/a", "/a/b"} {
+		if _, err := st.Mkdir(dir, "root", vfs.DefaultPerm); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := st.CreateWith(benchNested, "root", vfs.DefaultPerm, []byte("contents")); err != nil {
 		b.Fatal(err)
 	}
 	c, err := leases.Dial(ln.Addr().String(), leases.ClientConfig{ID: "bench"})

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"time"
 
@@ -148,10 +149,16 @@ type Cache struct {
 	// pf tracks the server's installed-files class (§4.3): the member
 	// snapshot, its generation, and whether it must be refetched. Like
 	// the holder it is guarded by mu.
-	pf     *portfolio.Portfolio
-	data   map[vfs.Datum][]byte            // file contents by datum
-	dattr  map[vfs.Datum]vfs.Attr          // attributes by datum
-	dirs   map[vfs.NodeID]map[string]entry // binding caches by directory
+	pf    *portfolio.Portfolio
+	data  map[vfs.Datum][]byte   // file contents by datum
+	dattr map[vfs.Datum]vfs.Attr // attributes by datum
+	// dirs is the binding cache: per directory, the edges (name → child)
+	// learned from lookups, reads and listings. Every cached edge is
+	// covered by its own directory's binding lease and was learned at
+	// the version that lease records: an edge is usable only while that
+	// lease is valid, and a grant at any other version, like any
+	// invalidation of the binding, clears the directory (dropCopyLocked).
+	dirs   map[vfs.NodeID]*dir
 	calls  map[uint64]chan proto.Frame
 	nextID uint64
 	err    error // terminal connection error
@@ -199,6 +206,22 @@ type Cache struct {
 type entry struct {
 	id    vfs.NodeID
 	isDir bool
+}
+
+// datum is the entry's primary datum, the key its attributes are
+// cached under: contents for a file, the binding for a directory.
+func (e entry) datum() vfs.Datum {
+	if e.isDir {
+		return vfs.Datum{Kind: vfs.DirBinding, Node: e.id}
+	}
+	return vfs.Datum{Kind: vfs.FileData, Node: e.id}
+}
+
+// dir is one directory's cached edges; listed marks them complete (a
+// ReadDir filled them), as opposed to the few that opens have used.
+type dir struct {
+	ents   map[string]entry
+	listed bool
 }
 
 // Metrics counts cache events.
@@ -342,7 +365,7 @@ func NewFromConn(nc net.Conn, cfg Config) (*Cache, error) {
 		pf:         portfolio.New(),
 		data:       make(map[vfs.Datum][]byte),
 		dattr:      make(map[vfs.Datum]vfs.Attr),
-		dirs:       make(map[vfs.NodeID]map[string]entry),
+		dirs:       make(map[vfs.NodeID]*dir),
 		calls:      make(map[uint64]chan proto.Frame),
 		extendKick: make(chan struct{}, 1),
 		stopping:   make(chan struct{}),
@@ -595,11 +618,7 @@ func (c *Cache) handleApprovalPush(f proto.Frame, approvals chan<- proto.Approva
 func (c *Cache) invalidateLocked(d vfs.Datum) {
 	c.invalSeq++
 	c.holder.Invalidate(d)
-	delete(c.data, d)
-	delete(c.dattr, d)
-	if d.Kind == vfs.DirBinding {
-		delete(c.dirs, d.Node)
-	}
+	c.dropCopyLocked(d)
 	c.metrics.Invalidations++
 	if c.cfg.Obs.Enabled() {
 		c.cfg.Obs.Record(obs.Event{Type: obs.EvEviction, Client: c.cfg.ID, Datum: d})
@@ -666,11 +685,33 @@ func (c *Cache) fetchEpoch() uint64 {
 
 func (c *Cache) cacheableLocked(epoch uint64) bool { return c.invalSeq == epoch }
 
-// applyGrantsLocked records wire grants in the holder. Callers hold
-// c.mu. requestedAt anchors the conservative effective term.
+// dropCopyLocked discards what is cached under d: contents and
+// attributes, and for a binding the directory's edges together with
+// its children's attributes, which are part of the binding datum (§2).
+// Callers hold c.mu.
+func (c *Cache) dropCopyLocked(d vfs.Datum) {
+	delete(c.data, d)
+	delete(c.dattr, d)
+	if dc := c.dirs[d.Node]; dc != nil && d.Kind == vfs.DirBinding {
+		for _, ent := range dc.ents {
+			delete(c.dattr, ent.datum())
+		}
+		delete(c.dirs, d.Node)
+	}
+}
+
+// applyGrantsLocked records wire grants in the holder. A grant at a
+// version other than the one the cached copy was recorded under (the
+// lease lapsed and the datum changed, or no record survives to compare)
+// drops the copy first: a re-grant revalidates what is cached only at
+// the same version. Callers hold c.mu. requestedAt anchors the
+// conservative effective term.
 func (c *Cache) applyGrantsLocked(grants []proto.GrantWire, requestedAt time.Time) {
 	now := c.clk.Now()
 	for _, g := range grants {
+		if v, _, held := c.holder.Peek(g.Datum); !held || v != g.Version {
+			c.dropCopyLocked(g.Datum)
+		}
 		if g.Leased {
 			c.holder.ApplyGrant(g.Datum, g.Version, g.Term, requestedAt, now)
 		} else {
@@ -692,61 +733,94 @@ func (c *Cache) Lookup(path string) (vfs.Attr, error) {
 	return c.lookupRemote(path)
 }
 
-// lookupCachedLocked resolves path entirely from cached bindings whose
-// leases are valid. Callers hold c.mu.
-func (c *Cache) lookupCachedLocked(path string) (vfs.Attr, bool) {
-	d := vfs.Datum{Kind: vfs.DirBinding, Node: vfs.RootID}
-	if path == "/" {
-		attr, ok := c.dattr[d]
-		return attr, ok && c.holder.Valid(d, c.clk.Now())
+// nextName splits the first component off a slash-separated relative
+// path.
+func nextName(rest string) (name, tail string) {
+	if i := strings.IndexByte(rest, '/'); i >= 0 {
+		return rest[:i], rest[i+1:]
 	}
-	now := c.clk.Now()
-	dir := vfs.RootID
-	rest := path[1:]
-	for {
-		bind := vfs.Datum{Kind: vfs.DirBinding, Node: dir}
-		if !c.holder.Valid(bind, now) {
-			return vfs.Attr{}, false
-		}
-		entries, ok := c.dirs[dir]
-		if !ok {
-			return vfs.Attr{}, false
-		}
-		var name string
-		if i := indexByte(rest, '/'); i >= 0 {
-			name, rest = rest[:i], rest[i+1:]
-		} else {
-			name = rest
-			rest = ""
-		}
-		ent, ok := entries[name]
-		if !ok {
-			return vfs.Attr{}, false
-		}
-		if rest == "" {
-			// Attributes live in the parent binding datum; the entry's
-			// cached attr is keyed by the child's primary datum.
-			kind := vfs.FileData
-			if ent.isDir {
-				kind = vfs.DirBinding
-			}
-			attr, ok := c.dattr[vfs.Datum{Kind: kind, Node: ent.id}]
-			return attr, ok
-		}
-		if !ent.isDir {
-			return vfs.Attr{}, false
-		}
-		dir = ent.id
-	}
+	return rest, ""
 }
 
-func indexByte(s string, b byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == b {
-			return i
+// resolveLocked walks path through cached edges, each under its own
+// directory's valid binding lease, to the entry it names. Callers hold
+// c.mu.
+func (c *Cache) resolveLocked(path string) (entry, bool) {
+	ent := entry{id: vfs.RootID, isDir: true}
+	if path == "" || path[0] != '/' {
+		return ent, false
+	}
+	now := c.clk.Now()
+	for rest := path[1:]; rest != ""; {
+		dc := c.dirs[ent.id]
+		if dc == nil || !c.holder.Valid(ent.datum(), now) {
+			return ent, false
+		}
+		var name string
+		var ok bool
+		name, rest = nextName(rest)
+		if ent, ok = dc.ents[name]; !ok {
+			return ent, false
 		}
 	}
-	return -1
+	return ent, true
+}
+
+// openLocked is resolveLocked counted in the lookup metrics: the
+// resolution a read or write does in place of a Lookup call. Callers
+// hold c.mu.
+func (c *Cache) openLocked(path string) (entry, bool) {
+	c.metrics.Lookups++
+	ent, ok := c.resolveLocked(path)
+	if ok {
+		c.metrics.LookupHits++
+	}
+	return ent, ok
+}
+
+// lookupCachedLocked resolves path entirely from cached bindings whose
+// leases are valid. Attributes live in the parent's binding datum —
+// the root's in its own — and are cached under the entry's primary
+// datum. Callers hold c.mu.
+func (c *Cache) lookupCachedLocked(path string) (vfs.Attr, bool) {
+	ent, ok := c.resolveLocked(path)
+	if !ok || (ent.id == vfs.RootID && !c.holder.Valid(ent.datum(), c.clk.Now())) {
+		return vfs.Attr{}, false
+	}
+	attr, ok := c.dattr[ent.datum()]
+	return attr, ok
+}
+
+// dirLocked returns the edge cache of directory id, creating it empty.
+func (c *Cache) dirLocked(id vfs.NodeID) *dir {
+	dc := c.dirs[id]
+	if dc == nil {
+		dc = &dir{ents: make(map[string]entry)}
+		c.dirs[id] = dc
+	}
+	return dc
+}
+
+// fileResolvedLocked caches what one server contact resolved for path:
+// the grants (every directory on the path, and the file when it was
+// read), each edge of the chain under its own directory, and the named
+// node's attributes, which are part of its parent's binding. An edge
+// whose directory came back unleased served this open and is not kept.
+// Callers hold c.mu and have checked the fence.
+func (c *Cache) fileResolvedLocked(path string, attr vfs.Attr, chain []vfs.Edge, grants []proto.GrantWire, requestedAt time.Time) {
+	c.applyGrantsLocked(grants, requestedAt)
+	rest := strings.TrimPrefix(path, "/")
+	covered := true // the last directory walked is under a lease
+	for _, e := range chain {
+		var name string
+		name, rest = nextName(rest)
+		if _, _, covered = c.holder.Peek(vfs.Datum{Kind: vfs.DirBinding, Node: e.Dir}); covered {
+			c.dirLocked(e.Dir).ents[name] = entry{id: e.Child, isDir: e.IsDir}
+		}
+	}
+	if covered {
+		c.dattr[entry{id: attr.ID, isDir: attr.IsDir}.datum()] = attr
+	}
 }
 
 func (c *Cache) lookupRemote(path string) (vfs.Attr, error) {
@@ -761,52 +835,21 @@ func (c *Cache) lookupRemote(path string) (vfs.Attr, error) {
 	defer f.Recycle()
 	d := proto.NewDec(f.Payload)
 	attr := d.Attr()
-	parentID := vfs.NodeID(d.U64())
+	chain := d.DecodeChain()
 	grants := d.DecodeGrants()
 	if d.Err != nil {
 		return vfs.Attr{}, d.Err
 	}
 	c.mu.Lock()
 	if c.cacheableLocked(epoch) {
-		c.applyGrantsLocked(grants, requestedAt)
-		// Cache the binding: parent dir → name → node.
-		name := baseOf(path)
-		if name != "" {
-			ents := c.dirs[parentID]
-			if ents == nil {
-				ents = make(map[string]entry)
-				c.dirs[parentID] = ents
-			}
-			ents[name] = entry{id: attr.ID, isDir: attr.IsDir}
-		}
-		kind := vfs.FileData
-		if attr.IsDir {
-			kind = vfs.DirBinding
-		}
-		c.dattr[vfs.Datum{Kind: kind, Node: attr.ID}] = attr
+		c.fileResolvedLocked(path, attr, chain, grants, requestedAt)
 	}
 	c.mu.Unlock()
 	return attr, nil
 }
 
-func baseOf(p string) string {
-	if p == "/" {
-		return ""
-	}
-	i := indexByte(reverse(p), '/')
-	if i < 0 {
-		return p
-	}
-	return p[len(p)-i:]
-}
-
-func reverse(s string) string {
-	b := []byte(s)
-	for i, j := 0, len(b)-1; i < j; i, j = i+1, j-1 {
-		b[i], b[j] = b[j], b[i]
-	}
-	return string(b)
-}
+// baseOf is the path's last component.
+func baseOf(p string) string { return p[strings.LastIndexByte(p, '/')+1:] }
 
 // Read returns the file's contents, from cache when the lease is
 // valid. It is the blocking form of StartRead.
@@ -833,16 +876,14 @@ func (c *Cache) ReadDir(path string) ([]vfs.DirEntry, error) {
 	}
 	bind := vfs.Datum{Kind: vfs.DirBinding, Node: attr.ID}
 	c.mu.Lock()
-	if ents, ok := c.dirs[attr.ID]; ok && c.holder.Valid(bind, c.clk.Now()) {
-		if _, complete := c.dattr[bind]; complete {
-			out := make([]vfs.DirEntry, 0, len(ents))
-			for name, ent := range ents {
-				out = append(out, vfs.DirEntry{Name: name, ID: ent.id, IsDir: ent.isDir})
-			}
-			c.mu.Unlock()
-			sortEntries(out)
-			return out, nil
+	if dc := c.dirs[attr.ID]; dc != nil && dc.listed && c.holder.Valid(bind, c.clk.Now()) {
+		out := make([]vfs.DirEntry, 0, len(dc.ents))
+		for name, ent := range dc.ents {
+			out = append(out, vfs.DirEntry{Name: name, ID: ent.id, IsDir: ent.isDir})
 		}
+		c.mu.Unlock()
+		sortEntries(out)
+		return out, nil
 	}
 	c.mu.Unlock()
 
@@ -877,7 +918,7 @@ func (c *Cache) ReadDir(path string) ([]vfs.DirEntry, error) {
 	c.mu.Lock()
 	if c.cacheableLocked(epoch) {
 		c.applyGrantsLocked(grants, requestedAt)
-		c.dirs[attr.ID] = ents
+		c.dirs[attr.ID] = &dir{ents: ents, listed: true}
 		c.dattr[bind] = dattr
 	}
 	c.mu.Unlock()
@@ -914,22 +955,15 @@ func (c *Cache) createCommon(path string, perm vfs.Perm, t proto.MsgType) (vfs.A
 	defer f.Recycle()
 	dec := proto.NewDec(f.Payload)
 	attr := dec.Attr()
+	parent, version := vfs.NodeID(dec.U64()), dec.U64()
 	if dec.Err != nil {
 		return vfs.Attr{}, dec.Err
 	}
-	// The mutation went through with this cache's implicit approval; its
-	// own cached binding for the parent is now stale and must be
-	// refreshed locally (other holders were invalidated by callbacks).
-	c.updateBinding(parentDir(path), func(ents map[string]entry) {
-		ents[baseOf(path)] = entry{id: attr.ID, isDir: attr.IsDir}
+	ent := entry{id: attr.ID, isDir: attr.IsDir}
+	c.updateBinding(parent, version, func(dc *dir) {
+		dc.ents[baseOf(path)] = ent
+		c.dattr[ent.datum()] = attr
 	})
-	kind := vfs.FileData
-	if attr.IsDir {
-		kind = vfs.DirBinding
-	}
-	c.mu.Lock()
-	c.dattr[vfs.Datum{Kind: kind, Node: attr.ID}] = attr
-	c.mu.Unlock()
 	return attr, nil
 }
 
@@ -937,11 +971,11 @@ func (c *Cache) createCommon(path string, perm vfs.Perm, t proto.MsgType) (vfs.A
 func (c *Cache) Remove(path string) error {
 	var e proto.Enc
 	e.Str(path)
-	_, err := c.call(proto.TRemove, e.Bytes())
+	f, err := c.call(proto.TRemove, e.Bytes())
 	if err == nil {
-		c.updateBinding(parentDir(path), func(ents map[string]entry) {
-			delete(ents, baseOf(path))
-		})
+		dec := proto.NewDec(f.Payload)
+		c.updateBinding(vfs.NodeID(dec.U64()), dec.U64(), func(dc *dir) { delete(dc.ents, baseOf(path)) })
+		f.Recycle()
 	}
 	return err
 }
@@ -950,66 +984,59 @@ func (c *Cache) Remove(path string) error {
 func (c *Cache) Rename(oldPath, newPath string) error {
 	var e proto.Enc
 	e.Str(oldPath).Str(newPath)
-	_, err := c.call(proto.TRename, e.Bytes())
+	f, err := c.call(proto.TRename, e.Bytes())
 	if err == nil {
+		dec := proto.NewDec(f.Payload)
+		from, fromV, to, toV := vfs.NodeID(dec.U64()), dec.U64(), vfs.NodeID(dec.U64()), dec.U64()
+		f.Recycle()
 		var moved entry
 		var have bool
-		c.updateBinding(parentDir(oldPath), func(ents map[string]entry) {
-			moved, have = ents[baseOf(oldPath)]
-			delete(ents, baseOf(oldPath))
-		})
-		c.updateBinding(parentDir(newPath), func(ents map[string]entry) {
+		put := func(dc *dir) {
 			if have {
-				ents[baseOf(newPath)] = moved
+				dc.ents[baseOf(newPath)] = moved
 			} else {
-				// Unknown target entry: drop the whole binding cache so
-				// the next lookup refetches.
-				for k := range ents {
-					delete(ents, k)
-				}
+				// Unknown target entry: the next lookup refetches it, and
+				// the listing is no longer known complete.
+				dc.listed = false
+			}
+		}
+		c.updateBinding(from, fromV, func(dc *dir) {
+			moved, have = dc.ents[baseOf(oldPath)]
+			delete(dc.ents, baseOf(oldPath))
+			if to == from {
+				put(dc)
 			}
 		})
+		if to != from {
+			c.updateBinding(to, toV, put)
+		}
 	}
 	return err
 }
 
-// updateBinding applies fn to the cached entry map of the directory at
-// dirPath, if the cache can resolve it locally; otherwise the binding
-// cache is simply absent and the next lookup refetches.
-func (c *Cache) updateBinding(dirPath string, fn func(map[string]entry)) {
+// updateBinding brings the cache in line with this client's own change
+// to directory id (0: none), whose binding the reply reports at version
+// now; no callback comes for it, and the lease is retained. A version
+// one past the recorded one says the cached edges were current up to
+// this change: fn patches them and the lease record moves on. Anything
+// else (nothing held, a change missed while lapsed, another of ours
+// racing this one) drops them. The directory is named by identity: its
+// edges may outlive an ancestor's, when its path no longer resolves.
+// Like a callback, the change fences fetches in flight.
+func (c *Cache) updateBinding(id vfs.NodeID, version uint64, fn func(*dir)) {
+	if id == 0 {
+		return
+	}
+	d := vfs.Datum{Kind: vfs.DirBinding, Node: id}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var id vfs.NodeID
-	if dirPath == "/" {
-		id = vfs.RootID
+	c.invalSeq++
+	if v, _, held := c.holder.Peek(d); held && v+1 == version {
+		c.holder.Update(d, version)
+		fn(c.dirLocked(id))
 	} else {
-		attr, ok := c.lookupCachedLocked(dirPath)
-		if !ok {
-			// Not resolvable from cache: drop any stale state by path
-			// walk is impossible; leave it to lease invalidation.
-			return
-		}
-		id = attr.ID
+		c.dropCopyLocked(d)
 	}
-	ents := c.dirs[id]
-	if ents == nil {
-		ents = make(map[string]entry)
-		c.dirs[id] = ents
-	}
-	fn(ents)
-}
-
-func parentDir(p string) string {
-	i := -1
-	for j := 0; j < len(p); j++ {
-		if p[j] == '/' {
-			i = j
-		}
-	}
-	if i <= 0 {
-		return "/"
-	}
-	return p[:i]
 }
 
 // Stat fetches attributes without caching rights.
@@ -1034,12 +1061,8 @@ func (c *Cache) SetPerm(path, owner string, perm vfs.Perm) error {
 	// The cached attribute copy is stale; drop it so the next lookup
 	// refetches (the binding lease itself is retained — implicit
 	// approval by the writer).
-	kind := vfs.FileData
-	if attr.IsDir {
-		kind = vfs.DirBinding
-	}
 	c.mu.Lock()
-	delete(c.dattr, vfs.Datum{Kind: kind, Node: attr.ID})
+	delete(c.dattr, entry{id: attr.ID, isDir: attr.IsDir}.datum())
 	c.mu.Unlock()
 	return nil
 }

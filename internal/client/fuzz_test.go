@@ -130,18 +130,13 @@ func (s *fuzzServer) handle(f proto.Frame, out chan<- proto.Frame) bool {
 		var e proto.Enc
 		e.U64(boot)
 		reply(proto.THelloAck, e.Bytes())
-	case proto.TLookup:
-		// Lookups always succeed without granting a binding lease, so
-		// every Read walks through here; the interesting actions are
-		// spent on the read itself.
-		s.mu.Lock()
-		gen := s.gen
-		s.mu.Unlock()
-		var e proto.Enc
-		e.Attr(s.attr(gen)).U64(uint64(vfs.RootID)).EncodeGrants(nil)
-		reply(proto.TLookupRep, e.Bytes())
 	case proto.TRead:
+		// Every successful reply names the file under a leased root
+		// binding, so the first read of a session is path-addressed and
+		// the ones after it go out by node.
 		d := vfs.Datum{Kind: vfs.FileData, Node: fuzzFileNode}
+		chain := []vfs.Edge{{Dir: vfs.RootID, Child: fuzzFileNode}}
+		root := proto.GrantWire{Datum: vfs.Datum{Kind: vfs.DirBinding, Node: vfs.RootID}, Term: time.Minute, Version: 1, Leased: true}
 		switch s.nextAction() {
 		case actPush:
 			// Compose the reply at the current generation, then let a
@@ -160,7 +155,7 @@ func (s *fuzzServer) handle(f proto.Frame, out chan<- proto.Frame) bool {
 			p.EncodeApproval(proto.ApprovalWire{WriteID: core.WriteID(wid), Datum: d})
 			out <- proto.Frame{Type: proto.TApprovalReq, Payload: p.Bytes()}
 			var e proto.Enc
-			e.Attr(s.attr(old)).EncodeGrants([]proto.GrantWire{
+			e.Attr(s.attr(old)).EncodeChain(chain).EncodeGrants([]proto.GrantWire{root,
 				{Datum: d, Term: time.Minute, Version: old, Leased: true}}).Blob(fuzzPayload(old))
 			reply(proto.TReadRep, e.Bytes())
 		case actSever:
@@ -181,7 +176,7 @@ func (s *fuzzServer) handle(f proto.Frame, out chan<- proto.Frame) bool {
 			gen := s.gen
 			s.mu.Unlock()
 			var e proto.Enc
-			e.Attr(s.attr(gen)).EncodeGrants([]proto.GrantWire{
+			e.Attr(s.attr(gen)).EncodeChain(chain).EncodeGrants([]proto.GrantWire{root,
 				{Datum: d, Term: time.Minute, Version: gen, Leased: true}}).Blob(fuzzPayload(gen))
 			reply(proto.TReadRep, e.Bytes())
 		}

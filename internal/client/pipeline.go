@@ -197,7 +197,7 @@ func (cl *Call) finish(f proto.Frame) (proto.Frame, error) {
 		return proto.Frame{}, cl.err
 	}
 	cl.span.End()
-	if f.Type == proto.TOK {
+	if f.Type == proto.TOK && len(f.Payload) == 0 {
 		// Empty success: callers that discard the frame would otherwise
 		// strand the pooled buffer.
 		f.Recycle()
@@ -205,13 +205,13 @@ func (cl *Call) finish(f proto.Frame) (proto.Frame, error) {
 	return f, nil
 }
 
-// ReadCall is an in-flight Read. StartRead resolves the path and
-// either satisfies the read from cache immediately or launches the
+// ReadCall is an in-flight Read. StartRead resolves the path locally
+// and either satisfies the read from cache immediately or launches the
 // fetch; Wait completes it.
 type ReadCall struct {
 	c           *Cache
 	call        *Call
-	d           vfs.Datum
+	path        string
 	requestedAt time.Time
 	epoch       uint64
 	hit         bool
@@ -220,24 +220,21 @@ type ReadCall struct {
 	done        bool
 }
 
-// StartRead begins a read of path. The path resolution itself may
-// consult the server (an uncached lookup is a blocking RPC); the data
-// fetch, the expensive part, is always asynchronous.
+// StartRead begins a read of path and never blocks on the server: a
+// name the cache resolves under valid binding leases is read from the
+// cached copy or fetched by node, and any other is sent as one
+// path-addressed TRead — lookup and read in a single round trip.
 func (c *Cache) StartRead(path string) *ReadCall {
-	r := &ReadCall{c: c}
-	attr, err := c.Lookup(path)
-	if err != nil {
-		r.done, r.err = true, err
-		return r
-	}
-	if attr.IsDir {
+	r := &ReadCall{c: c, path: path, requestedAt: c.clk.Now()}
+	c.mu.Lock()
+	ent, named := c.openLocked(path)
+	if named && ent.isDir {
+		c.mu.Unlock()
 		r.done, r.err = true, vfs.ErrIsDir
 		return r
 	}
-	r.d = vfs.Datum{Kind: vfs.FileData, Node: attr.ID}
-	c.mu.Lock()
 	c.metrics.Reads++
-	if data, ok := c.data[r.d]; ok && c.holder.Valid(r.d, c.clk.Now()) {
+	if data, ok := c.data[ent.datum()]; named && ok && c.holder.Valid(ent.datum(), r.requestedAt) {
 		c.metrics.ReadHits++
 		out := make([]byte, len(data))
 		copy(out, data)
@@ -245,12 +242,14 @@ func (c *Cache) StartRead(path string) *ReadCall {
 		r.done, r.hit, r.data = true, true, out
 		return r
 	}
+	r.epoch = c.invalSeq
 	c.mu.Unlock()
-
-	r.requestedAt = c.clk.Now()
-	r.epoch = c.fetchEpoch()
 	var e proto.Enc
-	e.U64(uint64(attr.ID))
+	if named {
+		e.U64(uint64(ent.id)).Str("")
+	} else {
+		e.U64(0).Str(path)
+	}
 	r.call = c.startCall(proto.TRead, e.Bytes())
 	return r
 }
@@ -274,17 +273,21 @@ func (r *ReadCall) Wait() ([]byte, error) {
 	defer f.Recycle()
 	dec := proto.NewDec(f.Payload)
 	rattr := dec.Attr()
+	chain := dec.DecodeChain()
 	grants := dec.DecodeGrants()
 	data := dec.Blob()
 	if dec.Err != nil {
 		r.err = dec.Err
 		return nil, dec.Err
 	}
+	d := vfs.Datum{Kind: vfs.FileData, Node: rattr.ID}
 	c.mu.Lock()
-	if c.cacheableLocked(r.epoch) {
-		c.applyGrantsLocked(grants, r.requestedAt)
-		c.data[r.d] = data
-		c.dattr[r.d] = rattr
+	// A reply older than the cached copy (a read that the server served
+	// before this cache's own later write, waited on after it) must not
+	// bury the newer contents.
+	if cur, ok := c.dattr[d]; c.cacheableLocked(r.epoch) && !(ok && rattr.Version < cur.Version) {
+		c.fileResolvedLocked(r.path, rattr, chain, grants, r.requestedAt)
+		c.data[d] = data
 	}
 	c.mu.Unlock()
 	out := make([]byte, len(data))
@@ -305,25 +308,32 @@ type WriteCall struct {
 }
 
 // StartWrite begins a write-through of data to path. The caller must
-// not mutate data until Wait returns. Path resolution may consult the
-// server; the write itself — including any server-side deferral for
-// lease clearance — is asynchronous.
+// not mutate data until Wait returns. A name the cache cannot resolve
+// under valid binding leases costs a blocking lookup first; the write
+// itself — including any server-side deferral for lease clearance — is
+// asynchronous.
 func (c *Cache) StartWrite(path string, data []byte) *WriteCall {
 	w := &WriteCall{c: c}
-	attr, err := c.Lookup(path)
-	if err != nil {
-		w.done, w.err = true, err
-		return w
+	c.mu.Lock()
+	ent, ok := c.openLocked(path)
+	c.mu.Unlock()
+	if !ok {
+		attr, err := c.lookupRemote(path)
+		if err != nil {
+			w.done, w.err = true, err
+			return w
+		}
+		ent = entry{id: attr.ID, isDir: attr.IsDir}
 	}
-	if attr.IsDir {
+	if ent.isDir {
 		w.done, w.err = true, vfs.ErrIsDir
 		return w
 	}
-	w.d = vfs.Datum{Kind: vfs.FileData, Node: attr.ID}
+	w.d = ent.datum()
 	w.epoch = c.fetchEpoch()
 	w.data = data
 	var e proto.Enc
-	e.U64(uint64(attr.ID)).Blob(data)
+	e.U64(uint64(ent.id)).Blob(data)
 	w.call = c.startCall(proto.TWrite, e.Bytes())
 	return w
 }
@@ -355,6 +365,12 @@ func (w *WriteCall) Wait() error {
 		c.data[w.d] = buf
 		c.dattr[w.d] = nattr
 		c.holder.Update(w.d, nattr.Version)
+	} else {
+		// The write applied, so the pre-write copy is stale — and this
+		// cache's own lease on it may still be valid, since the server
+		// asks a writer for no approval.
+		delete(c.data, w.d)
+		delete(c.dattr, w.d)
 	}
 	c.mu.Unlock()
 	return nil

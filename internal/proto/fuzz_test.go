@@ -63,11 +63,23 @@ func FuzzDec(f *testing.F) {
 	var e Enc
 	e.Attr(attrFixture()).EncodeGrants(nil).Str("x")
 	f.Add(e.Bytes())
+	// A TReadRep: attr, chain, grants, contents.
+	var rep Enc
+	rep.Attr(attrFixture()).
+		EncodeChain([]vfs.Edge{{Dir: vfs.RootID, Child: 3, IsDir: true}, {Dir: 3, Child: 7}}).
+		EncodeGrants([]GrantWire{{Datum: vfs.Datum{Kind: vfs.DirBinding, Node: 3}, Term: time.Second, Version: 1, Leased: true}}).
+		Blob([]byte("abc"))
+	f.Add(rep.Bytes())
+	// A chain whose count outruns the payload.
+	var short Enc
+	short.Attr(attrFixture()).U32(3).U64(1)
+	f.Add(short.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{255, 255, 255, 255})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := NewDec(data)
 		d.Attr()
+		d.DecodeChain()
 		d.DecodeGrants()
 		d.DecodeApproval()
 		d.Str()

@@ -54,11 +54,18 @@ const (
 	// the server-side lease records, keyed by client ID, survive.
 	THello MsgType = iota + 1
 	THelloAck
-	// TLookup resolves a path (payload: path). Answered by TLookupRep.
+	// TLookup resolves a path (payload: path). Answered by TLookupRep:
+	// the named node's attributes, the chain of edges the walk
+	// traversed (EncodeChain) and a binding grant for every directory on
+	// it, so the client can repeat the whole open locally.
 	TLookup
 	TLookupRep
-	// TRead fetches a file (payload: node). Answered by TReadRep with
-	// contents, version and a lease.
+	// TRead fetches a file (payload: node, path). A non-zero node
+	// addresses the file directly and the path is empty; node zero asks
+	// the server to resolve the path first — lookup and read in one
+	// round trip. Answered by TReadRep: attributes, the chain (empty for
+	// a node-addressed read), the binding grants followed by the data
+	// grant, and the contents.
 	TRead
 	TReadRep
 	// TWrite writes a file through (payload: node, data). Answered by
@@ -74,8 +81,11 @@ const (
 	// TReadDirRep with entries, version and a lease on the binding.
 	TReadDir
 	TReadDirRep
-	// TCreate / TMkdir / TRemove / TRename mutate bindings. Answered by
-	// TCreateRep / TOK; binding writes defer like data writes.
+	// TCreate / TMkdir / TRemove / TRename mutate bindings; binding
+	// writes defer like data writes. Answered by TCreateRep (attr) / TOK,
+	// each ending with the directories whose binding changed: (node,
+	// binding version now), one pair for create, mkdir and remove, old
+	// then new parent for rename (node 0: none on this server).
 	TCreate
 	TCreateRep
 	TMkdir
@@ -93,7 +103,8 @@ const (
 	TApprovalReq
 	// TApprove is the client's push granting approval.
 	TApprove
-	// TOK is an empty success response.
+	// TOK is the success response of requests with nothing, or only
+	// what their own comment names, to return.
 	TOK
 	// TError carries an error string response.
 	TError
@@ -674,6 +685,38 @@ func (d *Dec) DecodeGrants() []GrantWire {
 			Leased:  d.U8() == 1,
 		}
 		out = append(out, g)
+	}
+	return out
+}
+
+// EncodeChain appends a resolved path's edges, one per component. An
+// edge's binding version travels in the grant for its directory, not
+// here.
+func (e *Enc) EncodeChain(chain []vfs.Edge) *Enc {
+	e.U32(uint32(len(chain)))
+	for _, g := range chain {
+		e.U64(uint64(g.Dir)).U64(uint64(g.Child))
+		if g.IsDir {
+			e.U8(1)
+		} else {
+			e.U8(0)
+		}
+	}
+	return e
+}
+
+// DecodeChain reads a resolved path's edges.
+func (d *Dec) DecodeChain() []vfs.Edge {
+	n := d.U32()
+	if d.Err != nil || uint64(n)*17 > uint64(len(d.b)) {
+		if n != 0 {
+			d.Err = ErrTruncated
+		}
+		return nil
+	}
+	out := make([]vfs.Edge, 0, n)
+	for i := uint32(0); i < n; i++ {
+		out = append(out, vfs.Edge{Dir: vfs.NodeID(d.U64()), Child: vfs.NodeID(d.U64()), IsDir: d.U8() == 1})
 	}
 	return out
 }

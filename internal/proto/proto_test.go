@@ -169,6 +169,87 @@ func TestGrantsBogusCountRejected(t *testing.T) {
 	}
 }
 
+func TestChainRoundTrip(t *testing.T) {
+	in := []vfs.Edge{
+		{Dir: vfs.RootID, Child: 4, IsDir: true},
+		{Dir: 4, Child: 9, IsDir: true},
+		{Dir: 9, Child: 17},
+	}
+	var e Enc
+	e.EncodeChain(in).EncodeChain(nil)
+	d := NewDec(e.Bytes())
+	out := d.DecodeChain()
+	if d.Err != nil || len(out) != len(in) {
+		t.Fatalf("chain decode: %v %v", out, d.Err)
+	}
+	for i := range in {
+		if out[i] != in[i] {
+			t.Fatalf("edge %d: %+v vs %+v", i, out[i], in[i])
+		}
+	}
+	if empty := d.DecodeChain(); len(empty) != 0 || d.Err != nil || d.Remaining() != 0 {
+		t.Fatalf("empty chain: %v err=%v remaining=%d", empty, d.Err, d.Remaining())
+	}
+}
+
+func TestChainBogusCountRejected(t *testing.T) {
+	var e Enc
+	e.U32(1 << 30)
+	d := NewDec(e.Bytes())
+	if got := d.DecodeChain(); got != nil || d.Err == nil {
+		t.Fatal("bogus edge count not rejected")
+	}
+}
+
+// TestResolvedReplyLayouts pins the one lookup layout and the one read
+// layout on the wire, byte for byte: TLookupRep is attr, chain, grants;
+// TReadRep is the same followed by the contents; TRead is node then
+// path, exactly one of them set.
+func TestResolvedReplyLayouts(t *testing.T) {
+	attr := vfs.Attr{ID: 9, Name: "f", Size: 2, Owner: "o", Perm: vfs.DefaultPerm, ModTime: time.Unix(0, 5), Version: 3}
+	chain := []vfs.Edge{{Dir: 1, Child: 4, IsDir: true}, {Dir: 4, Child: 9}}
+	grants := []GrantWire{
+		{Datum: vfs.Datum{Kind: vfs.DirBinding, Node: 1}, Term: time.Second, Version: 7, Leased: true},
+		{Datum: vfs.Datum{Kind: vfs.DirBinding, Node: 4}, Term: time.Second, Version: 2, Leased: true},
+		{Datum: vfs.Datum{Kind: vfs.FileData, Node: 9}, Term: time.Second, Version: 3, Leased: true},
+	}
+	var rep Enc
+	rep.Attr(attr).EncodeChain(chain).EncodeGrants(grants).Blob([]byte("hi"))
+	wantChain := []byte{
+		2, 0, 0, 0, // two edges
+		1, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 1, // root --d--> 4, a directory
+		4, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0, // 4 --f--> 9, a file
+	}
+	var a Enc
+	a.Attr(attr)
+	if got := rep.Bytes()[len(a.Bytes()):]; !bytes.HasPrefix(got, wantChain) {
+		t.Fatalf("chain bytes after the attr:\n got %v\nwant %v", got[:len(wantChain)], wantChain)
+	}
+	d := NewDec(rep.Bytes())
+	if got := d.Attr(); got.ID != attr.ID || got.Version != attr.Version {
+		t.Fatalf("attr: %+v", got)
+	}
+	if got := d.DecodeChain(); len(got) != 2 || got[1] != chain[1] {
+		t.Fatalf("chain: %+v", got)
+	}
+	if got := d.DecodeGrants(); len(got) != 3 || got[2] != grants[2] {
+		t.Fatalf("grants: %+v", got)
+	}
+	if got := d.Blob(); string(got) != "hi" || d.Err != nil || d.Remaining() != 0 {
+		t.Fatalf("blob %q err=%v remaining=%d", got, d.Err, d.Remaining())
+	}
+
+	var byPath, byNode Enc
+	byPath.U64(0).Str("/d/f")
+	byNode.U64(9).Str("")
+	if want := []byte{0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, '/', 'd', '/', 'f'}; !bytes.Equal(byPath.Bytes(), want) {
+		t.Fatalf("path-addressed TRead: %v", byPath.Bytes())
+	}
+	if want := []byte{9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}; !bytes.Equal(byNode.Bytes(), want) {
+		t.Fatalf("node-addressed TRead: %v", byNode.Bytes())
+	}
+}
+
 func TestApprovalRoundTrip(t *testing.T) {
 	in := ApprovalWire{WriteID: 99, Datum: vfs.Datum{Kind: vfs.FileData, Node: 7}}
 	var e Enc
@@ -209,6 +290,7 @@ func TestDecoderNeverPanicsProperty(t *testing.T) {
 	f := func(b []byte) bool {
 		d := NewDec(b)
 		d.Attr()
+		d.DecodeChain()
 		d.DecodeGrants()
 		d.DecodeApproval()
 		d.Str()

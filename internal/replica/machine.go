@@ -210,19 +210,24 @@ func (m *Machine) MasterBallot(now time.Time) uint64 {
 // `ballot` should be honoured at now. The claim is checked against this
 // acceptor's own election state, not the frame's say-so: `from` must be
 // the replica this acceptor currently believes holds a live master
-// lease, and the ballot must be no older than anything the acceptor has
-// promised or accepted — so a deposed master's late-flushed frames,
-// stamped with the ballot of a lease a successor has since superseded,
-// die here instead of poisoning per-path sequence state. Frames from a
-// renewal the acceptor has not yet processed (ballot above its accepted
-// one, same owner) pass; the master's one-shot retry covers the
-// opposite race.
+// lease, and the ballot must be no older than the lease it accepted nor
+// than anything it has promised a rival — so a deposed master's
+// late-flushed frames, stamped with the ballot of a lease a successor
+// has since superseded, die here instead of poisoning per-path sequence
+// state. A promise made to `from` itself (ballots are k·N + ID, so
+// promised mod N names its proposer) is the master's own renewal round
+// in flight and deposes nobody: frames stamped with the still-live
+// ballot keep passing through it, where fencing them would fail the
+// master's writes for two message delays at every renewal. Frames from
+// a renewal the acceptor has not yet processed (ballot above its
+// accepted one, same owner) pass; the master's one-shot retry covers
+// the opposite race.
 func (m *Machine) AcceptsMasterFrame(now time.Time, from int, ballot uint64) bool {
 	owner, live := m.Master(now)
-	if !live || owner != from {
+	if !live || owner != from || ballot < m.acc.accepted {
 		return false
 	}
-	return ballot >= m.acc.promised && ballot >= m.acc.accepted
+	return ballot >= m.acc.promised || int(m.acc.promised%uint64(m.cfg.N)) == from
 }
 
 // Master reports which replica this machine believes holds the master

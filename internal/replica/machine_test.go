@@ -300,3 +300,48 @@ func TestAcceptsMasterFrame(t *testing.T) {
 		t.Fatal("follower rejects the successor's ballot")
 	}
 }
+
+// TestMasterFramesPassOwnRenewal pins the renewal-fence rule on the
+// pure machine: while the master's own renewal round is in flight — the
+// acceptor has promised the new ballot but the master still stamps the
+// live one — its frames keep passing; a rival's prepare stops them, and
+// once the renewal is accepted the superseded ballot is dead.
+func TestMasterFramesPassOwnRenewal(t *testing.T) {
+	const n, master, rival = 3, 0, 1
+	start := time.Unix(0, 0)
+	now := start.Add(2 * testTerm) // past the quiet period
+	live := uint64(1*n + master)
+	renewal := uint64(2*n + master)
+	for _, tc := range []struct {
+		name  string
+		msgs  []Msg // delivered after the lease at `live` is accepted
+		frame uint64
+		want  bool
+	}{
+		{"no round in flight", nil, live, true},
+		{"own renewal promised: live ballot passes",
+			[]Msg{{Kind: MsgPrepare, From: master, Ballot: renewal}}, live, true},
+		{"own renewal promised: renewed ballot passes",
+			[]Msg{{Kind: MsgPrepare, From: master, Ballot: renewal}}, renewal, true},
+		{"own renewal promised: ballot below the accepted lease stays dead",
+			[]Msg{{Kind: MsgPrepare, From: master, Ballot: renewal}}, live - n, false},
+		{"own renewal accepted: the superseded ballot is dead",
+			[]Msg{{Kind: MsgPrepare, From: master, Ballot: renewal},
+				{Kind: MsgPropose, From: master, Ballot: renewal, Owner: master, Remaining: testTerm}}, live, false},
+		{"rival's prepare promised: live ballot fenced",
+			[]Msg{{Kind: MsgPrepare, From: rival, Ballot: renewal + 1}}, live, false},
+		{"rival's prepare after own renewal's: both ballots fenced",
+			[]Msg{{Kind: MsgPrepare, From: master, Ballot: renewal},
+				{Kind: MsgPrepare, From: rival, Ballot: renewal + 1}}, renewal, false},
+	} {
+		m := NewMachine(Config{ID: 2, N: n, Term: testTerm, Allowance: testAllowance}, start)
+		m.HandleMessage(now, Msg{Kind: MsgPrepare, From: master, Ballot: live})
+		m.HandleMessage(now, Msg{Kind: MsgPropose, From: master, Ballot: live, Owner: master, Remaining: testTerm})
+		for _, msg := range tc.msgs {
+			m.HandleMessage(now, msg)
+		}
+		if got := m.AcceptsMasterFrame(now, master, tc.frame); got != tc.want {
+			t.Errorf("%s: AcceptsMasterFrame(ballot %d) = %v, want %v", tc.name, tc.frame, got, tc.want)
+		}
+	}
+}

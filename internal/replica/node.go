@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -72,6 +73,8 @@ func (c NodeConfig) withDefaults() NodeConfig {
 	}
 	return c
 }
+
+var errRPCTimeout = errors.New("replica: rpc timed out")
 
 // roleChange is one ordered role-transition notification.
 type roleChange struct {
@@ -368,7 +371,7 @@ func (n *Node) send(msgs []Msg) {
 		if m.To == n.cfg.ID || m.To < 0 || m.To >= len(n.peers) {
 			continue
 		}
-		n.peers[m.To].enqueue(msgFrameType(m.Kind), 0, encodeMsg(m))
+		n.peers[m.To].enqueue(nil, msgFrameType(m.Kind), encodeMsg(m))
 	}
 }
 
@@ -386,6 +389,11 @@ func (n *Node) timerLoop() {
 		wait := n.m.NextWake().Sub(n.clk.Now())
 		n.mu.Unlock()
 		n.send(out)
+		for _, p := range n.peers {
+			if p != nil {
+				p.failCalls(now.Add(-n.cfg.RPCTimeout), errRPCTimeout)
+			}
+		}
 		if wait < time.Millisecond {
 			wait = time.Millisecond
 		}
@@ -459,8 +467,31 @@ func (n *Node) acceptLoop() {
 	}
 }
 
+// inbound is one inbound peer connection: the sender identity bound to
+// it and the replies encoded since the last flush.
+type inbound struct {
+	n *Node
+	// from is the first RPC frame's self-declared sender (-1 before
+	// one); frames claiming a different identity later kill the
+	// connection. The mesh carries no cryptographic authentication
+	// (DESIGN.md §9 assumes a trusted network), but binding stops one
+	// peer — or one stray process — from speaking as several replicas on
+	// a single connection.
+	from int
+	out  []byte
+}
+
+// maxBatch is where the send goroutine stops adding frames to a batch,
+// and the largest write buffer a mesh connection keeps between batches,
+// so one catch-up sync does not pin a store's worth of memory on an
+// idle link.
+const maxBatch = 256 << 10
+
 // serveConn handles one inbound peer connection: election messages are
-// fed to the machine, replication RPCs answered in place.
+// fed to the machine, replication RPCs answered in place. Replies are
+// encoded into one buffer while further requests are already read and
+// written when the input runs dry, so a train of k requests is answered
+// by one write and a lone request at once.
 func (n *Node) serveConn(c net.Conn) {
 	defer n.wg.Done()
 	defer c.Close()
@@ -470,13 +501,7 @@ func (n *Node) serveConn(c net.Conn) {
 	}()
 	fr := proto.GetReader(c)
 	defer proto.PutReader(fr)
-	// The first RPC frame's self-declared sender identity is bound to
-	// the connection; frames claiming a different identity later kill
-	// it. The mesh carries no cryptographic authentication (DESIGN.md
-	// §9 assumes a trusted network), but binding stops one peer — or
-	// one stray process — from speaking as several replicas on a
-	// single connection.
-	boundFrom := -1
+	in := inbound{n: n, from: -1}
 	for {
 		f, err := fr.Next()
 		if err != nil {
@@ -488,117 +513,129 @@ func (n *Node) serveConn(c net.Conn) {
 			if derr == nil {
 				n.deliver(msg)
 			}
-			continue
+		} else {
+			err = in.handleRPC(f)
 		}
-		if err := n.handleRPC(c, f, &boundFrom); err != nil {
+		if len(in.out) > 0 && (err != nil || fr.Buffered() == 0) {
+			if _, werr := c.Write(in.out); werr != nil {
+				return
+			}
+			if in.out = in.out[:0]; cap(in.out) > maxBatch {
+				in.out = nil
+			}
+		}
+		if err != nil {
 			return
 		}
 	}
 }
 
-// handleRPC answers one replication RPC on the inbound connection.
-// boundFrom pins the connection to the first sender identity seen; a
-// non-nil return closes the connection.
-func (n *Node) handleRPC(c net.Conn, f proto.Frame, boundFrom *int) error {
-	reply := func(t proto.MsgType, payload []byte) error {
-		return proto.WriteFrame(c, proto.Frame{Type: t, ReqID: f.ReqID, Payload: payload})
+// reply encodes one reply frame straight into the connection's pending
+// output; fill appends the payload in place (nil: none).
+func (in *inbound) reply(reqID uint64, t proto.MsgType, fill func(*proto.Enc)) {
+	start := len(in.out)
+	e := proto.EncOn(proto.BeginFrame(in.out, t, reqID))
+	if fill != nil {
+		fill(&e)
 	}
-	fail := func(err error) error {
-		var e proto.Enc
-		e.Str(err.Error())
-		return reply(proto.TError, e.Bytes())
+	in.out = e.Bytes()
+	if err := proto.FinishFrame(in.out, start); err != nil {
+		in.out = in.out[:start]
+		in.fail(reqID, err)
 	}
-	// bind validates the frame's claimed sender and pins it to the
-	// connection. A violation is not a protocol reply but a connection
-	// error: the peer (or impostor) is not speaking the mesh contract.
-	bind := func(from int) error {
-		if from < 0 || from >= len(n.cfg.Peers) || from == n.cfg.ID {
-			return fmt.Errorf("replica: frame claims invalid replica id %d", from)
-		}
-		if *boundFrom < 0 {
-			*boundFrom = from
-			return nil
-		}
-		if *boundFrom != from {
-			return fmt.Errorf("replica: connection bound to replica %d, frame claims %d", *boundFrom, from)
-		}
-		return nil
+}
+
+func (in *inbound) fail(reqID uint64, err error) {
+	in.reply(reqID, proto.TError, func(e *proto.Enc) { e.Str(err.Error()) })
+}
+
+// bind validates a frame's claimed sender and pins it to the
+// connection. A violation is not a protocol reply but a connection
+// error: the peer (or impostor) is not speaking the mesh contract.
+func (in *inbound) bind(from int) error {
+	if from < 0 || from >= len(in.n.cfg.Peers) || from == in.n.cfg.ID {
+		return fmt.Errorf("replica: frame claims invalid replica id %d", from)
 	}
+	if in.from >= 0 && in.from != from {
+		return fmt.Errorf("replica: connection bound to replica %d, frame claims %d", in.from, from)
+	}
+	in.from = from
+	return nil
+}
+
+// handleRPC answers one replication RPC on the inbound connection. A
+// non-nil return closes the connection, after the reply that explains
+// it.
+func (in *inbound) handleRPC(f proto.Frame) error {
 	defer f.Recycle()
+	n, id := in.n, f.ReqID
+	d := proto.NewDec(f.Payload)
+	from := int(d.I64())
+	ballot := d.U64()
+	var fs FileState
+	var term time.Duration
 	switch f.Type {
 	case proto.TReplApply:
-		d := proto.NewDec(f.Payload)
-		from := int(d.I64())
-		ballot := d.U64()
-		fs := FileState{Seq: d.U64(), Path: d.Str(), Data: d.Blob()}
-		if d.Err != nil {
-			return fail(d.Err)
-		}
-		if err := bind(from); err != nil {
-			fail(err)
-			return err
-		}
-		if !n.masterFrameOK(from, ballot) {
-			return fail(fmt.Errorf("replica: apply from %d ballot %d, not the live master lease", from, ballot))
-		}
+		fs = FileState{Seq: d.U64(), Path: d.Str(), Data: d.Blob()}
+	case proto.TReplSync:
+	case proto.TReplMaxTerm:
+		term = d.Dur()
+	default:
+		in.fail(id, fmt.Errorf("replica: unexpected frame type %v", f.Type))
+		return nil
+	}
+	if d.Err != nil {
+		in.fail(id, d.Err)
+		return nil
+	}
+	if err := in.bind(from); err != nil {
+		in.fail(id, err)
+		return err
+	}
+	// A sync is read-only and also serves a diskless rejoin (ballot
+	// zero), so it alone is not master-fenced.
+	if f.Type != proto.TReplSync && !n.masterFrameOK(from, ballot) {
+		in.fail(id, fmt.Errorf("replica: %v from %d ballot %d, not the live master lease", f.Type, from, ballot))
+		return nil
+	}
+	switch f.Type {
+	case proto.TReplApply:
 		if n.cfg.OnReplApply == nil {
-			return fail(errors.New("replica: no apply hook"))
+			in.fail(id, errors.New("replica: no apply hook"))
+			return nil
 		}
 		applied, err := n.cfg.OnReplApply(fs)
 		if err != nil {
-			return fail(err)
+			in.fail(id, err)
+			return nil
 		}
 		// The reply distinguishes a real apply from a stale-sequence
 		// drop, so the master counts only replicas that actually hold
 		// the write toward its quorum.
-		var e proto.Enc
-		if applied {
-			e.U8(1)
-		} else {
-			e.U8(0)
-		}
-		return reply(proto.TOK, e.Bytes())
+		in.reply(id, proto.TOK, func(e *proto.Enc) {
+			if applied {
+				e.U8(1)
+			} else {
+				e.U8(0)
+			}
+		})
 	case proto.TReplSync:
-		d := proto.NewDec(f.Payload)
-		from := int(d.I64())
-		d.U64() // ballot: sync is read-only and also serves diskless rejoin, so it is not master-fenced
-		if d.Err != nil {
-			return fail(d.Err)
-		}
-		if err := bind(from); err != nil {
-			fail(err)
-			return err
-		}
 		var files []FileState
 		var maxTerm time.Duration
 		if n.cfg.OnSyncState != nil {
 			files, maxTerm = n.cfg.OnSyncState()
 		}
-		return reply(proto.TReplSyncRep, encodeSyncRep(files, maxTerm))
+		in.reply(id, proto.TReplSyncRep, func(e *proto.Enc) { encodeSyncRep(e, files, maxTerm) })
 	case proto.TReplMaxTerm:
-		d := proto.NewDec(f.Payload)
-		from := int(d.I64())
-		ballot := d.U64()
-		term := d.Dur()
-		if d.Err != nil {
-			return fail(d.Err)
-		}
-		if err := bind(from); err != nil {
-			fail(err)
-			return err
-		}
-		if !n.masterFrameOK(from, ballot) {
-			return fail(fmt.Errorf("replica: max-term from %d ballot %d, not the live master lease", from, ballot))
-		}
 		if n.cfg.OnMaxTerm != nil {
 			if err := n.cfg.OnMaxTerm(term); err != nil {
-				return fail(err)
+				in.fail(id, err)
+				return nil
 			}
 		}
-		return reply(proto.TOK, nil)
-	default:
-		return fail(fmt.Errorf("replica: unexpected frame type %v", f.Type))
+		in.reply(id, proto.TOK, nil)
 	}
+	return nil
 }
 
 // masterFrameOK fences replication RPCs by the acceptor's own election
@@ -614,80 +651,73 @@ func (n *Node) masterFrameOK(from int, ballot uint64) bool {
 	return n.m.AcceptsMasterFrame(n.clk.Now(), from, ballot)
 }
 
-// broadcastRPC issues one RPC to every peer concurrently and returns
+// result is one peer's answer to a broadcast RPC, or the reason there
+// will be none.
+type result struct {
+	f   proto.Frame
+	err error
+}
+
+// call is one RPC pending at one peer. done is shared by the calls of
+// one broadcast and buffered for all of them, so completing a call
+// never blocks; span and op (when set) record the round-trip.
+type call struct {
+	done  chan<- result
+	span  tracing.Span
+	op    string
+	start time.Time
+}
+
+// broadcastRPC queues one RPC on every peer's send queue and returns
 // the number of COUNTED acknowledgements, waiting only until enough
-// have (or all have answered). each consumes (and must recycle) every
-// successful non-error reply and reports whether it counts toward the
-// quorum; nil counts every TOK-class reply.
+// have counted, all have answered, or the node's RPC timeout — one
+// deadline for the whole broadcast — has passed. each consumes (and
+// must recycle) every successful non-error reply and reports whether it
+// counts toward the quorum; nil counts every TOK-class reply.
 //
 // tc and span attach one child span per peer round-trip to a sampled
 // request's trace (the zero context records nothing); ops, when
 // non-nil, is the per-peer latency histogram name table (indexed by
 // peer id) each round-trip is observed under.
 func (n *Node) broadcastRPC(tc tracing.Context, span string, ops []string, t proto.MsgType, payload []byte, need int, each func(proto.Frame) bool) int {
-	var others []*peer
+	// Replies the caller does not wait for (it returns on a quorum) land
+	// in the buffer and are left to the collector.
+	done := make(chan result, len(n.peers))
+	sent, now := 0, n.clk.Now()
 	for _, p := range n.peers {
-		if p != nil {
-			others = append(others, p)
+		if p == nil {
+			continue
 		}
+		cl := call{done: done, span: n.cfg.Tracer.StartChild(tc, span), start: now}
+		if ops != nil {
+			cl.op = ops[p.id]
+		}
+		p.enqueue(&cl, t, payload)
+		sent++
 	}
-	if len(others) == 0 {
+	if sent == 0 {
 		return 0
 	}
-	type result struct {
-		f   proto.Frame
-		err error
-	}
-	results := make(chan result, len(others))
-	for _, p := range others {
-		p := p
-		go func() {
-			sp := n.cfg.Tracer.StartChild(tc, span)
-			o := n.cfg.Obs
-			var start time.Time
-			if ops != nil && o.Enabled() {
-				start = n.clk.Now()
-			}
-			f, err := p.rpc(t, payload)
-			if ops != nil && o.Enabled() {
-				o.ObserveOp(ops[p.id], n.clk.Now().Sub(start))
-			}
-			if sp.Recording() {
-				switch {
-				case err != nil:
-					sp.EndNote(fmt.Sprintf("peer=%d err", p.id))
-				case f.Type == proto.TError:
-					sp.EndNote(fmt.Sprintf("peer=%d refused", p.id))
-				default:
-					sp.EndNote(fmt.Sprintf("peer=%d ok", p.id))
-				}
-			}
-			results <- result{f, err}
-		}()
-	}
+	timeout, cancel := n.clk.After(n.cfg.RPCTimeout)
+	defer cancel()
 	acks := 0
-	for i := 0; i < len(others); i++ {
-		r := <-results
-		if r.err != nil {
-			continue
-		}
-		if r.f.Type == proto.TError {
-			r.f.Recycle()
-			continue
-		}
-		counted := true
-		if each != nil {
-			counted = each(r.f)
-		} else {
-			r.f.Recycle()
-		}
-		if counted {
-			acks++
-		}
-		if acks >= need {
-			// Late responses are drained (and recycled) by the
-			// buffered channel + GC; stop waiting.
-			break
+	for i := 0; i < sent && acks < need; i++ {
+		select {
+		case r := <-done:
+			switch {
+			case r.err != nil:
+			case r.f.Type == proto.TError:
+				r.f.Recycle()
+			case each == nil:
+				r.f.Recycle()
+				acks++
+			case each(r.f):
+				acks++
+			}
+		case <-timeout:
+			return acks
+		case <-n.stopped:
+			return acks
 		}
 	}
 	return acks
@@ -849,9 +879,12 @@ func (n *Node) SyncForPromotion(tc tracing.Context) ([]FileState, time.Duration,
 	}
 }
 
-// peer is one outgoing peer-mesh connection: a send queue for
-// fire-and-forget election messages plus an RPC layer demultiplexing
-// responses by request ID.
+// peer is one outgoing peer-mesh connection. Election messages and
+// replication RPCs share one send queue and one send goroutine, which
+// writes everything queued at once: frames issued back to back cost one
+// write between them, and a lone frame is written as soon as the
+// goroutine runs — nothing is ever held for a timer. Responses are
+// matched to their calls by request ID.
 type peer struct {
 	n    *Node
 	id   int
@@ -861,72 +894,201 @@ type peer struct {
 	conn       net.Conn
 	nextDialAt time.Time
 
-	callsMu sync.Mutex
-	calls   map[uint64]chan proto.Frame
-	nextID  uint64
+	// callsMu guards the call table and the send queue. An RPC always
+	// queues (its waiting caller bounds their number): a burst is delayed,
+	// never refused. Election messages are dropped past maxQueuedMsgs of
+	// them; the protocol retries by timer.
+	callsMu    sync.Mutex
+	calls      map[uint64]call
+	nextID     uint64
+	queue      []outFrame
+	queuedMsgs int
 
-	out chan outFrame
+	wake chan struct{} // tells the send goroutine the queue is not empty
 }
+
+const maxQueuedMsgs = 128
 
 type outFrame struct {
 	t       proto.MsgType
-	reqID   uint64
+	reqID   uint64 // 0: an election message
 	payload []byte
 }
 
 func newPeer(n *Node, id int, addr string) *peer {
-	p := &peer{n: n, id: id, addr: addr, calls: make(map[uint64]chan proto.Frame), out: make(chan outFrame, 128)}
+	p := &peer{n: n, id: id, addr: addr, calls: make(map[uint64]call), wake: make(chan struct{}, 1)}
 	n.wg.Add(1)
 	go p.sendLoop()
 	return p
 }
 
-// enqueue queues a fire-and-forget frame; full queues drop (the
-// election protocol retries by timer).
-func (p *peer) enqueue(t proto.MsgType, reqID uint64, payload []byte) {
+// enqueue queues an election message (nil cl) or registers cl and
+// queues its request.
+func (p *peer) enqueue(cl *call, t proto.MsgType, payload []byte) {
+	f := outFrame{t: t, payload: payload}
+	p.callsMu.Lock()
+	switch {
+	case cl != nil:
+		p.nextID++
+		f.reqID = p.nextID
+		p.calls[f.reqID] = *cl
+	case p.queuedMsgs >= maxQueuedMsgs:
+		p.callsMu.Unlock()
+		return
+	default:
+		p.queuedMsgs++
+	}
+	p.queue = append(p.queue, f)
+	p.callsMu.Unlock()
 	select {
-	case p.out <- outFrame{t, reqID, payload}:
+	case p.wake <- struct{}{}:
 	default:
 	}
 }
 
+// complete delivers the outcome of call id, once: whichever of the
+// response, a connection failure and expiry comes first takes the call
+// off the table.
+func (p *peer) complete(id uint64, f proto.Frame, err error) {
+	p.callsMu.Lock()
+	cl, ok := p.calls[id]
+	delete(p.calls, id)
+	p.callsMu.Unlock()
+	if !ok {
+		f.Recycle()
+		return
+	}
+	p.finish(cl, f, err)
+}
+
+func (p *peer) finish(cl call, f proto.Frame, err error) {
+	if o := p.n.cfg.Obs; cl.op != "" && o.Enabled() {
+		o.ObserveOp(cl.op, p.n.clk.Now().Sub(cl.start))
+	}
+	if cl.span.Recording() {
+		switch {
+		case err != nil:
+			cl.span.EndNote(fmt.Sprintf("peer=%d err", p.id))
+		case f.Type == proto.TError:
+			cl.span.EndNote(fmt.Sprintf("peer=%d refused", p.id))
+		default:
+			cl.span.EndNote(fmt.Sprintf("peer=%d ok", p.id))
+		}
+	}
+	cl.done <- result{f, err}
+}
+
+// failCalls aborts the pending RPCs issued no later than cutoff: every
+// one (cutoff now) when the connection fails, and when the timer loop
+// sweeps, the stragglers of broadcasts that returned on a quorum an RPC
+// timeout ago and that this peer never answered.
+func (p *peer) failCalls(cutoff time.Time, err error) {
+	var failed []call
+	p.callsMu.Lock()
+	for id, cl := range p.calls {
+		if !cl.start.After(cutoff) {
+			failed = append(failed, cl)
+			delete(p.calls, id)
+		}
+	}
+	if len(failed) > 0 {
+		// A request still queued (the peer has stopped reading) goes with
+		// its call, or the queue grows for as long as the peer hangs.
+		p.queue = slices.DeleteFunc(p.queue, func(f outFrame) bool {
+			_, live := p.calls[f.reqID]
+			return f.reqID != 0 && !live
+		})
+	}
+	p.callsMu.Unlock()
+	for _, cl := range failed {
+		p.finish(cl, proto.Frame{}, err)
+	}
+}
+
+// sendLoop is the peer's one writer: it takes everything queued and
+// writes it at once, or in pieces of about maxBatch.
 func (p *peer) sendLoop() {
 	defer p.n.wg.Done()
+	var buf []byte
+	var batch []outFrame
 	for {
 		select {
-		case f := <-p.out:
-			p.writeFrame(f) // errors drop the message; timers retry
+		case <-p.wake:
 		case <-p.n.stopped:
 			return
+		}
+		p.callsMu.Lock()
+		batch, p.queue, p.queuedMsgs = p.queue, batch[:0], 0
+		p.callsMu.Unlock()
+		for i, f := range batch {
+			batch[i] = outFrame{} // the payload is the caller's, not the queue's
+			if buf = p.appendFrame(buf, f); len(buf) >= maxBatch {
+				p.write(buf)
+				buf = buf[:0]
+			}
+		}
+		if len(buf) > 0 {
+			p.write(buf)
+		}
+		if buf = buf[:0]; cap(buf) > maxBatch {
+			buf = nil
 		}
 	}
 }
 
-// writeFrame sends one frame on the (lazily dialed) connection.
-func (p *peer) writeFrame(f outFrame) error {
+// appendFrame encodes f onto the batch; a frame too large for the wire
+// fails its call instead.
+func (p *peer) appendFrame(buf []byte, f outFrame) []byte {
+	buf, err := proto.AppendFrame(buf, proto.Frame{Type: f.t, ReqID: f.reqID, Payload: f.payload})
+	if err != nil && f.reqID != 0 {
+		p.complete(f.reqID, proto.Frame{}, err)
+	}
+	return buf
+}
+
+// write sends one batch on the (lazily dialed) connection. Any failure
+// aborts every pending RPC: those in the batch are lost, and the rest
+// wait on a connection that is gone. Dropped election messages are
+// retried by timer.
+func (p *peer) write(buf []byte) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.conn == nil {
-		now := time.Now()
-		if now.Before(p.nextDialAt) {
-			return errors.New("replica: peer dial backoff")
+	err := p.dialLocked()
+	if err == nil {
+		if _, err = p.conn.Write(buf); err != nil {
+			p.conn.Close()
+			p.conn = nil
 		}
-		c, err := net.DialTimeout("tcp", p.addr, p.n.cfg.DialTimeout)
-		if err != nil {
-			p.nextDialAt = now.Add(100 * time.Millisecond)
-			return err
-		}
-		p.conn = c
-		p.n.wg.Add(1)
-		go p.readLoop(c)
 	}
-	err := proto.WriteFrame(p.conn, proto.Frame{Type: f.t, ReqID: f.reqID, Payload: f.payload})
+	p.mu.Unlock()
 	if err != nil {
-		p.conn.Close()
-		p.conn = nil
-		p.failCalls(err)
+		p.failCalls(p.n.clk.Now(), err)
 	}
-	return err
+}
+
+// dialLocked connects if there is no connection; callers hold p.mu.
+func (p *peer) dialLocked() error {
+	if p.conn != nil {
+		return nil
+	}
+	now := time.Now()
+	if now.Before(p.nextDialAt) {
+		return errors.New("replica: peer dial backoff")
+	}
+	c, err := net.DialTimeout("tcp", p.addr, p.n.cfg.DialTimeout)
+	if err != nil {
+		p.nextDialAt = now.Add(100 * time.Millisecond)
+		return err
+	}
+	p.attachLocked(c)
+	return nil
+}
+
+// attachLocked adopts c as the peer's connection and starts its
+// response reader; callers hold p.mu.
+func (p *peer) attachLocked(c net.Conn) {
+	p.conn = c
+	p.n.wg.Add(1)
+	go p.readLoop(c)
 }
 
 // readLoop demultiplexes RPC responses on the outgoing connection.
@@ -941,13 +1103,19 @@ func (p *peer) readLoop(c net.Conn) {
 	for {
 		f, err := fr.Next()
 		if err != nil {
+			// Only the current connection's reader fails the pending
+			// calls: whoever replaced or dropped c already failed those
+			// that rode it, and the rest ride its successor.
 			p.mu.Lock()
-			if p.conn == c {
+			current := p.conn == c
+			if current {
 				p.conn.Close()
 				p.conn = nil
 			}
 			p.mu.Unlock()
-			p.failCalls(err)
+			if current {
+				p.failCalls(p.n.clk.Now(), err)
+			}
 			return
 		}
 		if k := frameMsgKind(f.Type); k != 0 {
@@ -959,63 +1127,7 @@ func (p *peer) readLoop(c net.Conn) {
 			}
 			continue
 		}
-		p.callsMu.Lock()
-		ch, ok := p.calls[f.ReqID]
-		if ok {
-			delete(p.calls, f.ReqID)
-		}
-		p.callsMu.Unlock()
-		if ok {
-			ch <- f
-		} else {
-			f.Recycle()
-		}
-	}
-}
-
-// failCalls aborts every pending RPC after a connection failure.
-func (p *peer) failCalls(error) {
-	p.callsMu.Lock()
-	calls := p.calls
-	p.calls = make(map[uint64]chan proto.Frame)
-	p.callsMu.Unlock()
-	for _, ch := range calls {
-		close(ch)
-	}
-}
-
-// rpc issues one request and waits for its response within the node's
-// RPC timeout.
-func (p *peer) rpc(t proto.MsgType, payload []byte) (proto.Frame, error) {
-	p.callsMu.Lock()
-	p.nextID++
-	id := p.nextID
-	ch := make(chan proto.Frame, 1)
-	p.calls[id] = ch
-	p.callsMu.Unlock()
-	deregister := func() {
-		p.callsMu.Lock()
-		delete(p.calls, id)
-		p.callsMu.Unlock()
-	}
-	if err := p.writeFrame(outFrame{t, id, payload}); err != nil {
-		deregister()
-		return proto.Frame{}, err
-	}
-	timer, cancel := p.n.clk.After(p.n.cfg.RPCTimeout)
-	defer cancel()
-	select {
-	case f, ok := <-ch:
-		if !ok {
-			return proto.Frame{}, errors.New("replica: peer connection lost")
-		}
-		return f, nil
-	case <-timer:
-		deregister()
-		return proto.Frame{}, fmt.Errorf("replica: rpc %v to peer %d timed out", t, p.id)
-	case <-p.n.stopped:
-		deregister()
-		return proto.Frame{}, errors.New("replica: node stopped")
+		p.complete(f.ReqID, f, nil)
 	}
 }
 
@@ -1026,5 +1138,5 @@ func (p *peer) close() {
 		p.conn = nil
 	}
 	p.mu.Unlock()
-	p.failCalls(errors.New("replica: node stopped"))
+	p.failCalls(p.n.clk.Now(), errors.New("replica: node stopped"))
 }

@@ -81,14 +81,12 @@ type FileState struct {
 // floor rides the sync because a term raise is only quorum-acked, not
 // everywhere: the new master must take the max over a quorum to bound
 // its §2 recovery window.
-func encodeSyncRep(files []FileState, maxTerm time.Duration) []byte {
-	var e proto.Enc
+func encodeSyncRep(e *proto.Enc, files []FileState, maxTerm time.Duration) {
 	e.U32(uint32(len(files)))
 	for _, f := range files {
 		e.Str(f.Path).U64(f.Seq).Blob(f.Data)
 	}
 	e.Dur(maxTerm)
-	return e.Bytes()
 }
 
 // decodeSyncRep parses a sync reply.

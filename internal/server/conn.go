@@ -492,6 +492,40 @@ func (c *serverConn) handleInstalled(f proto.Frame) {
 	c.replyEnc(f.ReqID, proto.TInstalledRep, func(e *proto.Enc) { e.EncodeInstalled(w) })
 }
 
+// grantRead grants a lease on a datum being served to a reader and
+// feeds the read to the adaptive-term and installed-class observers.
+func (c *serverConn) grantRead(d vfs.Datum) proto.GrantWire {
+	g := c.grant(d, obs.EvGrant)
+	c.srv.observeRead(c.client, d)
+	c.srv.classObserveRead(c.client, d)
+	return g
+}
+
+// resolve walks path once and grants a binding lease on every directory
+// the walk traversed, so the client can repeat the whole open locally
+// (§2: the cache "must also hold the name-to-file binding and
+// permission information, and it needs a lease over this
+// information"). The root's own attributes live in its own binding,
+// which is what a lookup of "/" is granted. A directory that changed
+// between the walk and its grant comes back unleased: its edge is good
+// for this open but must not be cached.
+func (c *serverConn) resolve(path string) ([]vfs.Edge, vfs.Attr, []proto.GrantWire, error) {
+	chain, attr, err := c.srv.store.Resolve(path)
+	if err != nil {
+		return nil, vfs.Attr{}, nil, err
+	}
+	grants := make([]proto.GrantWire, 0, len(chain)+2)
+	for _, e := range chain {
+		g := c.grantRead(vfs.Datum{Kind: vfs.DirBinding, Node: e.Dir})
+		g.Leased = g.Leased && g.Version == e.Version
+		grants = append(grants, g)
+	}
+	if len(chain) == 0 {
+		grants = append(grants, c.grantRead(vfs.Datum{Kind: vfs.DirBinding, Node: attr.ID}))
+	}
+	return chain, attr, grants, nil
+}
+
 func (c *serverConn) handleLookup(f proto.Frame) {
 	d := proto.NewDec(f.Payload)
 	path := d.Str()
@@ -502,39 +536,41 @@ func (c *serverConn) handleLookup(f proto.Frame) {
 	if !c.checkOwner(f.ReqID, path) {
 		return
 	}
-	s := c.srv
-	attr, err := s.store.Lookup(path)
+	chain, attr, grants, err := c.resolve(path)
 	if err != nil {
 		c.fail(f.ReqID, err)
 		return
 	}
-	// Grant a lease on the parent directory's binding so the client can
-	// repeat this open locally (§2: the cache "must also hold the
-	// name-to-file binding and permission information, and it needs a
-	// lease over this information").
-	parentAttr, err := s.store.Lookup(parentOf(path))
-	if err != nil {
-		c.fail(f.ReqID, err)
-		return
-	}
-	parentDatum := vfs.Datum{Kind: vfs.DirBinding, Node: parentAttr.ID}
-	grants := []proto.GrantWire{c.grant(parentDatum, obs.EvGrant)}
-	s.observeRead(c.client, parentDatum)
-	s.classObserveRead(c.client, parentDatum)
-
 	c.replyEnc(f.ReqID, proto.TLookupRep, func(e *proto.Enc) {
-		e.Attr(attr).U64(uint64(parentAttr.ID)).EncodeGrants(grants)
+		e.Attr(attr).EncodeChain(chain).EncodeGrants(grants)
 	})
 }
 
 func (c *serverConn) handleRead(f proto.Frame) {
 	d := proto.NewDec(f.Payload)
 	node := vfs.NodeID(d.U64())
+	path := d.Str()
 	if d.Err != nil {
 		c.fail(f.ReqID, d.Err)
 		return
 	}
 	s := c.srv
+	var chain []vfs.Edge
+	var grants []proto.GrantWire
+	if node == 0 {
+		// Path-addressed: the lookup folded into the read, owner-gated
+		// like any other path operation.
+		if !c.checkOwner(f.ReqID, path) {
+			return
+		}
+		var rattr vfs.Attr
+		var err error
+		if chain, rattr, grants, err = c.resolve(path); err != nil {
+			c.fail(f.ReqID, err)
+			return
+		}
+		node = rattr.ID
+	}
 	if err := s.store.CheckAccess(node, string(c.client), false); err != nil {
 		c.fail(f.ReqID, err)
 		return
@@ -544,10 +580,7 @@ func (c *serverConn) handleRead(f proto.Frame) {
 		c.fail(f.ReqID, err)
 		return
 	}
-	readDatum := vfs.Datum{Kind: vfs.FileData, Node: node}
-	grant := c.grant(readDatum, obs.EvGrant)
-	s.observeRead(c.client, readDatum)
-	s.classObserveRead(c.client, readDatum)
+	grant := c.grantRead(vfs.Datum{Kind: vfs.FileData, Node: node})
 	// Re-read under the granted version if a write slipped between the
 	// read and the grant, so data and version always agree.
 	if grant.Version != attr.Version {
@@ -558,8 +591,9 @@ func (c *serverConn) handleRead(f proto.Frame) {
 		}
 		grant.Version = attr.Version
 	}
+	grants = append(grants, grant)
 	c.replyEnc(f.ReqID, proto.TReadRep, func(e *proto.Enc) {
-		e.Attr(attr).EncodeGrants([]proto.GrantWire{grant}).Blob(data)
+		e.Attr(attr).EncodeChain(chain).EncodeGrants(grants).Blob(data)
 	})
 }
 
@@ -663,10 +697,7 @@ func (c *serverConn) handleReadDir(f proto.Frame) {
 		c.fail(f.ReqID, err)
 		return
 	}
-	dirDatum := vfs.Datum{Kind: vfs.DirBinding, Node: node}
-	grant := c.grant(dirDatum, obs.EvGrant)
-	s.observeRead(c.client, dirDatum)
-	s.classObserveRead(c.client, dirDatum)
+	grant := c.grantRead(vfs.Datum{Kind: vfs.DirBinding, Node: node})
 	c.replyEnc(f.ReqID, proto.TReadDirRep, func(e *proto.Enc) {
 		e.Attr(attr).EncodeGrants([]proto.GrantWire{grant}).U32(uint32(len(entries)))
 		for _, ent := range entries {
@@ -732,7 +763,19 @@ func (c *serverConn) handleCreate(f proto.Frame, dir bool, tc tracing.Context) {
 		c.fail(f.ReqID, err)
 		return
 	}
-	c.replyEnc(f.ReqID, proto.TCreateRep, func(e *proto.Enc) { e.Attr(attr) })
+	c.replyEnc(f.ReqID, proto.TCreateRep, func(e *proto.Enc) { c.encodeTouched(e.Attr(attr), parentAttr.ID) })
+}
+
+// encodeTouched ends a namespace mutation's reply with each directory
+// whose binding it changed and that binding's version now (0: none).
+// The writer gets no callback for its own change: this tells its cache
+// which directories to patch, and (the version having moved by exactly
+// one) whether its copy was current up to the change.
+func (c *serverConn) encodeTouched(e *proto.Enc, dirs ...vfs.NodeID) {
+	for _, id := range dirs {
+		v, _ := c.srv.store.Version(vfs.Datum{Kind: vfs.DirBinding, Node: id})
+		e.U64(uint64(id)).U64(v)
+	}
 }
 
 func (c *serverConn) handleRemove(f proto.Frame, tc tracing.Context) {
@@ -772,7 +815,7 @@ func (c *serverConn) handleRemove(f proto.Frame, tc tracing.Context) {
 		c.fail(f.ReqID, err)
 		return
 	}
-	c.reply(f.ReqID, proto.TOK, nil)
+	c.replyEnc(f.ReqID, proto.TOK, func(e *proto.Enc) { c.encodeTouched(e, parentAttr.ID) })
 }
 
 func (c *serverConn) handleRename(f proto.Frame, tc tracing.Context) {
@@ -817,7 +860,7 @@ func (c *serverConn) handleRename(f proto.Frame, tc tracing.Context) {
 		c.fail(f.ReqID, err)
 		return
 	}
-	c.reply(f.ReqID, proto.TOK, nil)
+	c.replyEnc(f.ReqID, proto.TOK, func(e *proto.Enc) { c.encodeTouched(e, oldParent.ID, newParent.ID) })
 }
 
 // handleSetPerm changes ownership/permissions — per §2, attribute

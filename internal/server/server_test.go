@@ -182,7 +182,7 @@ func TestWriteWaitsOutUnreachableHolder(t *testing.T) {
 	proto.WriteFrame(raw, proto.Frame{Type: proto.THello, ReqID: 1, Payload: e.Bytes()})
 	proto.ReadFrame(raw) // hello ack
 	var e2 proto.Enc
-	e2.U64(2) // node of /f
+	e2.U64(2).Str("") // node of /f
 	proto.WriteFrame(raw, proto.Frame{Type: proto.TRead, ReqID: 2, Payload: e2.Bytes()})
 	if _, err := proto.ReadFrame(raw); err != nil {
 		t.Fatalf("raw read reply: %v", err)
@@ -300,7 +300,7 @@ func TestWriteTimeoutFailsBlockedWrite(t *testing.T) {
 	proto.WriteFrame(raw, proto.Frame{Type: proto.THello, ReqID: 1, Payload: e.Bytes()})
 	proto.ReadFrame(raw)
 	var e2 proto.Enc
-	e2.U64(2)
+	e2.U64(2).Str("")
 	proto.WriteFrame(raw, proto.Frame{Type: proto.TRead, ReqID: 2, Payload: e2.Bytes()})
 	proto.ReadFrame(raw)
 	// Keep the connection open but never answer pushes.
@@ -512,6 +512,66 @@ func TestStatWireOperation(t *testing.T) {
 	if f.Type != proto.TError {
 		t.Fatalf("unknown type reply = %d, want TError", f.Type)
 	}
+}
+
+// TestMutationRepliesNameTouchedBindings pins the tail of the create,
+// remove and rename replies: each directory whose binding changed, by
+// node, with the binding's version after the change.
+func TestMutationRepliesNameTouchedBindings(t *testing.T) {
+	srv, addr := startServer(t, server.Config{Term: time.Second})
+	world := vfs.DefaultPerm | vfs.WorldWrite
+	d1, _ := srv.Store().Mkdir("/d1", "root", world)
+	d2, _ := srv.Store().Mkdir("/d2", "root", world)
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	var e proto.Enc
+	e.Str("rawmut")
+	proto.WriteFrame(raw, proto.Frame{Type: proto.THello, ReqID: 1, Payload: e.Bytes()})
+	proto.ReadFrame(raw)
+
+	version := func(id vfs.NodeID) uint64 {
+		v, err := srv.Store().Version(vfs.Datum{Kind: vfs.DirBinding, Node: id})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	// call sends one request and checks that the reply, after skip has
+	// consumed what precedes them, ends with exactly the pairs for dirs.
+	call := func(t0, rep proto.MsgType, fill func(*proto.Enc), skip func(*proto.Dec), dirs ...vfs.NodeID) {
+		t.Helper()
+		var e proto.Enc
+		fill(&e)
+		proto.WriteFrame(raw, proto.Frame{Type: t0, ReqID: 2, Payload: e.Bytes()})
+		f, err := proto.ReadFrame(raw)
+		if err != nil || f.Type != rep {
+			t.Fatalf("%v reply: %v type=%v", t0, err, f.Type)
+		}
+		dec := proto.NewDec(f.Payload)
+		skip(dec)
+		for _, want := range dirs {
+			id, v := vfs.NodeID(dec.U64()), dec.U64()
+			if id != want || v != version(want) {
+				t.Errorf("%v reply names binding %d at version %d, want %d at %d", t0, id, v, want, version(want))
+			}
+		}
+		if dec.Err != nil || dec.Remaining() != 0 {
+			t.Errorf("%v reply: err %v, %d bytes left over", t0, dec.Err, dec.Remaining())
+		}
+	}
+	none := func(*proto.Dec) {}
+	before := version(d1.ID)
+	call(proto.TCreate, proto.TCreateRep, func(e *proto.Enc) { e.Str("/d1/f").U8(uint8(world)) },
+		func(d *proto.Dec) { d.Attr() }, d1.ID)
+	if got := version(d1.ID); got != before+1 {
+		t.Fatalf("create moved the binding version %d → %d, want one step", before, got)
+	}
+	call(proto.TRename, proto.TOK, func(e *proto.Enc) { e.Str("/d1/f").Str("/d1/g") }, none, d1.ID, d1.ID)
+	call(proto.TRename, proto.TOK, func(e *proto.Enc) { e.Str("/d1/g").Str("/d2/g") }, none, d1.ID, d2.ID)
+	call(proto.TRemove, proto.TOK, func(e *proto.Enc) { e.Str("/d2/g") }, none, d2.ID)
 }
 
 func TestAutoExtendKeepsLeaseAlive(t *testing.T) {

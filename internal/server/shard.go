@@ -334,7 +334,9 @@ func (c *serverConn) crossShardRename(f proto.Frame, tc tracing.Context, oldPath
 		c.fail(f.ReqID, fmt.Errorf("shard: committed locally but destination commit failed: %v", err))
 		return
 	}
-	c.reply(f.ReqID, proto.TOK, nil)
+	// The new parent lives on the destination group, whose clearance
+	// already called this client's session there back.
+	c.replyEnc(f.ReqID, proto.TOK, func(e *proto.Enc) { c.encodeTouched(e, oldParent.ID, 0) })
 }
 
 // shardPeer is a minimal synchronous client for master-to-master

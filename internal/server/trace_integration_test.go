@@ -178,10 +178,16 @@ func TestTraceFollowsWriteAcrossCluster(t *testing.T) {
 		t.Fatalf("Write: %v", err)
 	}
 
+	// The segment completes when its last span ends, and the server's
+	// spans end after the reply has left: the dispatch span just behind
+	// it, the ship to the peer the quorum did not wait for whenever its
+	// ack lands.
 	var wr *tracing.Trace
-	for _, trc := range tc.tracer.Recent(0) {
-		if trc.Op == "client.write" {
-			wr = trc
+	for deadline := time.Now().Add(5 * time.Second); wr == nil && time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		for _, trc := range tc.tracer.Recent(0) {
+			if trc.Op == "client.write" {
+				wr = trc
+			}
 		}
 	}
 	if wr == nil {

@@ -190,7 +190,11 @@ func splitPath(p string) ([]string, error) {
 }
 
 // lookup walks the tree. Caller holds at least the read lock.
-func (s *Store) lookup(p string) (*node, error) {
+func (s *Store) lookup(p string) (*node, error) { return s.walk(p, nil) }
+
+// walk resolves p, appending the edge traversed for each component to
+// chain when it is non-nil. Caller holds at least the read lock.
+func (s *Store) walk(p string, chain *[]Edge) (*node, error) {
 	parts, err := splitPath(p)
 	if err != nil {
 		return nil, err
@@ -203,6 +207,9 @@ func (s *Store) lookup(p string) (*node, error) {
 		child, ok := n.entries[part]
 		if !ok {
 			return nil, fmt.Errorf("%w: %q", ErrNotExist, p)
+		}
+		if chain != nil {
+			*chain = append(*chain, Edge{Dir: n.id, Child: child.id, IsDir: child.isDir, Version: n.version})
 		}
 		n = child
 	}
@@ -250,6 +257,30 @@ func (s *Store) Lookup(p string) (Attr, error) {
 		return Attr{}, err
 	}
 	return n.attr(), nil
+}
+
+// Edge is one step of a resolved path: the binding of directory Dir
+// maps the component's name to Child. Version is Dir's binding version
+// at the walk, which a lease grant taken afterwards must still match
+// for the edge to be cacheable under it.
+type Edge struct {
+	Dir, Child NodeID
+	IsDir      bool // Child is a directory
+	Version    uint64
+}
+
+// Resolve walks p once, under one lock, and returns the edge traversed
+// for each component (none for "/") with the attributes of the node
+// the path names.
+func (s *Store) Resolve(p string) ([]Edge, Attr, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	chain := make([]Edge, 0, strings.Count(p, "/"))
+	n, err := s.walk(p, &chain)
+	if err != nil {
+		return nil, Attr{}, err
+	}
+	return chain, n.attr(), nil
 }
 
 // Stat reports the attributes of a node by ID.

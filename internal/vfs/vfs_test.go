@@ -550,3 +550,42 @@ func TestReadDirContentsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestResolveYieldsChainAndVersions(t *testing.T) {
+	s, _ := newStore()
+	a, _ := s.Mkdir("/a", "root", DefaultPerm)
+	b, _ := s.Mkdir("/a/b", "root", DefaultPerm)
+	f, _ := s.Create("/a/b/f", "root", DefaultPerm)
+	s.Create("/a/g", "root", DefaultPerm) // bumps /a's binding a second time
+
+	chain, attr, err := s.Resolve("/a/b/f")
+	if err != nil {
+		t.Fatalf("Resolve: %v", err)
+	}
+	want := []Edge{
+		{Dir: RootID, Child: a.ID, IsDir: true, Version: 1},
+		{Dir: a.ID, Child: b.ID, IsDir: true, Version: 2},
+		{Dir: b.ID, Child: f.ID, Version: 1},
+	}
+	if len(chain) != len(want) {
+		t.Fatalf("chain = %+v, want %+v", chain, want)
+	}
+	for i := range want {
+		if chain[i] != want[i] {
+			t.Fatalf("edge %d = %+v, want %+v", i, chain[i], want[i])
+		}
+	}
+	if attr.ID != f.ID || attr.IsDir {
+		t.Fatalf("leaf attr = %+v", attr)
+	}
+	if chain, attr, err := s.Resolve("/"); err != nil || len(chain) != 0 || attr.ID != RootID {
+		t.Fatalf("Resolve(/) = %+v, %+v, %v", chain, attr, err)
+	}
+	for path, want := range map[string]error{
+		"/a/x": ErrNotExist, "/a/b/f/x": ErrNotDir, "a/b": ErrBadPath, "/a//b": ErrBadPath,
+	} {
+		if _, _, err := s.Resolve(path); !errors.Is(err, want) {
+			t.Errorf("Resolve(%q) = %v, want %v", path, err, want)
+		}
+	}
+}
