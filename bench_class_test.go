@@ -9,8 +9,8 @@
 // per client) and far below the per-file floor.
 //
 // cmd/leaseload -mode={perfile,batched,installed} runs the same
-// comparison against a long-lived server; BENCH_pr9.json records the
-// measured trajectory.
+// comparison against a long-lived server; EXPERIMENTS.md ("O1 over the
+// wire") records the measured trajectory.
 package leases_test
 
 import (

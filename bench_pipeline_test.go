@@ -1,5 +1,6 @@
-// Pipelining benchmarks for the transport rework of PR 6 (see
-// BENCH_pr6.json for recorded numbers): per-frame write syscalls were
+// Pipelining benchmarks for the transport rework of PR 6 (DESIGN.md
+// §5.2; CI runs them at 100 iterations under -race as a smoke, and
+// performance figures come from bench/): per-frame write syscalls were
 // replaced by a per-connection write coalescer, and the client gained
 // an asynchronous futures API (StartRead / StartWrite /
 // StartExtendAll) that keeps a window of requests in flight. Depth 1

@@ -1,7 +1,7 @@
 // Benchmarks regenerating the paper's evaluation, one per table and
 // figure (see DESIGN.md §4 for the experiment index and EXPERIMENTS.md
-// for recorded paper-vs-measured values), plus micro-benchmarks of the
-// protocol core and the networked deployment.
+// for recorded paper-vs-measured values), plus the two frame-count pins
+// of the CI benchmark smoke.
 //
 // Figure/table benches report their headline quantity via
 // b.ReportMetric; run with:
@@ -379,107 +379,11 @@ func BenchmarkWriteBackTokens(b *testing.B) {
 	b.ReportMetric(float64(lost), "lost-writes")
 }
 
-// --- protocol core micro-benchmarks ---
-
-func BenchmarkManagerGrant(b *testing.B) {
-	m := core.NewManager(core.FixedTerm(10 * time.Second))
-	now := time.Now()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m.Grant("c1", vfs.Datum{Kind: vfs.FileData, Node: vfs.NodeID(i%1000 + 2)}, now)
-	}
-}
-
-func BenchmarkManagerGrantExtendExisting(b *testing.B) {
-	m := core.NewManager(core.FixedTerm(10 * time.Second))
-	now := time.Now()
-	d := vfs.Datum{Kind: vfs.FileData, Node: 2}
-	m.Grant("c1", d, now)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Grant("c1", d, now)
-	}
-}
-
-func BenchmarkManagerWriteApproveCycle(b *testing.B) {
-	now := time.Now()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m := core.NewManager(core.FixedTerm(10 * time.Second))
-		d := vfs.Datum{Kind: vfs.FileData, Node: 2}
-		m.Grant("reader", d, now)
-		disp := m.SubmitWrite("writer", d, now)
-		m.Approve("reader", disp.WriteID, now)
-		m.WriteApplied(disp.WriteID, now)
-	}
-}
-
-func BenchmarkHolderValid(b *testing.B) {
-	h := core.NewHolder(core.HolderConfig{})
-	now := time.Now()
-	d := vfs.Datum{Kind: vfs.FileData, Node: 2}
-	h.ApplyGrant(d, 1, time.Hour, now, now)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !h.Valid(d, now) {
-			b.Fatal("invalid")
-		}
-	}
-}
-
-func BenchmarkVFSWriteFile(b *testing.B) {
-	st := vfs.New(realClock{}, "root")
-	a, _ := st.Create("/f", "root", vfs.DefaultPerm)
-	data := make([]byte, 4096)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st.WriteFile(a.ID, data)
-	}
-}
-
-type realClock struct{}
-
-func (realClock) Now() time.Time { return time.Now() }
-func (realClock) After(d time.Duration) (<-chan time.Time, func() bool) {
-	t := time.NewTimer(d)
-	return t.C, t.Stop
-}
-func (realClock) Sleep(d time.Duration) { time.Sleep(d) }
-
-// --- networked deployment benchmarks ---
-
-// BenchmarkTCPCachedRead measures a read served entirely from the
-// client cache under a valid lease — the case leases optimize.
-func BenchmarkTCPCachedRead(b *testing.B) {
-	c := benchClient(b, time.Hour)
-	if _, err := c.Read("/bench"); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Read("/bench"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTCPUncachedRead measures the zero-term regime: every read is
-// a full network round trip plus a server check.
-func BenchmarkTCPUncachedRead(b *testing.B) {
-	c := benchClient(b, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Read("/bench"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// --- the CI benchmark smoke ---
+//
+// Two frame-count pins over real TCP; with the Pipelined benchmarks of
+// bench_pipeline_test.go they are what CI runs. Performance figures come
+// from bench/ (leaseperf), not from here.
 
 // BenchmarkTCPNestedWarmOpen measures a repeated open of a depth-3 path
 // whose every directory is leased: resolved from the cached edges, no
@@ -529,20 +433,6 @@ const benchNested = "/a/b/c"
 func benchRequests(c *leases.Client) uint64 {
 	ws := c.WireStats()
 	return ws.Frames(proto.TLookup, "out") + ws.Frames(proto.TRead, "out")
-}
-
-// BenchmarkTCPWriteUnshared measures a write with no conflicting
-// leaseholders: one round trip, no deferral.
-func BenchmarkTCPWriteUnshared(b *testing.B) {
-	c := benchClient(b, time.Hour)
-	payload := []byte("new contents")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c.Write("/bench", payload); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func benchClient(b *testing.B, term time.Duration) *leases.Client {

@@ -2,14 +2,15 @@ package check
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"time"
 
+	"leases/internal/cache"
 	"leases/internal/core"
 	"leases/internal/netsim"
 	"leases/internal/obs"
 	"leases/internal/obs/tracing"
+	"leases/internal/proto"
 	"leases/internal/sim"
 	"leases/internal/vfs"
 )
@@ -49,64 +50,41 @@ type mop struct {
 	// group is the replica group this op is addressed to — the client's
 	// home belief for the file at send time. Always 0 unsharded.
 	group int
-	// startedLocal anchors the holder's conservative expiry rule: the
-	// grant cannot predate the first transmission, so anchoring there
-	// is safe even when a retry's reply comes back (§3.1).
-	startedLocal time.Time
-	retries      int
-	redirects    int
-	incarnation  uint64
-	retryEv      *sim.Event
+	// q is the cache's stamp of the first transmission: no grant can
+	// predate it, so it anchors terms safely even for a retry's reply.
+	q         cache.Req
+	retries   int
+	redirects int
+	retryEv   *sim.Event
 	// span is the op's trace root; like the TCP client it spans
 	// retries, ending at the final reply or the give-up.
 	span tracing.Span
 }
 
-// rootName maps an op kind to its client root span name, mirroring the
+// rootNames maps an op kind to its client root span name, mirroring the
 // TCP client's taxonomy.
-func (k mopKind) rootName() string {
-	switch k {
-	case opReadFetch:
-		return "client.read"
-	case opWriteOp:
-		return "client.write"
-	case opRenameOp:
-		return "client.rename"
-	default:
-		return "client.extend"
-	}
-}
+var rootNames = [...]string{opReadFetch: "client.read", opRenew: "client.extend", opWriteOp: "client.write", opRenameOp: "client.rename"}
 
-// mclient is the model client: the real lease Holder plus the cache
-// and invalidation-fence semantics of the TCP deployment's session
-// (internal/client), driven by the scenario's operation trace.
+// mclient is the model client: the cache core the TCP client ships
+// (internal/cache), driven at the datum level by the scenario's
+// operation trace over the reordering fabric. Only transport state —
+// retransmission, redirects, routing beliefs — is the model's own.
 type mclient struct {
 	w     *world
 	index int
 	id    core.ClientID
 	node  netsim.NodeID
 
-	holder *core.Holder
-	vals   map[vfs.Datum]string
-	vers   map[vfs.Datum]uint64
-	// invalidatedAt is the fence: per datum, the SentAt of the newest
-	// approval push processed. Grants and acks stamped at or before it
-	// crossed the invalidation on the wire and must not be cached
-	// (the PR 4 grant/approval reorder race).
-	invalidatedAt map[vfs.Datum]time.Time
+	core *cache.Core
 
 	inflight    map[uint64]*mop
 	nextReq     uint64
 	incarnation uint64
 	down        bool
-	// Installed-class snapshot (Installed worlds): the last fetched
-	// generation and membership — the model analogue of the client
-	// portfolio. pfFetch is the reqID of the outstanding snapshot fetch
-	// (0 when none); a reply that does not match is from an older fetch
-	// round or a pre-crash incarnation and is dropped.
-	pfGen     uint64
-	pfMembers []vfs.Datum
-	pfFetch   uint64
+	// pfFetch is the reqID of the outstanding installed-class snapshot
+	// fetch (0 when none); a reply that does not match is from an older
+	// fetch round or a pre-crash incarnation and is dropped.
+	pfFetch uint64
 	// belief[g] is the within-group replica index this client currently
 	// addresses in group g: the last replica that answered it, steered
 	// by NOT_MASTER hints and rotated on timeouts. route[f] is the
@@ -131,20 +109,26 @@ func newMclient(w *world, index int) *mclient {
 }
 
 // reset installs fresh volatile state (boot and post-crash restart).
+// BreakAllowance lives here, in the driver: the shipped core with ε = 0.
 func (c *mclient) reset() {
 	allowance := c.w.sc.Allowance
 	if c.w.sc.Break == BreakAllowance {
 		allowance = 0
 	}
-	c.holder = core.NewHolder(core.HolderConfig{Allowance: allowance})
-	c.vals = make(map[vfs.Datum]string)
-	c.vers = make(map[vfs.Datum]uint64)
-	c.invalidatedAt = make(map[vfs.Datum]time.Time)
+	c.core = cache.New(allowance)
 	c.inflight = make(map[uint64]*mop)
 	c.nextReq = 0
-	c.pfGen = 0
-	c.pfMembers = nil
 	c.pfFetch = 0
+}
+
+// fence is the stamp an op's reply is filed under. BreakFence, too, is
+// the driver's: the current epoch instead of the request's.
+func (c *mclient) fence(op *mop) cache.Req {
+	q := op.q
+	if c.w.sc.Break == BreakFence {
+		q.Epoch = c.core.Begin(q.At).Epoch
+	}
+	return q
 }
 
 // localNow reads this client's drifting, skewed clock.
@@ -177,37 +161,27 @@ func (c *mclient) read(file int) {
 	d := datumForFile(file)
 	floor, seen := c.w.orc.readStart(c.id, file)
 	c.w.out.Reads++
-	if c.holder.Valid(d, c.localNow()) {
-		if val, ok := c.vals[d]; ok {
-			c.w.out.CacheHits++
-			c.w.orc.readDone(c.id, file, val, floor, seen, true)
-			return
-		}
+	if val, ok := c.core.Contents(d, c.localNow()); ok {
+		c.w.out.CacheHits++
+		c.w.orc.readDone(c.id, file, string(val), floor, seen, true)
+		return
 	}
-	op := &mop{kind: opReadFetch, data: []vfs.Datum{d}, datum: d, floor: floor, seenFloor: seen, group: c.route[file]}
-	c.send(op)
+	c.send(&mop{kind: opReadFetch, data: []vfs.Datum{d}, datum: d, floor: floor, seenFloor: seen, group: c.route[file]})
 }
 
 // rename asks the file's owning group to move it to the other group —
 // the model analogue of the Router's cross-shard rename.
 func (c *mclient) rename(file int) {
-	op := &mop{kind: opRenameOp, datum: datumForFile(file), group: c.route[file]}
-	c.send(op)
+	c.send(&mop{kind: opRenameOp, datum: datumForFile(file), group: c.route[file]})
 }
 
 func (c *mclient) write(file int) {
-	d := datumForFile(file)
 	c.w.out.Writes++
-	op := &mop{kind: opWriteOp, datum: d, group: c.route[file]}
-	// Values are globally unique (client · incarnation · request), so
-	// the oracle can identify every value's apply positions.
-	c.send(op)
-	op.value = string(c.id) + "#" + strconv.FormatUint(op.reqID, 10)
-	c.transmit(op)
+	c.send(&mop{kind: opWriteOp, datum: datumForFile(file), group: c.route[file]})
 }
 
 func (c *mclient) renew() {
-	held := c.holder.Held() // sorted, so batches are deterministic
+	held := c.core.Held() // sorted, so batches are deterministic
 	if len(held) == 0 {
 		return
 	}
@@ -233,17 +207,18 @@ func (c *mclient) renew() {
 	}
 }
 
-// send registers the op; reads and renews transmit immediately, writes
-// first derive their value from the allocated reqID.
+// send registers the op and transmits it. A write's value derives from
+// its reqID: globally unique (client · incarnation · request), so the
+// oracle can identify every value's apply positions.
 func (c *mclient) send(op *mop) {
 	op.reqID = c.allocReq()
-	op.startedLocal = c.localNow()
-	op.incarnation = c.incarnation
-	op.span = c.w.tracer.StartRootNode(string(c.node), op.kind.rootName())
+	op.q = c.core.Begin(c.localNow())
+	op.span = c.w.tracer.StartRootNode(string(c.node), rootNames[op.kind])
 	c.inflight[op.reqID] = op
-	if op.kind != opWriteOp {
-		c.transmit(op)
+	if op.kind == opWriteOp {
+		op.value = string(c.id) + "#" + strconv.FormatUint(op.reqID, 10)
 	}
+	c.transmit(op)
 }
 
 func (c *mclient) transmit(op *mop) {
@@ -256,15 +231,12 @@ func (c *mclient) transmit(op *mop) {
 	case opRenameOp:
 		c.w.fabric.Unicast(c.node, target, kindRename, renameReq{ReqID: op.reqID, From: c.id, File: fileForDatum(op.datum), TC: op.span.Context()})
 	}
-	backoff := c.retryBase() << op.retries
-	op.retryEv = c.w.engine.After(backoff, func() { c.retry(op) })
+	op.retryEv = c.w.engine.After(c.w.retryBase()<<op.retries, func() { c.retry(op) })
 }
-
-func (c *mclient) retryBase() time.Duration { return c.w.retryBase() }
 
 func (c *mclient) retry(op *mop) {
 	op.retryEv = nil
-	if c.down || op.incarnation != c.incarnation || c.inflight[op.reqID] != op {
+	if c.down || c.inflight[op.reqID] != op {
 		return
 	}
 	if op.retries >= maxRetries {
@@ -308,16 +280,11 @@ func (c *mclient) handle(m netsim.Message) {
 	}
 }
 
-// handleBroadcast is the §4.3 broadcast extension. A matching
-// generation extends every held member lease, anchored at the server's
-// send stamp minus the allowance (the real Holder rule) — so a delayed
-// broadcast can never extend belief past the horizon the server
-// recorded before sending. A mismatch means the membership changed (or
-// was never fetched): fetch the snapshot from whoever broadcast, which
-// is always the serving master.
+// handleBroadcast is the §4.3 broadcast extension. A generation the
+// held snapshot does not match extends nothing: fetch the snapshot from
+// whoever broadcast, which is always the serving master.
 func (c *mclient) handleBroadcast(m netsim.Message, bc classBcast) {
-	if bc.Gen == c.pfGen && c.pfGen != 0 {
-		c.holder.ApplyInstalledExtension(c.pfMembers, bc.Term, bc.SentAt, c.localNow())
+	if c.core.Broadcast(bc.Gen, bc.Term, bc.SentAt, c.localNow()) {
 		return
 	}
 	c.pfFetch = c.allocReq()
@@ -332,18 +299,51 @@ func (c *mclient) handleClassSnap(sn classSnap) {
 		return
 	}
 	c.pfFetch = 0
-	c.pfGen = sn.Gen
-	c.pfMembers = sn.Data
-	c.holder.ApplyInstalledExtension(c.pfMembers, sn.Term, sn.SentAt, c.localNow())
+	c.core.Snapshot(sn.Gen, sn.Term, sn.Data, sn.SentAt, c.localNow())
+}
+
+func (c *mclient) cancelRetry(op *mop) {
+	if op.retryEv != nil {
+		c.w.engine.Cancel(op.retryEv)
+		op.retryEv = nil
+	}
+}
+
+// redirect retransmits op at once after a steering reply — redirected
+// clients converge in one round trip, not a backoff ladder — unless its
+// redirect budget is spent: then the paced retry timer takes over.
+func (c *mclient) redirect(op *mop) bool {
+	if op.redirects >= maxRedirects {
+		return false
+	}
+	op.redirects++
+	c.cancelRetry(op)
+	c.transmit(op)
+	return true
+}
+
+// complete retires the op a final reply answers (nil for a duplicate
+// reply or pre-crash residue: request IDs carry the incarnation and a
+// crash empties the table) and pins belief to the replica that answered.
+func (c *mclient) complete(m netsim.Message, reqID uint64) *mop {
+	op := c.inflight[reqID]
+	if op == nil {
+		return nil
+	}
+	delete(c.inflight, reqID)
+	c.cancelRetry(op)
+	op.span.End()
+	if idx := c.w.serverIndex(m.From); idx >= 0 && c.w.groupOf(idx) == op.group {
+		c.belief[op.group] = c.w.replicaOf(idx)
+	}
+	return op
 }
 
 // handleNotMaster is the failover path: steer belief toward the
-// replier's hint (or rotate when it has none) and retransmit
-// immediately — a storm of redirected clients converges in one round
-// trip instead of a backoff ladder — bounded by maxRedirects.
+// replier's hint (or rotate when it has none) and redirect.
 func (c *mclient) handleNotMaster(m netsim.Message, rep notMasterRep) {
-	op, ok := c.inflight[rep.ReqID]
-	if !ok || op.incarnation != c.incarnation {
+	op := c.inflight[rep.ReqID]
+	if op == nil {
 		return
 	}
 	n := c.w.sc.Servers
@@ -353,104 +353,54 @@ func (c *mclient) handleNotMaster(m netsim.Message, rep notMasterRep) {
 		c.w.replicaOf(sender) == c.belief[op.group] && n > 1 {
 		c.belief[op.group] = (c.belief[op.group] + 1) % n
 	}
-	if op.redirects >= maxRedirects {
-		return // the paced retry timer takes it from here
-	}
-	op.redirects++
-	if op.retryEv != nil {
-		c.w.engine.Cancel(op.retryEv)
-		op.retryEv = nil
-	}
-	c.transmit(op)
+	c.redirect(op)
 }
 
 // handleNotOwner is the sharded routing path, the model analogue of the
 // Router's NOT_OWNER steering: the refusing group names the file's
-// owner, the client repairs its home belief and retransmits
-// immediately, bounded by the shared redirect budget.
+// owner, the client repairs its home belief and redirects.
 func (c *mclient) handleNotOwner(rep notOwnerRep) {
-	op, ok := c.inflight[rep.ReqID]
-	if !ok || op.incarnation != c.incarnation {
+	op := c.inflight[rep.ReqID]
+	if op == nil {
 		return
 	}
 	if rep.File >= 0 && rep.File < len(c.route) && rep.Owner >= 0 && rep.Owner < c.w.groups() {
 		c.route[rep.File] = rep.Owner
 		op.group = rep.Owner
 	}
-	if op.redirects >= maxRedirects {
-		return // the paced retry timer takes it from here
+	if c.redirect(op) {
+		c.w.out.Redirected++
 	}
-	op.redirects++
-	c.w.out.Redirected++
-	if op.retryEv != nil {
-		c.w.engine.Cancel(op.retryEv)
-		op.retryEv = nil
-	}
-	c.transmit(op)
 }
 
 // handleRenameAck completes a rename: the file's home is now the group
 // the ack names.
 func (c *mclient) handleRenameAck(m netsim.Message, ack renameAck) {
-	op, ok := c.inflight[ack.ReqID]
-	if !ok || op.kind != opRenameOp || op.incarnation != c.incarnation {
+	op := c.complete(m, ack.ReqID)
+	if op == nil {
 		return
 	}
-	delete(c.inflight, ack.ReqID)
-	if op.retryEv != nil {
-		c.w.engine.Cancel(op.retryEv)
-		op.retryEv = nil
-	}
-	op.span.End()
 	c.w.out.RenamesAcked++
 	if f := fileForDatum(op.datum); ack.Owner >= 0 && ack.Owner < c.w.groups() {
 		c.route[f] = ack.Owner
 	}
-	if idx := c.w.serverIndex(m.From); idx >= 0 && c.w.groupOf(idx) == op.group {
-		c.belief[op.group] = c.w.replicaOf(idx)
-	}
 }
 
 func (c *mclient) handleGrants(m netsim.Message, rep extendRep) {
-	op, ok := c.inflight[rep.ReqID]
-	if !ok || op.incarnation != c.incarnation {
-		return // duplicate reply to a retransmit, or pre-crash residue
+	op := c.complete(m, rep.ReqID)
+	if op == nil {
+		return
 	}
-	delete(c.inflight, rep.ReqID)
-	if op.retryEv != nil {
-		c.w.engine.Cancel(op.retryEv)
-		op.retryEv = nil
-	}
-	op.span.End()
-	if idx := c.w.serverIndex(m.From); idx >= 0 && c.w.groupOf(idx) == op.group {
-		c.belief[op.group] = c.w.replicaOf(idx) // pin to the replica that answered
-	}
-	now := c.localNow()
+	// The core decides what stays: nothing if an invalidation crossed the
+	// reply (it may satisfy the waiting read once), nothing older than
+	// recorded (the fabric reorders replies), nothing under a refused grant.
+	q, now := c.fence(op), c.localNow()
 	for _, g := range rep.Grants {
-		if fence, fenced := c.invalidatedAt[g.Datum]; fenced && !m.SentAt.After(fence) && c.w.sc.Break != BreakFence {
-			// The reply crossed an approval push on the wire: the
-			// value may satisfy the waiting read once, but caching it
-			// would resurrect an invalidated lease.
-			continue
-		}
-		if g.Leased {
-			ver, val := g.Version, g.Value
-			if cur, ok := c.vers[g.Datum]; ok && cur > ver {
-				// The jittered fabric can reorder two replies; an
-				// older snapshot must not clobber newer cached data.
-				// (TCP's per-connection FIFO hides this case; a
-				// datagram transport must version-guard the cache.)
-				ver, val = cur, c.vals[g.Datum]
-			}
-			c.holder.ApplyGrant(g.Datum, ver, g.Term, op.startedLocal, now)
-			c.vals[g.Datum] = val
-			c.vers[g.Datum] = ver
-		} else {
-			// Refused (a write is pending): usable once, not cached.
-			c.holder.Invalidate(g.Datum)
-			delete(c.vals, g.Datum)
-			delete(c.vers, g.Datum)
-		}
+		c.core.File(q, cache.Reply{
+			Attr:   vfs.Attr{ID: g.Datum.Node, Version: g.Version},
+			Grants: []proto.GrantWire{{Datum: g.Datum, Term: g.Term, Version: g.Version, Leased: g.Leased}},
+			Data:   []byte(g.Value),
+		}, now)
 	}
 	if op.kind == opReadFetch {
 		for _, g := range rep.Grants {
@@ -464,46 +414,19 @@ func (c *mclient) handleGrants(m netsim.Message, rep extendRep) {
 }
 
 func (c *mclient) handleAck(m netsim.Message, ack writeAck) {
-	op, ok := c.inflight[ack.ReqID]
-	if !ok || op.kind != opWriteOp || op.incarnation != c.incarnation {
+	op := c.complete(m, ack.ReqID)
+	if op == nil {
 		return
-	}
-	delete(c.inflight, ack.ReqID)
-	if op.retryEv != nil {
-		c.w.engine.Cancel(op.retryEv)
-		op.retryEv = nil
-	}
-	op.span.End()
-	if idx := c.w.serverIndex(m.From); idx >= 0 && c.w.groupOf(idx) == op.group {
-		c.belief[op.group] = c.w.replicaOf(idx)
 	}
 	c.w.out.WritesAcked++
 	c.w.orc.acked(c.id, fileForDatum(op.datum), op.value)
-	if fence, fenced := c.invalidatedAt[op.datum]; fenced && !m.SentAt.After(fence) && c.w.sc.Break != BreakFence {
-		// The ack crossed a later write's approval push: the writer's
-		// retained lease was already invalidated.
-		return
-	}
-	// §3.1: the writer's cache stays valid after its own write — but
-	// only if no newer version has been cached since (a delayed ack
-	// must not roll the cache back).
-	if cur, ok := c.vers[op.datum]; !ok || ack.Version >= cur {
-		c.vals[op.datum] = op.value
-		c.vers[op.datum] = ack.Version
-		c.holder.Update(op.datum, ack.Version)
-	}
+	// §3.1: the writer's copy stays valid after its own write — unless the
+	// ack crossed an approval push, or a newer version is already recorded.
+	c.core.OwnWrite(c.fence(op), op.datum, vfs.Attr{Version: ack.Version}, []byte(op.value))
 }
 
 func (c *mclient) handleApprovalPush(m netsim.Message, ar approvalReq) {
-	// The fence records the push's send instant; pushes and replies
-	// share the fabric's SentAt clock, so any grant or ack stamped at
-	// or before it was computed from pre-invalidation server state.
-	if fence := c.invalidatedAt[ar.Datum]; m.SentAt.After(fence) {
-		c.invalidatedAt[ar.Datum] = m.SentAt
-	}
-	c.holder.Invalidate(ar.Datum)
-	delete(c.vals, ar.Datum)
-	delete(c.vers, ar.Datum)
+	c.core.Invalidate(ar.Datum)
 	c.w.obs.Record(obs.Event{
 		Type:    obs.EvEviction,
 		Client:  string(c.id),
@@ -515,22 +438,15 @@ func (c *mclient) handleApprovalPush(m netsim.Message, ar approvalReq) {
 	c.w.fabric.Unicast(c.node, m.From, kindApprove, approveMsg{WriteID: ar.WriteID, From: c.id})
 }
 
-// crash loses the cache, the holder, and every in-flight request.
+// crash loses the cache and every in-flight request.
 func (c *mclient) crash() {
 	if c.down {
 		return
 	}
 	c.down = true
 	c.w.fabric.SetDown(c.node, true)
-	ids := make([]uint64, 0, len(c.inflight))
-	for id := range c.inflight {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		if ev := c.inflight[id].retryEv; ev != nil {
-			c.w.engine.Cancel(ev)
-		}
+	for _, op := range c.inflight {
+		c.cancelRetry(op) // order is immaterial: cancelling only removes
 	}
 	c.inflight = make(map[uint64]*mop)
 	c.w.tracer.AbandonNode(string(c.node), "crash")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"time"
 )
 
 // runTwice executes the same scenario twice with event sinks attached
@@ -47,12 +48,75 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
+// TestRunDeterministicInstalled covers the class half of the client
+// driver — broadcasts, snapshot fetches and drop-on-write demotion go
+// through the shipped cache core's portfolio.
+func TestRunDeterministicInstalled(t *testing.T) {
+	for seed := int64(1); seed <= 15; seed++ {
+		runTwice(t, Generate(seed, GenConfig{Installed: true, Profile: ProfileAll}))
+	}
+}
+
 // TestRunDeterministicWithBreaks covers the sabotaged paths too, since
-// the shrinker replays them and relies on identical verdicts.
+// the shrinker replays them and relies on identical verdicts: every
+// break, in the kind of world it applies to. BreakFence and
+// BreakAllowance live in the client driver (client.go: fence, reset);
+// the rest in the server model.
 func TestRunDeterministicWithBreaks(t *testing.T) {
-	for _, br := range []string{BreakWriteDefer, BreakFence, BreakAllowance} {
-		sc := Generate(11, GenConfig{Profile: ProfileAll})
+	plain := GenConfig{Profile: ProfileAll}
+	for _, tc := range []struct {
+		br  string
+		gen GenConfig
+	}{
+		{BreakWriteDefer, plain}, {BreakFence, plain}, {BreakAllowance, plain},
+		{BreakQuiet, GenConfig{Servers: 3, Profile: ProfileAll}},
+		{BreakClassHorizon, GenConfig{Installed: true, Profile: ProfileAll}},
+		{BreakRenameOrder, GenConfig{Servers: 3, Groups: 2, Profile: ProfileAll}},
+	} {
+		for seed := int64(9); seed <= 12; seed++ {
+			sc := Generate(seed, tc.gen)
+			sc.Break = tc.br
+			runTwice(t, sc)
+		}
+	}
+}
+
+// TestDriverBreaksBite pins that the two breaks expressed in the client
+// driver still change what the shipped cache core does — that neither
+// became a silent no-op when the model's own cache was deleted.
+func TestDriverBreaksBite(t *testing.T) {
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	run := func(sc Scenario, br string) Outcome {
+		t.Helper()
 		sc.Break = br
-		runTwice(t, sc)
+		out, err := RunScenario(sc, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return *out
+	}
+
+	// ε: a second read inside the last ε of the term. The honest client
+	// has stopped trusting its copy and fetches; with ε = 0 it hits.
+	eps := Scenario{
+		Clients: 1, Files: 1, Term: ms(100), Allowance: ms(5),
+		Ops: []Op{{At: 0, Kind: OpRead}, {At: ms(98), Kind: OpRead}},
+	}
+	if honest, broken := run(eps, ""), run(eps, BreakAllowance); honest.CacheHits != 0 || broken.CacheHits != 1 {
+		t.Fatalf("cache hits inside the allowance: honest %d (want 0), BreakAllowance %d (want 1)", honest.CacheHits, broken.CacheHits)
+	}
+
+	// Fence: the pinned grant/approval reorder. The honest client
+	// refuses to file the grant that crossed the push and its last read
+	// fetches; presenting the current epoch files it, and the read hits
+	// the stale copy.
+	ce, err := LoadCounterexample("testdata/counterexamples/grant-approval-reorder.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	honest, broken := run(ce.Scenario, ""), run(ce.Scenario, BreakFence)
+	if !honest.Ok() || broken.Ok() || broken.CacheHits != honest.CacheHits+1 {
+		t.Fatalf("fence: honest ok=%v hits=%d, BreakFence ok=%v hits=%d; want clean vs one stale hit more",
+			honest.Ok(), honest.CacheHits, broken.Ok(), broken.CacheHits)
 	}
 }

@@ -1,28 +1,31 @@
 // Package client is the caching client of the networked lease file
-// server: a write-through file cache that holds leases (core.Holder)
-// over file contents and name-to-file bindings, serves repeated reads
-// and opens locally while its leases are valid, approves server write
-// callbacks by invalidating its copies, and extends leases in batches.
+// server: a write-through file cache that holds leases over file
+// contents and name-to-file bindings, serves repeated reads and opens
+// locally while its leases are valid, approves server write callbacks
+// by invalidating its copies, and extends leases in batches.
+//
+// What may be cached and served is decided by internal/cache's sans-IO
+// Core; this package is the TCP driver around it: connection, coalescer,
+// completion table, session and renewal loop.
 //
 // Concurrency model: API calls may come from many goroutines. A reader
 // goroutine demultiplexes frames into per-request channels and handles
-// approval pushes. One mutex guards the holder and the data/binding
-// caches.
+// approval pushes. One mutex guards the core: lock, call it, unlock.
 package client
 
 import (
 	"errors"
 	"fmt"
 	"net"
+	"sort"
 	"strings"
 	"sync"
 	"time"
 
+	"leases/internal/cache"
 	"leases/internal/clock"
-	"leases/internal/core"
 	"leases/internal/obs"
 	"leases/internal/obs/tracing"
-	"leases/internal/portfolio"
 	"leases/internal/proto"
 	"leases/internal/stats"
 	"leases/internal/vfs"
@@ -144,21 +147,10 @@ type Cache struct {
 	// incarnations; every incarnation's reader and coalescer feed it.
 	wire *proto.WireStats
 
-	mu     sync.Mutex
-	holder *core.Holder
-	// pf tracks the server's installed-files class (§4.3): the member
-	// snapshot, its generation, and whether it must be refetched. Like
-	// the holder it is guarded by mu.
-	pf    *portfolio.Portfolio
-	data  map[vfs.Datum][]byte   // file contents by datum
-	dattr map[vfs.Datum]vfs.Attr // attributes by datum
-	// dirs is the binding cache: per directory, the edges (name → child)
-	// learned from lookups, reads and listings. Every cached edge is
-	// covered by its own directory's binding lease and was learned at
-	// the version that lease records: an edge is usable only while that
-	// lease is valid, and a grant at any other version, like any
-	// invalidation of the binding, clears the directory (dropCopyLocked).
-	dirs   map[vfs.NodeID]*dir
+	mu sync.Mutex
+	// core is the cache proper: lease records with the copies they cover,
+	// the reply fence and the installed-class snapshot.
+	core   *cache.Core
 	calls  map[uint64]chan proto.Frame
 	nextID uint64
 	err    error // terminal connection error
@@ -178,17 +170,6 @@ type Cache struct {
 	// negotiated proto.FeatTrace (an old server would choke on the
 	// header bytes it never learned to strip).
 	features uint64
-	// invalSeq fences in-flight fetches against invalidations. The
-	// server may push an approval request for a datum after composing —
-	// but before delivering — a reply that grants a lease on it (the
-	// grant is recorded under the shard lock, the reply written outside
-	// it). The push then precedes the reply on the wire: the client
-	// approves, the conflicting write applies, and the late reply
-	// carries data and a lease record the server no longer honors.
-	// Every invalidation bumps this counter; a reply whose request
-	// predates the latest invalidation is returned to the caller but
-	// never cached and its grants never applied.
-	invalSeq uint64
 
 	stopping  chan struct{}
 	closeOnce sync.Once
@@ -201,27 +182,6 @@ type Cache struct {
 	// measure exactly the operations that cost a server round-trip.
 	latMu sync.Mutex
 	opLat map[proto.MsgType]*stats.Histogram
-}
-
-type entry struct {
-	id    vfs.NodeID
-	isDir bool
-}
-
-// datum is the entry's primary datum, the key its attributes are
-// cached under: contents for a file, the binding for a directory.
-func (e entry) datum() vfs.Datum {
-	if e.isDir {
-		return vfs.Datum{Kind: vfs.DirBinding, Node: e.id}
-	}
-	return vfs.Datum{Kind: vfs.FileData, Node: e.id}
-}
-
-// dir is one directory's cached edges; listed marks them complete (a
-// ReadDir filled them), as opposed to the few that opens have used.
-type dir struct {
-	ents   map[string]entry
-	listed bool
 }
 
 // Metrics counts cache events.
@@ -361,11 +321,7 @@ func NewFromConn(nc net.Conn, cfg Config) (*Cache, error) {
 		nc:         nc,
 		fr:         fr,
 		wire:       &proto.WireStats{},
-		holder:     core.NewHolder(core.HolderConfig{Allowance: cfg.Allowance}),
-		pf:         portfolio.New(),
-		data:       make(map[vfs.Datum][]byte),
-		dattr:      make(map[vfs.Datum]vfs.Attr),
-		dirs:       make(map[vfs.NodeID]*dir),
+		core:       cache.New(cfg.Allowance),
 		calls:      make(map[uint64]chan proto.Frame),
 		extendKick: make(chan struct{}, 1),
 		stopping:   make(chan struct{}),
@@ -377,7 +333,7 @@ func NewFromConn(nc net.Conn, cfg Config) (*Cache, error) {
 	if feats&proto.FeatClass != 0 {
 		// Fetch the installed snapshot on the first renewal round rather
 		// than waiting to learn of it from a broadcast.
-		c.pf.MarkStale()
+		c.core.MarkClassStale()
 	}
 	c.nextID = 1
 	fr.Stats = c.wire
@@ -398,10 +354,7 @@ func (c *Cache) Close() error {
 	c.closeOnce.Do(func() {
 		// Best-effort release so the server frees its records
 		// immediately instead of waiting for expiry.
-		c.mu.Lock()
-		held := c.holder.Held()
-		c.mu.Unlock()
-		if len(held) > 0 {
+		if held := c.HeldData(); len(held) > 0 {
 			var e proto.Enc
 			e.U32(uint32(len(held)))
 			for _, d := range held {
@@ -450,18 +403,14 @@ func (c *Cache) Metrics() Metrics {
 }
 
 // HeldLeases reports how many lease records the cache holds.
-func (c *Cache) HeldLeases() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.holder.Len()
-}
+func (c *Cache) HeldLeases() int { return len(c.HeldData()) }
 
 // HeldData lists the data the cache holds lease records for — the
 // input for renewal policies that pick their own ExtendData batches.
 func (c *Cache) HeldData() []vfs.Datum {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.holder.Held()
+	return c.core.Held()
 }
 
 // ServerBoot reports the server incarnation ID received in the latest
@@ -538,20 +487,14 @@ func (c *Cache) readLoop(nc net.Conn, fr *proto.FrameReader, co *proto.Coalescer
 }
 
 // handleBroadcastExt applies one periodic installed-class renewal
-// (§4.3): when the stamped generation matches the held snapshot, every
-// installed datum this cache holds a lease on is extended to the
-// server's sentAt + term − ε in one O(1) frame. A generation mismatch
-// means membership changed at the server — extending under the old
-// member list could cover a datum a write just demoted — so nothing is
-// extended and the renewal loop is kicked to refetch the snapshot.
+// (§4.3): one O(1) frame extends every installed datum held under a
+// valid lease — or, at a generation the held snapshot does not match,
+// nothing, and the renewal loop is kicked to refetch it.
 func (c *Cache) handleBroadcastExt(f proto.Frame) {
 	w := proto.NewDec(f.Payload).DecodeBroadcastExt()
 	f.Recycle()
 	c.mu.Lock()
-	current := c.pf.ObserveBroadcast(w.Generation, w.Term)
-	if current {
-		c.holder.ApplyInstalledExtension(c.pf.Members(), w.Term, w.SentAt, c.clk.Now())
-	}
+	current := c.core.Broadcast(w.Generation, w.Term, w.SentAt, c.clk.Now())
 	c.mu.Unlock()
 	if !current {
 		c.kickExtend()
@@ -560,8 +503,8 @@ func (c *Cache) handleBroadcastExt(f proto.Frame) {
 
 // handlePiggyExt applies anticipatory extension grants the server
 // piggybacked on another reply (§4). Each grant is unsolicited and
-// server-stamped; the holder extends only leases it already holds at
-// the same version, so a grant racing an invalidation or a concurrent
+// server-stamped; the core extends only leases it already holds at the
+// same version, so a grant racing an invalidation or a concurrent
 // refetch can never resurrect coverage of a stale copy.
 func (c *Cache) handlePiggyExt(f proto.Frame) {
 	w := proto.NewDec(f.Payload).DecodePiggyExt()
@@ -569,7 +512,7 @@ func (c *Cache) handlePiggyExt(f proto.Frame) {
 	c.mu.Lock()
 	for _, g := range w.Grants {
 		if g.Leased {
-			c.holder.ApplyStampedGrant(g.Datum, g.Version, g.Term, w.SentAt)
+			c.core.ExtendStamped(g.Datum, g.Version, g.Term, w.SentAt)
 		}
 	}
 	c.mu.Unlock()
@@ -599,7 +542,8 @@ func (c *Cache) kickExtend() {
 func (c *Cache) handleApprovalPush(f proto.Frame, approvals chan<- proto.ApprovalWire) {
 	a := proto.NewDec(f.Payload).DecodeApproval()
 	c.mu.Lock()
-	c.invalidateLocked(a.Datum)
+	c.core.Invalidate(a.Datum)
+	c.invalidatedLocked(a.Datum)
 	c.mu.Unlock()
 	select {
 	case approvals <- proto.ApprovalWire{WriteID: a.WriteID, Datum: a.Datum}:
@@ -613,12 +557,9 @@ func (c *Cache) handleApprovalPush(f proto.Frame, approvals chan<- proto.Approva
 	f.Recycle()
 }
 
-// invalidateLocked drops the lease, data and dependent binding caches
-// for a datum. Callers hold c.mu.
-func (c *Cache) invalidateLocked(d vfs.Datum) {
-	c.invalSeq++
-	c.holder.Invalidate(d)
-	c.dropCopyLocked(d)
+// invalidatedLocked accounts for a datum the core just invalidated.
+// Callers hold c.mu.
+func (c *Cache) invalidatedLocked(d vfs.Datum) {
 	c.metrics.Invalidations++
 	if c.cfg.Obs.Enabled() {
 		c.cfg.Obs.Record(obs.Event{Type: obs.EvEviction, Client: c.cfg.ID, Datum: d})
@@ -670,61 +611,22 @@ func (c *Cache) callOnce(t proto.MsgType, payload []byte) (proto.Frame, error) {
 	return cl.Wait()
 }
 
-// fetchEpoch snapshots the invalidation fence before a caching
-// request is sent; cacheableLocked reports whether the reply may still
-// be cached when it arrives (callers hold c.mu). The check is
-// deliberately global rather than per-datum: invalidations are rare,
-// and a skipped caching opportunity costs one refetch, while caching a
-// reply that crossed an invalidation costs a stale read — the one
-// failure the protocol forbids.
-func (c *Cache) fetchEpoch() uint64 {
+// begin stamps a caching request about to be sent with the fence epoch
+// and the send instant; the core files the reply only if no invalidation
+// crossed it.
+func (c *Cache) begin() cache.Req {
+	now := c.clk.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.invalSeq
-}
-
-func (c *Cache) cacheableLocked(epoch uint64) bool { return c.invalSeq == epoch }
-
-// dropCopyLocked discards what is cached under d: contents and
-// attributes, and for a binding the directory's edges together with
-// its children's attributes, which are part of the binding datum (§2).
-// Callers hold c.mu.
-func (c *Cache) dropCopyLocked(d vfs.Datum) {
-	delete(c.data, d)
-	delete(c.dattr, d)
-	if dc := c.dirs[d.Node]; dc != nil && d.Kind == vfs.DirBinding {
-		for _, ent := range dc.ents {
-			delete(c.dattr, ent.datum())
-		}
-		delete(c.dirs, d.Node)
-	}
-}
-
-// applyGrantsLocked records wire grants in the holder. A grant at a
-// version other than the one the cached copy was recorded under (the
-// lease lapsed and the datum changed, or no record survives to compare)
-// drops the copy first: a re-grant revalidates what is cached only at
-// the same version. Callers hold c.mu. requestedAt anchors the
-// conservative effective term.
-func (c *Cache) applyGrantsLocked(grants []proto.GrantWire, requestedAt time.Time) {
-	now := c.clk.Now()
-	for _, g := range grants {
-		if v, _, held := c.holder.Peek(g.Datum); !held || v != g.Version {
-			c.dropCopyLocked(g.Datum)
-		}
-		if g.Leased {
-			c.holder.ApplyGrant(g.Datum, g.Version, g.Term, requestedAt, now)
-		} else {
-			c.holder.Invalidate(g.Datum)
-		}
-	}
+	return c.core.Begin(now)
 }
 
 // Lookup resolves a path, using cached bindings under valid leases.
 func (c *Cache) Lookup(path string) (vfs.Attr, error) {
+	now := c.clk.Now()
 	c.mu.Lock()
 	c.metrics.Lookups++
-	if attr, ok := c.lookupCachedLocked(path); ok {
+	if attr, ok := c.core.Attr(path, now); ok {
 		c.metrics.LookupHits++
 		c.mu.Unlock()
 		return attr, nil
@@ -733,99 +635,20 @@ func (c *Cache) Lookup(path string) (vfs.Attr, error) {
 	return c.lookupRemote(path)
 }
 
-// nextName splits the first component off a slash-separated relative
-// path.
-func nextName(rest string) (name, tail string) {
-	if i := strings.IndexByte(rest, '/'); i >= 0 {
-		return rest[:i], rest[i+1:]
-	}
-	return rest, ""
-}
-
-// resolveLocked walks path through cached edges, each under its own
-// directory's valid binding lease, to the entry it names. Callers hold
-// c.mu.
-func (c *Cache) resolveLocked(path string) (entry, bool) {
-	ent := entry{id: vfs.RootID, isDir: true}
-	if path == "" || path[0] != '/' {
-		return ent, false
-	}
-	now := c.clk.Now()
-	for rest := path[1:]; rest != ""; {
-		dc := c.dirs[ent.id]
-		if dc == nil || !c.holder.Valid(ent.datum(), now) {
-			return ent, false
-		}
-		var name string
-		var ok bool
-		name, rest = nextName(rest)
-		if ent, ok = dc.ents[name]; !ok {
-			return ent, false
-		}
-	}
-	return ent, true
-}
-
-// openLocked is resolveLocked counted in the lookup metrics: the
-// resolution a read or write does in place of a Lookup call. Callers
-// hold c.mu.
-func (c *Cache) openLocked(path string) (entry, bool) {
+// openLocked resolves path from cached edges, counted in the lookup
+// metrics: the resolution a read or write does in place of a Lookup
+// call. Callers hold c.mu.
+func (c *Cache) openLocked(path string, now time.Time) (cache.Entry, bool) {
 	c.metrics.Lookups++
-	ent, ok := c.resolveLocked(path)
+	ent, ok := c.core.Resolve(path, now)
 	if ok {
 		c.metrics.LookupHits++
 	}
 	return ent, ok
 }
 
-// lookupCachedLocked resolves path entirely from cached bindings whose
-// leases are valid. Attributes live in the parent's binding datum —
-// the root's in its own — and are cached under the entry's primary
-// datum. Callers hold c.mu.
-func (c *Cache) lookupCachedLocked(path string) (vfs.Attr, bool) {
-	ent, ok := c.resolveLocked(path)
-	if !ok || (ent.id == vfs.RootID && !c.holder.Valid(ent.datum(), c.clk.Now())) {
-		return vfs.Attr{}, false
-	}
-	attr, ok := c.dattr[ent.datum()]
-	return attr, ok
-}
-
-// dirLocked returns the edge cache of directory id, creating it empty.
-func (c *Cache) dirLocked(id vfs.NodeID) *dir {
-	dc := c.dirs[id]
-	if dc == nil {
-		dc = &dir{ents: make(map[string]entry)}
-		c.dirs[id] = dc
-	}
-	return dc
-}
-
-// fileResolvedLocked caches what one server contact resolved for path:
-// the grants (every directory on the path, and the file when it was
-// read), each edge of the chain under its own directory, and the named
-// node's attributes, which are part of its parent's binding. An edge
-// whose directory came back unleased served this open and is not kept.
-// Callers hold c.mu and have checked the fence.
-func (c *Cache) fileResolvedLocked(path string, attr vfs.Attr, chain []vfs.Edge, grants []proto.GrantWire, requestedAt time.Time) {
-	c.applyGrantsLocked(grants, requestedAt)
-	rest := strings.TrimPrefix(path, "/")
-	covered := true // the last directory walked is under a lease
-	for _, e := range chain {
-		var name string
-		name, rest = nextName(rest)
-		if _, _, covered = c.holder.Peek(vfs.Datum{Kind: vfs.DirBinding, Node: e.Dir}); covered {
-			c.dirLocked(e.Dir).ents[name] = entry{id: e.Child, isDir: e.IsDir}
-		}
-	}
-	if covered {
-		c.dattr[entry{id: attr.ID, isDir: attr.IsDir}.datum()] = attr
-	}
-}
-
 func (c *Cache) lookupRemote(path string) (vfs.Attr, error) {
-	requestedAt := c.clk.Now()
-	epoch := c.fetchEpoch()
+	q := c.begin()
 	var e proto.Enc
 	e.Str(path)
 	f, err := c.call(proto.TLookup, e.Bytes())
@@ -841,9 +664,7 @@ func (c *Cache) lookupRemote(path string) (vfs.Attr, error) {
 		return vfs.Attr{}, d.Err
 	}
 	c.mu.Lock()
-	if c.cacheableLocked(epoch) {
-		c.fileResolvedLocked(path, attr, chain, grants, requestedAt)
-	}
+	c.core.File(q, cache.Reply{Path: path, Attr: attr, Chain: chain, Grants: grants}, c.clk.Now())
 	c.mu.Unlock()
 	return attr, nil
 }
@@ -874,21 +695,15 @@ func (c *Cache) ReadDir(path string) ([]vfs.DirEntry, error) {
 	if !attr.IsDir {
 		return nil, vfs.ErrNotDir
 	}
-	bind := vfs.Datum{Kind: vfs.DirBinding, Node: attr.ID}
 	c.mu.Lock()
-	if dc := c.dirs[attr.ID]; dc != nil && dc.listed && c.holder.Valid(bind, c.clk.Now()) {
-		out := make([]vfs.DirEntry, 0, len(dc.ents))
-		for name, ent := range dc.ents {
-			out = append(out, vfs.DirEntry{Name: name, ID: ent.id, IsDir: ent.isDir})
-		}
-		c.mu.Unlock()
+	out, ok := c.core.Listing(attr.ID, c.clk.Now())
+	c.mu.Unlock()
+	if ok {
 		sortEntries(out)
 		return out, nil
 	}
-	c.mu.Unlock()
 
-	requestedAt := c.clk.Now()
-	epoch := c.fetchEpoch()
+	q := c.begin()
 	var e proto.Enc
 	e.U64(uint64(attr.ID))
 	f, err := c.call(proto.TReadDir, e.Bytes())
@@ -903,35 +718,27 @@ func (c *Cache) ReadDir(path string) ([]vfs.DirEntry, error) {
 	if dec.Err != nil || n > 1<<20 {
 		return nil, proto.ErrTruncated
 	}
-	out := make([]vfs.DirEntry, 0, n)
-	ents := make(map[string]entry, n)
+	out = make([]vfs.DirEntry, 0, n)
+	ents := make(map[string]cache.Entry, n)
 	for i := uint32(0); i < n; i++ {
 		name := dec.Str()
 		id := vfs.NodeID(dec.U64())
 		isDir := dec.U8() == 1
 		out = append(out, vfs.DirEntry{Name: name, ID: id, IsDir: isDir})
-		ents[name] = entry{id: id, isDir: isDir}
+		ents[name] = cache.Entry{ID: id, IsDir: isDir}
 	}
 	if dec.Err != nil {
 		return nil, dec.Err
 	}
 	c.mu.Lock()
-	if c.cacheableLocked(epoch) {
-		c.applyGrantsLocked(grants, requestedAt)
-		c.dirs[attr.ID] = &dir{ents: ents, listed: true}
-		c.dattr[bind] = dattr
-	}
+	c.core.File(q, cache.Reply{Attr: dattr, Grants: grants, Ents: ents}, c.clk.Now())
 	c.mu.Unlock()
 	sortEntries(out)
 	return out, nil
 }
 
 func sortEntries(out []vfs.DirEntry) {
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Name < out[j-1].Name; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 }
 
 // Create makes a file; Mkdir a directory. Both are writes to the parent
@@ -945,10 +752,26 @@ func (c *Cache) Mkdir(path string, perm vfs.Perm) (vfs.Attr, error) {
 	return c.createCommon(path, perm, proto.TMkdir)
 }
 
+// mutate sends a namespace mutation. This cache gets no callback for
+// its own change and keeps its leases, so each caller patches the core
+// from the reply, which names every directory touched. An error reply
+// names none and may follow a change that applied in part (a cross-shard
+// rename refused at the destination after the source removal): every
+// cached directory goes.
+func (c *Cache) mutate(t proto.MsgType, payload []byte) (proto.Frame, error) {
+	f, err := c.call(t, payload)
+	if errors.Is(err, ErrRemote) {
+		c.mu.Lock()
+		c.core.DropBindings()
+		c.mu.Unlock()
+	}
+	return f, err
+}
+
 func (c *Cache) createCommon(path string, perm vfs.Perm, t proto.MsgType) (vfs.Attr, error) {
 	var e proto.Enc
 	e.Str(path).U8(uint8(perm))
-	f, err := c.call(t, e.Bytes())
+	f, err := c.mutate(t, e.Bytes())
 	if err != nil {
 		return vfs.Attr{}, err
 	}
@@ -959,11 +782,9 @@ func (c *Cache) createCommon(path string, perm vfs.Perm, t proto.MsgType) (vfs.A
 	if dec.Err != nil {
 		return vfs.Attr{}, dec.Err
 	}
-	ent := entry{id: attr.ID, isDir: attr.IsDir}
-	c.updateBinding(parent, version, func(dc *dir) {
-		dc.ents[baseOf(path)] = ent
-		c.dattr[ent.datum()] = attr
-	})
+	c.mu.Lock()
+	c.core.OwnCreate(parent, version, baseOf(path), attr)
+	c.mu.Unlock()
 	return attr, nil
 }
 
@@ -971,75 +792,38 @@ func (c *Cache) createCommon(path string, perm vfs.Perm, t proto.MsgType) (vfs.A
 func (c *Cache) Remove(path string) error {
 	var e proto.Enc
 	e.Str(path)
-	f, err := c.call(proto.TRemove, e.Bytes())
-	if err == nil {
-		dec := proto.NewDec(f.Payload)
-		c.updateBinding(vfs.NodeID(dec.U64()), dec.U64(), func(dc *dir) { delete(dc.ents, baseOf(path)) })
-		f.Recycle()
+	f, err := c.mutate(proto.TRemove, e.Bytes())
+	if err != nil {
+		return err
 	}
-	return err
+	dec := proto.NewDec(f.Payload)
+	dir, version := vfs.NodeID(dec.U64()), dec.U64()
+	f.Recycle()
+	c.mu.Lock()
+	c.core.OwnRemove(dir, version, baseOf(path))
+	c.mu.Unlock()
+	return nil
 }
 
 // Rename moves oldPath to newPath.
 func (c *Cache) Rename(oldPath, newPath string) error {
 	var e proto.Enc
 	e.Str(oldPath).Str(newPath)
-	f, err := c.call(proto.TRename, e.Bytes())
-	if err == nil {
-		dec := proto.NewDec(f.Payload)
-		from, fromV, to, toV := vfs.NodeID(dec.U64()), dec.U64(), vfs.NodeID(dec.U64()), dec.U64()
-		f.Recycle()
-		var moved entry
-		var have bool
-		put := func(dc *dir) {
-			if have {
-				dc.ents[baseOf(newPath)] = moved
-			} else {
-				// Unknown target entry: the next lookup refetches it, and
-				// the listing is no longer known complete.
-				dc.listed = false
-			}
-		}
-		c.updateBinding(from, fromV, func(dc *dir) {
-			moved, have = dc.ents[baseOf(oldPath)]
-			delete(dc.ents, baseOf(oldPath))
-			if to == from {
-				put(dc)
-			}
-		})
-		if to != from {
-			c.updateBinding(to, toV, put)
-		}
+	f, err := c.mutate(proto.TRename, e.Bytes())
+	if err != nil {
+		return err
 	}
-	return err
-}
-
-// updateBinding brings the cache in line with this client's own change
-// to directory id (0: none), whose binding the reply reports at version
-// now; no callback comes for it, and the lease is retained. A version
-// one past the recorded one says the cached edges were current up to
-// this change: fn patches them and the lease record moves on. Anything
-// else (nothing held, a change missed while lapsed, another of ours
-// racing this one) drops them. The directory is named by identity: its
-// edges may outlive an ancestor's, when its path no longer resolves.
-// Like a callback, the change fences fetches in flight.
-func (c *Cache) updateBinding(id vfs.NodeID, version uint64, fn func(*dir)) {
-	if id == 0 {
-		return
-	}
-	d := vfs.Datum{Kind: vfs.DirBinding, Node: id}
+	dec := proto.NewDec(f.Payload)
+	from, fromV, to, toV := vfs.NodeID(dec.U64()), dec.U64(), vfs.NodeID(dec.U64()), dec.U64()
+	f.Recycle()
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.invalSeq++
-	if v, _, held := c.holder.Peek(d); held && v+1 == version {
-		c.holder.Update(d, version)
-		fn(c.dirLocked(id))
-	} else {
-		c.dropCopyLocked(d)
-	}
+	c.core.OwnRename(from, fromV, baseOf(oldPath), to, toV, baseOf(newPath))
+	c.mu.Unlock()
+	return nil
 }
 
-// Stat fetches attributes without caching rights.
+// Stat fetches attributes; it is Lookup under its file-system name,
+// cached and served under the same binding leases.
 func (c *Cache) Stat(path string) (vfs.Attr, error) {
 	return c.Lookup(path)
 }
@@ -1062,7 +846,7 @@ func (c *Cache) SetPerm(path, owner string, perm vfs.Perm) error {
 	// refetches (the binding lease itself is retained — implicit
 	// approval by the writer).
 	c.mu.Lock()
-	delete(c.dattr, entry{id: attr.ID, isDir: attr.IsDir}.datum())
+	c.core.DropAttr(cache.Entry{ID: attr.ID, IsDir: attr.IsDir}.Datum())
 	c.mu.Unlock()
 	return nil
 }
@@ -1093,7 +877,7 @@ func (c *Cache) WireStats() *proto.WireStats { return c.wire }
 func (c *Cache) InstalledClass() (gen uint64, members int, stale bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.pf.Generation(), c.pf.Len(), c.pf.Stale()
+	return c.core.Class()
 }
 
 // extendLoop is the anticipatory-renewal loop (§4): each round it
@@ -1110,9 +894,9 @@ func (c *Cache) extendLoop() {
 	base := c.cfg.AutoExtend
 	consecutive := 0
 	for {
-		plan := c.planRenewal(base)
-		if len(plan.Due) > 0 || c.staleClass() {
-			if err := c.extendRound(plan.Due); err != nil {
+		plan, refetch := c.planRenewal(base)
+		if len(plan.Due) > 0 || refetch {
+			if err := c.extendRound(plan.Due, refetch); err != nil {
 				consecutive++
 				if c.cfg.Obs.Enabled() {
 					c.cfg.Obs.Record(obs.Event{
@@ -1128,7 +912,7 @@ func (c *Cache) extendLoop() {
 			// Replan: a successful round pushed expiries out (sleep to the
 			// next horizon), a failed one left them due (retry at the
 			// clamped floor instead of spinning).
-			plan = c.planRenewal(base)
+			plan, _ = c.planRenewal(base)
 		}
 		ch, stop := c.clk.After(plan.Wake)
 		select {
@@ -1142,34 +926,23 @@ func (c *Cache) extendLoop() {
 	}
 }
 
-// planRenewal snapshots the held leases and plans one renewal round.
-func (c *Cache) planRenewal(base time.Duration) portfolio.RenewPlan {
+// planRenewal plans one renewal round over the held leases, and reports
+// whether the installed snapshot needs a refetch on a connection that
+// negotiated the class feature.
+func (c *Cache) planRenewal(base time.Duration) (plan cache.RenewPlan, refetch bool) {
 	now := c.clk.Now()
 	c.mu.Lock()
-	held := c.holder.Held()
-	leases := make([]portfolio.Lease, 0, len(held))
-	for _, d := range held {
-		_, expiry, _ := c.holder.Peek(d)
-		leases = append(leases, portfolio.Lease{Datum: d, Expiry: expiry})
-	}
-	c.mu.Unlock()
-	return portfolio.PlanRenewal(now, base, leases)
-}
-
-// staleClass reports whether the installed snapshot needs a refetch on
-// a connection that negotiated the class feature.
-func (c *Cache) staleClass() bool {
-	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.features&proto.FeatClass != 0 && c.pf.Stale()
+	_, _, stale := c.core.Class()
+	return c.core.PlanRenewal(now, base), stale && c.features&proto.FeatClass != 0
 }
 
 // extendRound performs one renewal round: refetch the installed
-// snapshot if stale, then extend the due leases in one batch. The
+// snapshot if asked, then extend the due leases in one batch. The
 // extension error wins — it is the one that costs coverage.
-func (c *Cache) extendRound(due []vfs.Datum) error {
+func (c *Cache) extendRound(due []vfs.Datum, refetch bool) error {
 	var refreshErr error
-	if c.staleClass() {
+	if refetch {
 		refreshErr = c.refreshInstalled()
 	}
 	if len(due) > 0 {
@@ -1186,7 +959,7 @@ func (c *Cache) extendRound(due []vfs.Datum) error {
 // SentAt + Term − ε. One attempt per round; the next round retries.
 func (c *Cache) refreshInstalled() error {
 	c.mu.Lock()
-	gen := c.pf.Generation()
+	gen, _, _ := c.core.Class()
 	c.mu.Unlock()
 	var e proto.Enc
 	e.U64(gen)
@@ -1201,8 +974,7 @@ func (c *Cache) refreshInstalled() error {
 		return d.Err
 	}
 	c.mu.Lock()
-	c.pf.ApplySnapshot(w.Generation, w.Term, w.Data)
-	c.holder.ApplyInstalledExtension(w.Data, w.Term, w.SentAt, c.clk.Now())
+	c.core.Snapshot(w.Generation, w.Term, w.Data, w.SentAt, c.clk.Now())
 	c.mu.Unlock()
 	return nil
 }

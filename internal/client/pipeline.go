@@ -16,7 +16,7 @@
 //   - Replies may complete out of order; each future resolves its own
 //     request only. Approval pushes interleave freely with replies and
 //     are handled by the demux loop as they arrive, so a push crossing
-//     a pipelined grant still fences it from the cache (invalSeq).
+//     a pipelined grant still fences it from the cache (cache.Req).
 //   - A connection failure fails every in-flight future with ErrClosed.
 //     With the session layer enabled, Wait transparently resubmits the
 //     request on the reconnected session within the per-op retry
@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"time"
 
+	"leases/internal/cache"
 	"leases/internal/obs/tracing"
 	"leases/internal/proto"
 	"leases/internal/vfs"
@@ -209,15 +210,14 @@ func (cl *Call) finish(f proto.Frame) (proto.Frame, error) {
 // and either satisfies the read from cache immediately or launches the
 // fetch; Wait completes it.
 type ReadCall struct {
-	c           *Cache
-	call        *Call
-	path        string
-	requestedAt time.Time
-	epoch       uint64
-	hit         bool
-	data        []byte
-	err         error
-	done        bool
+	c    *Cache
+	call *Call
+	path string
+	q    cache.Req
+	hit  bool
+	data []byte
+	err  error
+	done bool
 }
 
 // StartRead begins a read of path and never blocks on the server: a
@@ -225,16 +225,17 @@ type ReadCall struct {
 // cached copy or fetched by node, and any other is sent as one
 // path-addressed TRead — lookup and read in a single round trip.
 func (c *Cache) StartRead(path string) *ReadCall {
-	r := &ReadCall{c: c, path: path, requestedAt: c.clk.Now()}
+	r := &ReadCall{c: c, path: path}
+	now := c.clk.Now()
 	c.mu.Lock()
-	ent, named := c.openLocked(path)
-	if named && ent.isDir {
+	ent, named := c.openLocked(path, now)
+	if named && ent.IsDir {
 		c.mu.Unlock()
 		r.done, r.err = true, vfs.ErrIsDir
 		return r
 	}
 	c.metrics.Reads++
-	if data, ok := c.data[ent.datum()]; named && ok && c.holder.Valid(ent.datum(), r.requestedAt) {
+	if data, ok := c.core.Contents(ent.Datum(), now); named && ok {
 		c.metrics.ReadHits++
 		out := make([]byte, len(data))
 		copy(out, data)
@@ -242,11 +243,11 @@ func (c *Cache) StartRead(path string) *ReadCall {
 		r.done, r.hit, r.data = true, true, out
 		return r
 	}
-	r.epoch = c.invalSeq
+	r.q = c.core.Begin(now)
 	c.mu.Unlock()
 	var e proto.Enc
 	if named {
-		e.U64(uint64(ent.id)).Str("")
+		e.U64(uint64(ent.ID)).Str("")
 	} else {
 		e.U64(0).Str(path)
 	}
@@ -280,31 +281,24 @@ func (r *ReadCall) Wait() ([]byte, error) {
 		r.err = dec.Err
 		return nil, dec.Err
 	}
-	d := vfs.Datum{Kind: vfs.FileData, Node: rattr.ID}
-	c.mu.Lock()
-	// A reply older than the cached copy (a read that the server served
-	// before this cache's own later write, waited on after it) must not
-	// bury the newer contents.
-	if cur, ok := c.dattr[d]; c.cacheableLocked(r.epoch) && !(ok && rattr.Version < cur.Version) {
-		c.fileResolvedLocked(r.path, rattr, chain, grants, r.requestedAt)
-		c.data[d] = data
-	}
-	c.mu.Unlock()
 	out := make([]byte, len(data))
 	copy(out, data)
+	c.mu.Lock()
+	c.core.File(r.q, cache.Reply{Path: r.path, Attr: rattr, Chain: chain, Grants: grants, Data: data}, c.clk.Now())
+	c.mu.Unlock()
 	r.data = out
 	return out, nil
 }
 
 // WriteCall is an in-flight Write.
 type WriteCall struct {
-	c     *Cache
-	call  *Call
-	d     vfs.Datum
-	data  []byte
-	epoch uint64
-	err   error
-	done  bool
+	c    *Cache
+	call *Call
+	d    vfs.Datum
+	data []byte
+	q    cache.Req
+	err  error
+	done bool
 }
 
 // StartWrite begins a write-through of data to path. The caller must
@@ -315,7 +309,7 @@ type WriteCall struct {
 func (c *Cache) StartWrite(path string, data []byte) *WriteCall {
 	w := &WriteCall{c: c}
 	c.mu.Lock()
-	ent, ok := c.openLocked(path)
+	ent, ok := c.openLocked(path, c.clk.Now())
 	c.mu.Unlock()
 	if !ok {
 		attr, err := c.lookupRemote(path)
@@ -323,17 +317,17 @@ func (c *Cache) StartWrite(path string, data []byte) *WriteCall {
 			w.done, w.err = true, err
 			return w
 		}
-		ent = entry{id: attr.ID, isDir: attr.IsDir}
+		ent = cache.Entry{ID: attr.ID, IsDir: attr.IsDir}
 	}
-	if ent.isDir {
+	if ent.IsDir {
 		w.done, w.err = true, vfs.ErrIsDir
 		return w
 	}
-	w.d = ent.datum()
-	w.epoch = c.fetchEpoch()
+	w.d = ent.Datum()
+	w.q = c.begin()
 	w.data = data
 	var e proto.Enc
-	e.U64(uint64(ent.id)).Blob(data)
+	e.U64(uint64(ent.ID)).Blob(data)
 	w.call = c.startCall(proto.TWrite, e.Bytes())
 	return w
 }
@@ -359,40 +353,24 @@ func (w *WriteCall) Wait() error {
 	}
 	c.mu.Lock()
 	c.metrics.Writes++
-	if c.cacheableLocked(w.epoch) {
-		buf := make([]byte, len(w.data))
-		copy(buf, w.data)
-		c.data[w.d] = buf
-		c.dattr[w.d] = nattr
-		c.holder.Update(w.d, nattr.Version)
-	} else {
-		// The write applied, so the pre-write copy is stale — and this
-		// cache's own lease on it may still be valid, since the server
-		// asks a writer for no approval.
-		delete(c.data, w.d)
-		delete(c.dattr, w.d)
-	}
+	c.core.OwnWrite(w.q, w.d, nattr, w.data)
 	c.mu.Unlock()
 	return nil
 }
 
 // ExtendCall is an in-flight batched lease extension.
 type ExtendCall struct {
-	c           *Cache
-	call        *Call
-	requestedAt time.Time
-	epoch       uint64
-	err         error
-	done        bool
+	c    *Cache
+	call *Call
+	q    cache.Req
+	err  error
+	done bool
 }
 
 // StartExtendAll begins renewing every held lease in one batched
 // request (§3.1). With nothing held it completes immediately.
 func (c *Cache) StartExtendAll() *ExtendCall {
-	c.mu.Lock()
-	held := c.holder.Held()
-	c.mu.Unlock()
-	return c.startExtend(held)
+	return c.startExtend(c.HeldData())
 }
 
 // startExtend begins renewing exactly the given data in one batched
@@ -403,8 +381,7 @@ func (c *Cache) startExtend(data []vfs.Datum) *ExtendCall {
 		x.done = true
 		return x
 	}
-	x.requestedAt = c.clk.Now()
-	x.epoch = c.fetchEpoch()
+	x.q = c.begin()
 	var e proto.Enc
 	e.U32(uint32(len(data)))
 	for _, d := range data {
@@ -434,27 +411,9 @@ func (x *ExtendCall) Wait() error {
 		return dec.Err
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.cacheableLocked(x.epoch) {
-		// An invalidation crossed the extension in flight; applying
-		// these grants could resurrect a lease the approval already
-		// surrendered. The next extension round renews what remains.
-		return nil
+	for _, d := range c.core.FileExtension(x.q, grants, c.clk.Now()) {
+		c.invalidatedLocked(d)
 	}
-	now := c.clk.Now()
-	for _, g := range grants {
-		if !g.Leased {
-			c.invalidateLocked(g.Datum)
-			continue
-		}
-		version, _, held := c.holder.Peek(g.Datum)
-		if held && version != g.Version {
-			// The datum changed while our lease was lapsed: the cached
-			// copy is stale. Drop it; the next read refetches.
-			c.invalidateLocked(g.Datum)
-			continue
-		}
-		c.holder.ApplyGrant(g.Datum, g.Version, g.Term, x.requestedAt, now)
-	}
+	c.mu.Unlock()
 	return nil
 }

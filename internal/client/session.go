@@ -105,7 +105,7 @@ func (c *Cache) connLost(nc net.Conn, err error) {
 	c.down = true
 	c.ready = make(chan struct{})
 	c.failCallsLocked()
-	c.dropAllLocked()
+	c.core.DropAll()
 	c.mu.Unlock()
 
 	if c.cfg.OnDisconnect != nil {
@@ -131,25 +131,6 @@ func (c *Cache) failCallsLocked() {
 	for id, ch := range c.calls {
 		delete(c.calls, id)
 		close(ch)
-	}
-}
-
-// dropAllLocked discards every cached lease, datum, binding and class
-// snapshot — the revalidate-on-resume default. Callers hold c.mu.
-func (c *Cache) dropAllLocked() {
-	c.invalSeq++
-	c.pf.Clear()
-	for _, d := range c.holder.Held() {
-		c.holder.Drop(d)
-	}
-	for d := range c.data {
-		delete(c.data, d)
-	}
-	for d := range c.dattr {
-		delete(c.dattr, d)
-	}
-	for id := range c.dirs {
-		delete(c.dirs, id)
 	}
 }
 
@@ -236,7 +217,7 @@ func (c *Cache) finishReconnect(nc net.Conn, st *resumeState, attempts int, down
 	if st.feats&proto.FeatClass != 0 {
 		// The previous incarnation's class snapshot was dropped with
 		// everything else; refetch it promptly on the new one.
-		c.pf.MarkStale()
+		c.core.MarkClassStale()
 	}
 	c.down = false
 	c.metrics.Reconnects++

@@ -24,11 +24,21 @@ type HolderConfig struct {
 	Delivery time.Duration
 }
 
-// heldLease is the client's record of one lease.
-type heldLease struct {
-	expiry  time.Time // zero = never; local clock, ε already deducted
-	version uint64
-	term    time.Duration // t_s as granted, for renewal bookkeeping
+// Lease is a holder's record of one lease: what a cache consults, and
+// nothing else, to decide whether its copy of a datum may be used.
+type Lease struct {
+	Expiry  time.Time // zero = never; local clock, ε already deducted
+	Version uint64
+	Term    time.Duration // t_s as granted, for renewal bookkeeping
+}
+
+// Extend moves the lease out to expiry, covering version: an extension
+// never shortens a lease, and a re-fetch never regresses the version.
+func (l *Lease) Extend(expiry time.Time, version uint64) {
+	l.Expiry = maxExpiry(l.Expiry, expiry)
+	if version > l.Version {
+		l.Version = version
+	}
 }
 
 // HolderMetrics counts client-side lease events.
@@ -46,34 +56,49 @@ type HolderMetrics struct {
 // safe for concurrent use; drivers serialize access.
 type Holder struct {
 	cfg     HolderConfig
-	leases  map[vfs.Datum]*heldLease
+	leases  map[vfs.Datum]*Lease
 	metrics HolderMetrics
 }
 
 // NewHolder returns an empty holder.
 func NewHolder(cfg HolderConfig) *Holder {
-	return &Holder{cfg: cfg, leases: make(map[vfs.Datum]*heldLease)}
+	return &Holder{cfg: cfg, leases: make(map[vfs.Datum]*Lease)}
 }
 
-// effectiveExpiry converts a granted term into a local expiry instant.
-func (h *Holder) effectiveExpiry(term time.Duration, requestedAt, receivedAt time.Time) time.Time {
-	if term >= Infinite {
-		return time.Time{}
+// Effective converts a term granted for a request sent at requestedAt
+// and answered at receivedAt into a local expiry instant (zero = never),
+// and reports whether anything is left of it at receivedAt. With nothing
+// left (t_c = 0, or the server refused to lease: term ≤ 0) the datum may
+// be used for the access that fetched it but not cached, and the
+// returned instant lies in the past.
+func (cfg HolderConfig) Effective(term time.Duration, requestedAt, receivedAt time.Time) (time.Time, bool) {
+	if term <= 0 {
+		return receivedAt.Add(-time.Nanosecond), false
 	}
-	var anchor time.Time
-	budget := term - h.cfg.Allowance
-	if h.cfg.Delivery > 0 {
+	if term >= Infinite {
+		return time.Time{}, true
+	}
+	anchor, budget := requestedAt, term-cfg.Allowance
+	if cfg.Delivery > 0 {
 		anchor = receivedAt
-		budget -= h.cfg.Delivery
-	} else {
-		anchor = requestedAt
+		budget -= cfg.Delivery
 	}
 	if budget <= 0 {
-		// t_c = 0: the datum may be used for the access that fetched it
-		// but not cached. Represent as an expiry in the past.
-		return anchor.Add(-time.Nanosecond)
+		return anchor.Add(-time.Nanosecond), false
 	}
-	return anchor.Add(budget)
+	expiry := anchor.Add(budget)
+	return expiry, !Expired(expiry, receivedAt)
+}
+
+// Stamped is the local expiry of an unsolicited extension the server
+// stamped with its send time: sentAt + term − ε, valid whenever mutual
+// clock error is within ε.
+func (cfg HolderConfig) Stamped(term time.Duration, sentAt time.Time) time.Time {
+	expiry := ExpiryAt(sentAt, term)
+	if !expiry.IsZero() {
+		expiry = expiry.Add(-cfg.Allowance)
+	}
+	return expiry
 }
 
 // ApplyGrant records a lease granted with term t_s for a request sent at
@@ -83,33 +108,21 @@ func (h *Holder) effectiveExpiry(term time.Duration, requestedAt, receivedAt tim
 // It returns the effective local expiry (zero = never).
 func (h *Holder) ApplyGrant(d vfs.Datum, version uint64, term time.Duration, requestedAt, receivedAt time.Time) time.Time {
 	h.metrics.Grants++
-	if term <= 0 {
-		h.metrics.ZeroEffective++
-		delete(h.leases, d)
-		return receivedAt.Add(-time.Nanosecond)
-	}
-	expiry := h.effectiveExpiry(term, requestedAt, receivedAt)
-	if Expired(expiry, receivedAt) {
+	expiry, ok := h.cfg.Effective(term, requestedAt, receivedAt)
+	if !ok {
 		h.metrics.ZeroEffective++
 		delete(h.leases, d)
 		return expiry
 	}
-	l, ok := h.leases[d]
-	if !ok {
-		l = &heldLease{}
+	l, held := h.leases[d]
+	if !held {
+		l = &Lease{Expiry: expiry, Version: version}
 		h.leases[d] = l
+	} else {
+		l.Extend(expiry, version)
 	}
-	// An extension never shortens a lease, and a re-fetch never regresses
-	// the version.
-	if ok {
-		expiry = maxExpiry(l.expiry, expiry)
-	}
-	l.expiry = expiry
-	if version > l.version || !ok {
-		l.version = version
-	}
-	l.term = term
-	return expiry
+	l.Term = term
+	return l.Expiry
 }
 
 // ApplyInstalledExtension processes a periodic multicast extension (§4)
@@ -122,57 +135,25 @@ func (h *Holder) ApplyGrant(d vfs.Datum, version uint64, term time.Duration, req
 // copy. (A datum can leave the class on a write and be re-installed
 // later; a client that held it across that gap would otherwise have its
 // stale copy revived by the first broadcast under the new membership.)
-// The expiry is anchored at the server's timestamp minus the clock
-// allowance: sentAt + term − ε, valid whenever mutual clock error is
-// within ε. It returns how many held leases were extended.
+// The expiry is Stamped's. It returns how many held leases were extended.
 func (h *Holder) ApplyInstalledExtension(data []vfs.Datum, term time.Duration, sentAt, now time.Time) int {
 	if term <= 0 {
 		return 0
 	}
-	expiry := ExpiryAt(sentAt, term)
-	if !expiry.IsZero() {
-		expiry = expiry.Add(-h.cfg.Allowance)
-	}
+	expiry := h.cfg.Stamped(term, sentAt)
 	n := 0
 	for _, d := range data {
 		l, ok := h.leases[d]
-		if !ok || Expired(l.expiry, now) {
+		if !ok || Expired(l.Expiry, now) {
 			continue
 		}
-		l.expiry = maxExpiry(l.expiry, expiry)
+		l.Extend(expiry, l.Version)
 		n++
 	}
 	if n > 0 {
 		h.metrics.Grants++
 	}
 	return n
-}
-
-// ApplyStampedGrant processes one unsolicited, server-stamped extension
-// grant — the anticipatory extension a server piggybacks on another
-// reply (§4). Like an installed extension it can only extend a lease
-// this cache already holds (there is no fetched copy for it to cover
-// otherwise) and is anchored at the server's send time minus the clock
-// allowance: sentAt + term − ε. A version disagreeing with the held
-// copy means the copy is stale — the grant is ignored and the normal
-// invalidation path deals with it. Reports whether a lease was
-// extended.
-func (h *Holder) ApplyStampedGrant(d vfs.Datum, version uint64, term time.Duration, sentAt time.Time) bool {
-	if term <= 0 {
-		return false
-	}
-	l, ok := h.leases[d]
-	if !ok || version != l.version {
-		return false
-	}
-	expiry := ExpiryAt(sentAt, term)
-	if !expiry.IsZero() {
-		expiry = expiry.Add(-h.cfg.Allowance)
-	}
-	l.expiry = maxExpiry(l.expiry, expiry)
-	l.term = term
-	h.metrics.Grants++
-	return true
 }
 
 // Valid reports whether the holder may use its cached copy of d at now:
@@ -182,7 +163,7 @@ func (h *Holder) Valid(d vfs.Datum, now time.Time) bool {
 	if !ok {
 		return false
 	}
-	if Expired(l.expiry, now) {
+	if Expired(l.Expiry, now) {
 		h.metrics.Expirations++
 		return false
 	}
@@ -197,7 +178,7 @@ func (h *Holder) Peek(d vfs.Datum) (version uint64, expiry time.Time, held bool)
 	if !ok {
 		return 0, time.Time{}, false
 	}
-	return l.version, l.expiry, true
+	return l.Version, l.Expiry, true
 }
 
 // Invalidate discards the lease and any claim to a cached copy of d.
@@ -214,8 +195,8 @@ func (h *Holder) Invalidate(d vfs.Datum) {
 // used by a write-through cache when its own write is applied: the writer
 // retains its lease over the new contents.
 func (h *Holder) Update(d vfs.Datum, version uint64) {
-	if l, ok := h.leases[d]; ok && version > l.version {
-		l.version = version
+	if l, ok := h.leases[d]; ok && version > l.Version {
+		l.Version = version
 	}
 }
 
@@ -227,7 +208,7 @@ func (h *Holder) Held() []vfs.Datum {
 	for d := range h.leases {
 		out = append(out, d)
 	}
-	sortData(out)
+	SortData(out)
 	return out
 }
 
@@ -238,14 +219,14 @@ func (h *Holder) ExpiringWithin(now time.Time, lead time.Duration) []vfs.Datum {
 	var out []vfs.Datum
 	deadline := now.Add(lead)
 	for d, l := range h.leases {
-		if l.expiry.IsZero() {
+		if l.Expiry.IsZero() {
 			continue
 		}
-		if !Expired(l.expiry, now) && !l.expiry.After(deadline) {
+		if !Expired(l.Expiry, now) && !l.Expiry.After(deadline) {
 			out = append(out, d)
 		}
 	}
-	sortData(out)
+	SortData(out)
 	return out
 }
 
@@ -259,7 +240,8 @@ func (h *Holder) Len() int { return len(h.leases) }
 // Metrics returns a copy of the event counters.
 func (h *Holder) Metrics() HolderMetrics { return h.metrics }
 
-func sortData(data []vfs.Datum) {
+// SortData orders data by kind, then node: the deterministic batch order.
+func SortData(data []vfs.Datum) {
 	sort.Slice(data, func(i, j int) bool {
 		if data[i].Kind != data[j].Kind {
 			return data[i].Kind < data[j].Kind

@@ -27,31 +27,11 @@ func NewTokenHolder(cfg HolderConfig) *TokenHolder {
 	return &TokenHolder{cfg: cfg, tokens: make(map[vfs.Datum]*heldToken)}
 }
 
-// effectiveExpiry mirrors Holder's rule.
-func (h *TokenHolder) effectiveExpiry(term time.Duration, requestedAt, receivedAt time.Time) time.Time {
-	if term >= Infinite {
-		return time.Time{}
-	}
-	anchor := requestedAt
-	budget := term - h.cfg.Allowance
-	if h.cfg.Delivery > 0 {
-		anchor = receivedAt
-		budget -= h.cfg.Delivery
-	}
-	if budget <= 0 {
-		return anchor.Add(-time.Nanosecond)
-	}
-	return anchor.Add(budget)
-}
-
-// ApplyToken records a granted token. A zero term records nothing.
+// ApplyToken records a granted token, its term judged by Holder's rule
+// (HolderConfig.Effective). A zero effective term records nothing.
 func (h *TokenHolder) ApplyToken(d vfs.Datum, mode TokenMode, version uint64, term time.Duration, requestedAt, receivedAt time.Time) {
-	if term <= 0 {
-		delete(h.tokens, d)
-		return
-	}
-	expiry := h.effectiveExpiry(term, requestedAt, receivedAt)
-	if Expired(expiry, receivedAt) {
+	expiry, ok := h.cfg.Effective(term, requestedAt, receivedAt)
+	if !ok {
 		delete(h.tokens, d)
 		return
 	}
@@ -111,7 +91,7 @@ func (h *TokenHolder) DirtyData() []vfs.Datum {
 			out = append(out, d)
 		}
 	}
-	sortData(out)
+	SortData(out)
 	return out
 }
 
