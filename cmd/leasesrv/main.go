@@ -48,6 +48,7 @@ import (
 	"syscall"
 	"time"
 
+	"leases/internal/cluster"
 	"leases/internal/core"
 	"leases/internal/obs"
 	"leases/internal/obs/tracing"
@@ -116,11 +117,9 @@ func main() {
 
 	// Replicated mode: a PaxosLease node negotiates the master lease on
 	// the peer mesh; the server only accepts sessions (and clears
-	// writes) while this replica holds it. The node's callbacks close
-	// over srv, which is assigned before Start — no callback fires
-	// until then.
-	var nd *replica.Node
-	var srv *server.Server
+	// writes) while this replica holds it (internal/cluster wires the
+	// two).
+	var ncfg replica.NodeConfig
 	if *replicaID >= 0 {
 		peers := splitPeers(*peersFlag)
 		if *replicaID >= len(peers) {
@@ -137,62 +136,9 @@ func main() {
 		if al <= 0 {
 			al = et / 10
 		}
-		var err error
-		nd, err = replica.NewNode(replica.NodeConfig{
+		ncfg = replica.NodeConfig{
 			ID: *replicaID, Peers: peers, Term: et, Allowance: al,
 			Seed: int64(*replicaID) + 1, Obs: o, Tracer: tr,
-			OnReplApply: func(f replica.FileState) (bool, error) {
-				return srv.ApplyReplicated(f.Path, f.Seq, f.Data)
-			},
-			OnSyncState: func() ([]replica.FileState, time.Duration) {
-				files := srv.ReplState()
-				out := make([]replica.FileState, len(files))
-				for i, f := range files {
-					out[i] = replica.FileState{Path: f.Path, Seq: f.Seq, Data: f.Data}
-				}
-				return out, srv.ReplTermFloor()
-			},
-			OnMaxTerm: func(d time.Duration) error { return srv.PersistMaxTerm(d) },
-			OnRole: func(r replica.Role, master int) {
-				if r != replica.RoleMaster {
-					srv.Demote()
-					return
-				}
-				// Sever any sessions left from an earlier mastership era
-				// (a demote edge coalesced into this elected one) before
-				// the catch-up sync; serving stays gated until Promote.
-				srv.Demote()
-				// The election trace (rooted in the replica node when it
-				// became candidate) covers the whole failover: the
-				// catch-up sync, promotion, and §2 recovery window record
-				// as child spans under it.
-				tc := nd.ElectionContext()
-				syncSp := tr.StartChild(tc, "failover.sync")
-				files, floor, serr := nd.SyncForPromotion(tc)
-				if serr != nil {
-					// The mastership lapsed (or the node stopped) before a
-					// quorum answered the catch-up sync. Do NOT promote on
-					// local evidence: quorum-acked writes this replica never
-					// received would be served stale and its unmerged
-					// sequence map would poison the whole mastership. The
-					// serving gate stays closed; the next election retries.
-					syncSp.EndNote("abandoned")
-					nd.EndElection("abandoned")
-					log.Printf("leasesrv: promotion abandoned: %v", serr)
-					return
-				}
-				syncSp.End()
-				out := make([]server.ReplFile, len(files))
-				for i, f := range files {
-					out[i] = server.ReplFile{Path: f.Path, Seq: f.Seq, Data: f.Data}
-				}
-				srv.Promote(tc, out, floor)
-				nd.EndElection("promoted")
-				log.Printf("leasesrv: replica %d elected master (recovery floor %v)", *replicaID, floor)
-			},
-		})
-		if err != nil {
-			log.Fatalf("leasesrv: %v", err)
 		}
 	}
 	scfg := server.Config{
@@ -220,9 +166,6 @@ func main() {
 		scfg.Access = stats
 		scfg.Policy = &core.AdaptiveTerm{Stats: stats, Min: *adaptiveMin, Max: *term}
 	}
-	if nd != nil {
-		scfg.Replica = nodeReplica{nd}
-	}
 	if *ringSpec != "" {
 		ring, err := shard.Parse(*ringSpec)
 		if err != nil {
@@ -236,7 +179,18 @@ func main() {
 	} else if *groupID >= 0 {
 		log.Fatal("leasesrv: -group-id requires -ring")
 	}
-	srv = server.New(scfg)
+	var nd *replica.Node
+	var srv *server.Server
+	if *replicaID >= 0 {
+		var err error
+		if nd, srv, err = cluster.New(ncfg, scfg, func(format string, args ...any) {
+			log.Printf("leasesrv: "+format, args...)
+		}); err != nil {
+			log.Fatalf("leasesrv: %v", err)
+		}
+	} else {
+		srv = server.New(scfg)
+	}
 	if !*empty {
 		seed(srv.Store())
 	}
@@ -312,19 +266,6 @@ func splitPeers(s string) []string {
 	}
 	return out
 }
-
-// nodeReplica adapts a replica.Node to the server.Replica interface,
-// keeping the server package free of the election machinery.
-type nodeReplica struct{ n *replica.Node }
-
-func (r nodeReplica) IsMaster() bool          { return r.n.IsMaster() }
-func (r nodeReplica) MasterIndex() int        { return r.n.MasterIndex() }
-func (r nodeReplica) Role() string            { return string(r.n.Role()) }
-func (r nodeReplica) MasterExpiry() time.Time { return r.n.MasterExpiry() }
-func (r nodeReplica) ReplicateWrite(tc tracing.Context, path string, seq uint64, data []byte) error {
-	return r.n.ReplicateWrite(tc, replica.FileState{Path: path, Seq: seq, Data: data})
-}
-func (r nodeReplica) ReplicateMaxTerm(d time.Duration) error { return r.n.ReplicateMaxTerm(d) }
 
 // handleSignals gives operators state without the HTTP plane: SIGUSR1
 // dumps the metrics snapshot and recent trace events to stderr and the

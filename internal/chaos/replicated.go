@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"leases/internal/cluster"
 	"leases/internal/faultnet"
 	"leases/internal/obs/tracing"
 	"leases/internal/replica"
@@ -66,21 +67,6 @@ type replSet struct {
 	peerLns  []net.Listener
 	cliAddrs []string // client listen addresses, by replica ID
 	down     []bool
-}
-
-// replicaAdapter exposes a replica.Node through the plain-typed
-// server.Replica interface (the same shim cmd/leasesrv uses).
-type replicaAdapter struct{ n *replica.Node }
-
-func (r replicaAdapter) IsMaster() bool          { return r.n.IsMaster() }
-func (r replicaAdapter) MasterIndex() int        { return r.n.MasterIndex() }
-func (r replicaAdapter) Role() string            { return string(r.n.Role()) }
-func (r replicaAdapter) MasterExpiry() time.Time { return r.n.MasterExpiry() }
-func (r replicaAdapter) ReplicateMaxTerm(d time.Duration) error {
-	return r.n.ReplicateMaxTerm(d)
-}
-func (r replicaAdapter) ReplicateWrite(tc tracing.Context, path string, seq uint64, data []byte) error {
-	return r.n.ReplicateWrite(tc, replica.FileState{Path: path, Seq: seq, Data: data})
 }
 
 // newReplSet boots the classic single-group replicated deployment:
@@ -163,56 +149,6 @@ func (rs *replSet) startReplica(i int, dir string, restart bool) error {
 			peers[j] = rs.links[i][j].Addr()
 		}
 	}
-	var nd *replica.Node
-	var srv *server.Server
-	nd, err := replica.NewNode(replica.NodeConfig{
-		ID: i, Peers: peers, Term: rs.term, Allowance: rs.allow,
-		Seed: h.o.Seed*31 + rs.cfg.seedBase + int64(i) + 1, Obs: h.obs, Tracer: h.tracer,
-		OnReplApply: func(f replica.FileState) (bool, error) {
-			return srv.ApplyReplicated(f.Path, f.Seq, f.Data)
-		},
-		OnSyncState: func() ([]replica.FileState, time.Duration) {
-			files := srv.ReplState()
-			out := make([]replica.FileState, len(files))
-			for k, f := range files {
-				out[k] = replica.FileState{Path: f.Path, Seq: f.Seq, Data: f.Data}
-			}
-			return out, srv.ReplTermFloor()
-		},
-		OnMaxTerm: func(d time.Duration) error { return srv.PersistMaxTerm(d) },
-		OnRole: func(r replica.Role, master int) {
-			if r != replica.RoleMaster {
-				srv.Demote()
-				return
-			}
-			// Sever sessions from any earlier mastership era before the
-			// catch-up sync; serving stays gated until Promote reopens it.
-			srv.Demote()
-			tc := nd.ElectionContext()
-			syncSp := h.tracer.StartChild(tc, "failover.sync")
-			files, floor, serr := nd.SyncForPromotion(tc)
-			if serr != nil {
-				// Mastership lapsed (or node stopped) before a quorum
-				// answered. Stay gated rather than promote on local
-				// evidence — the next election retries.
-				syncSp.EndNote("abandoned")
-				nd.EndElection("abandoned")
-				h.logf("chaos: replica %d promotion abandoned: %v", i, serr)
-				return
-			}
-			syncSp.End()
-			out := make([]server.ReplFile, len(files))
-			for k, f := range files {
-				out[k] = server.ReplFile{Path: f.Path, Seq: f.Seq, Data: f.Data}
-			}
-			srv.Promote(tc, out, floor)
-			nd.EndElection("promoted")
-			h.logf("chaos: replica %d promoted (floor %v)", i, floor)
-		},
-	})
-	if err != nil {
-		return err
-	}
 	maxTermName := fmt.Sprintf("maxterm-%d", i)
 	if rs.cfg.ring != nil {
 		maxTermName = fmt.Sprintf("maxterm-g%d-%d", rs.cfg.group, i)
@@ -223,12 +159,17 @@ func (rs *replSet) startReplica(i int, dir string, restart bool) error {
 		MaxTermPath:  filepath.Join(dir, maxTermName),
 		Obs:          h.obs,
 		Tracer:       h.tracer,
-		Replica:      replicaAdapter{nd},
 	}
 	if rs.cfg.ring != nil {
 		scfg.Shard = server.ShardConfig{GroupID: rs.cfg.group, Ring: rs.cfg.ring}
 	}
-	srv = server.New(scfg)
+	nd, srv, err := cluster.New(replica.NodeConfig{
+		ID: i, Peers: peers, Term: rs.term, Allowance: rs.allow,
+		Seed: h.o.Seed*31 + rs.cfg.seedBase + int64(i) + 1, Obs: h.obs, Tracer: h.tracer,
+	}, scfg, func(format string, args ...any) { h.logf("chaos: "+format, args...) })
+	if err != nil {
+		return err
+	}
 	if err := seedFiles(srv.Store(), h.ck.seedContents()); err != nil {
 		return err
 	}

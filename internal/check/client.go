@@ -263,7 +263,7 @@ func (c *mclient) handle(m netsim.Message) {
 		c.handleGrants(m, p)
 	case writeAck:
 		c.handleAck(m, p)
-	case approvalReq:
+	case proto.ApprovalWire:
 		c.handleApprovalPush(m, p)
 	case notMasterRep:
 		c.handleNotMaster(m, p)
@@ -271,7 +271,7 @@ func (c *mclient) handle(m netsim.Message) {
 		c.handleNotOwner(p)
 	case renameAck:
 		c.handleRenameAck(m, p)
-	case classBcast:
+	case proto.BroadcastExtWire:
 		c.handleBroadcast(m, p)
 	case classSnap:
 		c.handleClassSnap(p)
@@ -283,8 +283,8 @@ func (c *mclient) handle(m netsim.Message) {
 // handleBroadcast is the §4.3 broadcast extension. A generation the
 // held snapshot does not match extends nothing: fetch the snapshot from
 // whoever broadcast, which is always the serving master.
-func (c *mclient) handleBroadcast(m netsim.Message, bc classBcast) {
-	if c.core.Broadcast(bc.Gen, bc.Term, bc.SentAt, c.localNow()) {
+func (c *mclient) handleBroadcast(m netsim.Message, bc proto.BroadcastExtWire) {
+	if c.core.Broadcast(bc.Generation, bc.Term, bc.SentAt, c.localNow()) {
 		return
 	}
 	c.pfFetch = c.allocReq()
@@ -299,7 +299,7 @@ func (c *mclient) handleClassSnap(sn classSnap) {
 		return
 	}
 	c.pfFetch = 0
-	c.core.Snapshot(sn.Gen, sn.Term, sn.Data, sn.SentAt, c.localNow())
+	c.core.Snapshot(sn.Generation, sn.Term, sn.Data, sn.SentAt, c.localNow())
 }
 
 func (c *mclient) cancelRetry(op *mop) {
@@ -398,7 +398,7 @@ func (c *mclient) handleGrants(m netsim.Message, rep extendRep) {
 	for _, g := range rep.Grants {
 		c.core.File(q, cache.Reply{
 			Attr:   vfs.Attr{ID: g.Datum.Node, Version: g.Version},
-			Grants: []proto.GrantWire{{Datum: g.Datum, Term: g.Term, Version: g.Version, Leased: g.Leased}},
+			Grants: []proto.GrantWire{g.GrantWire},
 			Data:   []byte(g.Value),
 		}, now)
 	}
@@ -425,7 +425,7 @@ func (c *mclient) handleAck(m netsim.Message, ack writeAck) {
 	c.core.OwnWrite(c.fence(op), op.datum, vfs.Attr{Version: ack.Version}, []byte(op.value))
 }
 
-func (c *mclient) handleApprovalPush(m netsim.Message, ar approvalReq) {
+func (c *mclient) handleApprovalPush(m netsim.Message, ar proto.ApprovalWire) {
 	c.core.Invalidate(ar.Datum)
 	c.w.obs.Record(obs.Event{
 		Type:    obs.EvEviction,

@@ -6,13 +6,19 @@ import (
 )
 
 // TestCounterexampleArtifacts is the table-driven regression loader:
-// every JSON artifact under testdata/counterexamples/ must (a) replay
-// its recorded violation deterministically with the scenario's
-// deliberate break enabled, and (b) run clean once the break is
-// removed. Together the two directions make each artifact a
+// every JSON artifact under testdata/counterexamples/ that carries a
+// deliberate break must (a) replay its recorded violation
+// deterministically with the break enabled, and (b) run clean once the
+// break is removed. Together the two directions make each artifact a
 // revert-guard: grant-approval-reorder fails if the invalidation fence
 // is removed from the client, write-defer-immediate-apply fails if the
 // server stops deferring writes behind live leases.
+//
+// An artifact without a break is a schedule that once violated under
+// the honest protocol — acked-write-lost-asym-failover in the model's
+// former hand-written server; promotion-serves-unsettled-merge and
+// rename-loses-racing-write in the shipped promotion and cross-shard
+// rename, once the model drove them — and must stay clean.
 func TestCounterexampleArtifacts(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("testdata", "counterexamples", "*.json"))
 	if err != nil {
@@ -29,17 +35,16 @@ func TestCounterexampleArtifacts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ce.Scenario.Break == "" {
-				t.Fatal("artifact has no protocol break; it cannot guard anything")
-			}
 			if got := ce.Scenario.Steps(); got != ce.Steps {
 				t.Errorf("artifact declares %d steps, scenario has %d", ce.Steps, got)
 			}
 			if ce.Steps > 12 {
 				t.Errorf("counterexample has %d steps; artifacts should stay minimal (<= 12)", ce.Steps)
 			}
-			if err := ReplayMatches(ce); err != nil {
-				t.Fatalf("broken replay: %v", err)
+			if ce.Scenario.Break != "" {
+				if err := ReplayMatches(ce); err != nil {
+					t.Fatalf("broken replay: %v", err)
+				}
 			}
 			honest := ce.Scenario.clone()
 			honest.Break = ""

@@ -61,7 +61,7 @@ func TestRunDeterministicInstalled(t *testing.T) {
 // the shrinker replays them and relies on identical verdicts: every
 // break, in the kind of world it applies to. BreakFence and
 // BreakAllowance live in the client driver (client.go: fence, reset);
-// the rest in the server model.
+// the rest in the server driver (server.go: ignores, restart).
 func TestRunDeterministicWithBreaks(t *testing.T) {
 	plain := GenConfig{Profile: ProfileAll}
 	for _, tc := range []struct {
@@ -78,6 +78,43 @@ func TestRunDeterministicWithBreaks(t *testing.T) {
 			sc.Break = tc.br
 			runTwice(t, sc)
 		}
+	}
+}
+
+// TestServerDriverBreaksBite: the four server-side breaks live in the
+// model's driver (server.go: ignores) — it answers a step the shipped
+// plan handed it without doing what the step asks. Each must still
+// change the outcome on its pinned counterexample, and the honest run of
+// the same schedule must be clean and byte-deterministic.
+func TestServerDriverBreaksBite(t *testing.T) {
+	for br, name := range map[string]string{
+		BreakWriteDefer:   "write-defer-immediate-apply",
+		BreakQuiet:        "failover-no-recovery-wait",
+		BreakClassHorizon: "class-horizon-stale-covered-read",
+		BreakRenameOrder:  "rename-commit-before-source-clearance",
+	} {
+		ce, err := LoadCounterexample("testdata/counterexamples/" + name + ".json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ce.Scenario.Break != br {
+			t.Fatalf("%s pins break %q, want %q", name, ce.Scenario.Break, br)
+		}
+		broken, err := RunScenario(ce.Scenario, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		honest := ce.Scenario.clone()
+		honest.Break = ""
+		clean, err := RunScenario(honest, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if broken.Ok() || !clean.Ok() {
+			t.Errorf("%s: with the break ok=%v, honest ok=%v; want a violation against a clean run", br, broken.Ok(), clean.Ok())
+		}
+		runTwice(t, honest)
+		runTwice(t, ce.Scenario)
 	}
 }
 

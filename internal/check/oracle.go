@@ -40,6 +40,9 @@ type fileModel struct {
 	applied []string
 	latest  map[string]uint64
 	seen    map[core.ClientID]uint64
+	// pending holds the values shipped toward a quorum and not (yet)
+	// applied by a master.
+	pending map[string]bool
 }
 
 // oracle is the sequential-consistency checker. It is deliberately
@@ -67,8 +70,9 @@ func newOracle(w *world, maxViolations int) *oracle {
 	o := &oracle{w: w, max: maxViolations, floors: chaos.NewFloorChecker(w.sc.Files)}
 	for i := 0; i < w.sc.Files; i++ {
 		o.files = append(o.files, &fileModel{
-			latest: make(map[string]uint64),
-			seen:   make(map[core.ClientID]uint64),
+			latest:  make(map[string]uint64),
+			seen:    make(map[core.ClientID]uint64),
+			pending: make(map[string]bool),
 		})
 	}
 	return o
@@ -97,8 +101,26 @@ func (o *oracle) initialApplied(file int, value string) {
 // appends a new position; latest tracks the newest.
 func (o *oracle) applied(file int, value string) {
 	fm := o.files[file]
+	delete(fm.pending, value)
 	fm.applied = append(fm.applied, value)
 	fm.latest[value] = uint64(len(fm.applied))
+}
+
+// shipped records that a master began replicating a write of value: from
+// here on it may take effect even if that master never applies it — the
+// write is unacknowledged, and a follower holding it may be promoted.
+func (o *oracle) shipped(file int, value string) {
+	o.files[file].pending[value] = true
+}
+
+// surfaced records that value is file's contents after a promotion's
+// merge. A write that was shipped but never applied takes effect here;
+// any other value keeps the position it has, so a merge that rolled an
+// acknowledged write back reads stale.
+func (o *oracle) surfaced(file int, value string) {
+	if o.files[file].pending[value] {
+		o.applied(file, value)
+	}
 }
 
 // acked records that client received the server's acknowledgement for

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -10,8 +11,10 @@ import (
 	"leases/internal/netsim"
 	"leases/internal/obs"
 	"leases/internal/obs/tracing"
+	"leases/internal/proto"
 	"leases/internal/replica"
 	"leases/internal/sim"
+	"leases/internal/srvcore"
 	"leases/internal/vfs"
 )
 
@@ -19,10 +22,12 @@ import (
 // without drowning the small model configurations.
 const checkShards = 2
 
-// maxStagedRetries bounds replication-frame retransmission; a staged
-// write that cannot reach quorum is dropped unacked (the client has
-// long given up) so the engine drains.
-const maxStagedRetries = 10
+// maxShipRetries bounds replication-frame retransmission — like the
+// deployment's master, which re-sends a frame once. A write that cannot
+// reach quorum fails unacked while it still holds clearance on its
+// datum, so giving up early is what keeps the datum live; the client's
+// own retry ladder starts the write over.
+const maxShipRetries = 2
 
 // engineClock adapts the discrete-event engine to clock.Clock for the
 // vfs store; only Now is meaningful inside the simulation.
@@ -34,240 +39,96 @@ func (c engineClock) After(time.Duration) (<-chan time.Time, func() bool) {
 }
 func (c engineClock) Sleep(time.Duration) { panic("check: Sleep on engine clock") }
 
-// Wire payloads. The model speaks typed structs instead of the TCP
-// deployment's byte frames, but the message flow — extend/grant,
-// write/ack, approval-request/approve — and the SentAt stamps the
-// fence depends on are the same.
-type extendReq struct {
-	ReqID uint64
-	From  core.ClientID
-	Data  []vfs.Datum
-	// TC is the client root's trace context — the model analogue of
-	// the TraceFlag wire header.
-	TC tracing.Context
-}
+// planKind says which mutation a plan carries.
+type planKind uint8
 
-type grantInfo struct {
-	Datum   vfs.Datum
-	Term    time.Duration
-	Version uint64
-	Value   string
-	Leased  bool
-}
+const (
+	planWrite   planKind = iota // a client write
+	planPrepare                 // cross-shard rename, destination: stage
+	planSource                  // cross-shard rename, source: commit point
+	planCommit                  // cross-shard rename, destination: appear
+)
 
-type extendRep struct {
-	ReqID  uint64
-	Grants []grantInfo
-}
-
-type writeReq struct {
-	ReqID uint64
-	From  core.ClientID
-	Datum vfs.Datum
-	Value string
-	TC    tracing.Context
-}
-
-type writeAck struct {
-	ReqID   uint64
-	Version uint64
-}
-
-type approvalReq struct {
-	WriteID core.WriteID
-	Datum   vfs.Datum
-}
-
-type approveMsg struct {
-	WriteID core.WriteID
-	From    core.ClientID
-}
-
-// notMasterRep refuses a client op at a non-master replica, carrying
-// the replier's belief about who the master is (-1 when unknown). The
-// hint is a within-group replica index.
-type notMasterRep struct {
-	ReqID uint64
-	Hint  int
-}
-
-// notOwnerRep refuses a path operation at a group that does not own the
-// file, naming the owning group — the model analogue of TNotOwner.
-type notOwnerRep struct {
-	ReqID uint64
-	File  int
-	Owner int
-}
-
-// renameReq asks the file's owning group to move it to the other group
-// — the model's cross-shard rename.
-type renameReq struct {
-	ReqID uint64
-	From  core.ClientID
-	File  int
-	TC    tracing.Context
-}
-
-// renameAck acknowledges a committed move, naming the file's new group.
-type renameAck struct {
-	ReqID uint64
-	Owner int
-}
-
-// xferPrepare/xferPrepared are the inter-group prepare exchange of the
-// two-phase cross-shard rename. The prepare reserves nothing (the value
-// travels at the commit point), but its ack proves a synced master is
-// serving on the far side before the source starts tearing down leases
-// — a move must not strand a file at a group that cannot serve it.
-type xferPrepare struct {
-	XferID uint64
-	File   int
-}
-
-type xferPrepared struct {
-	XferID uint64
-	File   int
-}
-
-// electMsg carries one PaxosLease election message between replicas.
-type electMsg struct{ M replica.Msg }
-
-// replFrame replicates one staged write: the master may only apply and
-// ack the write after quorum-1 peers have applied seq. Ballot is the
-// election ballot the sender's master lease was won (or last renewed)
-// with; receivers fence on it, so a deposed master's late frames die
-// even at a peer whose belief has not yet caught up.
-type replFrame struct {
-	From   int
-	Ballot uint64
-	File   int
-	Seq    uint64
-	Value  string
-}
-
-type replAck struct {
-	From int
-	File int
-	Seq  uint64
-}
-
-// syncReq/syncRep implement promotion state sync: a fresh master
-// merges quorum-1 peer snapshots before serving, so every write that
-// was ever acked (it reached a quorum) is in its store.
-type syncReq struct {
-	From  int
-	ReqID uint64
-}
-
-type fileRepl struct {
-	File  int
-	Seq   uint64
-	Value string
-}
-
-type syncRep struct {
-	From  int
-	ReqID uint64
-	Files []fileRepl
-}
-
-// installMsg pushes the new master's merged snapshot to every peer,
-// healing laggards and sequence gaps left by a dead master's partial
-// replication.
-type installMsg struct {
-	From   int
-	Ballot uint64
-	Files  []fileRepl
-}
-
-// classBcast is the periodic §4.3 broadcast extension (TBroadcastExt):
-// generation plus class term, stamped with the sender's local clock.
-// Clients anchor their coverage at SentAt + Term − ε, so a delayed
-// delivery can never extend belief past the horizon the server
-// recorded before sending.
-type classBcast struct {
-	Gen    uint64
-	Term   time.Duration
-	SentAt time.Time
-}
-
-// classFetch asks for the installed-membership snapshot (TInstalled);
-// classSnap is the reply (TInstalledRep).
-type classFetch struct {
-	ReqID uint64
-	From  core.ClientID
-}
-
-type classSnap struct {
-	ReqID  uint64
-	Gen    uint64
-	Term   time.Duration
-	SentAt time.Time
-	Data   []vfs.Datum
-}
-
-// mwriter is the server's record of one deferred write.
-type mwriter struct {
+// mplan is one mutation in flight at the model server: the shipped plan
+// (srvcore.Plan) plus what this driver needs to act on its steps — who
+// to answer, the timers and retransmissions of the step it is blocked
+// on, and its trace spans.
+type mplan struct {
+	p    srvcore.Plan
+	id   uint64
+	kind planKind
+	// The request: a client's write, or a transfer leg from peer.
 	client   core.ClientID
 	reqID    uint64
-	datum    vfs.Datum
+	file     int
 	value    string
 	queuedAt time.Time // server-local, for the write-wait lens
-	// tc is the server dispatch span's context: write.apply and the
-	// repl.ship fan-out parent under it, like the TCP server.
-	tc tracing.Context
-}
+	x        *xferState
+	xm       xferMsg
+	peer     netsim.NodeID
+	// seq is the replication sequence the plan shipped (zero: none).
+	seq uint64
 
-// stagedWrite is one write past its lease deferral but not yet at
-// quorum: its replication frames are in flight.
-type stagedWrite struct {
-	wtr     mwriter
-	seq     uint64
-	acks    []bool // by replica index
-	retries int
-	retryEv *sim.Event
-	// ships[i] spans peer i's replication (first transmit to ack),
-	// retries included.
-	ships []tracing.Span
-}
-
-// writeSpans tracks the open spans of one deferred write: the
-// write.defer parent and one approve.push child per holder, ended on
-// approve, expiry, or teardown.
-type writeSpans struct {
+	// sp is the server span of the request, tc its context (a transfer's
+	// source plan runs under the rename's span instead): write.defer,
+	// repl.ship and write.apply parent under it, like the TCP server's.
+	sp      tracing.Span
+	tc      tracing.Context
+	waitEv  *sim.Event // Wait step timer
+	waitID  core.WriteID
 	deferSp tracing.Span
 	pushes  map[core.ClientID]tracing.Span
+	ship    *round // Ship step in flight
 }
 
-// xferState is the source master's record of one in-flight outbound
-// cross-shard transfer: prepare retries until the destination's master
-// acks, then the §2 clearance barrier runs, then the commit point.
+// round is one at-least-once exchange with the group's peers — a file on
+// its way to a quorum (a plan's Ship step, or one a promotion must
+// settle), or a promotion's sync: send goes to every peer that has not
+// answered, again after each backoff, until quorum-1 have answered
+// (done(nil)) or the tries run out (done(err)).
+type round struct {
+	got   []bool
+	tries int // so far, of max
+	max   int
+	ev    *sim.Event
+	send  func(node netsim.NodeID)
+	done  func(err error)
+	span  tracing.Span // repl.ship: first transmit to quorum, retries included
+}
+
+// xferState is the source master's record of one outbound cross-shard
+// transfer: prepare retries until the destination's master acks, then
+// the §2 clearance plan runs to the commit point, then commit retries
+// until the destination acks.
 type xferState struct {
 	id       uint64
 	file     int
 	dest     int // destination group
 	reqID    uint64
 	from     core.ClientID
+	value    string
+	version  uint64 // the file's, when value was read
 	prepared bool
-	// draining marks a transfer whose clearance finished while writes
-	// for the file were still in the replication pipeline; the commit
-	// fires when the staged queue drains, so the move carries them.
-	draining bool
-	// barrier is the clearance write's ID once SubmitWrite deferred it;
-	// hasBarrier distinguishes "no barrier yet" from WriteID zero.
-	hasBarrier bool
-	barrier    core.WriteID
-	retries    int
-	retryEv    *sim.Event
-	sp         tracing.Span // server.rename root, ended at commit/abort
+	left     bool // past the commit point
+	retries  int
+	retryEv  *sim.Event
+	sp       tracing.Span // server.rename root, ended at commit/abort
 }
 
-// mserver is the model file server: the real vfs store and the real
-// sharded lease manager under the model's message loop, mirroring the
-// TCP deployment's write-deferral and crash-recovery semantics. In
-// replicated worlds (sc.Servers > 1) it additionally runs the real
-// PaxosLease Machine and the replicate-before-apply pipeline; mach is
-// nil in single-server worlds, which behave exactly as before.
+var (
+	errNoQuorum = errors.New("check: gave up short of a quorum")
+	errDropped  = errors.New("check: dropped")
+	errMoved    = errors.New("check: the file is not here")
+)
+
+// mserver is the model file server: the real vfs store and the shipped
+// server core (internal/srvcore — write plans, replication state, class
+// and transfer tables) under the model's message loop. What is the
+// model's own is transport: the election pump, quorum counting and
+// retransmission of a plan's Ship step, the promotion sync exchange, the
+// rename's remote legs, and at-least-once dedupe. In replicated worlds
+// (sc.Servers > 1) it additionally runs the real PaxosLease Machine;
+// mach is nil in single-server worlds.
 type mserver struct {
 	w    *world
 	idx  int // global server index
@@ -275,128 +136,89 @@ type mserver struct {
 	// group/rep split idx for sharded worlds: elections, replication
 	// frames, and promotion sync all stay within the group, addressed by
 	// within-group replica index rep.
-	group   int
-	rep     int
-	store   *vfs.Store
-	mgr     *core.ShardedManager
-	writers map[core.WriteID]mwriter
-	wspans  map[core.WriteID]*writeSpans
-	// seen dedupes at-least-once writes per client: reqID → applied
-	// version (lost on crash, so duplicates across a crash re-apply —
-	// the at-least-once behaviour the oracle must tolerate).
+	group int
+	rep   int
+	store *vfs.Store
+	core  *srvcore.Core
+	// plans are the mutations in flight by serial; waiting indexes the
+	// ones blocked on a held write, shipping the files awaiting a quorum.
+	plans    map[uint64]*mplan
+	nextPlan uint64
+	waiting  map[core.WriteID]*mplan
+	shipping map[replAck]*round
+	// seen dedupes at-least-once requests per client: reqID → applied
+	// version, 0 while in flight (lost on crash, so duplicates across a
+	// crash re-apply — the at-least-once behaviour the oracle tolerates).
 	seen map[core.ClientID]map[uint64]uint64
 
-	deadlineEv *sim.Event
-	deadlineAt time.Time
-	down       bool
-	// persistedMaxTerm survives crashes, like the durable max-term
-	// file in internal/server (§5 recovery rule).
-	persistedMaxTerm time.Duration
-
-	// Installed-class state (sc.Installed only). Volatile: a crash or
-	// promotion reinstalls it under a fresh generation base, and the §5
-	// recovery window (stretched to the class term) covers whatever
-	// broadcast coverage the previous incarnation left outstanding.
-	classGen     uint64
-	classMembers []bool // by file; true = installed
-	// classCover is the broadcast coverage horizon (server-local):
-	// raised to SentAt + InstalledTerm before any broadcast or snapshot
-	// leaves, so it bounds every client belief those frames can create.
-	classCover time.Time
-	// classDemoted records, per demoted file, the coverage horizon
-	// captured at demotion; writes to the file wait it out.
-	classDemoted []time.Time
-	classEv      *sim.Event
+	down bool
+	// floor survives crashes, like the durable max-term file in
+	// internal/server (§5 recovery rule).
+	floor time.Duration
+	// classBase makes class generations world-unique per core
+	// incarnation and reign — the model analogue of the deployment's
+	// connection-scoped snapshots (a TCP client refetches after any
+	// reconnect).
+	classBase uint64
+	classEv   *sim.Event
 
 	// Replication state (Servers > 1 only).
-	mach       *replica.Machine
-	machGen    int64
-	machEv     *sim.Event
-	wasMaster  bool
-	lastBelief int
-	// applied and nextSeq are per file: the last replication sequence
-	// applied to the store and the last one assigned. They are durable
-	// (the store survives crashes); sequences double as client-facing
-	// versions so version guards stay comparable across failovers.
-	applied []uint64
-	nextSeq []uint64
-	staged  [][]*stagedWrite
-	parked  []map[uint64]replFrame
-	synced  bool
-	syncID  uint64
-	syncGot []*syncRep
-	syncTry int
-	syncEv  *sim.Event
+	mach      *replica.Machine
+	machGen   int64
+	machEv    *sim.Event
+	wasMaster bool
+	// The promotion in progress: its sync round (replies are told apart by
+	// syncID) and what it has gathered, then the files it is settling.
+	syncID    uint64
+	sync      *round
+	syncFiles []srvcore.ReplFile
+	syncFloor time.Duration
+	settling  []*round
 
-	// Sharding state (Groups > 1 only). peerBelief[g] is the replica
-	// this server currently believes is group g's master, rotated when
-	// prepare retries go unanswered; xfers tracks in-flight outbound
-	// transfers by file, xferByBarrier by clearance-barrier WriteID.
-	peerBelief    []int
-	xfers         map[int]*xferState
-	xferByBarrier map[core.WriteID]*xferState
+	// Sharding state (Groups > 1 only). peerBelief[g] is the replica this
+	// server currently believes is group g's master, rotated when retries
+	// go unanswered; xfers tracks outbound transfers by file.
+	peerBelief []int
+	xfers      map[int]*xferState
 }
+
+func filePath(f int) string { return "/f" + strconv.Itoa(f) }
+
+// rootBinding is the parent binding every model file lives under.
+var rootBinding = vfs.Datum{Kind: vfs.DirBinding, Node: vfs.RootID}
 
 func newMserver(w *world, idx int) *mserver {
 	srv := &mserver{
-		w:          w,
-		idx:        idx,
-		group:      w.groupOf(idx),
-		rep:        w.replicaOf(idx),
-		writers:    make(map[core.WriteID]mwriter),
-		wspans:     make(map[core.WriteID]*writeSpans),
-		seen:       make(map[core.ClientID]map[uint64]uint64),
-		lastBelief: -1,
+		w:     w,
+		idx:   idx,
+		group: w.groupOf(idx),
+		rep:   w.replicaOf(idx),
 	}
 	srv.node = w.serverNodeID(idx)
 	srv.store = vfs.New(engineClock{w.engine}, string(srv.node))
 	for f := 0; f < w.sc.Files; f++ {
-		path := "/f" + strconv.Itoa(f)
-		if _, err := srv.store.Create(path, "srv", vfs.DefaultPerm|vfs.WorldWrite); err != nil {
-			panic(fmt.Sprintf("check: seeding %s: %v", path, err))
+		if _, err := srv.store.Create(filePath(f), "srv", vfs.DefaultPerm|vfs.WorldWrite); err != nil {
+			panic(fmt.Sprintf("check: seeding %s: %v", filePath(f), err))
 		}
 		val := "init#" + strconv.Itoa(f)
 		if _, _, err := srv.store.WriteFile(datumForFile(f).Node, []byte(val)); err != nil {
-			panic(fmt.Sprintf("check: seeding %s: %v", path, err))
+			panic(fmt.Sprintf("check: seeding %s: %v", filePath(f), err))
 		}
 		if idx == 0 {
 			w.orc.initialApplied(f, val)
 		}
 	}
-	srv.resetManager(time.Time{})
-	if w.sc.Servers > 1 || w.groups() > 1 {
-		// Sequence-based versions: replicated worlds need them because
-		// store versions diverge across replicas; sharded worlds because
-		// they must stay comparable across a file's moves between groups.
-		srv.applied = make([]uint64, w.sc.Files)
-		srv.nextSeq = make([]uint64, w.sc.Files)
-		for f := 0; f < w.sc.Files; f++ {
-			v, err := srv.store.Version(datumForFile(f))
-			if err != nil {
-				panic(fmt.Sprintf("check: version of file %d: %v", f, err))
-			}
-			srv.applied[f] = v
-			srv.nextSeq[f] = v
-		}
-	}
 	if w.sc.Servers > 1 {
-		srv.staged = make([][]*stagedWrite, w.sc.Files)
-		srv.parked = make([]map[uint64]replFrame, w.sc.Files)
-		for f := 0; f < w.sc.Files; f++ {
-			srv.parked[f] = make(map[uint64]replFrame)
-		}
 		// Genesis machines skip the quiet period: a fresh cluster has no
 		// prior promises to contradict, so the first election may start
 		// at t0. Restarts go through the honest quiet period.
 		srv.mach = srv.newMach(w.start.Add(-w.sc.Term))
-		srv.armMach()
 	}
 	if w.groups() > 1 {
 		srv.peerBelief = make([]int, w.groups())
-		srv.xfers = make(map[int]*xferState)
-		srv.xferByBarrier = make(map[core.WriteID]*xferState)
 	}
-	srv.resetClass()
+	srv.boot()
+	srv.armMach()
 	w.fabric.Register(srv.node, srv.handle)
 	srv.armClass()
 	return srv
@@ -412,14 +234,55 @@ func (srv *mserver) newMach(start time.Time) *replica.Machine {
 	}, start)
 }
 
-// resetManager builds a fresh lease manager, optionally inside a
-// recovery window ending at recoverUntil (server-local time).
-func (srv *mserver) resetManager(recoverUntil time.Time) {
-	var opts []core.ManagerOption
-	if !recoverUntil.IsZero() {
-		opts = append(opts, core.WithRecoveryWindow(recoverUntil))
+// boot installs a fresh server core over the (durable) store, at
+// construction and after a crash. What the previous incarnation kept on
+// disk carries over: the store, each file's replication sequence, and
+// the max-term floor. A standalone server re-enters the §5 recovery
+// window at once; a replica imposes it at its next promotion. The
+// model's replicas know the lease terms from configuration, where the
+// deployment replicates every raise before the grant that needs it.
+func (srv *mserver) boot() {
+	sc := srv.w.sc
+	old := srv.core
+	if sc.Installed && sc.InstalledTerm > srv.floor {
+		srv.floor = sc.InstalledTerm
 	}
-	srv.mgr = core.NewShardedManager(checkShards, core.FixedTerm(srv.w.sc.Term), opts...)
+	cfg := srvcore.Config{
+		Store: srv.store, Owner: "srv", Policy: core.FixedTerm(sc.Term), Shards: checkShards, Term: sc.Term,
+	}
+	if sc.Installed {
+		cfg.Class = srvcore.ClassConfig{
+			InstalledDirs: []string{"/"}, InstalledTerm: sc.InstalledTerm, BroadcastEvery: sc.BroadcastEvery,
+		}.WithDefaults()
+	}
+	switch {
+	case srv.mach != nil:
+		// Mastership is judged on the server's clock, whatever instant a
+		// (sabotaged) driver claims while stepping a plan.
+		cfg.Master = func(time.Time) bool { return srv.mach.IsMaster(srv.localNow()) }
+	case old != nil && srv.floor > 0 && srv.floor < core.Infinite:
+		cfg.RecoverUntil = srv.localNow().Add(srv.floor)
+	}
+	srv.core = srvcore.New(cfg)
+	if srv.mach != nil {
+		srv.core.RaiseTerm(max(sc.Term, srv.floor))
+		if old != nil {
+			for _, f := range old.ReplState() {
+				srv.core.ApplyReplicated(f.Path, f.Seq, f.Data)
+			}
+		}
+	}
+	srv.plans = make(map[uint64]*mplan)
+	srv.waiting = make(map[core.WriteID]*mplan)
+	srv.shipping = make(map[replAck]*round)
+	srv.seen = make(map[core.ClientID]map[uint64]uint64)
+	srv.xfers = make(map[int]*xferState)
+	srv.newClassBase()
+}
+
+func (srv *mserver) newClassBase() {
+	srv.w.classReigns++
+	srv.classBase = srv.w.classReigns << 32
 }
 
 func (srv *mserver) rate() float64       { return srv.w.sc.ServerRates[srv.idx] }
@@ -430,21 +293,42 @@ func (srv *mserver) localNow() time.Time {
 	return localAt(srv.w.start, srv.w.engine.Now(), srv.rate(), srv.skew())
 }
 
+// at schedules fn for when the server's clock has strictly passed local.
+func (srv *mserver) at(local time.Time, fn func()) *sim.Event {
+	at := trueAt(srv.w.start, local.Add(time.Microsecond), srv.rate(), srv.skew())
+	if at.Before(srv.w.engine.Now()) {
+		at = srv.w.engine.Now()
+	}
+	return srv.w.engine.At(at, fn)
+}
+
+func (srv *mserver) cancel(ev **sim.Event) {
+	if *ev != nil {
+		srv.w.engine.Cancel(*ev)
+		*ev = nil
+	}
+}
+
+// peerNode names replica r of group g on the fabric.
+func (srv *mserver) peerNode(g, r int) netsim.NodeID {
+	return srv.w.serverNodeID(srv.w.globalIdx(g, r))
+}
+
+// eachPeer calls fn for every other replica of this server's group.
+func (srv *mserver) eachPeer(fn func(r int, node netsim.NodeID)) {
+	for r := 0; r < srv.w.sc.Servers; r++ {
+		if r != srv.rep {
+			fn(r, srv.peerNode(srv.group, r))
+		}
+	}
+}
+
 // quorumPeers is how many peer acknowledgements (excluding the master
-// itself) a staged write or promotion sync needs.
+// itself) a shipped write or promotion sync needs.
 func (srv *mserver) quorumPeers() int { return srv.w.sc.Servers / 2 }
 
-// masterFrameOK is the replication fence: replication traffic is only
-// honoured from the replica this machine currently believes holds a
-// live master lease, AND only when the frame's ballot is at least this
-// acceptor's promised/accepted ballot — so a deposed master's
-// late-flushed frames die here instead of poisoning the store, even
-// when this acceptor's belief has not caught up with the new election.
-// Senders re-stamp the current ballot on every retransmit, which
-// covers the renewal-boundary race (frame stamped just before the
-// sender renewed its own lease at a higher ballot).
-func (srv *mserver) masterFrameOK(from int, ballot uint64) bool {
-	return srv.mach.AcceptsMasterFrame(srv.localNow(), from, ballot)
+func (srv *mserver) backoff(retries int) time.Duration {
+	return srv.w.retryBase() << uint(min(retries, 6))
 }
 
 // ---- election machine pump ----
@@ -453,10 +337,7 @@ func (srv *mserver) armMach() {
 	if srv.mach == nil || srv.down {
 		return
 	}
-	if srv.machEv != nil {
-		srv.w.engine.Cancel(srv.machEv)
-		srv.machEv = nil
-	}
+	srv.cancel(&srv.machEv)
 	at := trueAt(srv.w.start, srv.mach.NextWake(), srv.rate(), srv.skew())
 	if at.After(srv.w.machStop) {
 		return
@@ -478,893 +359,731 @@ func (srv *mserver) onMachWake() {
 
 func (srv *mserver) sendElect(msgs []replica.Msg) {
 	for _, m := range msgs {
-		if m.To == srv.rep {
-			continue
+		if m.To != srv.rep {
+			srv.w.fabric.Unicast(srv.node, srv.peerNode(srv.group, m.To), kindElect, electMsg{M: m})
 		}
-		srv.w.fabric.Unicast(srv.node, srv.w.serverNodeID(srv.w.globalIdx(srv.group, m.To)), kindElect, electMsg{M: m})
 	}
 }
 
-// machChanged runs after every machine interaction: it clears the
-// parked-frame buffer when the believed master changes (a parked frame
-// from a dead reign must never fill a live reign's sequence gap),
-// detects this replica's own promotion and demotion edges, and rearms
-// the wake timer.
+// machChanged runs after every machine interaction: it detects this
+// replica's own promotion and demotion edges and rearms the wake timer.
 func (srv *mserver) machChanged() {
-	now := srv.localNow()
-	owner, live := srv.mach.Master(now)
-	if !live {
-		owner = -1
-	}
-	if owner != srv.lastBelief {
-		srv.lastBelief = owner
-		for f := range srv.parked {
-			srv.parked[f] = make(map[uint64]replFrame)
-		}
-	}
-	if is := srv.mach.IsMaster(now); is != srv.wasMaster {
+	if is := srv.mach.IsMaster(srv.localNow()); is != srv.wasMaster {
 		srv.wasMaster = is
+		// Either edge closes the gate and fails what was in flight: a
+		// promotion first severs whatever an earlier mastership era left.
+		srv.demote()
 		if is {
-			srv.onPromote()
+			srv.w.obs.Record(obs.Event{Type: obs.EvElected, Replica: srv.idx})
+			srv.beginSync()
 		} else {
-			srv.onDemote()
+			srv.w.obs.Record(obs.Event{Type: obs.EvDemoted, Replica: srv.idx})
 		}
 	}
 	srv.armMach()
 }
 
-// onPromote installs a fresh lease manager inside a §5-style recovery
-// window: any predecessor may have granted leases this replica never
-// saw, so for one maximum term plus the clock allowance every datum is
-// treated as possibly leased by unknown clients. Serving starts only
-// after the promotion sync completes.
-func (srv *mserver) onPromote() {
-	srv.w.obs.Record(obs.Event{Type: obs.EvElected, Replica: srv.idx})
-	// A fresh reign reinstalls the class under a new generation base
-	// (the model's rebind-on-promote), and honours the class term in
-	// its recovery window: the deployment replicates the raised term
-	// before any broadcast creates coverage from it, so a promotable
-	// replica always knows it — the model's replicas know it from
-	// configuration.
-	srv.resetClass()
-	srv.classDurable()
-	if srv.w.sc.Break == BreakQuiet {
-		// Sabotage: trust PaxosLease mastership alone and serve
-		// immediately. The predecessor's grants are still live, so a
-		// write applied now can slide in under a lease this replica
-		// has never heard of.
-		srv.resetManager(time.Time{})
-		srv.clearServing()
-		srv.beginSync()
-		return
+// demote closes the core's serving gate and steps every plan in flight
+// into the failure the gate hands it. Lease records are left to expire
+// on their own, as in the deployment.
+func (srv *mserver) demote() {
+	srv.core.Demote()
+	srv.endPromotion()
+	for _, f := range sortedKeys(srv.xfers) {
+		// A transfer still asking for its prepare is given up; one inside
+		// its clearance plan fails with the plan below; one past the commit
+		// point keeps pushing its commit, as the deployment's does.
+		if x := srv.xfers[f]; !x.prepared {
+			srv.endXfer(x, "demoted")
+		}
 	}
-	maxTerm := srv.w.sc.Term
-	if srv.persistedMaxTerm > maxTerm && srv.persistedMaxTerm < core.Infinite {
-		maxTerm = srv.persistedMaxTerm
-	}
-	srv.resetManager(srv.localNow().Add(maxTerm + srv.w.sc.Allowance))
-	srv.clearServing()
-	srv.beginSync()
-}
-
-func (srv *mserver) onDemote() {
-	srv.w.obs.Record(obs.Event{Type: obs.EvDemoted, Replica: srv.idx})
-	if t := srv.mgr.MaxTermGranted(); t > srv.persistedMaxTerm {
-		srv.persistedMaxTerm = t
-	}
-	if srv.xfers != nil {
-		srv.dropXfers("demoted")
-	}
-	srv.dropAllStaged()
-	srv.clearServing()
-	srv.resetManager(time.Time{})
-	srv.synced = false
-	srv.syncGot = nil
-	if srv.syncEv != nil {
-		srv.w.engine.Cancel(srv.syncEv)
-		srv.syncEv = nil
+	for _, id := range sortedKeys(srv.plans) {
+		if op := srv.plans[id]; op != nil {
+			srv.step(op)
+		}
 	}
 }
 
-// endWriteSpans closes a deferred write's trace spans: any push still
-// open gets pushNote, then the write.defer parent ends with note.
-func (srv *mserver) endWriteSpans(id core.WriteID, pushNote, note string) {
-	ws := srv.wspans[id]
-	if ws == nil {
+func sortedKeys[K int | uint64, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	return keys
+}
+
+// ---- rounds: promotion sync, and shipping a file to a quorum ----
+
+func (srv *mserver) startRound(max int, send func(netsim.NodeID), done func(error)) *round {
+	rd := &round{got: make([]bool, srv.w.sc.Servers), max: max, send: send, done: done}
+	srv.sendRound(rd)
+	return rd
+}
+
+func (srv *mserver) sendRound(rd *round) {
+	srv.eachPeer(func(r int, node netsim.NodeID) {
+		if !rd.got[r] {
+			rd.send(node)
+		}
+	})
+	rd.ev = srv.w.engine.After(srv.backoff(rd.tries), func() {
+		rd.ev = nil
+		if srv.down || rd.done == nil {
+			return
+		}
+		if rd.tries++; rd.tries > rd.max {
+			srv.endRound(rd, errNoQuorum)
+			return
+		}
+		srv.sendRound(rd)
+	})
+}
+
+// answered records peer from's answer to rd, ending the round on the
+// one that makes a quorum; it reports whether the answer was news.
+func (srv *mserver) answered(rd *round, from int) bool {
+	if rd == nil || rd.done == nil || from < 0 || from >= len(rd.got) || rd.got[from] {
+		return false
+	}
+	rd.got[from] = true
+	n := 0
+	for _, g := range rd.got {
+		if g {
+			n++
+		}
+	}
+	if n >= srv.quorumPeers() {
+		srv.endRound(rd, nil)
+	}
+	return true
+}
+
+// endRound ends rd (nil, or ended: a no-op), telling its owner unless
+// the owner itself drops it (errDropped).
+func (srv *mserver) endRound(rd *round, err error) {
+	if rd == nil || rd.done == nil {
 		return
 	}
-	delete(srv.wspans, id)
-	holders := make([]core.ClientID, 0, len(ws.pushes))
-	for h := range ws.pushes {
+	done := rd.done
+	rd.done = nil
+	srv.cancel(&rd.ev)
+	if err == nil {
+		rd.span.EndNote("quorum")
+	} else {
+		rd.span.EndNote("dropped")
+	}
+	if err != errDropped {
+		done(err)
+	}
+}
+
+// beginSync starts a promotion: a fresh master merges quorum-1 peer
+// snapshots before serving, so every write that was ever acked (it
+// reached a quorum) is in its store.
+func (srv *mserver) beginSync() {
+	srv.endPromotion()
+	srv.syncID++
+	srv.syncFiles, srv.syncFloor = nil, srv.termFloor()
+	req := syncReq{From: srv.rep, ReqID: srv.syncID}
+	srv.sync = srv.startRound(maxRetries,
+		func(node netsim.NodeID) { srv.w.fabric.Unicast(srv.node, node, kindSyncReq, req) },
+		func(err error) {
+			if err == nil {
+				srv.settle()
+			} // else stranded: serves nothing until its lease lapses
+		})
+}
+
+// endPromotion abandons whatever promotion is in progress.
+func (srv *mserver) endPromotion() {
+	srv.endRound(srv.sync, errDropped)
+	for _, rd := range srv.settling {
+		srv.endRound(rd, errDropped)
+	}
+	srv.sync, srv.settling = nil, nil
+}
+
+// termFloor is this replica's contribution to a new master's recovery
+// window: what it knows replicated, and what it kept on disk.
+func (srv *mserver) termFloor() time.Duration { return max(srv.core.TermFloor(), srv.floor) }
+
+func (srv *mserver) handleSyncRep(p syncRep) {
+	if p.ReqID == srv.syncID && srv.sync != nil && srv.sync.done != nil && !srv.sync.got[p.From] {
+		srv.syncFiles = append(srv.syncFiles, p.Files...)
+		srv.syncFloor = max(srv.syncFloor, p.Floor)
+		srv.answered(srv.sync, p.From)
+	}
+}
+
+// settle merges the synced snapshots into the core (per file, the
+// highest sequence wins). Whatever that leaves on fewer than a quorum is
+// shipped to one before this master serves it; a file that cannot settle
+// sends the promotion back to its sync.
+func (srv *mserver) settle() {
+	if !srv.mach.IsMaster(srv.localNow()) {
+		return
+	}
+	unsettled := srv.core.Merge(srv.syncFiles)
+	left := len(unsettled)
+	for _, f := range unsettled {
+		srv.settling = append(srv.settling, srv.ship(f, tracing.Context{}, func(err error) {
+			if err != nil {
+				srv.beginSync()
+				return
+			}
+			srv.core.Settled(f)
+			if left--; left == 0 {
+				srv.promote()
+			}
+		}))
+	}
+	if left == 0 {
+		srv.promote()
+	}
+}
+
+// ship starts the round that carries f to a quorum. Every (re)transmit
+// is stamped with the current ballot: a frame sent just before this
+// master renewed its own lease would otherwise be rejected by peers that
+// already accepted the renewal's ballot.
+func (srv *mserver) ship(f srvcore.ReplFile, tc tracing.Context, done func(error)) *round {
+	key := replAck{Path: f.Path, Seq: f.Seq}
+	rd := srv.startRound(maxShipRetries, func(node netsim.NodeID) {
+		fr := replFrame{From: srv.rep, Ballot: srv.mach.MasterBallot(srv.localNow()), File: f}
+		srv.w.fabric.Unicast(srv.node, node, kindReplWrite, fr)
+	}, func(err error) {
+		delete(srv.shipping, key)
+		done(err)
+	})
+	rd.span = srv.w.tracer.StartChildNode(string(srv.node), tc, "repl.ship")
+	srv.shipping[key] = rd
+	return rd
+}
+
+// handleReplFrame is the follower side: fenced by the acceptor's own
+// election state, then the core's sequence guard decides. Only a real
+// apply is acknowledged — a stale drop means this replica does not hold
+// those bytes.
+func (srv *mserver) handleReplFrame(p replFrame) {
+	if srv.mach == nil || !srv.mach.AcceptsMasterFrame(srv.localNow(), p.From, p.Ballot) {
+		return
+	}
+	if applied, _ := srv.core.ApplyReplicated(p.File.Path, p.File.Seq, p.File.Data); applied {
+		srv.w.fabric.Unicast(srv.node, srv.peerNode(srv.group, p.From), kindReplAck,
+			replAck{From: srv.rep, Path: p.File.Path, Seq: p.File.Seq})
+	}
+}
+
+// promote opens the recovery window and the gate over settled state.
+func (srv *mserver) promote() {
+	srv.endPromotion()
+	srv.newClassBase()
+	srv.core.Promote(srv.syncFloor, srv.localNow())
+	// A write that was shipped but never applied by its master may have
+	// survived on a follower and take effect now.
+	for f := 0; f < srv.w.sc.Files; f++ {
+		if srv.present(f) {
+			srv.w.orc.surfaced(f, srv.read(f))
+		}
+	}
+}
+
+// read returns file f's current contents.
+func (srv *mserver) read(f int) string {
+	data, _, err := srv.store.ReadFile(datumForFile(f).Node)
+	if err != nil {
+		panic(fmt.Sprintf("check: read file %d: %v", f, err))
+	}
+	return string(data)
+}
+
+// ---- the plan driver ----
+
+// begin registers a plan and takes its first step.
+func (srv *mserver) begin(op *mplan) {
+	srv.nextPlan++
+	op.id = srv.nextPlan
+	op.queuedAt = srv.localNow()
+	if op.sp.Recording() {
+		op.tc = op.sp.Context()
+	}
+	srv.plans[op.id] = op
+	srv.step(op)
+}
+
+// ignores reports whether this scenario's sabotage has the driver
+// answer step st without doing what it asks.
+func (srv *mserver) ignores(op *mplan, st srvcore.Step) bool {
+	switch srv.w.sc.Break {
+	case BreakWriteDefer:
+		return st.Kind == srvcore.Approval && op.kind == planWrite
+	case BreakRenameOrder:
+		return st.Kind == srvcore.Approval && op.kind == planSource
+	case BreakClassHorizon:
+		return st.Kind == srvcore.Wait && st.Cause == srvcore.ClassHorizon
+	case BreakQuiet:
+		// The second half of the sabotage (restart has the first): a
+		// freshly promoted master serves without the §5 recovery window.
+		return st.Kind == srvcore.Wait && st.Cause == srvcore.RecoveryWindow
+	}
+	return false
+}
+
+// step drives op as far as it goes without waiting: each step the plan
+// hands out is acted on — a timer, approval pushes, replication frames,
+// the store change — and whatever event ends the wait calls step again.
+func (srv *mserver) step(op *mplan) {
+	now := srv.localNow()
+	for srv.plans[op.id] == op {
+		if op.kind == planWrite && !srv.present(op.file) {
+			op.p.Abort(errMoved, now) // the file left this group meanwhile
+		}
+		st := op.p.Next(now)
+		if op.waitID != 0 && (st.Kind != srvcore.Approval || st.WriteID != op.waitID) {
+			// Cleared, or failed: pushes still open went unanswered — the
+			// blocking leases expired instead.
+			note := ""
+			if st.Kind == srvcore.Fail {
+				note = "dropped"
+			}
+			srv.endDefer(op, note)
+		}
+		switch st.Kind {
+		case srvcore.Wait:
+			if srv.ignores(op, st) {
+				// Sabotage: do not wait; tell the plan the instant has come.
+				now = st.Until
+				continue
+			}
+			srv.cancel(&op.waitEv)
+			op.waitEv = srv.at(st.Until, func() {
+				op.waitEv = nil
+				if !srv.down {
+					srv.step(op)
+				}
+			})
+			return
+		case srvcore.Demoted:
+			for _, d := range st.Dropped {
+				srv.w.obs.Record(obs.Event{Type: obs.EvClassDemote, Datum: d})
+			}
+		case srvcore.Approval:
+			if st.WriteID == op.waitID {
+				return // still waiting; approvals or the deadline timer step again
+			}
+			if srv.ignores(op, st) && len(st.Holders) > 0 {
+				// Sabotage: ask nobody; answer for the holders.
+				for _, h := range st.Holders {
+					srv.core.Leases().Approve(h, st.WriteID, now)
+				}
+				continue
+			}
+			srv.askHolders(op, st)
+			if !st.Until.IsZero() {
+				// The leases in the way run out then at the latest; a write
+				// still queued behind another is stepped by that one's end.
+				op.waitEv = srv.at(st.Until, func() {
+					op.waitEv = nil
+					if !srv.down {
+						srv.applyReady()
+					}
+				})
+			}
+			return
+		case srvcore.Ship:
+			if op.kind == planWrite {
+				srv.w.orc.shipped(op.file, op.value)
+			}
+			op.seq = st.Seq
+			op.ship = srv.ship(srvcore.ReplFile{Path: st.Path, Seq: st.Seq, Data: st.Data}, op.tc, func(err error) {
+				op.ship = nil
+				op.p.Shipped(err, srv.localNow())
+				srv.step(op)
+			})
+			return
+		case srvcore.Apply:
+			srv.apply(op, now)
+			op.p.Applied(nil, now)
+		case srvcore.Done, srvcore.Fail:
+			srv.finish(op, st.Err)
+			// The released entries may have been all that blocked the next
+			// write queued on the same datum.
+			srv.applyReady()
+			return
+		}
+	}
+}
+
+// askHolders acts on a plan's first Approval step for a held write:
+// approval requests go to the holders, and the plan is parked until the
+// lease manager reports the write ready.
+func (srv *mserver) askHolders(op *mplan, st srvcore.Step) {
+	op.waitID = st.WriteID
+	srv.waiting[st.WriteID] = op
+	shard := srv.core.Leases().ShardFor(st.Datum)
+	srv.w.obs.Record(obs.Event{
+		Type: obs.EvWriteDefer, Client: string(op.client), Datum: st.Datum, Shard: shard, WriteID: uint64(st.WriteID),
+	})
+	op.deferSp = srv.w.tracer.StartChildNode(string(srv.node), op.tc, "write.defer")
+	op.deferSp.SetFanout(len(st.Holders))
+	op.pushes = make(map[core.ClientID]tracing.Span, len(st.Holders))
+	targets := make([]netsim.NodeID, 0, len(st.Holders))
+	for _, holder := range st.Holders {
+		targets = append(targets, netsim.NodeID(holder))
+		op.pushes[holder] = srv.w.tracer.StartChildNode(string(srv.node), op.deferSp.Context(), "approve.push")
+		srv.w.obs.Record(obs.Event{
+			Type: obs.EvApproveRequest, Client: string(holder), Datum: st.Datum, Shard: shard, WriteID: uint64(st.WriteID),
+		})
+	}
+	srv.w.fabric.Multicast(srv.node, targets, kindApprovalReq, proto.ApprovalWire{WriteID: st.WriteID, Datum: st.Datum})
+}
+
+// endDefer closes a deferral's trace spans: any push still open gets
+// "expire" (or note, when the plan failed), then the write.defer parent
+// ends with note.
+func (srv *mserver) endDefer(op *mplan, note string) {
+	srv.cancel(&op.waitEv)
+	delete(srv.waiting, op.waitID)
+	op.waitID = 0
+	holders := make([]core.ClientID, 0, len(op.pushes))
+	for h := range op.pushes {
 		holders = append(holders, h)
 	}
 	sort.Slice(holders, func(i, j int) bool { return holders[i] < holders[j] })
+	pushNote := note
+	if note == "" {
+		pushNote = "expire"
+	}
 	for _, h := range holders {
-		ws.pushes[h].EndNote(pushNote)
+		op.pushes[h].EndNote(pushNote)
 	}
-	ws.deferSp.EndNote(note)
+	op.pushes = nil
+	op.deferSp.EndNote(note)
 }
 
-// clearServing drops the deferred-writer table and pending dedupe
-// markers — a non-master will never finish them, and a black-holed
-// marker would silently eat the client's retransmit to a later reign.
-func (srv *mserver) clearServing() {
-	ids := make([]core.WriteID, 0, len(srv.wspans))
-	for id := range srv.wspans {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		srv.endWriteSpans(id, "dropped", "dropped")
-	}
-	srv.writers = make(map[core.WriteID]mwriter)
-	if srv.deadlineEv != nil {
-		srv.w.engine.Cancel(srv.deadlineEv)
-		srv.deadlineEv = nil
-	}
-	srv.deadlineAt = time.Time{}
-	for _, m := range srv.seen {
-		for req, v := range m {
-			if v == 0 {
-				delete(m, req)
-			}
-		}
-	}
-}
-
-func (srv *mserver) dropAllStaged() {
-	for f := range srv.staged {
-		for _, e := range srv.staged[f] {
-			if e.retryEv != nil {
-				srv.w.engine.Cancel(e.retryEv)
-				e.retryEv = nil
-			}
-			e.endShips("dropped")
-		}
-		srv.staged[f] = nil
-	}
-}
-
-// endShips closes every still-open replication span of a staged write.
-func (e *stagedWrite) endShips(note string) {
-	for _, sp := range e.ships {
-		sp.EndNote(note)
-	}
-}
-
-// ---- promotion sync ----
-
-func (srv *mserver) beginSync() {
-	if srv.syncEv != nil {
-		srv.w.engine.Cancel(srv.syncEv)
-		srv.syncEv = nil
-	}
-	srv.synced = false
-	srv.syncID++
-	srv.syncGot = make([]*syncRep, srv.w.sc.Servers)
-	srv.syncTry = 0
-	srv.sendSync()
-}
-
-func (srv *mserver) sendSync() {
-	req := syncReq{From: srv.rep, ReqID: srv.syncID}
-	for r := 0; r < srv.w.sc.Servers; r++ {
-		if r == srv.rep || srv.syncGot[r] != nil {
-			continue
-		}
-		srv.w.fabric.Unicast(srv.node, srv.w.serverNodeID(srv.w.globalIdx(srv.group, r)), kindSyncReq, req)
-	}
-	backoff := srv.w.retryBase() << uint(min(srv.syncTry, 6))
-	srv.syncEv = srv.w.engine.After(backoff, srv.onSyncRetry)
-}
-
-func (srv *mserver) onSyncRetry() {
-	srv.syncEv = nil
-	if srv.down || srv.synced || !srv.mach.IsMaster(srv.localNow()) {
-		return
-	}
-	if srv.syncTry >= maxRetries {
-		return // stranded: serves nothing until its lease lapses
-	}
-	srv.syncTry++
-	srv.sendSync()
-}
-
-func (srv *mserver) handleSyncReq(p syncReq) {
-	srv.w.fabric.Unicast(srv.node, srv.w.serverNodeID(srv.w.globalIdx(srv.group, p.From)), kindSyncRep,
-		syncRep{From: srv.rep, ReqID: p.ReqID, Files: srv.fileSnapshot()})
-}
-
-func (srv *mserver) fileSnapshot() []fileRepl {
-	out := make([]fileRepl, srv.w.sc.Files)
-	for f := 0; f < srv.w.sc.Files; f++ {
-		data, _, err := srv.store.ReadFile(datumForFile(f).Node)
+// apply performs a plan's store change: the one thing per mutation kind
+// that is not order.
+func (srv *mserver) apply(op *mplan, now time.Time) {
+	applySp := srv.w.tracer.StartChildNode(string(srv.node), op.tc, "write.apply")
+	defer applySp.End()
+	switch op.kind {
+	case planWrite:
+		attr, _, err := srv.store.WriteFile(datumForFile(op.file).Node, []byte(op.value))
 		if err != nil {
-			panic(fmt.Sprintf("check: snapshot file %d: %v", f, err))
+			panic(fmt.Sprintf("check: apply write to file %d: %v", op.file, err))
 		}
-		out[f] = fileRepl{File: f, Seq: srv.applied[f], Value: string(data)}
-	}
-	return out
-}
-
-func (srv *mserver) handleSyncRep(p syncRep) {
-	if srv.mach == nil || srv.synced || p.ReqID != srv.syncID || !srv.mach.IsMaster(srv.localNow()) {
-		return
-	}
-	if p.From < 0 || p.From >= len(srv.syncGot) || srv.syncGot[p.From] != nil {
-		return
-	}
-	rep := p
-	srv.syncGot[p.From] = &rep
-	got := 0
-	for _, r := range srv.syncGot {
-		if r != nil {
-			got++
-		}
-	}
-	if got < srv.quorumPeers() {
-		return
-	}
-	srv.finishSync()
-}
-
-// finishSync merges the quorum's snapshots — per file, the highest
-// applied sequence wins; quorum intersection guarantees every acked
-// write is among them — then pushes the merged state to all peers.
-func (srv *mserver) finishSync() {
-	if srv.syncEv != nil {
-		srv.w.engine.Cancel(srv.syncEv)
-		srv.syncEv = nil
-	}
-	for f := 0; f < srv.w.sc.Files; f++ {
-		for i := 0; i < srv.w.sc.Servers; i++ {
-			r := srv.syncGot[i]
-			if r == nil {
-				continue
-			}
-			if fr := r.Files[f]; fr.Seq > srv.applied[f] {
-				srv.applyRepl(f, fr.Seq, fr.Value)
-			}
-		}
-	}
-	srv.synced = true
-	srv.syncGot = nil
-	// A file moved into this group while the group had no serving
-	// master leaves its value only in the group-durable moved record;
-	// fold it in before the snapshot is pushed, so peers heal too.
-	for f := 0; f < srv.w.sc.Files; f++ {
-		if srv.owns(f) {
-			srv.absorbMoved(f)
-		}
-	}
-	inst := installMsg{From: srv.rep, Ballot: srv.mach.MasterBallot(srv.localNow()), Files: srv.fileSnapshot()}
-	for r := 0; r < srv.w.sc.Servers; r++ {
-		if r != srv.rep {
-			srv.w.fabric.Unicast(srv.node, srv.w.serverNodeID(srv.w.globalIdx(srv.group, r)), kindInstall, inst)
-		}
-	}
-}
-
-func (srv *mserver) handleInstall(p installMsg) {
-	if srv.mach == nil || !srv.masterFrameOK(p.From, p.Ballot) {
-		return
-	}
-	for _, fr := range p.Files {
-		if fr.Seq > srv.applied[fr.File] {
-			srv.applyRepl(fr.File, fr.Seq, fr.Value)
-		}
-		for s := range srv.parked[fr.File] {
-			if s <= srv.applied[fr.File] {
-				delete(srv.parked[fr.File], s)
-			}
-		}
-		srv.drainParked(fr.File)
-	}
-}
-
-// ---- replication pipeline ----
-
-// stageWrite enters a write into the replicate-before-apply pipeline:
-// frames fan out to the peers, and only quorum-1 acks commit the write
-// locally and ack the client — no reader can ever observe a value a
-// failover could lose. The value's serialization position is fixed
-// now, because replicas apply strictly in sequence order.
-func (srv *mserver) stageWrite(wtr mwriter) {
-	f := fileForDatum(wtr.datum)
-	if srv.seen[wtr.client] == nil {
-		srv.seen[wtr.client] = make(map[uint64]uint64)
-	}
-	srv.seen[wtr.client][wtr.reqID] = 0
-	srv.nextSeq[f]++
-	e := &stagedWrite{wtr: wtr, seq: srv.nextSeq[f], acks: make([]bool, srv.w.sc.Servers), ships: make([]tracing.Span, srv.w.sc.Servers)}
-	for i := range e.ships {
-		if i != srv.rep {
-			e.ships[i] = srv.w.tracer.StartChildNode(string(srv.node), wtr.tc, "repl.ship")
-		}
-	}
-	srv.staged[f] = append(srv.staged[f], e)
-	srv.w.orc.applied(f, wtr.value)
-	srv.sendFrames(e)
-}
-
-func (srv *mserver) sendFrames(e *stagedWrite) {
-	f := fileForDatum(e.wtr.datum)
-	// Stamp the current ballot on every (re)transmit: a frame staged
-	// just before this master renewed its own lease would otherwise be
-	// rejected by peers that already accepted the renewal's ballot.
-	fr := replFrame{From: srv.rep, Ballot: srv.mach.MasterBallot(srv.localNow()), File: f, Seq: e.seq, Value: e.wtr.value}
-	for r := 0; r < srv.w.sc.Servers; r++ {
-		if r == srv.rep || e.acks[r] {
-			continue
-		}
-		srv.w.fabric.Unicast(srv.node, srv.w.serverNodeID(srv.w.globalIdx(srv.group, r)), kindReplWrite, fr)
-	}
-	backoff := srv.w.retryBase() << uint(min(e.retries, 6))
-	e.retryEv = srv.w.engine.After(backoff, func() { srv.retryStaged(e) })
-}
-
-func (srv *mserver) retryStaged(e *stagedWrite) {
-	e.retryEv = nil
-	if srv.down {
-		return
-	}
-	f := fileForDatum(e.wtr.datum)
-	live := false
-	for _, s := range srv.staged[f] {
-		if s == e {
-			live = true
-			break
-		}
-	}
-	if !live {
-		return
-	}
-	if e.retries >= maxStagedRetries {
-		srv.dropStagedFrom(f, e)
-		return
-	}
-	e.retries++
-	srv.sendFrames(e)
-}
-
-// dropStagedFrom abandons a staged write that cannot reach quorum, and
-// everything queued behind it (their sequences would gap). None were
-// acked, so no oracle guarantee is lost; the sequence gap itself heals
-// at the next promotion's install push.
-func (srv *mserver) dropStagedFrom(f int, e *stagedWrite) {
-	q := srv.staged[f]
-	for i, s := range q {
-		if s != e {
-			continue
-		}
-		for _, d := range q[i:] {
-			if d.retryEv != nil {
-				srv.w.engine.Cancel(d.retryEv)
-				d.retryEv = nil
-			}
-			d.endShips("dropped")
-		}
-		srv.staged[f] = q[:i]
-		if i == 0 {
-			srv.xferDrained(f)
-		}
-		return
-	}
-}
-
-func (srv *mserver) handleReplAck(p replAck) {
-	if srv.mach == nil {
-		return
-	}
-	for _, e := range srv.staged[p.File] {
-		if e.seq == p.Seq {
-			if p.From >= 0 && p.From < len(e.acks) {
-				if !e.acks[p.From] {
-					e.ships[p.From].EndNote(fmt.Sprintf("peer=%d ok", p.From))
-				}
-				e.acks[p.From] = true
-			}
-			break
-		}
-	}
-	srv.drainStaged(p.File)
-}
-
-func (srv *mserver) drainStaged(f int) {
-	for len(srv.staged[f]) > 0 {
-		e := srv.staged[f][0]
-		n := 0
-		for _, a := range e.acks {
-			if a {
-				n++
-			}
-		}
-		if n < srv.quorumPeers() {
+		srv.w.orc.applied(op.file, op.value)
+		version := srv.versionAt(op.file, op.seq, attr.Version)
+		srv.seen[op.client][op.reqID] = version
+		wait := max(now.Sub(op.queuedAt), 0)
+		srv.w.out.MaxWriteWait = max(srv.w.out.MaxWriteWait, wait)
+		srv.w.obs.Record(obs.Event{
+			Type: obs.EvWriteApply, Client: string(op.client), Datum: datumForFile(op.file),
+			Shard: srv.core.Leases().ShardFor(datumForFile(op.file)), Wait: wait,
+		})
+	case planPrepare:
+		srv.core.Stage(filePath(op.file), srvcore.Xfer{Data: []byte(op.xm.Value), Epoch: op.xm.XferID}, now)
+	case planSource:
+		// The commit point. A write that landed after the bytes were read
+		// for the prepare would be lost at the destination: the transfer
+		// gives up instead, and the client's retry starts it over.
+		x := op.x
+		if srv.fileVersion(x.file) != x.version {
+			srv.endXfer(x, "changed under the transfer")
 			return
 		}
-		srv.staged[f] = srv.staged[f][1:]
-		srv.commitStaged(e)
+		x.left = true
+		srv.w.shards[srv.group].owned[x.file] = false
+		srv.w.home[x.file] = x.dest
+		srv.w.out.Renames++
+	case planCommit:
+		attr, _, err := srv.store.WriteFile(datumForFile(op.file).Node, []byte(op.xm.Value))
+		if err != nil {
+			panic(fmt.Sprintf("check: commit moved file %d: %v", op.file, err))
+		}
+		// Versions continue from the source's, so clients' version guards
+		// stay comparable across the move.
+		sh := srv.w.shards[srv.group]
+		sh.base[op.file] = 0
+		sh.base[op.file] = int64(op.xm.Version+1) - int64(srv.versionAt(op.file, op.seq, attr.Version))
+		sh.owned[op.file], sh.lastXfer[op.file] = true, op.xm.XferID
 	}
-	srv.xferDrained(f)
 }
 
-// xferDrained fires a transfer commit that was waiting for the file's
-// replication pipeline to empty.
-func (srv *mserver) xferDrained(f int) {
-	if x := srv.xfers[f]; x != nil && x.draining {
-		srv.commitXfer(x)
+// finish ends a plan: the requester hears of a success, and a failure
+// releases the dedupe marker so a retransmit can start over at
+// whichever master then serves.
+func (srv *mserver) finish(op *mplan, err error) {
+	delete(srv.plans, op.id)
+	srv.cancel(&op.waitEv)
+	srv.endRound(op.ship, errDropped)
+	note := ""
+	if err != nil {
+		note = "dropped"
 	}
-}
-
-func (srv *mserver) commitStaged(e *stagedWrite) {
-	if e.retryEv != nil {
-		srv.w.engine.Cancel(e.retryEv)
-		e.retryEv = nil
-	}
-	// Quorum reached: peers that have not acked will never be waited
-	// for again — their ship spans end as stragglers, like the real
-	// master's rpc returning after the quorum count moved on.
-	for i, sp := range e.ships {
-		if sp.Recording() && !e.acks[i] && i != srv.rep {
-			sp.EndNote(fmt.Sprintf("peer=%d straggler", i))
+	switch op.kind {
+	case planWrite:
+		if err == nil {
+			srv.w.fabric.Unicast(srv.node, netsim.NodeID(op.client), kindAck, writeAck{ReqID: op.reqID, Version: srv.seen[op.client][op.reqID]})
+		} else if m := srv.seen[op.client]; m[op.reqID] == 0 {
+			delete(m, op.reqID)
+		}
+	case planPrepare:
+		if err == nil {
+			srv.w.fabric.Unicast(srv.node, op.peer, kindXferPrepared, op.xm)
+		}
+	case planSource:
+		if x := op.x; srv.xfers[x.file] == x {
+			if err == nil {
+				x.retries = 0
+				srv.sendXfer(x, kindXferCommit)
+			} else {
+				srv.endXfer(x, "clearance "+err.Error())
+			}
+		}
+	case planCommit:
+		if err == nil {
+			srv.w.fabric.Unicast(srv.node, op.peer, kindXferCommitted, op.xm)
 		}
 	}
-	now := srv.localNow()
-	f := fileForDatum(e.wtr.datum)
-	applySp := srv.w.tracer.StartChildNode(string(srv.node), e.wtr.tc, "write.apply")
-	if _, _, err := srv.store.WriteFile(e.wtr.datum.Node, []byte(e.wtr.value)); err != nil {
-		panic(fmt.Sprintf("check: commit staged write %v: %v", e.wtr.datum, err))
-	}
-	applySp.End()
-	srv.applied[f] = e.seq
-	wait := now.Sub(e.wtr.queuedAt)
-	if wait < 0 {
-		wait = 0
-	}
-	if wait > srv.w.out.MaxWriteWait {
-		srv.w.out.MaxWriteWait = wait
-	}
-	if srv.seen[e.wtr.client] == nil {
-		srv.seen[e.wtr.client] = make(map[uint64]uint64)
-	}
-	srv.seen[e.wtr.client][e.wtr.reqID] = e.seq
-	srv.w.obs.Record(obs.Event{
-		Type:   obs.EvWriteApply,
-		Client: string(e.wtr.client),
-		Datum:  e.wtr.datum,
-		Shard:  srv.mgr.ShardFor(e.wtr.datum),
-		Wait:   wait,
-	})
-	srv.w.fabric.Unicast(srv.node, netsim.NodeID(e.wtr.client), kindAck, writeAck{ReqID: e.wtr.reqID, Version: e.seq})
+	op.sp.EndNote(note)
 }
 
-func (srv *mserver) handleReplFrame(p replFrame) {
-	if srv.mach == nil || !srv.masterFrameOK(p.From, p.Ballot) {
-		return
-	}
-	f := p.File
-	// A moved-in file's sequence numbering continues from the moved
-	// record: absorb it first or the frame looks like a gap forever.
-	srv.absorbMoved(f)
-	switch {
-	case p.Seq <= srv.applied[f]:
-		// Duplicate of an applied frame: re-ack so a lost ack cannot
-		// stall the master's commit.
-	case p.Seq == srv.applied[f]+1:
-		srv.applyRepl(f, p.Seq, p.Value)
-	default:
-		// Out of order: hold until the gap fills. Acked only once
-		// applied — an acked-but-parked frame could vanish in a crash
-		// after the master committed on the strength of the ack.
-		srv.parked[f][p.Seq] = p
-		return
-	}
-	srv.w.fabric.Unicast(srv.node, srv.w.serverNodeID(srv.w.globalIdx(srv.group, p.From)), kindReplAck, replAck{From: srv.rep, File: f, Seq: p.Seq})
-	srv.drainParked(f)
-}
-
-func (srv *mserver) drainParked(f int) {
-	for {
-		fr, ok := srv.parked[f][srv.applied[f]+1]
-		if !ok {
-			return
+// applyReady steps the plans whose held writes the lease manager now
+// reports ready — approvals arrived, or deadlines passed — in the
+// manager's deterministic (sorted WriteID) order, to a fixpoint:
+// finishing one plan promotes its successor on the datum, which may
+// already be releasable.
+func (srv *mserver) applyReady() {
+	for again := true; again; {
+		again = false
+		for _, id := range srv.core.Leases().ReadyWrites(srv.localNow()) {
+			if op := srv.waiting[id]; op != nil {
+				srv.step(op)
+				again = true
+				break // the id snapshot is stale after a step
+			}
 		}
-		delete(srv.parked[f], fr.Seq)
-		srv.applyRepl(f, fr.Seq, fr.Value)
-		srv.w.fabric.Unicast(srv.node, srv.w.serverNodeID(srv.w.globalIdx(srv.group, fr.From)), kindReplAck, replAck{From: srv.rep, File: f, Seq: fr.Seq})
-	}
-}
-
-func (srv *mserver) applyRepl(f int, seq uint64, val string) {
-	if _, _, err := srv.store.WriteFile(datumForFile(f).Node, []byte(val)); err != nil {
-		panic(fmt.Sprintf("check: replicate file %d: %v", f, err))
-	}
-	srv.applied[f] = seq
-	if srv.nextSeq[f] < seq {
-		srv.nextSeq[f] = seq
 	}
 }
 
 // ---- cross-shard transfers (sharded worlds) ----
 
-// owns reports whether this server's group owns file f. Always true in
-// unsharded worlds.
-func (srv *mserver) owns(f int) bool {
-	if srv.w.groups() <= 1 {
-		return true
-	}
-	return srv.w.shards[srv.group].owned[f]
-}
+// owns reports whether file f's name hashes to this server's group (the
+// model's ring: it flips at the source's commit point); present whether
+// the file exists in the group's namespace — between the two commit
+// points of a move it exists nowhere. Both are group-durable world
+// state: the model probes the ORDERING of clearance, transfer and
+// routing, not the namespace's durability (ROADMAP item 2).
+func (srv *mserver) owns(f int) bool { return srv.w.groups() <= 1 || srv.w.home[f] == srv.group }
 
-// ownerOf names the group that owns f. Ownership flips atomically at
-// the commit point, so exactly one group owns every file at all times.
-func (srv *mserver) ownerOf(f int) int {
-	for g, sh := range srv.w.shards {
-		if sh.owned[f] {
-			return g
-		}
-	}
-	panic(fmt.Sprintf("check: file %d has no owning group", f))
+func (srv *mserver) present(f int) bool {
+	return srv.w.groups() <= 1 || srv.w.shards[srv.group].owned[f]
 }
 
 func (srv *mserver) notOwner(to netsim.NodeID, reqID uint64, f int) {
-	srv.w.fabric.Unicast(srv.node, to, kindNotOwner, notOwnerRep{ReqID: reqID, File: f, Owner: srv.ownerOf(f)})
+	srv.w.fabric.Unicast(srv.node, to, kindNotOwner, notOwnerRep{ReqID: reqID, File: f, Owner: srv.w.home[f]})
 }
 
-// absorbMoved folds the last committed inbound move of f into this
-// replica's local copy, if newer. Called before every serving or
-// replication path touches a file, so the moved-in value (and its
-// sequence, which client-facing versions continue from) is in place
-// before anything depends on it. A sequence tie means the values are
-// already identical: any post-move write strictly exceeds the moved
-// sequence, because absorbing raises nextSeq first.
-func (srv *mserver) absorbMoved(f int) {
-	if srv.w.groups() <= 1 {
-		return
+// routed gates a client request for file f on ownership, redirecting
+// when redirect is set; a file in flight toward this group is met with
+// silence (it does not exist yet), and the retry ladder re-asks.
+func (srv *mserver) routed(from netsim.NodeID, reqID uint64, f int, redirect bool) bool {
+	if !srv.owns(f) && redirect {
+		srv.notOwner(from, reqID, f)
 	}
-	mv := srv.w.shards[srv.group].moved[f]
-	if mv.Seq == 0 || mv.Seq <= srv.applied[f] {
-		return
+	return srv.owns(f) && srv.present(f)
+}
+
+// versionAt is the client-facing version of file f held at replication
+// sequence seq (replicated worlds: store versions diverge across
+// replicas, sequences do not) or store version storeVer, continued from
+// wherever the file moved in from.
+func (srv *mserver) versionAt(f int, seq, storeVer uint64) uint64 {
+	v := storeVer
+	if srv.mach != nil {
+		v = seq
 	}
-	if _, _, err := srv.store.WriteFile(datumForFile(f).Node, []byte(mv.Value)); err != nil {
-		panic(fmt.Sprintf("check: absorb moved file %d: %v", f, err))
+	if srv.w.groups() > 1 {
+		v = uint64(int64(v) + srv.w.shards[srv.group].base[f])
 	}
-	srv.applied[f] = mv.Seq
-	if srv.nextSeq[f] < mv.Seq {
-		srv.nextSeq[f] = mv.Seq
+	return v
+}
+
+func (srv *mserver) fileVersion(f int) uint64 {
+	v, err := srv.store.Version(datumForFile(f))
+	if err != nil {
+		panic(fmt.Sprintf("check: version of file %d: %v", f, err))
 	}
+	return srv.versionAt(f, srv.core.Seq(filePath(f)), v)
+}
+
+// dedupe reports whether (client, reqID) was seen before, re-acking a
+// completed request through reack; one still in flight is met with
+// silence (its completion acks it).
+func (srv *mserver) dedupe(client core.ClientID, reqID uint64, reack func(version uint64)) bool {
+	version, dup := srv.seen[client][reqID]
+	if dup && version > 0 {
+		reack(version)
+	}
+	return dup
+}
+
+func (srv *mserver) markSeen(client core.ClientID, reqID, version uint64) {
+	if srv.seen[client] == nil {
+		srv.seen[client] = make(map[uint64]uint64)
+	}
+	srv.seen[client][reqID] = version
 }
 
 // handleRename runs at the source group's serving master: dedupe,
 // ownership check, then the two-phase move — prepare at the destination
-// group, §2 clearance of this group's own leases on the file, commit.
+// group (which stages the bytes invisibly), §2 clearance of this group's
+// own leases on the file and the commit point, commit at the
+// destination.
 func (srv *mserver) handleRename(from netsim.NodeID, req renameReq) {
-	if seen, ok := srv.seen[req.From]; ok {
-		if marker, dup := seen[req.ReqID]; dup {
-			if marker > 0 {
-				// Retransmit of a completed rename: re-ack with the
-				// file's current owner.
-				srv.w.fabric.Unicast(srv.node, from, kindRenameAck, renameAck{ReqID: req.ReqID, Owner: srv.ownerOf(req.File)})
-			}
-			return // in flight: the commit acks it
-		}
-	}
 	f := req.File
-	if !srv.owns(f) {
-		srv.notOwner(from, req.ReqID, f)
+	if srv.dedupe(req.From, req.ReqID, func(uint64) {
+		srv.w.fabric.Unicast(srv.node, from, kindRenameAck, renameAck{ReqID: req.ReqID, Owner: srv.w.home[f]})
+	}) {
 		return
 	}
-	if srv.xfers[f] != nil {
-		// A move of this file is already in flight (another client's
-		// rename); stay silent, the retry ladder re-asks after it lands.
+	// A move of this file already in flight (another client's rename) is
+	// met with silence; the retry ladder re-asks after it lands.
+	if !srv.routed(from, req.ReqID, f, true) || srv.xfers[f] != nil {
 		return
 	}
-	srv.absorbMoved(f)
-	if srv.seen[req.From] == nil {
-		srv.seen[req.From] = make(map[uint64]uint64)
-	}
-	srv.seen[req.From][req.ReqID] = 0 // pending marker, set by commitXfer
+	srv.markSeen(req.From, req.ReqID, 0)
 	srv.w.nextXfer++
 	x := &xferState{
-		id:    srv.w.nextXfer,
-		file:  f,
-		dest:  (srv.group + 1) % srv.w.groups(),
-		reqID: req.ReqID,
-		from:  req.From,
-		sp:    srv.w.tracer.StartChildNode(string(srv.node), req.TC, "server.rename"),
+		id: srv.w.nextXfer, file: f, dest: (srv.group + 1) % srv.w.groups(), reqID: req.ReqID, from: req.From,
+		value: srv.read(f), version: srv.fileVersion(f),
+		sp: srv.w.tracer.StartChildNode(string(srv.node), req.TC, "server.rename"),
 	}
 	srv.xfers[f] = x
-	srv.sendPrepare(x)
+	srv.sendXfer(x, kindXferPrepare)
 }
 
-func (srv *mserver) sendPrepare(x *xferState) {
-	target := srv.w.globalIdx(x.dest, srv.peerBelief[x.dest])
-	srv.w.fabric.Unicast(srv.node, srv.w.serverNodeID(target), kindXferPrepare,
-		xferPrepare{XferID: x.id, File: x.file})
-	backoff := srv.w.retryBase() << uint(min(x.retries, 6))
-	x.retryEv = srv.w.engine.After(backoff, func() { srv.retryPrepare(x) })
-}
-
-func (srv *mserver) retryPrepare(x *xferState) {
-	x.retryEv = nil
-	if srv.down || srv.xfers[x.file] != x || x.prepared {
-		return
-	}
-	if x.retries >= maxRetries {
-		srv.abortXfer(x, "prepare given-up")
-		return
-	}
-	x.retries++
-	if srv.w.sc.Servers > 1 {
-		// Silence may mean the believed destination master is down or
-		// mid-promotion: rotate to the next replica.
-		srv.peerBelief[x.dest] = (srv.peerBelief[x.dest] + 1) % srv.w.sc.Servers
-	}
-	srv.sendPrepare(x)
-}
-
-// abortXfer abandons an outbound transfer before its commit point:
-// ownership never moved, so the file simply stays home. The pending
-// dedupe marker is released so the client's retransmit can restart the
-// move at whichever master then serves the group.
-func (srv *mserver) abortXfer(x *xferState, note string) {
-	if x.retryEv != nil {
-		srv.w.engine.Cancel(x.retryEv)
+// sendXfer (re)transmits a transfer's pending remote leg — prepare, or
+// commit once the file has left — to the believed destination master,
+// rotating to the next replica when retries go unanswered: silence may
+// mean that one is down or mid-promotion.
+func (srv *mserver) sendXfer(x *xferState, kind string) {
+	target := srv.peerNode(x.dest, srv.peerBelief[x.dest])
+	srv.w.fabric.Unicast(srv.node, target, kind, xferMsg{XferID: x.id, File: x.file, Value: x.value, Version: x.version})
+	x.retryEv = srv.w.engine.After(srv.backoff(x.retries), func() {
 		x.retryEv = nil
-	}
+		if srv.down || srv.xfers[x.file] != x || (kind == kindXferPrepare && x.prepared) {
+			return
+		}
+		if x.retries++; x.retries > maxRetries {
+			srv.endXfer(x, kind+" given-up")
+			return
+		}
+		srv.peerBelief[x.dest] = (srv.peerBelief[x.dest] + 1) % srv.w.sc.Servers
+		srv.sendXfer(x, kind)
+	})
+}
+
+// endXfer retires an outbound transfer. Before the commit point
+// ownership never moved, so the file simply stays home and the pending
+// dedupe marker is released: the client's retransmit restarts the move.
+// After it the file has left: the destination holds the only (staged)
+// copy, which only this transfer's commit can surface.
+func (srv *mserver) endXfer(x *xferState, note string) {
+	srv.cancel(&x.retryEv)
 	delete(srv.xfers, x.file)
-	if x.hasBarrier {
-		delete(srv.xferByBarrier, x.barrier)
-		srv.mgr.CancelWrite(x.barrier, srv.localNow())
-		srv.endWriteSpans(x.barrier, "dropped", "dropped")
-	}
-	if m := srv.seen[x.from]; m != nil && m[x.reqID] == 0 {
+	if m := srv.seen[x.from]; !x.left && m[x.reqID] == 0 {
 		delete(m, x.reqID)
 	}
 	x.sp.EndNote(note)
 }
 
-// dropXfers aborts every in-flight outbound transfer — demotion or
-// shutdown teardown. None has committed, so ownership is intact.
-func (srv *mserver) dropXfers(note string) {
-	files := make([]int, 0, len(srv.xfers))
-	for f := range srv.xfers {
-		files = append(files, f)
-	}
-	sort.Ints(files)
-	for _, f := range files {
-		srv.abortXfer(srv.xfers[f], note)
-	}
-}
-
-// handleXferPrepare runs at the destination group: only a serving
-// master acks, proving the far side can serve the file the moment
-// ownership flips. The prepare reserves nothing, so no teardown is
-// needed if the source aborts.
-func (srv *mserver) handleXferPrepare(m netsim.Message, p xferPrepare) {
-	if srv.mach != nil && !srv.servingMaster() {
-		return // silence; the source's retry ladder rotates replicas
-	}
-	srv.w.fabric.Unicast(srv.node, m.From, kindXferPrepared, xferPrepared{XferID: p.XferID, File: p.File})
-}
-
-// handleXferPrepared starts the source-side clearance: the move behaves
-// like a §2 write on the file — every conflicting leaseholder approves
-// or expires before ownership transfers — except under BreakRenameOrder,
-// which commits on the prepare ack alone.
-func (srv *mserver) handleXferPrepared(p xferPrepared) {
-	x := srv.xfers[p.File]
-	if x == nil || x.id != p.XferID || x.prepared {
-		return
-	}
-	x.prepared = true
-	if x.retryEv != nil {
-		srv.w.engine.Cancel(x.retryEv)
-		x.retryEv = nil
-	}
-	if srv.w.sc.Break == BreakRenameOrder {
-		// Sabotage: skip the clearance. Read leases this group granted
-		// stay live across the transfer, so a destination write can
-		// land while a stale copy is still covered — the ordering bug
-		// the pinned counterexample exhibits.
-		srv.maybeCommitXfer(x)
-		return
-	}
-	now := srv.localNow()
-	d := datumForFile(x.file)
-	disp := srv.mgr.SubmitWrite(core.ClientID(fmt.Sprintf("xfer-%d", x.id)), d, now)
-	if disp.Ready {
-		srv.maybeCommitXfer(x)
-		return
-	}
-	x.hasBarrier = true
-	x.barrier = disp.WriteID
-	srv.xferByBarrier[disp.WriteID] = x
-	deferSp := srv.w.tracer.StartChildNode(string(srv.node), x.sp.Context(), "write.defer")
-	deferSp.SetFanout(len(disp.NeedApproval))
-	ws := &writeSpans{deferSp: deferSp, pushes: make(map[core.ClientID]tracing.Span, len(disp.NeedApproval))}
-	srv.wspans[disp.WriteID] = ws
-	targets := make([]netsim.NodeID, 0, len(disp.NeedApproval))
-	for _, holder := range disp.NeedApproval {
-		targets = append(targets, netsim.NodeID(holder))
-		ws.pushes[holder] = srv.w.tracer.StartChildNode(string(srv.node), deferSp.Context(), "approve.push")
-		srv.w.obs.Record(obs.Event{
-			Type:    obs.EvApproveRequest,
-			Client:  string(holder),
-			Datum:   d,
-			Shard:   srv.mgr.ShardFor(d),
-			WriteID: uint64(disp.WriteID),
-		})
-	}
-	srv.w.fabric.Multicast(srv.node, targets, kindApprovalReq, approvalReq{WriteID: disp.WriteID, Datum: d})
-	srv.armDeadline()
-}
-
-// maybeCommitXfer gates the commit point on the replication pipeline:
-// a write past its lease deferral but not yet at quorum would commit
-// and ack at the source AFTER the move took the old value — a lost
-// update at the destination. The commit waits until the file's staged
-// queue drains (drainStaged and dropStagedFrom re-check); no new lease
-// can appear meanwhile, because extends refuse leases while a staged
-// write is outstanding.
-func (srv *mserver) maybeCommitXfer(x *xferState) {
-	if srv.mach != nil && len(srv.staged[x.file]) > 0 {
-		x.draining = true
-		return
-	}
-	srv.commitXfer(x)
-}
-
-// commitXfer is the commit point: conflicting leases are cleared (or
-// deliberately not, under the sabotage), so ownership and the current
-// value transfer to the destination group in one group-durable step.
-// Writes still queued behind the barrier arrived for a home the file is
-// leaving; they are cancelled and their retransmits bounce with
-// NOT_OWNER so the clients re-route.
-func (srv *mserver) commitXfer(x *xferState) {
-	delete(srv.xfers, x.file)
-	if x.hasBarrier {
-		delete(srv.xferByBarrier, x.barrier)
-	}
-	d := datumForFile(x.file)
-	ids := make([]core.WriteID, 0, len(srv.writers))
-	for id, wtr := range srv.writers {
-		if wtr.datum == d {
-			ids = append(ids, id)
+// handleXfer runs the transfer legs that arrive from the other group.
+func (srv *mserver) handleXfer(m netsim.Message, p xferMsg) {
+	switch m.Kind {
+	case kindXferPrepare, kindXferCommit:
+		// Destination side: only a serving master answers; silence makes
+		// the source's retry ladder rotate replicas.
+		if !srv.servingMaster() {
+			return
 		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	now := srv.localNow()
-	for _, id := range ids {
-		wtr := srv.writers[id]
-		delete(srv.writers, id)
-		srv.mgr.CancelWrite(id, now)
-		srv.endWriteSpans(id, "dropped", "moved away")
-		if m := srv.seen[wtr.client]; m != nil && m[wtr.reqID] == 0 {
-			delete(m, wtr.reqID)
+		op := &mplan{kind: planPrepare, file: p.File, xm: p, peer: m.From, client: core.ClientID(m.From)}
+		op.p = srv.core.Plan(op.client, rootBinding)
+		if m.Kind == kindXferCommit {
+			st, ok := srv.core.TakeStaged(filePath(p.File), p.XferID, srv.localNow())
+			if !ok {
+				if sh := srv.w.shards[srv.group]; sh.owned[p.File] && sh.lastXfer[p.File] == p.XferID {
+					srv.w.fabric.Unicast(srv.node, m.From, kindXferCommitted, p) // a retransmit
+				}
+				return
+			}
+			// The bytes replicate to a quorum before the name appears.
+			op.kind, op.xm.Value = planCommit, string(st.Data)
+			op.p.Replicate(filePath(p.File), st.Data)
 		}
+		srv.begin(op)
+	case kindXferPrepared:
+		// Source side: the destination staged the bytes. The move now
+		// behaves like a §2 write on the file — every conflicting
+		// leaseholder approves or expires before ownership transfers.
+		x := srv.xfers[p.File]
+		if x == nil || x.id != p.XferID || x.prepared {
+			return
+		}
+		x.prepared = true
+		srv.cancel(&x.retryEv)
+		op := &mplan{kind: planSource, file: x.file, x: x, client: core.ClientID(fmt.Sprintf("xfer-%d", x.id)), tc: x.sp.Context()}
+		op.p = srv.core.Plan(op.client, datumForFile(x.file), rootBinding)
+		srv.begin(op)
+	case kindXferCommitted:
+		x := srv.xfers[p.File]
+		if x == nil || x.id != p.XferID || !x.left {
+			return
+		}
+		srv.markSeen(x.from, x.reqID, 1) // done marker, for at-least-once re-acks
+		srv.endXfer(x, fmt.Sprintf("moved to group %d", x.dest))
+		srv.w.fabric.Unicast(srv.node, netsim.NodeID(x.from), kindRenameAck, renameAck{ReqID: x.reqID, Owner: x.dest})
 	}
-	srv.absorbMoved(x.file)
-	data, _, err := srv.store.ReadFile(d.Node)
-	if err != nil {
-		panic(fmt.Sprintf("check: read moving file %d: %v", x.file, err))
-	}
-	src, dst := srv.w.shards[srv.group], srv.w.shards[x.dest]
-	src.owned[x.file] = false
-	dst.owned[x.file] = true
-	dst.moved[x.file] = fileRepl{File: x.file, Seq: srv.applied[x.file], Value: string(data)}
-	if srv.seen[x.from] == nil {
-		srv.seen[x.from] = make(map[uint64]uint64)
-	}
-	srv.seen[x.from][x.reqID] = 1 // done marker, for at-least-once re-acks
-	x.sp.EndNote(fmt.Sprintf("moved to group %d", x.dest))
-	srv.w.out.Renames++
-	srv.w.fabric.Unicast(srv.node, netsim.NodeID(x.from), kindRenameAck, renameAck{ReqID: x.reqID, Owner: x.dest})
 }
 
 // ---- installed class (§4.3) ----
-
-// classOn reports whether this world runs the installed-files class.
-func (srv *mserver) classOn() bool { return srv.w.sc.Installed }
-
-// resetClass (re)installs the class: every file installed, under a
-// generation base no previous reign ever used (world-unique), so a
-// client's snapshot from an earlier incarnation can never satisfy the
-// generation fence against this one. The deployment gets the same
-// property from connection-scoped snapshots — a reconnecting client
-// drops and refetches — and from replicated generation rebinding at
-// promotion.
-func (srv *mserver) resetClass() {
-	if !srv.classOn() {
-		return
-	}
-	srv.w.classReigns++
-	srv.classGen = srv.w.classReigns << 32
-	srv.classMembers = make([]bool, srv.w.sc.Files)
-	for f := range srv.classMembers {
-		srv.classMembers[f] = true
-	}
-	srv.classCover = time.Time{}
-	srv.classDemoted = make([]time.Time, srv.w.sc.Files)
-}
-
-func (srv *mserver) classMemberData() []vfs.Datum {
-	var out []vfs.Datum
-	for f, in := range srv.classMembers {
-		if in {
-			out = append(out, datumForFile(f))
-		}
-	}
-	return out
-}
-
-// classDurable persists the class term before any coverage is created
-// from it — the model analogue of the durable max-term raise (and its
-// replication) preceding every broadcast in internal/server. The §5
-// recovery window after a crash or promotion then covers whatever
-// broadcast coverage a predecessor left outstanding.
-func (srv *mserver) classDurable() {
-	if srv.w.sc.InstalledTerm > srv.persistedMaxTerm {
-		srv.persistedMaxTerm = srv.w.sc.InstalledTerm
-	}
-}
 
 // armClass keeps the periodic broadcast timer running until the
 // world's quiesce bound (shared with the election machines) so the
 // engine drains.
 func (srv *mserver) armClass() {
-	if !srv.classOn() || srv.down {
+	if srv.core.Classes == nil || srv.down {
 		return
 	}
-	if srv.classEv != nil {
-		srv.w.engine.Cancel(srv.classEv)
-		srv.classEv = nil
-	}
+	srv.cancel(&srv.classEv)
 	at := srv.w.engine.Now().Add(srv.w.sc.BroadcastEvery)
 	if at.After(srv.w.machStop) {
 		return
 	}
-	srv.classEv = srv.w.engine.At(at, srv.onClassTick)
-}
-
-func (srv *mserver) onClassTick() {
-	srv.classEv = nil
-	if srv.down {
-		return
-	}
-	srv.broadcastClass()
-	srv.armClass()
-}
-
-// broadcastClass multicasts one §4.3 broadcast extension. The coverage
-// horizon is recorded before the frames leave (record-then-send), so
-// classCover bounds every client belief the broadcast can create even
-// if deliveries are delayed arbitrarily.
-func (srv *mserver) broadcastClass() {
-	if !srv.servingMaster() {
-		return
-	}
-	members := 0
-	for _, in := range srv.classMembers {
-		if in {
-			members++
+	srv.classEv = srv.w.engine.At(at, func() {
+		srv.classEv = nil
+		if srv.down {
+			return
 		}
-	}
-	if members == 0 {
-		return
-	}
-	srv.classDurable()
-	now := srv.localNow()
-	if horizon := now.Add(srv.w.sc.InstalledTerm); horizon.After(srv.classCover) {
-		srv.classCover = horizon
-	}
-	bc := classBcast{Gen: srv.classGen, Term: srv.w.sc.InstalledTerm, SentAt: now}
-	targets := make([]netsim.NodeID, 0, len(srv.w.clients))
-	for _, c := range srv.w.clients {
-		targets = append(targets, c.node)
-	}
-	srv.w.fabric.Multicast(srv.node, targets, kindBroadcast, bc)
-	srv.w.obs.Record(obs.Event{Type: obs.EvBroadcastExt, Depth: members})
+		// One §4.3 broadcast extension; the table records the coverage
+		// horizon before the frames leave.
+		if !srv.servingMaster() {
+			srv.armClass()
+			return
+		}
+		if bc, ok := srv.core.Classes.Broadcast(srv.localNow()); ok {
+			targets := make([]netsim.NodeID, 0, len(srv.w.clients))
+			for _, c := range srv.w.clients {
+				targets = append(targets, c.node)
+			}
+			bc.Generation += srv.classBase
+			srv.w.fabric.Multicast(srv.node, targets, kindBroadcast, bc)
+			srv.w.obs.Record(obs.Event{Type: obs.EvBroadcastExt, Depth: len(targets)})
+		}
+		srv.armClass()
+	})
 }
 
 // handleClassFetch serves the membership snapshot. A non-serving
@@ -1372,47 +1091,12 @@ func (srv *mserver) broadcastClass() {
 // master, so the client's next mismatching broadcast re-aims the
 // fetch there.
 func (srv *mserver) handleClassFetch(from netsim.NodeID, p classFetch) {
-	if !srv.classOn() || !srv.servingMaster() {
+	if srv.core.Classes == nil || !srv.servingMaster() {
 		return
 	}
-	srv.classDurable()
-	now := srv.localNow()
-	// Record-then-send, like the broadcast: the snapshot reply also
-	// anchors client coverage at SentAt + Term.
-	if horizon := now.Add(srv.w.sc.InstalledTerm); horizon.After(srv.classCover) {
-		srv.classCover = horizon
-	}
-	srv.w.fabric.Unicast(srv.node, from, kindClassSnap, classSnap{
-		ReqID:  p.ReqID,
-		Gen:    srv.classGen,
-		Term:   srv.w.sc.InstalledTerm,
-		SentAt: now,
-		Data:   srv.classMemberData(),
-	})
-}
-
-// classParkWrite demotes an installed file on its first write (§4.3
-// drop-on-write) and reports the true-time instant the write may
-// proceed, when the broadcast coverage horizon captured at demotion is
-// still in the future. BreakClassHorizon demotes but skips the wait —
-// the sabotage the oracle must catch.
-func (srv *mserver) classParkWrite(d vfs.Datum) (time.Time, bool) {
-	if !srv.classOn() {
-		return time.Time{}, false
-	}
-	f := fileForDatum(d)
-	now := srv.localNow()
-	if srv.classMembers[f] {
-		srv.classMembers[f] = false
-		srv.classGen++
-		srv.classDemoted[f] = srv.classCover
-		srv.w.obs.Record(obs.Event{Type: obs.EvClassDemote, Datum: d})
-	}
-	horizon := srv.classDemoted[f]
-	if srv.w.sc.Break == BreakClassHorizon || !horizon.After(now) {
-		return time.Time{}, false
-	}
-	return trueAt(srv.w.start, horizon.Add(time.Microsecond), srv.rate(), srv.skew()), true
+	sn := srv.core.Classes.Snapshot(srv.localNow())
+	sn.Generation += srv.classBase
+	srv.w.fabric.Unicast(srv.node, from, kindClassSnap, classSnap{ReqID: p.ReqID, InstalledWire: sn})
 }
 
 // ---- client-facing handlers ----
@@ -1423,45 +1107,37 @@ func (srv *mserver) handle(m netsim.Message) {
 	}
 	switch p := m.Payload.(type) {
 	case extendReq:
-		if !srv.gateClient(m.From, p.ReqID) {
-			return
+		if srv.gateClient(m.From, p.ReqID) {
+			srv.handleExtend(m.From, p)
 		}
-		srv.handleExtend(m.From, p)
 	case writeReq:
-		if !srv.gateClient(m.From, p.ReqID) {
-			return
+		if srv.gateClient(m.From, p.ReqID) {
+			srv.handleWrite(m.From, p)
 		}
-		srv.handleWrite(m.From, p)
 	case renameReq:
-		if !srv.gateClient(m.From, p.ReqID) {
-			return
+		if srv.gateClient(m.From, p.ReqID) {
+			srv.handleRename(m.From, p)
 		}
-		srv.handleRename(m.From, p)
-	case xferPrepare:
-		srv.handleXferPrepare(m, p)
-	case xferPrepared:
-		srv.handleXferPrepared(p)
+	case xferMsg:
+		srv.handleXfer(m, p)
 	case approveMsg:
-		if srv.mach != nil && !srv.servingMaster() {
-			return // approvals for a reign this replica no longer runs
+		if srv.servingMaster() { // else: approvals for a reign this replica no longer runs
+			srv.handleApprove(p)
 		}
-		srv.handleApprove(p)
 	case electMsg:
-		if srv.mach == nil {
-			return
+		if srv.mach != nil {
+			srv.sendElect(srv.mach.HandleMessage(srv.localNow(), p.M))
+			srv.machChanged()
 		}
-		srv.sendElect(srv.mach.HandleMessage(srv.localNow(), p.M))
-		srv.machChanged()
 	case replFrame:
 		srv.handleReplFrame(p)
 	case replAck:
-		srv.handleReplAck(p)
+		srv.answered(srv.shipping[replAck{Path: p.Path, Seq: p.Seq}], p.From)
 	case syncReq:
-		srv.handleSyncReq(p)
+		srv.w.fabric.Unicast(srv.node, m.From, kindSyncRep,
+			syncRep{From: srv.rep, ReqID: p.ReqID, Files: srv.core.ReplState(), Floor: srv.termFloor()})
 	case syncRep:
 		srv.handleSyncRep(p)
-	case installMsg:
-		srv.handleInstall(p)
 	case classFetch:
 		srv.handleClassFetch(m.From, p)
 	default:
@@ -1469,9 +1145,7 @@ func (srv *mserver) handle(m netsim.Message) {
 	}
 }
 
-func (srv *mserver) servingMaster() bool {
-	return srv.mach == nil || (srv.mach.IsMaster(srv.localNow()) && srv.synced)
-}
+func (srv *mserver) servingMaster() bool { return srv.core.Serving(srv.localNow()) }
 
 // gateClient is the replica gate: a non-master refuses with a redirect
 // hint; a master still syncing stays silent (the client's retry lands
@@ -1480,35 +1154,17 @@ func (srv *mserver) gateClient(from netsim.NodeID, reqID uint64) bool {
 	if srv.mach == nil {
 		return true
 	}
-	if !srv.mach.IsMaster(srv.localNow()) {
-		srv.refuse(from, reqID)
+	now := srv.localNow()
+	if !srv.mach.IsMaster(now) {
+		owner, live := srv.mach.Master(now)
+		hint := -1
+		if live && owner != srv.rep {
+			hint = owner
+		}
+		srv.w.fabric.Unicast(srv.node, from, kindNotMaster, notMasterRep{ReqID: reqID, Hint: hint})
 		return false
 	}
-	return srv.synced
-}
-
-func (srv *mserver) refuse(to netsim.NodeID, reqID uint64) {
-	owner, live := srv.mach.Master(srv.localNow())
-	hint := -1
-	if live && owner != srv.rep {
-		hint = owner
-	}
-	srv.w.fabric.Unicast(srv.node, to, kindNotMaster, notMasterRep{ReqID: reqID, Hint: hint})
-}
-
-// fileVersion is the client-facing version: the store's in
-// single-server worlds, the applied sequence in replicated or sharded
-// ones (store versions diverge across replicas and do not survive a
-// file's move between groups; sequences do).
-func (srv *mserver) fileVersion(d vfs.Datum) uint64 {
-	if srv.applied == nil {
-		v, err := srv.store.Version(d)
-		if err != nil {
-			panic(fmt.Sprintf("check: version of %v: %v", d, err))
-		}
-		return v
-	}
-	return srv.applied[fileForDatum(d)]
+	return srv.core.Serving(now)
 }
 
 func (srv *mserver) handleExtend(from netsim.NodeID, req extendReq) {
@@ -1518,369 +1174,111 @@ func (srv *mserver) handleExtend(from netsim.NodeID, req extendReq) {
 	rep := extendRep{ReqID: req.ReqID}
 	for _, d := range req.Data {
 		f := fileForDatum(d)
-		if srv.w.groups() > 1 && !srv.owns(f) {
+		// A single-datum fetch is a routed read: redirect it to the owning
+		// group. Batched renewals silently drop files that moved away; the
+		// client's lease lapses and its next read re-routes.
+		if !srv.routed(from, req.ReqID, f, len(req.Data) == 1) {
 			if len(req.Data) == 1 {
-				// A single-datum fetch is a routed read: redirect it to
-				// the owning group.
-				srv.notOwner(from, req.ReqID, f)
 				return
 			}
-			// Batched renewals silently drop files that moved away; the
-			// client's lease lapses and its next read re-routes.
 			continue
 		}
-		srv.absorbMoved(f)
-		data, _, err := srv.store.ReadFile(d.Node)
-		if err != nil {
-			panic(fmt.Sprintf("check: read %v: %v", d, err))
-		}
-		version := srv.fileVersion(d)
-		if srv.mach != nil && len(srv.staged[f]) > 0 {
-			// A write is between staging and quorum commit: a lease
-			// granted now would cover a value about to be superseded
-			// without the holder's approval. Serve the committed value
-			// usable-once, like the write-pending refusal below.
-			rep.Grants = append(rep.Grants, grantInfo{Datum: d, Version: version, Value: string(data), Leased: false})
-			continue
-		}
-		g := srv.mgr.Grant(req.From, d, now)
+		// While a write holds clearance on the datum the grant is refused:
+		// the value is served usable-once.
+		g := srv.core.Leases().Grant(req.From, d, now)
 		rep.Grants = append(rep.Grants, grantInfo{
-			Datum:   d,
-			Term:    g.Term,
-			Version: version,
-			Value:   string(data),
-			Leased:  g.Leased,
+			GrantWire: proto.GrantWire{Datum: d, Term: g.Term, Version: srv.fileVersion(f), Leased: g.Leased},
+			Value:     srv.read(f),
 		})
 		srv.w.obs.Record(obs.Event{
-			Type:   obs.EvGrant,
-			Client: string(req.From),
-			Datum:  d,
-			Shard:  srv.mgr.ShardFor(d),
-			Term:   g.Term,
+			Type: obs.EvGrant, Client: string(req.From), Datum: d, Shard: srv.core.Leases().ShardFor(d), Term: g.Term,
 		})
+		// Feed the read to the class's promotion heuristic; the class term
+		// is durable from boot.
+		if ct := srv.core.Classes; ct != nil && ct.ObserveRead(d, filePath(f), req.From, now) {
+			if _, added := srv.core.ClassAdd(d, filePath(f), now); added {
+				srv.w.obs.Record(obs.Event{Type: obs.EvClassPromote, Client: string(req.From), Datum: d})
+			}
+		}
 	}
 	srv.w.fabric.Unicast(srv.node, from, kindGrant, rep)
 }
 
 func (srv *mserver) handleWrite(from netsim.NodeID, req writeReq) {
-	if at, park := srv.classParkWrite(req.Datum); park {
-		// The file just left the installed class: hold the write until
-		// every broadcast-covered copy has expired, then run the normal
-		// per-file deferral. Retransmits parked alongside are deduped
-		// when they land.
-		srv.w.engine.At(at, func() {
-			if srv.down || !srv.servingMaster() {
-				return // the client's retry finds the live master
-			}
-			srv.handleWrite(from, req)
-		})
+	// At-least-once retransmit: re-ack an applied write. Ownership is
+	// checked after dedupe: a write applied here just before the file
+	// moved away must still re-ack its retransmits.
+	f := fileForDatum(req.Datum)
+	if srv.dedupe(req.From, req.ReqID, func(version uint64) {
+		srv.w.fabric.Unicast(srv.node, from, kindAck, writeAck{ReqID: req.ReqID, Version: version})
+	}) || !srv.routed(from, req.ReqID, f, true) {
 		return
 	}
-	now := srv.localNow()
-	if seen, ok := srv.seen[req.From]; ok {
-		if version, dup := seen[req.ReqID]; dup {
-			// At-least-once retransmit: re-ack an applied write;
-			// stay silent for one still deferred (version 0), whose
-			// eventual apply acks it.
-			if version > 0 {
-				srv.w.fabric.Unicast(srv.node, from, kindAck, writeAck{ReqID: req.ReqID, Version: version})
-			}
-			return
-		}
+	srv.markSeen(req.From, req.ReqID, 0)
+	op := &mplan{
+		kind: planWrite, client: req.From, reqID: req.ReqID, file: f, value: req.Value,
+		sp: srv.w.tracer.StartChildNode(string(srv.node), req.TC, "server.write"),
 	}
-	if f := fileForDatum(req.Datum); srv.w.groups() > 1 {
-		// Ownership is checked after dedupe: a write applied here just
-		// before the file moved away must still re-ack its retransmits.
-		if !srv.owns(f) {
-			srv.notOwner(from, req.ReqID, f)
-			return
-		}
-		srv.absorbMoved(f)
-	}
-	sp := srv.w.tracer.StartChildNode(string(srv.node), req.TC, "server.write")
-	disp := srv.mgr.SubmitWrite(req.From, req.Datum, now)
-	wtr := mwriter{client: req.From, reqID: req.ReqID, datum: req.Datum, value: req.Value, queuedAt: now, tc: sp.Context()}
-	if disp.Ready {
-		srv.finishWrite(wtr, now)
-		sp.End()
-		return
-	}
-	if srv.w.sc.Break == BreakWriteDefer {
-		// §2 sabotage: apply immediately, ignoring the unexpired read
-		// leases the manager just told us about.
-		srv.mgr.CancelWrite(disp.WriteID, now)
-		srv.finishWrite(wtr, now)
-		sp.End()
-		return
-	}
-	srv.writers[disp.WriteID] = wtr
-	if srv.seen[req.From] == nil {
-		srv.seen[req.From] = make(map[uint64]uint64)
-	}
-	srv.seen[req.From][req.ReqID] = 0 // pending marker, set by applyWrite
-	srv.w.obs.Record(obs.Event{
-		Type:    obs.EvWriteDefer,
-		Client:  string(req.From),
-		Datum:   req.Datum,
-		Shard:   srv.mgr.ShardFor(req.Datum),
-		WriteID: uint64(disp.WriteID),
-	})
-	deferSp := srv.w.tracer.StartChildNode(string(srv.node), sp.Context(), "write.defer")
-	deferSp.SetFanout(len(disp.NeedApproval))
-	ws := &writeSpans{deferSp: deferSp, pushes: make(map[core.ClientID]tracing.Span, len(disp.NeedApproval))}
-	srv.wspans[disp.WriteID] = ws
-	targets := make([]netsim.NodeID, 0, len(disp.NeedApproval))
-	for _, holder := range disp.NeedApproval {
-		targets = append(targets, netsim.NodeID(holder))
-		ws.pushes[holder] = srv.w.tracer.StartChildNode(string(srv.node), deferSp.Context(), "approve.push")
-		srv.w.obs.Record(obs.Event{
-			Type:    obs.EvApproveRequest,
-			Client:  string(holder),
-			Datum:   req.Datum,
-			Shard:   srv.mgr.ShardFor(req.Datum),
-			WriteID: uint64(disp.WriteID),
-		})
-	}
-	srv.w.fabric.Multicast(srv.node, targets, kindApprovalReq, approvalReq{WriteID: disp.WriteID, Datum: req.Datum})
-	sp.EndNote("deferred")
-	srv.armDeadline()
+	op.p = srv.core.Plan(req.From, req.Datum)
+	op.p.Replicate(filePath(f), []byte(req.Value))
+	srv.begin(op)
 }
 
 func (srv *mserver) handleApprove(ap approveMsg) {
 	now := srv.localNow()
-	if srv.mgr.Approve(ap.From, ap.WriteID, now) {
-		srv.w.obs.Record(obs.Event{
-			Type:    obs.EvApprove,
-			Client:  string(ap.From),
-			WriteID: uint64(ap.WriteID),
-		})
+	if srv.core.Leases().Approve(ap.From, ap.WriteID, now) {
+		srv.w.obs.Record(obs.Event{Type: obs.EvApprove, Client: string(ap.From), WriteID: uint64(ap.WriteID)})
 	}
-	if ws := srv.wspans[ap.WriteID]; ws != nil {
-		if psp, ok := ws.pushes[ap.From]; ok {
+	if op := srv.waiting[ap.WriteID]; op != nil {
+		if psp, ok := op.pushes[ap.From]; ok {
 			psp.EndNote("approve")
-			delete(ws.pushes, ap.From)
+			delete(op.pushes, ap.From)
 		}
 	}
-	srv.applyReady(now)
-	srv.armDeadline()
+	srv.applyReady()
 }
 
-// applyReady drains writes whose approvals arrived or whose deadlines
-// passed, in the manager's deterministic (sorted WriteID) order. It
-// loops to a fixpoint: applying a queue head promotes its successor,
-// which may already be releasable (its blockers expired while it
-// waited) without ever appearing on the deadline heap.
-func (srv *mserver) applyReady(now time.Time) {
-	for {
-		ids := srv.mgr.ReadyWrites(now)
-		if len(ids) == 0 {
-			return
-		}
-		for _, id := range ids {
-			if x, ok := srv.xferByBarrier[id]; ok {
-				// A cross-shard clearance barrier came due: every
-				// conflicting lease approved or expired, so the move may
-				// commit. The commit point cancels writers queued behind
-				// the barrier, so the id snapshot is stale after it.
-				srv.endWriteSpans(id, "expire", "")
-				srv.mgr.WriteApplied(id, now)
-				srv.maybeCommitXfer(x)
-				break
-			}
-			wtr, ok := srv.writers[id]
-			if !ok {
-				panic(fmt.Sprintf("check: ready write %d has no writer record", id))
-			}
-			delete(srv.writers, id)
-			// Pushes still open at release time went unanswered: the
-			// blocking leases expired instead.
-			srv.endWriteSpans(id, "expire", "")
-			srv.mgr.WriteApplied(id, now)
-			srv.finishWrite(wtr, now)
-		}
-	}
-}
-
-// finishWrite dispatches a write that has cleared lease deferral:
-// straight to the store in single-server worlds, into the replication
-// pipeline otherwise.
-func (srv *mserver) finishWrite(wtr mwriter, now time.Time) {
-	if srv.mach == nil {
-		srv.applyWrite(wtr, now.Sub(wtr.queuedAt), now)
-		return
-	}
-	srv.stageWrite(wtr)
-}
-
-// applyWrite commits a write to the store, informs the oracle, and
-// acks the writer. The writer keeps its lease (§3.1: a write carries
-// implicit approval and the writer's cache stays valid).
-func (srv *mserver) applyWrite(wtr mwriter, wait time.Duration, now time.Time) {
-	applySp := srv.w.tracer.StartChildNode(string(srv.node), wtr.tc, "write.apply")
-	attr, _, err := srv.store.WriteFile(wtr.datum.Node, []byte(wtr.value))
-	if err != nil {
-		panic(fmt.Sprintf("check: apply write %v: %v", wtr.datum, err))
-	}
-	applySp.End()
-	srv.w.orc.applied(fileForDatum(wtr.datum), wtr.value)
-	version := attr.Version
-	if srv.applied != nil {
-		// Sharded single-replica groups use the applied sequence as the
-		// client-facing version so it survives the file's moves.
-		f := fileForDatum(wtr.datum)
-		srv.nextSeq[f]++
-		srv.applied[f] = srv.nextSeq[f]
-		version = srv.applied[f]
-	}
-	if srv.seen[wtr.client] == nil {
-		srv.seen[wtr.client] = make(map[uint64]uint64)
-	}
-	srv.seen[wtr.client][wtr.reqID] = version
-	if wait > srv.w.out.MaxWriteWait {
-		srv.w.out.MaxWriteWait = wait
-	}
-	srv.w.obs.Record(obs.Event{
-		Type:   obs.EvWriteApply,
-		Client: string(wtr.client),
-		Datum:  wtr.datum,
-		Shard:  srv.mgr.ShardFor(wtr.datum),
-		Wait:   wait,
-	})
-	srv.w.fabric.Unicast(srv.node, netsim.NodeID(wtr.client), kindAck, writeAck{ReqID: wtr.reqID, Version: version})
-}
-
-// armDeadline keeps exactly one engine timer at the manager's earliest
-// write deadline, converted from server-local to true time with 1µs of
-// slack so the deadline has strictly passed when the timer fires.
-func (srv *mserver) armDeadline() {
-	dl, ok := srv.mgr.NextDeadline()
-	if !ok {
-		if len(srv.writers) > 0 {
-			// Writes pending but nothing on the deadline heap: either
-			// they await approvals (no timer can help) or a due-set
-			// entry was held back at an exact expiry instant. A short
-			// re-poll keeps the latter live without busy-waiting.
-			dl = srv.localNow().Add(time.Millisecond)
-			ok = true
-		} else {
-			if srv.deadlineEv != nil {
-				srv.w.engine.Cancel(srv.deadlineEv)
-				srv.deadlineEv = nil
-			}
-			srv.deadlineAt = time.Time{}
-			return
-		}
-	}
-	if srv.deadlineEv != nil && srv.deadlineAt.Equal(dl) {
-		return
-	}
-	if srv.deadlineEv != nil {
-		srv.w.engine.Cancel(srv.deadlineEv)
-	}
-	at := trueAt(srv.w.start, dl.Add(time.Microsecond), srv.rate(), srv.skew())
-	if at.Before(srv.w.engine.Now()) {
-		at = srv.w.engine.Now()
-	}
-	srv.deadlineAt = dl
-	srv.deadlineEv = srv.w.engine.At(at, srv.onDeadline)
-}
-
-func (srv *mserver) onDeadline() {
-	srv.deadlineEv = nil
-	srv.deadlineAt = time.Time{}
-	if srv.down {
-		return
-	}
-	now := srv.localNow()
-	srv.applyReady(now)
-	srv.armDeadline()
-}
-
-// crash loses all volatile server state — the lease manager, the
-// deferred-writer table, the dedupe table, the election machine's
-// promises, staged and parked replication frames — but not the store,
-// the applied sequences, or the persisted max term.
+// crash loses all volatile server state — the core with its lease
+// manager, plans in flight, the dedupe table, the election machine's
+// promises — but not the store, the per-file sequences or the max-term
+// floor, which boot carries over.
 func (srv *mserver) crash() {
 	if srv.down {
 		return
 	}
 	srv.down = true
-	if t := srv.mgr.MaxTermGranted(); t > srv.persistedMaxTerm {
-		srv.persistedMaxTerm = t
-	}
+	srv.floor = max(srv.floor, srv.core.Leases().MaxTermGranted())
 	srv.w.fabric.SetDown(srv.node, true)
-	if srv.deadlineEv != nil {
-		srv.w.engine.Cancel(srv.deadlineEv)
-		srv.deadlineEv = nil
-		srv.deadlineAt = time.Time{}
+	srv.cancel(&srv.classEv)
+	srv.cancel(&srv.machEv)
+	// Plans, rounds and transfers die with the process: their timers find
+	// them ended, or gone from the tables boot replaces. Their spans are
+	// swept here.
+	if srv.sync != nil {
+		srv.sync.done = nil
 	}
-	srv.writers = make(map[core.WriteID]mwriter)
-	srv.wspans = make(map[core.WriteID]*writeSpans)
-	srv.seen = make(map[core.ClientID]map[uint64]uint64)
-	if srv.xfers != nil {
-		// In-flight transfers die with the process; none committed, so
-		// ownership is intact. Spans are swept by AbandonNode below.
-		for _, x := range srv.xfers {
-			if x.retryEv != nil {
-				srv.w.engine.Cancel(x.retryEv)
-				x.retryEv = nil
-			}
-		}
-		srv.xfers = make(map[int]*xferState)
-		srv.xferByBarrier = make(map[core.WriteID]*xferState)
+	for _, rd := range srv.shipping {
+		rd.done = nil
 	}
-	if srv.classEv != nil {
-		srv.w.engine.Cancel(srv.classEv)
-		srv.classEv = nil
-	}
+	srv.sync, srv.settling, srv.wasMaster = nil, nil, false
 	srv.w.tracer.AbandonNode(string(srv.node), "crash")
-	if srv.mach != nil {
-		if srv.machEv != nil {
-			srv.w.engine.Cancel(srv.machEv)
-			srv.machEv = nil
-		}
-		if srv.syncEv != nil {
-			srv.w.engine.Cancel(srv.syncEv)
-			srv.syncEv = nil
-		}
-		srv.dropAllStaged()
-		for f := range srv.parked {
-			srv.parked[f] = make(map[uint64]replFrame)
-		}
-		srv.synced = false
-		srv.syncGot = nil
-		srv.wasMaster = false
-		srv.lastBelief = -1
-	}
 }
 
-// restart brings the server back. Single-server worlds re-enter the §5
-// recovery window immediately; replicated worlds impose it at the next
-// promotion instead, and the election machine re-enters its quiet
-// period — unless BreakQuiet sabotages exactly that.
+// restart brings the server back on a fresh core (see boot). In
+// replicated worlds the election machine re-enters its quiet period —
+// unless BreakQuiet sabotages exactly that.
 func (srv *mserver) restart() {
 	if !srv.down {
 		return
 	}
 	srv.down = false
 	srv.w.fabric.SetDown(srv.node, false)
-	// The class state was volatile: reinstall it under a fresh
-	// generation base. Outstanding pre-crash broadcast coverage is
-	// inside the recovery window, because the class term was persisted
-	// before any broadcast raised coverage toward it.
-	srv.resetClass()
+	srv.boot()
 	srv.armClass()
 	if srv.mach == nil {
-		var until time.Time
-		if srv.persistedMaxTerm > 0 && srv.persistedMaxTerm < core.Infinite {
-			until = srv.localNow().Add(srv.persistedMaxTerm)
-		}
-		srv.resetManager(until)
 		return
 	}
-	srv.resetManager(time.Time{})
-	now := srv.localNow()
-	if srv.w.sc.Break == BreakQuiet {
+	if now := srv.localNow(); srv.w.sc.Break == BreakQuiet {
 		// Sabotage: rejoin elections immediately, with amnesia about
 		// the promises the previous incarnation made. Two amnesiac
 		// acceptors can then elect a second master inside the first

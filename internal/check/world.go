@@ -32,7 +32,6 @@ const (
 	kindReplAck   = "repl.write-ack"
 	kindSyncReq   = "repl.sync-req"
 	kindSyncRep   = "repl.sync-rep"
-	kindInstall   = "repl.install"
 	kindNotMaster = "lease.notmaster"
 	// Installed-class kinds (§4.3): the periodic broadcast extension,
 	// the client's membership-snapshot fetch, and its reply — the model
@@ -42,12 +41,14 @@ const (
 	kindClassSnap  = "class.snapshot"
 	// Sharded-world kinds: the cross-shard rename request/ack, the
 	// NOT_OWNER redirect (model analogue of TNotOwner), and the
-	// inter-group prepare exchange of the two-phase rename protocol.
-	kindRename       = "ns.rename"
-	kindRenameAck    = "ns.rename-ack"
-	kindNotOwner     = "lease.notowner"
-	kindXferPrepare  = "shard.prepare"
-	kindXferPrepared = "shard.prepared"
+	// inter-group legs of the two-phase rename protocol.
+	kindRename        = "ns.rename"
+	kindRenameAck     = "ns.rename-ack"
+	kindNotOwner      = "lease.notowner"
+	kindXferPrepare   = "shard.prepare"
+	kindXferPrepared  = "shard.prepared"
+	kindXferCommit    = "shard.commit"
+	kindXferCommitted = "shard.committed"
 )
 
 const serverNode = netsim.NodeID("srv")
@@ -176,14 +177,16 @@ type world struct {
 	clients []*mclient
 	out     *Outcome
 	lossRNG *rand.Rand
-	// shards is the group-durable shard state of sharded worlds, one
-	// entry per group (nil when Groups <= 1): file ownership plus the
-	// last committed inbound move per file. Sharing it among a group's
-	// replicas abstracts the deployment's quorum-replicated commit push
-	// and ring store — the checker probes the ORDERING of clearance,
-	// ownership transfer, and client routing, not the durability
-	// machinery, which the replicated write pipeline covers separately.
+	// shards is the group-durable namespace state of sharded worlds, one
+	// entry per group (nil when Groups <= 1), and home the model's ring:
+	// the group each file's name currently hashes to. Sharing them among a
+	// group's replicas abstracts away the namespace's durability, which
+	// the deployment does not have yet (ROADMAP item 2) — the checker
+	// probes the ORDERING of clearance, transfer, and client routing; the
+	// file's bytes travel through the shipped staging table and
+	// replicated write plan.
 	shards []*groupShard
+	home   []int
 	// nextXfer numbers cross-shard transfers world-uniquely.
 	nextXfer uint64
 	// machStop bounds election-machine timer rearming (true time) so
@@ -205,15 +208,16 @@ type world struct {
 	classReigns uint64
 }
 
-// groupShard is one group's durable shard state: which files it owns,
-// and per file the last committed inbound move (Seq 0 = none). A
-// cross-shard rename's commit point updates both groups' entries in one
-// step; replicas absorb an inbound move's value lazily (absorbMoved)
-// before serving the file, so a group never serves a file older than
-// the value that moved in with it.
+// groupShard is one group's durable namespace state: per file, whether
+// it exists here (a cross-shard rename clears it at the source's commit
+// point and sets it when the destination's commit applies — in between
+// the file exists nowhere), the offset that continues its client-facing
+// version from wherever it moved in from, and the transfer that last
+// moved it in (so a retransmitted commit is re-acknowledged).
 type groupShard struct {
-	owned []bool
-	moved []fileRepl
+	owned    []bool
+	base     []int64
+	lastXfer []uint64
 }
 
 // mix derives independent deterministic seeds for the engine
@@ -307,10 +311,13 @@ func RunScenario(sc Scenario, opt Options) (*Outcome, error) {
 	}
 	w.machStop = w.start.Add(last + 2*sc.Term + w.retryBase()<<(maxRetries+1))
 	if w.groups() > 1 {
+		w.home = make([]int, sc.Files)
 		for g := 0; g < w.groups(); g++ {
-			sh := &groupShard{owned: make([]bool, sc.Files), moved: make([]fileRepl, sc.Files)}
+			sh := &groupShard{owned: make([]bool, sc.Files), base: make([]int64, sc.Files), lastXfer: make([]uint64, sc.Files)}
 			for f := 0; f < sc.Files; f++ {
-				sh.owned[f] = f%w.groups() == g
+				if sh.owned[f] = f%w.groups() == g; sh.owned[f] {
+					w.home[f] = g
+				}
 			}
 			w.shards = append(w.shards, sh)
 		}

@@ -118,7 +118,15 @@ type Manager struct {
 	recoverUntil time.Time
 	metrics      ManagerMetrics
 	installed    *InstalledSet
+	// freeStates and freeWrites recycle the per-datum state and queue
+	// entry an unshared held write creates and discards, so that path —
+	// the common one — allocates nothing once warm.
+	freeStates []*datumState
+	freeWrites []*pendingWrite
 }
+
+// maxFree bounds each recycling list.
+const maxFree = 64
 
 // ManagerOption configures a Manager.
 type ManagerOption func(*Manager)
@@ -170,7 +178,11 @@ func (m *Manager) Recovering(now time.Time) bool { return now.Before(m.recoverUn
 func (m *Manager) state(d vfs.Datum) *datumState {
 	ds, ok := m.data[d]
 	if !ok {
-		ds = &datumState{leases: make(map[ClientID]time.Time)}
+		if n := len(m.freeStates); n > 0 {
+			ds, m.freeStates = m.freeStates[n-1], m.freeStates[:n-1]
+		} else {
+			ds = &datumState{leases: make(map[ClientID]time.Time)}
+		}
 		m.data[d] = ds
 	}
 	return ds
@@ -248,16 +260,18 @@ func (m *Manager) Release(client ClientID, data []vfs.Datum, now time.Time) {
 	}
 }
 
-// holders returns the clients other than writer with unexpired leases.
+// holders returns the clients other than writer with unexpired leases
+// (nil when there are none).
 func (ds *datumState) holders(writer ClientID, now time.Time) map[ClientID]time.Time {
-	out := make(map[ClientID]time.Time)
+	var out map[ClientID]time.Time
 	for c, exp := range ds.leases {
-		if c == writer {
+		if c == writer || Expired(exp, now) {
 			continue
 		}
-		if !Expired(exp, now) {
-			out[c] = exp
+		if out == nil {
+			out = make(map[ClientID]time.Time)
 		}
+		out[c] = exp
 	}
 	return out
 }
@@ -292,15 +306,7 @@ func (m *Manager) SubmitWrite(writer ClientID, d vfs.Datum, now time.Time) Write
 			m.compactIfEmpty(d, ds)
 			return disp
 		}
-		pw := &pendingWrite{
-			id:           m.allocWrite(),
-			writer:       writer,
-			datum:        d,
-			deadline:     blocked,
-			blockedUntil: blocked,
-			queuedAt:     now,
-		}
-		m.enqueue(pw, ds, now)
+		pw := m.queue(writer, d, ds, nil, blocked, now)
 		disp.WriteID = pw.id
 		disp.Deadline = blocked
 		m.metrics.WritesDeferred++
@@ -315,33 +321,11 @@ func (m *Manager) SubmitWrite(writer ClientID, d vfs.Datum, now time.Time) Write
 		return disp
 	}
 
-	pw := &pendingWrite{
-		id:        m.allocWrite(),
-		writer:    writer,
-		datum:     d,
-		waitingOn: holders,
-		queuedAt:  now,
-	}
-	// The deadline is the latest blocker expiry; any infinite lease
-	// (zero expiry) means there is no deadline — only approvals release.
-	infinite := false
-	for _, exp := range holders {
-		if exp.IsZero() {
-			infinite = true
-			break
-		}
-		pw.deadline = maxDeadline(pw.deadline, exp)
-	}
-	if infinite {
-		pw.deadline = time.Time{}
-	}
+	var blocked time.Time
 	if m.Recovering(now) {
-		pw.blockedUntil = m.recoverUntil
-		if !infinite {
-			pw.deadline = maxDeadline(pw.deadline, m.recoverUntil)
-		}
+		blocked = m.recoverUntil
 	}
-	m.enqueue(pw, ds, now)
+	pw := m.queue(writer, d, ds, holders, blocked, now)
 
 	disp.WriteID = pw.id
 	disp.Deadline = pw.deadline
@@ -373,28 +357,7 @@ func (m *Manager) SubmitWriteHeld(writer ClientID, d vfs.Datum, now time.Time) W
 		blocked = maxDeadline(blocked, m.recoverUntil)
 	}
 	holders := ds.holders(writer, now)
-	pw := &pendingWrite{
-		id:           m.allocWrite(),
-		writer:       writer,
-		datum:        d,
-		waitingOn:    holders,
-		blockedUntil: blocked,
-		queuedAt:     now,
-	}
-	infinite := false
-	for _, exp := range holders {
-		if exp.IsZero() {
-			infinite = true
-			break
-		}
-		pw.deadline = maxDeadline(pw.deadline, exp)
-	}
-	if infinite {
-		pw.deadline = time.Time{}
-	} else {
-		pw.deadline = maxDeadline(pw.deadline, blocked)
-	}
-	m.enqueue(pw, ds, now)
+	pw := m.queue(writer, d, ds, holders, blocked, now)
 	disp.WriteID = pw.id
 	disp.Deadline = pw.deadline
 	disp.NeedApproval = sortedClients(holders)
@@ -404,6 +367,39 @@ func (m *Manager) SubmitWriteHeld(writer ClientID, d vfs.Datum, now time.Time) W
 		m.metrics.WritesDeferred++
 	}
 	return disp
+}
+
+// queue enqueues a write by writer on d behind holders' leases and, when
+// blocked is set, behind that instant too (an installed-file drop, the
+// recovery window): no approval can release it before then, because the
+// server holds no per-client record for those leases.
+func (m *Manager) queue(writer ClientID, d vfs.Datum, ds *datumState, holders map[ClientID]time.Time, blocked, now time.Time) *pendingWrite {
+	var pw *pendingWrite
+	if n := len(m.freeWrites); n > 0 {
+		pw, m.freeWrites = m.freeWrites[n-1], m.freeWrites[:n-1]
+	} else {
+		pw = new(pendingWrite)
+	}
+	*pw = pendingWrite{
+		id:           m.allocWrite(),
+		writer:       writer,
+		datum:        d,
+		waitingOn:    holders,
+		blockedUntil: blocked,
+		queuedAt:     now,
+	}
+	// The deadline is the latest blocker expiry; any infinite lease (zero
+	// expiry) means there is no deadline — only approvals release.
+	pw.deadline = blocked
+	for _, exp := range holders {
+		if exp.IsZero() {
+			pw.deadline = time.Time{}
+			break
+		}
+		pw.deadline = maxDeadline(pw.deadline, exp)
+	}
+	m.enqueue(pw, ds, now)
+	return pw
 }
 
 // maxDeadline is maxExpiry for deadlines, except that a zero deadline
@@ -422,6 +418,9 @@ func maxDeadline(a, b time.Time) time.Time {
 }
 
 func sortedClients(set map[ClientID]time.Time) []ClientID {
+	if len(set) == 0 {
+		return nil
+	}
 	out := make([]ClientID, 0, len(set))
 	for c := range set {
 		out = append(out, c)
@@ -521,6 +520,14 @@ func (m *Manager) Approve(client ClientID, id WriteID, now time.Time) bool {
 	return m.writeReady(pw, now)
 }
 
+// WriteReady reports whether the identified write may be applied at now
+// — what ReadyWrites would say of it, for a driver that holds the ID and
+// need not sweep. Unknown writes are not ready.
+func (m *Manager) WriteReady(id WriteID, now time.Time) bool {
+	pw, ok := m.writes[id]
+	return ok && m.writeReady(pw, now)
+}
+
 // writeReady reports whether pw may be applied at now: it is at the head
 // of its datum's queue, any blocking window (installed-file drop or
 // recovery) has passed, and every remaining blocker's lease has expired.
@@ -550,6 +557,9 @@ func (m *Manager) writeReady(pw *pendingWrite, now time.Time) bool {
 // timer fires. Each returned write is still pending; the driver applies
 // it to storage and then calls WriteApplied.
 func (m *Manager) ReadyWrites(now time.Time) []WriteID {
+	if len(m.dl) == 0 && len(m.due) == 0 {
+		return nil
+	}
 	// Move every write whose deadline has passed from the heap into the
 	// due set, dropping stale entries along the way.
 	for len(m.dl) > 0 {
@@ -621,11 +631,22 @@ func (m *Manager) WriteApplied(id WriteID, now time.Time) {
 	if ds == nil || len(ds.pending) == 0 || ds.pending[0] != pw {
 		panic(fmt.Sprintf("core: WriteApplied(%d): write not at queue head", id))
 	}
-	ds.pending = ds.pending[1:]
-	delete(m.writes, id)
-	delete(m.due, id)
-	m.promote(pw.datum, ds, now)
-	m.compactIfEmpty(pw.datum, ds)
+	// Shift down rather than reslice, so a recycled state keeps its
+	// queue's capacity.
+	ds.pending = ds.pending[:copy(ds.pending, ds.pending[1:])]
+	m.retire(pw, ds, now)
+}
+
+// retire forgets a write just removed from ds's queue.
+func (m *Manager) retire(pw *pendingWrite, ds *datumState, now time.Time) {
+	d := pw.datum
+	delete(m.writes, pw.id)
+	delete(m.due, pw.id)
+	if len(m.freeWrites) < maxFree {
+		m.freeWrites = append(m.freeWrites, pw)
+	}
+	m.promote(d, ds, now)
+	m.compactIfEmpty(d, ds)
 }
 
 // CancelWrite abandons a queued write (e.g. the writer disconnected).
@@ -641,10 +662,7 @@ func (m *Manager) CancelWrite(id WriteID, now time.Time) {
 			break
 		}
 	}
-	delete(m.writes, id)
-	delete(m.due, id)
-	m.promote(pw.datum, ds, now)
-	m.compactIfEmpty(pw.datum, ds)
+	m.retire(pw, ds, now)
 }
 
 // promote refreshes the head pending write's blocker set after the queue
@@ -741,8 +759,11 @@ func (m *Manager) Compact(now time.Time) {
 }
 
 func (m *Manager) compactIfEmpty(d vfs.Datum, ds *datumState) {
-	if ds.empty() {
+	if ds.empty() && m.data[d] == ds {
 		delete(m.data, d)
+		if len(m.freeStates) < maxFree {
+			m.freeStates = append(m.freeStates, ds)
+		}
 	}
 }
 

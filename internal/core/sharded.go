@@ -376,3 +376,12 @@ func (s *ShardedManager) Restore(records []LeaseSnapshot, now time.Time) {
 		sh.mu.Unlock()
 	}
 }
+
+// WriteReady reports whether the identified write may be applied at now.
+// See Manager.WriteReady.
+func (s *ShardedManager) WriteReady(id WriteID, now time.Time) bool {
+	sh := s.writeShard(id)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.mgr.WriteReady(id, now)
+}

@@ -739,3 +739,12 @@ func (d *Dec) DecodeApproval() ApprovalWire {
 		Datum:   d.Datum(),
 	}
 }
+
+// ReplFile is one replicated file's state: what a master ships to its
+// followers (TReplApply) and what replicas exchange during a new
+// master's catch-up sync (TReplSyncRep).
+type ReplFile struct {
+	Path string
+	Seq  uint64
+	Data []byte
+}

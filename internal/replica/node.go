@@ -795,13 +795,14 @@ func (n *Node) ReplicateMaxTerm(d time.Duration) error {
 }
 
 // SyncFromPeers collects the replicated file state and max-term floor
-// from a quorum of the full set (counting this replica) and merges
-// them: files by per-path maximum sequence, the floor by maximum. Any
-// write or term raise that was ever quorum-acked is present in at
-// least one member of any quorum, so the merge recovers every
-// acknowledged one. The caller's own state participates implicitly —
-// applying the merged files through a seq-guarded apply keeps newer
-// local entries, and the caller maxes the floor with its own.
+// from a quorum of the full set (counting this replica): the floor
+// merged by maximum, the files NOT merged — every reply's list, one
+// after the other, with a path some reply lacks listed for it at
+// sequence zero — because the caller's promotion needs to know not only
+// the newest state of each file (any write or term raise that was ever
+// quorum-acked is present in at least one member of any quorum, and
+// applying the lists through a seq-guarded apply keeps the newest) but
+// also whether the repliers hold it unanimously.
 //
 // tc is the election trace's context during a promotion catch-up (one
 // "repl.sync" child span per peer round-trip); the zero context — a
@@ -811,7 +812,7 @@ func (n *Node) SyncFromPeers(tc tracing.Context) ([]FileState, time.Duration, er
 	if need <= 0 {
 		return nil, 0, nil
 	}
-	merged := map[string]FileState{}
+	var replies [][]FileState
 	var maxTerm time.Duration
 	var mu sync.Mutex
 	// The request carries (from, ballot) like every replication frame;
@@ -831,23 +832,37 @@ func (n *Node) SyncFromPeers(tc tracing.Context) ([]FileState, time.Duration, er
 			return false
 		}
 		mu.Lock()
-		for _, fs := range files {
-			if cur, ok := merged[fs.Path]; !ok || fs.Seq > cur.Seq {
-				merged[fs.Path] = fs
-			}
-		}
-		if floor > maxTerm {
-			maxTerm = floor
-		}
+		replies = append(replies, files)
+		maxTerm = max(maxTerm, floor)
 		mu.Unlock()
 		return true
 	})
 	if acks < need {
 		return nil, 0, fmt.Errorf("replica: sync reached %d/%d peers", acks, need)
 	}
-	out := make([]FileState, 0, len(merged))
-	for _, fs := range merged {
-		out = append(out, fs)
+	mu.Lock()
+	defer mu.Unlock()
+	paths := map[string]int{}
+	for _, files := range replies {
+		for _, fs := range files {
+			paths[fs.Path]++
+		}
+	}
+	var out []FileState
+	for _, files := range replies {
+		out = append(out, files...)
+		if len(replies) == 1 {
+			break
+		}
+		held := make(map[string]bool, len(files))
+		for _, fs := range files {
+			held[fs.Path] = true
+		}
+		for p := range paths {
+			if !held[p] {
+				out = append(out, FileState{Path: p})
+			}
+		}
 	}
 	return out, maxTerm, nil
 }

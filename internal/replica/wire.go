@@ -70,11 +70,7 @@ func decodeMsg(k MsgKind, payload []byte) (Msg, error) {
 
 // FileState is one replicated file's state, exchanged during a new
 // master's catch-up sync and applied by followers.
-type FileState struct {
-	Path string
-	Seq  uint64
-	Data []byte
-}
+type FileState = proto.ReplFile
 
 // encodeSyncRep renders a peer's full replicated file state plus its
 // max-term floor — the largest lease term it has seen replicated. The

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -10,273 +8,23 @@ import (
 	"leases/internal/obs"
 	"leases/internal/obs/tracing"
 	"leases/internal/proto"
+	"leases/internal/srvcore"
 	"leases/internal/vfs"
 )
 
-// This file is the server side of the paper's §4 scaling options: the
-// installed-files lease class (one directory-granularity lease per
-// client covering rarely-written data, renewed by a periodic O(1)
-// broadcast and dropped on the first write) and the anticipatory
-// extension piggybacked on replies. Both are negotiated through the
-// proto.FeatClass hello bit; to a client that never advertised it the
-// server's byte stream is identical to a pre-class server's.
-//
-// The class is a coverage layer ON TOP of per-file leases, not a
-// replacement for the lease manager's records. The server never enters
-// installed data into the manager; instead the classTable records, for
-// every broadcast or snapshot it is ABOUT to send, the latest instant
-// any client could believe itself covered (sentAt + term). A write
-// touching installed data demotes it from the class — membership drops,
-// the generation bumps so every holder's next broadcast stamp exposes
-// the staleness — and then waits out that recorded horizon before
-// taking the normal per-file clearance path. Recording before sending
-// keeps the server's wait ≥ any client's belief, which is anchored at
-// sentAt + term − ε; the scheme needs no per-client bookkeeping and no
-// acknowledgement traffic, exactly the economy §4.3 is after.
+// This file drives the paper's §4 scaling options over TCP: the
+// installed-files lease class (srvcore.ClassTable: one
+// directory-granularity lease per client covering rarely-written data,
+// renewed by a periodic O(1) broadcast and dropped on the first write)
+// and the anticipatory extension piggybacked on replies. Both are
+// negotiated through the proto.FeatClass hello bit; to a client that
+// never advertised it the server's byte stream is identical to a
+// pre-class server's.
 
 // ClassConfig configures the lease-class subsystem. The zero value
 // disables it entirely (and keeps the wire byte-identical to a server
 // without the subsystem, since FeatClass is then not advertised).
-type ClassConfig struct {
-	// InstalledDirs statically installs every file under these directory
-	// prefixes ("/bin", "/lib", ...) on first read — the operator's list
-	// of installed, rarely-written subtrees (§4.3).
-	InstalledDirs []string
-	// AutoInstall additionally promotes any file read by
-	// PromoteReaders distinct clients with no recent write — the
-	// write-frequency heuristic for spotting installed-class data
-	// outside the static list.
-	AutoInstall bool
-	// PromoteReaders is the distinct-reader threshold for AutoInstall.
-	// Zero means 3.
-	PromoteReaders int
-	// QuietAfterWrite is how long after a write a file is ineligible for
-	// (re-)promotion. Zero means InstalledTerm.
-	QuietAfterWrite time.Duration
-	// InstalledTerm is the term each broadcast extension grants the
-	// whole class. Zero means 30s.
-	InstalledTerm time.Duration
-	// BroadcastEvery is the broadcast-extension period. Zero means
-	// InstalledTerm/4.
-	BroadcastEvery time.Duration
-	// PiggybackLead enables anticipatory extension: whenever a reply is
-	// flushed to a FeatClass client, leases of that client expiring
-	// within this lead are re-granted in a TPiggyExt frame appended to
-	// the same flush (§4). Zero disables piggybacking.
-	PiggybackLead time.Duration
-}
-
-// installedEnabled reports whether the installed-files class itself is
-// on; enabled reports whether any class feature (and hence FeatClass
-// advertisement) is.
-func (cc ClassConfig) installedEnabled() bool {
-	return len(cc.InstalledDirs) > 0 || cc.AutoInstall
-}
-
-func (cc ClassConfig) enabled() bool {
-	return cc.installedEnabled() || cc.PiggybackLead > 0
-}
-
-// classStatePath is the reserved replication key for class membership.
-// It never exists in the vfs store; ApplyReplicated routes it to the
-// class table so a failing-over master inherits the installed set and
-// clients see only a generation bump, not a coverage gap.
-const classStatePath = "/.lease-class-state"
-
-// classTable is the installed-files class: membership, the coverage
-// horizon, and the promotion heuristic's observations. It has its own
-// mutex — class decisions span data on different manager shards, so no
-// shard lock could cover them.
-type classTable struct {
-	cfg ClassConfig
-
-	mu  sync.Mutex
-	gen uint64
-	// members maps each installed datum to its path (the replication
-	// and admin representation; node IDs are not stable across
-	// replicas).
-	members map[vfs.Datum]string
-	// coverUntil is the latest instant any client could believe any
-	// member covered: maxed with sentAt+term BEFORE every broadcast or
-	// snapshot leaves the server.
-	coverUntil time.Time
-	// demoted records, per recently demoted datum, the coverage horizon
-	// a write must wait out. Entries are dropped once they pass.
-	demoted map[vfs.Datum]time.Time
-	// readers and lastWrite feed the AutoInstall heuristic.
-	readers   map[vfs.Datum]map[core.ClientID]struct{}
-	lastWrite map[vfs.Datum]time.Time
-}
-
-func newClassTable(cfg ClassConfig) *classTable {
-	for i, dir := range cfg.InstalledDirs {
-		cfg.InstalledDirs[i] = strings.TrimRight(dir, "/")
-	}
-	return &classTable{
-		cfg:       cfg,
-		members:   make(map[vfs.Datum]string),
-		demoted:   make(map[vfs.Datum]time.Time),
-		readers:   make(map[vfs.Datum]map[core.ClientID]struct{}),
-		lastWrite: make(map[vfs.Datum]time.Time),
-	}
-}
-
-// staticPath reports whether path falls under a configured installed
-// directory.
-func (ct *classTable) staticPath(path string) bool {
-	for _, dir := range ct.cfg.InstalledDirs {
-		if dir == "" {
-			// "/" normalizes to empty: the whole tree is installed.
-			return true
-		}
-		if path == dir || strings.HasPrefix(path, dir+"/") {
-			return true
-		}
-	}
-	return false
-}
-
-// contains reports membership; safe on a nil table.
-func (ct *classTable) contains(d vfs.Datum) bool {
-	if ct == nil {
-		return false
-	}
-	ct.mu.Lock()
-	_, ok := ct.members[d]
-	ct.mu.Unlock()
-	return ok
-}
-
-// membersLocked snapshots the member set, sorted for a deterministic
-// wire image.
-func (ct *classTable) membersLocked() []vfs.Datum {
-	out := make([]vfs.Datum, 0, len(ct.members))
-	for d := range ct.members {
-		out = append(out, d)
-	}
-	sortDatums(out)
-	return out
-}
-
-// quiet returns the post-write promotion holdoff.
-func (ct *classTable) quiet() time.Duration { return ct.cfg.QuietAfterWrite }
-
-// observeReadLocked records one read for the promotion heuristic and
-// reports whether d should be promoted into the class.
-func (ct *classTable) observeReadLocked(d vfs.Datum, path string, client core.ClientID, now time.Time) bool {
-	if _, ok := ct.members[d]; ok {
-		return false
-	}
-	set := ct.readers[d]
-	if set == nil {
-		set = make(map[core.ClientID]struct{})
-		ct.readers[d] = set
-	}
-	set[client] = struct{}{}
-	if lw, ok := ct.lastWrite[d]; ok && now.Before(lw.Add(ct.quiet())) {
-		return false
-	}
-	if ct.staticPath(path) {
-		return true
-	}
-	return ct.cfg.AutoInstall && len(set) >= ct.cfg.PromoteReaders
-}
-
-// addMemberLocked installs d, re-checking eligibility (a write may have
-// landed between the unlocked durability step and here). Reports
-// whether membership actually changed.
-func (ct *classTable) addMemberLocked(d vfs.Datum, path string, now time.Time) bool {
-	if _, ok := ct.members[d]; ok {
-		return false
-	}
-	if lw, ok := ct.lastWrite[d]; ok && now.Before(lw.Add(ct.quiet())) {
-		return false
-	}
-	ct.members[d] = path
-	ct.gen++
-	return true
-}
-
-// demoteLocked is drop-on-write (§4.3): every datum in data leaves the
-// class, and the returned deadline is the coverage horizon the write
-// must wait out — the max over the data's recorded demotion horizons,
-// including horizons left by earlier demotions that have not yet
-// passed. It also feeds the heuristic (a write resets the reader set
-// and stamps lastWrite). dropped lists the data that actually left the
-// class.
-func (ct *classTable) demoteLocked(data []vfs.Datum, now time.Time) (deadline time.Time, dropped []vfs.Datum) {
-	for d, until := range ct.demoted {
-		if !until.After(now) {
-			delete(ct.demoted, d)
-		}
-	}
-	for _, d := range data {
-		ct.lastWrite[d] = now
-		delete(ct.readers, d)
-		if _, ok := ct.members[d]; ok {
-			delete(ct.members, d)
-			if ct.coverUntil.After(now) {
-				ct.demoted[d] = ct.coverUntil
-			}
-			dropped = append(dropped, d)
-		}
-		if until, ok := ct.demoted[d]; ok && until.After(deadline) {
-			deadline = until
-		}
-	}
-	if len(dropped) > 0 {
-		ct.gen++
-	}
-	return deadline, dropped
-}
-
-// encodeStateLocked serializes generation and membership (as kind+path
-// pairs) for the classStatePath replication record.
-func (ct *classTable) encodeStateLocked() []byte {
-	var e proto.Enc
-	e.U64(ct.gen).U32(uint32(len(ct.members)))
-	// Sort by path for a deterministic image.
-	paths := make([]string, 0, len(ct.members))
-	byPath := make(map[string]vfs.Datum, len(ct.members))
-	for d, p := range ct.members {
-		key := p + "\x00" + string(rune(d.Kind))
-		paths = append(paths, key)
-		byPath[key] = d
-	}
-	sort.Strings(paths)
-	for _, key := range paths {
-		d := byPath[key]
-		p := ct.members[d]
-		e.U8(uint8(d.Kind)).Str(p)
-	}
-	return e.Bytes()
-}
-
-// classMemberState is one decoded membership entry.
-type classMemberState struct {
-	kind vfs.DatumKind
-	path string
-}
-
-// decodeClassState parses an encodeStateLocked image.
-func decodeClassState(b []byte) (gen uint64, entries []classMemberState, ok bool) {
-	d := proto.NewDec(b)
-	gen = d.U64()
-	n := d.U32()
-	if d.Err != nil || n > 1<<20 {
-		return 0, nil, false
-	}
-	entries = make([]classMemberState, 0, n)
-	for i := uint32(0); i < n; i++ {
-		k := vfs.DatumKind(d.U8())
-		p := d.Str()
-		if d.Err != nil {
-			return 0, nil, false
-		}
-		entries = append(entries, classMemberState{kind: k, path: p})
-	}
-	return gen, entries, true
-}
+type ClassConfig = srvcore.ClassConfig
 
 // classTermDurable makes the installed term crash- and failover-safe
 // BEFORE any coverage at that term is extended: the same durability
@@ -294,19 +42,12 @@ func (s *Server) classTermDurable() error {
 // classObserveRead feeds one served read to the promotion heuristic,
 // installing the datum when it qualifies.
 func (s *Server) classObserveRead(client core.ClientID, d vfs.Datum) {
-	ct := s.classes
+	ct := s.core.Classes
 	if ct == nil {
 		return
 	}
 	path, err := s.store.Path(d.Node)
-	if err != nil {
-		return
-	}
-	now := s.clk.Now()
-	ct.mu.Lock()
-	promote := ct.observeReadLocked(d, path, client, now)
-	ct.mu.Unlock()
-	if !promote {
+	if err != nil || !ct.ObserveRead(d, path, client, s.clk.Now()) {
 		return
 	}
 	// Durability before coverage: the term must be recoverable before
@@ -314,84 +55,24 @@ func (s *Server) classObserveRead(client core.ClientID, d vfs.Datum) {
 	if err := s.classTermDurable(); err != nil {
 		return
 	}
-	ct.mu.Lock()
-	added := ct.addMemberLocked(d, path, s.clk.Now())
-	var state []byte
-	if added {
-		state = ct.encodeStateLocked()
-	}
-	ct.mu.Unlock()
+	image, added := s.core.ClassAdd(d, path, s.clk.Now())
 	if !added {
 		return
 	}
 	if s.obs.Enabled() {
 		s.obs.Record(obs.Event{Type: obs.EvClassPromote, Client: string(client), Datum: d})
 	}
-	s.replicateClassState(state)
-}
-
-// classAwaitWrite is the write-path hook: demote any installed data
-// being written and wait out the recorded coverage horizon, so no
-// client can still believe itself covered when the write applies. Runs
-// before per-file clearance; re-granting per-file leases on the demoted
-// data during the wait is fine — those go through the normal approval
-// path.
-func (s *Server) classAwaitWrite(data []vfs.Datum) error {
-	ct := s.classes
-	if ct == nil {
-		return nil
-	}
-	now := s.clk.Now()
-	ct.mu.Lock()
-	deadline, dropped := ct.demoteLocked(data, now)
-	var state []byte
-	if len(dropped) > 0 {
-		state = ct.encodeStateLocked()
-	}
-	ct.mu.Unlock()
-	if len(dropped) > 0 {
-		if s.obs.Enabled() {
-			for _, d := range dropped {
-				s.obs.Record(obs.Event{Type: obs.EvClassDemote, Datum: d, Shard: s.lm.ShardFor(d)})
-			}
-		}
-		s.replicateClassState(state)
-	}
-	for {
-		d := deadline.Sub(s.clk.Now())
-		if deadline.IsZero() || d <= 0 {
-			return nil
-		}
-		fire, stopTimer := s.clk.After(d)
-		select {
-		case <-fire:
-		case <-s.stopped:
-			stopTimer()
-			return errShutdown
-		}
-	}
+	s.shipClassImage(image)
 }
 
 // installedSnapshot answers TInstalled: the current membership plus a
-// covering extension, its horizon recorded before the reply can leave.
+// covering extension.
 func (s *Server) installedSnapshot() proto.InstalledWire {
-	ct := s.classes
-	if ct == nil {
+	ct := s.core.Classes
+	if ct == nil || s.classTermDurable() != nil {
 		return proto.InstalledWire{}
 	}
-	if err := s.classTermDurable(); err != nil {
-		return proto.InstalledWire{}
-	}
-	ct.mu.Lock()
-	defer ct.mu.Unlock()
-	w := proto.InstalledWire{Generation: ct.gen, Term: ct.cfg.InstalledTerm, SentAt: s.clk.Now()}
-	if len(ct.members) > 0 {
-		if until := w.SentAt.Add(w.Term); until.After(ct.coverUntil) {
-			ct.coverUntil = until
-		}
-		w.Data = ct.membersLocked()
-	}
-	return w
+	return ct.Snapshot(s.clk.Now())
 }
 
 // broadcastLoop periodically renews the whole installed class with one
@@ -412,28 +93,19 @@ func (s *Server) broadcastLoop() {
 	}
 }
 
-// broadcastInstalled sends one broadcast-extension round. The coverage
-// horizon is recorded before any frame is enqueued, and the encoded
-// payload is shared read-only across all connections (AppendPayload
-// copies into each coalescer).
+// broadcastInstalled sends one broadcast-extension round. The table
+// records the coverage horizon before any frame is enqueued, and the
+// encoded payload is shared read-only across all connections
+// (AppendPayload copies into each coalescer).
 func (s *Server) broadcastInstalled() {
-	ct := s.classes
-	if ct == nil || !s.serving() {
+	ct := s.core.Classes
+	if ct == nil || !s.core.Serving(s.clk.Now()) || s.classTermDurable() != nil {
 		return
 	}
-	if err := s.classTermDurable(); err != nil {
+	w, ok := ct.Broadcast(s.clk.Now())
+	if !ok {
 		return
 	}
-	ct.mu.Lock()
-	if len(ct.members) == 0 {
-		ct.mu.Unlock()
-		return
-	}
-	w := proto.BroadcastExtWire{Generation: ct.gen, Term: ct.cfg.InstalledTerm, SentAt: s.clk.Now()}
-	if until := w.SentAt.Add(w.Term); until.After(ct.coverUntil) {
-		ct.coverUntil = until
-	}
-	ct.mu.Unlock()
 	var e proto.Enc
 	e.EncodeBroadcastExt(w)
 	payload := e.Bytes()
@@ -451,98 +123,24 @@ func (s *Server) broadcastInstalled() {
 	}
 }
 
-// replicateClassState pushes the membership image to the peers, best
-// effort: unlike file writes, class state is a traffic optimization —
-// failover SAFETY rests on the replicated installed term and the §2
-// recovery window, so a failed push costs renewal traffic, never
-// correctness.
-func (s *Server) replicateClassState(state []byte) {
-	s.replMu.Lock()
-	seq := s.replSeq[classStatePath] + 1
-	s.replSeq[classStatePath] = seq
-	s.classRepl = state
-	s.replMu.Unlock()
+// shipClassImage pushes a membership image to the peers, best effort
+// (see srvcore.Core.ClassAdd).
+func (s *Server) shipClassImage(f ReplFile) {
 	if r := s.cfg.Replica; r != nil && r.IsMaster() {
-		_ = r.ReplicateWrite(tracing.Context{}, classStatePath, seq, state)
+		_ = r.ReplicateWrite(tracing.Context{}, f.Path, f.Seq, f.Data)
 	}
-}
-
-// rebindClassState rebuilds membership from the replicated image during
-// promotion: paths become local node IDs (IDs are not stable across
-// replicas), missing paths drop out, and the generation bumps past the
-// image's so every client refetches against this incarnation. The
-// coverage horizon resets — this master has extended nothing yet, and
-// the predecessor's outstanding coverage is bounded by the replicated
-// installed term, which the recovery window already waits out.
-func (s *Server) rebindClassState() {
-	ct := s.classes
-	if ct == nil {
-		return
-	}
-	s.replMu.Lock()
-	state := s.classRepl
-	s.replMu.Unlock()
-	if len(state) == 0 {
-		return
-	}
-	gen, entries, ok := decodeClassState(state)
-	if !ok {
-		return
-	}
-	members := make(map[vfs.Datum]string, len(entries))
-	for _, ent := range entries {
-		attr, err := s.store.Lookup(ent.path)
-		if err != nil {
-			continue
-		}
-		members[vfs.Datum{Kind: ent.kind, Node: attr.ID}] = ent.path
-	}
-	ct.mu.Lock()
-	if gen < ct.gen {
-		gen = ct.gen
-	}
-	ct.gen = gen + 1
-	ct.members = members
-	ct.coverUntil = time.Time{}
-	ct.mu.Unlock()
 }
 
 // ClassInfo is the admin plane's view of the installed class.
-type ClassInfo struct {
-	Generation uint64        `json:"generation"`
-	Term       time.Duration `json:"term"`
-	Members    []ClassMember `json:"members"`
-	Demoted    int           `json:"demoted_pending"`
-	CoverUntil time.Time     `json:"cover_until"`
-}
-
-// ClassMember is one installed datum with its path.
-type ClassMember struct {
-	Path string `json:"path"`
-	Kind uint8  `json:"kind"`
-	Node uint64 `json:"node"`
-}
+type ClassInfo = srvcore.ClassInfo
 
 // ClassSnapshot reports the installed class for the admin plane; ok is
 // false when the class is disabled.
 func (s *Server) ClassSnapshot() (ClassInfo, bool) {
-	ct := s.classes
-	if ct == nil {
-		return ClassInfo{}, false
+	if ct := s.core.Classes; ct != nil {
+		return ct.Info(), true
 	}
-	ct.mu.Lock()
-	defer ct.mu.Unlock()
-	info := ClassInfo{
-		Generation: ct.gen,
-		Term:       ct.cfg.InstalledTerm,
-		Demoted:    len(ct.demoted),
-		CoverUntil: ct.coverUntil,
-	}
-	for d, p := range ct.members {
-		info.Members = append(info.Members, ClassMember{Path: p, Kind: uint8(d.Kind), Node: uint64(d.Node)})
-	}
-	sort.Slice(info.Members, func(i, j int) bool { return info.Members[i].Path < info.Members[j].Path })
-	return info, true
+	return ClassInfo{}, false
 }
 
 // accessPolicy couples an AccessStats estimator with the term policy it
@@ -586,13 +184,4 @@ func (s *Server) observeWrite(d vfs.Datum) {
 	if s.access != nil {
 		s.access.observeWrite(d, s.clk.Now())
 	}
-}
-
-func sortDatums(data []vfs.Datum) {
-	sort.Slice(data, func(i, j int) bool {
-		if data[i].Kind != data[j].Kind {
-			return data[i].Kind < data[j].Kind
-		}
-		return data[i].Node < data[j].Node
-	})
 }

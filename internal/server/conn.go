@@ -1,7 +1,6 @@
 package server
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -165,7 +164,7 @@ func (s *Server) serveConn(nc net.Conn) {
 	// deferred coalescer Close drains the reply) and the client's
 	// failover logic redials toward the hinted replica, retrying here
 	// once promotion completes.
-	if r := s.cfg.Replica; r != nil && (!r.IsMaster() || !s.serving()) {
+	if r := s.cfg.Replica; r != nil && !s.core.Serving(s.clk.Now()) {
 		hint := int64(r.MasterIndex())
 		c.replyEnc(f.ReqID, proto.TNotMaster, func(e *proto.Enc) { e.I64(hint) })
 		f.Recycle()
@@ -458,10 +457,10 @@ func (c *serverConn) maybePiggyback() {
 	if len(due) == 0 {
 		return
 	}
-	sortDatums(due)
+	core.SortData(due)
 	grants := make([]proto.GrantWire, 0, len(due))
 	for _, d := range due {
-		if s.classes.contains(d) {
+		if s.core.Classes.Contains(d) {
 			c.dropPiggy(d)
 			continue
 		}
@@ -610,15 +609,20 @@ func (c *serverConn) handleWrite(f proto.Frame, tc tracing.Context) {
 		c.fail(f.ReqID, err)
 		return
 	}
-	var attr vfs.Attr
-	err := s.acquireClearance(c.client, []vfs.Datum{{Kind: vfs.FileData, Node: node}}, tc, func() error {
+	p := s.core.Plan(c.client, vfs.Datum{Kind: vfs.FileData, Node: node})
+	if s.cfg.Replica != nil {
 		// Replicate-before-apply: a quorum of replicas must hold the
 		// write before the local store does, so nothing a reader can
 		// observe at this master is ever lost to a failover.
-		if rerr := s.replicateFile(node, data, tc); rerr != nil {
-			return rerr
+		path, err := s.store.Path(node)
+		if err != nil {
+			c.fail(f.ReqID, err)
+			return
 		}
-		var werr error
+		p.Replicate(path, data)
+	}
+	var attr vfs.Attr
+	err := s.run(&p, c.client, tc, func() (werr error) {
 		attr, _, werr = s.store.WriteFile(node, data)
 		return werr
 	})
@@ -629,19 +633,24 @@ func (c *serverConn) handleWrite(f proto.Frame, tc tracing.Context) {
 	c.replyEnc(f.ReqID, proto.TWriteRep, func(e *proto.Enc) { e.Attr(attr) })
 }
 
-func (c *serverConn) handleExtend(f proto.Frame) {
-	dec := proto.NewDec(f.Payload)
+// decodeData decodes a count-prefixed datum list (extend, release).
+func decodeData(payload []byte) ([]vfs.Datum, error) {
+	dec := proto.NewDec(payload)
 	n := dec.U32()
 	if dec.Err != nil || n > 1<<16 {
-		c.fail(f.ReqID, proto.ErrTruncated)
-		return
+		return nil, proto.ErrTruncated
 	}
 	data := make([]vfs.Datum, 0, n)
 	for i := uint32(0); i < n; i++ {
 		data = append(data, dec.Datum())
 	}
-	if dec.Err != nil {
-		c.fail(f.ReqID, dec.Err)
+	return data, dec.Err
+}
+
+func (c *serverConn) handleExtend(f proto.Frame) {
+	data, err := decodeData(f.Payload)
+	if err != nil {
+		c.fail(f.ReqID, err)
 		return
 	}
 	grants := make([]proto.GrantWire, 0, len(data))
@@ -652,34 +661,22 @@ func (c *serverConn) handleExtend(f proto.Frame) {
 }
 
 func (c *serverConn) handleRelease(f proto.Frame) {
-	dec := proto.NewDec(f.Payload)
-	n := dec.U32()
-	if dec.Err != nil || n > 1<<16 {
-		c.fail(f.ReqID, proto.ErrTruncated)
-		return
-	}
-	data := make([]vfs.Datum, 0, n)
-	for i := uint32(0); i < n; i++ {
-		data = append(data, dec.Datum())
-	}
-	if dec.Err != nil {
-		c.fail(f.ReqID, dec.Err)
+	data, err := decodeData(f.Payload)
+	if err != nil {
+		c.fail(f.ReqID, err)
 		return
 	}
 	s := c.srv
 	s.lm.Release(c.client, data, s.clk.Now())
-	for _, d := range data {
-		c.dropPiggy(d)
-	}
 	// A released lease may have been the last blocker on a deferred
 	// write; re-check each touched shard.
-	touched := make(map[int]struct{}, len(data))
+	touched := make([]bool, s.lm.Shards())
 	for _, d := range data {
-		touched[s.lm.ShardFor(d)] = struct{}{}
-	}
-	for shard := range touched {
-		s.releaseReady(shard)
-		s.wake(shard)
+		c.dropPiggy(d)
+		if shard := s.lm.ShardFor(d); !touched[shard] {
+			touched[shard] = true
+			s.releaseReady(shard)
+		}
 	}
 	c.reply(f.ReqID, proto.TOK, nil)
 }
@@ -750,15 +747,14 @@ func (c *serverConn) handleCreate(f proto.Frame, dir bool, tc tracing.Context) {
 		return
 	}
 	var attr vfs.Attr
-	err = s.acquireClearance(c.client, []vfs.Datum{{Kind: vfs.DirBinding, Node: parentAttr.ID}}, tc, func() error {
-		var cerr error
+	err = s.mutate(c.client, tc, func() (cerr error) {
 		if dir {
 			attr, cerr = s.store.Mkdir(path, string(c.client), perm)
 		} else {
 			attr, cerr = s.store.Create(path, string(c.client), perm)
 		}
 		return cerr
-	})
+	}, vfs.Datum{Kind: vfs.DirBinding, Node: parentAttr.ID})
 	if err != nil {
 		c.fail(f.ReqID, err)
 		return
@@ -803,14 +799,10 @@ func (c *serverConn) handleRemove(f proto.Frame, tc tracing.Context) {
 	if attr.IsDir {
 		kind = vfs.DirBinding
 	}
-	data := []vfs.Datum{
-		{Kind: kind, Node: attr.ID},
-		{Kind: vfs.DirBinding, Node: parentAttr.ID},
-	}
-	err = s.acquireClearance(c.client, data, tc, func() error {
+	err = s.mutate(c.client, tc, func() error {
 		_, rerr := s.store.Remove(path)
 		return rerr
-	})
+	}, vfs.Datum{Kind: kind, Node: attr.ID}, vfs.Datum{Kind: vfs.DirBinding, Node: parentAttr.ID})
 	if err != nil {
 		c.fail(f.ReqID, err)
 		return
@@ -852,10 +844,10 @@ func (c *serverConn) handleRename(f proto.Frame, tc tracing.Context) {
 	if newParent.ID != oldParent.ID {
 		data = append(data, vfs.Datum{Kind: vfs.DirBinding, Node: newParent.ID})
 	}
-	err = s.acquireClearance(c.client, data, tc, func() error {
+	err = s.mutate(c.client, tc, func() error {
 		_, rerr := s.store.Rename(oldPath, newPath)
 		return rerr
-	})
+	}, data...)
 	if err != nil {
 		c.fail(f.ReqID, err)
 		return
@@ -896,10 +888,10 @@ func (c *serverConn) handleSetPerm(f proto.Frame, tc tracing.Context) {
 		c.fail(f.ReqID, err)
 		return
 	}
-	err = s.acquireClearance(c.client, []vfs.Datum{{Kind: vfs.DirBinding, Node: parentAttr.ID}}, tc, func() error {
+	err = s.mutate(c.client, tc, func() error {
 		_, perr := s.store.SetPerm(node, owner, perm)
 		return perr
-	})
+	}, vfs.Datum{Kind: vfs.DirBinding, Node: parentAttr.ID})
 	if err != nil {
 		c.fail(f.ReqID, err)
 		return
@@ -931,10 +923,6 @@ func (c *serverConn) handleApprove(f proto.Frame) {
 		})
 	}
 	if ready {
-		shard := s.lm.ShardForWrite(a.WriteID)
-		s.releaseReady(shard)
-		s.wake(shard)
+		s.releaseReady(s.lm.ShardForWrite(a.WriteID))
 	}
 }
-
-var errBadRequest = errors.New("server: bad request")

@@ -1,12 +1,11 @@
 package server
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
 	"leases/internal/obs/tracing"
-	"leases/internal/vfs"
+	"leases/internal/srvcore"
 )
 
 // Replica abstracts the replication runtime (internal/replica.Node)
@@ -48,16 +47,7 @@ type Replica interface {
 
 // ReplFile is one replicated file's state, as exchanged during a new
 // master's catch-up sync.
-type ReplFile struct {
-	Path string
-	Seq  uint64
-	Data []byte
-}
-
-// errNotMaster rejects a write reaching a replica that lost (or never
-// held) the master lease; clients treat it like a severed session and
-// redial toward the master.
-var errNotMaster = errors.New("server: not master")
+type ReplFile = srvcore.ReplFile
 
 // floor reads the persisted maximum without touching durable.go's
 // update path.
@@ -70,51 +60,6 @@ func (f *maxTermFile) floor() time.Duration {
 	return f.last
 }
 
-// replicateFile pushes a committed write to a quorum of peers BEFORE it
-// is applied to the local store (replicate-before-apply). The ordering
-// matters: a reader at the master only ever sees data a quorum already
-// holds, so a master crash immediately after the read can never roll
-// the write back under a failover — the new master's catch-up sync
-// intersects every write quorum and recovers it.
-func (s *Server) replicateFile(node vfs.NodeID, data []byte, tc tracing.Context) error {
-	if s.cfg.Replica == nil {
-		return nil
-	}
-	path, err := s.store.Path(node)
-	if err != nil {
-		return err
-	}
-	return s.replicatePath(path, data, tc)
-}
-
-// replicatePath is replicateFile keyed by path instead of node: the
-// destination half of a cross-shard rename replicates the incoming
-// bytes BEFORE the path exists locally, so the quorum holds them before
-// any reader at this master can observe the new name at all.
-func (s *Server) replicatePath(path string, data []byte, tc tracing.Context) error {
-	r := s.cfg.Replica
-	if r == nil {
-		return nil
-	}
-	if !r.IsMaster() || !s.serving() {
-		return errNotMaster
-	}
-	s.replMu.Lock()
-	seq := s.replSeq[path] + 1
-	s.replSeq[path] = seq
-	s.replMu.Unlock()
-	if o := s.obs; o.Enabled() {
-		// The quorum wait is the replication tax every write pays
-		// before it may apply — the /metrics histogram an operator
-		// reads next to the per-peer ship latencies (internal/replica).
-		start := s.clk.Now()
-		err := r.ReplicateWrite(tc, path, seq, data)
-		o.ObserveOp("repl-quorum-wait", s.clk.Now().Sub(start))
-		return err
-	}
-	return r.ReplicateWrite(tc, path, seq, data)
-}
-
 // replicateTermRaise mirrors maxTermFile.update at the replication
 // layer: before a grant whose term exceeds every quorum-acknowledged
 // maximum reaches a client, the new maximum is pushed to a quorum, so
@@ -124,13 +69,7 @@ func (s *Server) replicatePath(path string, data []byte, tc tracing.Context) err
 // mutex'd comparison.
 func (s *Server) replicateTermRaise(term time.Duration) error {
 	r := s.cfg.Replica
-	if r == nil {
-		return nil
-	}
-	s.replMu.Lock()
-	known := s.replTerm
-	s.replMu.Unlock()
-	if term <= known {
+	if r == nil || term <= s.core.TermFloor() {
 		return nil
 	}
 	if o := s.obs; o.Enabled() {
@@ -143,146 +82,59 @@ func (s *Server) replicateTermRaise(term time.Duration) error {
 	} else if err := r.ReplicateMaxTerm(term); err != nil {
 		return err
 	}
-	s.replMu.Lock()
-	if term > s.replTerm {
-		s.replTerm = term
-	}
-	s.replMu.Unlock()
+	s.core.RaiseTerm(term)
 	return nil
 }
 
-// ApplyReplicated installs one replicated write pushed by the master
-// (or merged during promotion), reporting whether it was actually
-// applied. Stale sequence numbers — retries, reordered pushes, sync
-// entries older than what this replica already holds — are dropped
-// with applied=false; the distinction matters because the master must
-// not count a stale drop toward its replication quorum (a drop means
-// this replica does NOT hold those bytes). An unknown path is created
-// first: the namespace itself is master-only (DESIGN.md §9), so a file
-// body can arrive for a path the follower has never seen. The created
-// file is world-writable because the real owner/permission record
-// lives at the master; after a promotion the §2 recovery window — not
-// permissions — is what protects these bytes.
+// ApplyReplicated installs one replicated write pushed by the master,
+// reporting whether it was actually applied (false: dropped as stale).
+// See srvcore.Core.ApplyReplicated.
 func (s *Server) ApplyReplicated(path string, seq uint64, data []byte) (applied bool, err error) {
-	s.replMu.Lock()
-	if seq <= s.replSeq[path] {
-		s.replMu.Unlock()
-		return false, nil
-	}
-	s.replSeq[path] = seq
-	if path == classStatePath {
-		// Class membership replicates under a reserved key that never
-		// touches the store; a promotion rebinds it to local node IDs.
-		s.classRepl = append([]byte(nil), data...)
-		s.replMu.Unlock()
-		return true, nil
-	}
-	s.replMu.Unlock()
-	attr, err := s.store.Lookup(path)
-	if err != nil {
-		attr, err = s.store.Create(path, s.cfg.Owner, vfs.DefaultPerm|vfs.WorldWrite)
-		if err != nil {
-			return false, err
-		}
-	}
-	_, _, err = s.store.WriteFile(attr.ID, data)
-	if err != nil {
-		return false, err
-	}
-	return true, nil
+	return s.core.ApplyReplicated(path, seq, data)
 }
 
 // ReplState dumps every file's replicated state, answering a new
-// master's catch-up sync. Files that predate replication (seeded
-// fixtures, identical on every replica by construction) report
-// sequence zero and lose every merge, which is correct: nothing newer
-// exists anywhere.
-func (s *Server) ReplState() []ReplFile {
-	root, err := s.store.Lookup("/")
-	if err != nil {
-		return nil
-	}
-	var out []ReplFile
-	s.store.Walk(root.ID, func(path string, a vfs.Attr) error {
-		if a.IsDir || path == classStatePath {
-			return nil
-		}
-		data, _, rerr := s.store.ReadFile(a.ID)
-		if rerr != nil {
-			return nil
-		}
-		s.replMu.Lock()
-		seq := s.replSeq[path]
-		s.replMu.Unlock()
-		out = append(out, ReplFile{Path: path, Seq: seq, Data: data})
-		return nil
-	})
-	// The class-membership image rides the same sync under its reserved
-	// key, so a new master inherits the installed set (traffic
-	// continuity; safety never depends on it).
-	s.replMu.Lock()
-	if len(s.classRepl) > 0 {
-		out = append(out, ReplFile{Path: classStatePath, Seq: s.replSeq[classStatePath], Data: s.classRepl})
-	}
-	s.replMu.Unlock()
-	return out
-}
+// master's catch-up sync.
+func (s *Server) ReplState() []ReplFile { return s.core.ReplState() }
 
 // PersistMaxTerm records a master's replicated term raise: the floor a
 // future promotion on this replica must wait out. When this replica
 // keeps its own durable max-term file the raise is persisted there
 // too, so even a restart-then-promote sequence observes it.
 func (s *Server) PersistMaxTerm(d time.Duration) error {
-	s.replMu.Lock()
-	if d > s.replTerm {
-		s.replTerm = d
-	}
-	s.replMu.Unlock()
+	s.core.RaiseTerm(d)
 	if s.maxTermF != nil {
 		return s.maxTermF.update(d)
 	}
 	return nil
 }
 
-// Promote applies the catch-up state synced from a quorum of peers and
-// opens the §2 recovery window. files pass through ApplyReplicated's
-// sequence guard, which IS the merge with this replica's own state:
-// self plus quorum-1 peers form a quorum, every write quorum
-// intersects it, and per-path max-seq wins. termFloor is the quorum's
-// merged max-term floor; the window is the worst lease any previous
-// master could have granted — the max of that floor, this replica's
-// own replicated/persisted floors, and (as a belt for unsynced legacy
-// state) the configured term when any lease evidence exists — so
-// every outstanding lease has provably expired before this replica
-// clears its first write. A cluster that never granted a lease has
-// all-zero floors and serves immediately.
-// Serving opens only here: serveOK flips true in the same critical
-// section that arms the window, so no session or write can slip in
-// between the election win and the merged state (hellos and clearance
-// both check serving()).
+// Promote applies the catch-up state synced from a quorum of peers,
+// ships whatever the merge left unsettled to a quorum, and opens the §2
+// recovery window (srvcore.Core has the merge, the settle rule and the
+// window arithmetic; this replica's own persisted floor joins the
+// quorum's here). Serving opens only then: hellos and every plan check
+// the core's gate. If the mastership lapses first the gate stays closed
+// and the next election retries the whole sequence.
 // tc is the failover's trace context (the election trace from
 // internal/replica); when sampled, the promotion records a span and
 // the armed recovery window gets its own span ending when the window
 // elapses, so a failover trace shows exactly how long §2 held writes.
 func (s *Server) Promote(tc tracing.Context, files []ReplFile, termFloor time.Duration) {
 	sp := s.tracer.StartChild(tc, "failover.promote")
-	for _, f := range files {
-		s.ApplyReplicated(f.Path, f.Seq, f.Data)
+	if p := s.maxTermF.floor(); p > termFloor {
+		termFloor = p
 	}
-	// Rebind the inherited installed class to this replica's node IDs
-	// and bump its generation so every client refetches.
-	s.rebindClassState()
-	window := termFloor
-	if p := s.maxTermF.floor(); p > window {
-		window = p
+	for _, f := range s.core.Merge(files) {
+		for s.cfg.Replica.ReplicateWrite(tc, f.Path, f.Seq, f.Data) != nil {
+			if !s.cfg.Replica.IsMaster() || !s.sleepUntil(s.clk.Now().Add(100*time.Millisecond)) {
+				sp.EndNote("abandoned")
+				return
+			}
+		}
+		s.core.Settled(f)
 	}
-	s.replMu.Lock()
-	if s.replTerm > window {
-		window = s.replTerm
-	}
-	s.recoverUntil = s.clk.Now().Add(window)
-	s.serveOK = true
-	s.replMu.Unlock()
+	window := s.core.Promote(termFloor, s.clk.Now())
 	if sp.Recording() {
 		sp.EndNote(fmt.Sprintf("files=%d window=%s", len(files), window))
 		if window > 0 {
@@ -307,9 +159,7 @@ func (s *Server) Promote(tc tracing.Context, files []ReplFile, termFloor time.Du
 // replicated or persisted — its contribution to a new master's
 // recovery window.
 func (s *Server) ReplTermFloor() time.Duration {
-	s.replMu.Lock()
-	floor := s.replTerm
-	s.replMu.Unlock()
+	floor := s.core.TermFloor()
 	if p := s.maxTermF.floor(); p > floor {
 		floor = p
 	}
@@ -325,29 +175,12 @@ func (s *Server) ReplTermFloor() time.Duration {
 // sever so no hello admitted concurrently can land after its conn was
 // missed by the sweep.
 func (s *Server) Demote() {
-	s.replMu.Lock()
-	s.serveOK = false
-	s.replMu.Unlock()
+	s.core.Demote()
 	s.connMu.Lock()
 	for nc := range s.raw {
 		nc.Close()
 	}
 	s.connMu.Unlock()
-}
-
-// serving reports whether this replica may accept sessions and clear
-// writes: always on a standalone server; on a replicated one only
-// between a completed Promote (catch-up state merged, §2 recovery
-// window armed) and the next Demote. IsMaster alone is NOT sufficient
-// — it turns true at the election win, before the promotion sync has
-// merged quorum state.
-func (s *Server) serving() bool {
-	if s.cfg.Replica == nil {
-		return true
-	}
-	s.replMu.Lock()
-	defer s.replMu.Unlock()
-	return s.serveOK
 }
 
 // ReplicaInfo reports the replication role for the admin plane; ok is
@@ -358,36 +191,4 @@ func (s *Server) ReplicaInfo() (role string, master int, expiry time.Time, ok bo
 		return "", -1, time.Time{}, false
 	}
 	return r.Role(), r.MasterIndex(), r.MasterExpiry(), true
-}
-
-// awaitRecoverWindow holds a write while a freshly promoted master is
-// inside its §2 recovery window, and rejects it outright on a replica
-// that is not master or not yet promoted (a demotion — or a request
-// racing the asynchronous promotion sync — can reach here past the
-// hello gate). Standalone servers pass straight through — their boot
-// recovery window lives in the lease manager, unchanged.
-func (s *Server) awaitRecoverWindow() error {
-	r := s.cfg.Replica
-	if r == nil {
-		return nil
-	}
-	for {
-		if !r.IsMaster() || !s.serving() {
-			return errNotMaster
-		}
-		s.replMu.Lock()
-		until := s.recoverUntil
-		s.replMu.Unlock()
-		d := until.Sub(s.clk.Now())
-		if d <= 0 {
-			return nil
-		}
-		fire, stopTimer := s.clk.After(d)
-		select {
-		case <-fire:
-		case <-s.stopped:
-			stopTimer()
-			return errShutdown
-		}
-	}
 }

@@ -1,12 +1,19 @@
 package server_test
 
 import (
+	"net"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"leases/internal/client"
+	"leases/internal/clock"
+	"leases/internal/obs"
 	"leases/internal/obs/tracing"
+	"leases/internal/proto"
 	"leases/internal/server"
+	"leases/internal/vfs"
 )
 
 // gateReplica is a stub Replica that always claims mastership, so the
@@ -73,5 +80,109 @@ func TestApplyReplicatedReportsStaleDrop(t *testing.T) {
 	applied, err = srv.ApplyReplicated("/f", 3, []byte("v3"))
 	if err != nil || !applied {
 		t.Fatalf("newer seq: applied=%v err=%v", applied, err)
+	}
+}
+
+// flipReplica is gateReplica with a mastership the test can take away.
+type flipReplica struct {
+	gateReplica
+	deposed atomic.Bool
+}
+
+func (r *flipReplica) IsMaster() bool { return !r.deposed.Load() }
+
+// TestDemotedMasterDoesNotApplyClearedMutation: a create blocked on a
+// binding lease when its master is deposed must not change the local
+// store once the lease lapses — that store is served again after a
+// re-promotion. The serving gate is re-checked by every mutation's plan
+// immediately before the apply, not only by file writes.
+func TestDemotedMasterDoesNotApplyClearedMutation(t *testing.T) {
+	const term = 10 * time.Second
+	for _, demote := range []bool{true, false} {
+		name := "lapsed-lease"
+		if demote {
+			name = "demote"
+		}
+		t.Run(name, func(t *testing.T) {
+			clk := clock.NewSim()
+			rep := &flipReplica{}
+			o := obs.New(obs.Config{Now: clk.Now})
+			srv, addr := startServer(t, server.Config{Term: term, Clock: clk, Replica: rep, Obs: o})
+			srv.Promote(tracing.Context{}, nil, 0)
+			if _, err := srv.Store().Mkdir("/dir", "root", vfs.DefaultPerm|vfs.WorldWrite); err != nil {
+				t.Fatal(err)
+			}
+
+			// A holder takes a lease on /dir's binding and crashes.
+			holder := rawHello(t, addr, "holder")
+			var e proto.Enc
+			e.U64(2) // node of /dir
+			proto.WriteFrame(holder, proto.Frame{Type: proto.TReadDir, ReqID: 2, Payload: e.Bytes()})
+			if _, err := proto.ReadFrame(holder); err != nil {
+				t.Fatalf("holder readdir: %v", err)
+			}
+			holder.Close()
+
+			// The create defers behind that lease.
+			creator := rawHello(t, addr, "creator")
+			defer creator.Close()
+			var c proto.Enc
+			c.Str("/dir/new").U8(uint8(vfs.DefaultPerm))
+			proto.WriteFrame(creator, proto.Frame{Type: proto.TCreate, ReqID: 2, Payload: c.Bytes()})
+			waitFor(t, "the create to defer", func() bool { return srv.Metrics().WritesDeferred >= 1 })
+
+			rep.deposed.Store(true)
+			if demote {
+				srv.Demote() // also severs the creator's connection
+			}
+			clk.Advance(term + time.Second)
+			waitFor(t, "the create to finish", func() bool {
+				for _, op := range o.OpLatencies() {
+					if op.Op == proto.TCreate.String() && op.Hist.Count > 0 {
+						return true
+					}
+				}
+				return false
+			})
+
+			if _, err := srv.Store().Lookup("/dir/new"); err == nil {
+				t.Fatal("a deposed master applied a mutation cleared after its demotion")
+			}
+			if !demote {
+				rep, err := proto.ReadFrame(creator)
+				if err != nil {
+					t.Fatalf("create reply: %v", err)
+				}
+				if msg := proto.NewDec(rep.Payload).Str(); rep.Type != proto.TError || !strings.Contains(msg, "not master") {
+					t.Fatalf("create reply = %v %q, want a not-master error", rep.Type, msg)
+				}
+			}
+		})
+	}
+}
+
+// rawHello opens a raw-protocol session: a client that can vanish
+// without releasing its leases.
+func rawHello(t *testing.T, addr, id string) net.Conn {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e proto.Enc
+	e.Str(id)
+	proto.WriteFrame(nc, proto.Frame{Type: proto.THello, ReqID: 1, Payload: e.Bytes()})
+	if rep, err := proto.ReadFrame(nc); err != nil || rep.Type != proto.THelloAck {
+		t.Fatalf("hello as %s: %v %v", id, rep.Type, err)
+	}
+	return nc
+}
+
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
 	}
 }

@@ -8,24 +8,24 @@
 // binding mutation needs clearance on more than one datum (the removed
 // file's data and its directory's binding); clearances are acquired in
 // a global datum order so concurrent multi-datum writes cannot
-// deadlock.
+// deadlock. That order, and the replication, class and transfer tables
+// it reads, live in internal/srvcore; this package is its blocking TCP
+// driver.
 //
 // Concurrency model: one goroutine per connection reads frames; each
 // request runs in its own goroutine (a deferred write blocks only its
 // own request). Lease state is lock-striped across the shards of a
 // core.ShardedManager, so requests touching different data proceed in
-// parallel; the vfs store carries its own lock. Each shard has a
-// dedicated timer goroutine releasing its expiry-blocked writes, woken
-// through a per-shard kick channel. Connection registry and write
-// waiters sit behind two small dedicated locks (connMu, waitMu) that
-// are never held across lease-manager calls.
+// parallel; the vfs store carries its own lock. A deferred write's own
+// goroutine holds the timer for the instant its blocking leases run out.
+// Connection registry and write waiters sit behind two small dedicated
+// locks (connMu, waitMu) that are never held across lease-manager calls.
 package server
 
 import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -35,6 +35,7 @@ import (
 	"leases/internal/obs"
 	"leases/internal/obs/tracing"
 	"leases/internal/proto"
+	"leases/internal/srvcore"
 	"leases/internal/vfs"
 )
 
@@ -106,31 +107,32 @@ type Config struct {
 
 // Server is a running lease file server.
 type Server struct {
-	cfg    Config
-	clk    clock.Clock
-	store  *vfs.Store
+	cfg   Config
+	clk   clock.Clock
+	store *vfs.Store
+	// core is the protocol core: the order every mutation goes through
+	// and the replication, class and transfer tables. lm is its lease
+	// manager, for the grant and approve paths.
+	core   *srvcore.Core
 	lm     *core.ShardedManager
 	obs    *obs.Observer   // nil = instrumentation disabled
 	tracer *tracing.Tracer // nil = tracing disabled
 
-	// classes is the installed-files class table; nil unless
-	// Config.Class enables the installed class. access feeds the
-	// adaptive-term estimator; nil unless Config.Access is set.
-	// features is the feature mask this server advertises in hello
-	// acks; wire counts frames per type and direction across every
+	// access feeds the adaptive-term estimator; nil unless Config.Access
+	// is set. features is the feature mask this server advertises in
+	// hello acks; wire counts frames per type and direction across every
 	// connection.
-	classes  *classTable
 	access   *accessPolicy
 	features uint64
 	wire     *proto.WireStats
 
 	// spanMu guards writeSpans: the open approval-push spans of traced
-	// deferred writes, keyed by write then holder, so the approve path
+	// deferred writes, keyed by write and holder, so the approve path
 	// (conn.go), the expiry release and the timeout path can each end
 	// the spans of the holders they unblocked. Populated only for
 	// sampled writes — untraced writes never touch the map.
 	spanMu     sync.Mutex
-	writeSpans map[core.WriteID]map[core.ClientID]tracing.Span
+	writeSpans map[pushKey]tracing.Span
 
 	connMu sync.RWMutex // conns, raw, ln
 	conns  map[core.ClientID]*serverConn
@@ -142,7 +144,6 @@ type Server struct {
 	ln       net.Listener
 	stopOnce sync.Once
 	stopped  chan struct{}
-	kicks    []chan struct{} // per-shard deadline-goroutine wakeups
 	wg       sync.WaitGroup
 
 	// boot identifies this server incarnation; it is carried in the
@@ -154,31 +155,6 @@ type Server struct {
 	// failure from New (which cannot fail) to Serve (which can).
 	maxTermF *maxTermFile
 	initErr  error
-
-	// Replication state (quiescent on a standalone server). replSeq
-	// orders each path's replicated writes; replTerm is the largest
-	// term known replicated to a quorum; recoverUntil gates writes on
-	// a freshly promoted master (§2 window after failover). serveOK
-	// gates serving on promotion COMPLETION: it opens only at the end
-	// of Promote — after the catch-up sync merged quorum state and the
-	// recovery window was armed — and closes on Demote, so the gap
-	// between the election win (IsMaster turning true) and the
-	// asynchronous promotion sync can never accept a session or clear
-	// a write against unmerged sequence state.
-	replMu       sync.Mutex
-	replSeq      map[string]uint64
-	replTerm     time.Duration
-	recoverUntil time.Time
-	serveOK      bool
-	// classRepl is the latest replicated class-membership image
-	// (classStatePath), kept raw so even a replica with the class
-	// disabled relays it through catch-up syncs.
-	classRepl []byte
-
-	// staged holds cross-shard renames prepared on this (destination)
-	// group, invisible until their commit arrives (shard.go).
-	stagedMu sync.Mutex
-	staged   map[string]*stagedXfer
 }
 
 // New creates a server with an empty store.
@@ -201,25 +177,12 @@ func New(cfg Config) *Server {
 		access = &accessPolicy{stats: cfg.Access, inner: policy}
 		policy = access
 	}
-	if cfg.Class.enabled() {
-		if cfg.Class.InstalledTerm <= 0 {
-			cfg.Class.InstalledTerm = 30 * time.Second
-		}
-		if cfg.Class.BroadcastEvery <= 0 {
-			cfg.Class.BroadcastEvery = cfg.Class.InstalledTerm / 4
-		}
-		if cfg.Class.PromoteReaders <= 0 {
-			cfg.Class.PromoteReaders = 3
-		}
-		if cfg.Class.QuietAfterWrite <= 0 {
-			cfg.Class.QuietAfterWrite = cfg.Class.InstalledTerm
-		}
-	}
-	var opts []core.ManagerOption
+	cfg.Class = cfg.Class.WithDefaults()
+	var recoverUntil time.Time
 	var maxTermF *maxTermFile
 	var initErr error
 	if cfg.RecoveryWindow > 0 {
-		opts = append(opts, core.WithRecoveryWindow(cfg.Clock.Now().Add(cfg.RecoveryWindow)))
+		recoverUntil = cfg.Clock.Now().Add(cfg.RecoveryWindow)
 	}
 	if cfg.MaxTermPath != "" {
 		persisted, found, err := LoadMaxTerm(cfg.MaxTermPath)
@@ -230,25 +193,32 @@ func New(cfg Config) *Server {
 			if found && persisted > 0 && cfg.RecoveryWindow == 0 {
 				// Restart after a crash: automatically defer all writes
 				// for the persisted maximum granted term (§2).
-				opts = append(opts, core.WithRecoveryWindow(cfg.Clock.Now().Add(persisted)))
+				recoverUntil = cfg.Clock.Now().Add(persisted)
 			}
 		}
 	}
+	store := vfs.New(cfg.Clock, cfg.Owner)
+	ccfg := srvcore.Config{
+		Store: store, Owner: cfg.Owner, Policy: policy, Shards: cfg.Shards, RecoverUntil: recoverUntil,
+		Class: cfg.Class, Term: cfg.Term, WriteTimeout: cfg.WriteTimeout,
+	}
+	if r := cfg.Replica; r != nil {
+		ccfg.Master = func(time.Time) bool { return r.IsMaster() }
+	}
+	pc := srvcore.New(ccfg)
 	s := &Server{
 		cfg:        cfg,
 		clk:        cfg.Clock,
 		obs:        cfg.Obs,
 		tracer:     cfg.Tracer,
-		store:      vfs.New(cfg.Clock, cfg.Owner),
-		lm:         core.NewShardedManager(cfg.Shards, policy, opts...),
+		store:      store,
+		core:       pc,
+		lm:         pc.Leases(),
 		conns:      make(map[core.ClientID]*serverConn),
 		raw:        make(map[net.Conn]struct{}),
 		waiters:    make(map[core.WriteID]chan struct{}),
-		writeSpans: make(map[core.WriteID]map[core.ClientID]tracing.Span),
+		writeSpans: make(map[pushKey]tracing.Span),
 		stopped:    make(chan struct{}),
-		kicks:      make([]chan struct{}, cfg.Shards),
-		replSeq:    make(map[string]uint64),
-		staged:     make(map[string]*stagedXfer),
 
 		boot:     uint64(time.Now().UnixNano()),
 		maxTermF: maxTermF,
@@ -258,10 +228,7 @@ func New(cfg Config) *Server {
 		features: proto.FeatTrace,
 		wire:     &proto.WireStats{},
 	}
-	if cfg.Class.installedEnabled() {
-		s.classes = newClassTable(cfg.Class)
-	}
-	if cfg.Class.enabled() {
+	if cfg.Class.Enabled() {
 		// Advertised only when some class feature is on, so a plain
 		// server's hello ack — like the rest of its byte stream — is
 		// unchanged.
@@ -271,9 +238,6 @@ func New(cfg Config) *Server {
 		// Same discipline: only a ring-configured server speaks the
 		// sharding frames.
 		s.features |= proto.FeatShard
-	}
-	for i := range s.kicks {
-		s.kicks[i] = make(chan struct{}, 1)
 	}
 	return s
 }
@@ -324,11 +288,7 @@ func (s *Server) Serve(ln net.Listener) error {
 	s.connMu.Lock()
 	s.ln = ln
 	s.connMu.Unlock()
-	for shard := range s.kicks {
-		s.wg.Add(1)
-		go s.deadlineLoop(shard)
-	}
-	if s.classes != nil {
+	if s.core.Classes != nil {
 		s.wg.Add(1)
 		go s.broadcastLoop()
 	}
@@ -385,59 +345,8 @@ func (s *Server) Stop() {
 			nc.Close()
 		}
 		s.connMu.Unlock()
-		for shard := range s.kicks {
-			s.wake(shard)
-		}
 	})
 	s.wg.Wait()
-}
-
-// wake nudges one shard's deadline goroutine to re-evaluate.
-func (s *Server) wake(shard int) {
-	select {
-	case s.kicks[shard] <- struct{}{}:
-	default:
-	}
-}
-
-// deadlineLoop releases writes on one shard whose blocking leases
-// expire. Each shard has its own loop and timer, so an expiry storm on
-// one stripe never delays releases on another.
-func (s *Server) deadlineLoop(shard int) {
-	defer s.wg.Done()
-	for {
-		dl, ok := s.lm.NextDeadlineShard(shard)
-		var fire <-chan time.Time
-		var stopTimer func() bool
-		if ok {
-			d := dl.Sub(s.clk.Now()) + time.Millisecond
-			if d < 0 {
-				d = 0
-			}
-			fire, stopTimer = s.clk.After(d)
-		}
-		select {
-		case <-s.stopped:
-			if stopTimer != nil {
-				stopTimer()
-			}
-			s.failAllWaiters()
-			return
-		case <-s.kicks[shard]:
-			if stopTimer != nil {
-				stopTimer()
-			}
-		case <-fire:
-			released := s.releaseReady(shard)
-			if s.obs.Enabled() {
-				// Writes woken by the deadline timer were released by the
-				// passage of time — the fault-tolerance path (§2).
-				for _, id := range released {
-					s.obs.Record(obs.Event{Type: obs.EvExpire, WriteID: uint64(id), Shard: shard})
-				}
-			}
-		}
-	}
 }
 
 // releaseReady signals the waiter of every write the shard considers
@@ -467,239 +376,250 @@ func (s *Server) releaseReady(shard int) []core.WriteID {
 	return released
 }
 
-// failAllWaiters cancels every deferred write at shutdown. Called by
-// each shard loop; the first caller drains the map, the rest no-op.
-func (s *Server) failAllWaiters() {
-	s.waitMu.Lock()
-	defer s.waitMu.Unlock()
-	now := s.clk.Now()
-	for id, ch := range s.waiters {
-		s.lm.CancelWrite(id, now)
-		delete(s.waiters, id)
-		close(ch)
-	}
-}
-
 // errShutdown reports a write aborted by server shutdown or timeout.
 var errShutdown = errors.New("server: shutting down")
 
-// registerApprovalSpan files an open approval-push span under its
-// write and holder so whichever path unblocks the holder can end it.
-func (s *Server) registerApprovalSpan(id core.WriteID, holder core.ClientID, sp tracing.Span) {
-	s.spanMu.Lock()
-	m := s.writeSpans[id]
-	if m == nil {
-		m = make(map[core.ClientID]tracing.Span)
-		s.writeSpans[id] = m
-	}
-	m[holder] = sp
-	s.spanMu.Unlock()
+// pushKey names one holder's approval-push span of a traced write.
+type pushKey struct {
+	id     core.WriteID
+	holder core.ClientID
 }
 
-// endApprovalSpan ends one holder's approval-push span (the approve
-// path); a miss is fine — the write was untraced or already resolved.
+// endApprovalSpan ends one holder's approval-push span, whichever path
+// unblocked the holder: its approval ("approve"), its lease expiring
+// ("expire"), the write timeout ("timeout"), or shutdown ("cancel"). A
+// miss is fine — the write was untraced or the span already ended.
 func (s *Server) endApprovalSpan(id core.WriteID, holder core.ClientID, note string) {
 	s.spanMu.Lock()
-	m := s.writeSpans[id]
-	sp, ok := m[holder]
-	if ok {
-		delete(m, holder)
-		if len(m) == 0 {
-			delete(s.writeSpans, id)
-		}
-	}
+	sp, ok := s.writeSpans[pushKey{id, holder}]
+	delete(s.writeSpans, pushKey{id, holder})
 	s.spanMu.Unlock()
 	if ok {
 		sp.EndNote(note)
 	}
 }
 
-// endApprovalSpans ends every span still open for a write: holders
-// that never approved, unblocked by lease expiry ("expire"), the write
-// timeout ("timeout"), or shutdown ("cancel").
-func (s *Server) endApprovalSpans(id core.WriteID, note string) {
-	s.spanMu.Lock()
-	m := s.writeSpans[id]
-	delete(s.writeSpans, id)
-	s.spanMu.Unlock()
-	for _, sp := range m {
-		sp.EndNote(note)
-	}
+// mutate runs one mutation — a write by writer to data — through its
+// plan: apply runs once every datum is cleared and held.
+func (s *Server) mutate(writer core.ClientID, tc tracing.Context, apply func() error, data ...vfs.Datum) error {
+	p := s.core.Plan(writer, data...)
+	return s.run(&p, writer, tc, apply)
 }
 
-// acquireClearance defers until writer may write every datum in data,
-// then runs apply while still holding clearance and finally releases the
-// per-datum write queue entries. Data are acquired in sorted order to
-// prevent deadlock between concurrent multi-datum writes. tc is the
-// request's trace context: when it names a sampled trace, the fan-out
-// of approval pushes records one child span per holder (ended with the
-// reason the holder stopped blocking) and the apply gets its own span.
-func (s *Server) acquireClearance(writer core.ClientID, data []vfs.Datum, tc tracing.Context, apply func() error) error {
-	// A replicated master fresh from a failover first waits out the §2
-	// recovery window (and a replica that lost mastership refuses).
-	if err := s.awaitRecoverWindow(); err != nil {
-		return err
-	}
-	// Drop-on-write (§4.3): data in the installed class leave it now,
-	// and the write waits out the broadcast coverage horizon before the
-	// per-file clearance below can begin.
-	if err := s.classAwaitWrite(data); err != nil {
-		return err
-	}
-	for _, d := range data {
+// run drives a plan to its end, blocking this request's goroutine on
+// whatever step the plan returns. tc is the request's trace context:
+// when it names a sampled trace, each deferral records a write.defer
+// span with one child per holder asked (ended with the reason the holder
+// stopped blocking) and the apply gets its own span.
+func (s *Server) run(p *srvcore.Plan, writer core.ClientID, tc tracing.Context, apply func() error) error {
+	for _, d := range p.Data() {
 		s.observeWrite(d)
 	}
-	sorted := make([]vfs.Datum, len(data))
-	copy(sorted, data)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Kind != sorted[j].Kind {
-			return sorted[i].Kind < sorted[j].Kind
-		}
-		return sorted[i].Node < sorted[j].Node
-	})
-
-	var held []core.WriteID
-	releaseHeld := func(applied bool) {
-		now := s.clk.Now()
-		touched := make(map[int]struct{}, len(held))
-		for _, id := range held {
-			if applied {
-				s.lm.WriteApplied(id, now)
-			} else {
-				s.lm.CancelWrite(id, now)
-			}
-			touched[s.lm.ShardForWrite(id)] = struct{}{}
-		}
-		// Applying or cancelling may unblock the next write queued on the
-		// same datum.
-		for shard := range touched {
-			s.releaseReady(shard)
-			s.wake(shard)
-		}
-	}
-
-	clearStart := s.clk.Now()
-	for _, d := range sorted {
-		now := s.clk.Now()
-		shard := s.lm.ShardFor(d)
-		// Held submission: the queue entry blocks new grants on d until
-		// the apply completes, even when no lease conflicts right now.
-		disp := s.lm.SubmitWriteHeld(writer, d, now)
-		if s.obs.Enabled() && (len(disp.NeedApproval) > 0 || !disp.Deadline.IsZero()) {
-			s.obs.Record(obs.Event{
-				Type: obs.EvWriteDefer, Client: string(writer), Datum: d,
-				Shard: shard, WriteID: uint64(disp.WriteID),
-			})
-		}
-		ch := make(chan struct{})
-		s.waitMu.Lock()
-		s.waiters[disp.WriteID] = ch
-		s.waitMu.Unlock()
-		// Push approval requests to the connected holders. For a traced
-		// write, each push opens a child span ended by the approve,
-		// expire, or timeout path; deferSpan carries the fan-out width
-		// the span-tree lens checks against the recorded pushes.
-		deferSpan := s.tracer.StartChild(tc, "write.defer")
-		pushed := 0
-		s.connMu.RLock()
-		for _, holder := range disp.NeedApproval {
-			if hc, ok := s.conns[holder]; ok {
-				if deferSpan.Recording() {
-					sp := s.tracer.StartChild(deferSpan.Context(), "approve.push")
-					sp.Annotate("holder=" + string(holder))
-					s.registerApprovalSpan(disp.WriteID, holder, sp)
-				}
-				hc.pushApproval(proto.ApprovalWire{WriteID: disp.WriteID, Datum: d})
-				pushed++
-				if s.obs.Enabled() {
-					s.obs.Record(obs.Event{
-						Type: obs.EvApproveRequest, Client: string(holder), Datum: d,
-						Shard: shard, WriteID: uint64(disp.WriteID),
-					})
-				}
-			}
-		}
-		s.connMu.RUnlock()
-		deferSpan.SetFanout(pushed)
-		// Re-check after registering the waiter: approvals or expiries
-		// that landed between SubmitWriteHeld and registration left the
-		// write ready (readiness is sticky), and this call claims it.
-		s.releaseReady(shard)
-		s.wake(shard)
-
-		var timeout <-chan time.Time
-		var stopTimer func() bool
-		if s.cfg.WriteTimeout > 0 {
-			timeout, stopTimer = s.clk.After(s.cfg.WriteTimeout)
-		}
-		select {
-		case <-ch:
-			if stopTimer != nil {
-				stopTimer()
-			}
-			select {
-			case <-s.stopped:
-				// Shutdown closes waiter channels without clearance.
-				s.endApprovalSpans(disp.WriteID, "cancel")
-				deferSpan.EndNote("cancel")
-				releaseHeld(false)
-				return errShutdown
-			default:
-			}
+	start := s.clk.Now()
+	// waiting is the held write this request is blocked on, deferSpan its
+	// open write.defer span, failNote what ends them if the plan fails.
+	var waiting core.WriteID
+	var holders []core.ClientID
+	var deadline time.Time
+	var deferSpan tracing.Span
+	failNote := "cancel"
+	for {
+		st := p.Next(s.clk.Now())
+		if waiting != 0 && (st.Kind != srvcore.Approval || st.WriteID != waiting) {
 			// Any push span still open belongs to a holder that never
 			// approved: the release came from its lease expiring (§2).
-			s.endApprovalSpans(disp.WriteID, "expire")
-			deferSpan.EndNote("cleared")
-			held = append(held, disp.WriteID)
-		case <-timeout:
-			s.waitMu.Lock()
-			_, still := s.waiters[disp.WriteID]
-			if still {
-				delete(s.waiters, disp.WriteID)
+			pushNote, note := "expire", "cleared"
+			if st.Kind == srvcore.Fail {
+				pushNote, note = failNote, failNote
 			}
-			s.waitMu.Unlock()
-			if still {
-				now := s.clk.Now()
-				s.lm.CancelWrite(disp.WriteID, now)
-				if s.obs.Enabled() {
-					s.obs.Record(obs.Event{
-						Type: obs.EvWriteTimeout, Client: string(writer), Datum: d,
-						Shard: shard, WriteID: uint64(disp.WriteID), Wait: now.Sub(clearStart),
-					})
+			if deferSpan.Recording() {
+				for _, h := range holders {
+					s.endApprovalSpan(waiting, h, pushNote)
 				}
-				s.endApprovalSpans(disp.WriteID, "timeout")
-				deferSpan.EndNote("timeout")
-				s.releaseReady(shard)
-				s.wake(shard)
-				releaseHeld(false)
-				return fmt.Errorf("server: write timed out awaiting lease clearance on %v", d)
 			}
-			// Cleared concurrently with the timeout: proceed.
-			s.endApprovalSpans(disp.WriteID, "expire")
-			deferSpan.EndNote("cleared")
-			held = append(held, disp.WriteID)
+			deferSpan.EndNote(note)
+			waiting = 0
+		}
+		switch st.Kind {
+		case srvcore.Wait:
+			if !s.sleepUntil(st.Until) {
+				p.Abort(errShutdown, s.clk.Now())
+			}
+		case srvcore.Demoted:
+			if s.obs.Enabled() {
+				for _, d := range st.Dropped {
+					s.obs.Record(obs.Event{Type: obs.EvClassDemote, Datum: d, Shard: s.lm.ShardFor(d)})
+				}
+			}
+			s.shipClassImage(srvcore.ReplFile{Path: st.Path, Seq: st.Seq, Data: st.Data})
+		case srvcore.Approval:
+			if st.WriteID != waiting {
+				waiting, holders, deadline = st.WriteID, st.Holders, st.Until
+				deferSpan = s.askHolders(st, writer, tc)
+			}
+			if note, err := s.awaitReady(st, &deadline, writer, start); err != nil {
+				failNote = note
+				p.Abort(err, s.clk.Now())
+			}
+		case srvcore.Ship:
+			var err error
+			if o := s.obs; o.Enabled() {
+				// The quorum wait is the replication tax every write pays
+				// before it may apply — the /metrics histogram an operator
+				// reads next to the per-peer ship latencies.
+				t0 := s.clk.Now()
+				err = s.cfg.Replica.ReplicateWrite(tc, st.Path, st.Seq, st.Data)
+				o.ObserveOp("repl-quorum-wait", s.clk.Now().Sub(t0))
+			} else {
+				err = s.cfg.Replica.ReplicateWrite(tc, st.Path, st.Seq, st.Data)
+			}
+			p.Shipped(err, s.clk.Now())
+		case srvcore.Apply:
+			if s.obs.Enabled() {
+				// One apply event per write operation; Wait is the full
+				// clearance time across every datum — the paper's formula-2
+				// added delay as a writer experiences it.
+				s.obs.Record(obs.Event{
+					Type: obs.EvWriteApply, Client: string(writer), Datum: st.Datum,
+					Shard: s.lm.ShardFor(st.Datum), WriteID: uint64(st.WriteID),
+					Wait: s.clk.Now().Sub(start),
+				})
+			}
+			applySpan := s.tracer.StartChild(tc, "write.apply")
+			err := apply()
+			if err != nil {
+				applySpan.EndNote("error")
+			} else {
+				applySpan.End()
+			}
+			p.Applied(err, s.clk.Now())
+		case srvcore.Done, srvcore.Fail:
+			// Releasing or cancelling the held entries may unblock the next
+			// write queued on the same datum.
+			for _, d := range p.Data() {
+				s.releaseReady(s.lm.ShardFor(d))
+			}
+			return st.Err
 		}
 	}
+}
 
-	if s.obs.Enabled() {
-		// One apply event per write operation; Wait is the full clearance
-		// time across every datum — the paper's formula-2 added delay as
-		// a writer experiences it.
+// sleepUntil blocks until the clock reads t; false means the server
+// stopped first.
+func (s *Server) sleepUntil(t time.Time) bool {
+	fire, stopTimer := s.clk.After(t.Sub(s.clk.Now()))
+	select {
+	case <-fire:
+		return true
+	case <-s.stopped:
+		stopTimer()
+		return false
+	}
+}
+
+// askHolders pushes an approval request to every connected holder a
+// deferred write waits on. For a traced write each push opens a child
+// span ended by the approve, expire, or timeout path; the returned
+// write.defer span carries the fan-out width the span-tree lens checks
+// against the recorded pushes.
+func (s *Server) askHolders(st srvcore.Step, writer core.ClientID, tc tracing.Context) tracing.Span {
+	shard := s.lm.ShardForWrite(st.WriteID)
+	if s.obs.Enabled() && (len(st.Holders) > 0 || !st.Until.IsZero()) {
 		s.obs.Record(obs.Event{
-			Type: obs.EvWriteApply, Client: string(writer), Datum: sorted[0],
-			Shard: s.lm.ShardFor(sorted[0]), WriteID: uint64(held[len(held)-1]),
-			Wait: s.clk.Now().Sub(clearStart),
+			Type: obs.EvWriteDefer, Client: string(writer), Datum: st.Datum,
+			Shard: shard, WriteID: uint64(st.WriteID),
 		})
 	}
-	applySpan := s.tracer.StartChild(tc, "write.apply")
-	err := apply()
-	if err != nil {
-		applySpan.EndNote("error")
-	} else {
-		applySpan.End()
+	deferSpan := s.tracer.StartChild(tc, "write.defer")
+	pushed := 0
+	s.connMu.RLock()
+	for _, holder := range st.Holders {
+		if hc, ok := s.conns[holder]; ok {
+			if deferSpan.Recording() {
+				sp := s.tracer.StartChild(deferSpan.Context(), "approve.push")
+				sp.Annotate("holder=" + string(holder))
+				s.spanMu.Lock()
+				s.writeSpans[pushKey{st.WriteID, holder}] = sp
+				s.spanMu.Unlock()
+			}
+			hc.pushApproval(proto.ApprovalWire{WriteID: st.WriteID, Datum: st.Datum})
+			pushed++
+			if s.obs.Enabled() {
+				s.obs.Record(obs.Event{
+					Type: obs.EvApproveRequest, Client: string(holder), Datum: st.Datum,
+					Shard: shard, WriteID: uint64(st.WriteID),
+				})
+			}
+		}
 	}
-	releaseHeld(true)
-	return err
+	s.connMu.RUnlock()
+	deferSpan.SetFanout(pushed)
+	return deferSpan
+}
+
+// awaitReady blocks until the lease manager reports the step's held
+// write ready (the plan then verifies it): approvals and releases signal
+// its waiter, and the request's own timer fires when the last blocking
+// lease runs out at deadline — only ever earlier than first told, since
+// no lease is extended under a pending write. It also returns when the
+// write timeout passes or the server stops: a non-nil error is why the
+// driver gives the plan up, and note labels the trace spans it leaves.
+func (s *Server) awaitReady(st srvcore.Step, deadline *time.Time, writer core.ClientID, start time.Time) (note string, err error) {
+	shard := s.lm.ShardForWrite(st.WriteID)
+	ch := make(chan struct{})
+	s.waitMu.Lock()
+	s.waiters[st.WriteID] = ch
+	s.waitMu.Unlock()
+	defer func() {
+		s.waitMu.Lock()
+		delete(s.waiters, st.WriteID)
+		s.waitMu.Unlock()
+	}()
+	// Re-check after registering the waiter: approvals or expiries that
+	// landed before the registration left the write ready (readiness is
+	// sticky), and this call claims it.
+	s.releaseReady(shard)
+
+	var expiry, timeout <-chan time.Time
+	if !deadline.IsZero() {
+		var stopTimer func() bool
+		expiry, stopTimer = s.clk.After(deadline.Sub(s.clk.Now()) + time.Millisecond)
+		defer stopTimer()
+	}
+	if s.cfg.WriteTimeout > 0 {
+		var stopTimer func() bool
+		timeout, stopTimer = s.clk.After(s.cfg.WriteTimeout)
+		defer stopTimer()
+	}
+	select {
+	case <-ch:
+		return "", nil
+	case <-expiry:
+		// Released by the passage of time — the fault-tolerance path (§2).
+		// A write still queued behind another is woken by that one's end.
+		*deadline = time.Time{}
+		released := s.releaseReady(shard)
+		if s.obs.Enabled() {
+			for _, id := range released {
+				s.obs.Record(obs.Event{Type: obs.EvExpire, WriteID: uint64(id), Shard: shard})
+			}
+		}
+		return "", nil
+	case <-s.stopped:
+		return "cancel", errShutdown
+	case <-timeout:
+		now := s.clk.Now()
+		if s.lm.WriteReady(st.WriteID, now) {
+			return "", nil // cleared concurrently with the timeout: proceed
+		}
+		if s.obs.Enabled() {
+			s.obs.Record(obs.Event{
+				Type: obs.EvWriteTimeout, Client: string(writer), Datum: st.Datum,
+				Shard: shard, WriteID: uint64(st.WriteID), Wait: now.Sub(start),
+			})
+		}
+		return "timeout", fmt.Errorf("server: write timed out awaiting lease clearance on %v", st.Datum)
+	}
 }
 
 // parentOf returns the directory part of a path.

@@ -9,6 +9,7 @@ import (
 	"leases/internal/obs/tracing"
 	"leases/internal/proto"
 	"leases/internal/shard"
+	"leases/internal/srvcore"
 	"leases/internal/vfs"
 )
 
@@ -68,38 +69,6 @@ func (c *serverConn) handleRing(f proto.Frame) {
 	c.replyEnc(f.ReqID, proto.TRingRep, func(e *proto.Enc) { shard.Encode(e, ring) })
 }
 
-// stagedXfer is one cross-shard rename staged on this (destination)
-// group: the file's bytes and attributes, held invisibly between
-// prepare and commit. Expired entries are swept lazily — a source that
-// died between its local commit and the commit push leaves the entry
-// to age out.
-type stagedXfer struct {
-	data    []byte
-	owner   string
-	perm    vfs.Perm
-	epoch   uint64
-	expires time.Time
-}
-
-// stagedTTL bounds how long a prepared transfer may wait for its
-// commit before the destination discards it.
-func (s *Server) stagedTTL() time.Duration {
-	ttl := 2*s.cfg.Term + 10*time.Second
-	if s.cfg.WriteTimeout > 0 && s.cfg.WriteTimeout > ttl {
-		ttl = s.cfg.WriteTimeout + 10*time.Second
-	}
-	return ttl
-}
-
-// sweepStaged drops expired staged transfers; callers hold stagedMu.
-func (s *Server) sweepStagedLocked(now time.Time) {
-	for p, st := range s.staged {
-		if now.After(st.expires) {
-			delete(s.staged, p)
-		}
-	}
-}
-
 // handleShardPrepare is the destination half of phase one: fence on
 // the ring epoch, verify ownership of the destination path, obtain §2
 // clearance on the destination parent's binding (any holder of a lease
@@ -134,20 +103,15 @@ func (c *serverConn) handleShardPrepare(f proto.Frame, tc tracing.Context) {
 		c.fail(f.ReqID, err)
 		return
 	}
-	err = s.acquireClearance(c.client, []vfs.Datum{{Kind: vfs.DirBinding, Node: parentAttr.ID}}, tc, func() error {
+	err = s.mutate(c.client, tc, func() error {
 		if _, lerr := s.store.Lookup(newPath); lerr == nil {
 			return fmt.Errorf("shard: destination %s exists", newPath)
 		}
-		now := s.clk.Now()
-		s.stagedMu.Lock()
-		s.sweepStagedLocked(now)
-		s.staged[newPath] = &stagedXfer{
-			data: append([]byte(nil), data...), owner: owner, perm: perm,
-			epoch: epoch, expires: now.Add(s.stagedTTL()),
-		}
-		s.stagedMu.Unlock()
+		s.core.Stage(newPath, srvcore.Xfer{
+			Data: append([]byte(nil), data...), Owner: owner, Perm: perm, Epoch: epoch,
+		}, s.clk.Now())
 		return nil
-	})
+	}, vfs.Datum{Kind: vfs.DirBinding, Node: parentAttr.ID})
 	if err != nil {
 		c.fail(f.ReqID, err)
 		return
@@ -172,15 +136,7 @@ func (c *serverConn) handleShardCommit(f proto.Frame, tc tracing.Context) {
 		c.fail(f.ReqID, dec.Err)
 		return
 	}
-	s.stagedMu.Lock()
-	st, ok := s.staged[newPath]
-	if ok && (st.epoch != epoch || s.clk.Now().After(st.expires)) {
-		ok = false
-	}
-	if ok {
-		delete(s.staged, newPath)
-	}
-	s.stagedMu.Unlock()
+	st, ok := s.core.TakeStaged(newPath, epoch, s.clk.Now())
 	if !ok {
 		c.fail(f.ReqID, fmt.Errorf("shard: no staged transfer for %s at epoch %d", newPath, epoch))
 		return
@@ -190,17 +146,18 @@ func (c *serverConn) handleShardCommit(f proto.Frame, tc tracing.Context) {
 		c.fail(f.ReqID, err)
 		return
 	}
-	err = s.acquireClearance(c.client, []vfs.Datum{{Kind: vfs.DirBinding, Node: parentAttr.ID}}, tc, func() error {
-		// The namespace is master-only (DESIGN.md §9); the bytes
-		// replicate to a quorum before the local apply, exactly as a
-		// client write would — and the name appears with its bytes in
-		// one atomic step. A Create-then-WriteFile pair would expose an
-		// empty file that a concurrent read could lease and cache, a
-		// stale read the chaos shard-split scenario catches.
-		if rerr := s.replicatePath(newPath, st.data, tc); rerr != nil {
-			return rerr
-		}
-		_, cerr := s.store.CreateWith(newPath, st.owner, st.perm, st.data)
+	// The namespace is master-only (DESIGN.md §9); the bytes replicate
+	// to a quorum before the local apply, exactly as a client write
+	// would — BEFORE the path exists locally, so the quorum holds them
+	// before any reader at this master can observe the new name at all —
+	// and the name appears with its bytes in one atomic step. A
+	// Create-then-WriteFile pair would expose an empty file that a
+	// concurrent read could lease and cache, a stale read the chaos
+	// shard-split scenario catches.
+	p := s.core.Plan(c.client, vfs.Datum{Kind: vfs.DirBinding, Node: parentAttr.ID})
+	p.Replicate(newPath, st.Data)
+	err = s.run(&p, c.client, tc, func() error {
+		_, cerr := s.store.CreateWith(newPath, st.Owner, st.Perm, st.Data)
 		return cerr
 	})
 	if err != nil {
@@ -224,11 +181,7 @@ func (c *serverConn) handleShardAbort(f proto.Frame) {
 		c.fail(f.ReqID, dec.Err)
 		return
 	}
-	s.stagedMu.Lock()
-	if st, ok := s.staged[newPath]; ok && st.epoch == epoch {
-		delete(s.staged, newPath)
-	}
-	s.stagedMu.Unlock()
+	s.core.AbortStaged(newPath, epoch)
 	if s.obs.Enabled() {
 		s.obs.Record(obs.Event{Type: obs.EvShardAbort, Client: string(c.client)})
 	}
@@ -242,8 +195,9 @@ func (c *serverConn) handleShardAbort(f proto.Frame) {
 //     destination parent binding per §2 and stages the file invisibly;
 //  2. commit-on-source: this master obtains §2 clearance over the old
 //     parent binding AND the file's data (cross-shard moves change the
-//     node identity, so cached copies must invalidate), then removes
-//     the file — the protocol's commit point;
+//     node identity, so cached copies must invalidate), then — unless
+//     the file changed since its bytes were read for the prepare —
+//     removes it: the protocol's commit point;
 //  3. commit-on-destination: the staged file becomes visible.
 //
 // Both remote phases fence on the ring epoch. A failure before step 2
@@ -273,7 +227,7 @@ func (c *serverConn) crossShardRename(f proto.Frame, tc tracing.Context, oldPath
 		c.fail(f.ReqID, err)
 		return
 	}
-	data, _, err := s.store.ReadFile(attr.ID)
+	data, read, err := s.store.ReadFile(attr.ID)
 	if err != nil {
 		c.fail(f.ReqID, err)
 		return
@@ -303,14 +257,15 @@ func (c *serverConn) crossShardRename(f proto.Frame, tc tracing.Context, oldPath
 
 	// Commit point: clearance over the old binding and the file data
 	// (§2 — every cached copy approves or expires), then the removal.
-	clear := []vfs.Datum{
-		{Kind: vfs.FileData, Node: attr.ID},
-		{Kind: vfs.DirBinding, Node: oldParent.ID},
-	}
-	err = s.acquireClearance(c.client, clear, tc, func() error {
+	err = s.mutate(c.client, tc, func() error {
+		// A write that landed after the bytes were read for the prepare
+		// would be lost at the destination — acknowledged, then gone.
+		if now, serr := s.store.Stat(attr.ID); serr != nil || now.Version != read.Version {
+			return fmt.Errorf("shard: %s changed during the rename; retry", oldPath)
+		}
 		_, rerr := s.store.Remove(oldPath)
 		return rerr
-	})
+	}, vfs.Datum{Kind: vfs.FileData, Node: attr.ID}, vfs.Datum{Kind: vfs.DirBinding, Node: oldParent.ID})
 	if err != nil {
 		// Not yet committed: discard the staged copy (best-effort — it
 		// expires on its own if the abort is lost).

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"leases/internal/client"
+	"leases/internal/cluster"
 	"leases/internal/obs/tracing"
 	"leases/internal/replica"
 	"leases/internal/server"
@@ -25,19 +26,6 @@ type traceCluster struct {
 	nodes    []*replica.Node
 	srvs     []*server.Server
 	cliAddrs []string
-}
-
-type traceReplica struct{ n *replica.Node }
-
-func (r traceReplica) IsMaster() bool          { return r.n.IsMaster() }
-func (r traceReplica) MasterIndex() int        { return r.n.MasterIndex() }
-func (r traceReplica) Role() string            { return string(r.n.Role()) }
-func (r traceReplica) MasterExpiry() time.Time { return r.n.MasterExpiry() }
-func (r traceReplica) ReplicateMaxTerm(d time.Duration) error {
-	return r.n.ReplicateMaxTerm(d)
-}
-func (r traceReplica) ReplicateWrite(tc tracing.Context, path string, seq uint64, data []byte) error {
-	return r.n.ReplicateWrite(tc, replica.FileState{Path: path, Seq: seq, Data: data})
 }
 
 func startTraceCluster(t *testing.T, n int) *traceCluster {
@@ -60,56 +48,18 @@ func startTraceCluster(t *testing.T, n int) *traceCluster {
 	}
 	for i := 0; i < n; i++ {
 		i := i
-		var nd *replica.Node
-		var srv *server.Server
-		nd, err := replica.NewNode(replica.NodeConfig{
+		nd, srv, err := cluster.New(replica.NodeConfig{
 			ID: i, Peers: peers,
 			Term: 2 * time.Second, Allowance: 100 * time.Millisecond,
 			Seed: int64(i) + 1, Tracer: tc.tracer,
-			OnReplApply: func(f replica.FileState) (bool, error) {
-				return srv.ApplyReplicated(f.Path, f.Seq, f.Data)
-			},
-			OnSyncState: func() ([]replica.FileState, time.Duration) {
-				files := srv.ReplState()
-				out := make([]replica.FileState, len(files))
-				for k, f := range files {
-					out[k] = replica.FileState{Path: f.Path, Seq: f.Seq, Data: f.Data}
-				}
-				return out, srv.ReplTermFloor()
-			},
-			OnMaxTerm: func(d time.Duration) error { return srv.PersistMaxTerm(d) },
-			OnRole: func(r replica.Role, master int) {
-				if r != replica.RoleMaster {
-					srv.Demote()
-					return
-				}
-				srv.Demote()
-				ectx := nd.ElectionContext()
-				syncSp := tc.tracer.StartChild(ectx, "failover.sync")
-				files, floor, serr := nd.SyncForPromotion(ectx)
-				if serr != nil {
-					syncSp.EndNote("abandoned")
-					nd.EndElection("abandoned")
-					return
-				}
-				syncSp.End()
-				out := make([]server.ReplFile, len(files))
-				for k, f := range files {
-					out[k] = server.ReplFile{Path: f.Path, Seq: f.Seq, Data: f.Data}
-				}
-				srv.Promote(ectx, out, floor)
-				nd.EndElection("promoted")
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv = server.New(server.Config{
+		}, server.Config{
 			Term:        10 * time.Second,
 			MaxTermPath: filepath.Join(dir, fmt.Sprintf("maxterm-%d", i)),
 			Tracer:      tc.tracer,
-			Replica:     traceReplica{nd},
-		})
+		}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)

@@ -1,0 +1,349 @@
+// Package srvcore is the lease server's protocol core, sans IO: the
+// order every mutation goes through (plan.go) and the state tables that
+// order reads — replication state and the serving gate (this file), the
+// installed-files class (class.go) and the staging table of cross-shard
+// renames (xfer.go).
+//
+// Like replica.Machine and cache.Core it has no goroutine, channel,
+// timer, socket or clock: every entry point takes now. internal/server
+// drives it with blocking goroutines over TCP; internal/check drives the
+// same type with events on the simulated fabric, so what the model
+// checker explores is the code that ships.
+package srvcore
+
+import (
+	"errors"
+	"sort"
+	"sync"
+	"time"
+
+	"leases/internal/core"
+	"leases/internal/proto"
+	"leases/internal/vfs"
+)
+
+// ErrNotMaster fails a plan on a replica that is not (or is no longer)
+// the serving master. Clients treat it like a severed session and redial
+// toward the master.
+var ErrNotMaster = errors.New("server: not master")
+
+// Config parameterizes a Core.
+type Config struct {
+	// Store is the file store replicated writes land in.
+	Store *vfs.Store
+	// Owner owns files a replicated write creates (the namespace is
+	// master-only, so a body can arrive for a path never seen here).
+	Owner string
+	// Policy and Shards build the lease manager; RecoverUntil, when set,
+	// is the §2 restart window every shard honours.
+	Policy       core.TermPolicy
+	Shards       int
+	RecoverUntil time.Time
+	// Master reports whether this replica holds the master lease at now.
+	// Nil is a standalone server: always serving, nothing to ship.
+	Master func(now time.Time) bool
+	// Class configures the installed-files class; the zero value is off.
+	Class ClassConfig
+	// Term and WriteTimeout bound how long a staged cross-shard transfer
+	// waits for its commit.
+	Term, WriteTimeout time.Duration
+}
+
+// Core is one server's protocol state. Safe for concurrent use.
+type Core struct {
+	cfg Config
+	lm  *core.ShardedManager
+	// Classes is the installed-files class; nil when disabled.
+	Classes *ClassTable
+
+	// Replication state (quiescent on a standalone server). seq orders
+	// each path's replicated writes: it is the sequence of the bytes this
+	// replica's store holds, so it only ever moves together with them;
+	// assigned is the highest sequence this replica has shipped as master,
+	// applied or not. term is the largest lease term known
+	// replicated to a quorum; recoverUntil gates writes on a freshly
+	// promoted master (§2 window after failover). serving opens only at
+	// the end of Promote — after the catch-up state merged and the window
+	// was armed — and closes on Demote, so the gap between the election
+	// win and the promotion sync can never accept a session or clear a
+	// write against unmerged sequence state. reign counts promotions: a
+	// plan belongs to the reign it began in.
+	mu           sync.Mutex
+	seq          map[string]uint64
+	assigned     map[string]uint64
+	term         time.Duration
+	recoverUntil time.Time
+	serving      bool
+	reign        uint64
+	// classImage is the latest replicated class-membership image, kept raw
+	// so even a replica with the class disabled relays it through syncs.
+	classImage []byte
+
+	staged map[string]Xfer
+}
+
+// New returns a Core over cfg.Store with no leases granted.
+func New(cfg Config) *Core {
+	var opts []core.ManagerOption
+	if !cfg.RecoverUntil.IsZero() {
+		opts = append(opts, core.WithRecoveryWindow(cfg.RecoverUntil))
+	}
+	c := &Core{
+		cfg:      cfg,
+		lm:       core.NewShardedManager(cfg.Shards, cfg.Policy, opts...),
+		seq:      make(map[string]uint64),
+		assigned: make(map[string]uint64),
+		staged:   make(map[string]Xfer),
+	}
+	if cfg.Class.InstalledEnabled() {
+		c.Classes = newClassTable(cfg.Class)
+	}
+	return c
+}
+
+// Leases is the lease manager: grants, approvals and releases go to it
+// directly; writes reach it only through a Plan.
+func (c *Core) Leases() *core.ShardedManager { return c.lm }
+
+// Serving reports whether this replica may accept sessions and clear
+// writes: always on a standalone server; on a replicated one only while
+// it holds the master lease, between a completed Promote and the next
+// Demote. Mastership alone is not sufficient — it turns true at the
+// election win, before the promotion sync has merged quorum state.
+func (c *Core) Serving(now time.Time) bool {
+	if c.cfg.Master == nil {
+		return true
+	}
+	if !c.cfg.Master(now) {
+		return false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.serving
+}
+
+// ReplFile is one replicated file's state, as exchanged during a new
+// master's catch-up sync.
+type ReplFile = proto.ReplFile
+
+// ApplyReplicated installs one replicated write pushed by the master (or
+// merged during promotion), reporting whether it was actually applied.
+// Stale sequence numbers — retries, reordered pushes, sync entries older
+// than what this replica already holds — are dropped with applied=false;
+// the distinction matters because the master must not count a stale drop
+// toward its replication quorum (a drop means this replica does NOT hold
+// those bytes). An unknown path is created first, world-writable because
+// the real owner/permission record lives at the master; after a
+// promotion the §2 recovery window — not permissions — is what protects
+// these bytes.
+func (c *Core) ApplyReplicated(path string, seq uint64, data []byte) (applied bool, err error) {
+	c.mu.Lock()
+	if seq <= c.seq[path] {
+		c.mu.Unlock()
+		return false, nil
+	}
+	c.seq[path] = seq
+	if path == ClassStatePath {
+		// Class membership replicates under a reserved key that never
+		// touches the store; a promotion rebinds it to local node IDs.
+		c.classImage = append([]byte(nil), data...)
+		c.mu.Unlock()
+		return true, nil
+	}
+	c.mu.Unlock()
+	store := c.cfg.Store
+	attr, err := store.Lookup(path)
+	if err != nil {
+		if attr, err = store.Create(path, c.cfg.Owner, vfs.DefaultPerm|vfs.WorldWrite); err != nil {
+			return false, err
+		}
+	}
+	_, _, err = store.WriteFile(attr.ID, data)
+	return err == nil, err
+}
+
+// Seq is the replication sequence of the bytes this replica holds for
+// path (zero: never replicated).
+func (c *Core) Seq(path string) uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.seq[path]
+}
+
+// nextSeq assigns path's next replication sequence: past what the store
+// holds and past anything this replica shipped before — a ship that
+// failed may still sit on a follower, and must not share a number with
+// different bytes.
+func (c *Core) nextSeq(path string) uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := max(c.seq[path], c.assigned[path]) + 1
+	c.assigned[path] = n
+	return n
+}
+
+// shippedApplied records that the master's own store now holds path's
+// write number seq.
+func (c *Core) shippedApplied(path string, seq uint64) {
+	c.mu.Lock()
+	if seq > c.seq[path] {
+		c.seq[path] = seq
+	}
+	c.mu.Unlock()
+}
+
+// ReplState dumps every file's replicated state, answering a new
+// master's catch-up sync. Files that predate replication (seeded
+// fixtures, identical on every replica by construction) report sequence
+// zero and lose every merge, which is correct: nothing newer exists
+// anywhere. The class-membership image rides the same sync under its
+// reserved key, so a new master inherits the installed set (traffic
+// continuity; safety never depends on it).
+func (c *Core) ReplState() []ReplFile {
+	store := c.cfg.Store
+	root, err := store.Lookup("/")
+	if err != nil {
+		return nil
+	}
+	var out []ReplFile
+	store.Walk(root.ID, func(path string, a vfs.Attr) error {
+		if a.IsDir {
+			return nil
+		}
+		if data, _, rerr := store.ReadFile(a.ID); rerr == nil {
+			out = append(out, ReplFile{Path: path, Seq: c.Seq(path), Data: data})
+		}
+		return nil
+	})
+	c.mu.Lock()
+	if len(c.classImage) > 0 {
+		out = append(out, ReplFile{Path: ClassStatePath, Seq: c.seq[ClassStatePath], Data: c.classImage})
+	}
+	c.mu.Unlock()
+	return out
+}
+
+// RaiseTerm records that a quorum (or this replica's durable file) knows
+// lease terms up to d: the floor a future promotion here must wait out.
+func (c *Core) RaiseTerm(d time.Duration) {
+	c.mu.Lock()
+	if d > c.term {
+		c.term = d
+	}
+	c.mu.Unlock()
+}
+
+// TermFloor is the largest lease term this replica knows replicated —
+// its contribution to a new master's recovery window.
+func (c *Core) TermFloor() time.Duration {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.term
+}
+
+// Merge applies the catch-up state a freshly elected master synced from
+// a quorum of peers: files is every reply's ReplState, one after the
+// other (a reply lists a path it does not hold at sequence zero). Each
+// entry passes through ApplyReplicated's sequence guard, which IS the
+// merge with this replica's own state: self plus quorum-1 peers form a
+// quorum, every write quorum intersects it, and per-path max-seq wins.
+//
+// What the merge leaves behind is not yet safe to serve. A write that
+// was acknowledged is on a quorum, but the merge cannot tell it from one
+// that was shipped to a single follower by a master that then failed:
+// exposing that one and losing it to the next failover — whose quorum
+// may miss the lone holder — would show readers a value and then take
+// it back. So Merge returns every file whose sequence the replies and
+// this replica do not hold unanimously, under a fresh sequence: the
+// driver ships each to a quorum, reports Settled, and only then calls
+// Promote.
+func (c *Core) Merge(files []ReplFile) (unsettled []ReplFile) {
+	type tally struct {
+		seq     uint64
+		settled bool
+	}
+	tallies := make(map[string]tally)
+	for _, f := range files {
+		if t, seen := tallies[f.Path]; !seen {
+			tallies[f.Path] = tally{f.Seq, f.Seq == c.Seq(f.Path)}
+		} else if t.seq != f.Seq {
+			tallies[f.Path] = tally{max(t.seq, f.Seq), false}
+		}
+	}
+	for _, f := range files {
+		c.ApplyReplicated(f.Path, f.Seq, f.Data)
+	}
+	c.mu.Lock()
+	var paths []string
+	for path, seq := range c.seq {
+		if seq > 0 && path != ClassStatePath && !tallies[path].settled {
+			paths = append(paths, path)
+		}
+	}
+	c.mu.Unlock()
+	sort.Strings(paths)
+	for _, path := range paths {
+		if attr, err := c.cfg.Store.Lookup(path); err == nil {
+			if data, _, err := c.cfg.Store.ReadFile(attr.ID); err == nil {
+				unsettled = append(unsettled, ReplFile{Path: path, Seq: c.nextSeq(path), Data: data})
+			}
+		}
+	}
+	return unsettled
+}
+
+// Settled records that a quorum holds a file Merge returned.
+func (c *Core) Settled(f ReplFile) { c.shippedApplied(f.Path, f.Seq) }
+
+// Promote opens the §2 recovery window and the serving gate on a master
+// whose merged state is settled, returning the window's length. floor is
+// the quorum's merged max-term floor (the caller folds in its own
+// durable one); the window is the worst lease any previous master could
+// have granted, so every outstanding lease has provably expired before
+// this replica clears its first write. A cluster that never granted a
+// lease has all-zero floors and serves immediately. Serving opens in the
+// same critical section that arms the window, so no session or write can
+// slip in between the election win and the merged state.
+func (c *Core) Promote(floor time.Duration, now time.Time) time.Duration {
+	c.mu.Lock()
+	image := c.classImage
+	c.mu.Unlock()
+	if c.Classes != nil && len(image) > 0 {
+		c.Classes.rebind(image, c.cfg.Store)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.term > floor {
+		floor = c.term
+	}
+	c.recoverUntil = now.Add(floor)
+	c.serving = true
+	c.reign++
+	return floor
+}
+
+// Demote closes the serving gate. Lease records are left to expire on
+// their own — the successor's recovery window already covers them — and
+// every plan in flight fails at its next step.
+func (c *Core) Demote() {
+	c.mu.Lock()
+	c.serving = false
+	c.mu.Unlock()
+}
+
+// gate reads the serving state a plan checks itself against.
+func (c *Core) gate() (serving bool, reign uint64, recoverUntil time.Time) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.serving, c.reign, c.recoverUntil
+}
+
+// noteClassImage records a class-membership image this master is about
+// to replicate and assigns its sequence.
+func (c *Core) noteClassImage(image []byte) uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.seq[ClassStatePath]++
+	c.classImage = image
+	return c.seq[ClassStatePath]
+}

@@ -1,0 +1,164 @@
+package srvcore
+
+import (
+	"math/rand"
+	"strings"
+	"testing"
+	"time"
+
+	"leases/internal/clock"
+	"leases/internal/core"
+	"leases/internal/vfs"
+)
+
+// regressions are the four server-side pinned counterexamples of
+// internal/check/testdata/counterexamples as programs for the core —
+// each the honest run of the schedule its sabotage breaks — plus shapes
+// the walk found worth keeping.
+var regressions = map[string][]byte{
+	// write-defer-immediate-apply: a reads f0, b writes it; the write
+	// waits for a's approval, then ships, applies, ends.
+	"write-defer": {opGrant, 0, opSubmit, 4, opNext, 0, opNext, 0, opApprove, 0, opNext, 0, opShipped, 0, opNext, 0, opApplied, 0, opNext, 0},
+	// The same write with a unreachable: the lease runs out instead.
+	"write-defer-expiry": {opGrant, 0, opSubmit, 4, opNext, 0, opAdvance, 51, opNext, 0, opShipped, 0, opNext, 0, opApplied, 0, opNext, 0},
+	// failover-no-recovery-wait: a fresh master's first write waits out
+	// the window the quorum's 2s floor arms.
+	"quiet": {opPromote, 16, opSubmit, 4, opNext, 0, opNext, 0, opAdvance, 15, opNext, 0, opShipped, 0, opNext, 0, opApplied, 0, opNext, 0},
+	// class-horizon-stale-covered-read: f1 installed and broadcast; a
+	// write past its per-file term demotes it and waits out the horizon.
+	"class-horizon": {opGrant, 4, opBroadcast, 0, opAdvance, 55, opSubmit, 20, opNext, 0, opNext, 0, opNext, 0, opAdvance, 50, opNext, 0, opShipped, 0, opNext, 0, opApplied, 0, opNext, 0},
+	// rename-commit-before-source-clearance: the move's commit point is a
+	// write to the file and its parent binding, cleared in datum order.
+	"rename-order": {opGrant, 0, opGrant, 13, opSubmit, 200, opNext, 0, opApprove, 0, opNext, 0, opApprove, 0, opNext, 0, opApplied, 0, opNext, 0},
+	// A master deposed between Ship and Apply must not apply.
+	"deposed-mid-ship": {opSubmit, 4, opNext, 0, opDemote, 1, opShipped, 0, opNext, 0},
+}
+
+func TestRegressions(t *testing.T) {
+	for name, p := range regressions {
+		if v := runProgram(p, false); v != "" {
+			t.Errorf("%s: %s", name, v)
+		}
+	}
+}
+
+// FuzzServerCore runs arbitrary interleavings of grants, plans stepped,
+// approved, shipped, applied and abandoned, time passing, promotions,
+// demotions, class extensions and transfer staging against the oracle of
+// sim_test.go.
+func FuzzServerCore(f *testing.F) {
+	for _, p := range regressions {
+		f.Add(p)
+	}
+	f.Fuzz(func(t *testing.T, p []byte) {
+		if len(p) > 400 {
+			t.Skip()
+		}
+		if v := runProgram(p, false); v != "" {
+			t.Fatal(v)
+		}
+	})
+}
+
+// randomProgram draws steps so that plans make progress rather than
+// pile up: mostly grants, submissions, steps and their reports, now and
+// then a failover, a class extension or a long wait.
+func randomProgram(rng *rand.Rand, steps int) []byte {
+	often := []byte{opGrant, opGrant, opSubmit, opNext, opNext, opNext, opNext, opApprove, opApprove,
+		opShipped, opApplied, opAdvance, opBroadcast, opRelease, opXfer}
+	p := make([]byte, 0, 2*steps)
+	for i := 0; i < steps; i++ {
+		op, arg := often[rng.Intn(len(often))], byte(rng.Intn(256))
+		switch r := rng.Intn(40); {
+		case r == 0:
+			op = opPromote
+		case r == 1:
+			op = opDemote
+		case r == 2:
+			op = opAbort
+		case r == 3:
+			op = opApplyReplicated
+		case op == opShipped || op == opApplied:
+			arg &^= 4 * byte(rng.Intn(8)/7) // mostly successes
+		case op == opAdvance:
+			arg %= 40
+		}
+		p = append(p, op, arg)
+	}
+	return p
+}
+
+func TestRandomWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 3000; i++ {
+		if v := runProgram(randomProgram(rng, 120), false); v != "" {
+			t.Fatalf("program %d: %s", i, v)
+		}
+	}
+}
+
+// TestOracleSeesEarlyApply keeps the harness honest: with a driver that
+// claims a later instant than the oracle's — so leases look expired and
+// waits look served — some program of the same walk must fail.
+func TestOracleSeesEarlyApply(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 3000; i++ {
+		if v := runProgram(randomProgram(rng, 120), true); v != "" {
+			t.Logf("program %d: %s", i, v[:strings.IndexByte(v, '\n')])
+			return
+		}
+	}
+	t.Fatal("no program caught the lying driver")
+}
+
+// TestAllocFreeUnsharedWritePlan: the common write — nobody else holds a
+// lease on the datum — goes from submit to Apply to Done without
+// allocating: no channel, no waiter entry, no per-write map.
+func TestAllocFreeUnsharedWritePlan(t *testing.T) {
+	c := New(Config{Store: vfs.New(clock.NewSim(), "srv"), Policy: core.FixedTerm(time.Minute), Shards: 4})
+	d, now := vfs.Datum{Kind: vfs.FileData, Node: 7}, clock.Epoch
+	if n := testing.AllocsPerRun(1000, func() {
+		p := c.Plan("writer", d)
+		if st := p.Next(now); st.Kind != Apply {
+			t.Fatalf("unshared write was handed step %d, want Apply", st.Kind)
+		}
+		p.Applied(nil, now)
+		if st := p.Next(now); st.Kind != Done {
+			t.Fatalf("applied write was handed step %d, want Done", st.Kind)
+		}
+	}); n != 0 {
+		t.Fatalf("an unshared write plan allocates %v times, want 0", n)
+	}
+}
+
+// TestMergeSettlesWhatAQuorumMayNotHold: a file the repliers and this
+// replica hold at one sequence is settled; one a single replica holds,
+// or holds newer, comes back to be shipped under a fresh sequence.
+func TestMergeSettlesWhatAQuorumMayNotHold(t *testing.T) {
+	c := New(Config{Store: vfs.New(clock.NewSim(), "srv"), Owner: "srv", Policy: core.FixedTerm(time.Minute), Master: func(time.Time) bool { return true }})
+	file := func(path string, seq uint64, data string) ReplFile {
+		return ReplFile{Path: path, Seq: seq, Data: []byte(data)}
+	}
+	for _, f := range []ReplFile{file("/same", 3, "s"), file("/mine", 2, "m"), file("/behind", 1, "old")} {
+		if applied, err := c.ApplyReplicated(f.Path, f.Seq, f.Data); !applied || err != nil {
+			t.Fatal(f.Path, applied, err)
+		}
+	}
+	unsettled := c.Merge([]ReplFile{file("/same", 3, "s"), file("/behind", 4, "new"), file("/theirs", 1, "t"), {Path: "/mine"}})
+	got := map[string]uint64{}
+	for _, f := range unsettled {
+		got[f.Path] = f.Seq
+	}
+	if want := map[string]uint64{"/mine": 3, "/behind": 5, "/theirs": 2}; len(got) != len(want) || got["/mine"] != 3 || got["/behind"] != 5 || got["/theirs"] != 2 {
+		t.Fatalf("unsettled = %v, want %v", got, want)
+	}
+	if c.Serving(clock.Epoch) {
+		t.Fatal("serving before Promote")
+	}
+	for _, f := range unsettled {
+		c.Settled(f)
+	}
+	if c.Promote(0, clock.Epoch); !c.Serving(clock.Epoch) || c.Seq("/behind") != 5 {
+		t.Fatalf("after settle and Promote: serving=%v seq=%d", c.Serving(clock.Epoch), c.Seq("/behind"))
+	}
+}

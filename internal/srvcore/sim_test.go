@@ -1,0 +1,444 @@
+package srvcore
+
+// A byte-program simulation around the Core, shared by the fuzz target,
+// the seeded random walk and the pinned regressions. The driver half is
+// the dumbest honest one: it steps plans only when told to, reports
+// ships and applies when told to, and lets time pass when told to. The
+// oracle half keeps its own small books — who was granted what until
+// when and has not approved it away, when the recovery window armed by
+// the last promotion ends, the coverage horizon of every broadcast sent,
+// whether the gate is open — and after every step a plan hands out
+// requires:
+//
+//   - no Apply (and no Ship) while a client other than the writer holds
+//     an unexpired, unapproved lease on one of the plan's data, or before
+//     the recovery window or a demoted datum's class horizon has passed;
+//   - no Ship or Apply with the serving gate closed;
+//   - each path's shipped sequence strictly above the last;
+//   - every plan ending in exactly one of Done and Fail, with no held
+//     entry of its writer left in the lease manager.
+
+import (
+	"errors"
+	"fmt"
+	"strings"
+	"time"
+
+	"leases/internal/clock"
+	"leases/internal/core"
+	"leases/internal/vfs"
+)
+
+const (
+	simTerm      = 10 * time.Second
+	simClassTerm = 20 * time.Second
+	simFiles     = 3
+	simSlots     = 4
+)
+
+var (
+	simStart   = clock.Epoch.Add(time.Hour)
+	simClients = []core.ClientID{"a", "b", "c"}
+	errSim     = errors.New("sim: injected failure")
+)
+
+type simPlan struct {
+	p       Plan
+	writer  core.ClientID
+	data    []vfs.Datum
+	last    StepKind
+	waitID  core.WriteID
+	holders []core.ClientID
+	ended   bool
+}
+
+type simWorld struct {
+	now   time.Time
+	clk   *clock.Sim
+	store *vfs.Store
+	core  *Core
+	data  []vfs.Datum // the files' data, then the root binding
+	paths []string
+	plans [simSlots]*simPlan
+
+	// The oracle's books.
+	master, serving bool
+	lease           map[core.ClientID]map[vfs.Datum]time.Time
+	recoverUntil    time.Time
+	termFloor       time.Duration
+	cover           time.Time
+	members         map[vfs.Datum]bool
+	demotedUntil    map[vfs.Datum]time.Time
+	lastSeq         map[string]uint64
+	staged          map[string]uint64 // path → epoch staged under
+	stagedAt        map[string]time.Time
+	// lie makes the driver claim a later instant than the oracle's: the
+	// harness's own self-test that the oracle can see an early apply.
+	lie   bool
+	trace []string
+}
+
+func newSimWorld() *simWorld {
+	w := &simWorld{
+		now: simStart, clk: clock.NewSimAt(simStart),
+		lease:        map[core.ClientID]map[vfs.Datum]time.Time{},
+		members:      map[vfs.Datum]bool{},
+		demotedUntil: map[vfs.Datum]time.Time{},
+		lastSeq:      map[string]uint64{},
+		staged:       map[string]uint64{},
+		stagedAt:     map[string]time.Time{},
+	}
+	w.store = vfs.New(w.clk, "srv")
+	for f := 0; f < simFiles; f++ {
+		path := fmt.Sprintf("/f%d", f)
+		attr, err := w.store.Create(path, "srv", vfs.DefaultPerm|vfs.WorldWrite)
+		if err != nil {
+			panic(err)
+		}
+		w.paths = append(w.paths, path)
+		w.data = append(w.data, vfs.Datum{Kind: vfs.FileData, Node: attr.ID})
+	}
+	w.data = append(w.data, vfs.Datum{Kind: vfs.DirBinding, Node: vfs.RootID})
+	w.core = New(Config{
+		Store: w.store, Owner: "srv", Policy: core.FixedTerm(simTerm), Shards: 2, Term: simTerm,
+		Master: func(time.Time) bool { return w.master },
+		Class:  ClassConfig{InstalledDirs: []string{"/"}, InstalledTerm: simClassTerm}.WithDefaults(),
+	})
+	w.promote(0, 0)
+	return w
+}
+
+func (w *simWorld) logf(format string, args ...any) {
+	w.trace = append(w.trace, fmt.Sprintf("%6.1fs ", w.now.Sub(simStart).Seconds())+fmt.Sprintf(format, args...))
+}
+
+// violation is what the oracle panics with; runProgram recovers it.
+type violation string
+
+func (w *simWorld) fail(format string, args ...any) {
+	panic(violation(fmt.Sprintf("%s\ntrace:\n  %s", fmt.Sprintf(format, args...), strings.Join(w.trace, "\n  "))))
+}
+
+func (w *simWorld) grant(c core.ClientID, d vfs.Datum) {
+	g := w.core.Leases().Grant(c, d, w.now)
+	w.logf("grant %s %v leased=%v", c, d, g.Leased)
+	if g.Leased {
+		if w.lease[c] == nil {
+			w.lease[c] = map[vfs.Datum]time.Time{}
+		}
+		if exp := w.now.Add(g.Term); exp.After(w.lease[c][d]) {
+			w.lease[c][d] = exp
+		}
+	}
+	if d.Kind != vfs.FileData {
+		return
+	}
+	// The read also feeds the class, as the drivers' read paths do.
+	path, _ := w.store.Path(d.Node)
+	if w.core.Classes.ObserveRead(d, path, c, w.now) {
+		w.core.RaiseTerm(simClassTerm) // durability before coverage
+		w.termFloor = max(w.termFloor, simClassTerm)
+		if _, added := w.core.ClassAdd(d, path, w.now); added {
+			w.members[d] = true
+			w.logf("installed %v", d)
+		}
+	}
+}
+
+func (w *simWorld) submit(slot int, writer core.ClientID, data []vfs.Datum, replicate bool) {
+	for _, sp := range w.plans {
+		if sp != nil && !sp.ended && sp.writer == writer {
+			return // one plan per writer, so its held entries can be told apart
+		}
+	}
+	if sp := w.plans[slot]; sp != nil && !sp.ended {
+		return
+	}
+	sp := &simPlan{writer: writer, data: data, p: w.core.Plan(writer, data...)}
+	if replicate && data[0].Kind == vfs.FileData {
+		path, _ := w.store.Path(data[0].Node)
+		sp.p.Replicate(path, []byte(fmt.Sprintf("%s@%d", writer, len(w.trace))))
+	}
+	w.plans[slot] = sp
+	w.logf("submit #%d by %s on %v", slot, writer, data)
+}
+
+// checkClear is the §2 half of the oracle: called when a plan is handed
+// Ship or Apply.
+func (w *simWorld) checkClear(slot int, sp *simPlan, what string) {
+	if !w.master || !w.serving {
+		w.fail("plan #%d reached %s with the gate closed", slot, what)
+	}
+	if w.now.Before(w.recoverUntil) {
+		w.fail("plan #%d reached %s %v before the recovery window ends", slot, what, w.recoverUntil.Sub(w.now))
+	}
+	for _, d := range sp.data {
+		if until := w.demotedUntil[d]; w.now.Before(until) {
+			w.fail("plan #%d reached %s %v before %v's class horizon", slot, what, until.Sub(w.now), d)
+		}
+		for _, c := range simClients {
+			if exp, held := w.lease[c][d]; held && c != sp.writer && !core.Expired(exp, w.now) {
+				w.fail("plan #%d reached %s while %s holds an unapproved lease on %v for another %v", slot, what, c, d, exp.Sub(w.now))
+			}
+		}
+	}
+}
+
+func (w *simWorld) next(slot int) {
+	sp := w.plans[slot]
+	if sp == nil || sp.ended {
+		return
+	}
+	at := w.now
+	if w.lie {
+		at = at.Add(2 * simClassTerm)
+	}
+	st := sp.p.Next(at)
+	w.logf("next #%d -> %d (id %d until %v)", slot, st.Kind, st.WriteID, st.Until.Sub(simStart))
+	if (sp.last == Ship || sp.last == Apply) && st.Kind != sp.last && st.Kind != Fail {
+		w.fail("plan #%d left step %d for %d without a report", slot, sp.last, st.Kind)
+	}
+	switch st.Kind {
+	case Wait:
+		if !st.Until.After(w.now) && !w.lie {
+			w.fail("plan #%d waits for an instant already past", slot)
+		}
+	case Approval:
+		if st.WriteID != sp.waitID {
+			sp.waitID, sp.holders = st.WriteID, st.Holders
+		}
+	case Demoted:
+		for _, d := range st.Dropped {
+			if !w.members[d] {
+				w.fail("plan #%d dropped %v, which the oracle never saw installed", slot, d)
+			}
+			delete(w.members, d)
+			if w.cover.After(w.now) {
+				w.demotedUntil[d] = w.cover
+			}
+		}
+	case Ship:
+		if sp.last != Ship { // a step handed out again is the same step
+			w.checkClear(slot, sp, "Ship")
+			if st.Seq <= w.lastSeq[st.Path] {
+				w.fail("plan #%d ships %s#%d, not above #%d", slot, st.Path, st.Seq, w.lastSeq[st.Path])
+			}
+			w.lastSeq[st.Path] = st.Seq
+		}
+	case Apply:
+		if sp.last != Apply {
+			w.checkClear(slot, sp, "Apply")
+		}
+	case Done, Fail:
+		sp.ended = true
+		for _, d := range sp.data {
+			for _, pw := range w.core.Leases().Pending(d) {
+				if pw.Writer == sp.writer {
+					w.fail("plan #%d ended (%d) leaving write %d held on %v", slot, st.Kind, pw.WriteID, d)
+				}
+			}
+		}
+	default:
+		w.fail("plan #%d handed out step kind %d", slot, st.Kind)
+	}
+	sp.last = st.Kind
+}
+
+func (w *simWorld) approve(slot int, which byte) {
+	sp := w.plans[slot]
+	if sp == nil || sp.ended || len(sp.holders) == 0 {
+		return
+	}
+	h := sp.holders[int(which)%len(sp.holders)]
+	w.core.Leases().Approve(h, sp.waitID, w.now)
+	// An approval surrenders the lease on the write's datum; which of the
+	// plan's data that is, the pending queues say.
+	for _, d := range sp.data {
+		for _, pw := range w.core.Leases().Pending(d) {
+			if pw.WriteID == sp.waitID {
+				delete(w.lease[h], d)
+			}
+		}
+	}
+	w.logf("approve #%d by %s", slot, h)
+}
+
+// promote runs a whole promotion: merge (files: one bit per path, each
+// reported one sequence above this replica's), settle, open.
+func (w *simWorld) promote(files byte, floor time.Duration) {
+	var synced []ReplFile
+	for f, path := range w.paths {
+		if files&(1<<f) != 0 {
+			synced = append(synced, ReplFile{Path: path, Seq: w.core.Seq(path) + 1, Data: []byte("synced")})
+		}
+	}
+	for _, f := range w.core.Merge(synced) {
+		if f.Seq <= w.lastSeq[f.Path] || f.Seq <= w.core.Seq(f.Path) {
+			w.fail("promotion settles %s#%d, not above what was shipped or is held", f.Path, f.Seq)
+		}
+		w.lastSeq[f.Path] = f.Seq
+		w.core.Settled(f)
+	}
+	for _, path := range w.paths {
+		w.lastSeq[path] = max(w.lastSeq[path], w.core.Seq(path))
+	}
+	w.core.Promote(floor, w.now)
+	w.master, w.serving = true, true
+	w.recoverUntil = w.now.Add(max(floor, w.termFloor))
+	w.logf("promoted files=%b floor=%v", files, floor)
+}
+
+func (w *simWorld) xfer(path string, how, epoch byte) {
+	const ttl = 2*simTerm + 10*time.Second
+	switch how % 3 {
+	case 0:
+		w.core.Stage(path, Xfer{Data: []byte("x"), Epoch: uint64(epoch)}, w.now)
+		w.staged[path], w.stagedAt[path] = uint64(epoch), w.now
+	case 1:
+		e, had := w.staged[path]
+		want := had && e == uint64(epoch) && !w.now.After(w.stagedAt[path].Add(ttl))
+		if _, ok := w.core.TakeStaged(path, uint64(epoch), w.now); ok != want {
+			w.fail("TakeStaged(%s, epoch %d) = %v, want %v", path, epoch, ok, want)
+		}
+		if want {
+			delete(w.staged, path)
+		}
+	case 2:
+		w.core.AbortStaged(path, uint64(epoch))
+		if w.staged[path] == uint64(epoch) {
+			delete(w.staged, path)
+		}
+	}
+}
+
+// Program encoding: (op, arg) byte pairs.
+const (
+	opGrant = iota
+	opSubmit
+	opNext
+	opApprove
+	opAdvance
+	opShipped
+	opApplied
+	opApplyReplicated
+	opPromote
+	opDemote
+	opBroadcast
+	opXfer
+	opAbort
+	opRelease
+	opCount
+)
+
+func (w *simWorld) step(op, arg byte) {
+	slot := int(arg) % simSlots
+	sp := w.plans[slot]
+	switch op % opCount {
+	case opGrant:
+		w.grant(simClients[int(arg)%len(simClients)], w.data[int(arg>>2)%len(w.data)])
+	case opSubmit:
+		data := []vfs.Datum{w.data[int(arg>>4)%simFiles]}
+		if arg&0x80 != 0 {
+			data = append(data, w.data[simFiles]) // and the root binding
+		}
+		w.submit(slot, simClients[int(arg>>2)%len(simClients)], data, arg&0x40 == 0)
+	case opNext:
+		w.next(slot)
+	case opApprove:
+		w.approve(slot, arg>>2)
+	case opAdvance:
+		w.now = w.now.Add(time.Duration(arg) * 200 * time.Millisecond)
+		w.clk.AdvanceTo(w.now)
+	case opShipped:
+		if sp != nil && sp.last == Ship {
+			var err error
+			if arg&4 != 0 {
+				err = errSim
+			}
+			sp.p.Shipped(err, w.now)
+			sp.last = 0
+		}
+	case opApplied:
+		if sp != nil && sp.last == Apply {
+			var err error
+			if arg&4 != 0 {
+				err = errSim
+			}
+			sp.p.Applied(err, w.now)
+			sp.last = 0
+		}
+	case opApplyReplicated:
+		path := w.paths[int(arg)%simFiles]
+		if applied, _ := w.core.ApplyReplicated(path, w.core.Seq(path)+uint64(arg>>6), []byte("pushed")); applied != (arg>>6 > 0) {
+			w.fail("ApplyReplicated(%s, +%d) applied=%v", path, arg>>6, applied)
+		}
+		w.lastSeq[path] = max(w.lastSeq[path], w.core.Seq(path))
+	case opPromote:
+		w.core.Demote()
+		w.promote(arg&7, time.Duration(arg>>3)*time.Second)
+	case opDemote:
+		w.master = false
+		if arg&1 == 0 {
+			w.core.Demote()
+			w.serving = false
+		}
+		w.logf("deposed (demote=%v)", arg&1 == 0)
+	case opBroadcast:
+		if !w.core.Serving(w.now) {
+			return
+		}
+		sent := false
+		if arg&1 == 0 {
+			_, sent = w.core.Classes.Broadcast(w.now)
+		} else {
+			sent = len(w.core.Classes.Snapshot(w.now).Data) > 0
+		}
+		if sent != (len(w.members) > 0) {
+			w.fail("class extension sent=%v with %d members", sent, len(w.members))
+		}
+		if sent {
+			w.cover = w.now.Add(simClassTerm)
+		}
+	case opXfer:
+		w.xfer(w.paths[int(arg)%simFiles], arg>>2, arg>>4)
+	case opAbort:
+		if sp != nil && !sp.ended {
+			sp.p.Abort(errSim, w.now)
+			if sp.last != Apply {
+				sp.last = 0
+			}
+		}
+	case opRelease:
+		c, d := simClients[int(arg)%len(simClients)], w.data[int(arg>>2)%len(w.data)]
+		w.core.Leases().Release(c, []vfs.Datum{d}, w.now)
+		delete(w.lease[c], d)
+	}
+}
+
+// runProgram runs prog from a fresh world and returns the oracle's first
+// complaint, or "". Plans still in flight at the end are given up, and
+// must then leave nothing behind either.
+func runProgram(prog []byte, lie bool) (found string) {
+	defer func() {
+		switch v := recover().(type) {
+		case nil:
+		case violation:
+			found = string(v)
+		default:
+			panic(v)
+		}
+	}()
+	w := newSimWorld()
+	w.lie = lie
+	for i := 0; i+1 < len(prog); i += 2 {
+		w.step(prog[i], prog[i+1])
+	}
+	for slot, sp := range w.plans {
+		if sp != nil && !sp.ended && sp.last != Apply {
+			sp.p.Abort(errSim, w.now)
+			sp.last = 0
+			w.next(slot)
+		}
+	}
+	return ""
+}
