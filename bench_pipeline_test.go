@@ -1,12 +1,14 @@
-// Pipelining benchmarks for the transport rework of PR 6 (DESIGN.md
-// §5.2; CI runs them at 100 iterations under -race as a smoke, and
-// performance figures come from bench/): per-frame write syscalls were
-// replaced by a per-connection write coalescer, and the client gained
-// an asynchronous futures API (StartRead / StartWrite /
-// StartExtendAll) that keeps a window of requests in flight. Depth 1
-// is the old blocking regime — one frame per syscall, one round trip
-// per op; at depth ≥ 8 the coalescers batch both directions and the
-// round trip amortizes across the window.
+// Pipelining benchmarks for the transport (DESIGN.md §5.1-5.2; CI runs
+// them at 100 iterations under -race as a smoke, and performance figures
+// come from bench/): every frame goes through a per-connection write
+// coalescer, the client's futures API (StartRead / StartWrite /
+// StartExtendAll) keeps a window of requests in flight, and the server
+// serves each request on the goroutine that read it, holding the flush
+// while more requests are already buffered. Depth 1 is the blocking
+// regime — one frame per syscall, one round trip per op, no goroutine
+// started on the server; at depth ≥ 8 a burst that arrives in one read
+// is answered by one write (frames/flush well above 1) and the round
+// trip amortizes across the window.
 //
 // Run with:
 //

@@ -351,7 +351,7 @@ func (ss *shardedSet) readerLoop(r *client.Router, idx int, stop chan struct{}, 
 // its successor (file bodies replicate; namespace removals are
 // master-only, DESIGN.md §9), so renaming back onto an old name could
 // collide with a resurrected copy. Fresh names sidestep that — the
-// rebalance follow-on in ROADMAP item 3 owns the real fix.
+// op log of ROADMAP item 1 owns the real fix.
 //
 // A failed rename leaves the file in one of three places: still at its
 // old name (aborted), already at the new one (committed, ack lost), or

@@ -875,7 +875,7 @@ func (srv *mserver) applyReady() {
 // the file exists in the group's namespace — between the two commit
 // points of a move it exists nowhere. Both are group-durable world
 // state: the model probes the ORDERING of clearance, transfer and
-// routing, not the namespace's durability (ROADMAP item 2).
+// routing, not the namespace's durability (ROADMAP item 1).
 func (srv *mserver) owns(f int) bool { return srv.w.groups() <= 1 || srv.w.home[f] == srv.group }
 
 func (srv *mserver) present(f int) bool {

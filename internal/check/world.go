@@ -181,7 +181,7 @@ type world struct {
 	// entry per group (nil when Groups <= 1), and home the model's ring:
 	// the group each file's name currently hashes to. Sharing them among a
 	// group's replicas abstracts away the namespace's durability, which
-	// the deployment does not have yet (ROADMAP item 2) — the checker
+	// the deployment does not have yet (ROADMAP item 1) — the checker
 	// probes the ORDERING of clearance, transfer, and client routing; the
 	// file's bytes travel through the shipped staging table and
 	// replicated write plan.

@@ -127,7 +127,7 @@ func (cl *Call) submit() error {
 	// unlock and append, either the append fails (coalescer closed) or
 	// the frame dies with the old connection — and in both cases
 	// failCallsLocked has closed cl.ch, so Wait retries.
-	if !co.AppendPayloadCtx(cl.t, cl.id, tc, cl.payload) {
+	if !co.AppendPayload(cl.t, cl.id, tc, cl.payload) {
 		c.mu.Lock()
 		delete(c.calls, cl.id)
 		c.mu.Unlock()

@@ -71,7 +71,8 @@ func TestReconnectAfterSever(t *testing.T) {
 	if _, err := c.Read("/f"); err != nil {
 		t.Fatalf("read across sever: %v", err)
 	}
-	waitFor(t, func() bool { return c.Metrics().Reconnects >= 1 })
+	// The session counts the reconnect before it runs the hook.
+	waitFor(t, func() bool { return c.Metrics().Reconnects >= 1 && resumes.Load() >= 1 })
 	if got := c.ServerBoot(); got != bootBefore {
 		t.Fatalf("server boot changed across reconnect: %d != %d (server never restarted)", got, bootBefore)
 	}

@@ -20,9 +20,14 @@ import (
 // coalescer serves the TCP server, the pipelined client, and in-memory
 // test pipes.
 //
-// Because Append can write inline, it must not be called from a
-// goroutine that can never block on the transport (the client read
-// loop hands approval replies to a helper goroutine for this reason).
+// Because Append can write inline, its caller may block on the
+// transport, and two peers that both stopped reading to write would
+// never finish. So one side always reads: the client's read loop never
+// appends (approval replies go out through a helper goroutine), and a
+// server may therefore answer from the goroutine that reads requests —
+// its write drains unless that one client is stuck, and then only that
+// connection waits. While such a reader has more requests buffered it
+// can Hold the leadership, so the burst's replies leave in one write.
 //
 // Backpressure: when the pending buffer exceeds MaxPending the
 // appending goroutine blocks until the leader drains it — the same
@@ -53,15 +58,22 @@ type Coalescer struct {
 	pending  []byte
 	frames   int
 	spare    []byte // flushed buffer recycled for the next pending swap
-	flushing bool   // a leader is draining pending
+	flushing bool   // a leader is draining pending, or holds it (held)
+	held     bool   // the leader is a Hold: nothing is being written
 	closed   bool
 	err      error
+	enc      Enc // lent to fill under mu, so no frame allocates one
 }
 
 // MaxPending bounds the pending buffer before appenders block. It must
 // exceed MaxFrame so a maximal frame can always be enqueued once the
 // buffer drains.
 const MaxPending = MaxFrame + (1 << 20)
+
+// holdMax is how much may accumulate under a Hold before the appender
+// that crosses it writes regardless: a long burst of large replies
+// streams out, and never reaches MaxPending to wait on its own holder.
+const holdMax = 64 << 10
 
 // maxRetainedFlush caps the buffer capacity kept across flushes, so one
 // oversized reply does not pin megabytes for an idle connection.
@@ -84,13 +96,19 @@ func NewCoalescer(w io.Writer) *Coalescer {
 // the active leader's next batch carries the frame. It may also block
 // on backpressure.
 func (c *Coalescer) Append(t MsgType, reqID uint64, fill func(*Enc)) bool {
-	return c.AppendCtx(t, reqID, tracing.Context{}, fill)
+	return c.append(t, reqID, tracing.Context{}, fill, nil)
 }
 
-// AppendCtx is Append with a trace context: when tc is valid the frame
-// carries a trace header (callers only pass a valid tc toward peers
-// that negotiated FeatTrace).
-func (c *Coalescer) AppendCtx(t MsgType, reqID uint64, tc tracing.Context, fill func(*Enc)) bool {
+// AppendPayload is the one-shot form of Append for callers already
+// holding an encoded payload. When tc is valid the frame carries a trace
+// header (callers only pass a valid tc toward peers that negotiated
+// FeatTrace).
+func (c *Coalescer) AppendPayload(t MsgType, reqID uint64, tc tracing.Context, payload []byte) bool {
+	return c.append(t, reqID, tc, nil, payload)
+}
+
+// append frames one message: payload, then whatever fill encodes.
+func (c *Coalescer) append(t MsgType, reqID uint64, tc tracing.Context, fill func(*Enc), payload []byte) bool {
 	c.mu.Lock()
 	for len(c.pending) >= MaxPending && !c.closed && c.err == nil {
 		if c.OnStall != nil {
@@ -103,11 +121,11 @@ func (c *Coalescer) AppendCtx(t MsgType, reqID uint64, tc tracing.Context, fill 
 		return false
 	}
 	start := len(c.pending)
-	c.pending = BeginFrameCtx(c.pending, t, reqID, tc)
+	c.pending = append(BeginFrameCtx(c.pending, t, reqID, tc), payload...)
 	if fill != nil {
-		e := EncOn(c.pending)
-		fill(&e)
-		c.pending = e.Bytes()
+		c.enc.b = c.pending
+		fill(&c.enc)
+		c.pending, c.enc.b = c.enc.b, nil
 	}
 	if err := FinishFrame(c.pending, start); err != nil {
 		c.pending = c.pending[:start]
@@ -116,34 +134,27 @@ func (c *Coalescer) AppendCtx(t MsgType, reqID uint64, tc tracing.Context, fill 
 	}
 	c.Stats.CountOut(t, len(c.pending)-start)
 	c.frames++
-	if !c.flushing {
-		c.flushing = true
+	if !c.flushing || (c.held && len(c.pending) >= holdMax) {
+		c.flushing, c.held = true, false
 		c.flushAsLeader()
 	}
 	c.mu.Unlock()
 	return true
 }
 
-// AppendPayload is the one-shot form of Append for callers already
-// holding an encoded payload.
-func (c *Coalescer) AppendPayload(t MsgType, reqID uint64, payload []byte) bool {
-	return c.AppendPayloadCtx(t, reqID, tracing.Context{}, payload)
-}
-
-// AppendPayloadCtx is AppendPayload with a trace context (see
-// AppendCtx).
-func (c *Coalescer) AppendPayloadCtx(t MsgType, reqID uint64, tc tracing.Context, payload []byte) bool {
-	if len(payload) == 0 {
-		return c.AppendCtx(t, reqID, tc, nil)
-	}
-	return c.AppendCtx(t, reqID, tc, func(e *Enc) { e.b = append(e.b, payload...) })
-}
-
-// Err reports the transport error that stopped the coalescer, if any.
-func (c *Coalescer) Err() error {
+// Hold(true) claims the flush leadership, if it is free, without writing:
+// frames appended meanwhile accumulate (up to holdMax) until Hold(false)
+// writes them — a no-op when an appender that crossed holdMax already did,
+// or when the claim found a leader at work, who carries them instead.
+func (c *Coalescer) Hold(on bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err
+	if on && !c.flushing && !c.closed {
+		c.flushing, c.held = true, true
+	} else if !on && c.held {
+		c.held = false
+		c.flushAsLeader()
+	}
+	c.mu.Unlock()
 }
 
 // Close waits out any in-flight flush (which drains everything pending,
@@ -154,13 +165,13 @@ func (c *Coalescer) Close() {
 	c.mu.Lock()
 	c.closed = true
 	c.cond.Broadcast() // release backpressure waiters
-	for c.flushing {
+	for c.flushing && !c.held {
 		c.cond.Wait()
 	}
-	// Unreachable in practice — a stepping-down leader leaves pending
-	// empty — but cheap insurance that Close never strands frames.
-	if len(c.pending) > 0 && c.err == nil {
-		c.flushing = true
+	// A Hold ends here, its frames written; a leader that stepped down
+	// left none, but this is cheap insurance that Close never strands any.
+	if c.held || len(c.pending) > 0 && c.err == nil {
+		c.flushing, c.held = true, false
 		c.flushAsLeader()
 	}
 	c.mu.Unlock()
@@ -187,9 +198,9 @@ func (c *Coalescer) flushAsLeader() {
 			c.spare = buf[:0]
 		}
 		if err != nil {
-			// Latch the error (so Err is set before OnError observes it)
-			// and drop frames appended during the failed write: they were
-			// bound for a dead transport.
+			// Latch the error before OnError observes it, and drop frames
+			// appended during the failed write: they were bound for a dead
+			// transport.
 			c.err = err
 			c.pending = nil
 			c.mu.Unlock()

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"leases/internal/obs/tracing"
 )
 
 // TestAppendFrameRoundTrip pins the in-place encoders against the
@@ -108,12 +110,12 @@ func TestCoalescerBatches(t *testing.T) {
 	// The first append wins leadership and writes inline, blocking on
 	// the gate, so it runs on its own goroutine.
 	leaderDone := make(chan bool, 1)
-	go func() { leaderDone <- c.AppendPayload(TOK, 1, nil) }()
+	go func() { leaderDone <- c.AppendPayload(TOK, 1, tracing.Context{}, nil) }()
 	<-w.entered // leader holds frame 1, stuck in Write
 	// Pile up more frames while the leader is stuck; these see the
 	// flush in progress and return without I/O.
 	for id := uint64(2); id <= 10; id++ {
-		if !c.AppendPayload(TOK, id, []byte("x")) {
+		if !c.AppendPayload(TOK, id, tracing.Context{}, []byte("x")) {
 			t.Fatalf("append %d failed", id)
 		}
 	}
@@ -151,10 +153,10 @@ func TestCoalescerBatches(t *testing.T) {
 func TestCoalescerCloseDrains(t *testing.T) {
 	w := &chunkWriter{gate: make(chan struct{}), entered: make(chan struct{})}
 	c := NewCoalescer(w)
-	go c.AppendPayload(TOK, 1, nil) // leader, stuck in the gated Write
+	go c.AppendPayload(TOK, 1, tracing.Context{}, nil) // leader, stuck in the gated Write
 	<-w.entered
 	for id := uint64(2); id <= 5; id++ {
-		c.AppendPayload(TOK, id, nil) // pend behind the stuck leader
+		c.AppendPayload(TOK, id, tracing.Context{}, nil) // pend behind the stuck leader
 	}
 	closed := make(chan struct{})
 	go func() { c.Close(); close(closed) }()
@@ -170,27 +172,27 @@ func TestCoalescerCloseDrains(t *testing.T) {
 		}
 		f.Recycle()
 	}
-	if c.AppendPayload(TOK, 6, nil) {
+	if c.AppendPayload(TOK, 6, tracing.Context{}, nil) {
 		t.Fatal("append after Close should report failure")
 	}
 }
 
 // TestCoalescerWriteError: a failing transport must surface through
-// Err/OnError, fail subsequent appends, and never deadlock Close.
+// OnError, fail subsequent appends, and never deadlock Close.
 func TestCoalescerWriteError(t *testing.T) {
 	w := &chunkWriter{err: fmt.Errorf("boom")}
 	c := NewCoalescer(w)
 	errCh := make(chan error, 1)
 	c.OnError = func(err error) { errCh <- err }
-	c.AppendPayload(TOK, 1, nil)
+	c.AppendPayload(TOK, 1, tracing.Context{}, nil)
 	if err := <-errCh; err == nil {
 		t.Fatal("OnError got nil")
 	}
 	// The error is recorded before OnError fires.
-	if c.Err() == nil {
-		t.Fatal("Err() not set after failed flush")
+	if c.err == nil {
+		t.Fatal("error not latched after failed flush")
 	}
-	if c.AppendPayload(TOK, 2, nil) {
+	if c.AppendPayload(TOK, 2, tracing.Context{}, nil) {
 		t.Fatal("append succeeded after transport failure")
 	}
 	c.Close()
@@ -210,7 +212,7 @@ func TestCoalescerBackpressure(t *testing.T) {
 	}
 
 	big := make([]byte, 1<<20)
-	go c.AppendPayload(TWrite, 0, big) // leader, stuck in a gated Write
+	go c.AppendPayload(TWrite, 0, tracing.Context{}, big) // leader, stuck in a gated Write
 	<-w.entered
 	done := make(chan struct{})
 	go func() {
@@ -218,7 +220,7 @@ func TestCoalescerBackpressure(t *testing.T) {
 		// With the leader stuck, everything below accumulates in
 		// pending; crossing MaxPending must stall the appender.
 		for i := 1; i <= MaxPending/len(big)+1; i++ {
-			if !c.AppendPayload(TWrite, uint64(i), big) {
+			if !c.AppendPayload(TWrite, uint64(i), tracing.Context{}, big) {
 				return
 			}
 		}
@@ -259,7 +261,7 @@ func TestCoalescerConcurrentAppend(t *testing.T) {
 			for i := 0; i < per; i++ {
 				id := uint64(g*per + i + 1)
 				if g%2 == 0 {
-					c.AppendPayload(TOK, id, []byte("reply"))
+					c.AppendPayload(TOK, id, tracing.Context{}, []byte("reply"))
 				} else {
 					c.Append(TApprovalReq, id, func(e *Enc) { e.Str("push") })
 				}
@@ -383,4 +385,96 @@ func (r *oneShotReader) Read(p []byte) (int, error) {
 	n := copy(p, r.data[r.off:])
 	r.off += n
 	return n, nil
+}
+
+// TestAllocFreeCoalescerAppend: framing a message costs no allocation
+// at either endpoint — the encoder handed to fill is the coalescer's own,
+// and a ready payload is copied without a closure.
+func TestAllocFreeCoalescerAppend(t *testing.T) {
+	c := NewCoalescer(io.Discard)
+	payload := make([]byte, 1024)
+	a := ApprovalWire{WriteID: 7}
+	step := func() {
+		c.Append(TApprovalReq, 0, func(e *Enc) { e.EncodeApproval(a) })
+		c.AppendPayload(TWrite, 9, tracing.Context{}, payload)
+		c.Hold(true)
+		c.AppendPayload(TReadRep, 9, tracing.Context{}, payload)
+		c.Hold(false)
+	}
+	step() // grow the buffers once
+	if n := testing.AllocsPerRun(1000, step); n != 0 {
+		t.Fatalf("appending frames allocates %v times, want 0", n)
+	}
+}
+
+// TestCoalescerHold: frames appended under a Hold, by the holder or by
+// anyone else, leave in one write when it ends; past holdMax the
+// appender that crossed it writes without waiting for the holder, and a
+// Close finds no leadership to wait for.
+func TestCoalescerHold(t *testing.T) {
+	w := &chunkWriter{}
+	c := NewCoalescer(w)
+	c.Hold(true)
+	var wg sync.WaitGroup
+	for id := uint64(1); id <= 4; id++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.AppendPayload(TOK, id, tracing.Context{}, []byte("x"))
+		}()
+	}
+	wg.Wait()
+	if got := w.count(); got != 0 {
+		t.Fatalf("%d writes under a Hold, want 0", got)
+	}
+	c.Hold(false)
+	c.Hold(false) // nothing left to do
+	if got := w.count(); got != 1 {
+		t.Fatalf("%d writes after the Hold, want 1 carrying all 4 frames", got)
+	}
+	for r, n := bytes.NewReader(w.all()), 0; n < 4; n++ {
+		if _, err := ReadFrame(r); err != nil {
+			t.Fatalf("frame %d of the held batch: %v", n+1, err)
+		}
+	}
+
+	c.Hold(true)
+	c.AppendPayload(TReadRep, 5, tracing.Context{}, make([]byte, holdMax))
+	if got := w.count(); got != 2 {
+		t.Fatalf("%d writes after a held append of holdMax bytes, want 2: it flushes itself", got)
+	}
+	c.Hold(false) // it ended with that flush
+	c.AppendPayload(TOK, 6, tracing.Context{}, nil)
+	if got := w.count(); got != 3 {
+		t.Fatalf("%d writes, want 3: an append after the hold ended writes at once", got)
+	}
+
+	c.Hold(true)
+	c.AppendPayload(TOK, 7, tracing.Context{}, nil)
+	c.Close() // must not wait for the hold, and must not strand frame 7
+	if got := w.count(); got != 4 {
+		t.Fatalf("%d writes after Close under a Hold, want 4", got)
+	}
+}
+
+// TestFrameReaderWhole: Whole is true exactly while Next can return a
+// frame without reading the transport.
+func TestFrameReaderWhole(t *testing.T) {
+	var wire []byte
+	for id := uint64(1); id <= 3; id++ {
+		wire, _ = AppendFrame(wire, Frame{Type: TOK, ReqID: id, Payload: []byte("abc")})
+	}
+	one := len(wire) / 3
+	fr := NewFrameReader(&oneShotReader{data: wire[:2*one+5]}) // two frames and a piece of the third
+	if fr.Whole() {
+		t.Fatal("Whole before anything was read")
+	}
+	for id, want := range []bool{true, false} {
+		if _, err := fr.Next(); err != nil {
+			t.Fatal(err)
+		}
+		if got := fr.Whole(); got != want {
+			t.Fatalf("after frame %d: Whole = %v, want %v (%d bytes buffered)", id+1, got, want, fr.wo-fr.ro)
+		}
+	}
 }

@@ -51,9 +51,12 @@ func (fr *FrameReader) Reset(r io.Reader) {
 	}
 }
 
-// Buffered reports how many undecoded bytes sit in the buffer — >0
-// means Next will return at least a partial frame without a syscall.
-func (fr *FrameReader) Buffered() int { return fr.wo - fr.ro }
+// Whole reports whether a whole frame is buffered, so that Next returns
+// it (or rejects its length) without touching the transport.
+func (fr *FrameReader) Whole() bool {
+	n := fr.wo - fr.ro
+	return n >= 4 && n-4 >= int(binary.LittleEndian.Uint32(fr.buf[fr.ro:]))
+}
 
 // fill ensures at least need unconsumed bytes are buffered, growing the
 // buffer when a frame outgrows it and compacting leftovers first.
@@ -94,7 +97,7 @@ func (fr *FrameReader) fill(need int) error {
 // call Frame.Recycle once done with it (or don't — see Recycle).
 func (fr *FrameReader) Next() (Frame, error) {
 	if err := fr.fill(4); err != nil {
-		if err == io.EOF && fr.Buffered() > 0 {
+		if err == io.EOF && fr.wo > fr.ro {
 			err = fmt.Errorf("%w: %v", ErrTruncated, io.ErrUnexpectedEOF)
 		}
 		return Frame{}, err
@@ -122,8 +125,9 @@ func (fr *FrameReader) Next() (Frame, error) {
 			fr.buf = make([]byte, readBufInit)
 		}
 	}
-	// Copy the payload into a pooled frame buffer: dispatch hands frames
-	// to other goroutines while this reader refills the shared buffer.
+	// Copy the payload into a pooled frame buffer: a client's read loop
+	// and a request that parks hand frames to other goroutines while this
+	// reader refills the shared buffer.
 	bp := getBuf(int(n))
 	out := append((*bp)[:0], body...)
 	*bp = out

@@ -41,16 +41,16 @@ func TestTraceHeaderRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTraceHeaderCoalescerRoundTrip: AppendCtx and AppendPayloadCtx
-// carry the context; the plain Append forms do not.
+// TestTraceHeaderCoalescerRoundTrip: AppendPayload carries a valid
+// context; Append carries none.
 func TestTraceHeaderCoalescerRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	co := NewCoalescer(&buf)
-	if !co.AppendCtx(TWrite, 1, testCtx, func(e *Enc) { e.Str("a") }) {
-		t.Fatal("AppendCtx refused")
+	if !co.AppendPayload(TWrite, 1, testCtx, nil) {
+		t.Fatal("AppendPayload refused")
 	}
-	if !co.AppendPayloadCtx(TRead, 2, testCtx, []byte("b")) {
-		t.Fatal("AppendPayloadCtx refused")
+	if !co.AppendPayload(TRead, 2, testCtx, []byte("b")) {
+		t.Fatal("AppendPayload refused")
 	}
 	if !co.Append(TExtend, 3, nil) {
 		t.Fatal("Append refused")

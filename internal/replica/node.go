@@ -516,7 +516,7 @@ func (n *Node) serveConn(c net.Conn) {
 		} else {
 			err = in.handleRPC(f)
 		}
-		if len(in.out) > 0 && (err != nil || fr.Buffered() == 0) {
+		if len(in.out) > 0 && (err != nil || !fr.Whole()) {
 			if _, werr := c.Write(in.out); werr != nil {
 				return
 			}

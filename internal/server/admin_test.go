@@ -32,9 +32,27 @@ func adminFixture(t *testing.T) (*server.Server, *httptest.Server) {
 	if _, err := c.Read("/f"); err != nil {
 		t.Fatalf("Read: %v", err)
 	}
+	waitOps(t, o, "create", "write", "read")
 	ts := httptest.NewServer(s.AdminHandler())
 	t.Cleanup(ts.Close)
 	return s, ts
+}
+
+// waitOps waits for a server-side latency sample of each op. The
+// histogram measures decode through reply, so an op is recorded just
+// after its reply has left, and the client may look first.
+func waitOps(t *testing.T, o *obs.Observer, want ...string) {
+	t.Helper()
+	for _, op := range want {
+		waitFor(t, "a server-side "+op+" latency sample", func() bool {
+			for _, l := range o.OpLatencies() {
+				if l.Op == op && l.Hist.Count > 0 {
+					return true
+				}
+			}
+			return false
+		})
+	}
 }
 
 func get(t *testing.T, url string) (int, string, http.Header) {
@@ -207,15 +225,7 @@ func TestObservedProtocolFlow(t *testing.T) {
 		}
 	}
 
-	ops := map[string]bool{}
-	for _, op := range o.OpLatencies() {
-		ops[op.Op] = op.Hist.Count > 0
-	}
-	for _, want := range []string{"create", "read", "write"} {
-		if !ops[want] {
-			t.Errorf("no server-side %q latency recorded; ops = %v", want, ops)
-		}
-	}
+	waitOps(t, o, "create", "read", "write")
 
 	// Wait must be populated on the apply event of a deferred write.
 	var sawApplyWait bool

@@ -10,6 +10,7 @@ import (
 	"leases/internal/obs"
 	"leases/internal/obs/tracing"
 	"leases/internal/proto"
+	"leases/internal/srvcore"
 	"leases/internal/vfs"
 )
 
@@ -35,10 +36,11 @@ func serverSpanName(t proto.MsgType) string {
 }
 
 // serverConn is one client connection. All outbound frames — replies
-// from request goroutines and unsolicited approval pushes — funnel
-// through the write coalescer, which batches whatever accumulates
-// while a flush syscall is in flight into the next one. Handlers never
-// touch the transport directly.
+// from the reader and from parked requests, and unsolicited pushes —
+// funnel through the write coalescer, which batches whatever accumulates
+// while a flush syscall is in flight, or while the reader still has
+// requests buffered, into the next one. Handlers never touch the
+// transport directly.
 type serverConn struct {
 	srv    *Server
 	nc     net.Conn
@@ -76,6 +78,31 @@ type connPush struct {
 	t        proto.MsgType
 	approval proto.ApprovalWire
 	payload  []byte
+}
+
+// request is one frame being served, run to completion by the goroutine
+// that read it. It is a value: a request that must wait (parked) is
+// copied to a goroutine of its own, which enters the same handler again.
+// A mutation that parked on a step of its plan finds what it decoded,
+// checked and planned here and goes on from that step; a request that
+// parked before doing anything starts over.
+type request struct {
+	f      proto.Frame  // recycled when the request ends
+	sp     tracing.Span // the dispatch span, when the frame carried a sampled context
+	began  time.Time    // for the op-latency histogram, when observed
+	inline bool         // the connection's reader is running it, and must not wait
+	parked bool         // it has to: the reader hands it off
+	// A mutation: its plan, the step that plan parked on (zero until then),
+	// when it began, and what its apply and reply need.
+	plan            srvcore.Plan
+	step            srvcore.Step
+	start           time.Time
+	node            vfs.NodeID
+	path, to, owner string
+	perm            vfs.Perm
+	data            []byte
+	epoch           uint64
+	dirs            [2]vfs.NodeID // the directories whose binding it changes
 }
 
 // pushQueue bounds the per-connection approval push queue; see
@@ -120,7 +147,7 @@ func (s *Server) serveConn(nc net.Conn) {
 				a := p.approval
 				c.co.Append(proto.TApprovalReq, 0, func(e *proto.Enc) { e.EncodeApproval(a) })
 			} else {
-				c.co.AppendPayload(p.t, 0, p.payload)
+				c.co.AppendPayload(p.t, 0, tracing.Context{}, p.payload)
 			}
 		}
 	}()
@@ -199,29 +226,39 @@ func (s *Server) serveConn(nc net.Conn) {
 		s.connMu.Unlock()
 	}()
 
-	var reqWG sync.WaitGroup
+	var reqWG sync.WaitGroup // parked requests
 	defer reqWG.Wait()
+	held := false
 	for {
 		f, err := fr.Next()
 		if err != nil {
 			return
 		}
+		// While whole requests are already buffered the reader holds the
+		// flush: a burst's replies leave in one write, a lone frame's at once.
+		more := fr.Whole()
+		if more && !held {
+			c.co.Hold(true)
+		}
 		if f.Type == proto.TApprove {
-			// Pushes are handled inline: cheap, never blocking.
 			c.handleApprove(f)
 			f.Recycle()
-			continue
+		} else if r := (request{f: f, inline: true}); !c.serve(&r) {
+			// The hand-off, paid for by a request that must wait and by no
+			// other (only the copy escapes): a deferred write blocks itself
+			// alone, and the TApprove frames behind it are still read.
+			pr := r
+			pr.inline, pr.parked = false, false
+			reqWG.Add(1)
+			go func() {
+				defer reqWG.Done()
+				c.serve(&pr)
+			}()
 		}
-		// Each request runs in its own goroutine so a deferred write
-		// blocks only itself. f is freshly declared each iteration.
-		// Handlers decode with copying Dec methods, so the frame buffer
-		// can be recycled once dispatch returns.
-		reqWG.Add(1)
-		go func() {
-			defer reqWG.Done()
-			defer f.Recycle()
-			c.dispatchTimed(f)
-		}()
+		if held && !more {
+			c.co.Hold(false)
+		}
+		held = more
 	}
 }
 
@@ -229,16 +266,11 @@ func (c *serverConn) close() {
 	c.closed.Do(func() { c.nc.Close() })
 }
 
-// reply enqueues a pre-encoded reply. A false Append means the
-// connection already failed; the frame is dropped, exactly as a write
-// against the dead socket would have been.
-func (c *serverConn) reply(reqID uint64, t proto.MsgType, payload []byte) {
-	c.co.AppendPayload(t, reqID, payload)
-}
-
 // replyEnc encodes a reply directly into the coalescer's pending
-// buffer: fill appends the payload in place, so the frame costs no
-// intermediate Enc allocation and no copy between encode and flush.
+// buffer: fill appends the payload in place (nil: none), at no
+// allocation and no copy between encode and flush. A false Append means
+// the connection already failed: the frame is dropped, as a write
+// against the dead socket would have been.
 func (c *serverConn) replyEnc(reqID uint64, t proto.MsgType, fill func(*proto.Enc)) {
 	c.co.Append(t, reqID, fill)
 }
@@ -278,41 +310,42 @@ func (c *serverConn) fail(reqID uint64, err error) {
 	c.replyEnc(reqID, proto.TError, func(e *proto.Enc) { e.Str(msg) })
 }
 
-// dispatchTimed wraps dispatch with the server-side op latency
-// histogram: decode through reply, including any write deferral — what
-// a client would see minus the network. It exists as a method (rather
-// than inline in the request goroutine) so the disabled path does not
-// grow the goroutine closure. A frame carrying a sampled trace context
-// gets a dispatch span covering the same extent; its context parents
-// the approval fan-out, apply, and replication spans downstream.
-func (c *serverConn) dispatchTimed(f proto.Frame) {
+// serve runs a request's handler and, unless it parked (false), what
+// follows its reply. The op-latency histogram covers decode through
+// reply, including any write deferral — what a client would see minus
+// the network — and so does the dispatch span of a sampled frame, which
+// parents the approval fan-out, apply and replication spans downstream:
+// both start on the reader and end wherever the request does.
+func (c *serverConn) serve(r *request) bool {
 	s := c.srv
-	var sp tracing.Span
-	if f.Trace.Valid() {
-		sp = s.tracer.StartChild(f.Trace, serverSpanName(f.Type))
+	if r.inline && r.f.Trace.Valid() {
+		r.sp = s.tracer.StartChild(r.f.Trace, serverSpanName(r.f.Type))
+	}
+	if r.inline && s.obs.Enabled() {
+		r.began = s.clk.Now()
+	}
+	c.dispatch(r)
+	if r.parked {
+		return false
 	}
 	if o := s.obs; o.Enabled() {
-		start := s.clk.Now()
-		c.dispatch(f, sp.Context())
-		o.ObserveOp(f.Type.String(), s.clk.Now().Sub(start))
-	} else {
-		c.dispatch(f, sp.Context())
+		o.ObserveOp(r.f.Type.String(), s.clk.Now().Sub(r.began))
 	}
-	// Anticipatory extension rides the reply's flush (§4): free while
-	// the coalescer's write is in flight, and the client's extension
-	// request never happens.
-	c.maybePiggyback()
-	sp.End()
+	c.maybePiggyback() // rides the reply's flush (§4): the client's extension request never happens
+	r.sp.End()
+	r.f.Recycle() // handlers decode with copying Dec methods: nothing outlives the frame
+	return true
 }
 
-func (c *serverConn) dispatch(f proto.Frame, tc tracing.Context) {
+func (c *serverConn) dispatch(r *request) {
+	f := r.f
 	switch f.Type {
 	case proto.TLookup:
 		c.handleLookup(f)
 	case proto.TRead:
 		c.handleRead(f)
 	case proto.TWrite:
-		c.handleWrite(f, tc)
+		c.handleWrite(r)
 	case proto.TExtend:
 		c.handleExtend(f)
 	case proto.TRelease:
@@ -321,24 +354,22 @@ func (c *serverConn) dispatch(f proto.Frame, tc tracing.Context) {
 		c.handleReadDir(f)
 	case proto.TStat:
 		c.handleStat(f)
-	case proto.TCreate:
-		c.handleCreate(f, false, tc)
-	case proto.TMkdir:
-		c.handleCreate(f, true, tc)
+	case proto.TCreate, proto.TMkdir:
+		c.handleCreate(r)
 	case proto.TRemove:
-		c.handleRemove(f, tc)
+		c.handleRemove(r)
 	case proto.TRename:
-		c.handleRename(f, tc)
+		c.handleRename(r)
 	case proto.TSetPerm:
-		c.handleSetPerm(f, tc)
+		c.handleSetPerm(r)
 	case proto.TInstalled:
 		c.handleInstalled(f)
 	case proto.TRing:
 		c.handleRing(f)
 	case proto.TShardPrepare:
-		c.handleShardPrepare(f, tc)
+		c.handleShardPrepare(r)
 	case proto.TShardCommit:
-		c.handleShardCommit(f, tc)
+		c.handleShardCommit(r)
 	case proto.TShardAbort:
 		c.handleShardAbort(f)
 	default:
@@ -356,7 +387,9 @@ func (c *serverConn) grant(d vfs.Datum, et obs.EventType) proto.GrantWire {
 		// Durability ordering: the recovery window must cover this term
 		// before any client holds it. The update is a no-op unless the
 		// term exceeds every term ever persisted, so steady state pays
-		// one comparison, not an fsync. If persistence fails, withdraw
+		// one comparison, not an fsync — so the raise, like the quorum
+		// round below, may run on the connection's reader: the maximum is
+		// monotone, and each is paid once. If persistence fails, withdraw
 		// the lease — the client may still use the reply's data once,
 		// it just cannot cache it — rather than risk a post-crash
 		// window shorter than an outstanding lease.
@@ -424,9 +457,8 @@ const piggyBatchMax = 128
 // soon-expiring leases to the flush the current reply rides (§4's
 // anticipatory extension). Installed-class members are skipped — the
 // broadcast renews them — and a refused re-grant drops the lease from
-// the scan (the client's copy just expires). Runs on the request
-// goroutine after the reply is appended, so the grants share its
-// flush.
+// the scan (the client's copy just expires). Runs right after the reply
+// is appended, so the grants share its flush.
 func (c *serverConn) maybePiggyback() {
 	if c.piggy == nil {
 		return
@@ -507,13 +539,13 @@ func (c *serverConn) grantRead(d vfs.Datum) proto.GrantWire {
 // information"). The root's own attributes live in its own binding,
 // which is what a lookup of "/" is granted. A directory that changed
 // between the walk and its grant comes back unleased: its edge is good
-// for this open but must not be cached.
-func (c *serverConn) resolve(path string) ([]vfs.Edge, vfs.Attr, []proto.GrantWire, error) {
+// for this open but must not be cached. The grants are appended to
+// grants, the caller's stack for a path of ordinary depth.
+func (c *serverConn) resolve(path string, grants []proto.GrantWire) ([]vfs.Edge, vfs.Attr, []proto.GrantWire, error) {
 	chain, attr, err := c.srv.store.Resolve(path)
 	if err != nil {
 		return nil, vfs.Attr{}, nil, err
 	}
-	grants := make([]proto.GrantWire, 0, len(chain)+2)
 	for _, e := range chain {
 		g := c.grantRead(vfs.Datum{Kind: vfs.DirBinding, Node: e.Dir})
 		g.Leased = g.Leased && g.Version == e.Version
@@ -535,7 +567,8 @@ func (c *serverConn) handleLookup(f proto.Frame) {
 	if !c.checkOwner(f.ReqID, path) {
 		return
 	}
-	chain, attr, grants, err := c.resolve(path)
+	var buf [8]proto.GrantWire
+	chain, attr, grants, err := c.resolve(path, buf[:0])
 	if err != nil {
 		c.fail(f.ReqID, err)
 		return
@@ -555,7 +588,8 @@ func (c *serverConn) handleRead(f proto.Frame) {
 	}
 	s := c.srv
 	var chain []vfs.Edge
-	var grants []proto.GrantWire
+	var buf [8]proto.GrantWire // a path this deep, and the file, allocate no list
+	grants := buf[:0]
 	if node == 0 {
 		// Path-addressed: the lookup folded into the read, owner-gated
 		// like any other path operation.
@@ -564,7 +598,7 @@ func (c *serverConn) handleRead(f proto.Frame) {
 		}
 		var rattr vfs.Attr
 		var err error
-		if chain, rattr, grants, err = c.resolve(path); err != nil {
+		if chain, rattr, grants, err = c.resolve(path, grants); err != nil {
 			c.fail(f.ReqID, err)
 			return
 		}
@@ -596,41 +630,39 @@ func (c *serverConn) handleRead(f proto.Frame) {
 	})
 }
 
-func (c *serverConn) handleWrite(f proto.Frame, tc tracing.Context) {
-	dec := proto.NewDec(f.Payload)
-	node := vfs.NodeID(dec.U64())
-	data := dec.Blob()
-	if dec.Err != nil {
-		c.fail(f.ReqID, dec.Err)
-		return
-	}
+func (c *serverConn) handleWrite(r *request) {
 	s := c.srv
-	if err := s.store.CheckAccess(node, string(c.client), true); err != nil {
-		c.fail(f.ReqID, err)
-		return
-	}
-	p := s.core.Plan(c.client, vfs.Datum{Kind: vfs.FileData, Node: node})
-	if s.cfg.Replica != nil {
-		// Replicate-before-apply: a quorum of replicas must hold the
-		// write before the local store does, so nothing a reader can
-		// observe at this master is ever lost to a failover.
-		path, err := s.store.Path(node)
-		if err != nil {
-			c.fail(f.ReqID, err)
+	if r.step.Kind == 0 {
+		dec := proto.NewDec(r.f.Payload)
+		r.node, r.data = vfs.NodeID(dec.U64()), dec.Blob()
+		if dec.Err != nil {
+			c.fail(r.f.ReqID, dec.Err)
 			return
 		}
-		p.Replicate(path, data)
+		if err := s.store.CheckAccess(r.node, string(c.client), true); err != nil {
+			c.fail(r.f.ReqID, err)
+			return
+		}
+		r.plan = s.core.Plan(c.client, vfs.Datum{Kind: vfs.FileData, Node: r.node})
+		if s.cfg.Replica != nil {
+			// Replicate-before-apply: a quorum of replicas must hold the
+			// write before the local store does, so nothing a reader can
+			// observe at this master is ever lost to a failover.
+			path, err := s.store.Path(r.node)
+			if err != nil {
+				c.fail(r.f.ReqID, err)
+				return
+			}
+			r.plan.Replicate(path, r.data)
+		}
 	}
 	var attr vfs.Attr
-	err := s.run(&p, c.client, tc, func() (werr error) {
-		attr, _, werr = s.store.WriteFile(node, data)
-		return werr
-	})
-	if err != nil {
-		c.fail(f.ReqID, err)
-		return
+	if s.run(c, r, func() (err error) {
+		attr, _, err = s.store.WriteFile(r.node, r.data)
+		return err
+	}) {
+		c.replyEnc(r.f.ReqID, proto.TWriteRep, func(e *proto.Enc) { e.Attr(attr) })
 	}
-	c.replyEnc(f.ReqID, proto.TWriteRep, func(e *proto.Enc) { e.Attr(attr) })
 }
 
 // decodeData decodes a count-prefixed datum list (extend, release).
@@ -678,7 +710,7 @@ func (c *serverConn) handleRelease(f proto.Frame) {
 			s.releaseReady(shard)
 		}
 	}
-	c.reply(f.ReqID, proto.TOK, nil)
+	c.replyEnc(f.ReqID, proto.TOK, nil)
 }
 
 func (c *serverConn) handleReadDir(f proto.Frame) {
@@ -725,41 +757,41 @@ func (c *serverConn) handleStat(f proto.Frame) {
 
 // handleCreate covers TCreate (files) and TMkdir (directories): a write
 // to the parent directory's binding datum.
-func (c *serverConn) handleCreate(f proto.Frame, dir bool, tc tracing.Context) {
-	dec := proto.NewDec(f.Payload)
-	path := dec.Str()
-	perm := vfs.Perm(dec.U8())
-	if dec.Err != nil {
-		c.fail(f.ReqID, dec.Err)
-		return
-	}
-	// Directories are the namespace skeleton, not sharded data: files
-	// under one directory hash across every group, so the directory must
-	// exist on all of them (the Router mkdirs group-wide) and only file
-	// creation is ownership-gated.
-	if !dir && !c.checkOwner(f.ReqID, path) {
-		return
-	}
-	s := c.srv
-	parentAttr, err := s.store.Lookup(parentOf(path))
-	if err != nil {
-		c.fail(f.ReqID, err)
-		return
+func (c *serverConn) handleCreate(r *request) {
+	s, dir := c.srv, r.f.Type == proto.TMkdir
+	if r.step.Kind == 0 {
+		dec := proto.NewDec(r.f.Payload)
+		r.path, r.perm = dec.Str(), vfs.Perm(dec.U8())
+		if dec.Err != nil {
+			c.fail(r.f.ReqID, dec.Err)
+			return
+		}
+		// Directories are the namespace skeleton, not sharded data: files
+		// under one directory hash across every group, so the directory must
+		// exist on all of them (the Router mkdirs group-wide) and only file
+		// creation is ownership-gated.
+		if !dir && !c.checkOwner(r.f.ReqID, r.path) {
+			return
+		}
+		parentAttr, err := s.store.Lookup(parentOf(r.path))
+		if err != nil {
+			c.fail(r.f.ReqID, err)
+			return
+		}
+		r.dirs[0] = parentAttr.ID
+		r.plan = s.core.Plan(c.client, vfs.Datum{Kind: vfs.DirBinding, Node: parentAttr.ID})
 	}
 	var attr vfs.Attr
-	err = s.mutate(c.client, tc, func() (cerr error) {
+	if s.run(c, r, func() (err error) {
 		if dir {
-			attr, cerr = s.store.Mkdir(path, string(c.client), perm)
+			attr, err = s.store.Mkdir(r.path, string(c.client), r.perm)
 		} else {
-			attr, cerr = s.store.Create(path, string(c.client), perm)
+			attr, err = s.store.Create(r.path, string(c.client), r.perm)
 		}
-		return cerr
-	}, vfs.Datum{Kind: vfs.DirBinding, Node: parentAttr.ID})
-	if err != nil {
-		c.fail(f.ReqID, err)
-		return
+		return err
+	}) {
+		c.replyEnc(r.f.ReqID, proto.TCreateRep, func(e *proto.Enc) { c.encodeTouched(e.Attr(attr), r.dirs[0]) })
 	}
-	c.replyEnc(f.ReqID, proto.TCreateRep, func(e *proto.Enc) { c.encodeTouched(e.Attr(attr), parentAttr.ID) })
 }
 
 // encodeTouched ends a namespace mutation's reply with each directory
@@ -774,129 +806,128 @@ func (c *serverConn) encodeTouched(e *proto.Enc, dirs ...vfs.NodeID) {
 	}
 }
 
-func (c *serverConn) handleRemove(f proto.Frame, tc tracing.Context) {
-	dec := proto.NewDec(f.Payload)
-	path := dec.Str()
-	if dec.Err != nil {
-		c.fail(f.ReqID, dec.Err)
-		return
-	}
-	if !c.checkOwner(f.ReqID, path) {
-		return
-	}
+func (c *serverConn) handleRemove(r *request) {
 	s := c.srv
-	attr, err := s.store.Lookup(path)
-	if err != nil {
-		c.fail(f.ReqID, err)
-		return
-	}
-	parentAttr, err := s.store.Lookup(parentOf(path))
-	if err != nil {
-		c.fail(f.ReqID, err)
-		return
-	}
-	kind := vfs.FileData
-	if attr.IsDir {
-		kind = vfs.DirBinding
-	}
-	err = s.mutate(c.client, tc, func() error {
-		_, rerr := s.store.Remove(path)
-		return rerr
-	}, vfs.Datum{Kind: kind, Node: attr.ID}, vfs.Datum{Kind: vfs.DirBinding, Node: parentAttr.ID})
-	if err != nil {
-		c.fail(f.ReqID, err)
-		return
-	}
-	c.replyEnc(f.ReqID, proto.TOK, func(e *proto.Enc) { c.encodeTouched(e, parentAttr.ID) })
-}
-
-func (c *serverConn) handleRename(f proto.Frame, tc tracing.Context) {
-	dec := proto.NewDec(f.Payload)
-	oldPath := dec.Str()
-	newPath := dec.Str()
-	if dec.Err != nil {
-		c.fail(f.ReqID, dec.Err)
-		return
-	}
-	// The rename is homed at the source shard; a destination that hashes
-	// to another group runs the two-phase cross-shard protocol.
-	if !c.checkOwner(f.ReqID, oldPath) {
-		return
-	}
-	s := c.srv
-	if ring := s.cfg.Shard.Ring; ring != nil {
-		if dest := ring.Lookup(newPath); dest != s.cfg.Shard.GroupID {
-			c.crossShardRename(f, tc, oldPath, newPath, dest)
+	if r.step.Kind == 0 {
+		dec := proto.NewDec(r.f.Payload)
+		r.path = dec.Str()
+		if dec.Err != nil {
+			c.fail(r.f.ReqID, dec.Err)
 			return
 		}
+		if !c.checkOwner(r.f.ReqID, r.path) {
+			return
+		}
+		attr, err := s.store.Lookup(r.path)
+		if err != nil {
+			c.fail(r.f.ReqID, err)
+			return
+		}
+		parentAttr, err := s.store.Lookup(parentOf(r.path))
+		if err != nil {
+			c.fail(r.f.ReqID, err)
+			return
+		}
+		kind := vfs.FileData
+		if attr.IsDir {
+			kind = vfs.DirBinding
+		}
+		r.dirs[0] = parentAttr.ID
+		r.plan = s.core.Plan(c.client, vfs.Datum{Kind: kind, Node: attr.ID}, vfs.Datum{Kind: vfs.DirBinding, Node: parentAttr.ID})
 	}
-	oldParent, err := s.store.Lookup(parentOf(oldPath))
-	if err != nil {
-		c.fail(f.ReqID, err)
-		return
+	if s.run(c, r, func() error {
+		_, err := s.store.Remove(r.path)
+		return err
+	}) {
+		c.replyEnc(r.f.ReqID, proto.TOK, func(e *proto.Enc) { c.encodeTouched(e, r.dirs[0]) })
 	}
-	newParent, err := s.store.Lookup(parentOf(newPath))
-	if err != nil {
-		c.fail(f.ReqID, err)
-		return
+}
+
+func (c *serverConn) handleRename(r *request) {
+	s := c.srv
+	if r.step.Kind == 0 {
+		dec := proto.NewDec(r.f.Payload)
+		r.path, r.to = dec.Str(), dec.Str()
+		if dec.Err != nil {
+			c.fail(r.f.ReqID, dec.Err)
+			return
+		}
+		// The rename is homed at the source shard; a destination that hashes
+		// to another group runs the two-phase cross-shard protocol.
+		if !c.checkOwner(r.f.ReqID, r.path) {
+			return
+		}
+		if ring := s.cfg.Shard.Ring; ring != nil {
+			if dest := ring.Lookup(r.to); dest != s.cfg.Shard.GroupID {
+				c.crossShardRename(r, dest)
+				return
+			}
+		}
+		oldParent, err := s.store.Lookup(parentOf(r.path))
+		if err != nil {
+			c.fail(r.f.ReqID, err)
+			return
+		}
+		newParent, err := s.store.Lookup(parentOf(r.to))
+		if err != nil {
+			c.fail(r.f.ReqID, err)
+			return
+		}
+		r.dirs = [2]vfs.NodeID{oldParent.ID, newParent.ID}
+		data := []vfs.Datum{{Kind: vfs.DirBinding, Node: oldParent.ID}}
+		if newParent.ID != oldParent.ID {
+			data = append(data, vfs.Datum{Kind: vfs.DirBinding, Node: newParent.ID})
+		}
+		r.plan = s.core.Plan(c.client, data...)
 	}
-	data := []vfs.Datum{{Kind: vfs.DirBinding, Node: oldParent.ID}}
-	if newParent.ID != oldParent.ID {
-		data = append(data, vfs.Datum{Kind: vfs.DirBinding, Node: newParent.ID})
+	if s.run(c, r, func() error {
+		_, err := s.store.Rename(r.path, r.to)
+		return err
+	}) {
+		c.replyEnc(r.f.ReqID, proto.TOK, func(e *proto.Enc) { c.encodeTouched(e, r.dirs[0], r.dirs[1]) })
 	}
-	err = s.mutate(c.client, tc, func() error {
-		_, rerr := s.store.Rename(oldPath, newPath)
-		return rerr
-	}, data...)
-	if err != nil {
-		c.fail(f.ReqID, err)
-		return
-	}
-	c.replyEnc(f.ReqID, proto.TOK, func(e *proto.Enc) { c.encodeTouched(e, oldParent.ID, newParent.ID) })
 }
 
 // handleSetPerm changes ownership/permissions — per §2, attribute
 // changes are writes to the parent's binding datum, so they defer on
 // conflicting binding leases like a rename would.
-func (c *serverConn) handleSetPerm(f proto.Frame, tc tracing.Context) {
-	dec := proto.NewDec(f.Payload)
-	node := vfs.NodeID(dec.U64())
-	owner := dec.Str()
-	perm := vfs.Perm(dec.U8())
-	if dec.Err != nil {
-		c.fail(f.ReqID, dec.Err)
-		return
-	}
+func (c *serverConn) handleSetPerm(r *request) {
 	s := c.srv
-	attr, err := s.store.Stat(node)
-	if err != nil {
-		c.fail(f.ReqID, err)
-		return
+	if r.step.Kind == 0 {
+		dec := proto.NewDec(r.f.Payload)
+		r.node, r.owner, r.perm = vfs.NodeID(dec.U64()), dec.Str(), vfs.Perm(dec.U8())
+		if dec.Err != nil {
+			c.fail(r.f.ReqID, dec.Err)
+			return
+		}
+		attr, err := s.store.Stat(r.node)
+		if err != nil {
+			c.fail(r.f.ReqID, err)
+			return
+		}
+		// Only the current owner may change attributes.
+		if attr.Owner != string(c.client) {
+			c.fail(r.f.ReqID, vfs.ErrPerm)
+			return
+		}
+		path, err := s.store.Path(r.node)
+		if err != nil {
+			c.fail(r.f.ReqID, err)
+			return
+		}
+		parentAttr, err := s.store.Lookup(parentOf(path))
+		if err != nil {
+			c.fail(r.f.ReqID, err)
+			return
+		}
+		r.plan = s.core.Plan(c.client, vfs.Datum{Kind: vfs.DirBinding, Node: parentAttr.ID})
 	}
-	// Only the current owner may change attributes.
-	if attr.Owner != string(c.client) {
-		c.fail(f.ReqID, vfs.ErrPerm)
-		return
+	if s.run(c, r, func() error {
+		_, err := s.store.SetPerm(r.node, r.owner, r.perm)
+		return err
+	}) {
+		c.replyEnc(r.f.ReqID, proto.TOK, nil)
 	}
-	path, err := s.store.Path(node)
-	if err != nil {
-		c.fail(f.ReqID, err)
-		return
-	}
-	parentAttr, err := s.store.Lookup(parentOf(path))
-	if err != nil {
-		c.fail(f.ReqID, err)
-		return
-	}
-	err = s.mutate(c.client, tc, func() error {
-		_, perr := s.store.SetPerm(node, owner, perm)
-		return perr
-	}, vfs.Datum{Kind: vfs.DirBinding, Node: parentAttr.ID})
-	if err != nil {
-		c.fail(f.ReqID, err)
-		return
-	}
-	c.reply(f.ReqID, proto.TOK, nil)
 }
 
 func (c *serverConn) handleApprove(f proto.Frame) {

@@ -10,7 +10,8 @@ import (
 	"leases/internal/vfs"
 )
 
-func seedWritable(t *testing.T, srv *server.Server, path, content string) {
+// seedWritable creates a world-writable file and returns its node.
+func seedWritable(t *testing.T, srv *server.Server, path, content string) vfs.NodeID {
 	t.Helper()
 	a, err := srv.Store().Create(path, "root", vfs.DefaultPerm|vfs.WorldWrite)
 	if err != nil {
@@ -19,6 +20,7 @@ func seedWritable(t *testing.T, srv *server.Server, path, content string) {
 	if _, _, err := srv.Store().WriteFile(a.ID, []byte(content)); err != nil {
 		t.Fatal(err)
 	}
+	return a.ID
 }
 
 // TestRecoveryWindowFromDurableMaxTermOverTCP is experiment FT2 run

@@ -169,12 +169,7 @@ func rawHello(t *testing.T, addr, id string) net.Conn {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var e proto.Enc
-	e.Str(id)
-	proto.WriteFrame(nc, proto.Frame{Type: proto.THello, ReqID: 1, Payload: e.Bytes()})
-	if rep, err := proto.ReadFrame(nc); err != nil || rep.Type != proto.THelloAck {
-		t.Fatalf("hello as %s: %v %v", id, rep.Type, err)
-	}
+	hello(t, nc, id)
 	return nc
 }
 

@@ -12,14 +12,19 @@
 // it reads, live in internal/srvcore; this package is its blocking TCP
 // driver.
 //
-// Concurrency model: one goroutine per connection reads frames; each
-// request runs in its own goroutine (a deferred write blocks only its
-// own request). Lease state is lock-striped across the shards of a
-// core.ShardedManager, so requests touching different data proceed in
-// parallel; the vfs store carries its own lock. A deferred write's own
-// goroutine holds the timer for the instant its blocking leases run out.
-// Connection registry and write waiters sit behind two small dedicated
-// locks (connMu, waitMu) that are never held across lease-manager calls.
+// Concurrency model: one goroutine per connection reads frames and runs
+// each request to completion — handler, reply, next frame — so a request
+// that finishes without waiting starts no goroutine. One that must wait
+// (a write deferred behind another client's lease, a recovery window, a
+// quorum round, a call to another shard group) moves, at the first step
+// that waits, to a goroutine of its own: it blocks only itself, and holds
+// the timer for the instant its blocking leases run out, while the reader
+// goes on to the frames behind it, the approvals it waits for among them.
+// Lease state is lock-striped across the shards of a core.ShardedManager,
+// so connections touching different data proceed in parallel; the vfs
+// store carries its own lock. Connection registry and write waiters sit
+// behind two small dedicated locks (connMu, waitMu) that are never held
+// across lease-manager calls.
 package server
 
 import (
@@ -399,23 +404,25 @@ func (s *Server) endApprovalSpan(id core.WriteID, holder core.ClientID, note str
 	}
 }
 
-// mutate runs one mutation — a write by writer to data — through its
-// plan: apply runs once every datum is cleared and held.
-func (s *Server) mutate(writer core.ClientID, tc tracing.Context, apply func() error, data ...vfs.Datum) error {
-	p := s.core.Plan(writer, data...)
-	return s.run(&p, writer, tc, apply)
-}
-
-// run drives a plan to its end, blocking this request's goroutine on
-// whatever step the plan returns. tc is the request's trace context:
-// when it names a sampled trace, each deferral records a write.defer
-// span with one child per holder asked (ended with the reason the holder
-// stopped blocking) and the apply gets its own span.
-func (s *Server) run(p *srvcore.Plan, writer core.ClientID, tc tracing.Context, apply func() error) error {
-	for _, d := range p.Data() {
-		s.observeWrite(d)
+// run drives r's plan to its end for connection c, blocking the calling
+// goroutine on whatever step the plan returns — unless that is the
+// connection's reader (r.inline), which must not wait: at the first step
+// that has to (a recovery window or class horizon, another client's
+// lease, a quorum round) run leaves the step in r, marks r parked and
+// returns, and the request takes it up again on a goroutine of its own.
+// It reports whether apply has run and the reply is due; a plan that
+// failed has told the writer why. A sampled request's deferrals and its
+// apply record spans (write.defer, one child per holder asked, ended
+// with the reason the holder stopped blocking; write.apply).
+func (s *Server) run(c *serverConn, r *request, apply func() error) bool {
+	p, tc, writer, st := &r.plan, r.sp.Context(), c.client, r.step
+	if st.Kind == 0 {
+		for _, d := range p.Data() {
+			s.observeWrite(d)
+		}
+		r.start = s.clk.Now()
+		st = p.Next(r.start)
 	}
-	start := s.clk.Now()
 	// waiting is the held write this request is blocked on, deferSpan its
 	// open write.defer span, failNote what ends them if the plan fails.
 	var waiting core.WriteID
@@ -423,8 +430,13 @@ func (s *Server) run(p *srvcore.Plan, writer core.ClientID, tc tracing.Context, 
 	var deadline time.Time
 	var deferSpan tracing.Span
 	failNote := "cancel"
-	for {
-		st := p.Next(s.clk.Now())
+	for ; ; st = p.Next(s.clk.Now()) {
+		// A demotion only waits where its image has a quorum to go to.
+		if k := st.Kind; r.inline && (k == srvcore.Wait || k == srvcore.Approval || k == srvcore.Ship ||
+			k == srvcore.Demoted && s.cfg.Replica != nil) {
+			r.step, r.parked = st, true
+			return false
+		}
 		if waiting != 0 && (st.Kind != srvcore.Approval || st.WriteID != waiting) {
 			// Any push span still open belongs to a holder that never
 			// approved: the release came from its lease expiring (§2).
@@ -457,7 +469,7 @@ func (s *Server) run(p *srvcore.Plan, writer core.ClientID, tc tracing.Context, 
 				waiting, holders, deadline = st.WriteID, st.Holders, st.Until
 				deferSpan = s.askHolders(st, writer, tc)
 			}
-			if note, err := s.awaitReady(st, &deadline, writer, start); err != nil {
+			if note, err := s.awaitReady(st, &deadline, writer, r.start); err != nil {
 				failNote = note
 				p.Abort(err, s.clk.Now())
 			}
@@ -482,7 +494,7 @@ func (s *Server) run(p *srvcore.Plan, writer core.ClientID, tc tracing.Context, 
 				s.obs.Record(obs.Event{
 					Type: obs.EvWriteApply, Client: string(writer), Datum: st.Datum,
 					Shard: s.lm.ShardFor(st.Datum), WriteID: uint64(st.WriteID),
-					Wait: s.clk.Now().Sub(start),
+					Wait: s.clk.Now().Sub(r.start),
 				})
 			}
 			applySpan := s.tracer.StartChild(tc, "write.apply")
@@ -499,7 +511,10 @@ func (s *Server) run(p *srvcore.Plan, writer core.ClientID, tc tracing.Context, 
 			for _, d := range p.Data() {
 				s.releaseReady(s.lm.ShardFor(d))
 			}
-			return st.Err
+			if st.Err != nil {
+				c.fail(r.f.ReqID, st.Err)
+			}
+			return st.Err == nil
 		}
 	}
 }

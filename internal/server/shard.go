@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"leases/internal/obs"
-	"leases/internal/obs/tracing"
 	"leases/internal/proto"
 	"leases/internal/shard"
 	"leases/internal/srvcore"
@@ -74,52 +73,47 @@ func (c *serverConn) handleRing(f proto.Frame) {
 // clearance on the destination parent's binding (any holder of a lease
 // over that directory approves or expires first), then stage the file
 // invisibly. Nothing a reader can observe changes until the commit.
-func (c *serverConn) handleShardPrepare(f proto.Frame, tc tracing.Context) {
+func (c *serverConn) handleShardPrepare(r *request) {
 	s := c.srv
-	dec := proto.NewDec(f.Payload)
-	epoch := dec.U64()
-	newPath := dec.Str()
-	owner := dec.Str()
-	perm := vfs.Perm(dec.U8())
-	data := dec.Blob()
-	if dec.Err != nil {
-		c.fail(f.ReqID, dec.Err)
-		return
-	}
-	ring := s.cfg.Shard.Ring
-	if ring == nil {
-		c.fail(f.ReqID, fmt.Errorf("server: not sharded"))
-		return
-	}
-	if epoch != ring.Epoch {
-		c.fail(f.ReqID, fmt.Errorf("shard: epoch mismatch (theirs %d, ours %d)", epoch, ring.Epoch))
-		return
-	}
-	if !c.checkOwner(f.ReqID, newPath) {
-		return
-	}
-	parentAttr, err := s.store.Lookup(parentOf(newPath))
-	if err != nil {
-		c.fail(f.ReqID, err)
-		return
-	}
-	err = s.mutate(c.client, tc, func() error {
-		if _, lerr := s.store.Lookup(newPath); lerr == nil {
-			return fmt.Errorf("shard: destination %s exists", newPath)
+	if r.step.Kind == 0 {
+		dec := proto.NewDec(r.f.Payload)
+		r.epoch, r.path, r.owner, r.perm, r.data = dec.U64(), dec.Str(), dec.Str(), vfs.Perm(dec.U8()), dec.Blob()
+		if dec.Err != nil {
+			c.fail(r.f.ReqID, dec.Err)
+			return
 		}
-		s.core.Stage(newPath, srvcore.Xfer{
-			Data: append([]byte(nil), data...), Owner: owner, Perm: perm, Epoch: epoch,
-		}, s.clk.Now())
+		ring := s.cfg.Shard.Ring
+		if ring == nil {
+			c.fail(r.f.ReqID, fmt.Errorf("server: not sharded"))
+			return
+		}
+		if r.epoch != ring.Epoch {
+			c.fail(r.f.ReqID, fmt.Errorf("shard: epoch mismatch (theirs %d, ours %d)", r.epoch, ring.Epoch))
+			return
+		}
+		if !c.checkOwner(r.f.ReqID, r.path) {
+			return
+		}
+		parentAttr, err := s.store.Lookup(parentOf(r.path))
+		if err != nil {
+			c.fail(r.f.ReqID, err)
+			return
+		}
+		r.plan = s.core.Plan(c.client, vfs.Datum{Kind: vfs.DirBinding, Node: parentAttr.ID})
+	}
+	if !s.run(c, r, func() error {
+		if _, err := s.store.Lookup(r.path); err == nil {
+			return fmt.Errorf("shard: destination %s exists", r.path)
+		}
+		s.core.Stage(r.path, srvcore.Xfer{Data: r.data, Owner: r.owner, Perm: r.perm, Epoch: r.epoch}, s.clk.Now())
 		return nil
-	}, vfs.Datum{Kind: vfs.DirBinding, Node: parentAttr.ID})
-	if err != nil {
-		c.fail(f.ReqID, err)
+	}) {
 		return
 	}
 	if s.obs.Enabled() {
 		s.obs.Record(obs.Event{Type: obs.EvShardPrepare, Client: string(c.client)})
 	}
-	c.replyEnc(f.ReqID, proto.TShardPrepareRep, func(e *proto.Enc) { e.U64(ring.Epoch) })
+	c.replyEnc(r.f.ReqID, proto.TShardPrepareRep, func(e *proto.Enc) { e.U64(r.epoch) })
 }
 
 // handleShardCommit makes a staged transfer visible: the source has
@@ -127,47 +121,48 @@ func (c *serverConn) handleShardPrepare(f proto.Frame, tc tracing.Context) {
 // destination parent binding is re-acquired — a lease granted on the
 // directory between prepare and commit still gets its §2 approval
 // round before the namespace changes under it.
-func (c *serverConn) handleShardCommit(f proto.Frame, tc tracing.Context) {
+func (c *serverConn) handleShardCommit(r *request) {
 	s := c.srv
-	dec := proto.NewDec(f.Payload)
-	epoch := dec.U64()
-	newPath := dec.Str()
-	if dec.Err != nil {
-		c.fail(f.ReqID, dec.Err)
-		return
+	if r.step.Kind == 0 {
+		dec := proto.NewDec(r.f.Payload)
+		epoch := dec.U64()
+		r.path = dec.Str()
+		if dec.Err != nil {
+			c.fail(r.f.ReqID, dec.Err)
+			return
+		}
+		st, ok := s.core.TakeStaged(r.path, epoch, s.clk.Now())
+		if !ok {
+			c.fail(r.f.ReqID, fmt.Errorf("shard: no staged transfer for %s at epoch %d", r.path, epoch))
+			return
+		}
+		r.data, r.owner, r.perm = st.Data, st.Owner, st.Perm
+		parentAttr, err := s.store.Lookup(parentOf(r.path))
+		if err != nil {
+			c.fail(r.f.ReqID, err)
+			return
+		}
+		// The namespace is master-only (DESIGN.md §9); the bytes replicate
+		// to a quorum before the local apply, exactly as a client write
+		// would — BEFORE the path exists locally, so the quorum holds them
+		// before any reader at this master can observe the new name at all —
+		// and the name appears with its bytes in one atomic step. A
+		// Create-then-WriteFile pair would expose an empty file that a
+		// concurrent read could lease and cache, a stale read the chaos
+		// shard-split scenario catches.
+		r.plan = s.core.Plan(c.client, vfs.Datum{Kind: vfs.DirBinding, Node: parentAttr.ID})
+		r.plan.Replicate(r.path, r.data)
 	}
-	st, ok := s.core.TakeStaged(newPath, epoch, s.clk.Now())
-	if !ok {
-		c.fail(f.ReqID, fmt.Errorf("shard: no staged transfer for %s at epoch %d", newPath, epoch))
-		return
-	}
-	parentAttr, err := s.store.Lookup(parentOf(newPath))
-	if err != nil {
-		c.fail(f.ReqID, err)
-		return
-	}
-	// The namespace is master-only (DESIGN.md §9); the bytes replicate
-	// to a quorum before the local apply, exactly as a client write
-	// would — BEFORE the path exists locally, so the quorum holds them
-	// before any reader at this master can observe the new name at all —
-	// and the name appears with its bytes in one atomic step. A
-	// Create-then-WriteFile pair would expose an empty file that a
-	// concurrent read could lease and cache, a stale read the chaos
-	// shard-split scenario catches.
-	p := s.core.Plan(c.client, vfs.Datum{Kind: vfs.DirBinding, Node: parentAttr.ID})
-	p.Replicate(newPath, st.Data)
-	err = s.run(&p, c.client, tc, func() error {
-		_, cerr := s.store.CreateWith(newPath, st.Owner, st.Perm, st.Data)
-		return cerr
-	})
-	if err != nil {
-		c.fail(f.ReqID, err)
+	if !s.run(c, r, func() error {
+		_, err := s.store.CreateWith(r.path, r.owner, r.perm, r.data)
+		return err
+	}) {
 		return
 	}
 	if s.obs.Enabled() {
 		s.obs.Record(obs.Event{Type: obs.EvShardCommit, Client: string(c.client)})
 	}
-	c.reply(f.ReqID, proto.TOK, nil)
+	c.replyEnc(r.f.ReqID, proto.TOK, nil)
 }
 
 // handleShardAbort discards a staged transfer (source-side failure
@@ -185,7 +180,7 @@ func (c *serverConn) handleShardAbort(f proto.Frame) {
 	if s.obs.Enabled() {
 		s.obs.Record(obs.Event{Type: obs.EvShardAbort, Client: string(c.client)})
 	}
-	c.reply(f.ReqID, proto.TOK, nil)
+	c.replyEnc(f.ReqID, proto.TOK, nil)
 }
 
 // crossShardRename runs the source half of the two-phase protocol for
@@ -205,9 +200,12 @@ func (c *serverConn) handleShardAbort(f proto.Frame) {
 // failure after step 2 is reported to the client: the file has left
 // this shard and the destination holds the only staged copy, which a
 // retried commit — or the operator — can surface; shrinking that
-// window is the rebalance follow-on in ROADMAP item 3.
-func (c *serverConn) crossShardRename(f proto.Frame, tc tracing.Context, oldPath, newPath string, destGroup int) {
-	s := c.srv
+// window is the op log's job (ROADMAP item 1).
+func (c *serverConn) crossShardRename(r *request, destGroup int) {
+	if r.parked = r.inline; r.parked {
+		return // a call to another group, and nothing done yet: the reader hands the request off to start over
+	}
+	s, f, tc, oldPath, newPath := c.srv, r.f, r.sp.Context(), r.path, r.to
 	ring := s.cfg.Shard.Ring
 	g, ok := ring.Group(destGroup)
 	if !ok || len(g.Replicas) == 0 {
@@ -257,7 +255,8 @@ func (c *serverConn) crossShardRename(f proto.Frame, tc tracing.Context, oldPath
 
 	// Commit point: clearance over the old binding and the file data
 	// (§2 — every cached copy approves or expires), then the removal.
-	err = s.mutate(c.client, tc, func() error {
+	r.plan = s.core.Plan(c.client, vfs.Datum{Kind: vfs.FileData, Node: attr.ID}, vfs.Datum{Kind: vfs.DirBinding, Node: oldParent.ID})
+	if !s.run(c, r, func() error {
 		// A write that landed after the bytes were read for the prepare
 		// would be lost at the destination — acknowledged, then gone.
 		if now, serr := s.store.Stat(attr.ID); serr != nil || now.Version != read.Version {
@@ -265,14 +264,12 @@ func (c *serverConn) crossShardRename(f proto.Frame, tc tracing.Context, oldPath
 		}
 		_, rerr := s.store.Remove(oldPath)
 		return rerr
-	}, vfs.Datum{Kind: vfs.FileData, Node: attr.ID}, vfs.Datum{Kind: vfs.DirBinding, Node: oldParent.ID})
-	if err != nil {
-		// Not yet committed: discard the staged copy (best-effort — it
-		// expires on its own if the abort is lost).
+	}) {
+		// Not yet committed, and the client told why: discard the staged
+		// copy (best-effort — it expires on its own if the abort is lost).
 		peer.call(proto.TShardAbort, func(e *proto.Enc) {
 			e.U64(ring.Epoch).Str(newPath)
 		}, proto.TOK)
-		c.fail(f.ReqID, err)
 		return
 	}
 	if s.obs.Enabled() {
