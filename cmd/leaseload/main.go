@@ -267,7 +267,6 @@ func runPortfolio(addr, mode string, nclients, nfiles int, dur, renew time.Durat
 		{"snapshot req", proto.TInstalled, "out"},
 		{"snapshot rep", proto.TInstalledRep, "in"},
 		{"broadcast push", proto.TBroadcastExt, "in"},
-		{"piggyback push", proto.TPiggyExt, "in"},
 	}
 	base := make([][]uint64, len(caches))
 	for i, c := range caches {

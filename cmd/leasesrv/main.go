@@ -6,7 +6,7 @@
 //	leasesrv -addr :7025 -term 10s -maxterm-file /var/lib/leases/maxterm
 //	leasesrv -addr :7025 -term 10s -recovery 10s   # manual crash recovery
 //	leasesrv -addr :7025 -metrics-addr :9100       # HTTP admin/metrics plane
-//	leasesrv -addr :7025 -term 10s -installed-dirs /bin,/lib -piggyback-lead 3s
+//	leasesrv -addr :7025 -term 10s -installed-dirs /bin,/lib
 //	leasesrv -addr :7025 -term 60s -adaptive       # per-file adaptive terms
 //
 // Crash safety: with -maxterm-file the server persists the maximum
@@ -82,7 +82,6 @@ func main() {
 	installedTerm := flag.Duration("installed-term", 0, "term each class broadcast extension grants (0 = 30s)")
 	broadcastEvery := flag.Duration("broadcast-every", 0, "class broadcast-extension period (0 = installed-term/4)")
 	quietAfterWrite := flag.Duration("quiet-after-write", 0, "post-write holdoff before a file is eligible for class (re-)promotion (0 = installed-term)")
-	piggybackLead := flag.Duration("piggyback-lead", 0, "piggyback anticipatory extension grants on replies for leases expiring within this lead (§4; 0 disables)")
 	adaptive := flag.Bool("adaptive", false, "per-file adaptive lease terms from observed access rates (§3.1's α = 2R/SW break-even); -term becomes the maximum term, -adaptive-min the minimum")
 	adaptiveMin := flag.Duration("adaptive-min", time.Second, "minimum adaptive term (with -adaptive)")
 	adaptiveWindow := flag.Duration("adaptive-window", time.Minute, "sliding window for the adaptive access-rate estimator (with -adaptive)")
@@ -154,7 +153,6 @@ func main() {
 			InstalledTerm:   *installedTerm,
 			BroadcastEvery:  *broadcastEvery,
 			QuietAfterWrite: *quietAfterWrite,
-			PiggybackLead:   *piggybackLead,
 		},
 	}
 	if *adaptive {

@@ -59,6 +59,9 @@ type Req struct {
 type record struct {
 	lease core.Lease
 	held  bool
+	// used: the lease served a hit since it was last renewed, and the
+	// record is listed in Core.used.
+	used bool
 	// filed is the filing (one reply) whose grant last stood here; edges
 	// and contents are only filed under a grant their own reply carried.
 	filed uint64
@@ -85,6 +88,11 @@ type Core struct {
 	epoch  uint64
 	gens   uint64
 	filing uint64
+	// used lists the records marked used, each once, in marking order
+	// (an entry whose record was since replaced is stale); renewDue is no
+	// later than the earliest instant one of them comes due.
+	used     []usedRec
+	renewDue time.Time
 	// The installed class (§4.3) as last fetched: its generation (zero:
 	// none; the server bumps it on every membership change), its members
 	// in wire order, and whether to refetch it.
@@ -112,7 +120,7 @@ func (c *Core) add(d vfs.Datum) *record {
 // node's attributes, which are not this lease's to take.
 func (c *Core) empty(rec *record) {
 	c.gens++
-	*rec = record{lease: rec.lease, held: rec.held, gen: c.gens, attr: rec.attr, attrUnder: rec.attrUnder}
+	*rec = record{lease: rec.lease, held: rec.held, used: rec.used, gen: c.gens, attr: rec.attr, attrUnder: rec.attrUnder}
 }
 
 // valid returns d's record if a copy may be read through it at now.
@@ -121,6 +129,61 @@ func (c *Core) valid(d vfs.Datum, now time.Time) *record {
 		return rec
 	}
 	return nil
+}
+
+// usedRec is one entry of Core.used.
+type usedRec struct {
+	d   vfs.Datum
+	rec *record
+}
+
+// renewAt is when a lease is past half its granted term: from then on a
+// lease that serves hits rides the client's next request (§4).
+func renewAt(l core.Lease) time.Time { return l.Expiry.Add(-l.Term / 2) }
+
+// use marks d's record rec as having served a hit. A lease that never
+// expires needs no renewal.
+func (c *Core) use(d vfs.Datum, rec *record) {
+	if rec.used || rec.lease.Expiry.IsZero() {
+		return
+	}
+	rec.used = true
+	if due := renewAt(rec.lease); len(c.used) == 0 || due.Before(c.renewDue) {
+		c.renewDue = due
+	}
+	c.used = append(c.used, usedRec{d, rec})
+}
+
+// AppendRenewals appends to dst the leases to renew on the request about
+// to be sent — every record that served a hit since its last renewal and
+// is now past half its granted term — and clears their marks. A lease
+// nobody used is left to lapse. With nothing due it reads no record.
+func (c *Core) AppendRenewals(dst []vfs.Datum, now time.Time) []vfs.Datum {
+	if len(c.used) == 0 || now.Before(c.renewDue) {
+		return dst
+	}
+	keep, next := c.used[:0], time.Time{}
+	for _, u := range c.used {
+		if c.recs[u.d] != u.rec {
+			continue // replaced: the new record carries its own mark
+		}
+		due := renewAt(u.rec.lease)
+		switch {
+		case !u.rec.held:
+			u.rec.used = false
+		case now.Before(due):
+			keep = append(keep, u)
+			if len(keep) == 1 || due.Before(next) {
+				next = due
+			}
+		default:
+			u.rec.used = false
+			dst = append(dst, u.d)
+		}
+	}
+	clear(c.used[len(keep):])
+	c.used, c.renewDue = keep, next
+	return dst
 }
 
 // grant applies one wire grant to its record and returns the record if
@@ -172,9 +235,9 @@ func nextName(rest string) (name, tail string) {
 }
 
 // walk resolves path edge by edge, each under its own directory's valid
-// lease. under is the gen of the directory whose binding covers the
-// named node's attributes: its parent's, or for "/" the root's own;
-// zero when that lease is not valid.
+// lease, and marks each directory it reads used. under is the gen of the
+// directory whose binding covers the named node's attributes: its
+// parent's, or for "/" the root's own; zero when that lease is not valid.
 func (c *Core) walk(path string, now time.Time) (ent Entry, under uint64, ok bool) {
 	ent = Entry{ID: vfs.RootID, IsDir: true}
 	if path == "" || path[0] != '/' {
@@ -182,6 +245,7 @@ func (c *Core) walk(path string, now time.Time) (ent Entry, under uint64, ok boo
 	}
 	if path == "/" {
 		if root := c.valid(ent.Datum(), now); root != nil {
+			c.use(ent.Datum(), root)
 			under = root.gen
 		}
 		return ent, under, true
@@ -191,6 +255,7 @@ func (c *Core) walk(path string, now time.Time) (ent Entry, under uint64, ok boo
 		if dir == nil {
 			return ent, 0, false
 		}
+		c.use(ent.Datum(), dir)
 		var name string
 		name, rest = nextName(rest)
 		if ent, ok = dir.ents[name]; !ok {
@@ -216,10 +281,12 @@ func (c *Core) Attr(path string, now time.Time) (vfs.Attr, bool) {
 	return vfs.Attr{}, false
 }
 
-// Contents returns file datum d's cached contents if its lease is valid.
-// The slice is the cache's own: copy before handing out.
+// Contents returns file datum d's cached contents if its lease is valid,
+// marking the lease used. The slice is the cache's own: copy before
+// handing out.
 func (c *Core) Contents(d vfs.Datum, now time.Time) ([]byte, bool) {
 	if rec := c.valid(d, now); rec != nil && rec.data != nil {
+		c.use(d, rec)
 		return rec.data, true
 	}
 	return nil, false
@@ -231,6 +298,7 @@ func (c *Core) Listing(id vfs.NodeID, now time.Time) ([]vfs.DirEntry, bool) {
 	if dir == nil || !dir.listed {
 		return nil, false
 	}
+	c.use(binding(id), dir)
 	out := make([]vfs.DirEntry, 0, len(dir.ents))
 	for name, ent := range dir.ents {
 		out = append(out, vfs.DirEntry{Name: name, ID: ent.ID, IsDir: ent.IsDir})
@@ -321,11 +389,13 @@ func (c *Core) File(q Req, r Reply, now time.Time) bool {
 	return true
 }
 
-// FileExtension files an extension reply. It moves expiries only: a
-// datum that came back unleased, or at a version other than the held
-// one (it changed while the lease was lapsed), is invalidated instead,
-// and returned for the driver's accounting. Across the fence nothing is
-// filed: the grants could resurrect a lease an approval surrendered.
+// FileExtension files an extension reply, or the renewal grants that end
+// a read or write reply (AppendRenewals), under the stamp of the request
+// that carried them. It moves expiries only: a datum that came back
+// unleased, or at a version other than the held one (it changed while
+// the lease was lapsed), is invalidated instead, and returned for the
+// driver's accounting. Across the fence nothing is filed: the grants
+// could resurrect a lease an approval surrendered.
 func (c *Core) FileExtension(q Req, grants []proto.GrantWire, now time.Time) (invalidated []vfs.Datum) {
 	if q.Epoch != c.epoch {
 		return nil
@@ -340,16 +410,6 @@ func (c *Core) FileExtension(q Req, grants []proto.GrantWire, now time.Time) (in
 		c.grant(g, q, now)
 	}
 	return invalidated
-}
-
-// ExtendStamped applies an unsolicited, server-stamped extension grant
-// (piggybacked on another reply, §4): it can only extend a lease already
-// held at the same version, to sentAt + term − ε.
-func (c *Core) ExtendStamped(d vfs.Datum, version uint64, term time.Duration, sentAt time.Time) {
-	if rec := c.recs[d]; term > 0 && rec != nil && rec.held && rec.lease.Version == version {
-		rec.lease.Extend(c.cfg.Stamped(term, sentAt), version)
-		rec.lease.Term = term
-	}
 }
 
 // OwnWrite records that this cache's write of data to file datum d
@@ -468,6 +528,7 @@ func (c *Core) DropBindings() {
 func (c *Core) DropAll() {
 	c.epoch++
 	c.recs = make(map[vfs.Datum]*record)
+	c.used = nil
 	c.classGen, c.classMembers, c.classStale = 0, nil, false
 }
 

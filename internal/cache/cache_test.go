@@ -85,6 +85,12 @@ var regressions = map[string][]byte{
 	"reordered-lookups": prog(
 		opLookup, pathArg("/f"), opAdvance, 7, opOtherMutate, pathArg("/f")|1<<6,
 		opLookup, pathArg("/a"), opDeliver, 1, opDeliver, 0),
+	// A renewal of /f rides a request past half the term; another
+	// client's write calls /f back while it is in flight, and the
+	// refetch's reply lands first: the renewal is filed nowhere.
+	"renewal-crosses-callback": prog(
+		opRead, pathArg("/f"), opDeliver, 0, opAdvance, 1, opRead, pathArg("/f"),
+		opRide, 0, opOtherWrite, pathArg("/f"), opRead, pathArg("/f"), opDeliver, 1, opDeliver, 0),
 }
 
 func TestRegressions(t *testing.T) {
@@ -119,7 +125,7 @@ func FuzzCacheCore(f *testing.F) {
 func randomProgram(rng *rand.Rand, steps int) []byte {
 	hot := []string{"/f", "/a/b/f", "/a/b/g", "/a/f"}
 	often := []byte{opRead, opRead, opLookup, opDeliver, opDeliver, opDeliver, opOwnWrite, opOwnWrite, opOtherWrite, opOtherMutate,
-		opOwnCreate, opOwnRemove, opOwnRename, opList, opExtend, opPiggy, opInstall, opBroadcast, opSnapshot}
+		opOwnCreate, opOwnRemove, opOwnRename, opList, opExtend, opRide, opInstall, opBroadcast, opSnapshot}
 	p := make([]byte, 0, 2*steps)
 	for i := 0; i < steps; i++ {
 		op, arg := often[rng.Intn(len(often))], byte(rng.Intn(256))
@@ -191,6 +197,53 @@ func TestAllocFreeWarmPath(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("warm resolve + hit allocates %v times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		if due := c.AppendRenewals(nil, now); len(due) != 0 {
+			t.Fatalf("renewals due at the grant: %v", due)
+		}
+	}); n != 0 {
+		t.Fatalf("AppendRenewals with nothing due allocates %v times, want 0", n)
+	}
+}
+
+// TestRenewalsFollowUse: a lease is renewed once it has served a hit and
+// is past half its term, once per hit; a lease nobody used is not, and
+// a request with nothing due reads no record.
+func TestRenewalsFollowUse(t *testing.T) {
+	c, now := warmCore(t) // /a/b/f, leased for an hour with its three directories
+	f := vfs.Datum{Kind: vfs.FileData, Node: 5}
+	half := now.Add(31 * time.Minute)
+	if due := c.AppendRenewals(nil, half); len(due) != 0 {
+		t.Fatalf("renewals nobody used: %v", due)
+	}
+	if _, ok := c.Contents(f, now); !ok {
+		t.Fatal("warm read missed")
+	}
+	if due := c.AppendRenewals(nil, now.Add(29*time.Minute)); len(due) != 0 {
+		t.Fatalf("renewals before half the term: %v", due)
+	}
+	if due := c.AppendRenewals(nil, half); len(due) != 1 || due[0] != f {
+		t.Fatalf("renewals of a used lease past half its term = %v, want [%v]", due, f)
+	}
+	if due := c.AppendRenewals(nil, half); len(due) != 0 {
+		t.Fatalf("a renewal listed twice for one hit: %v", due)
+	}
+	if _, ok := c.Resolve("/a/b/f", half); !ok {
+		t.Fatal("warm resolve missed")
+	}
+	want := []vfs.Datum{binding(1), binding(2), binding(3)}
+	if due := c.AppendRenewals(nil, half); len(due) != 3 || due[0] != want[0] || due[1] != want[1] || due[2] != want[2] {
+		t.Fatalf("renewals after a resolve = %v, want the walked directories %v", due, want)
+	}
+	// The grant that answers a renewal moves it a half term on.
+	c.Contents(f, half)
+	c.FileExtension(c.Begin(half), []proto.GrantWire{{Datum: f, Term: time.Hour, Version: 1, Leased: true}}, half)
+	if due := c.AppendRenewals(nil, half.Add(29*time.Minute)); len(due) != 0 {
+		t.Fatalf("renewed lease due again before half its new term: %v", due)
+	}
+	if due := c.AppendRenewals(nil, half.Add(31*time.Minute)); len(due) != 1 || due[0] != f {
+		t.Fatalf("renewed lease past half its new term = %v", due)
 	}
 }
 

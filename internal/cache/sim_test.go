@@ -56,7 +56,7 @@ func (n *snode) contents() []byte { return []byte(fmt.Sprintf("%d@%d", n.id, n.v
 
 // reply is one answer in flight to the client.
 type reply struct {
-	kind   string // lookup, read, list, write, create, remove, rename, failed, extend, bcast, snap
+	kind   string // lookup, read, list, write, create, remove, rename, failed, extend, renew, bcast, snap
 	q      Req
 	path   string
 	attr   vfs.Attr
@@ -285,6 +285,20 @@ func (w *simWorld) extend() {
 	w.send(r)
 }
 
+// ride is a request the client sends anyway, carrying the renewals due
+// (AppendRenewals): the server grants them like an extension, mode as
+// for any grant, and the client files them under the request's stamp.
+func (w *simWorld) ride(mode byte) {
+	r := &reply{kind: "renew"}
+	for _, d := range w.core.AppendRenewals(nil, w.now) {
+		if !w.nodes[d.Node].gone {
+			r.grants = append(r.grants, w.grant(d, mode))
+		}
+	}
+	w.logf("renewals served %v", r.grants)
+	w.send(r)
+}
+
 // clear is §2 clearance of d for somebody else's change: a standing
 // per-client lease costs a callback, which the client's read loop
 // handles the moment it arrives; a class horizon can only be waited out.
@@ -458,7 +472,7 @@ func (w *simWorld) deliver(i int) {
 		c.File(q, Reply{Path: r.path, Attr: r.attr, Chain: r.chain, Grants: r.grants, Data: r.data}, w.now)
 	case "list":
 		c.File(q, Reply{Attr: r.attr, Grants: r.grants, Ents: r.ents}, w.now)
-	case "extend":
+	case "extend", "renew":
 		c.FileExtension(q, r.grants, w.now)
 	case "write":
 		w.unacked[r.datum]--
@@ -579,7 +593,7 @@ const (
 	opOwnRename // operand picks source and destination
 	opOwnRenameTorn
 	opExtend
-	opPiggy // an extension piggybacked on another reply: handled on arrival
+	opRide // the renewals due, riding a request
 	opInstall
 	opBroadcast
 	opSnapshot
@@ -606,7 +620,7 @@ func (w *simWorld) step(op, arg byte) {
 	case opAbandon:
 		if n := len(w.pending); n > 0 {
 			switch r := w.pending[int(arg)%n]; r.kind {
-			case "lookup", "read", "list", "extend", "bcast", "snap":
+			case "lookup", "read", "list", "extend", "renew", "bcast", "snap":
 				w.logf("abandon %s %s", r.kind, r.path)
 				w.pending = append(w.pending[:int(arg)%n], w.pending[int(arg)%n+1:]...)
 			}
@@ -626,11 +640,8 @@ func (w *simWorld) step(op, arg byte) {
 		w.ownRename(simPaths[int(arg&7)%len(simPaths)+1], to, op%opCount == opOwnRenameTorn)
 	case opExtend:
 		w.extend()
-	case opPiggy:
-		if n, _ := w.resolve(path); n != nil {
-			g := w.grant(n.datum(), 0)
-			w.core.ExtendStamped(g.Datum, g.Version, g.Term, w.now)
-		}
+	case opRide:
+		w.ride(mode)
 	case opInstall:
 		w.install()
 	case opBroadcast:

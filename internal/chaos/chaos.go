@@ -188,9 +188,8 @@ type scenarioSpec struct {
 	// standard writer/reader loops speak single sessions), and replace
 	// the checker's file set with ring-placed names (see sharded.go).
 	sharded bool
-	// installed scripts run the server with the §4 lease-class subsystem
-	// on (installed-files class plus anticipatory piggybacking); see
-	// harness.classConfig.
+	// installed scripts run the server with the §4.3 installed-files
+	// class on; see harness.classConfig.
 	installed bool
 	run       func(*harness)
 }
@@ -338,7 +337,7 @@ func Run(opts Options) (*Report, error) {
 			}
 			h.clients = append(h.clients, r)
 		}
-		defer closeAll(h.clients)
+		defer func() { closeAll(h.clients) }() // with any the script adds
 
 		h.wg.Add(1)
 		go h.writerLoop(writer)
@@ -451,18 +450,15 @@ func (h *harness) restartServer() {
 
 // classConfig sizes the lease-class subsystem for a chaos run, scaled
 // to the per-file term: the whole tree is installed, the class term is
-// two file terms (broadcast every half term), the post-write quiet
+// two file terms (broadcast every half term), and the post-write quiet
 // window is short enough that the hot files churn back into the class
 // whenever the workload pauses — the §4.3 demote/re-promote cycle under
-// faults — and piggybacking's lead exceeds the file term so every reply
-// to a FeatClass client anticipatorily re-grants its aging per-file
-// leases.
+// faults.
 func (h *harness) classConfig() server.ClassConfig {
 	return server.ClassConfig{
 		InstalledDirs:   []string{"/"},
 		InstalledTerm:   2 * h.o.Term,
 		QuietAfterWrite: h.o.Term / 4,
-		PiggybackLead:   2 * h.o.Term,
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"leases/internal/clock"
 	"leases/internal/faultnet"
 	"leases/internal/obs"
+	"leases/internal/proto"
 	"leases/internal/server"
 )
 
@@ -55,7 +56,7 @@ var scenarioTable = []scenarioSpec{
 	},
 	{
 		name:      "installed-class",
-		summary:   "installed-files class under loss and a mid-run sever: broadcasts, drop-on-write demotions, re-promotions and piggybacked extensions, consistency intact",
+		summary:   "installed-files class under loss and a mid-run sever: broadcasts, drop-on-write demotions, re-promotions and renewals riding reads, consistency intact",
 		duration:  4 * time.Second,
 		installed: true,
 		run:       runInstalledClass,
@@ -307,17 +308,36 @@ func runAsymPartition(h *harness) {
 // whole class life cycle: initial promotion on first read, periodic
 // broadcast extensions keeping the readers' copies hot, drop-on-write
 // demotion (with its coverage-horizon wait) every time the writer
-// touches a hot file, re-promotion once the short quiet window passes,
-// and anticipatory piggybacked re-grants of the demoted files' per-file
-// leases. Packet loss stresses broadcast and snapshot delivery (a lost
-// broadcast just widens the gap to the next; a lost snapshot refetches
-// on the next generation mismatch); the mid-run sever forces every
-// session through reconnect, which drops the class snapshot and must
-// refetch it before trusting another broadcast. The standard acked-floor
-// checker holds throughout, and a class-activity lens asserts each wire
-// path actually fired — a scenario that silently stopped exercising the
-// class would otherwise keep passing on the consistency lens alone.
+// touches a hot file, and re-promotion once the short quiet window
+// passes. Beside them a rider reads with no renewal loop: it never
+// fetches the class snapshot and never sends TExtend, so only renewals
+// riding its reads keep its per-file leases alive. Packet loss stresses
+// broadcast and snapshot delivery (a lost broadcast just widens the gap
+// to the next; a lost snapshot refetches on the next generation
+// mismatch); the mid-run sever forces every session through reconnect,
+// which drops the class snapshot and must refetch it before trusting
+// another broadcast. The standard acked-floor checker holds throughout,
+// and a class-activity lens asserts each wire path actually fired — a
+// scenario that silently stopped exercising the class would otherwise
+// keep passing on the consistency lens alone.
 func runInstalledClass(h *harness) {
+	cfg := h.clientCfg("rider", 96)
+	cfg.AutoExtend = 0
+	rider, err := client.Dial(h.proxy.Addr(), cfg)
+	if err != nil {
+		h.ck.violate("harness", "rider: %v", err)
+		return
+	}
+	h.clients = append(h.clients, rider)
+	h.wg.Add(1)
+	go h.readerLoop(rider, len(h.clients))
+	// The event ring may evict early events, so it is read twice.
+	renewed := false
+	sawRenewal := func() {
+		for _, ev := range h.obs.Events(0) {
+			renewed = renewed || ev.Type == obs.EvExtend && ev.Client == "rider" && ev.Term > 0
+		}
+	}
 	d := h.o.Duration
 	faultnet.NewSchedule(h.obs).
 		At(0, "loss-on", func() {
@@ -325,20 +345,27 @@ func runInstalledClass(h *harness) {
 				DropProb: 0.005, Latency: time.Millisecond, Jitter: 2 * time.Millisecond,
 			})
 		}).
-		At(d/2, "sever-all", h.proxy.SeverAll).
+		At(d/2, "sever-all", func() {
+			sawRenewal()
+			h.proxy.SeverAll()
+		}).
 		At(3*d/4, "heal", func() { h.proxy.SetBoth(faultnet.LinkConfig{}) }).
 		At(d, "end", func() {}).
 		Run(clock.Real{}, h.stop)
 	h.settle()
+	sawRenewal()
 
 	counts := map[string]int64{}
 	for _, ec := range h.obs.EventCounts() {
 		counts[ec.Type] = ec.N
 	}
-	for _, ev := range []string{"class-promote", "class-demote", "broadcast-ext", "piggy-ext"} {
+	for _, ev := range []string{"class-promote", "class-demote", "broadcast-ext"} {
 		if counts[ev] == 0 {
 			h.ck.violate("class-activity", "no %s event in an installed-class run — that wire path never fired", ev)
 		}
+	}
+	if n := rider.WireStats().Frames(proto.TExtend, "out"); n != 0 || !renewed {
+		h.ck.violate("class-activity", "rider: renewals granted %v, TExtend frames sent %d; want renewals riding its reads alone", renewed, n)
 	}
 }
 

@@ -252,3 +252,32 @@ func TestPipelinedBurstSchedule(t *testing.T) {
 		t.Fatalf("burst schedule ran no work: %+v", out)
 	}
 }
+
+// TestRenewalsRideModelRequests: a lease that served a hit is renewed on
+// the client's next request past half its term. Client 0 hits file 0
+// past half the term and its read of file 1 carries the renewal; client
+// 1 then writes file 0, which the renewed lease makes it ask for.
+func TestRenewalsRideModelRequests(t *testing.T) {
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	sc := Scenario{
+		Clients: 2, Files: 2, Term: ms(100),
+		Ops: []Op{
+			{At: ms(0), Client: 0, File: 0, Kind: OpRead},
+			{At: ms(45), Client: 0, File: 0, Kind: OpRead},
+			{At: ms(55), Client: 0, File: 1, Kind: OpRead},
+			{At: ms(100), Client: 0, File: 0, Kind: OpRead},
+			{At: ms(130), Client: 1, File: 0, Kind: OpWrite},
+			{At: ms(200), Client: 0, File: 0, Kind: OpRead},
+		},
+	}
+	out, err := RunScenario(sc, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Ok() {
+		t.Fatalf("violated: %v", out.Violations)
+	}
+	if out.Renewals != 1 || out.CacheHits != 2 {
+		t.Fatalf("%d renewals and %d hits, want the one renewal to keep file 0 cached past its term: %+v", out.Renewals, out.CacheHits, out)
+	}
+}

@@ -40,6 +40,9 @@ type mop struct {
 	kind  mopKind
 	reqID uint64
 	data  []vfs.Datum
+	// renew is the renewal list the request carries, taken at its first
+	// transmission (cache.Core.AppendRenewals).
+	renew []vfs.Datum
 	// datum/value for writes and single-datum read fetches.
 	datum vfs.Datum
 	value string
@@ -213,6 +216,9 @@ func (c *mclient) renew() {
 func (c *mclient) send(op *mop) {
 	op.reqID = c.allocReq()
 	op.q = c.core.Begin(c.localNow())
+	if op.kind != opRenameOp {
+		op.renew = c.core.AppendRenewals(nil, op.q.At)
+	}
 	op.span = c.w.tracer.StartRootNode(string(c.node), rootNames[op.kind])
 	c.inflight[op.reqID] = op
 	if op.kind == opWriteOp {
@@ -225,9 +231,9 @@ func (c *mclient) transmit(op *mop) {
 	target := c.w.serverNodeID(c.w.globalIdx(op.group, c.belief[op.group]))
 	switch op.kind {
 	case opReadFetch, opRenew:
-		c.w.fabric.Unicast(c.node, target, kindExtend, extendReq{ReqID: op.reqID, From: c.id, Data: op.data, TC: op.span.Context()})
+		c.w.fabric.Unicast(c.node, target, kindExtend, extendReq{ReqID: op.reqID, From: c.id, Data: op.data, Renew: op.renew, TC: op.span.Context()})
 	case opWriteOp:
-		c.w.fabric.Unicast(c.node, target, kindWrite, writeReq{ReqID: op.reqID, From: c.id, Datum: op.datum, Value: op.value, TC: op.span.Context()})
+		c.w.fabric.Unicast(c.node, target, kindWrite, writeReq{ReqID: op.reqID, From: c.id, Datum: op.datum, Value: op.value, Renew: op.renew, TC: op.span.Context()})
 	case opRenameOp:
 		c.w.fabric.Unicast(c.node, target, kindRename, renameReq{ReqID: op.reqID, From: c.id, File: fileForDatum(op.datum), TC: op.span.Context()})
 	}
@@ -402,6 +408,8 @@ func (c *mclient) handleGrants(m netsim.Message, rep extendRep) {
 			Data:   []byte(g.Value),
 		}, now)
 	}
+	c.w.out.Renewals += len(rep.Renewed)
+	c.core.FileExtension(q, rep.Renewed, now)
 	if op.kind == opReadFetch {
 		for _, g := range rep.Grants {
 			if g.Datum == op.datum {
@@ -422,7 +430,10 @@ func (c *mclient) handleAck(m netsim.Message, ack writeAck) {
 	c.w.orc.acked(c.id, fileForDatum(op.datum), op.value)
 	// §3.1: the writer's copy stays valid after its own write — unless the
 	// ack crossed an approval push, or a newer version is already recorded.
-	c.core.OwnWrite(c.fence(op), op.datum, vfs.Attr{Version: ack.Version}, []byte(op.value))
+	q := c.fence(op)
+	c.w.out.Renewals += len(ack.Renewed)
+	c.core.OwnWrite(q, op.datum, vfs.Attr{Version: ack.Version}, []byte(op.value))
+	c.core.FileExtension(q, ack.Renewed, c.localNow())
 }
 
 func (c *mclient) handleApprovalPush(m netsim.Message, ar proto.ApprovalWire) {

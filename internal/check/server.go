@@ -62,7 +62,8 @@ type mplan struct {
 	reqID    uint64
 	file     int
 	value    string
-	queuedAt time.Time // server-local, for the write-wait lens
+	renew    []vfs.Datum // a write's renewals, granted with its ack
+	queuedAt time.Time   // server-local, for the write-wait lens
 	x        *xferState
 	xm       xferMsg
 	peer     netsim.NodeID
@@ -825,7 +826,9 @@ func (srv *mserver) finish(op *mplan, err error) {
 	switch op.kind {
 	case planWrite:
 		if err == nil {
-			srv.w.fabric.Unicast(srv.node, netsim.NodeID(op.client), kindAck, writeAck{ReqID: op.reqID, Version: srv.seen[op.client][op.reqID]})
+			srv.w.fabric.Unicast(srv.node, netsim.NodeID(op.client), kindAck, writeAck{
+				ReqID: op.reqID, Version: srv.seen[op.client][op.reqID], Renewed: srv.renew(op.client, op.renew),
+			})
 		} else if m := srv.seen[op.client]; m[op.reqID] == 0 {
 			delete(m, op.reqID)
 		}
@@ -1201,7 +1204,25 @@ func (srv *mserver) handleExtend(from netsim.NodeID, req extendReq) {
 			}
 		}
 	}
+	rep.Renewed = srv.renew(req.From, req.Renew)
 	srv.w.fabric.Unicast(srv.node, from, kindGrant, rep)
+}
+
+// renew grants the renewals a read or write carried, as the TCP server
+// grants a TExtend batch; a file that moved away is left to lapse.
+func (srv *mserver) renew(client core.ClientID, data []vfs.Datum) []proto.GrantWire {
+	var out []proto.GrantWire
+	now := srv.localNow()
+	for _, d := range data {
+		if f := fileForDatum(d); srv.owns(f) && srv.present(f) {
+			g := srv.core.Leases().Grant(client, d, now)
+			out = append(out, proto.GrantWire{Datum: d, Term: g.Term, Version: srv.fileVersion(f), Leased: g.Leased})
+			srv.w.obs.Record(obs.Event{
+				Type: obs.EvExtend, Client: string(client), Datum: d, Shard: srv.core.Leases().ShardFor(d), Term: g.Term,
+			})
+		}
+	}
+	return out
 }
 
 func (srv *mserver) handleWrite(from netsim.NodeID, req writeReq) {
@@ -1210,13 +1231,13 @@ func (srv *mserver) handleWrite(from netsim.NodeID, req writeReq) {
 	// moved away must still re-ack its retransmits.
 	f := fileForDatum(req.Datum)
 	if srv.dedupe(req.From, req.ReqID, func(version uint64) {
-		srv.w.fabric.Unicast(srv.node, from, kindAck, writeAck{ReqID: req.ReqID, Version: version})
+		srv.w.fabric.Unicast(srv.node, from, kindAck, writeAck{ReqID: req.ReqID, Version: version, Renewed: srv.renew(req.From, req.Renew)})
 	}) || !srv.routed(from, req.ReqID, f, true) {
 		return
 	}
 	srv.markSeen(req.From, req.ReqID, 0)
 	op := &mplan{
-		kind: planWrite, client: req.From, reqID: req.ReqID, file: f, value: req.Value,
+		kind: planWrite, client: req.From, reqID: req.ReqID, file: f, value: req.Value, renew: req.Renew,
 		sp: srv.w.tracer.StartChildNode(string(srv.node), req.TC, "server.write"),
 	}
 	op.p = srv.core.Plan(req.From, req.Datum)

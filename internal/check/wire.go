@@ -18,6 +18,9 @@ type extendReq struct {
 	ReqID uint64
 	From  core.ClientID
 	Data  []vfs.Datum
+	// Renew is the renewal list the request carries (TRead's and TWrite's
+	// trailer), answered by Renewed.
+	Renew []vfs.Datum
 	// TC is the client root's trace context — the model analogue of
 	// the TraceFlag wire header.
 	TC tracing.Context
@@ -29,8 +32,9 @@ type grantInfo struct {
 }
 
 type extendRep struct {
-	ReqID  uint64
-	Grants []grantInfo
+	ReqID   uint64
+	Grants  []grantInfo
+	Renewed []proto.GrantWire
 }
 
 type writeReq struct {
@@ -38,12 +42,14 @@ type writeReq struct {
 	From  core.ClientID
 	Datum vfs.Datum
 	Value string
+	Renew []vfs.Datum
 	TC    tracing.Context
 }
 
 type writeAck struct {
 	ReqID   uint64
 	Version uint64
+	Renewed []proto.GrantWire
 }
 
 type approveMsg struct {

@@ -140,6 +140,8 @@ type Outcome struct {
 	Writes      int
 	WritesAcked int
 	Extends     int
+	// Renewals counts renewal grants that came back on reads and writes.
+	Renewals int
 	// Renames counts cross-shard moves committed at source masters;
 	// RenamesAcked counts rename acks clients observed (sharded worlds
 	// only; Renames can exceed RenamesAcked when an ack is lost and the

@@ -133,17 +133,12 @@ func TestDropOnWriteDemotion(t *testing.T) {
 	})
 }
 
-// TestPiggybackExtendsNearExpiryLeases is §4's anticipatory extension
-// riding replies: a client doing unrelated RPCs never has to extend the
-// leases it holds — the server re-grants them in TPiggyExt frames
-// appended to each reply's flush — so the cache stays hot past the term
-// with zero extension requests.
-func TestPiggybackExtendsNearExpiryLeases(t *testing.T) {
-	srv, addr := startServer(t, server.Config{
-		Term:         400 * time.Millisecond,
-		WriteTimeout: 5 * time.Second,
-		Class:        server.ClassConfig{PiggybackLead: 500 * time.Millisecond},
-	})
+// TestRenewalsRideRequests is §4's anticipatory extension riding the
+// requests a client sends anyway: a file read now and then, beside
+// unrelated writes, stays cached past its term with no extension
+// request — each write carries the renewal of the lease the reads used.
+func TestRenewalsRideRequests(t *testing.T) {
+	srv, addr := startServer(t, server.Config{Term: 400 * time.Millisecond, WriteTimeout: 5 * time.Second})
 	seedFile(t, srv, "/f", "v1")
 	seedFile(t, srv, "/g", "x")
 	c, err := client.Dial(addr, client.Config{ID: "c1"}) // no renewal loop
@@ -155,28 +150,27 @@ func TestPiggybackExtendsNearExpiryLeases(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Unrelated traffic for 2× the term; each reply piggybacks an
-	// extension of the /f lease.
+	// 2× the term of hits on /f and writes to /g.
 	for i := 0; i < 8; i++ {
 		time.Sleep(100 * time.Millisecond)
+		if _, err := c.Read("/f"); err != nil {
+			t.Fatal(err)
+		}
 		if err := c.Write("/g", []byte("x")); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	before := c.Metrics()
-	if _, err := c.Read("/f"); err != nil {
-		t.Fatal(err)
-	}
-	if hits := c.Metrics().ReadHits - before.ReadHits; hits != 1 {
-		t.Fatalf("read after term was not a cache hit (hits delta %d)", hits)
+	m := c.Metrics()
+	if m.ReadHits != m.Reads-1 {
+		t.Fatalf("%d of %d reads were hits; only the first should have gone to the server", m.ReadHits, m.Reads)
 	}
 	ws := c.WireStats()
-	if n := ws.Frames(proto.TPiggyExt, "in"); n == 0 {
-		t.Fatal("no piggybacked extension ever arrived")
+	if n := ws.Frames(proto.TRead, "out"); n != 1 {
+		t.Fatalf("client sent %d read frames, want 1", n)
 	}
 	if n := ws.Frames(proto.TExtend, "out"); n != 0 {
-		t.Fatalf("client sent %d extend frames; piggyback should need none", n)
+		t.Fatalf("client sent %d extend frames; renewals riding writes should need none", n)
 	}
 }
 
@@ -227,7 +221,7 @@ func TestPlainServerNoClassTraffic(t *testing.T) {
 	if n := ws.Frames(proto.TInstalled, "out"); n != 0 {
 		t.Fatalf("client sent %d TInstalled frames to a class-less server", n)
 	}
-	if n := ws.Frames(proto.TBroadcastExt, "in") + ws.Frames(proto.TPiggyExt, "in"); n != 0 {
+	if n := ws.Frames(proto.TBroadcastExt, "in"); n != 0 {
 		t.Fatalf("class-less server pushed %d class frames", n)
 	}
 	// Leases still renew the old way: the cache stays hot past the term.
@@ -286,7 +280,7 @@ func TestOldClientSeesNoClassFrames(t *testing.T) {
 	}
 	f.Recycle()
 	// One lookup so the connection holds a lease and would be a
-	// piggyback/broadcast target if the gate were broken.
+	// broadcast target if the gate were broken.
 	e = proto.Enc{}
 	e.Str("/f")
 	if err := proto.WriteFrame(nc, proto.Frame{Type: proto.TLookup, ReqID: 2, Payload: e.Bytes()}); err != nil {

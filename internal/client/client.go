@@ -2,7 +2,8 @@
 // server: a write-through file cache that holds leases over file
 // contents and name-to-file bindings, serves repeated reads and opens
 // locally while its leases are valid, approves server write callbacks
-// by invalidating its copies, and extends leases in batches.
+// by invalidating its copies, and renews the leases it uses on the
+// requests it sends anyway, or in batches.
 //
 // What may be cached and served is decided by internal/cache's sans-IO
 // Core; this package is the TCP driver around it: connection, coalescer,
@@ -53,8 +54,9 @@ type Config struct {
 	// in batches, when they come within half this period of expiring;
 	// the loop wakes when the next lease approaches expiry, at most
 	// once per AutoExtend and at least once per AutoExtend when
-	// something is due sooner. Zero disables it; leases are then
-	// extended on demand by use.
+	// something is due sooner. Zero disables it; a lease that serves
+	// hits is then renewed on the next read or write the client sends,
+	// and any other lapses.
 	AutoExtend time.Duration
 	// OnExtendFailure runs (on the renewal loop goroutine) when a
 	// background extension round fails, with the error and the count of
@@ -356,10 +358,7 @@ func (c *Cache) Close() error {
 		// immediately instead of waiting for expiry.
 		if held := c.HeldData(); len(held) > 0 {
 			var e proto.Enc
-			e.U32(uint32(len(held)))
-			for _, d := range held {
-				e.Datum(d)
-			}
+			e.EncodeData(held)
 			// One attempt, no session retries: a Close racing a dead
 			// connection must not wait out a reconnect; the server
 			// reclaims unreleased leases by expiry anyway.
@@ -470,9 +469,6 @@ func (c *Cache) readLoop(nc net.Conn, fr *proto.FrameReader, co *proto.Coalescer
 		case proto.TBroadcastExt:
 			c.handleBroadcastExt(f)
 			continue
-		case proto.TPiggyExt:
-			c.handlePiggyExt(f)
-			continue
 		}
 		c.mu.Lock()
 		ch, ok := c.calls[f.ReqID]
@@ -499,23 +495,6 @@ func (c *Cache) handleBroadcastExt(f proto.Frame) {
 	if !current {
 		c.kickExtend()
 	}
-}
-
-// handlePiggyExt applies anticipatory extension grants the server
-// piggybacked on another reply (§4). Each grant is unsolicited and
-// server-stamped; the core extends only leases it already holds at the
-// same version, so a grant racing an invalidation or a concurrent
-// refetch can never resurrect coverage of a stale copy.
-func (c *Cache) handlePiggyExt(f proto.Frame) {
-	w := proto.NewDec(f.Payload).DecodePiggyExt()
-	f.Recycle()
-	c.mu.Lock()
-	for _, g := range w.Grants {
-		if g.Leased {
-			c.core.ExtendStamped(g.Datum, g.Version, g.Term, w.SentAt)
-		}
-	}
-	c.mu.Unlock()
 }
 
 // kickExtend wakes the renewal loop immediately; a no-op when the loop

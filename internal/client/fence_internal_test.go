@@ -5,10 +5,12 @@ package client
 // answers over a net.Pipe in exactly the order the test dictates.
 
 import (
+	"fmt"
 	"net"
 	"testing"
 	"time"
 
+	"leases/internal/clock"
 	"leases/internal/proto"
 	"leases/internal/vfs"
 )
@@ -48,19 +50,20 @@ func (s *fileScript) replyRead(req proto.Frame, version uint64, content string, 
 			{Datum: vfs.Datum{Kind: vfs.DirBinding, Node: vfs.RootID}, Term: time.Hour, Version: 1, Leased: true},
 			{Datum: vfs.Datum{Kind: vfs.FileData, Node: scriptFile}, Term: time.Hour, Version: version, Leased: fileLeased},
 		}).
-		Blob([]byte(content))
+		Blob([]byte(content)).
+		EncodeGrants(nil)
 	return proto.WriteFrame(s.nc, proto.Frame{Type: proto.TReadRep, ReqID: req.ReqID, Payload: e.Bytes()})
 }
 
 func (s *fileScript) replyWrite(req proto.Frame, version uint64) error {
 	var e proto.Enc
-	e.Attr(s.attr(version))
+	e.Attr(s.attr(version)).EncodeGrants(nil)
 	return proto.WriteFrame(s.nc, proto.Frame{Type: proto.TWriteRep, ReqID: req.ReqID, Payload: e.Bytes()})
 }
 
-// runFileScript dials a cache against script; the returned channel
-// yields the script's error once it ends.
-func runFileScript(t *testing.T, script func(*fileScript) error) (*Cache, <-chan error) {
+// runFileScript dials a cache on clk (nil: the real clock) against
+// script; the returned channel yields the script's error once it ends.
+func runFileScript(t *testing.T, clk clock.Clock, script func(*fileScript) error) (*Cache, <-chan error) {
 	t.Helper()
 	cn, sn := net.Pipe()
 	done := make(chan error, 1)
@@ -72,8 +75,18 @@ func runFileScript(t *testing.T, script func(*fileScript) error) (*Cache, <-chan
 		}
 		defer proto.PutReader(fr)
 		done <- script(&fileScript{nc: sn, fr: fr})
+		// Go on reading until the cache closes: an approval it queued
+		// behind the script's last request would otherwise block its
+		// coalescer on the unbuffered pipe for good.
+		for {
+			f, err := fr.Next()
+			if err != nil {
+				return
+			}
+			f.Recycle()
+		}
 	}()
-	c, err := NewFromConn(cn, Config{ID: "scripted"})
+	c, err := NewFromConn(cn, Config{ID: "scripted", Clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +108,7 @@ func mustRead(t *testing.T, c *Cache, want string) {
 // writer for no approval — so the pre-write copy must go, or the next
 // read serves it.
 func TestCrossedWriteDropsOldCopy(t *testing.T) {
-	c, done := runFileScript(t, func(s *fileScript) error {
+	c, done := runFileScript(t, nil, func(s *fileScript) error {
 		read, err := s.next()
 		if err != nil {
 			return err
@@ -139,7 +152,7 @@ func TestCrossedWriteDropsOldCopy(t *testing.T) {
 // waits on the write first. The read's reply — older than what the
 // write just cached — must not bury it, lease and all.
 func TestLateReadReplyKeepsNewerWrite(t *testing.T) {
-	c, done := runFileScript(t, func(s *fileScript) error {
+	c, done := runFileScript(t, nil, func(s *fileScript) error {
 		read, err := s.next()
 		if err != nil {
 			return err
@@ -184,5 +197,67 @@ func TestLateReadReplyKeepsNewerWrite(t *testing.T) {
 	c.Abandon()
 	if err := <-done; err != nil {
 		t.Fatalf("script: %v", err)
+	}
+}
+
+// TestRenewalCrossingPushFilesNothing: a write carries the renewals of
+// the leases a hit used past half their term, and an approval push
+// reaches the cache before the reply: the renewal grants it carries are
+// filed nowhere, so once the first grants run out the next read resolves
+// nothing locally and goes out by path.
+func TestRenewalCrossingPushFilesNothing(t *testing.T) {
+	clk := clock.NewSim()
+	byPath := make(chan bool, 1)
+	c, done := runFileScript(t, clk, func(s *fileScript) error {
+		read, err := s.next()
+		if err != nil {
+			return err
+		}
+		if err := s.replyRead(read, 1, "v1", true); err != nil {
+			return err
+		}
+		write, err := s.next()
+		if err != nil {
+			return err
+		}
+		d := proto.NewDec(write.Payload)
+		d.U64()
+		d.Blob()
+		renew := d.DecodeData()
+		if d.Err != nil || len(renew) != 2 {
+			return fmt.Errorf("the write renews %v (%v), want the root binding and /f", renew, d.Err)
+		}
+		var e proto.Enc
+		e.EncodeApproval(proto.ApprovalWire{WriteID: 7, Datum: vfs.Datum{Kind: vfs.FileData, Node: 99}})
+		if err := proto.WriteFrame(s.nc, proto.Frame{Type: proto.TApprovalReq, Payload: e.Bytes()}); err != nil {
+			return err
+		}
+		e = proto.Enc{}
+		e.Attr(s.attr(2)).EncodeGrants([]proto.GrantWire{
+			{Datum: renew[0], Term: time.Hour, Version: 1, Leased: true},
+			{Datum: renew[1], Term: time.Hour, Version: 2, Leased: true},
+		})
+		if err := proto.WriteFrame(s.nc, proto.Frame{Type: proto.TWriteRep, ReqID: write.ReqID, Payload: e.Bytes()}); err != nil {
+			return err
+		}
+		if read, err = s.next(); err != nil {
+			return err
+		}
+		byPath <- proto.NewDec(read.Payload).U64() == 0
+		return s.replyRead(read, 2, "v2", true)
+	})
+	mustRead(t, c, "v1")
+	clk.Advance(31 * time.Minute)
+	mustRead(t, c, "v1") // a hit past half the term: the write renews /f and "/"
+	if err := c.Write("/f", []byte("v2")); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(30 * time.Minute)
+	mustRead(t, c, "v2")
+	if err := <-done; err != nil {
+		t.Fatalf("script: %v", err)
+	}
+	if !<-byPath {
+		t.Fatal("the read after the first grants lapsed resolved its name under a renewal that crossed a push")
 	}
 }

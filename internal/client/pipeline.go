@@ -223,7 +223,8 @@ type ReadCall struct {
 // StartRead begins a read of path and never blocks on the server: a
 // name the cache resolves under valid binding leases is read from the
 // cached copy or fetched by node, and any other is sent as one
-// path-addressed TRead — lookup and read in a single round trip.
+// path-addressed TRead — lookup and read in a single round trip. Like a
+// write, a fetch carries the renewals due (cache.Core.AppendRenewals).
 func (c *Cache) StartRead(path string) *ReadCall {
 	r := &ReadCall{c: c, path: path}
 	now := c.clk.Now()
@@ -244,6 +245,7 @@ func (c *Cache) StartRead(path string) *ReadCall {
 		return r
 	}
 	r.q = c.core.Begin(now)
+	renew := c.core.AppendRenewals(nil, now)
 	c.mu.Unlock()
 	var e proto.Enc
 	if named {
@@ -251,7 +253,7 @@ func (c *Cache) StartRead(path string) *ReadCall {
 	} else {
 		e.U64(0).Str(path)
 	}
-	r.call = c.startCall(proto.TRead, e.Bytes())
+	r.call = c.startCall(proto.TRead, e.EncodeData(renew).Bytes())
 	return r
 }
 
@@ -277,6 +279,7 @@ func (r *ReadCall) Wait() ([]byte, error) {
 	chain := dec.DecodeChain()
 	grants := dec.DecodeGrants()
 	data := dec.Blob()
+	renewed := dec.DecodeGrants()
 	if dec.Err != nil {
 		r.err = dec.Err
 		return nil, dec.Err
@@ -285,6 +288,7 @@ func (r *ReadCall) Wait() ([]byte, error) {
 	copy(out, data)
 	c.mu.Lock()
 	c.core.File(r.q, cache.Reply{Path: r.path, Attr: rattr, Chain: chain, Grants: grants, Data: data}, c.clk.Now())
+	c.renewedLocked(r.q, renewed)
 	c.mu.Unlock()
 	r.data = out
 	return out, nil
@@ -324,10 +328,14 @@ func (c *Cache) StartWrite(path string, data []byte) *WriteCall {
 		return w
 	}
 	w.d = ent.Datum()
-	w.q = c.begin()
+	now := c.clk.Now()
+	c.mu.Lock()
+	w.q = c.core.Begin(now)
+	renew := c.core.AppendRenewals(nil, now)
+	c.mu.Unlock()
 	w.data = data
 	var e proto.Enc
-	e.U64(uint64(ent.ID)).Blob(data)
+	e.U64(uint64(ent.ID)).Blob(data).EncodeData(renew)
 	w.call = c.startCall(proto.TWrite, e.Bytes())
 	return w
 }
@@ -347,6 +355,7 @@ func (w *WriteCall) Wait() error {
 	defer f.Recycle()
 	dec := proto.NewDec(f.Payload)
 	nattr := dec.Attr()
+	renewed := dec.DecodeGrants()
 	if dec.Err != nil {
 		w.err = dec.Err
 		return dec.Err
@@ -354,6 +363,7 @@ func (w *WriteCall) Wait() error {
 	c.mu.Lock()
 	c.metrics.Writes++
 	c.core.OwnWrite(w.q, w.d, nattr, w.data)
+	c.renewedLocked(w.q, renewed)
 	c.mu.Unlock()
 	return nil
 }
@@ -383,11 +393,7 @@ func (c *Cache) startExtend(data []vfs.Datum) *ExtendCall {
 	}
 	x.q = c.begin()
 	var e proto.Enc
-	e.U32(uint32(len(data)))
-	for _, d := range data {
-		e.Datum(d)
-	}
-	x.call = c.startCall(proto.TExtend, e.Bytes())
+	x.call = c.startCall(proto.TExtend, e.EncodeData(data).Bytes())
 	return x
 }
 
@@ -411,9 +417,16 @@ func (x *ExtendCall) Wait() error {
 		return dec.Err
 	}
 	c.mu.Lock()
-	for _, d := range c.core.FileExtension(x.q, grants, c.clk.Now()) {
-		c.invalidatedLocked(d)
-	}
+	c.renewedLocked(x.q, grants)
 	c.mu.Unlock()
 	return nil
+}
+
+// renewedLocked files extension grants answering a request stamped q:
+// a TExtend batch, or the renewals a read or write carried. Callers hold
+// c.mu.
+func (c *Cache) renewedLocked(q cache.Req, grants []proto.GrantWire) {
+	for _, d := range c.core.FileExtension(q, grants, c.clk.Now()) {
+		c.invalidatedLocked(d)
+	}
 }

@@ -109,20 +109,26 @@ func TestResolveByDepth(t *testing.T) {
 			step(t, c, "warm write", sent{writes: 1}, 1, func() error { return c.Write(f, []byte("v2")) })
 
 			// Renew: a miss beneath warm directories re-leases every
-			// ancestor, so names under them outlive the first grants.
+			// ancestor, and carries the renewal of f's lease, which served
+			// hits and is past half its term.
 			clk.Advance(resolveTerm * 6 / 10)
 			step(t, c, "sibling miss", sent{reads: 1}, 0, readN(g, 1))
 			clk.Advance(resolveTerm * 6 / 10)
-			// f's own lease has lapsed; its name has not.
-			step(t, c, "read by node", sent{reads: 1}, 1, readN(f, 1))
+			step(t, c, "renewed read", sent{}, 1, readN(f, 1))
+			// The write renews f and the names again; g's lease, which
+			// served nothing, is left to lapse.
+			step(t, c, "sibling write", sent{writes: 1}, 1, func() error { return c.Write(g, []byte("w2")) })
+			clk.Advance(resolveTerm * 6 / 10)
+			// g's own lease has lapsed; its name has not.
+			step(t, c, "read by node", sent{reads: 1}, 1, readN(g, 1))
 
 			// Lapse: nothing resolves, one round trip revalidates the
 			// whole chain at its unchanged versions — g's edge with it.
 			clk.Advance(2 * resolveTerm)
 			step(t, c, "lapsed read", sent{reads: 1}, 0, readN(f, 1))
-			step(t, c, "revived sibling write", sent{writes: 1}, 1, func() error { return c.Write(g, []byte("w2")) })
-			if got := c.Metrics().ReadHits; got != 5 {
-				t.Fatalf("ReadHits = %d, want 5", got)
+			step(t, c, "revived sibling write", sent{writes: 1}, 1, func() error { return c.Write(g, []byte("w3")) })
+			if got := c.Metrics().ReadHits; got != 6 {
+				t.Fatalf("ReadHits = %d, want 6", got)
 			}
 		})
 	}

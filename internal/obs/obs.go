@@ -47,8 +47,9 @@ const (
 	// readdir). Term zero means the grant was refused — a write was
 	// pending (anti-starvation, §2 fn. 1) or the policy said no caching.
 	EvGrant EventType = iota
-	// EvExtend: a lease was extended by an explicit batch extension
-	// request (§3.1). Term zero means the extension was refused.
+	// EvExtend: a lease was renewed, in a batch extension request
+	// (§3.1) or on a read or write that carried it. Term zero means the
+	// renewal was refused.
 	EvExtend
 	// EvApproveRequest: the server pushed an approval callback to a
 	// leaseholder blocking a write.
@@ -101,9 +102,6 @@ const (
 	// covering the installed class (§4.3); Depth is how many
 	// connections it reached. At the client: one broadcast was applied.
 	EvBroadcastExt
-	// EvPiggyExt: anticipatory extension grants were piggybacked on a
-	// reply flush (§4); Depth is the number of grants.
-	EvPiggyExt
 	// EvClassPromote: a datum entered the installed-files class.
 	EvClassPromote
 	// EvClassDemote: drop-on-write — a write demoted a datum out of the
@@ -130,9 +128,8 @@ var eventTypeNames = [numEventTypes]string{
 	"grant", "extend", "approve-request", "approve", "expire",
 	"write-defer", "write-apply", "write-timeout", "eviction",
 	"reconnect", "fault-inject", "queue-full", "elected", "demoted",
-	"extend-failure", "broadcast-ext", "piggy-ext", "class-promote",
-	"class-demote", "not-owner", "shard-prepare", "shard-commit",
-	"shard-abort",
+	"extend-failure", "broadcast-ext", "class-promote", "class-demote",
+	"not-owner", "shard-prepare", "shard-commit", "shard-abort",
 }
 
 // String names the event type ("grant", "write-defer", …).

@@ -20,37 +20,19 @@ type InstalledWire struct {
 	Data       []vfs.Datum
 }
 
-// installedDatumLen is the encoded size of one member datum.
-const installedDatumLen = 1 + 8
-
 // EncodeInstalled appends an installed-class snapshot.
 func (e *Enc) EncodeInstalled(w InstalledWire) *Enc {
-	e.U64(w.Generation).Dur(w.Term).Time(w.SentAt).U32(uint32(len(w.Data)))
-	for _, d := range w.Data {
-		e.Datum(d)
-	}
-	return e
+	return e.U64(w.Generation).Dur(w.Term).Time(w.SentAt).EncodeData(w.Data)
 }
 
 // DecodeInstalled reads an installed-class snapshot.
 func (d *Dec) DecodeInstalled() InstalledWire {
-	w := InstalledWire{
+	return InstalledWire{
 		Generation: d.U64(),
 		Term:       d.Dur(),
 		SentAt:     d.Time(),
+		Data:       d.DecodeData(),
 	}
-	n := d.U32()
-	if d.Err != nil || uint64(n)*installedDatumLen > uint64(len(d.b)) {
-		if n != 0 {
-			d.Err = ErrTruncated
-		}
-		return w
-	}
-	w.Data = make([]vfs.Datum, 0, n)
-	for i := uint32(0); i < n; i++ {
-		w.Data = append(w.Data, d.Datum())
-	}
-	return w
 }
 
 // BroadcastExtWire is the payload of TBroadcastExt: the periodic O(1)
@@ -76,29 +58,5 @@ func (d *Dec) DecodeBroadcastExt() BroadcastExtWire {
 		Generation: d.U64(),
 		Term:       d.Dur(),
 		SentAt:     d.Time(),
-	}
-}
-
-// PiggyExtWire is the payload of TPiggyExt: anticipatory extension
-// grants appended to the same flush as another reply (§4). The grants
-// are unsolicited, so each carries the server's send time as its
-// anchor; the client extends only leases it already holds, never
-// shortens them, and ignores grants whose version disagrees with its
-// copy.
-type PiggyExtWire struct {
-	SentAt time.Time
-	Grants []GrantWire
-}
-
-// EncodePiggyExt appends a piggybacked-extension payload.
-func (e *Enc) EncodePiggyExt(w PiggyExtWire) *Enc {
-	return e.Time(w.SentAt).EncodeGrants(w.Grants)
-}
-
-// DecodePiggyExt reads a piggybacked-extension payload.
-func (d *Dec) DecodePiggyExt() PiggyExtWire {
-	return PiggyExtWire{
-		SentAt: d.Time(),
-		Grants: d.DecodeGrants(),
 	}
 }

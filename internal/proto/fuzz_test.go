@@ -76,11 +76,20 @@ func FuzzDec(f *testing.F) {
 	f.Add(short.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{255, 255, 255, 255})
+	// A renewal list, and a datum count its payload cannot hold.
+	var read Enc
+	read.EncodeData([]vfs.Datum{{Kind: vfs.FileData, Node: 7}, {Kind: vfs.DirBinding, Node: 1}})
+	f.Add(read.Bytes())
+	f.Add([]byte{0, 0, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if ds := NewDec(data).DecodeData(); cap(ds)*datumLen > len(data) {
+			t.Fatalf("a %d-byte payload sized a %d-datum list", len(data), cap(ds))
+		}
 		d := NewDec(data)
 		d.Attr()
 		d.DecodeChain()
 		d.DecodeGrants()
+		d.DecodeData()
 		d.DecodeApproval()
 		d.Str()
 		d.Blob()

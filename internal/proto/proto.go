@@ -60,16 +60,22 @@ const (
 	// it, so the client can repeat the whole open locally.
 	TLookup
 	TLookupRep
-	// TRead fetches a file (payload: node, path). A non-zero node
-	// addresses the file directly and the path is empty; node zero asks
-	// the server to resolve the path first — lookup and read in one
+	// TRead fetches a file (payload: node, path, renewals). A non-zero
+	// node addresses the file directly and the path is empty; node zero
+	// asks the server to resolve the path first — lookup and read in one
 	// round trip. Answered by TReadRep: attributes, the chain (empty for
 	// a node-addressed read), the binding grants followed by the data
-	// grant, and the contents.
+	// grant, the contents, and the renewal grants.
+	//
+	// Renewals (TRead and TWrite alike) are the leases the client wants
+	// extended on this request: a datum list (EncodeData), usually empty,
+	// granted like a TExtend batch and answered by a grant list at the
+	// reply's end.
 	TRead
 	TReadRep
-	// TWrite writes a file through (payload: node, data). Answered by
-	// TWriteRep once every conflicting lease is approved or expired.
+	// TWrite writes a file through (payload: node, data, renewals).
+	// Answered by TWriteRep (attributes, renewal grants) once every
+	// conflicting lease is approved or expired.
 	TWrite
 	TWriteRep
 	// TExtend extends leases on a batch of data. Answered by TExtendRep.
@@ -143,9 +149,8 @@ const (
 	// stamp. A generation mismatch means the class changed (drop-on-write
 	// demotion or promotion); the client refetches with TInstalled.
 	TBroadcastExt
-	// TPiggyExt is a server push (reqID 0) carrying anticipatory
-	// extension grants piggybacked on another reply's flush (§4): send
-	// time plus a grant list for leases the server saw nearing expiry.
+	// TPiggyExt is reserved and never sent: the retired server-pushed
+	// extension's number, kept so the type values after it stay put.
 	TPiggyExt
 	// TRing asks a sharded server for its current ring snapshot (empty
 	// payload). Answered by TRingRep with the shard.Ring wire form
@@ -194,7 +199,7 @@ const (
 	// FeatTrace: the peer understands TraceFlag'd frames.
 	FeatTrace uint64 = 1 << 0
 	// FeatClass: the peer understands the lease-class frames (TInstalled,
-	// TInstalledRep, TBroadcastExt, TPiggyExt). When either side lacks
+	// TInstalledRep, TBroadcastExt). When either side lacks
 	// the bit the server sends none of them and the byte stream is
 	// identical to a pre-class peer's.
 	FeatClass uint64 = 1 << 1
@@ -246,7 +251,6 @@ var msgTypeNames = map[MsgType]string{
 	TInstalled:       "installed",
 	TInstalledRep:    "installed",
 	TBroadcastExt:    "broadcast-ext",
-	TPiggyExt:        "piggy-ext",
 	TRing:            "ring",
 	TRingRep:         "ring",
 	TNotOwner:        "not-owner",
@@ -685,6 +689,36 @@ func (d *Dec) DecodeGrants() []GrantWire {
 			Leased:  d.U8() == 1,
 		}
 		out = append(out, g)
+	}
+	return out
+}
+
+// datumLen is the encoded size of one vfs.Datum.
+const datumLen = 1 + 8
+
+// EncodeData appends a count-prefixed datum list.
+func (e *Enc) EncodeData(ds []vfs.Datum) *Enc {
+	e.U32(uint32(len(ds)))
+	for _, d := range ds {
+		e.Datum(d)
+	}
+	return e
+}
+
+// DecodeData reads a count-prefixed datum list. The count is checked
+// against the bytes that follow before anything is allocated, so a
+// hostile count costs nothing.
+func (d *Dec) DecodeData() []vfs.Datum {
+	n := d.U32()
+	if d.Err != nil || uint64(n)*datumLen > uint64(len(d.b)) {
+		if n != 0 {
+			d.Err = ErrTruncated
+		}
+		return nil
+	}
+	out := make([]vfs.Datum, 0, n)
+	for i := uint32(0); i < n; i++ {
+		out = append(out, d.Datum())
 	}
 	return out
 }

@@ -169,6 +169,36 @@ func TestGrantsBogusCountRejected(t *testing.T) {
 	}
 }
 
+func TestDataRoundTrip(t *testing.T) {
+	in := []vfs.Datum{{Kind: vfs.FileData, Node: 5}, {Kind: vfs.DirBinding, Node: 1}}
+	var e Enc
+	e.EncodeData(in).EncodeData(nil)
+	d := NewDec(e.Bytes())
+	if out := d.DecodeData(); d.Err != nil || len(out) != 2 || out[0] != in[0] || out[1] != in[1] {
+		t.Fatalf("data decode: %v %v", out, d.Err)
+	}
+	if empty := d.DecodeData(); len(empty) != 0 || d.Err != nil || d.Remaining() != 0 {
+		t.Fatalf("empty list: %v err=%v remaining=%d", empty, d.Err, d.Remaining())
+	}
+}
+
+// TestDataBogusCountAllocatesNothing: a count the payload cannot hold is
+// refused before anything is sized from it — a 4-byte TExtend or
+// TRelease payload must not cost a 65,536-entry list.
+func TestDataBogusCountAllocatesNothing(t *testing.T) {
+	var e Enc
+	e.U32(1 << 16)
+	payload := e.Bytes()
+	if n := testing.AllocsPerRun(100, func() {
+		d := Dec{b: payload}
+		if got := d.DecodeData(); got != nil || d.Err == nil {
+			t.Fatal("bogus datum count not rejected")
+		}
+	}); n != 0 {
+		t.Fatalf("rejecting a bogus datum count allocates %v times, want 0", n)
+	}
+}
+
 func TestChainRoundTrip(t *testing.T) {
 	in := []vfs.Edge{
 		{Dir: vfs.RootID, Child: 4, IsDir: true},
@@ -203,8 +233,8 @@ func TestChainBogusCountRejected(t *testing.T) {
 
 // TestResolvedReplyLayouts pins the one lookup layout and the one read
 // layout on the wire, byte for byte: TLookupRep is attr, chain, grants;
-// TReadRep is the same followed by the contents; TRead is node then
-// path, exactly one of them set.
+// TReadRep is the same followed by the contents and the renewal grants;
+// TRead is node then path, exactly one of them set, then the renewals.
 func TestResolvedReplyLayouts(t *testing.T) {
 	attr := vfs.Attr{ID: 9, Name: "f", Size: 2, Owner: "o", Perm: vfs.DefaultPerm, ModTime: time.Unix(0, 5), Version: 3}
 	chain := []vfs.Edge{{Dir: 1, Child: 4, IsDir: true}, {Dir: 4, Child: 9}}
@@ -214,7 +244,7 @@ func TestResolvedReplyLayouts(t *testing.T) {
 		{Datum: vfs.Datum{Kind: vfs.FileData, Node: 9}, Term: time.Second, Version: 3, Leased: true},
 	}
 	var rep Enc
-	rep.Attr(attr).EncodeChain(chain).EncodeGrants(grants).Blob([]byte("hi"))
+	rep.Attr(attr).EncodeChain(chain).EncodeGrants(grants).Blob([]byte("hi")).EncodeGrants(grants[:1])
 	wantChain := []byte{
 		2, 0, 0, 0, // two edges
 		1, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 1, // root --d--> 4, a directory
@@ -235,18 +265,21 @@ func TestResolvedReplyLayouts(t *testing.T) {
 	if got := d.DecodeGrants(); len(got) != 3 || got[2] != grants[2] {
 		t.Fatalf("grants: %+v", got)
 	}
-	if got := d.Blob(); string(got) != "hi" || d.Err != nil || d.Remaining() != 0 {
-		t.Fatalf("blob %q err=%v remaining=%d", got, d.Err, d.Remaining())
+	if got := d.Blob(); string(got) != "hi" || d.Err != nil {
+		t.Fatalf("blob %q err=%v", got, d.Err)
+	}
+	if got := d.DecodeGrants(); len(got) != 1 || got[0] != grants[0] || d.Err != nil || d.Remaining() != 0 {
+		t.Fatalf("renewal grants %+v err=%v remaining=%d", got, d.Err, d.Remaining())
 	}
 
 	var byPath, byNode Enc
-	byPath.U64(0).Str("/d/f")
-	byNode.U64(9).Str("")
-	if want := []byte{0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, '/', 'd', '/', 'f'}; !bytes.Equal(byPath.Bytes(), want) {
+	byPath.U64(0).Str("/d/f").EncodeData(nil)
+	byNode.U64(9).Str("").EncodeData([]vfs.Datum{{Kind: vfs.DirBinding, Node: 4}})
+	if want := []byte{0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, '/', 'd', '/', 'f', 0, 0, 0, 0}; !bytes.Equal(byPath.Bytes(), want) {
 		t.Fatalf("path-addressed TRead: %v", byPath.Bytes())
 	}
-	if want := []byte{9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}; !bytes.Equal(byNode.Bytes(), want) {
-		t.Fatalf("node-addressed TRead: %v", byNode.Bytes())
+	if want := []byte{9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, byte(vfs.DirBinding), 4, 0, 0, 0, 0, 0, 0, 0}; !bytes.Equal(byNode.Bytes(), want) {
+		t.Fatalf("node-addressed TRead renewing one binding: %v", byNode.Bytes())
 	}
 }
 
@@ -292,6 +325,7 @@ func TestDecoderNeverPanicsProperty(t *testing.T) {
 		d.Attr()
 		d.DecodeChain()
 		d.DecodeGrants()
+		d.DecodeData()
 		d.DecodeApproval()
 		d.Str()
 		d.Blob()

@@ -12,14 +12,12 @@ import (
 	"leases/internal/vfs"
 )
 
-// This file drives the paper's §4 scaling options over TCP: the
-// installed-files lease class (srvcore.ClassTable: one
-// directory-granularity lease per client covering rarely-written data,
-// renewed by a periodic O(1) broadcast and dropped on the first write)
-// and the anticipatory extension piggybacked on replies. Both are
-// negotiated through the proto.FeatClass hello bit; to a client that
-// never advertised it the server's byte stream is identical to a
-// pre-class server's.
+// This file drives the paper's §4.3 installed-files lease class over
+// TCP (srvcore.ClassTable: one directory-granularity lease per client
+// covering rarely-written data, renewed by a periodic O(1) broadcast and
+// dropped on the first write). It is negotiated through the
+// proto.FeatClass hello bit; to a client that never advertised it the
+// server's byte stream is identical to a pre-class server's.
 
 // ClassConfig configures the lease-class subsystem. The zero value
 // disables it entirely (and keeps the wire byte-identical to a server

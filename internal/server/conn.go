@@ -54,21 +54,13 @@ type serverConn struct {
 	feats uint64
 	// pushes feeds the connection's push sender: one long-lived
 	// goroutine appends pushes (approval requests, broadcast
-	// extensions, piggybacked grants) to the coalescer in arrival
-	// order, so a coalescer stalled on backpressure blocks that one
-	// goroutine instead of accumulating one per push. serveConn closes
-	// the channel after deregistering the conn (pushApproval/pushFrame
-	// are only reached through s.conns under connMu, which serializes
-	// against the deregistration), so a send never races the close.
+	// extensions) to the coalescer in arrival order, so a coalescer
+	// stalled on backpressure blocks that one goroutine instead of
+	// accumulating one per push. serveConn closes the channel after
+	// deregistering the conn (pushApproval/pushFrame are only reached
+	// through s.conns under connMu, which serializes against the
+	// deregistration), so a send never races the close.
 	pushes chan connPush
-
-	// piggy tracks this client's per-file lease expiries for
-	// anticipatory extension: nil unless PiggybackLead is configured
-	// and the client negotiated FeatClass. piggyNext caches the
-	// earliest expiry so the common reply pays one time comparison.
-	piggyMu   sync.Mutex
-	piggy     map[vfs.Datum]time.Time
-	piggyNext time.Time
 }
 
 // connPush is one queued unsolicited frame: an approval request, or a
@@ -101,6 +93,7 @@ type request struct {
 	path, to, owner string
 	perm            vfs.Perm
 	data            []byte
+	renew           []vfs.Datum // a write's renewals, granted with its reply
 	epoch           uint64
 	dirs            [2]vfs.NodeID // the directories whose binding it changes
 }
@@ -214,9 +207,6 @@ func (s *Server) serveConn(nc net.Conn) {
 	// trailing bytes).
 	c.replyEnc(f.ReqID, proto.THelloAck, func(e *proto.Enc) { e.U64(s.boot).U64(s.features) })
 	f.Recycle()
-	if s.cfg.Class.PiggybackLead > 0 && c.feats&proto.FeatClass != 0 {
-		c.piggy = make(map[vfs.Datum]time.Time)
-	}
 
 	defer func() {
 		s.connMu.Lock()
@@ -331,7 +321,6 @@ func (c *serverConn) serve(r *request) bool {
 	if o := s.obs; o.Enabled() {
 		o.ObserveOp(r.f.Type.String(), s.clk.Now().Sub(r.began))
 	}
-	c.maybePiggyback() // rides the reply's flush (§4): the client's extension request never happens
 	r.sp.End()
 	r.f.Recycle() // handlers decode with copying Dec methods: nothing outlives the frame
 	return true
@@ -379,7 +368,7 @@ func (c *serverConn) dispatch(r *request) {
 
 // grant grants a lease on d and packages it for the wire, recording the
 // trace event as et (EvGrant for first-contact grants, EvExtend for
-// batch extensions). The sharded manager locks d's stripe internally.
+// renewals). The sharded manager locks d's stripe internally.
 func (c *serverConn) grant(d vfs.Datum, et obs.EventType) proto.GrantWire {
 	s := c.srv
 	g := s.lm.Grant(c.client, d, s.clk.Now())
@@ -420,102 +409,24 @@ func (c *serverConn) grant(d vfs.Datum, et obs.EventType) proto.GrantWire {
 	if err != nil {
 		version = 0
 	}
-	if g.Leased && c.piggy != nil && g.Term < core.Infinite {
-		c.notePiggyLease(d, s.clk.Now().Add(g.Term))
-	}
 	return proto.GrantWire{Datum: d, Term: g.Term, Version: version, Leased: g.Leased}
 }
 
-// notePiggyLease records (or refreshes) a granted lease's expiry for
-// the anticipatory-extension scan.
-func (c *serverConn) notePiggyLease(d vfs.Datum, expiry time.Time) {
-	c.piggyMu.Lock()
-	c.piggy[d] = expiry
-	if c.piggyNext.IsZero() || expiry.Before(c.piggyNext) {
-		c.piggyNext = expiry
+// renew extends this client's leases on data: a TExtend batch, or the
+// renewals a read or write carries. A datum a write is waiting on comes
+// back unleased, and the client drops its copy.
+func (c *serverConn) renew(data []vfs.Datum) []proto.GrantWire {
+	if len(data) == 0 {
+		return nil
 	}
-	c.piggyMu.Unlock()
+	grants := make([]proto.GrantWire, 0, len(data))
+	for _, d := range data {
+		grants = append(grants, c.grant(d, obs.EvExtend))
+	}
+	return grants
 }
 
-// dropPiggy forgets a lease the client released or approved away. The
-// cached earliest-expiry hint may go stale-early; the next scan
-// recomputes it.
-func (c *serverConn) dropPiggy(d vfs.Datum) {
-	if c.piggy == nil {
-		return
-	}
-	c.piggyMu.Lock()
-	delete(c.piggy, d)
-	c.piggyMu.Unlock()
-}
-
-// piggyBatchMax caps one piggybacked frame's grant list; anything left
-// over goes out with the next reply.
-const piggyBatchMax = 128
-
-// maybePiggyback appends a TPiggyExt frame re-granting this client's
-// soon-expiring leases to the flush the current reply rides (§4's
-// anticipatory extension). Installed-class members are skipped — the
-// broadcast renews them — and a refused re-grant drops the lease from
-// the scan (the client's copy just expires). Runs right after the reply
-// is appended, so the grants share its flush.
-func (c *serverConn) maybePiggyback() {
-	if c.piggy == nil {
-		return
-	}
-	s := c.srv
-	now := s.clk.Now()
-	horizon := now.Add(s.cfg.Class.PiggybackLead)
-	c.piggyMu.Lock()
-	if c.piggyNext.IsZero() || c.piggyNext.After(horizon) {
-		c.piggyMu.Unlock()
-		return
-	}
-	var due []vfs.Datum
-	next := time.Time{}
-	for d, exp := range c.piggy {
-		if !exp.After(horizon) {
-			due = append(due, d)
-		} else if next.IsZero() || exp.Before(next) {
-			next = exp
-		}
-	}
-	if len(due) > piggyBatchMax {
-		due = due[:piggyBatchMax]
-		next = now // leftovers go with the next reply
-	}
-	c.piggyNext = next
-	c.piggyMu.Unlock()
-	if len(due) == 0 {
-		return
-	}
-	core.SortData(due)
-	grants := make([]proto.GrantWire, 0, len(due))
-	for _, d := range due {
-		if s.core.Classes.Contains(d) {
-			c.dropPiggy(d)
-			continue
-		}
-		g := c.grant(d, obs.EvExtend)
-		if !g.Leased {
-			c.dropPiggy(d)
-			continue
-		}
-		grants = append(grants, g)
-	}
-	if len(grants) == 0 {
-		return
-	}
-	w := proto.PiggyExtWire{SentAt: now, Grants: grants}
-	c.co.Append(proto.TPiggyExt, 0, func(e *proto.Enc) { e.EncodePiggyExt(w) })
-	if s.obs.Enabled() {
-		s.obs.Record(obs.Event{Type: obs.EvPiggyExt, Client: string(c.client), Depth: len(grants)})
-	}
-}
-
-// handleInstalled answers a TInstalled class-snapshot fetch. A server
-// with the installed class disabled (piggyback-only FeatClass) answers
-// the empty snapshot.
+// handleInstalled answers a TInstalled class-snapshot fetch.
 func (c *serverConn) handleInstalled(f proto.Frame) {
 	d := proto.NewDec(f.Payload)
 	_ = d.U64() // the client's current generation; reserved
@@ -582,6 +493,7 @@ func (c *serverConn) handleRead(f proto.Frame) {
 	d := proto.NewDec(f.Payload)
 	node := vfs.NodeID(d.U64())
 	path := d.Str()
+	renew := d.DecodeData()
 	if d.Err != nil {
 		c.fail(f.ReqID, d.Err)
 		return
@@ -625,8 +537,9 @@ func (c *serverConn) handleRead(f proto.Frame) {
 		grant.Version = attr.Version
 	}
 	grants = append(grants, grant)
+	renewed := c.renew(renew)
 	c.replyEnc(f.ReqID, proto.TReadRep, func(e *proto.Enc) {
-		e.Attr(attr).EncodeChain(chain).EncodeGrants(grants).Blob(data)
+		e.Attr(attr).EncodeChain(chain).EncodeGrants(grants).Blob(data).EncodeGrants(renewed)
 	})
 }
 
@@ -634,7 +547,7 @@ func (c *serverConn) handleWrite(r *request) {
 	s := c.srv
 	if r.step.Kind == 0 {
 		dec := proto.NewDec(r.f.Payload)
-		r.node, r.data = vfs.NodeID(dec.U64()), dec.Blob()
+		r.node, r.data, r.renew = vfs.NodeID(dec.U64()), dec.Blob(), dec.DecodeData()
 		if dec.Err != nil {
 			c.fail(r.f.ReqID, dec.Err)
 			return
@@ -661,41 +574,29 @@ func (c *serverConn) handleWrite(r *request) {
 		attr, _, err = s.store.WriteFile(r.node, r.data)
 		return err
 	}) {
-		c.replyEnc(r.f.ReqID, proto.TWriteRep, func(e *proto.Enc) { e.Attr(attr) })
+		// Renewed after the apply, so the write's own datum renews at the
+		// version the writer now holds.
+		renewed := c.renew(r.renew)
+		c.replyEnc(r.f.ReqID, proto.TWriteRep, func(e *proto.Enc) { e.Attr(attr).EncodeGrants(renewed) })
 	}
-}
-
-// decodeData decodes a count-prefixed datum list (extend, release).
-func decodeData(payload []byte) ([]vfs.Datum, error) {
-	dec := proto.NewDec(payload)
-	n := dec.U32()
-	if dec.Err != nil || n > 1<<16 {
-		return nil, proto.ErrTruncated
-	}
-	data := make([]vfs.Datum, 0, n)
-	for i := uint32(0); i < n; i++ {
-		data = append(data, dec.Datum())
-	}
-	return data, dec.Err
 }
 
 func (c *serverConn) handleExtend(f proto.Frame) {
-	data, err := decodeData(f.Payload)
-	if err != nil {
-		c.fail(f.ReqID, err)
+	dec := proto.NewDec(f.Payload)
+	data := dec.DecodeData()
+	if dec.Err != nil {
+		c.fail(f.ReqID, dec.Err)
 		return
 	}
-	grants := make([]proto.GrantWire, 0, len(data))
-	for _, d := range data {
-		grants = append(grants, c.grant(d, obs.EvExtend))
-	}
+	grants := c.renew(data)
 	c.replyEnc(f.ReqID, proto.TExtendRep, func(e *proto.Enc) { e.EncodeGrants(grants) })
 }
 
 func (c *serverConn) handleRelease(f proto.Frame) {
-	data, err := decodeData(f.Payload)
-	if err != nil {
-		c.fail(f.ReqID, err)
+	dec := proto.NewDec(f.Payload)
+	data := dec.DecodeData()
+	if dec.Err != nil {
+		c.fail(f.ReqID, dec.Err)
 		return
 	}
 	s := c.srv
@@ -704,7 +605,6 @@ func (c *serverConn) handleRelease(f proto.Frame) {
 	// write; re-check each touched shard.
 	touched := make([]bool, s.lm.Shards())
 	for _, d := range data {
-		c.dropPiggy(d)
 		if shard := s.lm.ShardFor(d); !touched[shard] {
 			touched[shard] = true
 			s.releaseReady(shard)
@@ -934,9 +834,6 @@ func (c *serverConn) handleApprove(f proto.Frame) {
 	a := proto.NewDec(f.Payload).DecodeApproval()
 	s := c.srv
 	ready := s.lm.Approve(c.client, a.WriteID, s.clk.Now())
-	// An approval means the holder invalidated its copy; stop
-	// anticipatorily extending it.
-	c.dropPiggy(a.Datum)
 	if s.tracer.Enabled() {
 		s.endApprovalSpan(a.WriteID, c.client, "approve")
 	}

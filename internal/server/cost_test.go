@@ -1,0 +1,118 @@
+package server_test
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"leases/internal/client"
+	"leases/internal/proto"
+	"leases/internal/vfs"
+)
+
+// vmixStream is a closed, seeded stream of the benchmark's v_mix shape
+// without its installed files: two clients, each reading its own Zipf-1
+// set of private files and a set of shared ones half and half, and
+// writing 4.4 % of the time, half to its private files and half to the
+// shared files it owns (every file has one writer).
+type vmixStream struct {
+	rng     *rand.Rand
+	private []float64 // Zipf-1 CDF over a client's private files
+}
+
+const (
+	vmixShared  = 32
+	vmixPrivate = 256
+)
+
+func newVmixStream(seed int64) *vmixStream {
+	s := &vmixStream{rng: rand.New(rand.NewSource(seed)), private: make([]float64, vmixPrivate)}
+	var sum float64
+	for i := range s.private {
+		sum += 1 / float64(i+1)
+		s.private[i] = sum
+	}
+	for i := range s.private {
+		s.private[i] /= sum
+	}
+	return s
+}
+
+// next draws client conn's next op: its path and whether it writes.
+func (s *vmixStream) next(conn int) (path string, write bool) {
+	write = s.rng.Float64() >= 0.956
+	if s.rng.Intn(2) == 0 {
+		f := s.rng.Intn(vmixShared)
+		if write {
+			f = f&^1 | conn
+		}
+		return fmt.Sprintf("/sh/f%d", f), write
+	}
+	f := min(sort.SearchFloat64s(s.private, s.rng.Float64()), vmixPrivate-1)
+	return fmt.Sprintf("/pv%d/f%d", conn, f), write
+}
+
+// TestVmixFramesPerOp is a counted, not timed, guard on what the lease
+// protocol costs the server: ten terms of the v_mix-shaped stream at two
+// thousand ops a term, in server frames per op. The count is exact — the
+// ops run one at a time on a simulated clock — so any change to it, up
+// or down, is a change to the protocol's traffic: re-pin it on purpose.
+// Renewing the leases that served hits on the requests the clients send
+// anyway gives the pinned figure; letting every lease lapse and fetching
+// it again, the rule before renewals rode requests, gave onDemand.
+func TestVmixFramesPerOp(t *testing.T) {
+	const (
+		pinned   = 0.3113
+		onDemand = 0.4406
+		terms    = 10
+		opEvery  = renewTerm / 2000
+	)
+	srv, clk, dial, _ := renewFixture(t)
+	for _, d := range []string{"/sh", "/pv0", "/pv1"} {
+		if _, err := srv.Store().Mkdir(d, "root", vfs.DefaultPerm|vfs.WorldWrite); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < vmixShared; i++ {
+		seedWritable(t, srv, fmt.Sprintf("/sh/f%d", i), "x")
+	}
+	for c := 0; c < 2; c++ {
+		for i := 0; i < vmixPrivate; i++ {
+			seedWritable(t, srv, fmt.Sprintf("/pv%d/f%d", c, i), "x")
+		}
+	}
+	caches := []*client.Cache{dial("c0"), dial("c1")}
+	before := frames(srv.WireStats())
+	s := newVmixStream(1)
+	ops := int(terms * renewTerm / opEvery)
+	for i := 0; i < ops; i++ {
+		c := i % 2
+		path, write := s.next(c)
+		if write {
+			mustWrite(t, caches[c], path, "y")
+		} else if _, err := caches[c].Read(path); err != nil {
+			t.Fatal(err)
+		}
+		clk.Advance(opEvery)
+	}
+	got := float64(frames(srv.WireStats())-before) / float64(ops)
+	if math.Abs(got-pinned) > 0.00005 {
+		t.Errorf("%.4f server frames per op, pinned %.4f (%.4f without renewals riding requests)", got, pinned, onDemand)
+	}
+	if n := caches[0].WireStats().Frames(proto.TExtend, "out") + caches[1].WireStats().Frames(proto.TExtend, "out"); n != 0 {
+		t.Errorf("%d TExtend frames; renewals should ride reads and writes", n)
+	}
+}
+
+// frames totals a server's frames both ways, the hellos left out.
+func frames(ws *proto.WireStats) uint64 {
+	var n uint64
+	for _, row := range ws.Snapshot() {
+		if row.Type != proto.THello && row.Type != proto.THelloAck {
+			n += row.Frames
+		}
+	}
+	return n
+}

@@ -177,8 +177,8 @@ func TestAllocFreeInlineDispatch(t *testing.T) {
 		reply proto.MsgType
 		want  float64
 	}{
-		{"read", frame(t, proto.TRead, 2, func(e *proto.Enc) { e.U64(uint64(node)).Str("") }), proto.TReadRep, 1},
-		{"write", frame(t, proto.TWrite, 3, func(e *proto.Enc) { e.U64(uint64(node)).Blob(make([]byte, 1024)) }), proto.TWriteRep, 2},
+		{"read", frame(t, proto.TRead, 2, func(e *proto.Enc) { e.U64(uint64(node)).Str("").EncodeData(nil) }), proto.TReadRep, 1},
+		{"write", frame(t, proto.TWrite, 3, func(e *proto.Enc) { e.U64(uint64(node)).Blob(make([]byte, 1024)).EncodeData(nil) }), proto.TWriteRep, 2},
 		{"extend", frame(t, proto.TExtend, 4, func(e *proto.Enc) {
 			e.U32(1).Datum(vfs.Datum{Kind: vfs.FileData, Node: node})
 		}), proto.TExtendRep, 2},
@@ -208,9 +208,17 @@ func parkFixture(t *testing.T) (srv *server.Server, clk *clock.Sim, connect func
 	clk = clock.NewSim()
 	srv, connect = startPipeServer(t, server.Config{Term: parkTerm, Clock: clk})
 	held = seedWritable(t, srv, "/held", "old")
+	muteHolder(t, connect, held)
+	return srv, clk, connect, held
+}
+
+// muteHolder leases file node to a raw-protocol client that never
+// approves a write.
+func muteHolder(t *testing.T, connect func() (net.Conn, *gidConn), node vfs.NodeID) {
+	t.Helper()
 	holder, _ := connect()
 	hello(t, holder, "holder")
-	if _, err := holder.Write(frame(t, proto.TRead, 2, func(e *proto.Enc) { e.U64(uint64(held)).Str("") })); err != nil {
+	if _, err := holder.Write(frame(t, proto.TRead, 2, func(e *proto.Enc) { e.U64(uint64(node)).Str("").EncodeData(nil) })); err != nil {
 		t.Fatal(err)
 	}
 	if rep, err := proto.ReadFrame(holder); err != nil || rep.Type != proto.TReadRep {
@@ -223,7 +231,6 @@ func parkFixture(t *testing.T) (srv *server.Server, clk *clock.Sim, connect func
 			}
 		}
 	}()
-	return srv, clk, connect, held
 }
 
 const parkTerm = 10 * time.Second
@@ -289,7 +296,7 @@ func TestParkedWriteKeepsItsPayload(t *testing.T) {
 	payload := func(i int) []byte { return bytes.Repeat([]byte{byte('a' + i)}, 1024) }
 	var burst []byte
 	for i, node := range nodes {
-		burst = append(burst, frame(t, proto.TWrite, uint64(10+i), func(e *proto.Enc) { e.U64(uint64(node)).Blob(payload(i)) })...)
+		burst = append(burst, frame(t, proto.TWrite, uint64(10+i), func(e *proto.Enc) { e.U64(uint64(node)).Blob(payload(i)).EncodeData(nil) })...)
 	}
 	nc, _ := connect()
 	hello(t, nc, "writer")
@@ -324,7 +331,7 @@ func TestStuckClientDelaysOnlyItself(t *testing.T) {
 	node := seedWritable(t, srv, "/f", "old")
 	stuck, _ := connect()
 	hello(t, stuck, "stuck")
-	read := frame(t, proto.TRead, 2, func(e *proto.Enc) { e.U64(uint64(node)).Str("") })
+	read := frame(t, proto.TRead, 2, func(e *proto.Enc) { e.U64(uint64(node)).Str("").EncodeData(nil) })
 	if _, err := stuck.Write(read); err != nil {
 		t.Fatal(err)
 	}
@@ -355,4 +362,32 @@ func TestStuckClientDelaysOnlyItself(t *testing.T) {
 		}
 	})
 	within(t, "Stop", srv.Stop)
+}
+
+// TestHostileDatumCountCostsNothing: a TExtend or TRelease whose 4-byte
+// payload claims 65,536 data is refused before a list is sized from the
+// claim.
+func TestHostileDatumCountCostsNothing(t *testing.T) {
+	_, connect := startPipeServer(t, server.Config{Term: time.Minute})
+	nc, _ := connect()
+	hello(t, nc, "hostile")
+	buf := make([]byte, 4<<10)
+	for _, typ := range []proto.MsgType{proto.TExtend, proto.TRelease} {
+		req := frame(t, typ, 2, func(e *proto.Enc) { e.U32(1 << 16) })
+		const n = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			if _, err := nc.Write(req); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := nc.Read(buf); err != nil || proto.MsgType(buf[4]) != proto.TError {
+				t.Fatalf("%v: reply type %d, %v; want an error", typ, buf[4], err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / n; per > 64<<10 {
+			t.Errorf("refusing a %v of 65,536 claimed data allocates %d bytes", typ, per)
+		}
+	}
 }

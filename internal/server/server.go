@@ -93,10 +93,10 @@ type Config struct {
 	// max-term raises replicate before the grant is sent. See
 	// internal/server/replica.go for the contract.
 	Replica Replica
-	// Class configures the §4 lease-class subsystem (installed-files
-	// leases with broadcast extension and drop-on-write, anticipatory
-	// piggybacked extension). The zero value disables it and keeps the
-	// wire byte-identical to a pre-class server. See classes.go.
+	// Class configures the §4.3 lease-class subsystem (installed-files
+	// leases with broadcast extension and drop-on-write). The zero value
+	// disables it and keeps the wire byte-identical to a pre-class
+	// server. See classes.go.
 	Class ClassConfig
 	// Access, when non-nil, receives a read/write observation for every
 	// request the server serves. Pair it with a core.AdaptiveTerm policy
@@ -234,9 +234,8 @@ func New(cfg Config) *Server {
 		wire:     &proto.WireStats{},
 	}
 	if cfg.Class.Enabled() {
-		// Advertised only when some class feature is on, so a plain
-		// server's hello ack — like the rest of its byte stream — is
-		// unchanged.
+		// Advertised only when the class is on, so a plain server's hello
+		// ack — like the rest of its byte stream — is unchanged.
 		s.features |= proto.FeatClass
 	}
 	if cfg.Shard.enabled() {

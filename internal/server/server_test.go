@@ -182,7 +182,7 @@ func TestWriteWaitsOutUnreachableHolder(t *testing.T) {
 	proto.WriteFrame(raw, proto.Frame{Type: proto.THello, ReqID: 1, Payload: e.Bytes()})
 	proto.ReadFrame(raw) // hello ack
 	var e2 proto.Enc
-	e2.U64(2).Str("") // node of /f
+	e2.U64(2).Str("").EncodeData(nil) // node of /f
 	proto.WriteFrame(raw, proto.Frame{Type: proto.TRead, ReqID: 2, Payload: e2.Bytes()})
 	if _, err := proto.ReadFrame(raw); err != nil {
 		t.Fatalf("raw read reply: %v", err)
@@ -300,7 +300,7 @@ func TestWriteTimeoutFailsBlockedWrite(t *testing.T) {
 	proto.WriteFrame(raw, proto.Frame{Type: proto.THello, ReqID: 1, Payload: e.Bytes()})
 	proto.ReadFrame(raw)
 	var e2 proto.Enc
-	e2.U64(2).Str("")
+	e2.U64(2).Str("").EncodeData(nil)
 	proto.WriteFrame(raw, proto.Frame{Type: proto.TRead, ReqID: 2, Payload: e2.Bytes()})
 	proto.ReadFrame(raw)
 	// Keep the connection open but never answer pushes.

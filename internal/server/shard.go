@@ -380,7 +380,7 @@ func (p *shardPeer) call(t proto.MsgType, fill func(*proto.Enc), want proto.MsgT
 			return err
 		}
 		if rep.ReqID != id {
-			rep.Recycle() // piggybacked push or stale frame
+			rep.Recycle() // an unsolicited push or a stale frame
 			continue
 		}
 		defer rep.Recycle()

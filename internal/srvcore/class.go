@@ -54,22 +54,12 @@ type ClassConfig struct {
 	// BroadcastEvery is the broadcast-extension period. Zero means
 	// InstalledTerm/4.
 	BroadcastEvery time.Duration
-	// PiggybackLead enables anticipatory extension: whenever a reply is
-	// flushed to a FeatClass client, leases of that client expiring
-	// within this lead are re-granted in a TPiggyExt frame appended to
-	// the same flush (§4). Zero disables piggybacking.
-	PiggybackLead time.Duration
 }
 
-// InstalledEnabled reports whether the installed-files class itself is
-// on; Enabled reports whether any class feature (and hence FeatClass
-// advertisement) is.
-func (cc ClassConfig) InstalledEnabled() bool {
-	return len(cc.InstalledDirs) > 0 || cc.AutoInstall
-}
-
+// Enabled reports whether the installed-files class (and hence FeatClass
+// advertisement) is on.
 func (cc ClassConfig) Enabled() bool {
-	return cc.InstalledEnabled() || cc.PiggybackLead > 0
+	return len(cc.InstalledDirs) > 0 || cc.AutoInstall
 }
 
 // WithDefaults fills the zero timing fields of an enabled configuration.

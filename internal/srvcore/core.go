@@ -95,7 +95,7 @@ func New(cfg Config) *Core {
 		assigned: make(map[string]uint64),
 		staged:   make(map[string]Xfer),
 	}
-	if cfg.Class.InstalledEnabled() {
+	if cfg.Class.Enabled() {
 		c.Classes = newClassTable(cfg.Class)
 	}
 	return c
