@@ -23,8 +23,8 @@
 //
 // With -ring the session routes every path operation across the
 // replica groups of a sharded deployment (NOT_OWNER redirects steer
-// stale routes); mv transparently runs the two-phase cross-shard
-// rename when source and destination hash to different groups.
+// stale routes); mv transparently moves the file between groups when
+// source and destination hash to different groups.
 package main
 
 import (

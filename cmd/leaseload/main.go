@@ -349,9 +349,9 @@ func rgPath(i int) string { return fmt.Sprintf("/rg/f%d", i) }
 // runRing is the -ring workload: per-client Routers drive a mixed
 // read/write/rename load across a sharded deployment. Renames toggle a
 // per-client pair of paths back and forth, so with enough clients some
-// pairs straddle groups and exercise the two-phase cross-shard
-// protocol; the NOT_OWNER redirect counter is reported so rollout
-// tests can assert convergence.
+// pairs straddle groups and exercise the cross-shard move; the
+// NOT_OWNER redirect counter is reported so rollout tests can assert
+// convergence.
 func runRing(spec string, nclients, nfiles int, dur time.Duration, seed int64) {
 	ring, err := shard.Parse(spec)
 	if err != nil {

@@ -4,8 +4,8 @@
 // a file back and forth between the groups and the source group's
 // master crash-stops mid-workload. The acked-floor lens holds on files
 // homed on BOTH shards, a deliberately stale routing table must
-// converge through NOT_OWNER redirects, and the two-phase rename
-// protocol's wire paths must all fire.
+// converge through NOT_OWNER redirects, and the cross-shard rename's
+// wire paths must all fire.
 package chaos
 
 import (
@@ -59,7 +59,7 @@ type shardedSet struct {
 
 	renames    atomic.Int64 // cross-shard renames acked to the mover
 	renameErrs atomic.Int64
-	recreated  atomic.Int64 // mover limbo recoveries (see moverLoop)
+	recreated  atomic.Int64 // mover identities recreated after a lost move (see moverLoop)
 	reconnects atomic.Int64 // summed from the routers' group sessions
 }
 
@@ -193,7 +193,7 @@ func (ss *shardedSet) collectReconnects(r *client.Router) {
 // the acked floor on every file (both shards and the moving identity),
 // rename commits actually happening, the stale router converging onto
 // the true table via NOT_OWNER, a completed failover election, and
-// every two-phase wire path (not-owner, prepare, commit) firing.
+// every sharded wire path (not-owner, the move) firing.
 func runShardSplit(h *harness) {
 	ss := h.shard
 	d := h.o.Duration
@@ -259,7 +259,7 @@ func runShardSplit(h *harness) {
 
 	// Shard lenses, on top of the standard floor and delay checks.
 	if ss.renames.Load() == 0 {
-		h.ck.violate("shard-rename", "no cross-shard rename was ever acknowledged (%d errors, %d limbo recoveries)",
+		h.ck.violate("shard-rename", "no cross-shard rename was ever acknowledged (%d errors, %d lost moves recreated)",
 			ss.renameErrs.Load(), ss.recreated.Load())
 	}
 	if n := readerStale.Redirects(); n == 0 {
@@ -279,7 +279,7 @@ func runShardSplit(h *harness) {
 	for _, ec := range h.obs.EventCounts() {
 		counts[ec.Type] = ec.N
 	}
-	for _, ev := range []string{"not-owner", "shard-prepare", "shard-commit"} {
+	for _, ev := range []string{"not-owner", "shard-move"} {
 		if counts[ev] == 0 {
 			h.ck.violate("shard-activity", "no %s event in a sharded run — that wire path never fired", ev)
 		}
@@ -354,12 +354,14 @@ func (ss *shardedSet) readerLoop(r *client.Router, idx int, stop chan struct{}, 
 // op log of ROADMAP item 1 owns the real fix.
 //
 // A failed rename leaves the file in one of three places: still at its
-// old name (aborted), already at the new one (committed, ack lost), or
-// in staged limbo on the destination (source committed, commit push
-// lost — the window crossShardRename documents). The loop probes both
-// names and, if neither answers, recreates the identity under a fresh
-// name: the floor only ever advanced on acknowledged writes, so the
-// recreation continues the same monotonic history.
+// old name (never cleared, or the move refused and undone), at the new
+// one (moved, ack lost — or a move still clearing the destination's
+// directory), or nowhere (the source removed it and lost the connection
+// with the move sent — the window crossShardRename documents — or its
+// undo of a refused move failed). The loop
+// probes both names and, if neither answers, recreates the identity
+// under a fresh name: the floor only ever advanced on acknowledged
+// writes, so the recreation continues the same monotonic history.
 func (ss *shardedSet) moverLoop(r *client.Router, stop chan struct{}, wg *sync.WaitGroup) {
 	defer wg.Done()
 	h := ss.h
@@ -410,10 +412,10 @@ func (ss *shardedSet) moverLoop(r *client.Router, stop chan struct{}, wg *sync.W
 
 // recoverMove locates the mover file after a failed rename, returning
 // its current name ("" if the loop should stop). Probes run oldest
-// possibility last: a committed-but-unacked rename leaves the file at
-// newName, an aborted one at oldName; when neither answers after a few
-// rounds the staged copy is limbo'd (it ages out server-side) and the
-// identity is recreated under a fresh name.
+// possibility last: a moved-but-unacked rename leaves the file at
+// newName, a refused one at oldName; when neither answers after a few
+// rounds the move was lost in flight and the identity is recreated
+// under a fresh name.
 func (ss *shardedSet) recoverMove(r *client.Router, oldName, newName string, target int, next *int, stop chan struct{}) string {
 	h := ss.h
 	for attempt := 0; attempt < 3; attempt++ {

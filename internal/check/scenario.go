@@ -148,13 +148,13 @@ const (
 	// coverage is still live then read the old value from cache after
 	// the write was acknowledged.
 	BreakClassHorizon = "class-horizon"
-	// BreakRenameOrder (sharded worlds only) commits a cross-shard
-	// rename the moment the destination group acknowledges the prepare,
-	// skipping the source's §2 clearance barrier. Read leases the source
-	// granted stay live across the ownership transfer, so a holder's
-	// cache hit can return the pre-move value after a post-move write
-	// was acknowledged on the destination — the stale read the
-	// prepare/clear/commit ordering exists to prevent.
+	// BreakRenameOrder (sharded worlds only) sends a cross-shard
+	// rename's move before the source's §2 clearance: the source answers
+	// its own approval step on the holders' behalf and the bytes leave at
+	// once. Read leases the source granted stay live across the ownership
+	// transfer, so a holder's cache hit can return the pre-move value
+	// after a post-move write was acknowledged on the destination — the
+	// stale read the clear-then-move order exists to prevent.
 	BreakRenameOrder = "rename-order"
 )
 
@@ -174,7 +174,7 @@ type Scenario struct {
 	// its own replication pipeline), file f starts homed at group
 	// f%Groups, clients route by a per-file home belief steered by
 	// NOT_OWNER redirects, and OpRename moves files between groups via
-	// the two-phase prepare/clear/commit protocol.
+	// a clear-then-move protocol between the two groups' masters.
 	Groups int `json:"groups,omitempty"`
 
 	// Term is the fixed lease term t_s; Allowance is the clock bound ε
@@ -637,7 +637,7 @@ func Generate(seed int64, cfg GenConfig) Scenario {
 			}
 			if cfg.Groups > 1 {
 				// Kill one group's master mid-run — often mid-rename,
-				// the window the two-phase protocol must survive.
+				// the window the move between groups must survive.
 				ft.Group = rng.Intn(cfg.Groups)
 			}
 			sc.Faults = append(sc.Faults, ft)

@@ -43,10 +43,10 @@ func (c engineClock) Sleep(time.Duration) { panic("check: Sleep on engine clock"
 type planKind uint8
 
 const (
-	planWrite   planKind = iota // a client write
-	planPrepare                 // cross-shard rename, destination: stage
-	planSource                  // cross-shard rename, source: commit point
-	planCommit                  // cross-shard rename, destination: appear
+	planWrite  planKind = iota // a client write
+	planSource                 // cross-shard rename, source: commit point
+	planMove                   // cross-shard rename, destination: appear
+	planUndo                   // cross-shard rename, source: put a refused move back
 )
 
 // mplan is one mutation in flight at the model server: the shipped plan
@@ -98,22 +98,18 @@ type round struct {
 }
 
 // xferState is the source master's record of one outbound cross-shard
-// transfer: prepare retries until the destination's master acks, then
-// the §2 clearance plan runs to the commit point, then commit retries
-// until the destination acks.
+// transfer: the §2 clearance plan runs to the commit point, then the
+// move retries until the destination's master acks or refuses it.
 type xferState struct {
-	id       uint64
-	file     int
-	dest     int // destination group
-	reqID    uint64
-	from     core.ClientID
-	value    string
-	version  uint64 // the file's, when value was read
-	prepared bool
-	left     bool // past the commit point
-	retries  int
-	retryEv  *sim.Event
-	sp       tracing.Span // server.rename root, ended at commit/abort
+	id      uint64
+	file    int
+	dest    int // destination group
+	reqID   uint64
+	from    core.ClientID
+	move    *xferMsg // read at the commit point: set once the file has left
+	retries int
+	retryEv *sim.Event
+	sp      tracing.Span // server.rename root, ended with the transfer
 }
 
 var (
@@ -123,11 +119,11 @@ var (
 )
 
 // mserver is the model file server: the real vfs store and the shipped
-// server core (internal/srvcore — write plans, replication state, class
-// and transfer tables) under the model's message loop. What is the
-// model's own is transport: the election pump, quorum counting and
-// retransmission of a plan's Ship step, the promotion sync exchange, the
-// rename's remote legs, and at-least-once dedupe. In replicated worlds
+// server core (internal/srvcore — write plans, replication state and
+// class table) under the model's message loop. What is the model's own
+// is transport: the election pump, quorum counting and retransmission of
+// a plan's Ship step, the promotion sync exchange, the rename's move
+// between masters, and at-least-once dedupe. In replicated worlds
 // (sc.Servers > 1) it additionally runs the real PaxosLease Machine;
 // mach is nil in single-server worlds.
 type mserver struct {
@@ -249,7 +245,7 @@ func (srv *mserver) boot() {
 		srv.floor = sc.InstalledTerm
 	}
 	cfg := srvcore.Config{
-		Store: srv.store, Owner: "srv", Policy: core.FixedTerm(sc.Term), Shards: checkShards, Term: sc.Term,
+		Store: srv.store, Owner: "srv", Policy: core.FixedTerm(sc.Term), Shards: checkShards,
 	}
 	if sc.Installed {
 		cfg.Class = srvcore.ClassConfig{
@@ -390,14 +386,8 @@ func (srv *mserver) machChanged() {
 func (srv *mserver) demote() {
 	srv.core.Demote()
 	srv.endPromotion()
-	for _, f := range sortedKeys(srv.xfers) {
-		// A transfer still asking for its prepare is given up; one inside
-		// its clearance plan fails with the plan below; one past the commit
-		// point keeps pushing its commit, as the deployment's does.
-		if x := srv.xfers[f]; !x.prepared {
-			srv.endXfer(x, "demoted")
-		}
-	}
+	// A transfer inside its clearance plan fails with the plan; one past
+	// the commit point keeps sending its move, as the deployment's does.
 	for _, id := range sortedKeys(srv.plans) {
 		if op := srv.plans[id]; op != nil {
 			srv.step(op)
@@ -405,8 +395,8 @@ func (srv *mserver) demote() {
 	}
 }
 
-func sortedKeys[K int | uint64, V any](m map[K]V) []K {
-	keys := make([]K, 0, len(m))
+func sortedKeys[V any](m map[uint64]V) []uint64 {
+	keys := make([]uint64, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
@@ -783,22 +773,19 @@ func (srv *mserver) apply(op *mplan, now time.Time) {
 			Type: obs.EvWriteApply, Client: string(op.client), Datum: datumForFile(op.file),
 			Shard: srv.core.Leases().ShardFor(datumForFile(op.file)), Wait: wait,
 		})
-	case planPrepare:
-		srv.core.Stage(filePath(op.file), srvcore.Xfer{Data: []byte(op.xm.Value), Epoch: op.xm.XferID}, now)
 	case planSource:
-		// The commit point. A write that landed after the bytes were read
-		// for the prepare would be lost at the destination: the transfer
-		// gives up instead, and the client's retry starts it over.
+		// The commit point. The bytes are read here, behind every write
+		// cleared before it, so the move carries them.
 		x := op.x
-		if srv.fileVersion(x.file) != x.version {
-			srv.endXfer(x, "changed under the transfer")
-			return
-		}
-		x.left = true
+		x.move = &xferMsg{XferID: x.id, File: x.file, Value: srv.read(x.file), Version: srv.fileVersion(x.file)}
 		srv.w.shards[srv.group].owned[x.file] = false
 		srv.w.home[x.file] = x.dest
 		srv.w.out.Renames++
-	case planCommit:
+	case planUndo:
+		// The file is home again, with the bytes it never lost here.
+		srv.w.shards[srv.group].owned[op.file] = true
+		srv.w.home[op.file] = srv.group
+	case planMove:
 		attr, _, err := srv.store.WriteFile(datumForFile(op.file).Node, []byte(op.xm.Value))
 		if err != nil {
 			panic(fmt.Sprintf("check: commit moved file %d: %v", op.file, err))
@@ -832,22 +819,30 @@ func (srv *mserver) finish(op *mplan, err error) {
 		} else if m := srv.seen[op.client]; m[op.reqID] == 0 {
 			delete(m, op.reqID)
 		}
-	case planPrepare:
-		if err == nil {
-			srv.w.fabric.Unicast(srv.node, op.peer, kindXferPrepared, op.xm)
-		}
 	case planSource:
 		if x := op.x; srv.xfers[x.file] == x {
 			if err == nil {
-				x.retries = 0
-				srv.sendXfer(x, kindXferCommit)
+				srv.sendMove(x)
 			} else {
 				srv.endXfer(x, "clearance "+err.Error())
 			}
 		}
-	case planCommit:
-		if err == nil {
-			srv.w.fabric.Unicast(srv.node, op.peer, kindXferCommitted, op.xm)
+	case planUndo:
+		if x, end := op.x, "refused: restore dropped"; srv.xfers[x.file] == x {
+			if err == nil { // home again: the client's retransmit starts over
+				x.move, end = nil, "refused: restored"
+			}
+			srv.endXfer(x, end)
+		}
+	case planMove:
+		if sh := srv.w.shards[srv.group]; err == nil {
+			srv.w.fabric.Unicast(srv.node, op.peer, kindXferMoved, op.xm)
+		} else if !op.p.Exposed() && sh.lastXfer[op.file] < op.xm.XferID {
+			// Failed before its ship: the source puts the file back, and no
+			// copy of the move may apply later (none could before: this was
+			// the group's master until the demotion that failed the plan).
+			sh.lastXfer[op.file] = op.xm.XferID
+			srv.w.fabric.Unicast(srv.node, op.peer, kindXferRefused, op.xm)
 		}
 	}
 	op.sp.EndNote(note)
@@ -875,10 +870,10 @@ func (srv *mserver) applyReady() {
 
 // owns reports whether file f's name hashes to this server's group (the
 // model's ring: it flips at the source's commit point); present whether
-// the file exists in the group's namespace — between the two commit
-// points of a move it exists nowhere. Both are group-durable world
-// state: the model probes the ORDERING of clearance, transfer and
-// routing, not the namespace's durability (ROADMAP item 1).
+// the file exists in the group's namespace — between the source's commit
+// point and the destination's apply it exists nowhere. Both are
+// group-durable world state: the model probes the ORDERING of clearance,
+// transfer and routing, not the namespace's durability (ROADMAP item 1).
 func (srv *mserver) owns(f int) bool { return srv.w.groups() <= 1 || srv.w.home[f] == srv.group }
 
 func (srv *mserver) present(f int) bool {
@@ -941,10 +936,9 @@ func (srv *mserver) markSeen(client core.ClientID, reqID, version uint64) {
 }
 
 // handleRename runs at the source group's serving master: dedupe,
-// ownership check, then the two-phase move — prepare at the destination
-// group (which stages the bytes invisibly), §2 clearance of this group's
-// own leases on the file and the commit point, commit at the
-// destination.
+// ownership check, then the move — §2 clearance of this group's own
+// leases on the file and the commit point, then the move leg to the
+// destination group, which creates the file.
 func (srv *mserver) handleRename(from netsim.NodeID, req renameReq) {
 	f := req.File
 	if srv.dedupe(req.From, req.ReqID, func(uint64) {
@@ -961,43 +955,45 @@ func (srv *mserver) handleRename(from netsim.NodeID, req renameReq) {
 	srv.w.nextXfer++
 	x := &xferState{
 		id: srv.w.nextXfer, file: f, dest: (srv.group + 1) % srv.w.groups(), reqID: req.ReqID, from: req.From,
-		value: srv.read(f), version: srv.fileVersion(f),
 		sp: srv.w.tracer.StartChildNode(string(srv.node), req.TC, "server.rename"),
 	}
 	srv.xfers[f] = x
-	srv.sendXfer(x, kindXferPrepare)
+	// The move behaves like a §2 write on the file: every conflicting
+	// leaseholder approves or expires before ownership transfers.
+	op := &mplan{kind: planSource, file: f, x: x, client: core.ClientID(fmt.Sprintf("xfer-%d", x.id)), tc: x.sp.Context()}
+	op.p = srv.core.Plan(op.client, datumForFile(f), rootBinding)
+	srv.begin(op)
 }
 
-// sendXfer (re)transmits a transfer's pending remote leg — prepare, or
-// commit once the file has left — to the believed destination master,
-// rotating to the next replica when retries go unanswered: silence may
-// mean that one is down or mid-promotion.
-func (srv *mserver) sendXfer(x *xferState, kind string) {
+// sendMove (re)transmits a transfer's move to the believed destination
+// master, rotating to the next replica when retries go unanswered:
+// silence may mean that one is down or mid-promotion.
+func (srv *mserver) sendMove(x *xferState) {
 	target := srv.peerNode(x.dest, srv.peerBelief[x.dest])
-	srv.w.fabric.Unicast(srv.node, target, kind, xferMsg{XferID: x.id, File: x.file, Value: x.value, Version: x.version})
+	srv.w.fabric.Unicast(srv.node, target, kindXferMove, *x.move)
 	x.retryEv = srv.w.engine.After(srv.backoff(x.retries), func() {
 		x.retryEv = nil
-		if srv.down || srv.xfers[x.file] != x || (kind == kindXferPrepare && x.prepared) {
+		if srv.down || srv.xfers[x.file] != x {
 			return
 		}
 		if x.retries++; x.retries > maxRetries {
-			srv.endXfer(x, kind+" given-up")
+			srv.endXfer(x, "move given-up")
 			return
 		}
 		srv.peerBelief[x.dest] = (srv.peerBelief[x.dest] + 1) % srv.w.sc.Servers
-		srv.sendXfer(x, kind)
+		srv.sendMove(x)
 	})
 }
 
 // endXfer retires an outbound transfer. Before the commit point
 // ownership never moved, so the file simply stays home and the pending
 // dedupe marker is released: the client's retransmit restarts the move.
-// After it the file has left: the destination holds the only (staged)
-// copy, which only this transfer's commit can surface.
+// After it the file has left, and only this transfer's move can make it
+// appear at the destination.
 func (srv *mserver) endXfer(x *xferState, note string) {
 	srv.cancel(&x.retryEv)
 	delete(srv.xfers, x.file)
-	if m := srv.seen[x.from]; !x.left && m[x.reqID] == 0 {
+	if m := srv.seen[x.from]; x.move == nil && m[x.reqID] == 0 {
 		delete(m, x.reqID)
 	}
 	x.sp.EndNote(note)
@@ -1006,43 +1002,45 @@ func (srv *mserver) endXfer(x *xferState, note string) {
 // handleXfer runs the transfer legs that arrive from the other group.
 func (srv *mserver) handleXfer(m netsim.Message, p xferMsg) {
 	switch m.Kind {
-	case kindXferPrepare, kindXferCommit:
+	case kindXferMove:
 		// Destination side: only a serving master answers; silence makes
-		// the source's retry ladder rotate replicas.
+		// the source's retry ladder rotate replicas. The move is deduped on
+		// XferID: one applied here is re-acknowledged, an older or refused
+		// one or one still in flight is met with silence.
 		if !srv.servingMaster() {
 			return
 		}
-		op := &mplan{kind: planPrepare, file: p.File, xm: p, peer: m.From, client: core.ClientID(m.From)}
-		op.p = srv.core.Plan(op.client, rootBinding)
-		if m.Kind == kindXferCommit {
-			st, ok := srv.core.TakeStaged(filePath(p.File), p.XferID, srv.localNow())
-			if !ok {
-				if sh := srv.w.shards[srv.group]; sh.owned[p.File] && sh.lastXfer[p.File] == p.XferID {
-					srv.w.fabric.Unicast(srv.node, m.From, kindXferCommitted, p) // a retransmit
-				}
-				return
+		if sh := srv.w.shards[srv.group]; sh.lastXfer[p.File] >= p.XferID {
+			if sh.owned[p.File] && sh.lastXfer[p.File] == p.XferID {
+				srv.w.fabric.Unicast(srv.node, m.From, kindXferMoved, p)
 			}
-			// The bytes replicate to a quorum before the name appears.
-			op.kind, op.xm.Value = planCommit, string(st.Data)
-			op.p.Replicate(filePath(p.File), st.Data)
-		}
-		srv.begin(op)
-	case kindXferPrepared:
-		// Source side: the destination staged the bytes. The move now
-		// behaves like a §2 write on the file — every conflicting
-		// leaseholder approves or expires before ownership transfers.
-		x := srv.xfers[p.File]
-		if x == nil || x.id != p.XferID || x.prepared {
 			return
 		}
-		x.prepared = true
-		srv.cancel(&x.retryEv)
-		op := &mplan{kind: planSource, file: x.file, x: x, client: core.ClientID(fmt.Sprintf("xfer-%d", x.id)), tc: x.sp.Context()}
-		op.p = srv.core.Plan(op.client, datumForFile(x.file), rootBinding)
+		for _, op := range srv.plans {
+			if op.kind == planMove && op.xm.XferID == p.XferID {
+				return
+			}
+		}
+		op := &mplan{kind: planMove, file: p.File, xm: p, peer: m.From, client: core.ClientID(m.From)}
+		op.p = srv.core.Plan(op.client, rootBinding)
+		// The bytes replicate to a quorum before the name appears.
+		op.p.Replicate(filePath(p.File), []byte(p.Value))
 		srv.begin(op)
-	case kindXferCommitted:
+	case kindXferRefused:
+		// Source side: the undo runs the plan the destination would have
+		// run (a nil retry timer: it already is).
 		x := srv.xfers[p.File]
-		if x == nil || x.id != p.XferID || !x.left {
+		if x == nil || x.id != p.XferID || x.move == nil || x.retryEv == nil {
+			return
+		}
+		srv.cancel(&x.retryEv)
+		op := &mplan{kind: planUndo, file: x.file, x: x, client: core.ClientID(fmt.Sprintf("xfer-%d", x.id)), tc: x.sp.Context()}
+		op.p = srv.core.Plan(op.client, rootBinding)
+		op.p.Replicate(filePath(x.file), []byte(x.move.Value))
+		srv.begin(op)
+	case kindXferMoved:
+		x := srv.xfers[p.File]
+		if x == nil || x.id != p.XferID || x.move == nil {
 			return
 		}
 		srv.markSeen(x.from, x.reqID, 1) // done marker, for at-least-once re-acks

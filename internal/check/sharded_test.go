@@ -59,7 +59,7 @@ func TestShardedBasicSchedule(t *testing.T) {
 
 // TestShardedFailoverSchedule crosses the two fault axes: a rename is
 // issued while the SOURCE group's master is about to die, and another
-// after the successor takes over. The prepare retry ladder, the clients'
+// after the successor takes over. The move's retry ladder, the clients'
 // per-group master beliefs, and the ownership handoff must all converge
 // with no oracle violation.
 func TestShardedFailoverSchedule(t *testing.T) {
@@ -75,7 +75,7 @@ func TestShardedFailoverSchedule(t *testing.T) {
 			{At: ms(700), Client: 1, File: 0, Kind: OpWrite},
 			{At: ms(760), Client: 0, File: 0, Kind: OpRead},
 			// A rename ISSUED mid-failover: the client's retry ladder
-			// finds group 1's master, whose prepare finds group 0's
+			// finds group 1's master, whose move finds group 0's
 			// successor (f0 moved to group 1 at ms 90).
 			{At: ms(800), Client: 1, File: 0, Kind: OpRename},
 			{At: ms(1500), Client: 0, File: 0, Kind: OpRead},
@@ -171,7 +171,7 @@ func TestShardedProfilesClean(t *testing.T) {
 }
 
 // TestShardedDeterministic extends the nondeterminism audit to sharded
-// worlds: renames, prepare retries, NOT_OWNER redirects, per-group
+// worlds: renames, move retries, NOT_OWNER redirects, per-group
 // elections and moves must replay byte-identically.
 func TestShardedDeterministic(t *testing.T) {
 	for seed := int64(1); seed <= 15; seed++ {
@@ -180,9 +180,9 @@ func TestShardedDeterministic(t *testing.T) {
 }
 
 // TestBreakRenameOrderCaught demonstrates the rename clearance is
-// load-bearing: committing the ownership transfer on the prepare ack
-// alone — without first obtaining §2 approval from (or waiting out) the
-// source group's leaseholders — lets a destination-group write land
+// load-bearing: sending the move before the source's clearance —
+// without first obtaining §2 approval from (or waiting out) the source
+// group's leaseholders — lets a destination-group write land
 // while a stale cached copy is still covered by a live source lease.
 // The oracle observes it as a stale read; the same schedule is clean
 // under the honest protocol.

@@ -88,12 +88,11 @@ type renameAck struct {
 	Owner int
 }
 
-// xferMsg is every leg of the two-phase cross-shard rename between
-// masters, told apart by its wire kind: prepare (source → destination,
-// carrying the bytes to stage and the version they had), prepared,
-// commit (source → destination, after the source's commit point) and
-// committed. XferID is world-unique and plays the ring epoch's part in
-// the staging table's fence.
+// xferMsg is every leg of the cross-shard rename between masters, told
+// apart by its wire kind: the move (source → destination, after the
+// source's commit point, carrying the bytes and the version they had)
+// and its acknowledgement or refusal. XferID is world-unique and dedupes the
+// move's retransmissions at the destination.
 type xferMsg struct {
 	XferID  uint64
 	File    int

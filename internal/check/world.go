@@ -40,15 +40,15 @@ const (
 	kindClassFetch = "class.fetch"
 	kindClassSnap  = "class.snapshot"
 	// Sharded-world kinds: the cross-shard rename request/ack, the
-	// NOT_OWNER redirect (model analogue of TNotOwner), and the
-	// inter-group legs of the two-phase rename protocol.
-	kindRename        = "ns.rename"
-	kindRenameAck     = "ns.rename-ack"
-	kindNotOwner      = "lease.notowner"
-	kindXferPrepare   = "shard.prepare"
-	kindXferPrepared  = "shard.prepared"
-	kindXferCommit    = "shard.commit"
-	kindXferCommitted = "shard.committed"
+	// NOT_OWNER redirect (model analogue of TNotOwner), and the rename's
+	// move between masters (TShardMove) and its acknowledgement or
+	// refusal.
+	kindRename      = "ns.rename"
+	kindRenameAck   = "ns.rename-ack"
+	kindNotOwner    = "lease.notowner"
+	kindXferMove    = "shard.move"
+	kindXferMoved   = "shard.moved"
+	kindXferRefused = "shard.refused"
 )
 
 const serverNode = netsim.NodeID("srv")
@@ -185,8 +185,8 @@ type world struct {
 	// group's replicas abstracts away the namespace's durability, which
 	// the deployment does not have yet (ROADMAP item 1) — the checker
 	// probes the ORDERING of clearance, transfer, and client routing; the
-	// file's bytes travel through the shipped staging table and
-	// replicated write plan.
+	// file's bytes travel in the move and the destination's replicated
+	// write plan.
 	shards []*groupShard
 	home   []int
 	// nextXfer numbers cross-shard transfers world-uniquely.
@@ -212,10 +212,12 @@ type world struct {
 
 // groupShard is one group's durable namespace state: per file, whether
 // it exists here (a cross-shard rename clears it at the source's commit
-// point and sets it when the destination's commit applies — in between
-// the file exists nowhere), the offset that continues its client-facing
-// version from wherever it moved in from, and the transfer that last
-// moved it in (so a retransmitted commit is re-acknowledged).
+// point and sets it when the destination applies the move, or the source
+// puts a refused one back — in between the file exists nowhere), the
+// offset that continues its client-facing version from wherever it moved
+// in from, and the transfer that last moved it in or was refused here (so
+// a retransmitted move is re-acknowledged, and an older or refused one
+// ignored).
 type groupShard struct {
 	owned    []bool
 	base     []int64

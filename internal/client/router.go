@@ -339,9 +339,8 @@ func (r *Router) Remove(path string) error {
 }
 
 // Rename routes a rename to the SOURCE path's owning group; when the
-// destination hashes to another group the source master runs the
-// two-phase cross-shard protocol server-side, so the client sees one
-// call either way.
+// destination hashes to another group the source master moves the file
+// there server-side, so the client sees one call either way.
 func (r *Router) Rename(oldPath, newPath string) error {
 	return r.do(oldPath, func(c *Cache) error { return c.Rename(oldPath, newPath) })
 }

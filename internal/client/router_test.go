@@ -138,7 +138,7 @@ func TestRouterRoutesAcrossGroups(t *testing.T) {
 	}
 }
 
-// TestRouterCrossShardRename drives the two-phase protocol end to end
+// TestRouterCrossShardRename drives the cross-shard move end to end
 // over real TCP: the file vanishes from the source group's store,
 // appears on the destination group's with its bytes intact, and the
 // routed view agrees; then the rename runs back the other way.
@@ -478,9 +478,7 @@ func TestUnshardedWireByteIdentical(t *testing.T) {
 	}
 	ws := c.WireStats()
 	for _, mt := range []proto.MsgType{
-		proto.TRing, proto.TRingRep, proto.TNotOwner,
-		proto.TShardPrepare, proto.TShardPrepareRep,
-		proto.TShardCommit, proto.TShardAbort,
+		proto.TRing, proto.TRingRep, proto.TNotOwner, proto.TShardMove,
 	} {
 		if n := ws.Frames(mt, "out") + ws.Frames(mt, "in"); n != 0 {
 			t.Fatalf("unsharded session moved %d %v frames", n, mt)

@@ -111,17 +111,14 @@ const (
 	// own and redirected the client to the owning group (Depth is the
 	// owner's group ID).
 	EvNotOwner
-	// EvShardPrepare: this group staged an incoming cross-shard rename
-	// (destination side of the two-phase protocol).
-	EvShardPrepare
-	// EvShardCommit: a staged cross-shard rename became visible on the
-	// destination, or (at the source) the source committed its removal.
-	EvShardCommit
-	// EvShardAbort: a cross-shard rename was abandoned and its staged
-	// destination entry discarded.
-	EvShardAbort
+	// EvShardMove: this (destination) group applied an incoming
+	// cross-shard rename — the file appeared here with its bytes.
+	EvShardMove
+	// EvShardUndo: the destination refused a cross-shard rename and this
+	// (source) group restored the file it had removed.
+	EvShardUndo
 
-	numEventTypes = int(EvShardAbort) + 1
+	numEventTypes = int(EvShardUndo) + 1
 )
 
 var eventTypeNames = [numEventTypes]string{
@@ -129,7 +126,7 @@ var eventTypeNames = [numEventTypes]string{
 	"write-defer", "write-apply", "write-timeout", "eviction",
 	"reconnect", "fault-inject", "queue-full", "elected", "demoted",
 	"extend-failure", "broadcast-ext", "class-promote", "class-demote",
-	"not-owner", "shard-prepare", "shard-commit", "shard-abort",
+	"not-owner", "shard-move", "shard-undo",
 }
 
 // String names the event type ("grant", "write-defer", …).

@@ -164,18 +164,14 @@ const (
 	// older) and retries against the owner — the sharded analogue of
 	// TNotMaster steering.
 	TNotOwner
-	// TShardPrepare / TShardCommit / TShardAbort carry the two-phase
-	// cross-shard rename between group masters. Prepare (payload: ring
-	// epoch, destination path, file node, contents, owner, perm) asks the
-	// destination group to clear the destination binding per §2 and stage
-	// the file invisibly; it is answered by TShardPrepareRep. Commit
-	// (payload: ring epoch, destination path) makes the staged file
-	// visible after the source committed its removal; abort discards the
-	// staged entry. Both are answered by TOK / TError.
-	TShardPrepare
-	TShardPrepareRep
-	TShardCommit
-	TShardAbort
+	// TShardMove carries a cross-shard rename from the source group's
+	// master to the destination's (payload: ring epoch, destination path,
+	// owner, perm, contents), sent once the source has cleared and
+	// removed the file. The destination clears the destination parent's
+	// binding per §2 and creates the file with its bytes; it answers TOK,
+	// or TError when it refuses before replicating anything, which the
+	// source undoes. A failure after that closes the connection.
+	TShardMove
 )
 
 // TraceFlag marks a frame's type byte as carrying a trace header.
@@ -204,60 +200,57 @@ const (
 	// identical to a pre-class peer's.
 	FeatClass uint64 = 1 << 1
 	// FeatShard: the peer understands the sharding frames (TRing,
-	// TRingRep, TNotOwner and the TShard* rename handshake). Clients
-	// advertise it only when routing via a ring; servers only when
-	// configured with one, so a single-group deployment's byte stream is
-	// identical to a pre-shard peer's.
+	// TRingRep, TNotOwner and TShardMove). Clients advertise it only when
+	// routing via a ring; servers only when configured with one, so a
+	// single-group deployment's byte stream is identical to a pre-shard
+	// peer's.
 	FeatShard uint64 = 1 << 2
 )
 
 // msgTypeNames maps request and push types to stable operation names
 // for metrics and tracing. Reply types are derived from their request.
 var msgTypeNames = map[MsgType]string{
-	THello:           "hello",
-	THelloAck:        "hello",
-	TLookup:          "lookup",
-	TLookupRep:       "lookup",
-	TRead:            "read",
-	TReadRep:         "read",
-	TWrite:           "write",
-	TWriteRep:        "write",
-	TExtend:          "extend",
-	TExtendRep:       "extend",
-	TRelease:         "release",
-	TReadDir:         "readdir",
-	TReadDirRep:      "readdir",
-	TCreate:          "create",
-	TCreateRep:       "create",
-	TMkdir:           "mkdir",
-	TRemove:          "remove",
-	TRename:          "rename",
-	TStat:            "stat",
-	TStatRep:         "stat",
-	TSetPerm:         "setperm",
-	TApprovalReq:     "approval-req",
-	TApprove:         "approve",
-	TOK:              "ok",
-	TError:           "error",
-	TNotMaster:       "not-master",
-	TPrepare:         "prepare",
-	TPromise:         "promise",
-	TPropose:         "propose",
-	TAccept:          "accept",
-	TReplApply:       "repl-apply",
-	TReplSync:        "repl-sync",
-	TReplSyncRep:     "repl-sync",
-	TReplMaxTerm:     "repl-maxterm",
-	TInstalled:       "installed",
-	TInstalledRep:    "installed",
-	TBroadcastExt:    "broadcast-ext",
-	TRing:            "ring",
-	TRingRep:         "ring",
-	TNotOwner:        "not-owner",
-	TShardPrepare:    "shard-prepare",
-	TShardPrepareRep: "shard-prepare",
-	TShardCommit:     "shard-commit",
-	TShardAbort:      "shard-abort",
+	THello:        "hello",
+	THelloAck:     "hello",
+	TLookup:       "lookup",
+	TLookupRep:    "lookup",
+	TRead:         "read",
+	TReadRep:      "read",
+	TWrite:        "write",
+	TWriteRep:     "write",
+	TExtend:       "extend",
+	TExtendRep:    "extend",
+	TRelease:      "release",
+	TReadDir:      "readdir",
+	TReadDirRep:   "readdir",
+	TCreate:       "create",
+	TCreateRep:    "create",
+	TMkdir:        "mkdir",
+	TRemove:       "remove",
+	TRename:       "rename",
+	TStat:         "stat",
+	TStatRep:      "stat",
+	TSetPerm:      "setperm",
+	TApprovalReq:  "approval-req",
+	TApprove:      "approve",
+	TOK:           "ok",
+	TError:        "error",
+	TNotMaster:    "not-master",
+	TPrepare:      "prepare",
+	TPromise:      "promise",
+	TPropose:      "propose",
+	TAccept:       "accept",
+	TReplApply:    "repl-apply",
+	TReplSync:     "repl-sync",
+	TReplSyncRep:  "repl-sync",
+	TReplMaxTerm:  "repl-maxterm",
+	TInstalled:    "installed",
+	TInstalledRep: "installed",
+	TBroadcastExt: "broadcast-ext",
+	TRing:         "ring",
+	TRingRep:      "ring",
+	TNotOwner:     "not-owner",
+	TShardMove:    "shard-move",
 }
 
 // String names the message's operation: request and reply share a name

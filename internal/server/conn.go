@@ -355,12 +355,8 @@ func (c *serverConn) dispatch(r *request) {
 		c.handleInstalled(f)
 	case proto.TRing:
 		c.handleRing(f)
-	case proto.TShardPrepare:
-		c.handleShardPrepare(r)
-	case proto.TShardCommit:
-		c.handleShardCommit(r)
-	case proto.TShardAbort:
-		c.handleShardAbort(f)
+	case proto.TShardMove:
+		c.handleShardMove(r)
 	default:
 		c.fail(f.ReqID, fmt.Errorf("server: unknown message type %d", f.Type))
 	}
@@ -753,7 +749,7 @@ func (c *serverConn) handleRename(r *request) {
 			return
 		}
 		// The rename is homed at the source shard; a destination that hashes
-		// to another group runs the two-phase cross-shard protocol.
+		// to another group is moved there (crossShardRename).
 		if !c.checkOwner(r.f.ReqID, r.path) {
 			return
 		}

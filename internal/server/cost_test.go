@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"leases/internal/client"
+	"leases/internal/clock"
 	"leases/internal/proto"
 	"leases/internal/vfs"
 )
@@ -103,6 +104,35 @@ func TestVmixFramesPerOp(t *testing.T) {
 	}
 	if n := caches[0].WireStats().Frames(proto.TExtend, "out") + caches[1].WireStats().Frames(proto.TExtend, "out"); n != 0 {
 		t.Errorf("%d TExtend frames; renewals should ride reads and writes", n)
+	}
+}
+
+// TestRenameFramesPerOp counts what a rename costs the servers of a
+// two-group deployment, in frames summed over both and counted as
+// TestVmixFramesPerOp counts them. A rename within a group is its
+// request and reply; one across groups adds the move between the masters
+// and its reply.
+func TestRenameFramesPerOp(t *testing.T) {
+	clk := clock.NewSim()
+	srvs, ring := shardPair(t, clk, nil)
+	local, cross := ownedBy(t, ring, 0, "/d/l%d"), ownedBy(t, ring, 0, "/d/x%d")
+	seedWritable(t, srvs[0], local, "l")
+	seedWritable(t, srvs[0], cross, "x")
+	r := router(t, ring, clk, "c1")
+	for _, row := range []struct {
+		name, from, to string
+		want           uint64
+	}{
+		{"local", local, ownedBy(t, ring, 0, "/d/l%d", local), 2},
+		{"cross-shard", cross, ownedBy(t, ring, 1, "/d/x%d"), 4},
+	} {
+		before := frames(srvs[0].WireStats()) + frames(srvs[1].WireStats())
+		if err := r.Rename(row.from, row.to); err != nil {
+			t.Fatalf("%s rename: %v", row.name, err)
+		}
+		if got := frames(srvs[0].WireStats()) + frames(srvs[1].WireStats()) - before; got != row.want {
+			t.Errorf("%s rename: %d server frames, want %d", row.name, got, row.want)
+		}
 	}
 }
 

@@ -208,20 +208,24 @@ func parkFixture(t *testing.T) (srv *server.Server, clk *clock.Sim, connect func
 	clk = clock.NewSim()
 	srv, connect = startPipeServer(t, server.Config{Term: parkTerm, Clock: clk})
 	held = seedWritable(t, srv, "/held", "old")
-	muteHolder(t, connect, held)
+	muteHolder(t, connect, vfs.Datum{Kind: vfs.FileData, Node: held})
 	return srv, clk, connect, held
 }
 
-// muteHolder leases file node to a raw-protocol client that never
-// approves a write.
-func muteHolder(t *testing.T, connect func() (net.Conn, *gidConn), node vfs.NodeID) {
+// muteHolder leases d — a file's data, or a directory's binding — to a
+// raw-protocol client that never approves a write.
+func muteHolder(t *testing.T, connect func() (net.Conn, *gidConn), d vfs.Datum) {
 	t.Helper()
 	holder, _ := connect()
 	hello(t, holder, "holder")
-	if _, err := holder.Write(frame(t, proto.TRead, 2, func(e *proto.Enc) { e.U64(uint64(node)).Str("").EncodeData(nil) })); err != nil {
+	req, want := frame(t, proto.TRead, 2, func(e *proto.Enc) { e.U64(uint64(d.Node)).Str("").EncodeData(nil) }), proto.TReadRep
+	if d.Kind == vfs.DirBinding {
+		req, want = frame(t, proto.TReadDir, 2, func(e *proto.Enc) { e.U64(uint64(d.Node)) }), proto.TReadDirRep
+	}
+	if _, err := holder.Write(req); err != nil {
 		t.Fatal(err)
 	}
-	if rep, err := proto.ReadFrame(holder); err != nil || rep.Type != proto.TReadRep {
+	if rep, err := proto.ReadFrame(holder); err != nil || rep.Type != want {
 		t.Fatalf("holder's read: %v %v", rep.Type, err)
 	}
 	go func() { // the approval request it will never answer

@@ -120,7 +120,7 @@ func TestRefusedRenewalDropsCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	muteHolder(t, connect, f.ID)
+	muteHolder(t, connect, vfs.Datum{Kind: vfs.FileData, Node: f.ID})
 	wc := w.StartWrite("/f", []byte("v2"))
 	waitFor(t, "the write to wait on the mute holder", func() bool { return srv.Metrics().WritesDeferred >= 1 })
 

@@ -8,9 +8,8 @@
 // binding mutation needs clearance on more than one datum (the removed
 // file's data and its directory's binding); clearances are acquired in
 // a global datum order so concurrent multi-datum writes cannot
-// deadlock. That order, and the replication, class and transfer tables
-// it reads, live in internal/srvcore; this package is its blocking TCP
-// driver.
+// deadlock. That order, and the replication and class tables it reads,
+// live in internal/srvcore; this package is its blocking TCP driver.
 //
 // Concurrency model: one goroutine per connection reads frames and runs
 // each request to completion — handler, reply, next frame — so a request
@@ -116,8 +115,8 @@ type Server struct {
 	clk   clock.Clock
 	store *vfs.Store
 	// core is the protocol core: the order every mutation goes through
-	// and the replication, class and transfer tables. lm is its lease
-	// manager, for the grant and approve paths.
+	// and the replication and class tables. lm is its lease manager, for
+	// the grant and approve paths.
 	core   *srvcore.Core
 	lm     *core.ShardedManager
 	obs    *obs.Observer   // nil = instrumentation disabled
@@ -205,7 +204,7 @@ func New(cfg Config) *Server {
 	store := vfs.New(cfg.Clock, cfg.Owner)
 	ccfg := srvcore.Config{
 		Store: store, Owner: cfg.Owner, Policy: policy, Shards: cfg.Shards, RecoverUntil: recoverUntil,
-		Class: cfg.Class, Term: cfg.Term, WriteTimeout: cfg.WriteTimeout,
+		Class: cfg.Class,
 	}
 	if r := cfg.Replica; r != nil {
 		ccfg.Master = func(time.Time) bool { return r.IsMaster() }
@@ -403,17 +402,27 @@ func (s *Server) endApprovalSpan(id core.WriteID, holder core.ClientID, note str
 	}
 }
 
-// run drives r's plan to its end for connection c, blocking the calling
+// run drives r's plan (drive) and answers a failed one with its error.
+// It reports whether apply has run and the reply is due.
+func (s *Server) run(c *serverConn, r *request, apply func() error) bool {
+	err := s.drive(c, r, apply)
+	if err != nil {
+		c.fail(r.f.ReqID, err)
+	}
+	return err == nil && !r.parked
+}
+
+// drive drives r's plan to its end for connection c, blocking the calling
 // goroutine on whatever step the plan returns — unless that is the
 // connection's reader (r.inline), which must not wait: at the first step
 // that has to (a recovery window or class horizon, another client's
-// lease, a quorum round) run leaves the step in r, marks r parked and
-// returns, and the request takes it up again on a goroutine of its own.
-// It reports whether apply has run and the reply is due; a plan that
-// failed has told the writer why. A sampled request's deferrals and its
-// apply record spans (write.defer, one child per holder asked, ended
-// with the reason the holder stopped blocking; write.apply).
-func (s *Server) run(c *serverConn, r *request, apply func() error) bool {
+// lease, a quorum round) drive leaves the step in r, marks r parked and
+// returns nil, and the request takes it up again on a goroutine of its
+// own. Otherwise it returns the plan's error: nil when apply has run. A
+// sampled request's deferrals and its apply record spans (write.defer,
+// one child per holder asked, ended with the reason the holder stopped
+// blocking; write.apply).
+func (s *Server) drive(c *serverConn, r *request, apply func() error) error {
 	p, tc, writer, st := &r.plan, r.sp.Context(), c.client, r.step
 	if st.Kind == 0 {
 		for _, d := range p.Data() {
@@ -434,7 +443,7 @@ func (s *Server) run(c *serverConn, r *request, apply func() error) bool {
 		if k := st.Kind; r.inline && (k == srvcore.Wait || k == srvcore.Approval || k == srvcore.Ship ||
 			k == srvcore.Demoted && s.cfg.Replica != nil) {
 			r.step, r.parked = st, true
-			return false
+			return nil
 		}
 		if waiting != 0 && (st.Kind != srvcore.Approval || st.WriteID != waiting) {
 			// Any push span still open belongs to a holder that never
@@ -510,10 +519,7 @@ func (s *Server) run(c *serverConn, r *request, apply func() error) bool {
 			for _, d := range p.Data() {
 				s.releaseReady(s.lm.ShardFor(d))
 			}
-			if st.Err != nil {
-				c.fail(r.f.ReqID, st.Err)
-			}
-			return st.Err == nil
+			return st.Err
 		}
 	}
 }

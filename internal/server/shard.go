@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"time"
@@ -8,7 +9,6 @@ import (
 	"leases/internal/obs"
 	"leases/internal/proto"
 	"leases/internal/shard"
-	"leases/internal/srvcore"
 	"leases/internal/vfs"
 )
 
@@ -21,7 +21,7 @@ type ShardConfig struct {
 	// GroupID is this server's replica group on the ring.
 	GroupID int
 	// Ring is the ownership snapshot this server serves. Cross-shard
-	// prepares fence on its epoch; NOT_OWNER redirects carry it.
+	// moves fence on its epoch; NOT_OWNER redirects carry it.
 	Ring *shard.Ring
 }
 
@@ -68,12 +68,18 @@ func (c *serverConn) handleRing(f proto.Frame) {
 	c.replyEnc(f.ReqID, proto.TRingRep, func(e *proto.Enc) { shard.Encode(e, ring) })
 }
 
-// handleShardPrepare is the destination half of phase one: fence on
-// the ring epoch, verify ownership of the destination path, obtain §2
-// clearance on the destination parent's binding (any holder of a lease
-// over that directory approves or expires first), then stage the file
-// invisibly. Nothing a reader can observe changes until the commit.
-func (c *serverConn) handleShardPrepare(r *request) {
+// handleShardMove is the destination half of a cross-shard rename: the
+// source has cleared and removed the file, and the move carries its
+// bytes. It fences on the ring epoch and checks ownership of the
+// destination path, then creates the file under the plan an undo runs at
+// the source (create).
+//
+// An error reply tells the source nothing happened here, and the source
+// restores the file. So it is sent only for a failure before the plan's
+// bytes were shipped. Once a follower may hold them, a later promotion's
+// merge can serve the file here: the connection is closed unanswered,
+// which the source reports as an unknown outcome and does not undo.
+func (c *serverConn) handleShardMove(r *request) {
 	s := c.srv
 	if r.step.Kind == 0 {
 		dec := proto.NewDec(r.f.Payload)
@@ -94,125 +100,86 @@ func (c *serverConn) handleShardPrepare(r *request) {
 		if !c.checkOwner(r.f.ReqID, r.path) {
 			return
 		}
-		parentAttr, err := s.store.Lookup(parentOf(r.path))
-		if err != nil {
-			c.fail(r.f.ReqID, err)
+		// Refused before anything is replicated: the bytes must not reach
+		// this group's followers under a name that holds another file.
+		if _, err := s.store.Lookup(r.path); err == nil {
+			c.fail(r.f.ReqID, fmt.Errorf("shard: destination %s exists", r.path))
 			return
 		}
-		r.plan = s.core.Plan(c.client, vfs.Datum{Kind: vfs.DirBinding, Node: parentAttr.ID})
 	}
-	if !s.run(c, r, func() error {
-		if _, err := s.store.Lookup(r.path); err == nil {
-			return fmt.Errorf("shard: destination %s exists", r.path)
+	err := c.create(r)
+	switch {
+	case r.parked:
+	case err == nil:
+		if s.obs.Enabled() {
+			s.obs.Record(obs.Event{Type: obs.EvShardMove, Client: string(c.client)})
 		}
-		s.core.Stage(r.path, srvcore.Xfer{Data: r.data, Owner: r.owner, Perm: r.perm, Epoch: r.epoch}, s.clk.Now())
-		return nil
-	}) {
-		return
+		c.replyEnc(r.f.ReqID, proto.TOK, nil)
+	case r.plan.Exposed():
+		c.close()
+	default:
+		c.fail(r.f.ReqID, err)
 	}
-	if s.obs.Enabled() {
-		s.obs.Record(obs.Event{Type: obs.EvShardPrepare, Client: string(c.client)})
-	}
-	c.replyEnc(r.f.ReqID, proto.TShardPrepareRep, func(e *proto.Enc) { e.U64(r.epoch) })
 }
 
-// handleShardCommit makes a staged transfer visible: the source has
-// committed its removal, so the file now exists here. Clearance on the
-// destination parent binding is re-acquired — a lease granted on the
-// directory between prepare and commit still gets its §2 approval
-// round before the namespace changes under it.
-func (c *serverConn) handleShardCommit(r *request) {
+// create makes r.path appear with r.data, r.owner and r.perm: §2
+// clearance on the parent's binding, then the bytes replicated to a
+// quorum — before the name exists at this master, so no reader here can
+// observe it before the quorum holds its bytes — and the name and bytes
+// applied in one store step. A Create-then-WriteFile pair would expose
+// an empty file that a concurrent read could lease and cache, a stale
+// read the chaos shard-split scenario catches. The namespace itself is
+// master-only (DESIGN.md §9). The plan is made on the request's first
+// pass; a parked request resumes it (see Server.drive).
+func (c *serverConn) create(r *request) error {
 	s := c.srv
 	if r.step.Kind == 0 {
-		dec := proto.NewDec(r.f.Payload)
-		epoch := dec.U64()
-		r.path = dec.Str()
-		if dec.Err != nil {
-			c.fail(r.f.ReqID, dec.Err)
-			return
-		}
-		st, ok := s.core.TakeStaged(r.path, epoch, s.clk.Now())
-		if !ok {
-			c.fail(r.f.ReqID, fmt.Errorf("shard: no staged transfer for %s at epoch %d", r.path, epoch))
-			return
-		}
-		r.data, r.owner, r.perm = st.Data, st.Owner, st.Perm
-		parentAttr, err := s.store.Lookup(parentOf(r.path))
+		parent, err := s.store.Lookup(parentOf(r.path))
 		if err != nil {
-			c.fail(r.f.ReqID, err)
-			return
+			return err
 		}
-		// The namespace is master-only (DESIGN.md §9); the bytes replicate
-		// to a quorum before the local apply, exactly as a client write
-		// would — BEFORE the path exists locally, so the quorum holds them
-		// before any reader at this master can observe the new name at all —
-		// and the name appears with its bytes in one atomic step. A
-		// Create-then-WriteFile pair would expose an empty file that a
-		// concurrent read could lease and cache, a stale read the chaos
-		// shard-split scenario catches.
-		r.plan = s.core.Plan(c.client, vfs.Datum{Kind: vfs.DirBinding, Node: parentAttr.ID})
+		r.plan = s.core.Plan(c.client, vfs.Datum{Kind: vfs.DirBinding, Node: parent.ID})
 		r.plan.Replicate(r.path, r.data)
 	}
-	if !s.run(c, r, func() error {
+	return s.drive(c, r, func() error {
 		_, err := s.store.CreateWith(r.path, r.owner, r.perm, r.data)
 		return err
-	}) {
-		return
-	}
-	if s.obs.Enabled() {
-		s.obs.Record(obs.Event{Type: obs.EvShardCommit, Client: string(c.client)})
-	}
-	c.replyEnc(r.f.ReqID, proto.TOK, nil)
+	})
 }
 
-// handleShardAbort discards a staged transfer (source-side failure
-// before its commit point).
-func (c *serverConn) handleShardAbort(f proto.Frame) {
-	s := c.srv
-	dec := proto.NewDec(f.Payload)
-	epoch := dec.U64()
-	newPath := dec.Str()
-	if dec.Err != nil {
-		c.fail(f.ReqID, dec.Err)
-		return
-	}
-	s.core.AbortStaged(newPath, epoch)
-	if s.obs.Enabled() {
-		s.obs.Record(obs.Event{Type: obs.EvShardAbort, Client: string(c.client)})
-	}
-	c.replyEnc(f.ReqID, proto.TOK, nil)
-}
-
-// crossShardRename runs the source half of the two-phase protocol for
-// a rename whose destination hashes to another group:
+// crossShardRename runs the source half of a rename whose destination
+// hashes to another group, in one inter-group round trip:
 //
-//  1. prepare-on-destination: the destination master clears the
-//     destination parent binding per §2 and stages the file invisibly;
-//  2. commit-on-source: this master obtains §2 clearance over the old
-//     parent binding AND the file's data (cross-shard moves change the
-//     node identity, so cached copies must invalidate), then — unless
-//     the file changed since its bytes were read for the prepare —
-//     removes it: the protocol's commit point;
-//  3. commit-on-destination: the staged file becomes visible.
+//  1. the commit point: §2 clearance over the file's data and the old
+//     parent binding (a move changes the node identity, so every cached
+//     copy approves or expires), and in the same apply the file's bytes
+//     are read and the file removed — a write cleared before it moves
+//     with the file, one queued behind it finds the file gone;
+//  2. with that plan released, one TShardMove carries the bytes to the
+//     destination master, which clears the new parent binding and
+//     creates the file (handleShardMove).
 //
-// Both remote phases fence on the ring epoch. A failure before step 2
-// aborts the staged entry (best-effort; it ages out regardless). A
-// failure after step 2 is reported to the client: the file has left
-// this shard and the destination holds the only staged copy, which a
-// retried commit — or the operator — can surface; shrinking that
+// No plan is held across the call: two renames crossing in opposite
+// directions would each hold the binding the other's destination must
+// clear, and wait on each other until the call timed out. A move the
+// destination refused (an error reply, which it sends only before it
+// replicates anything, or a dial that sent nothing) is undone here under
+// the plan the destination would have run; if that fails too, the client
+// is told the file is gone from both groups. A connection lost with the
+// move sent leaves the outcome unknown: that is reported to the client,
+// and the file is either at the destination or nowhere — closing that
 // window is the op log's job (ROADMAP item 1).
 func (c *serverConn) crossShardRename(r *request, destGroup int) {
 	if r.parked = r.inline; r.parked {
 		return // a call to another group, and nothing done yet: the reader hands the request off to start over
 	}
-	s, f, tc, oldPath, newPath := c.srv, r.f, r.sp.Context(), r.path, r.to
-	ring := s.cfg.Shard.Ring
+	s, f, ring := c.srv, r.f, c.srv.cfg.Shard.Ring
 	g, ok := ring.Group(destGroup)
 	if !ok || len(g.Replicas) == 0 {
 		c.fail(f.ReqID, fmt.Errorf("shard: no replicas for group %d", destGroup))
 		return
 	}
-	attr, err := s.store.Lookup(oldPath)
+	attr, err := s.store.Lookup(r.path)
 	if err != nil {
 		c.fail(f.ReqID, err)
 		return
@@ -225,88 +192,113 @@ func (c *serverConn) crossShardRename(r *request, destGroup int) {
 		c.fail(f.ReqID, err)
 		return
 	}
-	data, read, err := s.store.ReadFile(attr.ID)
+	oldParent, err := s.store.Lookup(parentOf(r.path))
 	if err != nil {
 		c.fail(f.ReqID, err)
 		return
 	}
-	oldParent, err := s.store.Lookup(parentOf(oldPath))
-	if err != nil {
-		c.fail(f.ReqID, err)
-		return
-	}
-
-	peer, err := dialGroupMaster(g, s.clk.Now)
-	if err != nil {
-		c.fail(f.ReqID, fmt.Errorf("shard: reaching group %d: %v", destGroup, err))
-		return
-	}
-	defer peer.close()
-
-	sp := s.tracer.StartChild(tc, "shard.prepare")
-	err = peer.call(proto.TShardPrepare, func(e *proto.Enc) {
-		e.U64(ring.Epoch).Str(newPath).Str(attr.Owner).U8(uint8(attr.Perm)).Blob(data)
-	}, proto.TShardPrepareRep)
-	sp.End()
-	if err != nil {
-		c.fail(f.ReqID, fmt.Errorf("shard: prepare on group %d: %v", destGroup, err))
-		return
-	}
-
-	// Commit point: clearance over the old binding and the file data
-	// (§2 — every cached copy approves or expires), then the removal.
 	r.plan = s.core.Plan(c.client, vfs.Datum{Kind: vfs.FileData, Node: attr.ID}, vfs.Datum{Kind: vfs.DirBinding, Node: oldParent.ID})
 	if !s.run(c, r, func() error {
-		// A write that landed after the bytes were read for the prepare
-		// would be lost at the destination — acknowledged, then gone.
-		if now, serr := s.store.Stat(attr.ID); serr != nil || now.Version != read.Version {
-			return fmt.Errorf("shard: %s changed during the rename; retry", oldPath)
+		// What moves is read here, behind every mutation cleared first: a
+		// write, or a chmod on the parent binding. The name must still be
+		// the file the plan cleared.
+		cur, err := s.store.Lookup(r.path)
+		if err != nil {
+			return err
 		}
-		_, rerr := s.store.Remove(oldPath)
-		return rerr
+		if cur.ID != attr.ID {
+			return fmt.Errorf("shard: %s was replaced during the rename", r.path)
+		}
+		if r.data, _, err = s.store.ReadFile(cur.ID); err != nil {
+			return err
+		}
+		r.owner, r.perm = cur.Owner, cur.Perm
+		_, err = s.store.Remove(r.path)
+		return err
 	}) {
-		// Not yet committed, and the client told why: discard the staged
-		// copy (best-effort — it expires on its own if the abort is lost).
-		peer.call(proto.TShardAbort, func(e *proto.Enc) {
-			e.U64(ring.Epoch).Str(newPath)
-		}, proto.TOK)
 		return
 	}
-	if s.obs.Enabled() {
-		s.obs.Record(obs.Event{Type: obs.EvShardCommit, Client: string(c.client),
-			Datum: vfs.Datum{Kind: vfs.FileData, Node: attr.ID}})
-	}
 
-	sp = s.tracer.StartChild(tc, "shard.commit")
-	err = peer.call(proto.TShardCommit, func(e *proto.Enc) {
-		e.U64(ring.Epoch).Str(newPath)
-	}, proto.TOK)
-	sp.End()
+	nc, err := dialGroupMaster(g)
 	if err != nil {
-		c.fail(f.ReqID, fmt.Errorf("shard: committed locally but destination commit failed: %v", err))
-		return
+		err = &refusal{err}
+	} else {
+		defer nc.Close()
+		sp := s.tracer.StartChild(r.sp.Context(), "shard.commit")
+		err = sendMove(nc, ring.Epoch, r)
+		sp.End()
 	}
-	// The new parent lives on the destination group, whose clearance
-	// already called this client's session there back.
-	c.replyEnc(f.ReqID, proto.TOK, func(e *proto.Enc) { c.encodeTouched(e, oldParent.ID, 0) })
+	var refused *refusal
+	switch {
+	case err == nil:
+		// The new parent lives on the destination group, whose clearance
+		// already called this client's session there back.
+		c.replyEnc(f.ReqID, proto.TOK, func(e *proto.Enc) { c.encodeTouched(e, oldParent.ID, 0) })
+	case errors.As(err, &refused):
+		// The request never parked (see the top), so create plans afresh.
+		if uerr := c.create(r); uerr != nil {
+			c.fail(f.ReqID, fmt.Errorf("shard: %s left this group, its move to group %d was refused (%v), and restoring it failed: %v", r.path, destGroup, err, uerr))
+			return
+		}
+		if s.obs.Enabled() {
+			s.obs.Record(obs.Event{Type: obs.EvShardUndo, Client: string(c.client)})
+		}
+		c.fail(f.ReqID, fmt.Errorf("shard: %s restored, its move to group %d failed: %v", r.path, destGroup, err))
+	default:
+		c.fail(f.ReqID, fmt.Errorf("shard: %s left this group but its move to group %d was lost: %v", r.path, destGroup, err))
+	}
 }
 
-// shardPeer is a minimal synchronous client for master-to-master
-// shard calls: one connection, one outstanding request, NOT_MASTER
-// steering at dial time.
-type shardPeer struct {
-	nc    net.Conn
-	reqID uint64
-}
+// refusal is a move the destination did not apply: it answered with an
+// error or a redirect, or the move was never sent.
+type refusal struct{ err error }
 
-// shardCallTimeout bounds each shard call (the destination's prepare
-// may legitimately defer for a full lease term waiting out holders).
+func (r *refusal) Error() string { return r.err.Error() }
+
+// shardCallTimeout bounds a move, from the dial to its answer (the
+// destination may legitimately defer for a full lease term waiting out
+// holders of its parent directory).
 const shardCallTimeout = 45 * time.Second
+
+// sendMove sends r's file as one TShardMove on nc, a connection to the
+// destination master, and waits for the answer: nil when the file is
+// there, a *refusal when the destination did nothing, and any other
+// error when the outcome is unknown.
+func sendMove(nc net.Conn, epoch uint64, r *request) error {
+	var e proto.Enc
+	e.U64(epoch).Str(r.to).Str(r.owner).U8(uint8(r.perm)).Blob(r.data)
+	const id = 2 // the hello was 1
+	if err := proto.WriteFrame(nc, proto.Frame{Type: proto.TShardMove, ReqID: id, Payload: e.Bytes()}); err != nil {
+		return err
+	}
+	for {
+		rep, err := proto.ReadFrame(nc)
+		if err != nil {
+			return err
+		}
+		if rep.ReqID != id {
+			rep.Recycle() // an unsolicited push
+			continue
+		}
+		defer rep.Recycle()
+		switch rep.Type {
+		case proto.TOK:
+			return nil
+		case proto.TError:
+			return &refusal{errors.New(proto.NewDec(rep.Payload).Str())}
+		case proto.TNotOwner:
+			return &refusal{fmt.Errorf("group %d owns %s", proto.NewDec(rep.Payload).U32(), r.to)}
+		default:
+			return fmt.Errorf("unexpected reply type %v", rep.Type)
+		}
+	}
+}
 
 // dialGroupMaster connects to the group's master, following TNotMaster
 // hints the way a client's failover logic does, with a bounded number
-// of redials.
-func dialGroupMaster(g shard.Group, now func() time.Time) (*shardPeer, error) {
+// of redials. The connection's deadline is shardCallTimeout away, on the
+// wall clock: the server's own clock may be simulated.
+func dialGroupMaster(g shard.Group) (net.Conn, error) {
 	idx := 0
 	var lastErr error
 	for attempt := 0; attempt < 3*len(g.Replicas); attempt++ {
@@ -317,9 +309,9 @@ func dialGroupMaster(g shard.Group, now func() time.Time) (*shardPeer, error) {
 			idx++
 			continue
 		}
-		nc.SetDeadline(now().Add(shardCallTimeout))
+		nc.SetDeadline(time.Now().Add(shardCallTimeout))
 		var e proto.Enc
-		e.Str(fmt.Sprintf("shard-xfer:%s", nc.LocalAddr())).U64(proto.FeatShard)
+		e.Str(fmt.Sprintf("shard-move:%s", nc.LocalAddr())).U64(proto.FeatShard)
 		if err := proto.WriteFrame(nc, proto.Frame{Type: proto.THello, ReqID: 1, Payload: e.Bytes()}); err != nil {
 			nc.Close()
 			lastErr = err
@@ -336,8 +328,7 @@ func dialGroupMaster(g shard.Group, now func() time.Time) (*shardPeer, error) {
 		switch rep.Type {
 		case proto.THelloAck:
 			rep.Recycle()
-			nc.SetDeadline(time.Time{})
-			return &shardPeer{nc: nc, reqID: 1}, nil
+			return nc, nil
 		case proto.TNotMaster:
 			hint := proto.NewDec(rep.Payload).I64()
 			rep.Recycle()
@@ -360,39 +351,3 @@ func dialGroupMaster(g shard.Group, now func() time.Time) (*shardPeer, error) {
 	}
 	return nil, lastErr
 }
-
-// call sends one request and waits for its reply, skipping unsolicited
-// pushes. A TError reply surfaces as an error; any other type than
-// want fails.
-func (p *shardPeer) call(t proto.MsgType, fill func(*proto.Enc), want proto.MsgType) error {
-	p.reqID++
-	id := p.reqID
-	var e proto.Enc
-	fill(&e)
-	p.nc.SetDeadline(time.Now().Add(shardCallTimeout))
-	defer p.nc.SetDeadline(time.Time{})
-	if err := proto.WriteFrame(p.nc, proto.Frame{Type: t, ReqID: id, Payload: e.Bytes()}); err != nil {
-		return err
-	}
-	for {
-		rep, err := proto.ReadFrame(p.nc)
-		if err != nil {
-			return err
-		}
-		if rep.ReqID != id {
-			rep.Recycle() // an unsolicited push or a stale frame
-			continue
-		}
-		defer rep.Recycle()
-		switch rep.Type {
-		case want:
-			return nil
-		case proto.TError:
-			return fmt.Errorf("%s", proto.NewDec(rep.Payload).Str())
-		default:
-			return fmt.Errorf("unexpected reply type %v", rep.Type)
-		}
-	}
-}
-
-func (p *shardPeer) close() { p.nc.Close() }

@@ -1,0 +1,246 @@
+package server_test
+
+import (
+	"fmt"
+	"net"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"leases/internal/client"
+	"leases/internal/clock"
+	"leases/internal/obs/tracing"
+	"leases/internal/server"
+	"leases/internal/shard"
+	"leases/internal/vfs"
+)
+
+// Cross-shard renames between two single-server groups on loopback, the
+// servers and the clients on one simulated clock: the source clears and
+// removes the file, and one move carries its bytes to the destination.
+
+// shardPair serves a two-group ring, one server per group, both on clk,
+// each with the directory /d. A non-nil dstReplica makes group 1's
+// server a promoted master replicating through it.
+func shardPair(t *testing.T, clk *clock.Sim, dstReplica server.Replica) (srvs [2]*server.Server, ring *shard.Ring) {
+	t.Helper()
+	var lns [2]net.Listener
+	var addrs [2]string
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		lns[i], addrs[i] = ln, ln.Addr().String()
+	}
+	ring, err := shard.New(1, []shard.Group{{ID: 0, Replicas: addrs[:1]}, {ID: 1, Replicas: addrs[1:]}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range srvs {
+		cfg := server.Config{Term: renewTerm, Clock: clk, Shard: server.ShardConfig{GroupID: i, Ring: ring}}
+		if i == 1 {
+			cfg.Replica = dstReplica
+		}
+		srv := server.New(cfg)
+		if cfg.Replica != nil {
+			srv.Promote(tracing.Context{}, nil, 0)
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			srv.Serve(lns[i])
+		}()
+		t.Cleanup(func() {
+			srv.Stop()
+			<-done
+		})
+		if _, err := srv.Store().Mkdir("/d", "root", vfs.DefaultPerm|vfs.WorldWrite); err != nil {
+			t.Fatal(err)
+		}
+		srvs[i] = srv
+	}
+	return srvs, ring
+}
+
+// ownedBy returns the first path of the family pattern the ring gives
+// to group that is not in taken.
+func ownedBy(t *testing.T, ring *shard.Ring, group int, pattern string, taken ...string) string {
+	t.Helper()
+	for i := 0; i < 4096; i++ {
+		p := fmt.Sprintf(pattern, i)
+		if ring.Lookup(p) == group && !slices.Contains(taken, p) {
+			return p
+		}
+	}
+	t.Fatalf("no path of form %q owned by group %d", pattern, group)
+	return ""
+}
+
+func router(t *testing.T, ring *shard.Ring, clk *clock.Sim, id string) *client.Router {
+	t.Helper()
+	r, err := client.NewRouter(ring, client.Config{ID: id, Clock: clk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	return r
+}
+
+// stored returns what srv's store holds at path.
+func stored(t *testing.T, srv *server.Server, path string) string {
+	t.Helper()
+	a, err := srv.Store().Lookup(path)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	data, _, err := srv.Store().ReadFile(a.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// TestCrossShardRenameOnSimulatedClock: the move between the masters is
+// timed on the wall clock, not on the server's, which a simulated clock
+// keeps years in the past.
+func TestCrossShardRenameOnSimulatedClock(t *testing.T) {
+	clk := clock.NewSim()
+	srvs, ring := shardPair(t, clk, nil)
+	src, dst := ownedBy(t, ring, 0, "/d/src%d"), ownedBy(t, ring, 1, "/d/dst%d")
+	seedWritable(t, srvs[0], src, "v1")
+	r := router(t, ring, clk, "c1")
+	if err := r.Rename(src, dst); err != nil {
+		t.Fatalf("cross-shard rename: %v", err)
+	}
+	if _, err := srvs[0].Store().Lookup(src); err == nil {
+		t.Fatalf("%s still on the source group", src)
+	}
+	if data, err := r.Read(dst); err != nil || string(data) != "v1" {
+		t.Fatalf("Read(%s) = %q, %v; want v1", dst, data, err)
+	}
+}
+
+// TestCrossShardRenameMovesRacingWrite: a mutation cleared ahead of the
+// rename moves with the file — a write to it, or a chown on its
+// directory's binding. A holder that never approves parks the mutation
+// until its lease runs out, and the rename queues behind it; both then
+// go through, and the destination's file shows the mutation.
+func TestCrossShardRenameMovesRacingWrite(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// race parks the mutation behind hold and returns its wait.
+		race func(src string, file, dir vfs.NodeID, hold func(vfs.Datum), dialAs func(string) *client.Cache) func() error
+		// moved reports whether the destination's file shows it.
+		moved func(a vfs.Attr, data string) bool
+	}{
+		{"write", func(src string, file, _ vfs.NodeID, hold func(vfs.Datum), dialAs func(string) *client.Cache) func() error {
+			hold(vfs.Datum{Kind: vfs.FileData, Node: file})
+			return dialAs("writer").StartWrite(src, []byte("v2")).Wait
+		}, func(_ vfs.Attr, data string) bool { return data == "v2" }},
+		{"setperm", func(src string, _, dir vfs.NodeID, hold func(vfs.Datum), dialAs func(string) *client.Cache) func() error {
+			hold(vfs.Datum{Kind: vfs.DirBinding, Node: dir})
+			owner, done := dialAs("root"), make(chan error, 1)
+			go func() { done <- owner.SetPerm(src, "alice", vfs.DefaultPerm|vfs.WorldWrite) }()
+			return func() error { return <-done }
+		}, func(a vfs.Attr, _ string) bool { return a.Owner == "alice" }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := clock.NewSim()
+			srvs, ring := shardPair(t, clk, nil)
+			src, dst := ownedBy(t, ring, 0, "/d/src%d"), ownedBy(t, ring, 1, "/d/dst%d")
+			file := seedWritable(t, srvs[0], src, "v1")
+			dir, err := srvs[0].Store().Lookup("/d")
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr := ring.Groups[0].Replicas[0]
+			hold := func(d vfs.Datum) {
+				muteHolder(t, func() (net.Conn, *gidConn) {
+					nc, err := net.Dial("tcp", addr)
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(func() { nc.Close() })
+					return nc, nil
+				}, d)
+			}
+			dialAs := func(id string) *client.Cache { return dial(t, addr, id, client.Config{Clock: clk}) }
+			wait := tc.race(src, file, dir.ID, hold, dialAs)
+			waitFor(t, "the mutation to wait on the mute holder", func() bool { return srvs[0].Metrics().WritesDeferred >= 1 })
+			a := router(t, ring, clk, "renamer")
+			renamed := make(chan error, 1)
+			go func() { renamed <- a.Rename(src, dst) }()
+			waitFor(t, "the rename to queue behind it", func() bool { return srvs[0].Metrics().WritesDeferred >= 2 })
+
+			clk.Advance(renewTerm + time.Second)
+			if err := wait(); err != nil {
+				t.Fatalf("the %s: %v", tc.name, err)
+			}
+			if err := <-renamed; err != nil {
+				t.Fatalf("the rename: %v", err)
+			}
+			attr, err := srvs[1].Store().Lookup(dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if data := stored(t, srvs[1], dst); !tc.moved(attr, data) {
+				t.Fatalf("the destination holds %q owned by %s, without the %s", data, attr.Owner, tc.name)
+			}
+		})
+	}
+}
+
+// TestCrossShardRenameOntoExistingName: the destination refuses a move
+// onto a name it already has, and the source puts the file back: it
+// reads with its bytes at its old name, and the destination's file is
+// untouched.
+func TestCrossShardRenameOntoExistingName(t *testing.T) {
+	clk := clock.NewSim()
+	srvs, ring := shardPair(t, clk, nil)
+	src, dst := ownedBy(t, ring, 0, "/d/src%d"), ownedBy(t, ring, 1, "/d/dst%d")
+	seedWritable(t, srvs[0], src, "v1")
+	seedWritable(t, srvs[1], dst, "theirs")
+	r := router(t, ring, clk, "c1")
+	if _, err := r.Read(src); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Rename(src, dst); err == nil || !strings.Contains(err.Error(), "exists") {
+		t.Fatalf("rename onto an existing name = %v, want a refusal naming it", err)
+	}
+	if data, err := r.Read(src); err != nil || string(data) != "v1" {
+		t.Fatalf("Read(%s) after the refused move = %q, %v; want v1", src, data, err)
+	}
+	if got := stored(t, srvs[1], dst); got != "theirs" {
+		t.Fatalf("the destination's %s holds %q", dst, got)
+	}
+}
+
+// shipDeposer is a replica deposed by the first write it replicates: the
+// bytes reach its quorum, and its gate closes before the apply.
+type shipDeposer struct{ flipReplica }
+
+func (r *shipDeposer) ReplicateWrite(tracing.Context, string, uint64, []byte) error {
+	r.deposed.Store(true)
+	return nil
+}
+
+// TestCrossShardMoveFailedAfterShipIsNotUndone: a destination deposed
+// between replicating the moved bytes and applying them fails the move,
+// but its followers hold the file, and a later master serves it. It
+// closes the connection rather than refuse, so the source reports the
+// outcome unknown and does not put a second copy back.
+func TestCrossShardMoveFailedAfterShipIsNotUndone(t *testing.T) {
+	clk := clock.NewSim()
+	srvs, ring := shardPair(t, clk, &shipDeposer{})
+	src, dst := ownedBy(t, ring, 0, "/d/src%d"), ownedBy(t, ring, 1, "/d/dst%d")
+	seedWritable(t, srvs[0], src, "v1")
+	r := router(t, ring, clk, "c1")
+	if err := r.Rename(src, dst); err == nil || !strings.Contains(err.Error(), "lost") {
+		t.Fatalf("rename whose move failed after its ship = %v, want an unknown outcome", err)
+	}
+	if _, err := srvs[0].Store().Lookup(src); err == nil {
+		t.Fatalf("%s restored on the source group while the destination's followers hold it", src)
+	}
+}

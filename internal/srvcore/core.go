@@ -1,8 +1,7 @@
 // Package srvcore is the lease server's protocol core, sans IO: the
 // order every mutation goes through (plan.go) and the state tables that
-// order reads — replication state and the serving gate (this file), the
-// installed-files class (class.go) and the staging table of cross-shard
-// renames (xfer.go).
+// order reads — replication state and the serving gate (this file) and
+// the installed-files class (class.go).
 //
 // Like replica.Machine and cache.Core it has no goroutine, channel,
 // timer, socket or clock: every entry point takes now. internal/server
@@ -44,9 +43,6 @@ type Config struct {
 	Master func(now time.Time) bool
 	// Class configures the installed-files class; the zero value is off.
 	Class ClassConfig
-	// Term and WriteTimeout bound how long a staged cross-shard transfer
-	// waits for its commit.
-	Term, WriteTimeout time.Duration
 }
 
 // Core is one server's protocol state. Safe for concurrent use.
@@ -78,8 +74,6 @@ type Core struct {
 	// classImage is the latest replicated class-membership image, kept raw
 	// so even a replica with the class disabled relays it through syncs.
 	classImage []byte
-
-	staged map[string]Xfer
 }
 
 // New returns a Core over cfg.Store with no leases granted.
@@ -93,7 +87,6 @@ func New(cfg Config) *Core {
 		lm:       core.NewShardedManager(cfg.Shards, cfg.Policy, opts...),
 		seq:      make(map[string]uint64),
 		assigned: make(map[string]uint64),
-		staged:   make(map[string]Xfer),
 	}
 	if cfg.Class.Enabled() {
 		c.Classes = newClassTable(cfg.Class)

@@ -44,8 +44,7 @@ func TestRegressions(t *testing.T) {
 
 // FuzzServerCore runs arbitrary interleavings of grants, plans stepped,
 // approved, shipped, applied and abandoned, time passing, promotions,
-// demotions, class extensions and transfer staging against the oracle of
-// sim_test.go.
+// demotions and class extensions against the oracle of sim_test.go.
 func FuzzServerCore(f *testing.F) {
 	for _, p := range regressions {
 		f.Add(p)
@@ -65,7 +64,7 @@ func FuzzServerCore(f *testing.F) {
 // then a failover, a class extension or a long wait.
 func randomProgram(rng *rand.Rand, steps int) []byte {
 	often := []byte{opGrant, opGrant, opSubmit, opNext, opNext, opNext, opNext, opApprove, opApprove,
-		opShipped, opApplied, opAdvance, opBroadcast, opRelease, opXfer}
+		opShipped, opApplied, opAdvance, opBroadcast, opRelease}
 	p := make([]byte, 0, 2*steps)
 	for i := 0; i < steps; i++ {
 		op, arg := often[rng.Intn(len(often))], byte(rng.Intn(256))

@@ -261,6 +261,11 @@ func (p *Plan) Shipped(err error, now time.Time) {
 	p.stage = atApply
 }
 
+// Exposed reports whether the plan has handed out a Ship step: its bytes
+// may be on another replica, where a later promotion's merge can serve
+// them, so its failure from then on does not mean nothing happened.
+func (p *Plan) Exposed() bool { return p.seq != 0 }
+
 // Applied reports the Apply step's outcome and releases the plan's held
 // entries; the next write queued on each datum may then proceed.
 func (p *Plan) Applied(err error, now time.Time) {

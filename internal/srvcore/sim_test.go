@@ -15,6 +15,7 @@ package srvcore
 //     the recovery window or a demoted datum's class horizon has passed;
 //   - no Ship or Apply with the serving gate closed;
 //   - each path's shipped sequence strictly above the last;
+//   - a plan Exposed exactly once it has been handed a Ship step;
 //   - every plan ending in exactly one of Done and Fail, with no held
 //     entry of its writer left in the lease manager.
 
@@ -50,6 +51,7 @@ type simPlan struct {
 	waitID  core.WriteID
 	holders []core.ClientID
 	ended   bool
+	shipped bool // it was handed a Ship step
 }
 
 type simWorld struct {
@@ -70,8 +72,6 @@ type simWorld struct {
 	members         map[vfs.Datum]bool
 	demotedUntil    map[vfs.Datum]time.Time
 	lastSeq         map[string]uint64
-	staged          map[string]uint64 // path → epoch staged under
-	stagedAt        map[string]time.Time
 	// lie makes the driver claim a later instant than the oracle's: the
 	// harness's own self-test that the oracle can see an early apply.
 	lie   bool
@@ -85,8 +85,6 @@ func newSimWorld() *simWorld {
 		members:      map[vfs.Datum]bool{},
 		demotedUntil: map[vfs.Datum]time.Time{},
 		lastSeq:      map[string]uint64{},
-		staged:       map[string]uint64{},
-		stagedAt:     map[string]time.Time{},
 	}
 	w.store = vfs.New(w.clk, "srv")
 	for f := 0; f < simFiles; f++ {
@@ -100,7 +98,7 @@ func newSimWorld() *simWorld {
 	}
 	w.data = append(w.data, vfs.Datum{Kind: vfs.DirBinding, Node: vfs.RootID})
 	w.core = New(Config{
-		Store: w.store, Owner: "srv", Policy: core.FixedTerm(simTerm), Shards: 2, Term: simTerm,
+		Store: w.store, Owner: "srv", Policy: core.FixedTerm(simTerm), Shards: 2,
 		Master: func(time.Time) bool { return w.master },
 		Class:  ClassConfig{InstalledDirs: []string{"/"}, InstalledTerm: simClassTerm}.WithDefaults(),
 	})
@@ -218,6 +216,7 @@ func (w *simWorld) next(slot int) {
 			}
 		}
 	case Ship:
+		sp.shipped = true
 		if sp.last != Ship { // a step handed out again is the same step
 			w.checkClear(slot, sp, "Ship")
 			if st.Seq <= w.lastSeq[st.Path] {
@@ -240,6 +239,9 @@ func (w *simWorld) next(slot int) {
 		}
 	default:
 		w.fail("plan #%d handed out step kind %d", slot, st.Kind)
+	}
+	if sp.p.Exposed() != sp.shipped {
+		w.fail("plan #%d reports Exposed=%v, handed a Ship step: %v", slot, sp.p.Exposed(), sp.shipped)
 	}
 	sp.last = st.Kind
 }
@@ -288,29 +290,6 @@ func (w *simWorld) promote(files byte, floor time.Duration) {
 	w.logf("promoted files=%b floor=%v", files, floor)
 }
 
-func (w *simWorld) xfer(path string, how, epoch byte) {
-	const ttl = 2*simTerm + 10*time.Second
-	switch how % 3 {
-	case 0:
-		w.core.Stage(path, Xfer{Data: []byte("x"), Epoch: uint64(epoch)}, w.now)
-		w.staged[path], w.stagedAt[path] = uint64(epoch), w.now
-	case 1:
-		e, had := w.staged[path]
-		want := had && e == uint64(epoch) && !w.now.After(w.stagedAt[path].Add(ttl))
-		if _, ok := w.core.TakeStaged(path, uint64(epoch), w.now); ok != want {
-			w.fail("TakeStaged(%s, epoch %d) = %v, want %v", path, epoch, ok, want)
-		}
-		if want {
-			delete(w.staged, path)
-		}
-	case 2:
-		w.core.AbortStaged(path, uint64(epoch))
-		if w.staged[path] == uint64(epoch) {
-			delete(w.staged, path)
-		}
-	}
-}
-
 // Program encoding: (op, arg) byte pairs.
 const (
 	opGrant = iota
@@ -324,7 +303,6 @@ const (
 	opPromote
 	opDemote
 	opBroadcast
-	opXfer
 	opAbort
 	opRelease
 	opCount
@@ -399,8 +377,6 @@ func (w *simWorld) step(op, arg byte) {
 		if sent {
 			w.cover = w.now.Add(simClassTerm)
 		}
-	case opXfer:
-		w.xfer(w.paths[int(arg)%simFiles], arg>>2, arg>>4)
 	case opAbort:
 		if sp != nil && !sp.ended {
 			sp.p.Abort(errSim, w.now)
