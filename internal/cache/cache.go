@@ -62,6 +62,9 @@ type record struct {
 	// used: the lease served a hit since it was last renewed, and the
 	// record is listed in Core.used.
 	used bool
+	// refilled: the contents came back on a refill (Reply.Refill) and have
+	// served no hit since.
+	refilled bool
 	// filed is the filing (one reply) whose grant last stood here; edges
 	// and contents are only filed under a grant their own reply carried.
 	filed uint64
@@ -287,6 +290,7 @@ func (c *Core) Attr(path string, now time.Time) (vfs.Attr, bool) {
 func (c *Core) Contents(d vfs.Datum, now time.Time) ([]byte, bool) {
 	if rec := c.valid(d, now); rec != nil && rec.data != nil {
 		c.use(d, rec)
+		rec.refilled = false
 		return rec.data, true
 	}
 	return nil, false
@@ -331,7 +335,9 @@ func (c *Core) touch(d vfs.Datum, attr vfs.Attr) {
 // grants (every directory walked, and the node's own datum if fetched)
 // and, as far as the request went, the chain of edges Path resolved
 // through, the file's contents, or the directory's complete edge set.
-// The core retains Data and Ents.
+// The core retains Data and Ents. Refill marks a file that came back on
+// another request's reply after this cache approved a write on it: until
+// it serves a hit, a callback on it asks for no refill (Surrender).
 type Reply struct {
 	Path   string
 	Attr   vfs.Attr
@@ -339,6 +345,7 @@ type Reply struct {
 	Grants []proto.GrantWire
 	Data   []byte
 	Ents   map[string]Entry
+	Refill bool
 }
 
 // File files a lookup, read or listing reply to a request stamped q —
@@ -380,7 +387,7 @@ func (c *Core) File(q Req, r Reply, now time.Time) bool {
 	}
 	if rec := c.granted(node); rec != nil {
 		if r.Data != nil {
-			rec.data = r.Data
+			rec.data, rec.refilled = r.Data, r.Refill
 		}
 		if r.Ents != nil {
 			rec.ents, rec.listed = r.Ents, true
@@ -499,11 +506,26 @@ func (c *Core) OwnRename(from vfs.NodeID, fromV uint64, oldName string, to vfs.N
 	}
 }
 
-// Invalidate surrenders the lease on d with its copy — the leaseholder's
-// half of a write callback (§2) — and fences fetches in flight.
+// Invalidate surrenders the lease on d with its copy and fences fetches
+// in flight.
 func (c *Core) Invalidate(d vfs.Datum) {
 	c.epoch++
 	delete(c.recs, d)
+}
+
+// Surrender is the leaseholder's half of a write callback (§2): it
+// invalidates d and reports whether to ask for the file back at the
+// write's version on the next reply — a refill (proto.ApprovalWire).
+// Only contents this cache was reading ask: a copy valid at now, fetched
+// by a read or having served a hit under its lease. A copy a refill filed
+// asks for none until it serves a hit, so a file the cache stopped
+// reading costs at most one more callback.
+func (c *Core) Surrender(d vfs.Datum, now time.Time) (refill bool) {
+	if rec := c.valid(d, now); rec != nil {
+		refill = rec.data != nil && !rec.refilled
+	}
+	c.Invalidate(d)
+	return refill
 }
 
 // DropAttr forgets d's node's attributes after this cache changed them.

@@ -91,6 +91,12 @@ var regressions = map[string][]byte{
 	"renewal-crosses-callback": prog(
 		opRead, pathArg("/f"), opDeliver, 0, opAdvance, 1, opRead, pathArg("/f"),
 		opRide, 0, opOtherWrite, pathArg("/f"), opRead, pathArg("/f"), opDeliver, 1, opDeliver, 0),
+	// /f is read, called back with a refill asked for, and carried back on
+	// a request; a second callback reaches the cache before that reply: the
+	// refill is filed nowhere, and the next read fetches.
+	"refill-crosses-callback": prog(
+		opRead, pathArg("/f"), opDeliver, 0, opOtherWrite, pathArg("/f"),
+		opRefill, 0, opOtherWrite, pathArg("/f"), opDeliver, 0, opRead, pathArg("/f"), opDeliver, 0),
 }
 
 func TestRegressions(t *testing.T) {
@@ -125,7 +131,7 @@ func FuzzCacheCore(f *testing.F) {
 func randomProgram(rng *rand.Rand, steps int) []byte {
 	hot := []string{"/f", "/a/b/f", "/a/b/g", "/a/f"}
 	often := []byte{opRead, opRead, opLookup, opDeliver, opDeliver, opDeliver, opOwnWrite, opOwnWrite, opOtherWrite, opOtherMutate,
-		opOwnCreate, opOwnRemove, opOwnRename, opList, opExtend, opRide, opInstall, opBroadcast, opSnapshot}
+		opOwnCreate, opOwnRemove, opOwnRename, opList, opExtend, opRide, opRefill, opInstall, opBroadcast, opSnapshot}
 	p := make([]byte, 0, 2*steps)
 	for i := 0; i < steps; i++ {
 		op, arg := often[rng.Intn(len(often))], byte(rng.Intn(256))

@@ -18,6 +18,7 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -56,7 +57,7 @@ func (n *snode) contents() []byte { return []byte(fmt.Sprintf("%d@%d", n.id, n.v
 
 // reply is one answer in flight to the client.
 type reply struct {
-	kind   string // lookup, read, list, write, create, remove, rename, failed, extend, renew, bcast, snap
+	kind   string // lookup, read, list, write, create, remove, rename, failed, extend, renew, refill, bcast, snap
 	q      Req
 	path   string
 	attr   vfs.Attr
@@ -73,6 +74,8 @@ type reply struct {
 	gen     uint64
 	members []vfs.Datum
 	sentAt  time.Time
+	// Refills riding a request.
+	refills []proto.RefillWire
 }
 
 type simWorld struct {
@@ -87,6 +90,9 @@ type simWorld struct {
 	gen            uint64
 	members        []vfs.Datum
 	pending        []*reply
+	// refills are the files the client asked back for when it approved a
+	// callback (Surrender), in asking order.
+	refills []vfs.Datum
 	// unacked counts own changes applied at the server whose replies are
 	// not delivered yet: the client legitimately lags behind those.
 	unacked map[vfs.Datum]int
@@ -299,6 +305,30 @@ func (w *simWorld) ride(mode byte) {
 	w.send(r)
 }
 
+// refill is a request the client sends anyway, carrying back the files
+// it asked for: each granted at its current version, mode as for any
+// grant. A refused grant (the write still pending) leaves the file asked
+// for; the client files the rest under the request's stamp.
+func (w *simWorld) refill(mode byte) {
+	r := &reply{kind: "refill"}
+	keep := w.refills[:0]
+	for _, d := range w.refills {
+		n := w.nodes[d.Node]
+		if n.gone {
+			continue
+		}
+		g := w.grant(d, mode)
+		if !g.Leased {
+			keep = append(keep, d)
+			continue
+		}
+		r.refills = append(r.refills, proto.RefillWire{Attr: n.attr(), Grant: g, Data: n.contents()})
+	}
+	w.refills = keep
+	w.logf("refills served %v", r.refills)
+	w.send(r)
+}
+
 // clear is §2 clearance of d for somebody else's change: a standing
 // per-client lease costs a callback, which the client's read loop
 // handles the moment it arrives; a class horizon can only be waited out.
@@ -307,8 +337,11 @@ func (w *simWorld) clear(d vfs.Datum) bool {
 		return false
 	}
 	if !w.now.After(w.lease[d]) {
-		w.logf("callback %v", d)
-		w.core.Invalidate(d)
+		refill := w.core.Surrender(d, w.now)
+		w.logf("callback %v (refill %v)", d, refill)
+		if refill && !slices.Contains(w.refills, d) {
+			w.refills = append(w.refills, d)
+		}
 	}
 	delete(w.lease, d)
 	for i, m := range w.members {
@@ -474,6 +507,10 @@ func (w *simWorld) deliver(i int) {
 		c.File(q, Reply{Attr: r.attr, Grants: r.grants, Ents: r.ents}, w.now)
 	case "extend", "renew":
 		c.FileExtension(q, r.grants, w.now)
+	case "refill":
+		for _, f := range r.refills {
+			c.File(q, Reply{Attr: f.Attr, Grants: []proto.GrantWire{f.Grant}, Data: f.Data, Refill: true}, w.now)
+		}
 	case "write":
 		w.unacked[r.datum]--
 		c.OwnWrite(q, r.datum, r.attr, r.data)
@@ -507,6 +544,7 @@ func (w *simWorld) deliver(i int) {
 func (w *simWorld) reconnect() {
 	w.logf("reconnect")
 	w.core.DropAll()
+	w.refills = nil // the server's list dies with the connection
 }
 
 // check is the oracle.
@@ -598,6 +636,7 @@ const (
 	opBroadcast
 	opSnapshot
 	opReconnect
+	opRefill // the files asked back for, riding a request
 	opCount
 )
 
@@ -620,7 +659,7 @@ func (w *simWorld) step(op, arg byte) {
 	case opAbandon:
 		if n := len(w.pending); n > 0 {
 			switch r := w.pending[int(arg)%n]; r.kind {
-			case "lookup", "read", "list", "extend", "renew", "bcast", "snap":
+			case "lookup", "read", "list", "extend", "renew", "refill", "bcast", "snap":
 				w.logf("abandon %s %s", r.kind, r.path)
 				w.pending = append(w.pending[:int(arg)%n], w.pending[int(arg)%n+1:]...)
 			}
@@ -650,6 +689,8 @@ func (w *simWorld) step(op, arg byte) {
 		w.classFrame("snap")
 	case opReconnect:
 		w.reconnect()
+	case opRefill:
+		w.refill(mode)
 	}
 	w.check()
 }

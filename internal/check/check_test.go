@@ -281,3 +281,52 @@ func TestRenewalsRideModelRequests(t *testing.T) {
 		t.Fatalf("%d renewals and %d hits, want the one renewal to keep file 0 cached past its term: %+v", out.Renewals, out.CacheHits, out)
 	}
 }
+
+// TestRefillsRideModelReplies: a holder that approves a write on a file
+// it was reading gets the file back, at the write's version, on the next
+// reply the server sends it. Client 0 reads file 0, client 1 writes it,
+// client 0's read of file 1 carries file 0 back, and client 0's next
+// read of file 0 is a hit on the new value (the oracle judges it).
+func TestRefillsRideModelReplies(t *testing.T) {
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	sc := Scenario{
+		Clients: 2, Files: 2, Term: ms(100),
+		Ops: []Op{
+			{At: ms(0), Client: 0, File: 0, Kind: OpRead},
+			{At: ms(10), Client: 1, File: 0, Kind: OpWrite},
+			{At: ms(30), Client: 0, File: 1, Kind: OpRead},
+			{At: ms(40), Client: 0, File: 0, Kind: OpRead},
+		},
+	}
+	out, err := RunScenario(sc, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Ok() {
+		t.Fatalf("violated: %v", out.Violations)
+	}
+	if out.Refills != 1 || out.CacheHits != 1 {
+		t.Fatalf("%d refills and %d hits, want file 0 back on the read of file 1 and its re-read a hit: %+v", out.Refills, out.CacheHits, out)
+	}
+}
+
+// TestBreakRefillEarlyCaught: a refill built when the approval arrives,
+// before the write it approved applies, hands the holder the old contents
+// under a fresh lease; some schedule must serve them after the write was
+// acknowledged. The pinned artifact refill-built-at-approval.json is the
+// shrunk schedule.
+func TestBreakRefillEarlyCaught(t *testing.T) {
+	for seed := int64(1); seed <= 2000; seed++ {
+		sc := Generate(seed, GenConfig{Profile: ProfileAll})
+		sc.Break = BreakRefillEarly
+		out, err := RunScenario(sc, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !out.Ok() {
+			t.Logf("seed %d caught the early refill: %v", seed, out.Violations[0])
+			return
+		}
+	}
+	t.Fatal("no schedule caught the early refill in 2000 seeds")
+}

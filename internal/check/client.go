@@ -410,6 +410,7 @@ func (c *mclient) handleGrants(m netsim.Message, rep extendRep) {
 	}
 	c.w.out.Renewals += len(rep.Renewed)
 	c.core.FileExtension(q, rep.Renewed, now)
+	c.fileRefills(q, rep.Refills, now)
 	if op.kind == opReadFetch {
 		for _, g := range rep.Grants {
 			if g.Datum == op.datum {
@@ -430,14 +431,15 @@ func (c *mclient) handleAck(m netsim.Message, ack writeAck) {
 	c.w.orc.acked(c.id, fileForDatum(op.datum), op.value)
 	// §3.1: the writer's copy stays valid after its own write — unless the
 	// ack crossed an approval push, or a newer version is already recorded.
-	q := c.fence(op)
+	q, now := c.fence(op), c.localNow()
 	c.w.out.Renewals += len(ack.Renewed)
 	c.core.OwnWrite(q, op.datum, vfs.Attr{Version: ack.Version}, []byte(op.value))
-	c.core.FileExtension(q, ack.Renewed, c.localNow())
+	c.core.FileExtension(q, ack.Renewed, now)
+	c.fileRefills(q, ack.Refills, now)
 }
 
 func (c *mclient) handleApprovalPush(m netsim.Message, ar proto.ApprovalWire) {
-	c.core.Invalidate(ar.Datum)
+	refill := c.core.Surrender(ar.Datum, c.localNow())
 	c.w.obs.Record(obs.Event{
 		Type:    obs.EvEviction,
 		Client:  string(c.id),
@@ -446,7 +448,21 @@ func (c *mclient) handleApprovalPush(m netsim.Message, ar proto.ApprovalWire) {
 	})
 	// Reply to whichever replica pushed the request — during a failover
 	// the pusher may not be the replica this client believes in.
-	c.w.fabric.Unicast(c.node, m.From, kindApprove, approveMsg{WriteID: ar.WriteID, From: c.id})
+	c.w.fabric.Unicast(c.node, m.From, kindApprove, approveMsg{WriteID: ar.WriteID, From: c.id, Datum: ar.Datum, Refill: refill})
+}
+
+// fileRefills files the refills ending a grant or ack reply, each as a
+// node-addressed read reply under the stamp q of the request it answers.
+func (c *mclient) fileRefills(q cache.Req, refills []grantInfo, now time.Time) {
+	c.w.out.Refills += len(refills)
+	for _, g := range refills {
+		c.core.File(q, cache.Reply{
+			Attr:   vfs.Attr{ID: g.Datum.Node, Version: g.Version},
+			Grants: []proto.GrantWire{g.GrantWire},
+			Data:   []byte(g.Value),
+			Refill: true,
+		}, now)
+	}
 }
 
 // crash loses the cache and every in-flight request.

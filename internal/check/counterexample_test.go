@@ -18,7 +18,9 @@ import (
 // the honest protocol — acked-write-lost-asym-failover in the model's
 // former hand-written server; promotion-serves-unsettled-merge and
 // rename-loses-racing-write in the shipped promotion and cross-shard
-// rename, once the model drove them — and must stay clean.
+// rename, once the model drove them; installed-repromoted-mid-write in
+// the installed class, once the grammar drew a short quiet window — and
+// must stay clean.
 func TestCounterexampleArtifacts(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("testdata", "counterexamples", "*.json"))
 	if err != nil {

@@ -81,9 +81,10 @@ func TestRunDeterministicWithBreaks(t *testing.T) {
 	}
 }
 
-// TestServerDriverBreaksBite: the four server-side breaks live in the
-// model's driver (server.go: ignores) — it answers a step the shipped
-// plan handed it without doing what the step asks. Each must still
+// TestServerDriverBreaksBite: the server-side breaks live in the model's
+// driver — four answer a step the shipped plan handed it without doing
+// what the step asks (server.go: ignores), and BreakRefillEarly reads a
+// refill at the approval instead of at its grant. Each must still
 // change the outcome on its pinned counterexample, and the honest run of
 // the same schedule must be clean and byte-deterministic.
 func TestServerDriverBreaksBite(t *testing.T) {
@@ -92,6 +93,7 @@ func TestServerDriverBreaksBite(t *testing.T) {
 		BreakQuiet:        "failover-no-recovery-wait",
 		BreakClassHorizon: "class-horizon-stale-covered-read",
 		BreakRenameOrder:  "rename-commit-before-source-clearance",
+		BreakRefillEarly:  "refill-built-at-approval",
 	} {
 		ce, err := LoadCounterexample("testdata/counterexamples/" + name + ".json")
 		if err != nil {

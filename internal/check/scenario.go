@@ -156,6 +156,13 @@ const (
 	// after a post-move write was acknowledged on the destination — the
 	// stale read the clear-then-move order exists to prevent.
 	BreakRenameOrder = "rename-order"
+	// BreakRefillEarly builds a refill when the holder's approval arrives —
+	// the file as it is then, before the write it approved applies — and
+	// grants it on the holder's next reply as usual. The holder then caches
+	// the old contents under a fresh lease and serves them after the write
+	// was acknowledged: the stale read reading the file only at the grant
+	// prevents.
+	BreakRefillEarly = "refill-early"
 )
 
 // Scenario fully determines one model-checked execution.
@@ -214,6 +221,11 @@ type Scenario struct {
 	// defaults to Term/4.
 	InstalledTerm  time.Duration `json:"installed_term,omitempty"`
 	BroadcastEvery time.Duration `json:"broadcast_every,omitempty"`
+	// QuietAfterWrite is how long after a write a file stays out of the
+	// class; defaults to InstalledTerm. Shorter than the coverage horizon a
+	// write waits out, it lets reads re-promote a file while its write is
+	// still in flight.
+	QuietAfterWrite time.Duration `json:"quiet_after_write,omitempty"`
 
 	Ops    []Op    `json:"ops"`
 	Faults []Fault `json:"faults,omitempty"`
@@ -323,7 +335,7 @@ func (sc Scenario) Validate() error {
 	if sc.Break == BreakClassHorizon && !sc.Installed {
 		return fmt.Errorf("check: break %q needs an installed-class scenario", sc.Break)
 	}
-	if sc.InstalledTerm < 0 || sc.BroadcastEvery < 0 {
+	if sc.InstalledTerm < 0 || sc.BroadcastEvery < 0 || sc.QuietAfterWrite < 0 {
 		return fmt.Errorf("check: negative installed-class timing")
 	}
 	servers := sc.Servers
@@ -644,6 +656,11 @@ func Generate(seed int64, cfg GenConfig) Scenario {
 		}
 	}
 	sort.SliceStable(sc.Faults, func(i, j int) bool { return sc.Faults[i].At < sc.Faults[j].At })
+	if cfg.Installed {
+		// Drawn last, so the rest of the scenario is what the seed drew
+		// before this draw existed.
+		sc.QuietAfterWrite = randDur(rng, sc.InstalledTerm/8, sc.InstalledTerm)
+	}
 	return sc
 }
 

@@ -3,6 +3,7 @@ package check
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -147,6 +148,10 @@ type mserver struct {
 	// version, 0 while in flight (lost on crash, so duplicates across a
 	// crash re-apply — the at-least-once behaviour the oracle tolerates).
 	seen map[core.ClientID]map[uint64]uint64
+	// refills are, per client, the files it approved a write on while
+	// reading them and asked back for; its next grant or ack reply
+	// carries them (the TCP server's per-connection list).
+	refills map[core.ClientID][]mrefill
 
 	down bool
 	// floor survives crashes, like the durable max-term file in
@@ -250,6 +255,7 @@ func (srv *mserver) boot() {
 	if sc.Installed {
 		cfg.Class = srvcore.ClassConfig{
 			InstalledDirs: []string{"/"}, InstalledTerm: sc.InstalledTerm, BroadcastEvery: sc.BroadcastEvery,
+			QuietAfterWrite: sc.QuietAfterWrite,
 		}.WithDefaults()
 	}
 	switch {
@@ -273,6 +279,7 @@ func (srv *mserver) boot() {
 	srv.waiting = make(map[core.WriteID]*mplan)
 	srv.shipping = make(map[replAck]*round)
 	srv.seen = make(map[core.ClientID]map[uint64]uint64)
+	srv.refills = make(map[core.ClientID][]mrefill)
 	srv.xfers = make(map[int]*xferState)
 	srv.newClassBase()
 }
@@ -815,6 +822,7 @@ func (srv *mserver) finish(op *mplan, err error) {
 		if err == nil {
 			srv.w.fabric.Unicast(srv.node, netsim.NodeID(op.client), kindAck, writeAck{
 				ReqID: op.reqID, Version: srv.seen[op.client][op.reqID], Renewed: srv.renew(op.client, op.renew),
+				Refills: srv.takeRefills(op.client, datumForFile(op.file)),
 			})
 		} else if m := srv.seen[op.client]; m[op.reqID] == 0 {
 			delete(m, op.reqID)
@@ -1203,7 +1211,54 @@ func (srv *mserver) handleExtend(from netsim.NodeID, req extendReq) {
 		}
 	}
 	rep.Renewed = srv.renew(req.From, req.Renew)
+	rep.Refills = srv.takeRefills(req.From, req.Data...)
 	srv.w.fabric.Unicast(srv.node, from, kindGrant, rep)
+}
+
+// mrefill is one file a client asked back for (approveMsg.Refill) and
+// when. Under BreakRefillEarly it also holds the file as it was then.
+type mrefill struct {
+	d       vfs.Datum
+	at      time.Time
+	value   string
+	version uint64
+}
+
+// takeRefills grants client the files it asked back for, each read at
+// the granted version, as the TCP server's takeRefills does: the entry
+// for a file the reply itself carries (own) is dropped; an entry whose
+// grant is refused (the write that recalled it is still pending) stays
+// for a later reply; one a term old, or whose file left this group, is
+// dropped.
+func (srv *mserver) takeRefills(client core.ClientID, own ...vfs.Datum) []grantInfo {
+	pending := srv.refills[client]
+	if len(pending) == 0 {
+		return nil
+	}
+	now := srv.localNow()
+	var out []grantInfo
+	keep := pending[:0]
+	for _, p := range pending {
+		f := fileForDatum(p.d)
+		if slices.Contains(own, p.d) || now.Sub(p.at) >= srv.core.Leases().MaxTermGranted() || !srv.owns(f) || !srv.present(f) {
+			continue
+		}
+		g := srv.core.Leases().Grant(client, p.d, now)
+		srv.w.obs.Record(obs.Event{
+			Type: obs.EvGrant, Client: string(client), Datum: p.d, Shard: srv.core.Leases().ShardFor(p.d), Term: g.Term,
+		})
+		if !g.Leased {
+			keep = append(keep, p)
+			continue
+		}
+		value, version := srv.read(f), srv.fileVersion(f)
+		if srv.w.sc.Break == BreakRefillEarly {
+			value, version = p.value, p.version // the file as it was at the approval
+		}
+		out = append(out, grantInfo{GrantWire: proto.GrantWire{Datum: p.d, Term: g.Term, Version: version, Leased: true}, Value: value})
+	}
+	srv.refills[client] = keep
+	return out
 }
 
 // renew grants the renewals a read or write carried, as the TCP server
@@ -1229,7 +1284,9 @@ func (srv *mserver) handleWrite(from netsim.NodeID, req writeReq) {
 	// moved away must still re-ack its retransmits.
 	f := fileForDatum(req.Datum)
 	if srv.dedupe(req.From, req.ReqID, func(version uint64) {
-		srv.w.fabric.Unicast(srv.node, from, kindAck, writeAck{ReqID: req.ReqID, Version: version, Renewed: srv.renew(req.From, req.Renew)})
+		srv.w.fabric.Unicast(srv.node, from, kindAck, writeAck{
+			ReqID: req.ReqID, Version: version, Renewed: srv.renew(req.From, req.Renew), Refills: srv.takeRefills(req.From, req.Datum),
+		})
 	}) || !srv.routed(from, req.ReqID, f, true) {
 		return
 	}
@@ -1245,6 +1302,9 @@ func (srv *mserver) handleWrite(from netsim.NodeID, req writeReq) {
 
 func (srv *mserver) handleApprove(ap approveMsg) {
 	now := srv.localNow()
+	if ap.Refill {
+		srv.askRefill(ap.From, ap.Datum, now)
+	}
 	if srv.core.Leases().Approve(ap.From, ap.WriteID, now) {
 		srv.w.obs.Record(obs.Event{Type: obs.EvApprove, Client: string(ap.From), WriteID: uint64(ap.WriteID)})
 	}
@@ -1255,6 +1315,23 @@ func (srv *mserver) handleApprove(ap approveMsg) {
 		}
 	}
 	srv.applyReady()
+}
+
+// askRefill puts d on client's refill list, or restamps it there.
+// BreakRefillEarly builds the refill now, before the write applies.
+func (srv *mserver) askRefill(client core.ClientID, d vfs.Datum, now time.Time) {
+	p := mrefill{d: d, at: now}
+	if f := fileForDatum(d); srv.w.sc.Break == BreakRefillEarly && srv.present(f) {
+		p.value, p.version = srv.read(f), srv.fileVersion(f)
+	}
+	list := srv.refills[client]
+	for i := range list {
+		if list[i].d == d {
+			list[i] = p
+			return
+		}
+	}
+	srv.refills[client] = append(list, p)
 }
 
 // crash loses all volatile server state — the core with its lease

@@ -31,10 +31,14 @@ type grantInfo struct {
 	Value string
 }
 
+// extendRep and writeAck end with the refills (TReadRep's and TWriteRep's
+// trailer): files the client approved a write on while reading them, back
+// at the write's version.
 type extendRep struct {
 	ReqID   uint64
 	Grants  []grantInfo
 	Renewed []proto.GrantWire
+	Refills []grantInfo
 }
 
 type writeReq struct {
@@ -50,11 +54,15 @@ type writeAck struct {
 	ReqID   uint64
 	Version uint64
 	Renewed []proto.GrantWire
+	Refills []grantInfo
 }
 
+// approveMsg is TApprove: Refill asks for the file back on the next reply.
 type approveMsg struct {
 	WriteID core.WriteID
 	From    core.ClientID
+	Datum   vfs.Datum
+	Refill  bool
 }
 
 // notMasterRep refuses a client op at a non-master replica, carrying

@@ -140,8 +140,11 @@ type Outcome struct {
 	Writes      int
 	WritesAcked int
 	Extends     int
-	// Renewals counts renewal grants that came back on reads and writes.
+	// Renewals counts renewal grants that came back on reads and writes;
+	// Refills the files that came back on them after their holder
+	// approved a write while reading them.
 	Renewals int
+	Refills  int
 	// Renames counts cross-shard moves committed at source masters;
 	// RenamesAcked counts rename acks clients observed (sharded worlds
 	// only; Renames can exceed RenamesAcked when an ack is lost and the

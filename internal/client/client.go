@@ -2,8 +2,9 @@
 // server: a write-through file cache that holds leases over file
 // contents and name-to-file bindings, serves repeated reads and opens
 // locally while its leases are valid, approves server write callbacks
-// by invalidating its copies, and renews the leases it uses on the
-// requests it sends anyway, or in batches.
+// by invalidating its copies (taking back, on the next reply, the files
+// it was reading), and renews the leases it uses on the requests it
+// sends anyway, or in batches.
 //
 // What may be cached and served is decided by internal/cache's sans-IO
 // Core; this package is the TCP driver around it: connection, coalescer,
@@ -446,7 +447,7 @@ func (c *Cache) readLoop(nc net.Conn, fr *proto.FrameReader, co *proto.Coalescer
 		defer senderWG.Done()
 		for a := range approvals {
 			a := a
-			if !co.Append(proto.TApprove, 0, func(e *proto.Enc) { e.EncodeApproval(a) }) {
+			if !co.Append(proto.TApprove, 0, func(e *proto.Enc) { e.EncodeApprove(a) }) {
 				// Coalescer dead: keep draining so the read loop's
 				// close never races a blocked send.
 			}
@@ -507,9 +508,10 @@ func (c *Cache) kickExtend() {
 }
 
 // handleApprovalPush implements the leaseholder's side of a write
-// callback: invalidate the local copy, then approve (§2). The
-// invalidation happens here, before the approval can possibly reach the
-// wire; the approval itself is handed to the incarnation's sender
+// callback: invalidate the local copy, then approve (§2), asking for the
+// file back on the next reply if it was being read (cache.Core.Surrender).
+// The invalidation happens here, before the approval can possibly reach
+// the wire; the approval itself is handed to the incarnation's sender
 // goroutine because Append may write inline when it wins flush
 // leadership, and the read loop must never block on a write — over a
 // synchronous pipe the peer could be mid-write itself, with nobody
@@ -521,11 +523,11 @@ func (c *Cache) kickExtend() {
 func (c *Cache) handleApprovalPush(f proto.Frame, approvals chan<- proto.ApprovalWire) {
 	a := proto.NewDec(f.Payload).DecodeApproval()
 	c.mu.Lock()
-	c.core.Invalidate(a.Datum)
+	a.Refill = c.core.Surrender(a.Datum, c.clk.Now())
 	c.invalidatedLocked(a.Datum)
 	c.mu.Unlock()
 	select {
-	case approvals <- proto.ApprovalWire{WriteID: a.WriteID, Datum: a.Datum}:
+	case approvals <- a:
 	default:
 		if c.cfg.Obs.Enabled() {
 			c.cfg.Obs.Record(obs.Event{

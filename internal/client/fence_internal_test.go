@@ -51,13 +51,14 @@ func (s *fileScript) replyRead(req proto.Frame, version uint64, content string, 
 			{Datum: vfs.Datum{Kind: vfs.FileData, Node: scriptFile}, Term: time.Hour, Version: version, Leased: fileLeased},
 		}).
 		Blob([]byte(content)).
-		EncodeGrants(nil)
+		EncodeGrants(nil).
+		EncodeRefills(nil)
 	return proto.WriteFrame(s.nc, proto.Frame{Type: proto.TReadRep, ReqID: req.ReqID, Payload: e.Bytes()})
 }
 
 func (s *fileScript) replyWrite(req proto.Frame, version uint64) error {
 	var e proto.Enc
-	e.Attr(s.attr(version)).EncodeGrants(nil)
+	e.Attr(s.attr(version)).EncodeGrants(nil).EncodeRefills(nil)
 	return proto.WriteFrame(s.nc, proto.Frame{Type: proto.TWriteRep, ReqID: req.ReqID, Payload: e.Bytes()})
 }
 
@@ -236,7 +237,7 @@ func TestRenewalCrossingPushFilesNothing(t *testing.T) {
 		e.Attr(s.attr(2)).EncodeGrants([]proto.GrantWire{
 			{Datum: renew[0], Term: time.Hour, Version: 1, Leased: true},
 			{Datum: renew[1], Term: time.Hour, Version: 2, Leased: true},
-		})
+		}).EncodeRefills(nil)
 		if err := proto.WriteFrame(s.nc, proto.Frame{Type: proto.TWriteRep, ReqID: write.ReqID, Payload: e.Bytes()}); err != nil {
 			return err
 		}

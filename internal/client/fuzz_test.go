@@ -156,7 +156,7 @@ func (s *fuzzServer) handle(f proto.Frame, out chan<- proto.Frame) bool {
 			out <- proto.Frame{Type: proto.TApprovalReq, Payload: p.Bytes()}
 			var e proto.Enc
 			e.Attr(s.attr(old)).EncodeChain(chain).EncodeGrants([]proto.GrantWire{root,
-				{Datum: d, Term: time.Minute, Version: old, Leased: true}}).Blob(fuzzPayload(old)).EncodeGrants(nil)
+				{Datum: d, Term: time.Minute, Version: old, Leased: true}}).Blob(fuzzPayload(old)).EncodeGrants(nil).EncodeRefills(nil)
 			reply(proto.TReadRep, e.Bytes())
 		case actSever:
 			return false
@@ -177,7 +177,7 @@ func (s *fuzzServer) handle(f proto.Frame, out chan<- proto.Frame) bool {
 			s.mu.Unlock()
 			var e proto.Enc
 			e.Attr(s.attr(gen)).EncodeChain(chain).EncodeGrants([]proto.GrantWire{root,
-				{Datum: d, Term: time.Minute, Version: gen, Leased: true}}).Blob(fuzzPayload(gen)).EncodeGrants(nil)
+				{Datum: d, Term: time.Minute, Version: gen, Leased: true}}).Blob(fuzzPayload(gen)).EncodeGrants(nil).EncodeRefills(nil)
 			reply(proto.TReadRep, e.Bytes())
 		}
 	case proto.TApprove, proto.TExtend:

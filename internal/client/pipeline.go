@@ -280,6 +280,7 @@ func (r *ReadCall) Wait() ([]byte, error) {
 	grants := dec.DecodeGrants()
 	data := dec.Blob()
 	renewed := dec.DecodeGrants()
+	refills := dec.DecodeRefills()
 	if dec.Err != nil {
 		r.err = dec.Err
 		return nil, dec.Err
@@ -289,6 +290,7 @@ func (r *ReadCall) Wait() ([]byte, error) {
 	c.mu.Lock()
 	c.core.File(r.q, cache.Reply{Path: r.path, Attr: rattr, Chain: chain, Grants: grants, Data: data}, c.clk.Now())
 	c.renewedLocked(r.q, renewed)
+	c.refilledLocked(r.q, refills)
 	c.mu.Unlock()
 	r.data = out
 	return out, nil
@@ -356,6 +358,7 @@ func (w *WriteCall) Wait() error {
 	dec := proto.NewDec(f.Payload)
 	nattr := dec.Attr()
 	renewed := dec.DecodeGrants()
+	refills := dec.DecodeRefills()
 	if dec.Err != nil {
 		w.err = dec.Err
 		return dec.Err
@@ -364,6 +367,7 @@ func (w *WriteCall) Wait() error {
 	c.metrics.Writes++
 	c.core.OwnWrite(w.q, w.d, nattr, w.data)
 	c.renewedLocked(w.q, renewed)
+	c.refilledLocked(w.q, refills)
 	c.mu.Unlock()
 	return nil
 }
@@ -428,5 +432,15 @@ func (x *ExtendCall) Wait() error {
 func (c *Cache) renewedLocked(q cache.Req, grants []proto.GrantWire) {
 	for _, d := range c.core.FileExtension(q, grants, c.clk.Now()) {
 		c.invalidatedLocked(d)
+	}
+}
+
+// refilledLocked files the refills ending a read or write reply, each as
+// a node-addressed read reply under the stamp q of the request it rode:
+// the fence, the version guard and the term anchor apply unchanged.
+// Callers hold c.mu.
+func (c *Cache) refilledLocked(q cache.Req, refills []proto.RefillWire) {
+	for _, r := range refills {
+		c.core.File(q, cache.Reply{Attr: r.Attr, Grants: []proto.GrantWire{r.Grant}, Data: r.Data, Refill: true}, c.clk.Now())
 	}
 }

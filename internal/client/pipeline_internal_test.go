@@ -87,7 +87,7 @@ func TestPipelineOutOfOrderCompletion(t *testing.T) {
 					return err
 				}
 				if f.Type == proto.TApprove {
-					approved <- proto.NewDec(f.Payload).DecodeApproval()
+					approved <- proto.NewDec(f.Payload).DecodeApprove()
 					f.Recycle()
 					return nil
 				}

@@ -81,16 +81,29 @@ func FuzzDec(f *testing.F) {
 	read.EncodeData([]vfs.Datum{{Kind: vfs.FileData, Node: 7}, {Kind: vfs.DirBinding, Node: 1}})
 	f.Add(read.Bytes())
 	f.Add([]byte{0, 0, 1, 0})
+	// A refill list, one cut short, and an approval with its refill byte.
+	var refills Enc
+	refills.EncodeRefills([]RefillWire{{Attr: attrFixture(), Grant: GrantWire{Datum: vfs.Datum{Kind: vfs.FileData, Node: 7}, Term: time.Second, Version: 2, Leased: true}, Data: []byte("abc")}})
+	f.Add(refills.Bytes())
+	f.Add(refills.Bytes()[:len(refills.Bytes())-2])
+	var approve Enc
+	approve.EncodeApprove(ApprovalWire{WriteID: 3, Datum: vfs.Datum{Kind: vfs.FileData, Node: 7}, Refill: true})
+	f.Add(approve.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if ds := NewDec(data).DecodeData(); cap(ds)*datumLen > len(data) {
 			t.Fatalf("a %d-byte payload sized a %d-datum list", len(data), cap(ds))
+		}
+		if rs := NewDec(data).DecodeRefills(); cap(rs)*refillMin > len(data) {
+			t.Fatalf("a %d-byte payload sized a %d-refill list", len(data), cap(rs))
 		}
 		d := NewDec(data)
 		d.Attr()
 		d.DecodeChain()
 		d.DecodeGrants()
 		d.DecodeData()
+		d.DecodeRefills()
 		d.DecodeApproval()
+		d.DecodeApprove()
 		d.Str()
 		d.Blob()
 		d.Time()

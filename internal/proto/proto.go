@@ -65,17 +65,23 @@ const (
 	// asks the server to resolve the path first — lookup and read in one
 	// round trip. Answered by TReadRep: attributes, the chain (empty for
 	// a node-addressed read), the binding grants followed by the data
-	// grant, the contents, and the renewal grants.
+	// grant, the contents, the renewal grants, and the refills.
 	//
 	// Renewals (TRead and TWrite alike) are the leases the client wants
 	// extended on this request: a datum list (EncodeData), usually empty,
 	// granted like a TExtend batch and answered by a grant list at the
 	// reply's end.
+	//
+	// Refills (TReadRep and TWriteRep alike, EncodeRefills) are files this
+	// client approved a write on while reading them, and asked back for
+	// (TApprove): each at the write's version under a fresh lease, filed as
+	// a node-addressed read reply would be; never the file the reply
+	// itself carries. Usually the list is empty.
 	TRead
 	TReadRep
 	// TWrite writes a file through (payload: node, data, renewals).
-	// Answered by TWriteRep (attributes, renewal grants) once every
-	// conflicting lease is approved or expired.
+	// Answered by TWriteRep (attributes, renewal grants, refills) once
+	// every conflicting lease is approved or expired.
 	TWrite
 	TWriteRep
 	// TExtend extends leases on a batch of data. Answered by TExtendRep.
@@ -105,9 +111,11 @@ const (
 	// deferred like any other write. Answered by TOK.
 	TSetPerm
 	// TApprovalReq is a server push asking the client to approve a
-	// write on a datum it holds a lease over.
+	// write on a datum it holds a lease over (payload: EncodeApproval).
 	TApprovalReq
-	// TApprove is the client's push granting approval.
+	// TApprove is the client's push granting approval (payload:
+	// EncodeApprove — the approval and the refill byte: set when the
+	// client was reading the file and wants it back on its next reply).
 	TApprove
 	// TOK is the success response of requests with nothing, or only
 	// what their own comment names, to return.
@@ -654,14 +662,17 @@ type GrantWire struct {
 func (e *Enc) EncodeGrants(gs []GrantWire) *Enc {
 	e.U32(uint32(len(gs)))
 	for _, g := range gs {
-		e.Datum(g.Datum).Dur(g.Term).U64(g.Version)
-		if g.Leased {
-			e.U8(1)
-		} else {
-			e.U8(0)
-		}
+		e.grant(g)
 	}
 	return e
+}
+
+func (e *Enc) grant(g GrantWire) *Enc {
+	e.Datum(g.Datum).Dur(g.Term).U64(g.Version)
+	if g.Leased {
+		return e.U8(1)
+	}
+	return e.U8(0)
 }
 
 // DecodeGrants reads a grant list.
@@ -675,15 +686,18 @@ func (d *Dec) DecodeGrants() []GrantWire {
 	}
 	out := make([]GrantWire, 0, n)
 	for i := uint32(0); i < n; i++ {
-		g := GrantWire{
-			Datum:   d.Datum(),
-			Term:    d.Dur(),
-			Version: d.U64(),
-			Leased:  d.U8() == 1,
-		}
-		out = append(out, g)
+		out = append(out, d.grant())
 	}
 	return out
+}
+
+func (d *Dec) grant() GrantWire {
+	return GrantWire{
+		Datum:   d.Datum(),
+		Term:    d.Dur(),
+		Version: d.U64(),
+		Leased:  d.U8() == 1,
+	}
 }
 
 // datumLen is the encoded size of one vfs.Datum.
@@ -735,7 +749,7 @@ func (e *Enc) EncodeChain(chain []vfs.Edge) *Enc {
 // DecodeChain reads a resolved path's edges.
 func (d *Dec) DecodeChain() []vfs.Edge {
 	n := d.U32()
-	if d.Err != nil || uint64(n)*17 > uint64(len(d.b)) {
+	if d.Err != nil || uint64(n)*edgeLen > uint64(len(d.b)) {
 		if n != 0 {
 			d.Err = ErrTruncated
 		}
@@ -748,23 +762,107 @@ func (d *Dec) DecodeChain() []vfs.Edge {
 	return out
 }
 
-// ApprovalWire is the payload of TApprovalReq and TApprove.
+// ApprovalWire is the payload of TApprovalReq (WriteID, Datum) and of
+// TApprove, which adds Refill.
 type ApprovalWire struct {
 	WriteID core.WriteID
 	Datum   vfs.Datum
+	// Refill (TApprove only): the holder was reading the file, and asks
+	// for it back at the write's version on its next reply.
+	Refill bool
 }
 
-// EncodeApproval appends an approval payload.
+// EncodeApproval appends a TApprovalReq payload.
 func (e *Enc) EncodeApproval(a ApprovalWire) *Enc {
 	return e.U64(uint64(a.WriteID)).Datum(a.Datum)
 }
 
-// DecodeApproval reads an approval payload.
+// DecodeApproval reads a TApprovalReq payload.
 func (d *Dec) DecodeApproval() ApprovalWire {
 	return ApprovalWire{
 		WriteID: core.WriteID(d.U64()),
 		Datum:   d.Datum(),
 	}
+}
+
+// EncodeApprove appends a TApprove payload: the approval, then the
+// refill byte.
+func (e *Enc) EncodeApprove(a ApprovalWire) *Enc {
+	refill := uint8(0)
+	if a.Refill {
+		refill = 1
+	}
+	return e.EncodeApproval(a).U8(refill)
+}
+
+// DecodeApprove reads a TApprove payload.
+func (d *Dec) DecodeApprove() ApprovalWire {
+	a := d.DecodeApproval()
+	a.Refill = d.U8() == 1
+	return a
+}
+
+// RefillWire is one refill ending a TReadRep or TWriteRep: a file the
+// client approved a write on while reading it, back at the write's
+// version under a fresh lease.
+type RefillWire struct {
+	Attr  vfs.Attr
+	Grant GrantWire
+	Data  []byte
+}
+
+// Encoded sizes: one GrantWire, one vfs.Edge, the smallest vfs.Attr
+// (empty name and owner), and the smallest refill.
+const (
+	grantLen  = 1 + 8 + 8 + 8 + 1
+	edgeLen   = 8 + 8 + 1
+	attrMin   = 8 + 4 + 1 + 8 + 4 + 1 + 8 + 8
+	refillMin = attrMin + grantLen + 4
+)
+
+func attrLen(a vfs.Attr) int { return attrMin + len(a.Name) + len(a.Owner) }
+
+// RefillLen is the encoded size of a refill of the file a describes, its
+// contents a.Size bytes: what it adds to a reply. The server sizes a
+// refill with it before granting the lease the refill carries.
+func RefillLen(a vfs.Attr) int { return attrLen(a) + grantLen + 4 + int(a.Size) }
+
+// ReadRepRoom is how many bytes of refills a TReadRep with these fields
+// can still carry within MaxFrame; WriteRepRoom is the same for a
+// TWriteRep.
+func ReadRepRoom(attr vfs.Attr, chain, grants, data, renewed int) int {
+	return MaxFrame - attrLen(attr) - 4 - chain*edgeLen - 4 - grants*grantLen - 4 - data - 4 - renewed*grantLen - 4
+}
+
+func WriteRepRoom(attr vfs.Attr, renewed int) int {
+	return MaxFrame - attrLen(attr) - 4 - renewed*grantLen - 4
+}
+
+// EncodeRefills appends a refill list: a count, then per refill the
+// attributes, the grant and the contents.
+func (e *Enc) EncodeRefills(rs []RefillWire) *Enc {
+	e.U32(uint32(len(rs)))
+	for _, r := range rs {
+		e.Attr(r.Attr).grant(r.Grant).Blob(r.Data)
+	}
+	return e
+}
+
+// DecodeRefills reads a refill list. Like DecodeData it checks the count
+// against the bytes that follow before allocating anything.
+func (d *Dec) DecodeRefills() []RefillWire {
+	n := d.U32()
+	if d.Err != nil || uint64(n)*refillMin > uint64(len(d.b)) {
+		if n != 0 {
+			d.Err = ErrTruncated
+		}
+		return nil
+	}
+	out := make([]RefillWire, 0, n)
+	for i := uint32(0); i < n; i++ {
+		out = append(out, RefillWire{Attr: d.Attr(), Grant: d.grant(), Data: d.Blob()})
+	}
+	return out
 }
 
 // ReplFile is one replicated file's state: what a master ships to its

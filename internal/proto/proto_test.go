@@ -233,8 +233,9 @@ func TestChainBogusCountRejected(t *testing.T) {
 
 // TestResolvedReplyLayouts pins the one lookup layout and the one read
 // layout on the wire, byte for byte: TLookupRep is attr, chain, grants;
-// TReadRep is the same followed by the contents and the renewal grants;
-// TRead is node then path, exactly one of them set, then the renewals.
+// TReadRep is the same followed by the contents, the renewal grants and
+// the refills; TRead is node then path, exactly one of them set, then the
+// renewals.
 func TestResolvedReplyLayouts(t *testing.T) {
 	attr := vfs.Attr{ID: 9, Name: "f", Size: 2, Owner: "o", Perm: vfs.DefaultPerm, ModTime: time.Unix(0, 5), Version: 3}
 	chain := []vfs.Edge{{Dir: 1, Child: 4, IsDir: true}, {Dir: 4, Child: 9}}
@@ -244,7 +245,16 @@ func TestResolvedReplyLayouts(t *testing.T) {
 		{Datum: vfs.Datum{Kind: vfs.FileData, Node: 9}, Term: time.Second, Version: 3, Leased: true},
 	}
 	var rep Enc
-	rep.Attr(attr).EncodeChain(chain).EncodeGrants(grants).Blob([]byte("hi")).EncodeGrants(grants[:1])
+	refill := RefillWire{Attr: attr, Grant: grants[2], Data: []byte("hi")}
+	rep.Attr(attr).EncodeChain(chain).EncodeGrants(grants).Blob([]byte("hi")).EncodeGrants(grants[:1]).EncodeRefills(nil)
+	if room := ReadRepRoom(attr, len(chain), len(grants), 2, 1); room != MaxFrame-len(rep.Bytes()) {
+		t.Fatalf("ReadRepRoom = %d, want MaxFrame less the %d bytes encoded", room, len(rep.Bytes()))
+	}
+	var one Enc
+	one.EncodeRefills([]RefillWire{refill})
+	if got := len(one.Bytes()) - 4; got != RefillLen(attr) {
+		t.Fatalf("a refill encodes to %d bytes, RefillLen says %d", got, RefillLen(attr))
+	}
 	wantChain := []byte{
 		2, 0, 0, 0, // two edges
 		1, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 1, // root --d--> 4, a directory
@@ -268,8 +278,15 @@ func TestResolvedReplyLayouts(t *testing.T) {
 	if got := d.Blob(); string(got) != "hi" || d.Err != nil {
 		t.Fatalf("blob %q err=%v", got, d.Err)
 	}
-	if got := d.DecodeGrants(); len(got) != 1 || got[0] != grants[0] || d.Err != nil || d.Remaining() != 0 {
-		t.Fatalf("renewal grants %+v err=%v remaining=%d", got, d.Err, d.Remaining())
+	if got := d.DecodeGrants(); len(got) != 1 || got[0] != grants[0] || d.Err != nil {
+		t.Fatalf("renewal grants %+v err=%v", got, d.Err)
+	}
+	if got := d.DecodeRefills(); len(got) != 0 || d.Err != nil || d.Remaining() != 0 {
+		t.Fatalf("refills %+v err=%v remaining=%d", got, d.Err, d.Remaining())
+	}
+	d = NewDec(one.Bytes())
+	if got := d.DecodeRefills(); len(got) != 1 || got[0].Attr.ID != attr.ID || got[0].Grant != refill.Grant || string(got[0].Data) != "hi" || d.Remaining() != 0 {
+		t.Fatalf("refill round trip: %+v err=%v", got, d.Err)
 	}
 
 	var byPath, byNode Enc
@@ -283,13 +300,41 @@ func TestResolvedReplyLayouts(t *testing.T) {
 	}
 }
 
+// TestApprovalRoundTrip: a TApprovalReq is the write and the datum; a
+// TApprove adds the refill byte.
 func TestApprovalRoundTrip(t *testing.T) {
 	in := ApprovalWire{WriteID: 99, Datum: vfs.Datum{Kind: vfs.FileData, Node: 7}}
 	var e Enc
 	e.EncodeApproval(in)
-	out := NewDec(e.Bytes()).DecodeApproval()
-	if out != in {
-		t.Fatalf("approval round trip: %+v", out)
+	if out := NewDec(e.Bytes()).DecodeApproval(); out != in || len(e.Bytes()) != 8+datumLen {
+		t.Fatalf("approval request round trip: %+v (%d bytes)", out, len(e.Bytes()))
+	}
+	for _, refill := range []bool{false, true} {
+		in.Refill = refill
+		var a Enc
+		a.EncodeApprove(in)
+		d := NewDec(a.Bytes())
+		if out := d.DecodeApprove(); out != in || d.Err != nil || d.Remaining() != 0 || len(a.Bytes()) != 8+datumLen+1 {
+			t.Fatalf("approval round trip: %+v err=%v (%d bytes)", out, d.Err, len(a.Bytes()))
+		}
+	}
+	if d := NewDec(e.Bytes()); d.DecodeApprove().Refill || d.Err == nil {
+		t.Fatal("an approval without its refill byte decoded")
+	}
+}
+
+// TestRefillBogusCountAllocatesNothing: like a datum list's, a refill
+// count the payload cannot hold fails before anything is allocated.
+func TestRefillBogusCountAllocatesNothing(t *testing.T) {
+	var e Enc
+	e.U32(1 << 30).U64(0)
+	if n := testing.AllocsPerRun(100, func() {
+		d := NewDec(e.Bytes())
+		if got := d.DecodeRefills(); got != nil || d.Err == nil {
+			t.Fatal("bogus refill count not rejected")
+		}
+	}); n != 0 {
+		t.Fatalf("rejecting a bogus refill count allocates %v times", n)
 	}
 }
 
@@ -326,7 +371,9 @@ func TestDecoderNeverPanicsProperty(t *testing.T) {
 		d.DecodeChain()
 		d.DecodeGrants()
 		d.DecodeData()
+		d.DecodeRefills()
 		d.DecodeApproval()
+		d.DecodeApprove()
 		d.Str()
 		d.Blob()
 		d.Time()

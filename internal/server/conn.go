@@ -61,7 +61,22 @@ type serverConn struct {
 	// through s.conns under connMu, which serializes against the
 	// deregistration), so a send never races the close.
 	pushes chan connPush
+	// refills are the files this client approved a write on while reading
+	// them and asked back for (TApprove), each with when it asked; the next
+	// reply the reader sends to a TRead or TWrite carries them. Only the
+	// reader touches the list.
+	refills []refillReq
 }
+
+// refillReq is one file a client asked back for, and when it asked.
+type refillReq struct {
+	d  vfs.Datum
+	at time.Time
+}
+
+// maxRefills bounds a connection's refill list; an approval past it asks
+// for nothing, and the client's next read of that file fetches it.
+const maxRefills = 256
 
 // connPush is one queued unsolicited frame: an approval request, or a
 // pre-encoded payload (broadcast extension) shared read-only across
@@ -534,8 +549,10 @@ func (c *serverConn) handleRead(f proto.Frame) {
 	}
 	grants = append(grants, grant)
 	renewed := c.renew(renew)
+	// A read never parks: this is the connection's reader.
+	refills := c.takeRefills(vfs.Datum{Kind: vfs.FileData, Node: node}, proto.ReadRepRoom(attr, len(chain), len(grants), len(data), len(renewed)))
 	c.replyEnc(f.ReqID, proto.TReadRep, func(e *proto.Enc) {
-		e.Attr(attr).EncodeChain(chain).EncodeGrants(grants).Blob(data).EncodeGrants(renewed)
+		e.Attr(attr).EncodeChain(chain).EncodeGrants(grants).Blob(data).EncodeGrants(renewed).EncodeRefills(refills)
 	})
 }
 
@@ -571,10 +588,75 @@ func (c *serverConn) handleWrite(r *request) {
 		return err
 	}) {
 		// Renewed after the apply, so the write's own datum renews at the
-		// version the writer now holds.
+		// version the writer now holds. Refills ride only a reply the reader
+		// sends: a parked write's goroutine leaves the list alone.
 		renewed := c.renew(r.renew)
-		c.replyEnc(r.f.ReqID, proto.TWriteRep, func(e *proto.Enc) { e.Attr(attr).EncodeGrants(renewed) })
+		var refills []proto.RefillWire
+		if r.inline {
+			refills = c.takeRefills(vfs.Datum{Kind: vfs.FileData, Node: r.node}, proto.WriteRepRoom(attr, len(renewed)))
+		}
+		c.replyEnc(r.f.ReqID, proto.TWriteRep, func(e *proto.Enc) { e.Attr(attr).EncodeGrants(renewed).EncodeRefills(refills) })
 	}
+}
+
+// takeRefills grants this client the files on its refill list and reads
+// each at the granted version, as many as fit in room bytes; it runs on
+// the connection's reader. own is the file the reply itself carries (a
+// read's file, a write's file): its entry is dropped, since the reply
+// already hands the client that file. An entry whose grant is refused —
+// the write that recalled it is still pending — or that does not fit
+// stays, ungranted, for a later reply; one asked for a term ago or more,
+// or whose file is gone or unreadable to the client, is dropped. The
+// grant is grant's: the max-term and replication ordering and the
+// write-pending refusal apply, and the adaptive-term and class heuristics
+// see no read.
+func (c *serverConn) takeRefills(own vfs.Datum, room int) []proto.RefillWire {
+	if len(c.refills) == 0 {
+		return nil
+	}
+	s := c.srv
+	now := s.clk.Now()
+	term := s.lm.MaxTermGranted()
+	var out []proto.RefillWire
+	keep := c.refills[:0]
+	for _, p := range c.refills {
+		if p.d == own || now.Sub(p.at) >= term || s.store.CheckAccess(p.d.Node, string(c.client), false) != nil {
+			continue
+		}
+		// Sized before the grant, so no lease is granted that the reply
+		// cannot carry.
+		attr, err := s.store.Stat(p.d.Node)
+		if err != nil {
+			continue
+		}
+		if proto.RefillLen(attr) > room {
+			keep = append(keep, p)
+			continue
+		}
+		r := proto.RefillWire{Grant: c.grant(p.d, obs.EvGrant)}
+		if !r.Grant.Leased {
+			keep = append(keep, p)
+			continue
+		}
+		// Read after the grant: a write now waits for this client's
+		// approval, which this reader has yet to read, so the store holds
+		// the version granted.
+		if r.Data, r.Attr, err = s.store.ReadFile(p.d.Node); err != nil {
+			continue
+		}
+		r.Grant.Version = r.Attr.Version
+		n := proto.RefillLen(r.Attr)
+		if n > room {
+			// A write that applied between the sizing and the grant grew
+			// the file. The lease stands unknown to the client: the next
+			// write on the file asks it, and it approves, holding nothing.
+			continue
+		}
+		room -= n
+		out = append(out, r)
+	}
+	c.refills = keep
+	return out
 }
 
 func (c *serverConn) handleExtend(f proto.Frame) {
@@ -826,10 +908,16 @@ func (c *serverConn) handleSetPerm(r *request) {
 	}
 }
 
+// handleApprove runs on the connection's reader. An approval asking for
+// a refill puts the file on the connection's refill list.
 func (c *serverConn) handleApprove(f proto.Frame) {
-	a := proto.NewDec(f.Payload).DecodeApproval()
+	a := proto.NewDec(f.Payload).DecodeApprove()
 	s := c.srv
-	ready := s.lm.Approve(c.client, a.WriteID, s.clk.Now())
+	now := s.clk.Now()
+	if a.Refill && a.Datum.Kind == vfs.FileData {
+		c.askRefill(a.Datum, now)
+	}
+	ready := s.lm.Approve(c.client, a.WriteID, now)
 	if s.tracer.Enabled() {
 		s.endApprovalSpan(a.WriteID, c.client, "approve")
 	}
@@ -848,5 +936,18 @@ func (c *serverConn) handleApprove(f proto.Frame) {
 	}
 	if ready {
 		s.releaseReady(s.lm.ShardForWrite(a.WriteID))
+	}
+}
+
+// askRefill puts d on the refill list, or restamps it there.
+func (c *serverConn) askRefill(d vfs.Datum, now time.Time) {
+	for i := range c.refills {
+		if c.refills[i].d == d {
+			c.refills[i].at = now
+			return
+		}
+	}
+	if len(c.refills) < maxRefills {
+		c.refills = append(c.refills, refillReq{d, now})
 	}
 }

@@ -61,14 +61,17 @@ func (s *vmixStream) next(conn int) (path string, write bool) {
 // ops run one at a time on a simulated clock — so any change to it, up
 // or down, is a change to the protocol's traffic: re-pin it on purpose.
 // Renewing the leases that served hits on the requests the clients send
-// anyway gives the pinned figure; letting every lease lapse and fetching
-// it again, the rule before renewals rode requests, gave onDemand.
+// anyway, and handing a recalled file back to the holder that was reading
+// it on the next reply, gives the pinned figure; without the refills it
+// was noRefills, and letting every lease lapse and fetching it again, the
+// rule before renewals rode requests, gave onDemand.
 func TestVmixFramesPerOp(t *testing.T) {
 	const (
-		pinned   = 0.3113
-		onDemand = 0.4406
-		terms    = 10
-		opEvery  = renewTerm / 2000
+		pinned    = 0.2841
+		noRefills = 0.3113
+		onDemand  = 0.4406
+		terms     = 10
+		opEvery   = renewTerm / 2000
 	)
 	srv, clk, dial, _ := renewFixture(t)
 	for _, d := range []string{"/sh", "/pv0", "/pv1"} {
@@ -100,11 +103,59 @@ func TestVmixFramesPerOp(t *testing.T) {
 	}
 	got := float64(frames(srv.WireStats())-before) / float64(ops)
 	if math.Abs(got-pinned) > 0.00005 {
-		t.Errorf("%.4f server frames per op, pinned %.4f (%.4f without renewals riding requests)", got, pinned, onDemand)
+		t.Errorf("%.4f server frames per op, pinned %.4f (%.4f without refills, %.4f without renewals riding requests)", got, pinned, noRefills, onDemand)
 	}
 	if n := caches[0].WireStats().Frames(proto.TExtend, "out") + caches[1].WireStats().Frames(proto.TExtend, "out"); n != 0 {
 		t.Errorf("%d TExtend frames; renewals should ride reads and writes", n)
 	}
+}
+
+// TestRefillFramesPerOp counts a recalled lease coming back, exactly:
+// the holder h reads /sh/f, the writer w writes it, and h's next request
+// (a read of /sh/g) carries /sh/f back at the new version, so h's re-read
+// costs the server nothing — a fetch, 2 frames, without the refill. A
+// file that came back and was not read since asks for nothing: w's next
+// write still costs the approval round trip, and h's read after it
+// fetches. A re-read of the recalled file itself does not end the chain.
+func TestRefillFramesPerOp(t *testing.T) {
+	srv, _, dial, _ := renewFixture(t)
+	if _, err := srv.Store().Mkdir("/sh", "root", vfs.DefaultPerm|vfs.WorldWrite); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{"/sh/f", "/sh/g", "/sh/h", "/sh/i", "/sh/j"} {
+		seedWritable(t, srv, p, "x")
+	}
+	h, w := dial("h"), dial("w")
+	if _, err := w.Lookup("/sh/f"); err != nil { // so w's writes go out by node
+		t.Fatal(err)
+	}
+	cost := func(what string, want uint64, op func()) {
+		t.Helper()
+		before := frames(srv.WireStats())
+		op()
+		if got := frames(srv.WireStats()) - before; got != want {
+			t.Errorf("%s: %d server frames, want %d", what, got, want)
+		}
+	}
+	mustReadAs(t, h, "/sh/f", "x")
+	cost("a write h was reading", 4, func() { mustWrite(t, w, "/sh/f", "y") })
+	cost("h's next request", 2, func() { mustReadAs(t, h, "/sh/g", "x") })
+	cost("h's re-read of the refilled file", 0, func() { mustReadAs(t, h, "/sh/f", "y") })
+
+	mustWrite(t, w, "/sh/f", "z")  // h hit /sh/f: it asks again,
+	mustReadAs(t, h, "/sh/h", "x") // and /sh/f comes back on this read,
+	cost("a write on a refilled file h has not read", 4, func() { mustWrite(t, w, "/sh/f", "zz") })
+	mustReadAs(t, h, "/sh/i", "x") // so nothing rides this one
+	cost("h's read after it", 2, func() { mustReadAs(t, h, "/sh/f", "zz") })
+
+	// A re-read of the recalled file itself is a fetch, and its reply
+	// carries the file once, not again as a refill: the fetched copy was
+	// read, so the next callback still asks, and the file comes back.
+	mustWrite(t, w, "/sh/f", "a")
+	cost("h's re-read right after the write", 2, func() { mustReadAs(t, h, "/sh/f", "a") })
+	mustWrite(t, w, "/sh/f", "b")
+	mustReadAs(t, h, "/sh/j", "x")
+	cost("h's re-read of the file that came back", 0, func() { mustReadAs(t, h, "/sh/f", "b") })
 }
 
 // TestRenameFramesPerOp counts what a rename costs the servers of a

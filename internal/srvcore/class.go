@@ -108,9 +108,13 @@ type ClassTable struct {
 	// demoted records, per recently demoted datum, the coverage horizon
 	// a write must wait out. Entries are dropped once they pass.
 	demoted map[vfs.Datum]time.Time
-	// readers and lastWrite feed the AutoInstall heuristic.
+	// readers and lastWrite feed the AutoInstall heuristic; writing counts,
+	// per datum, the write plans in flight on it. A datum being written may
+	// not (re-)enter the class: a broadcast would extend its readers' old
+	// copies past the write, whose horizon was fixed when it demoted.
 	readers   map[vfs.Datum]map[core.ClientID]struct{}
 	lastWrite map[vfs.Datum]time.Time
+	writing   map[vfs.Datum]int
 }
 
 func newClassTable(cfg ClassConfig) *ClassTable {
@@ -125,6 +129,7 @@ func newClassTable(cfg ClassConfig) *ClassTable {
 		demoted:   make(map[vfs.Datum]time.Time),
 		readers:   make(map[vfs.Datum]map[core.ClientID]struct{}),
 		lastWrite: make(map[vfs.Datum]time.Time),
+		writing:   make(map[vfs.Datum]int),
 	}
 }
 
@@ -151,11 +156,11 @@ func (ct *ClassTable) Contains(d vfs.Datum) bool {
 	return ok
 }
 
-// quietLocked reports whether d was written too recently to (re-)enter
-// the class.
+// quietLocked reports whether d is being written, or was written too
+// recently, to (re-)enter the class.
 func (ct *ClassTable) quietLocked(d vfs.Datum, now time.Time) bool {
 	lw, ok := ct.lastWrite[d]
-	return ok && now.Before(lw.Add(ct.cfg.QuietAfterWrite))
+	return ct.writing[d] > 0 || ok && now.Before(lw.Add(ct.cfg.QuietAfterWrite))
 }
 
 // ObserveRead records one served read for the promotion heuristic and
@@ -204,10 +209,10 @@ func (c *Core) ClassAdd(d vfs.Datum, path string, now time.Time) (ReplFile, bool
 // demote is drop-on-write (§4.3): every datum in data leaves the class,
 // and the returned deadline is the coverage horizon the write must wait
 // out — the max over the data's recorded demotion horizons, including
-// horizons left by earlier demotions that have not yet passed. It also
-// feeds the heuristic (a write resets the reader set and stamps
-// lastWrite). dropped lists the data that actually left the class, and
-// image is the membership to replicate when any did.
+// horizons left by earlier demotions that have not yet passed. The data
+// stay out until the write ends (written). It also resets the
+// heuristic's reader sets. dropped lists the data that actually left the
+// class, and image is the membership to replicate when any did.
 func (ct *ClassTable) demote(data []vfs.Datum, now time.Time) (deadline time.Time, dropped []vfs.Datum, image []byte) {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
@@ -217,7 +222,7 @@ func (ct *ClassTable) demote(data []vfs.Datum, now time.Time) (deadline time.Tim
 		}
 	}
 	for _, d := range data {
-		ct.lastWrite[d] = now
+		ct.writing[d]++
 		delete(ct.readers, d)
 		if _, ok := ct.members[d]; ok {
 			delete(ct.members, d)
@@ -235,6 +240,19 @@ func (ct *ClassTable) demote(data []vfs.Datum, now time.Time) (deadline time.Tim
 		image = ct.encodeLocked()
 	}
 	return deadline, dropped, image
+}
+
+// written ends a write demote let in: applied or failed at now, which is
+// where the data's quiet time (QuietAfterWrite) starts.
+func (ct *ClassTable) written(data []vfs.Datum, now time.Time) {
+	ct.mu.Lock()
+	defer ct.mu.Unlock()
+	for _, d := range data {
+		ct.lastWrite[d] = now
+		if ct.writing[d]--; ct.writing[d] <= 0 {
+			delete(ct.writing, d)
+		}
+	}
 }
 
 // coverLocked stamps an extension about to leave the server, recording

@@ -101,6 +101,9 @@ type Plan struct {
 	stage   stage
 	reign   uint64
 	horizon time.Time
+	// demoted: the class table counts this plan among the writes in flight
+	// on its data (ClassTable.demote) until it ends.
+	demoted bool
 	path    string
 	bytes   []byte
 	seq     uint64
@@ -188,6 +191,7 @@ func (p *Plan) Next(now time.Time) Step {
 			var dropped []vfs.Datum
 			var image []byte
 			p.horizon, dropped, image = c.Classes.demote(p.Data(), now)
+			p.demoted = true
 			if len(dropped) > 0 {
 				return Step{Kind: Demoted, Dropped: dropped,
 					Path: ClassStatePath, Seq: c.noteClassImage(image), Data: image}
@@ -276,6 +280,7 @@ func (p *Plan) Applied(err error, now time.Time) {
 		p.c.lm.WriteApplied(id, now)
 	}
 	p.nheld = 0
+	p.written(now)
 	if p.err = err; err != nil {
 		p.stage = failed
 		return
@@ -303,6 +308,15 @@ func (p *Plan) fail(err error, now time.Time) Step {
 		p.c.lm.CancelWrite(p.cur, now)
 	}
 	p.nheld, p.cur = 0, 0
+	p.written(now)
 	p.stage, p.err = failed, err
 	return Step{Kind: Fail, Err: err}
+}
+
+// written lets the plan's data back into the class's reach, once.
+func (p *Plan) written(now time.Time) {
+	if p.demoted {
+		p.demoted = false
+		p.c.Classes.written(p.Data(), now)
+	}
 }
