@@ -638,6 +638,3 @@ func (c *Core) extendMembers(term time.Duration, sentAt, now time.Time) {
 func (c *Core) Class() (gen uint64, members int, stale bool) {
 	return c.classGen, len(c.classMembers), c.classStale
 }
-
-// MarkClassStale forces a snapshot fetch on a new connection.
-func (c *Core) MarkClassStale() { c.classStale = true }

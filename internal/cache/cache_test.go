@@ -322,7 +322,6 @@ func TestClassSnapshotAndBroadcast(t *testing.T) {
 	if _, _, stale := c.Class(); !stale || c.valid(fileDatum(1), now.Add(41*time.Second)) != nil {
 		t.Fatal("newer generation did not mark the snapshot stale, or extended under it")
 	}
-	c.MarkClassStale()
 	c.DropAll()
 	if gen, members, stale := c.Class(); gen != 0 || members != 0 || stale {
 		t.Fatal("DropAll left class state behind")

@@ -361,7 +361,9 @@ func (ss *shardedSet) readerLoop(r *client.Router, idx int, stop chan struct{}, 
 // undo of a refused move failed). The loop
 // probes both names and, if neither answers, recreates the identity
 // under a fresh name: the floor only ever advanced on acknowledged
-// writes, so the recreation continues the same monotonic history.
+// writes, so the recreation continues the same monotonic history. A
+// recreated file is empty until the next cycle writes it, so that cycle
+// reads nothing back.
 func (ss *shardedSet) moverLoop(r *client.Router, stop chan struct{}, wg *sync.WaitGroup) {
 	defer wg.Done()
 	h := ss.h
@@ -387,9 +389,10 @@ func (ss *shardedSet) moverLoop(r *client.Router, stop chan struct{}, wg *sync.W
 
 		target := ss.otherGroup(ss.ring.Lookup(name))
 		newName := ss.freshName(target, &next)
+		recreated := false
 		if err := r.Rename(name, newName); err != nil {
 			ss.renameErrs.Add(1)
-			name = ss.recoverMove(r, name, newName, target, &next, stop)
+			name, recreated = ss.recoverMove(r, name, newName, target, &next, stop)
 			if name == "" {
 				return
 			}
@@ -398,11 +401,13 @@ func (ss *shardedSet) moverLoop(r *client.Router, stop chan struct{}, wg *sync.W
 			name = newName
 		}
 
-		floor := h.ck.floors.Floor(ss.moverIdx)
-		if data, err := r.Read(name); err != nil {
-			h.ck.readErrs.Add(1)
-		} else {
-			h.ck.observeRead(ss.moverIdx, data, floor)
+		if !recreated {
+			floor := h.ck.floors.Floor(ss.moverIdx)
+			if data, err := r.Read(name); err != nil {
+				h.ck.readErrs.Add(1)
+			} else {
+				h.ck.observeRead(ss.moverIdx, data, floor)
+			}
 		}
 		if !pause(stop, 20*time.Millisecond) {
 			return
@@ -411,32 +416,32 @@ func (ss *shardedSet) moverLoop(r *client.Router, stop chan struct{}, wg *sync.W
 }
 
 // recoverMove locates the mover file after a failed rename, returning
-// its current name ("" if the loop should stop). Probes run oldest
-// possibility last: a moved-but-unacked rename leaves the file at
-// newName, a refused one at oldName; when neither answers after a few
-// rounds the move was lost in flight and the identity is recreated
-// under a fresh name.
-func (ss *shardedSet) recoverMove(r *client.Router, oldName, newName string, target int, next *int, stop chan struct{}) string {
+// its current name ("" if the loop should stop) and whether it was just
+// recreated, empty. Probes run oldest possibility last: a
+// moved-but-unacked rename leaves the file at newName, a refused one at
+// oldName; when neither answers after a few rounds the move was lost in
+// flight and the identity is recreated under a fresh name.
+func (ss *shardedSet) recoverMove(r *client.Router, oldName, newName string, target int, next *int, stop chan struct{}) (string, bool) {
 	h := ss.h
 	for attempt := 0; attempt < 3; attempt++ {
 		if _, err := r.Read(newName); err == nil {
-			return newName
+			return newName, false
 		}
 		if _, err := r.Read(oldName); err == nil {
-			return oldName
+			return oldName, false
 		}
 		if !pause(stop, 150*time.Millisecond) {
-			return ""
+			return "", false
 		}
 	}
 	fresh := ss.freshName(target, next)
 	if _, err := r.Create(fresh, vfs.DefaultPerm|vfs.WorldWrite); err != nil {
 		h.logf("chaos: mover recreate %s: %v", fresh, err)
-		return oldName // keep probing the old name next cycle
+		return oldName, false // keep probing the old name next cycle
 	}
 	ss.recreated.Add(1)
 	h.logf("chaos: mover identity recreated as %s", fresh)
-	return fresh
+	return fresh, true
 }
 
 // otherGroup picks the group that is not g on the two-group ring.

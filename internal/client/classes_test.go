@@ -1,7 +1,6 @@
 package client_test
 
 import (
-	"net"
 	"testing"
 	"time"
 
@@ -174,37 +173,55 @@ func TestRenewalsRideRequests(t *testing.T) {
 	}
 }
 
-// TestPlainServerNoClassTraffic pins interop with a server that has no
-// class features configured: it advertises exactly the pre-class
-// feature set, and the client never sends a class frame at it.
-func TestPlainServerNoClassTraffic(t *testing.T) {
-	srv, addr := startServer(t, server.Config{Term: 300 * time.Millisecond})
+// TestClassFetchedAfterFirstBroadcast: a client learns that the server
+// runs the installed class from its first TBroadcastExt, whose
+// generation it does not hold, and fetches the snapshot after it — not
+// at dial, and not while the class is empty and nothing is broadcast.
+func TestClassFetchedAfterFirstBroadcast(t *testing.T) {
+	srv, addr := startServer(t, server.Config{
+		Term: time.Second,
+		Class: server.ClassConfig{
+			InstalledDirs:  []string{"/"},
+			InstalledTerm:  time.Second,
+			BroadcastEvery: 25 * time.Millisecond,
+		},
+	})
 	seedFile(t, srv, "/f", "v1")
-
-	// Raw handshake: the ack's feature mask must be exactly FeatTrace —
-	// byte-identical to a server built before the class subsystem.
-	nc, err := net.Dial("tcp", addr)
+	c, err := client.Dial(addr, client.Config{ID: "c1", AutoExtend: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var e proto.Enc
-	e.Str("raw").U64(proto.FeatTrace | proto.FeatClass)
-	if err := proto.WriteFrame(nc, proto.Frame{Type: proto.THello, ReqID: 1, Payload: e.Bytes()}); err != nil {
+	defer c.Close()
+	// Renewal rounds run; the class is empty, so no broadcast, so no fetch.
+	time.Sleep(150 * time.Millisecond)
+	ws := c.WireStats()
+	if n := ws.Frames(proto.TInstalled, "out"); n != 0 {
+		t.Fatalf("client fetched the class %d times before any broadcast", n)
+	}
+	if _, err := c.Read("/f"); err != nil { // promotes /f: broadcasts begin
 		t.Fatal(err)
 	}
-	fr := proto.GetReader(nc)
-	f, err := fr.Next()
-	if err != nil || f.Type != proto.THelloAck {
-		t.Fatalf("helloAck: %v %v", f.Type, err)
-	}
-	d := proto.NewDec(f.Payload)
-	_ = d.U64() // boot
-	if feats := d.U64(); feats != proto.FeatTrace {
-		t.Fatalf("plain server advertises %#x, want exactly FeatTrace", feats)
-	}
-	f.Recycle()
-	proto.PutReader(fr)
-	nc.Close()
+	waitFor(t, func() bool {
+		// A broadcast is counted as it is read, before the fetch it causes
+		// is sent: a fetch seen here with no broadcast after it came first.
+		fetched := ws.Frames(proto.TInstalled, "out") > 0
+		if fetched && ws.Frames(proto.TBroadcastExt, "in") == 0 {
+			t.Fatal("client fetched the class before its first broadcast")
+		}
+		return fetched
+	})
+	waitFor(t, func() bool {
+		gen, members, stale := c.InstalledClass()
+		return gen > 0 && members > 0 && !stale
+	})
+}
+
+// TestPlainServerNoClassTraffic: a server with no class configured
+// broadcasts nothing, so the client never sends a class frame at it and
+// renews with plain batched extensions.
+func TestPlainServerNoClassTraffic(t *testing.T) {
+	srv, addr := startServer(t, server.Config{Term: 300 * time.Millisecond})
+	seedFile(t, srv, "/f", "v1")
 
 	c, err := client.Dial(addr, client.Config{ID: "c1", AutoExtend: 50 * time.Millisecond})
 	if err != nil {
@@ -233,72 +250,4 @@ func TestPlainServerNoClassTraffic(t *testing.T) {
 	if hits := c.Metrics().ReadHits - before.ReadHits; hits != 1 {
 		t.Fatalf("renewal loop failed against plain server (hits delta %d)", hits)
 	}
-}
-
-// TestOldClientSeesNoClassFrames pins the other interop direction: a
-// legacy client that never advertised FeatClass gets no unsolicited
-// class frames, even while broadcasts fire for modern clients on the
-// same server.
-func TestOldClientSeesNoClassFrames(t *testing.T) {
-	srv, addr := startServer(t, server.Config{
-		Term: time.Second,
-		Class: server.ClassConfig{
-			InstalledDirs:  []string{"/"},
-			InstalledTerm:  time.Second,
-			BroadcastEvery: 25 * time.Millisecond,
-		},
-	})
-	seedFile(t, srv, "/f", "v1")
-
-	// A modern client populates the class so broadcasts actually fire.
-	c, err := client.Dial(addr, client.Config{ID: "new", AutoExtend: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Read("/f"); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool { return c.WireStats().Frames(proto.TBroadcastExt, "in") > 0 })
-
-	// The legacy client: hello advertising only FeatTrace.
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	var e proto.Enc
-	e.Str("old").U64(proto.FeatTrace)
-	if err := proto.WriteFrame(nc, proto.Frame{Type: proto.THello, ReqID: 1, Payload: e.Bytes()}); err != nil {
-		t.Fatal(err)
-	}
-	fr := proto.GetReader(nc)
-	defer proto.PutReader(fr)
-	f, err := fr.Next()
-	if err != nil || f.Type != proto.THelloAck {
-		t.Fatalf("helloAck: %v %v", f.Type, err)
-	}
-	f.Recycle()
-	// One lookup so the connection holds a lease and would be a
-	// broadcast target if the gate were broken.
-	e = proto.Enc{}
-	e.Str("/f")
-	if err := proto.WriteFrame(nc, proto.Frame{Type: proto.TLookup, ReqID: 2, Payload: e.Bytes()}); err != nil {
-		t.Fatal(err)
-	}
-	f, err = fr.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.ReqID != 2 {
-		t.Fatalf("unsolicited frame type %d before the lookup reply", f.Type)
-	}
-	f.Recycle()
-	// Broadcasts keep firing for the modern client; the legacy connection
-	// must stay silent.
-	nc.SetReadDeadline(time.Now().Add(300 * time.Millisecond))
-	if f, err := fr.Next(); err == nil {
-		t.Fatalf("legacy connection received unsolicited frame type %d", f.Type)
-	}
-	_ = srv
 }

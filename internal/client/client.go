@@ -71,9 +71,8 @@ type Config struct {
 	Obs *obs.Observer
 	// Tracer, when non-nil, head-samples RPCs into distributed traces:
 	// a sampled operation roots a span here and propagates its context
-	// in the request frame (when the server negotiated the trace
-	// feature), so the server's dispatch, approval fan-out and
-	// replication spans land under one TraceID. Nil disables tracing at
+	// in the request frame, so the server's dispatch, approval fan-out
+	// and replication spans land under one TraceID. Nil disables tracing at
 	// zero cost; cache hits never reach the wire and are never traced.
 	Tracer *tracing.Tracer
 
@@ -126,9 +125,6 @@ type Config struct {
 	// cursor steers session redials across the replica set; set by
 	// DialReplicas, nil for single-server clients.
 	cursor *replicaCursor
-	// featShard makes the hello advertise proto.FeatShard; set by the
-	// Router for its per-group sessions, never for plain dials.
-	featShard bool
 }
 
 // Cache is a connected caching client.
@@ -168,11 +164,6 @@ type Cache struct {
 	down       bool
 	ready      chan struct{}
 	serverBoot uint64
-	// features is the feature set the server acknowledged in the latest
-	// hello; trace contexts are only encoded on the wire when the server
-	// negotiated proto.FeatTrace (an old server would choke on the
-	// header bytes it never learned to strip).
-	features uint64
 
 	stopping  chan struct{}
 	closeOnce sync.Once
@@ -224,33 +215,24 @@ func dialTimeout(cfg Config) time.Duration {
 }
 
 // handshake performs the hello exchange on a fresh connection, bounded
-// by the dial timeout, and returns the connection's frame reader, the
-// server's boot ID and the feature set the server acknowledged. The
-// hello carries this client's feature bits as trailing payload a
-// pre-feature server ignores; a pre-feature ack is 8 bytes and decodes
-// as features 0, so nothing optional is ever sent to an old peer. The
-// hello is the one frame written outside the coalescer: the connection
-// carries no other traffic yet, so there is nothing to batch with.
-func handshake(nc net.Conn, cfg Config) (*proto.FrameReader, uint64, uint64, error) {
+// by the dial timeout, and returns the connection's frame reader and the
+// server's boot ID. The hello is this client's ID and the ack the boot
+// ID, nothing more. The hello is the one frame written outside the
+// coalescer: the connection carries no other traffic yet, so there is
+// nothing to batch with.
+func handshake(nc net.Conn, cfg Config) (*proto.FrameReader, uint64, error) {
 	nc.SetDeadline(time.Now().Add(dialTimeout(cfg)))
 	defer nc.SetDeadline(time.Time{})
-	ours := proto.FeatTrace | proto.FeatClass
-	if cfg.featShard {
-		// Only ring-routed sessions (Router) speak the sharding frames;
-		// a plain Dial's hello — like the rest of its byte stream — is
-		// identical to a pre-shard client's.
-		ours |= proto.FeatShard
-	}
 	var e proto.Enc
-	e.Str(cfg.ID).U64(ours)
+	e.Str(cfg.ID)
 	if err := proto.WriteFrame(nc, proto.Frame{Type: proto.THello, ReqID: 1, Payload: e.Bytes()}); err != nil {
-		return nil, 0, 0, err
+		return nil, 0, err
 	}
 	fr := proto.GetReader(nc)
 	f, err := fr.Next()
 	if err != nil {
 		proto.PutReader(fr)
-		return nil, 0, 0, err
+		return nil, 0, err
 	}
 	if f.Type == proto.TNotMaster {
 		// A replica refusing the session: not an error of the transport
@@ -262,23 +244,16 @@ func handshake(nc net.Conn, cfg Config) (*proto.FrameReader, uint64, uint64, err
 		}
 		f.Recycle()
 		proto.PutReader(fr)
-		return nil, 0, 0, notMasterError{master: master}
+		return nil, 0, notMasterError{master: master}
 	}
 	if f.Type != proto.THelloAck {
 		f.Recycle()
 		proto.PutReader(fr)
-		return nil, 0, 0, fmt.Errorf("client: unexpected hello response type %d", f.Type)
+		return nil, 0, fmt.Errorf("client: unexpected hello response type %d", f.Type)
 	}
-	var boot, feats uint64
-	if len(f.Payload) >= 8 {
-		d := proto.NewDec(f.Payload)
-		boot = d.U64()
-		if d.Remaining() >= 8 {
-			feats = d.U64()
-		}
-	}
+	boot := proto.NewDec(f.Payload).U64()
 	f.Recycle()
-	return fr, boot, feats, nil
+	return fr, boot, nil
 }
 
 // newCoalescer builds the outbound coalescer for one connection
@@ -311,7 +286,7 @@ func NewFromConn(nc net.Conn, cfg Config) (*Cache, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
 	}
-	fr, boot, feats, err := handshake(nc, cfg)
+	fr, boot, err := handshake(nc, cfg)
 	if err != nil {
 		nc.Close()
 		return nil, err
@@ -331,12 +306,6 @@ func NewFromConn(nc net.Conn, cfg Config) (*Cache, error) {
 		opLat:      make(map[proto.MsgType]*stats.Histogram),
 		ready:      ready,
 		serverBoot: boot,
-		features:   feats,
-	}
-	if feats&proto.FeatClass != 0 {
-		// Fetch the installed snapshot on the first renewal round rather
-		// than waiting to learn of it from a broadcast.
-		c.core.MarkClassStale()
 	}
 	c.nextID = 1
 	fr.Stats = c.wire
@@ -908,14 +877,14 @@ func (c *Cache) extendLoop() {
 }
 
 // planRenewal plans one renewal round over the held leases, and reports
-// whether the installed snapshot needs a refetch on a connection that
-// negotiated the class feature.
+// whether the installed snapshot needs a refetch: a broadcast stamped a
+// generation this cache does not hold.
 func (c *Cache) planRenewal(base time.Duration) (plan cache.RenewPlan, refetch bool) {
 	now := c.clk.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	_, _, stale := c.core.Class()
-	return c.core.PlanRenewal(now, base), stale && c.features&proto.FeatClass != 0
+	return c.core.PlanRenewal(now, base), stale
 }
 
 // extendRound performs one renewal round: refetch the installed

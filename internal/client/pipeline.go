@@ -113,15 +113,10 @@ func (cl *Call) submit() error {
 	cl.ch = make(chan proto.Frame, 1)
 	c.calls[cl.id] = cl.ch
 	co := c.co
-	traced := c.features&proto.FeatTrace != 0
 	c.mu.Unlock()
-	// Propagate the trace context only when this connection's server
-	// negotiated the feature; an unsampled call carries the zero
-	// context, which encodes to the exact pre-trace frame bytes.
-	var tc tracing.Context
-	if traced {
-		tc = cl.span.Context()
-	}
+	// A sampled call stamps its trace context; an unsampled one carries
+	// the zero context, which encodes no header.
+	tc := cl.span.Context()
 	// The coalescer read under the same lock as the registration is the
 	// incarnation the request belongs to. If the connection dies between
 	// unlock and append, either the append fails (coalescer closed) or

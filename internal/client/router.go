@@ -142,11 +142,9 @@ func (r *Router) cacheFor(path string, forced int) (*Cache, int, error) {
 }
 
 // dialGroup opens one group session: DialReplicas when the group is
-// replicated (NOT_MASTER failover), a plain Dial otherwise. Either way
-// the session advertises FeatShard.
+// replicated (NOT_MASTER failover), a plain Dial otherwise.
 func (r *Router) dialGroup(g shard.Group) (*Cache, error) {
 	cfg := r.cfg
-	cfg.featShard = true
 	cfg.Redial = nil
 	cfg.cursor = nil
 	if len(g.Replicas) == 1 {

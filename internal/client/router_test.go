@@ -1,6 +1,7 @@
 package client_test
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync/atomic"
@@ -421,37 +422,35 @@ func testStaleAcrossFailover(t *testing.T) {
 	}
 }
 
-// TestUnshardedWireByteIdentical pins the feature gate: an unsharded
-// single-group deployment must put exactly the pre-shard bytes on the
-// wire. The server's hello-ack feature mask carries no FeatShard bit, a
-// plain client advertises none, and a full op workout moves zero
-// shard-protocol frames in either direction.
-func TestUnshardedWireByteIdentical(t *testing.T) {
-	srv, addr := startServer(t, server.Config{Term: time.Minute})
-	seedFile(t, srv, "/f", "v1")
-
-	// Raw handshake: ack features must be exactly FeatTrace — the same
-	// mask a pre-shard server sent — even though the client offers more.
-	nc, err := net.Dial("tcp", addr)
+// TestPlainDialGetsNotOwner: a sharded server refuses a foreign path
+// with TNotOwner whatever kind of client asked, so a plain Dial to one
+// group gets the typed NotOwnerError naming the owner and the ring epoch.
+func TestPlainDialGetsNotOwner(t *testing.T) {
+	srvs, ring := startShardedPair(t, 3)
+	foreign := pathOwnedBy(t, ring, 1, "/d/f%d")
+	seedSkeleton(t, srvs[:], "", "")
+	seedFile(t, srvs[1], foreign, "v1")
+	g0, _ := ring.Group(0)
+	c, err := client.Dial(g0.Replicas[0], client.Config{ID: "plain"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var e proto.Enc
-	e.Str("raw").U64(proto.FeatTrace | proto.FeatClass | proto.FeatShard)
-	if err := proto.WriteFrame(nc, proto.Frame{Type: proto.THello, ReqID: 1, Payload: e.Bytes()}); err != nil {
-		t.Fatal(err)
+	defer c.Close()
+	var no client.NotOwnerError
+	if _, err := c.Read(foreign); !errors.As(err, &no) || no.Group != 1 || no.Epoch != ring.Epoch {
+		t.Fatalf("foreign read over a plain Dial = %v, want NotOwner{1, %d}", err, ring.Epoch)
 	}
-	f, err := proto.ReadFrame(nc)
-	if err != nil || f.Type != proto.THelloAck {
-		t.Fatalf("helloAck: %v %v", f.Type, err)
+	if err := c.Write(foreign, []byte("v2")); !errors.As(err, &no) || no.Group != 1 {
+		t.Fatalf("foreign write over a plain Dial = %v, want NotOwner{1, …}", err)
 	}
-	d := proto.NewDec(f.Payload)
-	_ = d.U64() // boot
-	if feats := d.U64(); feats&proto.FeatShard != 0 {
-		t.Fatalf("unsharded server advertises FeatShard (mask %#x)", feats)
-	}
-	f.Recycle()
-	nc.Close()
+}
+
+// TestUnshardedWireByteIdentical: an unsharded single-group deployment
+// moves no shard-protocol frame in either direction through a full op
+// workout.
+func TestUnshardedWireByteIdentical(t *testing.T) {
+	srv, addr := startServer(t, server.Config{Term: time.Minute})
+	seedFile(t, srv, "/f", "v1")
 
 	c, err := client.Dial(addr, client.Config{ID: "c1"})
 	if err != nil {

@@ -154,15 +154,16 @@ func (c *Cache) reconnectLoop(downSince time.Time) {
 		}
 		nc, err := c.cfg.Redial()
 		if err == nil {
-			var st *resumeState
-			st, err = c.resume(nc)
-			if err == nil {
+			var fr *proto.FrameReader
+			var boot uint64
+			if fr, boot, err = handshake(nc, c.cfg); err == nil {
 				if rc := c.cfg.cursor; rc != nil {
 					rc.ok()
 				}
-				c.finishReconnect(nc, st, attempts, downSince)
+				c.finishReconnect(nc, fr, boot, attempts, downSince)
 				return
 			}
+			nc.Close()
 		}
 		if rc := c.cfg.cursor; rc != nil && rc.note(err) {
 			// NOT_MASTER with a fresh hint: the next dial goes straight
@@ -184,48 +185,23 @@ func (c *Cache) reconnectLoop(downSince time.Time) {
 	}
 }
 
-// resumeState carries what a successful re-hello produced.
-type resumeState struct {
-	fr    *proto.FrameReader
-	boot  uint64
-	feats uint64
-}
-
-// resume re-hellos on a fresh connection.
-func (c *Cache) resume(nc net.Conn) (*resumeState, error) {
-	fr, boot, feats, err := handshake(nc, c.cfg)
-	if err != nil {
-		nc.Close()
-		return nil, err
-	}
-	return &resumeState{fr: fr, boot: boot, feats: feats}, nil
-}
-
 // finishReconnect installs the new connection — with a fresh coalescer
 // incarnation — and wakes every operation parked on the session.
-func (c *Cache) finishReconnect(nc net.Conn, st *resumeState, attempts int, downSince time.Time) {
+func (c *Cache) finishReconnect(nc net.Conn, fr *proto.FrameReader, boot uint64, attempts int, downSince time.Time) {
 	co := c.newCoalescer(nc)
-	st.fr.Stats = c.wire
+	fr.Stats = c.wire
 	c.mu.Lock()
 	c.nc = nc
-	c.fr = st.fr
+	c.fr = fr
 	c.co = co
-	c.serverBoot = st.boot
-	// Re-negotiated per connection: a failover can land the session on
-	// a server with different feature support.
-	c.features = st.feats
-	if st.feats&proto.FeatClass != 0 {
-		// The previous incarnation's class snapshot was dropped with
-		// everything else; refetch it promptly on the new one.
-		c.core.MarkClassStale()
-	}
+	c.serverBoot = boot
 	c.down = false
 	c.metrics.Reconnects++
 	ready := c.ready
 	c.mu.Unlock()
 
 	c.wg.Add(1)
-	go c.readLoop(nc, st.fr, co)
+	go c.readLoop(nc, fr, co)
 	close(ready)
 	c.kickExtend()
 	if c.cfg.Obs.Enabled() {

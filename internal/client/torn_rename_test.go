@@ -45,7 +45,7 @@ func scriptedRename(t *testing.T, move func(nc net.Conn, f proto.Frame)) (srv *s
 						return
 					}
 					var e proto.Enc
-					if proto.WriteFrame(nc, proto.Frame{Type: proto.THelloAck, ReqID: f.ReqID, Payload: e.U64(1).U64(proto.FeatShard).Bytes()}) != nil {
+					if proto.WriteFrame(nc, proto.Frame{Type: proto.THelloAck, ReqID: f.ReqID, Payload: e.U64(1).Bytes()}) != nil {
 						return
 					}
 				}

@@ -101,8 +101,7 @@ func (c *Coalescer) Append(t MsgType, reqID uint64, fill func(*Enc)) bool {
 
 // AppendPayload is the one-shot form of Append for callers already
 // holding an encoded payload. When tc is valid the frame carries a trace
-// header (callers only pass a valid tc toward peers that negotiated
-// FeatTrace).
+// header.
 func (c *Coalescer) AppendPayload(t MsgType, reqID uint64, tc tracing.Context, payload []byte) bool {
 	return c.append(t, reqID, tc, nil, payload)
 }

@@ -19,11 +19,12 @@
 // Trace header: a frame whose type byte has TraceFlag (0x80) set
 // carries a 17-byte trace context — traceID uint64, spanID uint64,
 // flags uint8 — between reqID and the payload, decoded into
-// Frame.Trace. The header is feature-negotiated: a peer only sets the
-// bit after the hello exchange advertised FeatTrace on both sides
-// (THello and THelloAck each end with an optional feature-bits uint64
-// that pre-feature decoders ignore as trailing bytes), so old peers
-// never see a type byte they can't parse.
+// Frame.Trace. Every peer understands it; only sampled frames carry it.
+//
+// There is one protocol and no feature negotiation: every client and
+// server in a deployment speaks the whole message set. What a server
+// runs (the installed class, a ring) is configuration, and a client
+// learns it from the frames the server sends.
 package proto
 
 import (
@@ -45,10 +46,9 @@ type MsgType uint8
 
 // Message types.
 const (
-	// THello introduces a client (payload: client ID string). Answered
-	// by THelloAck, whose payload carries the server's boot ID
-	// (uint64; absent from servers predating it — decoders treat an
-	// empty payload as boot 0). The hello is idempotent: re-sending it
+	// THello introduces a client (payload: client ID string; bytes after
+	// it are ignored). Answered by THelloAck, whose payload is the
+	// server's boot ID (uint64). The hello is idempotent: re-sending it
 	// on a new connection with the same ID — a client session
 	// reconnecting after a fault — replaces the old connection while
 	// the server-side lease records, keyed by client ID, survive.
@@ -146,8 +146,8 @@ const (
 	// the set of data covered by the client's single directory-granularity
 	// lease. Payload: the generation the client already knows (0 for
 	// none). Answered by TInstalledRep: generation, term, server send
-	// time, and the member datum list. Sent only after both sides
-	// advertised FeatClass.
+	// time, and the member datum list. A client sends it once a
+	// TBroadcastExt told it the class runs.
 	TInstalled
 	TInstalledRep
 	// TBroadcastExt is the periodic server push (reqID 0) renewing the
@@ -162,15 +162,14 @@ const (
 	TPiggyExt
 	// TRing asks a sharded server for its current ring snapshot (empty
 	// payload). Answered by TRingRep with the shard.Ring wire form
-	// (epoch, groups, replica addresses). Sent only after both sides
-	// advertised FeatShard.
+	// (epoch, groups, replica addresses).
 	TRing
 	TRingRep
 	// TNotOwner is the reply a sharded server gives to a path operation
 	// it does not own: payload is the owning group's ID and the server's
-	// ring epoch. The client refreshes its routing table (if its epoch is
-	// older) and retries against the owner — the sharded analogue of
-	// TNotMaster steering.
+	// ring epoch, whatever kind of client asked. A ring-routed client
+	// refreshes its routing table (if its epoch is older) and retries
+	// against the owner — the sharded analogue of TNotMaster steering.
 	TNotOwner
 	// TShardMove carries a cross-shard rename from the source group's
 	// master to the destination's (payload: ring epoch, destination path,
@@ -193,27 +192,6 @@ const traceWireLen = 8 + 8 + 1
 // send it today; reserved bits must be zero on encode, ignored on
 // decode).
 const traceFlagSampled = 0x01
-
-// Feature bits exchanged in the hello handshake. THello's payload may
-// end with a uint64 of the client's feature bits, THelloAck's with the
-// server's; decoders that predate a feature ignore the trailing bytes,
-// so absence means "none". A capability is in force only when both
-// sides advertised it.
-const (
-	// FeatTrace: the peer understands TraceFlag'd frames.
-	FeatTrace uint64 = 1 << 0
-	// FeatClass: the peer understands the lease-class frames (TInstalled,
-	// TInstalledRep, TBroadcastExt). When either side lacks
-	// the bit the server sends none of them and the byte stream is
-	// identical to a pre-class peer's.
-	FeatClass uint64 = 1 << 1
-	// FeatShard: the peer understands the sharding frames (TRing,
-	// TRingRep, TNotOwner and TShardMove). Clients advertise it only when
-	// routing via a ring; servers only when configured with one, so a
-	// single-group deployment's byte stream is identical to a pre-shard
-	// peer's.
-	FeatShard uint64 = 1 << 2
-)
 
 // msgTypeNames maps request and push types to stable operation names
 // for metrics and tracing. Reply types are derived from their request.
@@ -287,8 +265,7 @@ type Frame struct {
 	ReqID uint64
 	// Trace is the frame's trace context; the zero Context for frames
 	// without a trace header. Encoders emit a header exactly when
-	// Trace.Valid() — callers must only set it toward peers that
-	// negotiated FeatTrace.
+	// Trace.Valid().
 	Trace   tracing.Context
 	Payload []byte
 	// pooled is the backing buffer when the frame came off the frame
@@ -355,7 +332,6 @@ func BeginFrame(dst []byte, t MsgType, reqID uint64) []byte {
 
 // BeginFrameCtx is BeginFrame plus a trace header when tc is a valid
 // (sampled) context; with the zero context it is exactly BeginFrame.
-// Only use a valid tc toward a peer that negotiated FeatTrace.
 func BeginFrameCtx(dst []byte, t MsgType, reqID uint64, tc tracing.Context) []byte {
 	if !tc.Valid() {
 		return BeginFrame(dst, t, reqID)

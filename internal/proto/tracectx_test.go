@@ -72,14 +72,13 @@ func TestTraceHeaderCoalescerRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTraceHeaderCompat pins the negotiation contract from both sides:
-// an untraced frame is byte-identical to the pre-trace encoding (what
-// an old peer receives), and a frame without the flag decodes with the
-// zero context (what an old peer sends).
+// TestTraceHeaderCompat: a frame without a valid context carries no
+// header, so an unsampled request costs no trace bytes, and a frame
+// without the flag decodes with the zero context.
 func TestTraceHeaderCompat(t *testing.T) {
-	old := BeginFrame(nil, TWrite, 7)
-	old = append(old, "data"...)
-	if err := FinishFrame(old, 0); err != nil {
+	plain := BeginFrame(nil, TWrite, 7)
+	plain = append(plain, "data"...)
+	if err := FinishFrame(plain, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -88,19 +87,19 @@ func TestTraceHeaderCompat(t *testing.T) {
 	if err := FinishFrame(invalid, 0); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(old, invalid) {
-		t.Fatalf("untraced BeginFrameCtx differs from BeginFrame:\n%x\n%x", old, invalid)
+	if !bytes.Equal(plain, invalid) {
+		t.Fatalf("untraced BeginFrameCtx differs from BeginFrame:\n%x\n%x", plain, invalid)
 	}
 
-	f, err := ReadFrame(bytes.NewReader(old))
+	f, err := ReadFrame(bytes.NewReader(plain))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f.Trace.Valid() || f.Trace != (tracing.Context{}) {
-		t.Fatalf("old-peer frame decoded with context %+v", f.Trace)
+		t.Fatalf("untraced frame decoded with context %+v", f.Trace)
 	}
 	if f.Type != TWrite || string(f.Payload) != "data" {
-		t.Fatalf("old-peer frame mangled: %+v", f)
+		t.Fatalf("untraced frame mangled: %+v", f)
 	}
 }
 
@@ -116,38 +115,5 @@ func TestTraceHeaderTruncated(t *testing.T) {
 	fr := NewFrameReader(bytes.NewReader(wire))
 	if _, err := fr.Next(); err != ErrTruncated {
 		t.Fatalf("FrameReader err = %v, want ErrTruncated", err)
-	}
-}
-
-// TestHelloFeatureTrailing pins the negotiation vehicle: a hello
-// payload with trailing feature bits still yields the ID to a decoder
-// that only reads the string, and the features to one that knows to
-// look.
-func TestHelloFeatureTrailing(t *testing.T) {
-	var e Enc
-	e.Str("client-1").U64(FeatTrace)
-
-	oldDec := NewDec(e.Bytes())
-	if id := oldDec.Str(); id != "client-1" || oldDec.Err != nil {
-		t.Fatalf("pre-feature decode: id=%q err=%v", id, oldDec.Err)
-	}
-
-	newDec := NewDec(e.Bytes())
-	_ = newDec.Str()
-	feats := uint64(0)
-	if newDec.Remaining() >= 8 {
-		feats = newDec.U64()
-	}
-	if feats&FeatTrace == 0 {
-		t.Fatalf("features = %#x, want FeatTrace", feats)
-	}
-
-	// An old client's hello has no feature bits: absence decodes as 0.
-	var bare Enc
-	bare.Str("client-2")
-	d := NewDec(bare.Bytes())
-	_ = d.Str()
-	if d.Remaining() != 0 {
-		t.Fatal("bare hello left trailing bytes")
 	}
 }

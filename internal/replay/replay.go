@@ -54,8 +54,8 @@ type Config struct {
 	// than replaying the trace's arrival process. Speedup is ignored.
 	OpenLoop bool
 	// Tracer, when non-nil, roots a client-side span on every sampled
-	// operation; when the server negotiated trace propagation, the
-	// context rides the wire so server-side /traces correlates.
+	// operation; the context rides the wire so server-side /traces
+	// correlates.
 	Tracer *tracing.Tracer
 }
 

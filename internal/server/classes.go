@@ -15,13 +15,13 @@ import (
 // This file drives the paper's §4.3 installed-files lease class over
 // TCP (srvcore.ClassTable: one directory-granularity lease per client
 // covering rarely-written data, renewed by a periodic O(1) broadcast and
-// dropped on the first write). It is negotiated through the
-// proto.FeatClass hello bit; to a client that never advertised it the
-// server's byte stream is identical to a pre-class server's.
+// dropped on the first write). Every connection gets the broadcasts; a
+// client learns from the first one that the class runs, and fetches the
+// snapshot with TInstalled.
 
 // ClassConfig configures the lease-class subsystem. The zero value
-// disables it entirely (and keeps the wire byte-identical to a server
-// without the subsystem, since FeatClass is then not advertised).
+// disables it entirely: no broadcast is sent and TInstalled answers an
+// empty class.
 type ClassConfig = srvcore.ClassConfig
 
 // classTermDurable makes the installed term crash- and failover-safe
@@ -74,7 +74,7 @@ func (s *Server) installedSnapshot() proto.InstalledWire {
 }
 
 // broadcastLoop periodically renews the whole installed class with one
-// O(1) frame per connected FeatClass client — the §4.3 economy: the
+// O(1) frame per connected client — the §4.3 economy: the
 // extension traffic is O(clients), independent of how many files each
 // client caches.
 func (s *Server) broadcastLoop() {
@@ -107,13 +107,10 @@ func (s *Server) broadcastInstalled() {
 	var e proto.Enc
 	e.EncodeBroadcastExt(w)
 	payload := e.Bytes()
-	n := 0
 	s.connMu.RLock()
+	n := len(s.conns)
 	for _, hc := range s.conns {
-		if hc.feats&proto.FeatClass != 0 {
-			hc.pushFrame(proto.TBroadcastExt, payload)
-			n++
-		}
+		hc.pushFrame(proto.TBroadcastExt, payload)
 	}
 	s.connMu.RUnlock()
 	if n > 0 && s.obs.Enabled() {

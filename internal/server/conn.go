@@ -47,11 +47,6 @@ type serverConn struct {
 	co     *proto.Coalescer
 	client core.ClientID
 	closed sync.Once
-	// feats is the feature mask in force on this connection: the bits
-	// both the client's hello and this server advertised. Class frames
-	// are only ever sent when FeatClass is set here, so a pre-class
-	// client's byte stream is untouched.
-	feats uint64
 	// pushes feeds the connection's push sender: one long-lived
 	// goroutine appends pushes (approval requests, broadcast
 	// extensions) to the coalescer in arrival order, so a coalescer
@@ -117,6 +112,11 @@ type request struct {
 // pushApproval for the overflow policy.
 const pushQueue = 1024
 
+// helloTimeout bounds the wait for a new connection's hello: what a
+// client allows for its whole handshake (client.Config.DialTimeout's
+// default). It runs on the wall clock, like every socket deadline.
+const helloTimeout = 5 * time.Second
+
 func (s *Server) serveConn(nc net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -173,25 +173,20 @@ func (s *Server) serveConn(nc net.Conn) {
 	defer proto.PutReader(fr)
 
 	// The first frame must be THello, identifying the client for lease
-	// records and approval pushes.
+	// records and approval pushes; bytes after the ID are ignored. A
+	// connection that sends none within helloTimeout is closed, so a
+	// silent peer does not hold its goroutines and buffer until Stop.
+	nc.SetReadDeadline(time.Now().Add(helloTimeout))
 	f, err := fr.Next()
 	if err != nil || f.Type != proto.THello {
 		return
 	}
-	d := proto.NewDec(f.Payload)
-	id := core.ClientID(d.Str())
-	if d.Err != nil || id == "" {
+	nc.SetReadDeadline(time.Time{})
+	id := core.ClientID(proto.NewDec(f.Payload).Str())
+	if id == "" {
 		c.fail(f.ReqID, fmt.Errorf("bad hello"))
 		return
 	}
-	// Optional trailing feature bits (absent from pre-feature clients:
-	// an empty remainder decodes as "no features"). A capability is in
-	// force only when both sides advertise it.
-	var clientFeats uint64
-	if d.Remaining() >= 8 {
-		clientFeats = d.U64()
-	}
-	c.feats = clientFeats & s.features
 	// A replica that does not hold the master lease — or holds it but
 	// has not finished promoting (catch-up sync + recovery window; see
 	// Server.serving) — refuses the session outright, carrying its
@@ -215,12 +210,9 @@ func (s *Server) serveConn(nc net.Conn) {
 	// The hello is idempotent: a re-hello with the same ID (a client
 	// session reconnecting) replaces the dead conn while the client's
 	// lease records — keyed by ID, not connection — survive untouched.
-	// The ack carries the server's boot ID so the client can tell a
-	// restart from a transient fault, then the server's feature bits:
-	// advertising FeatTrace invites the client to stamp sampled
-	// requests with trace headers (pre-feature clients ignore the
-	// trailing bytes).
-	c.replyEnc(f.ReqID, proto.THelloAck, func(e *proto.Enc) { e.U64(s.boot).U64(s.features) })
+	// The ack is the server's boot ID, so the client can tell a restart
+	// from a transient fault.
+	c.replyEnc(f.ReqID, proto.THelloAck, func(e *proto.Enc) { e.U64(s.boot) })
 	f.Recycle()
 
 	defer func() {

@@ -368,6 +368,54 @@ func TestStuckClientDelaysOnlyItself(t *testing.T) {
 	within(t, "Stop", srv.Stop)
 }
 
+// TestSilentClientClosedAtHelloDeadline: a connection that never sends
+// its hello is closed once the hello deadline (5 s) passes, and holds
+// nothing up meanwhile: another client is served, and a hello with bytes
+// after the ID (what a load harness's readiness probe sends) is acked
+// with the boot ID alone.
+func TestSilentClientClosedAtHelloDeadline(t *testing.T) {
+	srv, connect := startPipeServer(t, server.Config{Term: time.Minute})
+	seedWritable(t, srv, "/f", "x")
+	silent, _ := connect()
+	closed := make(chan error, 1)
+	go func() {
+		_, err := silent.Read(make([]byte, 1))
+		closed <- err
+	}()
+
+	probe, _ := connect()
+	var e proto.Enc
+	e.Str("probe").U64(0)
+	if err := proto.WriteFrame(probe, proto.Frame{Type: proto.THello, ReqID: 1, Payload: e.Bytes()}); err != nil {
+		t.Fatal(err)
+	}
+	within(t, "the probe's ack", func() {
+		if rep, err := proto.ReadFrame(probe); err != nil || rep.Type != proto.THelloAck || len(rep.Payload) != 8 {
+			t.Errorf("probe hello answered %v %x, %v; want an 8-byte THelloAck", rep.Type, rep.Payload, err)
+		}
+	})
+	nc, _ := connect()
+	other, err := client.NewFromConn(nc, client.Config{ID: "other"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	within(t, "another client's read", func() {
+		if _, err := other.Read("/f"); err != nil {
+			t.Error(err)
+		}
+	})
+
+	select {
+	case err := <-closed:
+		if err == nil {
+			t.Fatal("the silent connection was sent a byte")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the silent connection is still open 10 s after it was accepted")
+	}
+}
+
 // TestHostileDatumCountCostsNothing: a TExtend or TRelease whose 4-byte
 // payload claims 65,536 data is refused before a list is sized from the
 // claim.

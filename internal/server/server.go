@@ -82,8 +82,8 @@ type Config struct {
 	// Tracer, when non-nil, records causal spans for sampled requests:
 	// dispatch, the approval fan-out per holder, write apply, and the
 	// per-peer replication ships. Trace contexts arrive in the wire
-	// frames of clients that negotiated proto.FeatTrace. Nil disables
-	// tracing at the same cost as Obs: one branch, no allocations.
+	// frames of sampled requests. Nil disables tracing at the same cost
+	// as Obs: one branch, no allocations.
 	Tracer *tracing.Tracer
 	// Replica, when non-nil, runs this server as one replica of a
 	// replicated lease service: hellos are refused (with a redirect
@@ -94,8 +94,7 @@ type Config struct {
 	Replica Replica
 	// Class configures the §4.3 lease-class subsystem (installed-files
 	// leases with broadcast extension and drop-on-write). The zero value
-	// disables it and keeps the wire byte-identical to a pre-class
-	// server. See classes.go.
+	// disables it: the server then sends no class frame. See classes.go.
 	Class ClassConfig
 	// Access, when non-nil, receives a read/write observation for every
 	// request the server serves. Pair it with a core.AdaptiveTerm policy
@@ -104,8 +103,7 @@ type Config struct {
 	// server serializes the estimator against the policy's own calls.
 	Access *core.AccessStats
 	// Shard places this server in a sharded deployment (see shard.go).
-	// The zero value is unsharded: no ownership checks, no FeatShard
-	// advertisement, wire bytes identical to a pre-shard server.
+	// The zero value is unsharded: no ownership checks, so no TNotOwner.
 	Shard ShardConfig
 }
 
@@ -123,12 +121,10 @@ type Server struct {
 	tracer *tracing.Tracer // nil = tracing disabled
 
 	// access feeds the adaptive-term estimator; nil unless Config.Access
-	// is set. features is the feature mask this server advertises in
-	// hello acks; wire counts frames per type and direction across every
+	// is set. wire counts frames per type and direction across every
 	// connection.
-	access   *accessPolicy
-	features uint64
-	wire     *proto.WireStats
+	access *accessPolicy
+	wire   *proto.WireStats
 
 	// spanMu guards writeSpans: the open approval-push spans of traced
 	// deferred writes, keyed by write and holder, so the approve path
@@ -210,7 +206,7 @@ func New(cfg Config) *Server {
 		ccfg.Master = func(time.Time) bool { return r.IsMaster() }
 	}
 	pc := srvcore.New(ccfg)
-	s := &Server{
+	return &Server{
 		cfg:        cfg,
 		clk:        cfg.Clock,
 		obs:        cfg.Obs,
@@ -228,21 +224,9 @@ func New(cfg Config) *Server {
 		maxTermF: maxTermF,
 		initErr:  initErr,
 
-		access:   access,
-		features: proto.FeatTrace,
-		wire:     &proto.WireStats{},
+		access: access,
+		wire:   &proto.WireStats{},
 	}
-	if cfg.Class.Enabled() {
-		// Advertised only when the class is on, so a plain server's hello
-		// ack — like the rest of its byte stream — is unchanged.
-		s.features |= proto.FeatClass
-	}
-	if cfg.Shard.enabled() {
-		// Same discipline: only a ring-configured server speaks the
-		// sharding frames.
-		s.features |= proto.FeatShard
-	}
-	return s
 }
 
 // WireStats exposes the per-message-type traffic counters aggregated

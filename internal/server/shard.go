@@ -14,9 +14,8 @@ import (
 
 // ShardConfig places a server in a sharded deployment: the consistent-
 // hash ring mapping paths to replica groups, and which group this
-// server belongs to. The zero value (nil Ring) is an unsharded server,
-// byte-for-byte the old behavior: FeatShard is not advertised and no
-// ownership checks run.
+// server belongs to. The zero value (nil Ring) is an unsharded server:
+// no ownership checks run.
 type ShardConfig struct {
 	// GroupID is this server's replica group on the ring.
 	GroupID int
@@ -24,8 +23,6 @@ type ShardConfig struct {
 	// moves fence on its epoch; NOT_OWNER redirects carry it.
 	Ring *shard.Ring
 }
-
-func (sc ShardConfig) enabled() bool { return sc.Ring != nil }
 
 // checkOwner gates a path-carrying request on ring ownership: an
 // unsharded server owns everything; a sharded one refuses paths that
@@ -44,13 +41,6 @@ func (c *serverConn) checkOwner(reqID uint64, path string) bool {
 	}
 	if s.obs.Enabled() {
 		s.obs.Record(obs.Event{Type: obs.EvNotOwner, Client: string(c.client), Depth: owner})
-	}
-	// The structured redirect is feature-gated like the class frames: a
-	// client that never advertised FeatShard gets a plain error it can
-	// decode instead of a frame type it has never heard of.
-	if c.feats&proto.FeatShard == 0 {
-		c.fail(reqID, fmt.Errorf("server: not the owner of %s (group %d owns it)", path, owner))
-		return false
 	}
 	c.replyEnc(reqID, proto.TNotOwner, func(e *proto.Enc) {
 		e.U32(uint32(owner)).U64(ring.Epoch)
@@ -311,7 +301,7 @@ func dialGroupMaster(g shard.Group) (net.Conn, error) {
 		}
 		nc.SetDeadline(time.Now().Add(shardCallTimeout))
 		var e proto.Enc
-		e.Str(fmt.Sprintf("shard-move:%s", nc.LocalAddr())).U64(proto.FeatShard)
+		e.Str(fmt.Sprintf("shard-move:%s", nc.LocalAddr()))
 		if err := proto.WriteFrame(nc, proto.Frame{Type: proto.THello, ReqID: 1, Payload: e.Bytes()}); err != nil {
 			nc.Close()
 			lastErr = err

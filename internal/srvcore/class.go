@@ -30,8 +30,7 @@ import (
 // acknowledgement traffic, exactly the economy §4.3 is after.
 
 // ClassConfig configures the lease-class subsystem. The zero value
-// disables it entirely (and keeps the wire byte-identical to a server
-// without the subsystem, since FeatClass is then not advertised).
+// disables it entirely: no class table, so nothing is ever broadcast.
 type ClassConfig struct {
 	// InstalledDirs statically installs every file under these directory
 	// prefixes ("/bin", "/lib", ...) on first read — the operator's list
@@ -56,8 +55,7 @@ type ClassConfig struct {
 	BroadcastEvery time.Duration
 }
 
-// Enabled reports whether the installed-files class (and hence FeatClass
-// advertisement) is on.
+// Enabled reports whether the installed-files class is on.
 func (cc ClassConfig) Enabled() bool {
 	return len(cc.InstalledDirs) > 0 || cc.AutoInstall
 }

@@ -198,16 +198,26 @@ func (c *Core) ReplState() []ReplFile {
 	if err != nil {
 		return nil
 	}
-	var out []ReplFile
+	// The walk holds the store's read lock: the files are read after it,
+	// since a second read lock taken under it would wait behind any writer
+	// queued in between, which waits for the walk.
+	type file struct {
+		path string
+		id   vfs.NodeID
+	}
+	var files []file
 	store.Walk(root.ID, func(path string, a vfs.Attr) error {
-		if a.IsDir {
-			return nil
-		}
-		if data, _, rerr := store.ReadFile(a.ID); rerr == nil {
-			out = append(out, ReplFile{Path: path, Seq: c.Seq(path), Data: data})
+		if !a.IsDir {
+			files = append(files, file{path, a.ID})
 		}
 		return nil
 	})
+	var out []ReplFile
+	for _, f := range files {
+		if data, _, rerr := store.ReadFile(f.id); rerr == nil {
+			out = append(out, ReplFile{Path: f.path, Seq: c.Seq(f.path), Data: data})
+		}
+	}
 	c.mu.Lock()
 	if len(c.classImage) > 0 {
 		out = append(out, ReplFile{Path: ClassStatePath, Seq: c.seq[ClassStatePath], Data: c.classImage})

@@ -1,6 +1,7 @@
 package srvcore
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -160,4 +161,47 @@ func TestMergeSettlesWhatAQuorumMayNotHold(t *testing.T) {
 	if c.Promote(0, clock.Epoch); !c.Serving(clock.Epoch) || c.Seq("/behind") != 5 {
 		t.Fatalf("after settle and Promote: serving=%v seq=%d", c.Serving(clock.Epoch), c.Seq("/behind"))
 	}
+}
+
+// TestReplStateBesideReplicatedWrites: a catch-up dump taken while a
+// follower applies shipped writes completes. It must not take the
+// store's read lock again under its walk: a writer queued between the
+// two would block the second, and with it itself.
+func TestReplStateBesideReplicatedWrites(t *testing.T) {
+	c := New(Config{Store: vfs.New(clock.NewSim(), "srv"), Owner: "srv", Policy: core.FixedTerm(time.Minute)})
+	for i := 0; i < 64; i++ {
+		if _, err := c.ApplyReplicated(fmt.Sprintf("/f%d", i), 1, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for seq := uint64(2); ; seq++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			c.ApplyReplicated("/f0", seq, []byte("y"))
+		}
+	}()
+	dumped := make(chan int)
+	go func() {
+		n := 0
+		for i := 0; i < 200; i++ {
+			n = len(c.ReplState())
+		}
+		dumped <- n
+	}()
+	select {
+	case n := <-dumped:
+		if n != 64 {
+			t.Errorf("dump holds %d files, want 64", n)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("ReplState still blocked after 10s beside a writer")
+	}
+	close(stop)
+	<-done
 }
