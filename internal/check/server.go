@@ -64,6 +64,7 @@ type mplan struct {
 	file     int
 	value    string
 	renew    []vfs.Datum // a write's renewals, granted with its ack
+	mut      vfs.Op      // the store change a write or a move applies
 	queuedAt time.Time   // server-local, for the write-wait lens
 	x        *xferState
 	xm       xferMsg
@@ -199,11 +200,9 @@ func newMserver(w *world, idx int) *mserver {
 	srv.node = w.serverNodeID(idx)
 	srv.store = vfs.New(engineClock{w.engine}, string(srv.node))
 	for f := 0; f < w.sc.Files; f++ {
-		if _, err := srv.store.Create(filePath(f), "srv", vfs.DefaultPerm|vfs.WorldWrite); err != nil {
-			panic(fmt.Sprintf("check: seeding %s: %v", filePath(f), err))
-		}
 		val := "init#" + strconv.Itoa(f)
-		if _, _, err := srv.store.WriteFile(datumForFile(f).Node, []byte(val)); err != nil {
+		seed := vfs.Op{Kind: vfs.OpCreate, Path: filePath(f), Owner: "srv", Perm: vfs.DefaultPerm | vfs.WorldWrite, Data: []byte(val)}
+		if _, err := srv.store.Apply(seed); err != nil {
 			panic(fmt.Sprintf("check: seeding %s: %v", filePath(f), err))
 		}
 		if idx == 0 {
@@ -767,12 +766,12 @@ func (srv *mserver) apply(op *mplan, now time.Time) {
 	defer applySp.End()
 	switch op.kind {
 	case planWrite:
-		attr, _, err := srv.store.WriteFile(datumForFile(op.file).Node, []byte(op.value))
+		res, err := srv.store.Apply(op.mut)
 		if err != nil {
 			panic(fmt.Sprintf("check: apply write to file %d: %v", op.file, err))
 		}
 		srv.w.orc.applied(op.file, op.value)
-		version := srv.versionAt(op.file, op.seq, attr.Version)
+		version := srv.versionAt(op.file, op.seq, res.Attr.Version)
 		srv.seen[op.client][op.reqID] = version
 		wait := max(now.Sub(op.queuedAt), 0)
 		srv.w.out.MaxWriteWait = max(srv.w.out.MaxWriteWait, wait)
@@ -793,7 +792,7 @@ func (srv *mserver) apply(op *mplan, now time.Time) {
 		srv.w.shards[srv.group].owned[op.file] = true
 		srv.w.home[op.file] = srv.group
 	case planMove:
-		attr, _, err := srv.store.WriteFile(datumForFile(op.file).Node, []byte(op.xm.Value))
+		res, err := srv.store.Apply(op.mut)
 		if err != nil {
 			panic(fmt.Sprintf("check: commit moved file %d: %v", op.file, err))
 		}
@@ -801,7 +800,7 @@ func (srv *mserver) apply(op *mplan, now time.Time) {
 		// stay comparable across the move.
 		sh := srv.w.shards[srv.group]
 		sh.base[op.file] = 0
-		sh.base[op.file] = int64(op.xm.Version+1) - int64(srv.versionAt(op.file, op.seq, attr.Version))
+		sh.base[op.file] = int64(op.xm.Version+1) - int64(srv.versionAt(op.file, op.seq, res.Attr.Version))
 		sh.owned[op.file], sh.lastXfer[op.file] = true, op.xm.XferID
 	}
 }
@@ -1029,10 +1028,11 @@ func (srv *mserver) handleXfer(m netsim.Message, p xferMsg) {
 				return
 			}
 		}
-		op := &mplan{kind: planMove, file: p.File, xm: p, peer: m.From, client: core.ClientID(m.From)}
+		op := &mplan{kind: planMove, file: p.File, xm: p, peer: m.From, client: core.ClientID(m.From), mut: vfs.Op{Kind: vfs.OpWrite, Node: datumForFile(p.File).Node, Path: filePath(p.File), Data: []byte(p.Value)}}
 		op.p = srv.core.Plan(op.client, rootBinding)
-		// The bytes replicate to a quorum before the name appears.
-		op.p.Replicate(filePath(p.File), []byte(p.Value))
+		// The bytes replicate to a quorum before the name appears, as a write:
+		// the model's files exist in every group (ownership is groupShard's).
+		op.p.Ship(op.mut)
 		srv.begin(op)
 	case kindXferRefused:
 		// Source side: the undo runs the plan the destination would have
@@ -1044,7 +1044,7 @@ func (srv *mserver) handleXfer(m netsim.Message, p xferMsg) {
 		srv.cancel(&x.retryEv)
 		op := &mplan{kind: planUndo, file: x.file, x: x, client: core.ClientID(fmt.Sprintf("xfer-%d", x.id)), tc: x.sp.Context()}
 		op.p = srv.core.Plan(op.client, rootBinding)
-		op.p.Replicate(filePath(x.file), []byte(x.move.Value))
+		op.p.Ship(vfs.Op{Kind: vfs.OpWrite, Node: datumForFile(x.file).Node, Path: filePath(x.file), Data: []byte(x.move.Value)})
 		srv.begin(op)
 	case kindXferMoved:
 		x := srv.xfers[p.File]
@@ -1292,11 +1292,11 @@ func (srv *mserver) handleWrite(from netsim.NodeID, req writeReq) {
 	}
 	srv.markSeen(req.From, req.ReqID, 0)
 	op := &mplan{
-		kind: planWrite, client: req.From, reqID: req.ReqID, file: f, value: req.Value, renew: req.Renew,
-		sp: srv.w.tracer.StartChildNode(string(srv.node), req.TC, "server.write"),
+		kind: planWrite, client: req.From, reqID: req.ReqID, file: f, value: req.Value, renew: req.Renew, sp: srv.w.tracer.StartChildNode(string(srv.node), req.TC, "server.write"),
+		mut: vfs.Op{Kind: vfs.OpWrite, Node: req.Datum.Node, Path: filePath(f), Data: []byte(req.Value)},
 	}
 	op.p = srv.core.Plan(req.From, req.Datum)
-	op.p.Replicate(filePath(f), []byte(req.Value))
+	op.p.Ship(op.mut)
 	srv.begin(op)
 }
 

@@ -2,6 +2,9 @@ package proto
 
 import (
 	"bytes"
+	"errors"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -89,9 +92,23 @@ func FuzzDec(f *testing.F) {
 	var approve Enc
 	approve.EncodeApprove(ApprovalWire{WriteID: 3, Datum: vfs.Datum{Kind: vfs.FileData, Node: 7}, Refill: true})
 	f.Add(approve.Bytes())
+	// One store mutation of each kind.
+	for _, op := range opFixtures() {
+		var e Enc
+		f.Add(e.EncodeOp(op).Bytes())
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if ds := NewDec(data).DecodeData(); cap(ds)*datumLen > len(data) {
 			t.Fatalf("a %d-byte payload sized a %d-datum list", len(data), cap(ds))
+		}
+		// An op that decodes survives its wire form.
+		od := NewDec(data)
+		if op := od.DecodeOp(); od.Err == nil {
+			var e Enc
+			back := NewDec(e.EncodeOp(op).Bytes())
+			if got := back.DecodeOp(); back.Err != nil || !reflect.DeepEqual(got, op) {
+				t.Fatalf("op %+v came back as %+v (%v)", op, got, back.Err)
+			}
 		}
 		if rs := NewDec(data).DecodeRefills(); cap(rs)*refillMin > len(data) {
 			t.Fatalf("a %d-byte payload sized a %d-refill list", len(data), cap(rs))
@@ -104,6 +121,7 @@ func FuzzDec(f *testing.F) {
 		d.DecodeRefills()
 		d.DecodeApproval()
 		d.DecodeApprove()
+		d.DecodeOp()
 		d.Str()
 		d.Blob()
 		d.Time()
@@ -118,4 +136,63 @@ func FuzzDec(f *testing.F) {
 
 func attrFixture() vfs.Attr {
 	return vfs.Attr{ID: 7, Name: "f", Size: 3, Owner: "root", Perm: vfs.DefaultPerm, ModTime: time.Unix(1, 0), Version: 2}
+}
+
+// opFixtures is one store mutation of each kind, as a master ships it (no
+// node: the wire is path-addressed).
+func opFixtures() []vfs.Op {
+	return []vfs.Op{
+		{Kind: vfs.OpWrite, Path: "/d/f", Data: []byte("abc")},
+		{Kind: vfs.OpWrite, Path: "/d/empty", Data: []byte{}},
+		{Kind: vfs.OpCreate, Path: "/d/g", Owner: "alice", Perm: vfs.DefaultPerm},
+		{Kind: vfs.OpCreate, Path: "/d/moved", Owner: "alice", Perm: vfs.OwnerRead | vfs.OwnerWrite, Data: []byte("bytes")},
+		{Kind: vfs.OpMkdir, Path: "/e", Owner: "bob", Perm: vfs.DefaultPerm | vfs.WorldWrite},
+		{Kind: vfs.OpRemove, Path: "/d/f"},
+		{Kind: vfs.OpRename, Path: "/d/f", To: "/e/f"},
+		{Kind: vfs.OpSetPerm, Path: "/d/f", Owner: "carol", Perm: vfs.WorldRead},
+	}
+}
+
+// TestOpCodec: every kind of store mutation survives its wire form, a
+// move-in's contents and a plain create's lack of them included; an
+// unknown kind does not decode.
+func TestOpCodec(t *testing.T) {
+	for _, op := range opFixtures() {
+		var e Enc
+		d := NewDec(e.EncodeOp(op).Bytes())
+		if got := d.DecodeOp(); d.Err != nil || d.Remaining() != 0 || !reflect.DeepEqual(got, op) {
+			t.Errorf("op %+v came back as %+v (%v, %d bytes left)", op, got, d.Err, d.Remaining())
+		}
+	}
+	for _, kind := range []vfs.OpKind{0, vfs.OpSetPerm + 1, 255} {
+		var e Enc
+		d := NewDec(e.EncodeOp(vfs.Op{Kind: kind, Path: "/f", Data: []byte("x")}).Bytes())
+		if d.DecodeOp(); !errors.Is(d.Err, vfs.ErrBadOp) {
+			t.Errorf("op kind %d decoded with %v, want ErrBadOp", kind, d.Err)
+		}
+	}
+}
+
+// TestHostileOpLengthCostsNothing: an op whose path or contents claims a
+// gigabyte its payload does not hold fails before anything is sized from
+// the claim.
+func TestHostileOpLengthCostsNothing(t *testing.T) {
+	var path, data Enc
+	path.U8(uint8(vfs.OpCreate)).U32(1 << 30)
+	data.U8(uint8(vfs.OpWrite)).Str("/f").Str("").Str("").U8(0).U8(1).U32(1 << 30)
+	for _, p := range [][]byte{path.Bytes(), data.Bytes()} {
+		const n = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			d := NewDec(p)
+			if d.DecodeOp(); !errors.Is(d.Err, ErrTruncated) {
+				t.Fatalf("a %d-byte op claiming 1 GiB decoded with %v, want ErrTruncated", len(p), d.Err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / n; per > 1<<10 {
+			t.Errorf("refusing a %d-byte op claiming 1 GiB allocates %d bytes", len(p), per)
+		}
+	}
 }

@@ -132,9 +132,9 @@ const (
 	TPromise
 	TPropose
 	TAccept
-	// TReplApply pushes a committed file write from the master to its
-	// peers (payload: seq, path, data); answered by TOK with the same
-	// reqID. TReplSync asks a peer for its full replicated file state
+	// TReplApply pushes a committed mutation from the master to its peers
+	// (payload: seq, path, the op in its wire form, EncodeOp); answered by
+	// TOK with the same reqID. TReplSync asks a peer for its full replicated file state
 	// during a new master's catch-up; TReplSyncRep answers it.
 	// TReplMaxTerm replicates a raise of the durable max lease term to a
 	// quorum before the grant that caused it is sent.
@@ -172,10 +172,10 @@ const (
 	// against the owner — the sharded analogue of TNotMaster steering.
 	TNotOwner
 	// TShardMove carries a cross-shard rename from the source group's
-	// master to the destination's (payload: ring epoch, destination path,
-	// owner, perm, contents), sent once the source has cleared and
-	// removed the file. The destination clears the destination parent's
-	// binding per §2 and creates the file with its bytes; it answers TOK,
+	// master to the destination's (payload: ring epoch, then the move-in
+	// that recreates the file, EncodeOp), sent once the source has cleared
+	// and removed the file. The destination refuses any other op, clears
+	// the destination parent's binding per §2 and applies it; it answers TOK,
 	// or TError when it refuses before replicating anything, which the
 	// source undoes. A failure after that closes the connection.
 	TShardMove
@@ -841,9 +841,34 @@ func (d *Dec) DecodeRefills() []RefillWire {
 	return out
 }
 
+// EncodeOp appends a store mutation, path-addressed (Node is not
+// encoded): kind, path, to, owner, perm, then whether contents follow and
+// the contents.
+func (e *Enc) EncodeOp(op vfs.Op) *Enc {
+	e.U8(uint8(op.Kind)).Str(op.Path).Str(op.To).Str(op.Owner).U8(uint8(op.Perm))
+	if op.Data == nil {
+		return e.U8(0)
+	}
+	return e.U8(1).Blob(op.Data)
+}
+
+// DecodeOp reads a store mutation; an unknown kind is a decode error, so
+// no receiver applies it.
+func (d *Dec) DecodeOp() vfs.Op {
+	op := vfs.Op{Kind: vfs.OpKind(d.U8()), Path: d.Str(), To: d.Str(), Owner: d.Str(), Perm: vfs.Perm(d.U8())}
+	if d.U8() == 1 {
+		op.Data = d.Blob()
+	}
+	if d.Err == nil && (op.Kind < vfs.OpWrite || op.Kind > vfs.OpSetPerm) {
+		d.Err = fmt.Errorf("proto: %w %d", vfs.ErrBadOp, op.Kind)
+	}
+	return op
+}
+
 // ReplFile is one replicated file's state: what a master ships to its
 // followers (TReplApply) and what replicas exchange during a new
-// master's catch-up sync (TReplSyncRep).
+// master's catch-up sync (TReplSyncRep). Data is an op (EncodeOp), or
+// under the class-membership key the class image.
 type ReplFile struct {
 	Path string
 	Seq  uint64

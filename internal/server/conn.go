@@ -95,17 +95,14 @@ type request struct {
 	inline bool         // the connection's reader is running it, and must not wait
 	parked bool         // it has to: the reader hands it off
 	// A mutation: its plan, the step that plan parked on (zero until then),
-	// when it began, and what its apply and reply need.
-	plan            srvcore.Plan
-	step            srvcore.Step
-	start           time.Time
-	node            vfs.NodeID
-	path, to, owner string
-	perm            vfs.Perm
-	data            []byte
-	renew           []vfs.Datum // a write's renewals, granted with its reply
-	epoch           uint64
-	dirs            [2]vfs.NodeID // the directories whose binding it changes
+	// when it began, the store change its handler decoded and what
+	// applying that returned.
+	plan  srvcore.Plan
+	step  srvcore.Step
+	start time.Time
+	op    vfs.Op
+	res   vfs.Result
+	renew []vfs.Datum // a write's renewals, granted with its reply
 }
 
 // pushQueue bounds the per-connection approval push queue; see
@@ -552,42 +549,40 @@ func (c *serverConn) handleWrite(r *request) {
 	s := c.srv
 	if r.step.Kind == 0 {
 		dec := proto.NewDec(r.f.Payload)
-		r.node, r.data, r.renew = vfs.NodeID(dec.U64()), dec.Blob(), dec.DecodeData()
+		r.op = vfs.Op{Kind: vfs.OpWrite, Node: vfs.NodeID(dec.U64()), Data: dec.Blob()}
+		r.renew = dec.DecodeData()
 		if dec.Err != nil {
 			c.fail(r.f.ReqID, dec.Err)
 			return
 		}
-		if err := s.store.CheckAccess(r.node, string(c.client), true); err != nil {
+		if err := s.store.CheckAccess(r.op.Node, string(c.client), true); err != nil {
 			c.fail(r.f.ReqID, err)
 			return
 		}
-		r.plan = s.core.Plan(c.client, vfs.Datum{Kind: vfs.FileData, Node: r.node})
+		r.plan = s.core.Plan(c.client, vfs.Datum{Kind: vfs.FileData, Node: r.op.Node})
 		if s.cfg.Replica != nil {
 			// Replicate-before-apply: a quorum of replicas must hold the
 			// write before the local store does, so nothing a reader can
-			// observe at this master is ever lost to a failover.
-			path, err := s.store.Path(r.node)
-			if err != nil {
+			// observe at this master is ever lost to a failover. It ships by
+			// path and applies here by node.
+			var err error
+			if r.op.Path, err = s.store.Path(r.op.Node); err != nil {
 				c.fail(r.f.ReqID, err)
 				return
 			}
-			r.plan.Replicate(path, r.data)
+			r.plan.Ship(r.op)
 		}
 	}
-	var attr vfs.Attr
-	if s.run(c, r, func() (err error) {
-		attr, _, err = s.store.WriteFile(r.node, r.data)
-		return err
-	}) {
+	if s.run(c, r) {
 		// Renewed after the apply, so the write's own datum renews at the
 		// version the writer now holds. Refills ride only a reply the reader
 		// sends: a parked write's goroutine leaves the list alone.
 		renewed := c.renew(r.renew)
 		var refills []proto.RefillWire
 		if r.inline {
-			refills = c.takeRefills(vfs.Datum{Kind: vfs.FileData, Node: r.node}, proto.WriteRepRoom(attr, len(renewed)))
+			refills = c.takeRefills(vfs.Datum{Kind: vfs.FileData, Node: r.op.Node}, proto.WriteRepRoom(r.res.Attr, len(renewed)))
 		}
-		c.replyEnc(r.f.ReqID, proto.TWriteRep, func(e *proto.Enc) { e.Attr(attr).EncodeGrants(renewed).EncodeRefills(refills) })
+		c.replyEnc(r.f.ReqID, proto.TWriteRep, func(e *proto.Enc) { e.Attr(r.res.Attr).EncodeGrants(renewed).EncodeRefills(refills) })
 	}
 }
 
@@ -728,39 +723,33 @@ func (c *serverConn) handleStat(f proto.Frame) {
 // handleCreate covers TCreate (files) and TMkdir (directories): a write
 // to the parent directory's binding datum.
 func (c *serverConn) handleCreate(r *request) {
-	s, dir := c.srv, r.f.Type == proto.TMkdir
+	s := c.srv
 	if r.step.Kind == 0 {
 		dec := proto.NewDec(r.f.Payload)
-		r.path, r.perm = dec.Str(), vfs.Perm(dec.U8())
+		r.op = vfs.Op{Kind: vfs.OpCreate, Path: dec.Str(), Owner: string(c.client), Perm: vfs.Perm(dec.U8())}
 		if dec.Err != nil {
 			c.fail(r.f.ReqID, dec.Err)
 			return
+		}
+		if r.f.Type == proto.TMkdir {
+			r.op.Kind = vfs.OpMkdir
 		}
 		// Directories are the namespace skeleton, not sharded data: files
 		// under one directory hash across every group, so the directory must
 		// exist on all of them (the Router mkdirs group-wide) and only file
 		// creation is ownership-gated.
-		if !dir && !c.checkOwner(r.f.ReqID, r.path) {
+		if r.op.Kind == vfs.OpCreate && !c.checkOwner(r.f.ReqID, r.op.Path) {
 			return
 		}
-		parentAttr, err := s.store.Lookup(parentOf(r.path))
+		parentAttr, err := s.store.Lookup(parentOf(r.op.Path))
 		if err != nil {
 			c.fail(r.f.ReqID, err)
 			return
 		}
-		r.dirs[0] = parentAttr.ID
 		r.plan = s.core.Plan(c.client, vfs.Datum{Kind: vfs.DirBinding, Node: parentAttr.ID})
 	}
-	var attr vfs.Attr
-	if s.run(c, r, func() (err error) {
-		if dir {
-			attr, err = s.store.Mkdir(r.path, string(c.client), r.perm)
-		} else {
-			attr, err = s.store.Create(r.path, string(c.client), r.perm)
-		}
-		return err
-	}) {
-		c.replyEnc(r.f.ReqID, proto.TCreateRep, func(e *proto.Enc) { c.encodeTouched(e.Attr(attr), r.dirs[0]) })
+	if s.run(c, r) {
+		c.replyEnc(r.f.ReqID, proto.TCreateRep, func(e *proto.Enc) { c.encodeTouched(e.Attr(r.res.Attr), r.res.Dirs[0]) })
 	}
 }
 
@@ -780,36 +769,28 @@ func (c *serverConn) handleRemove(r *request) {
 	s := c.srv
 	if r.step.Kind == 0 {
 		dec := proto.NewDec(r.f.Payload)
-		r.path = dec.Str()
+		r.op = vfs.Op{Kind: vfs.OpRemove, Path: dec.Str()}
 		if dec.Err != nil {
 			c.fail(r.f.ReqID, dec.Err)
 			return
 		}
-		if !c.checkOwner(r.f.ReqID, r.path) {
+		if !c.checkOwner(r.f.ReqID, r.op.Path) {
 			return
 		}
-		attr, err := s.store.Lookup(r.path)
+		attr, err := s.store.Lookup(r.op.Path)
 		if err != nil {
 			c.fail(r.f.ReqID, err)
 			return
 		}
-		parentAttr, err := s.store.Lookup(parentOf(r.path))
+		parentAttr, err := s.store.Lookup(parentOf(r.op.Path))
 		if err != nil {
 			c.fail(r.f.ReqID, err)
 			return
 		}
-		kind := vfs.FileData
-		if attr.IsDir {
-			kind = vfs.DirBinding
-		}
-		r.dirs[0] = parentAttr.ID
-		r.plan = s.core.Plan(c.client, vfs.Datum{Kind: kind, Node: attr.ID}, vfs.Datum{Kind: vfs.DirBinding, Node: parentAttr.ID})
+		r.plan = s.core.Plan(c.client, attr.Datum(), vfs.Datum{Kind: vfs.DirBinding, Node: parentAttr.ID})
 	}
-	if s.run(c, r, func() error {
-		_, err := s.store.Remove(r.path)
-		return err
-	}) {
-		c.replyEnc(r.f.ReqID, proto.TOK, func(e *proto.Enc) { c.encodeTouched(e, r.dirs[0]) })
+	if s.run(c, r) {
+		c.replyEnc(r.f.ReqID, proto.TOK, func(e *proto.Enc) { c.encodeTouched(e, r.res.Dirs[0]) })
 	}
 }
 
@@ -817,44 +798,40 @@ func (c *serverConn) handleRename(r *request) {
 	s := c.srv
 	if r.step.Kind == 0 {
 		dec := proto.NewDec(r.f.Payload)
-		r.path, r.to = dec.Str(), dec.Str()
+		r.op = vfs.Op{Kind: vfs.OpRename, Path: dec.Str(), To: dec.Str()}
 		if dec.Err != nil {
 			c.fail(r.f.ReqID, dec.Err)
 			return
 		}
 		// The rename is homed at the source shard; a destination that hashes
 		// to another group is moved there (crossShardRename).
-		if !c.checkOwner(r.f.ReqID, r.path) {
+		if !c.checkOwner(r.f.ReqID, r.op.Path) {
 			return
 		}
 		if ring := s.cfg.Shard.Ring; ring != nil {
-			if dest := ring.Lookup(r.to); dest != s.cfg.Shard.GroupID {
+			if dest := ring.Lookup(r.op.To); dest != s.cfg.Shard.GroupID {
 				c.crossShardRename(r, dest)
 				return
 			}
 		}
-		oldParent, err := s.store.Lookup(parentOf(r.path))
+		oldParent, err := s.store.Lookup(parentOf(r.op.Path))
 		if err != nil {
 			c.fail(r.f.ReqID, err)
 			return
 		}
-		newParent, err := s.store.Lookup(parentOf(r.to))
+		newParent, err := s.store.Lookup(parentOf(r.op.To))
 		if err != nil {
 			c.fail(r.f.ReqID, err)
 			return
 		}
-		r.dirs = [2]vfs.NodeID{oldParent.ID, newParent.ID}
 		data := []vfs.Datum{{Kind: vfs.DirBinding, Node: oldParent.ID}}
 		if newParent.ID != oldParent.ID {
 			data = append(data, vfs.Datum{Kind: vfs.DirBinding, Node: newParent.ID})
 		}
 		r.plan = s.core.Plan(c.client, data...)
 	}
-	if s.run(c, r, func() error {
-		_, err := s.store.Rename(r.path, r.to)
-		return err
-	}) {
-		c.replyEnc(r.f.ReqID, proto.TOK, func(e *proto.Enc) { c.encodeTouched(e, r.dirs[0], r.dirs[1]) })
+	if s.run(c, r) {
+		c.replyEnc(r.f.ReqID, proto.TOK, func(e *proto.Enc) { c.encodeTouched(e, r.res.Dirs[:]...) })
 	}
 }
 
@@ -865,12 +842,12 @@ func (c *serverConn) handleSetPerm(r *request) {
 	s := c.srv
 	if r.step.Kind == 0 {
 		dec := proto.NewDec(r.f.Payload)
-		r.node, r.owner, r.perm = vfs.NodeID(dec.U64()), dec.Str(), vfs.Perm(dec.U8())
+		r.op = vfs.Op{Kind: vfs.OpSetPerm, Node: vfs.NodeID(dec.U64()), Owner: dec.Str(), Perm: vfs.Perm(dec.U8())}
 		if dec.Err != nil {
 			c.fail(r.f.ReqID, dec.Err)
 			return
 		}
-		attr, err := s.store.Stat(r.node)
+		attr, err := s.store.Stat(r.op.Node)
 		if err != nil {
 			c.fail(r.f.ReqID, err)
 			return
@@ -880,7 +857,7 @@ func (c *serverConn) handleSetPerm(r *request) {
 			c.fail(r.f.ReqID, vfs.ErrPerm)
 			return
 		}
-		path, err := s.store.Path(r.node)
+		path, err := s.store.Path(r.op.Node)
 		if err != nil {
 			c.fail(r.f.ReqID, err)
 			return
@@ -892,10 +869,7 @@ func (c *serverConn) handleSetPerm(r *request) {
 		}
 		r.plan = s.core.Plan(c.client, vfs.Datum{Kind: vfs.DirBinding, Node: parentAttr.ID})
 	}
-	if s.run(c, r, func() error {
-		_, err := s.store.SetPerm(r.node, r.owner, r.perm)
-		return err
-	}) {
+	if s.run(c, r) {
 		c.replyEnc(r.f.ReqID, proto.TOK, nil)
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"leases/internal/client"
 	"leases/internal/clock"
+	"leases/internal/obs/tracing"
 	"leases/internal/proto"
 	"leases/internal/server"
 	"leases/internal/vfs"
@@ -284,6 +285,44 @@ func TestParkedWriteBlocksOnlyItself(t *testing.T) {
 	})
 	if data, _, _ := srv.Store().ReadFile(held); string(data) != "new" {
 		t.Fatalf("/held = %q after the parked write", data)
+	}
+}
+
+// TestParkedWriteLandsOnItsNode: a write parked behind a mute holder's
+// lease on the file's data applies to the node it named, though a third
+// client renamed the file meanwhile. The server replicates, so the write's
+// op carries the path it had when it parked; the master applies by node.
+func TestParkedWriteLandsOnItsNode(t *testing.T) {
+	clk := clock.NewSim()
+	srv, connect := startPipeServer(t, server.Config{Term: parkTerm, Clock: clk, Replica: gateReplica{}})
+	srv.Promote(tracing.Context{}, nil, 0)
+	node := seedWritable(t, srv, "/f", "old")
+	muteHolder(t, connect, vfs.Datum{Kind: vfs.FileData, Node: node})
+
+	writer, _ := connect()
+	hello(t, writer, "writer")
+	go writer.Write(frame(t, proto.TWrite, 2, func(e *proto.Enc) { e.U64(uint64(node)).Blob([]byte("new")).EncodeData(nil) }))
+	waitFor(t, "the write to park", func() bool { return srv.Metrics().WritesDeferred >= 1 })
+
+	renamer, _ := connect()
+	hello(t, renamer, "renamer")
+	go renamer.Write(frame(t, proto.TRename, 2, func(e *proto.Enc) { e.Str("/f").Str("/g") }))
+	within(t, "the rename", func() {
+		if rep, err := proto.ReadFrame(renamer); err != nil || rep.Type != proto.TOK {
+			t.Errorf("the rename: %v %v", rep.Type, err)
+		}
+	})
+	clk.Advance(parkTerm + time.Second)
+	within(t, "the parked write", func() {
+		if rep, err := proto.ReadFrame(writer); err != nil || rep.Type != proto.TWriteRep {
+			t.Errorf("the parked write: %v %v", rep.Type, err)
+		}
+	})
+	if a, err := srv.Store().Lookup("/g"); err != nil || a.ID != node {
+		t.Fatalf("/g = %+v, %v; want node %d", a, err, node)
+	}
+	if data, _, _ := srv.Store().ReadFile(node); string(data) != "new" {
+		t.Fatalf("the renamed file holds %q, want the parked write's %q", data, "new")
 	}
 }
 

@@ -64,20 +64,24 @@ func TestServingGateOpensAtPromote(t *testing.T) {
 // count toward the master's replication quorum.
 func TestApplyReplicatedReportsStaleDrop(t *testing.T) {
 	srv := server.New(server.Config{Term: time.Minute, Replica: gateReplica{}})
+	write := func(v string) []byte {
+		var e proto.Enc
+		return e.EncodeOp(vfs.Op{Kind: vfs.OpWrite, Path: "/f", Data: []byte(v)}).Bytes()
+	}
 
-	applied, err := srv.ApplyReplicated("/f", 2, []byte("v2"))
+	applied, err := srv.ApplyReplicated("/f", 2, write("v2"))
 	if err != nil || !applied {
 		t.Fatalf("fresh apply: applied=%v err=%v", applied, err)
 	}
-	applied, err = srv.ApplyReplicated("/f", 2, []byte("v2"))
+	applied, err = srv.ApplyReplicated("/f", 2, write("v2"))
 	if err != nil || applied {
 		t.Fatalf("duplicate seq reported applied=%v err=%v", applied, err)
 	}
-	applied, err = srv.ApplyReplicated("/f", 1, []byte("v1"))
+	applied, err = srv.ApplyReplicated("/f", 1, write("v1"))
 	if err != nil || applied {
 		t.Fatalf("older seq reported applied=%v err=%v", applied, err)
 	}
-	applied, err = srv.ApplyReplicated("/f", 3, []byte("v3"))
+	applied, err = srv.ApplyReplicated("/f", 3, write("v3"))
 	if err != nil || !applied {
 		t.Fatalf("newer seq: applied=%v err=%v", applied, err)
 	}

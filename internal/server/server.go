@@ -387,9 +387,9 @@ func (s *Server) endApprovalSpan(id core.WriteID, holder core.ClientID, note str
 }
 
 // run drives r's plan (drive) and answers a failed one with its error.
-// It reports whether apply has run and the reply is due.
-func (s *Server) run(c *serverConn, r *request, apply func() error) bool {
-	err := s.drive(c, r, apply)
+// It reports whether r.op has been applied and the reply is due.
+func (s *Server) run(c *serverConn, r *request) bool {
+	err := s.drive(c, r)
 	if err != nil {
 		c.fail(r.f.ReqID, err)
 	}
@@ -402,11 +402,11 @@ func (s *Server) run(c *serverConn, r *request, apply func() error) bool {
 // that has to (a recovery window or class horizon, another client's
 // lease, a quorum round) drive leaves the step in r, marks r parked and
 // returns nil, and the request takes it up again on a goroutine of its
-// own. Otherwise it returns the plan's error: nil when apply has run. A
-// sampled request's deferrals and its apply record spans (write.defer,
-// one child per holder asked, ended with the reason the holder stopped
-// blocking; write.apply).
-func (s *Server) drive(c *serverConn, r *request, apply func() error) error {
+// own. Otherwise it returns the plan's error: nil when r.op has been
+// applied to the store, what that returned in r.res. A sampled request's
+// deferrals and its apply record spans (write.defer, one child per holder
+// asked, ended with the reason the holder stopped blocking; write.apply).
+func (s *Server) drive(c *serverConn, r *request) error {
 	p, tc, writer, st := &r.plan, r.sp.Context(), c.client, r.step
 	if st.Kind == 0 {
 		for _, d := range p.Data() {
@@ -490,7 +490,8 @@ func (s *Server) drive(c *serverConn, r *request, apply func() error) error {
 				})
 			}
 			applySpan := s.tracer.StartChild(tc, "write.apply")
-			err := apply()
+			var err error
+			r.res, err = s.store.Apply(r.op)
 			if err != nil {
 				applySpan.EndNote("error")
 			} else {

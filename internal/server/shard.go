@@ -59,23 +59,30 @@ func (c *serverConn) handleRing(f proto.Frame) {
 }
 
 // handleShardMove is the destination half of a cross-shard rename: the
-// source has cleared and removed the file, and the move carries its
-// bytes. It fences on the ring epoch and checks ownership of the
-// destination path, then creates the file under the plan an undo runs at
-// the source (create).
+// source has cleared and removed the file, and the move is the move-in
+// that recreates it here. It fences on the ring epoch and checks
+// ownership of the destination path, then applies the move-in under the
+// plan an undo runs at the source (create).
 //
 // An error reply tells the source nothing happened here, and the source
 // restores the file. So it is sent only for a failure before the plan's
-// bytes were shipped. Once a follower may hold them, a later promotion's
-// merge can serve the file here: the connection is closed unanswered,
-// which the source reports as an unknown outcome and does not undo.
+// op was shipped. Once a follower may hold it, a later promotion's merge
+// can serve the file here: the connection is closed unanswered, which the
+// source reports as an unknown outcome and does not undo.
 func (c *serverConn) handleShardMove(r *request) {
 	s := c.srv
 	if r.step.Kind == 0 {
 		dec := proto.NewDec(r.f.Payload)
-		r.epoch, r.path, r.owner, r.perm, r.data = dec.U64(), dec.Str(), dec.Str(), vfs.Perm(dec.U8()), dec.Blob()
+		var epoch uint64
+		epoch, r.op = dec.U64(), dec.DecodeOp()
 		if dec.Err != nil {
 			c.fail(r.f.ReqID, dec.Err)
+			return
+		}
+		// Only a move-in moves: any other op would change this group's
+		// namespace under a plan that cleared nothing but the parent.
+		if r.op.Kind != vfs.OpCreate || r.op.Data == nil {
+			c.fail(r.f.ReqID, fmt.Errorf("shard: a move carries a move-in, not op kind %d", r.op.Kind))
 			return
 		}
 		ring := s.cfg.Shard.Ring
@@ -83,17 +90,17 @@ func (c *serverConn) handleShardMove(r *request) {
 			c.fail(r.f.ReqID, fmt.Errorf("server: not sharded"))
 			return
 		}
-		if r.epoch != ring.Epoch {
-			c.fail(r.f.ReqID, fmt.Errorf("shard: epoch mismatch (theirs %d, ours %d)", r.epoch, ring.Epoch))
+		if epoch != ring.Epoch {
+			c.fail(r.f.ReqID, fmt.Errorf("shard: epoch mismatch (theirs %d, ours %d)", epoch, ring.Epoch))
 			return
 		}
-		if !c.checkOwner(r.f.ReqID, r.path) {
+		if !c.checkOwner(r.f.ReqID, r.op.Path) {
 			return
 		}
 		// Refused before anything is replicated: the bytes must not reach
 		// this group's followers under a name that holds another file.
-		if _, err := s.store.Lookup(r.path); err == nil {
-			c.fail(r.f.ReqID, fmt.Errorf("shard: destination %s exists", r.path))
+		if _, err := s.store.Lookup(r.op.Path); err == nil {
+			c.fail(r.f.ReqID, fmt.Errorf("shard: destination %s exists", r.op.Path))
 			return
 		}
 	}
@@ -112,29 +119,25 @@ func (c *serverConn) handleShardMove(r *request) {
 	}
 }
 
-// create makes r.path appear with r.data, r.owner and r.perm: §2
-// clearance on the parent's binding, then the bytes replicated to a
-// quorum — before the name exists at this master, so no reader here can
-// observe it before the quorum holds its bytes — and the name and bytes
-// applied in one store step. A Create-then-WriteFile pair would expose
-// an empty file that a concurrent read could lease and cache, a stale
-// read the chaos shard-split scenario catches. The namespace itself is
-// master-only (DESIGN.md §9). The plan is made on the request's first
-// pass; a parked request resumes it (see Server.drive).
+// create applies r.op, a move-in: §2 clearance on the parent's binding,
+// then the op replicated to a quorum — before the name exists at this
+// master, so no reader here can observe it before the quorum holds its
+// bytes — and the name and bytes applied in one store step. A
+// create-then-write pair would expose an empty file that a concurrent
+// read could lease and cache, a stale read the chaos shard-split scenario
+// catches. The plan is made on the request's first pass; a parked request
+// resumes it (see Server.drive).
 func (c *serverConn) create(r *request) error {
 	s := c.srv
 	if r.step.Kind == 0 {
-		parent, err := s.store.Lookup(parentOf(r.path))
+		parent, err := s.store.Lookup(parentOf(r.op.Path))
 		if err != nil {
 			return err
 		}
 		r.plan = s.core.Plan(c.client, vfs.Datum{Kind: vfs.DirBinding, Node: parent.ID})
-		r.plan.Replicate(r.path, r.data)
+		r.plan.Ship(r.op)
 	}
-	return s.drive(c, r, func() error {
-		_, err := s.store.CreateWith(r.path, r.owner, r.perm, r.data)
-		return err
-	})
+	return s.drive(c, r)
 }
 
 // crossShardRename runs the source half of a rename whose destination
@@ -142,19 +145,21 @@ func (c *serverConn) create(r *request) error {
 //
 //  1. the commit point: §2 clearance over the file's data and the old
 //     parent binding (a move changes the node identity, so every cached
-//     copy approves or expires), and in the same apply the file's bytes
-//     are read and the file removed — a write cleared before it moves
-//     with the file, one queued behind it finds the file gone;
-//  2. with that plan released, one TShardMove carries the bytes to the
-//     destination master, which clears the new parent binding and
-//     creates the file (handleShardMove).
+//     copy approves or expires), then one apply of a remove naming the
+//     cleared node, which hands back the file's bytes, owner and
+//     permissions — a write cleared before it moves with the file, one
+//     queued behind it finds the file gone;
+//  2. with that plan released, one TShardMove carries the move-in built
+//     from them to the destination master, which clears the new parent
+//     binding and applies it (handleShardMove).
 //
 // No plan is held across the call: two renames crossing in opposite
 // directions would each hold the binding the other's destination must
 // clear, and wait on each other until the call timed out. A move the
 // destination refused (an error reply, which it sends only before it
 // replicates anything, or a dial that sent nothing) is undone here under
-// the plan the destination would have run; if that fails too, the client
+// the plan the destination would have run, applying the same move-in at
+// the old path; if that fails too, the client
 // is told the file is gone from both groups. A connection lost with the
 // move sent leaves the outcome unknown: that is reported to the client,
 // and the file is either at the destination or nowhere — closing that
@@ -169,7 +174,8 @@ func (c *serverConn) crossShardRename(r *request, destGroup int) {
 		c.fail(f.ReqID, fmt.Errorf("shard: no replicas for group %d", destGroup))
 		return
 	}
-	attr, err := s.store.Lookup(r.path)
+	from, to := r.op.Path, r.op.To
+	attr, err := s.store.Lookup(from)
 	if err != nil {
 		c.fail(f.ReqID, err)
 		return
@@ -182,32 +188,20 @@ func (c *serverConn) crossShardRename(r *request, destGroup int) {
 		c.fail(f.ReqID, err)
 		return
 	}
-	oldParent, err := s.store.Lookup(parentOf(r.path))
+	oldParent, err := s.store.Lookup(parentOf(from))
 	if err != nil {
 		c.fail(f.ReqID, err)
 		return
 	}
 	r.plan = s.core.Plan(c.client, vfs.Datum{Kind: vfs.FileData, Node: attr.ID}, vfs.Datum{Kind: vfs.DirBinding, Node: oldParent.ID})
-	if !s.run(c, r, func() error {
-		// What moves is read here, behind every mutation cleared first: a
-		// write, or a chmod on the parent binding. The name must still be
-		// the file the plan cleared.
-		cur, err := s.store.Lookup(r.path)
-		if err != nil {
-			return err
-		}
-		if cur.ID != attr.ID {
-			return fmt.Errorf("shard: %s was replaced during the rename", r.path)
-		}
-		if r.data, _, err = s.store.ReadFile(cur.ID); err != nil {
-			return err
-		}
-		r.owner, r.perm = cur.Owner, cur.Perm
-		_, err = s.store.Remove(r.path)
-		return err
-	}) {
+	// What moves is read by the apply, behind every mutation cleared first:
+	// a write, or a chmod on the parent binding. The name must still be the
+	// file the plan cleared.
+	r.op = vfs.Op{Kind: vfs.OpRemove, Node: attr.ID, Path: from}
+	if !s.run(c, r) {
 		return
 	}
+	r.op = vfs.Op{Kind: vfs.OpCreate, Path: to, Owner: r.res.Attr.Owner, Perm: r.res.Attr.Perm, Data: r.res.Data}
 
 	nc, err := dialGroupMaster(g)
 	if err != nil {
@@ -215,7 +209,7 @@ func (c *serverConn) crossShardRename(r *request, destGroup int) {
 	} else {
 		defer nc.Close()
 		sp := s.tracer.StartChild(r.sp.Context(), "shard.commit")
-		err = sendMove(nc, ring.Epoch, r)
+		err = sendMove(nc, ring.Epoch, r.op)
 		sp.End()
 	}
 	var refused *refusal
@@ -226,16 +220,17 @@ func (c *serverConn) crossShardRename(r *request, destGroup int) {
 		c.replyEnc(f.ReqID, proto.TOK, func(e *proto.Enc) { c.encodeTouched(e, oldParent.ID, 0) })
 	case errors.As(err, &refused):
 		// The request never parked (see the top), so create plans afresh.
+		r.op.Path = from
 		if uerr := c.create(r); uerr != nil {
-			c.fail(f.ReqID, fmt.Errorf("shard: %s left this group, its move to group %d was refused (%v), and restoring it failed: %v", r.path, destGroup, err, uerr))
+			c.fail(f.ReqID, fmt.Errorf("shard: %s left this group, its move to group %d was refused (%v), and restoring it failed: %v", from, destGroup, err, uerr))
 			return
 		}
 		if s.obs.Enabled() {
 			s.obs.Record(obs.Event{Type: obs.EvShardUndo, Client: string(c.client)})
 		}
-		c.fail(f.ReqID, fmt.Errorf("shard: %s restored, its move to group %d failed: %v", r.path, destGroup, err))
+		c.fail(f.ReqID, fmt.Errorf("shard: %s restored, its move to group %d failed: %v", from, destGroup, err))
 	default:
-		c.fail(f.ReqID, fmt.Errorf("shard: %s left this group but its move to group %d was lost: %v", r.path, destGroup, err))
+		c.fail(f.ReqID, fmt.Errorf("shard: %s left this group but its move to group %d was lost: %v", from, destGroup, err))
 	}
 }
 
@@ -250,13 +245,13 @@ func (r *refusal) Error() string { return r.err.Error() }
 // holders of its parent directory).
 const shardCallTimeout = 45 * time.Second
 
-// sendMove sends r's file as one TShardMove on nc, a connection to the
-// destination master, and waits for the answer: nil when the file is
-// there, a *refusal when the destination did nothing, and any other
+// sendMove sends move, a move-in, as one TShardMove on nc, a connection
+// to the destination master, and waits for the answer: nil when the file
+// is there, a *refusal when the destination did nothing, and any other
 // error when the outcome is unknown.
-func sendMove(nc net.Conn, epoch uint64, r *request) error {
+func sendMove(nc net.Conn, epoch uint64, move vfs.Op) error {
 	var e proto.Enc
-	e.U64(epoch).Str(r.to).Str(r.owner).U8(uint8(r.perm)).Blob(r.data)
+	e.U64(epoch).EncodeOp(move)
 	const id = 2 // the hello was 1
 	if err := proto.WriteFrame(nc, proto.Frame{Type: proto.TShardMove, ReqID: id, Payload: e.Bytes()}); err != nil {
 		return err
@@ -277,7 +272,7 @@ func sendMove(nc net.Conn, epoch uint64, r *request) error {
 		case proto.TError:
 			return &refusal{errors.New(proto.NewDec(rep.Payload).Str())}
 		case proto.TNotOwner:
-			return &refusal{fmt.Errorf("group %d owns %s", proto.NewDec(rep.Payload).U32(), r.to)}
+			return &refusal{fmt.Errorf("group %d owns %s", proto.NewDec(rep.Payload).U32(), move.Path)}
 		default:
 			return fmt.Errorf("unexpected reply type %v", rep.Type)
 		}

@@ -11,6 +11,7 @@ import (
 	"leases/internal/client"
 	"leases/internal/clock"
 	"leases/internal/obs/tracing"
+	"leases/internal/proto"
 	"leases/internal/server"
 	"leases/internal/shard"
 	"leases/internal/vfs"
@@ -214,6 +215,39 @@ func TestCrossShardRenameOntoExistingName(t *testing.T) {
 	}
 	if got := stored(t, srvs[1], dst); got != "theirs" {
 		t.Fatalf("the destination's %s holds %q", dst, got)
+	}
+}
+
+// TestShardMoveCarriesOnlyAMoveIn: a TShardMove whose op is of an unknown
+// kind does not decode, and one carrying any op but a move-in is refused:
+// each is answered TError, and the destination's store is unchanged.
+func TestShardMoveCarriesOnlyAMoveIn(t *testing.T) {
+	clk := clock.NewSim()
+	srvs, ring := shardPair(t, clk, nil)
+	dst, fresh := ownedBy(t, ring, 1, "/d/dst%d"), ownedBy(t, ring, 1, "/d/new%d")
+	seedWritable(t, srvs[1], dst, "theirs")
+	nc := rawHello(t, ring.Groups[1].Replicas[0], "shard-move:test")
+	defer nc.Close()
+	for i, op := range []vfs.Op{
+		{Kind: vfs.OpSetPerm + 1, Path: fresh, Data: []byte("x")},
+		{Kind: vfs.OpCreate, Path: fresh},
+		{Kind: vfs.OpWrite, Path: dst, Data: []byte("mine")},
+		{Kind: vfs.OpRemove, Path: dst},
+	} {
+		var e proto.Enc
+		e.U64(ring.Epoch).EncodeOp(op)
+		if err := proto.WriteFrame(nc, proto.Frame{Type: proto.TShardMove, ReqID: uint64(2 + i), Payload: e.Bytes()}); err != nil {
+			t.Fatal(err)
+		}
+		if rep, err := proto.ReadFrame(nc); err != nil || rep.Type != proto.TError {
+			t.Fatalf("a move carrying op kind %d answered %v, %v; want TError", op.Kind, rep.Type, err)
+		}
+	}
+	if got := stored(t, srvs[1], dst); got != "theirs" {
+		t.Fatalf("%s holds %q", dst, got)
+	}
+	if _, err := srvs[1].Store().Lookup(fresh); err == nil {
+		t.Fatalf("%s was created", fresh)
 	}
 }
 

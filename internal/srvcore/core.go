@@ -31,7 +31,7 @@ type Config struct {
 	// Store is the file store replicated writes land in.
 	Store *vfs.Store
 	// Owner owns files a replicated write creates (the namespace is
-	// master-only, so a body can arrive for a path never seen here).
+	// master-only, so a write can arrive for a path never seen here).
 	Owner string
 	// Policy and Shards build the lease manager; RecoverUntil, when set,
 	// is the §2 restart window every shard honours.
@@ -119,17 +119,26 @@ func (c *Core) Serving(now time.Time) bool {
 // master's catch-up sync.
 type ReplFile = proto.ReplFile
 
-// ApplyReplicated installs one replicated write pushed by the master (or
-// merged during promotion), reporting whether it was actually applied.
+// ApplyReplicated installs one replicated op (data, its wire form) pushed
+// by the master or merged during promotion, reporting whether it was
+// actually applied. An op that does not decode is refused with the error.
 // Stale sequence numbers — retries, reordered pushes, sync entries older
 // than what this replica already holds — are dropped with applied=false;
 // the distinction matters because the master must not count a stale drop
 // toward its replication quorum (a drop means this replica does NOT hold
-// those bytes). An unknown path is created first, world-writable because
-// the real owner/permission record lives at the master; after a
-// promotion the §2 recovery window — not permissions — is what protects
-// these bytes.
+// those bytes). Only writes and moves ship (ROADMAP item 1), so a move-in
+// to a path held here writes the bytes, and a write to a path missing
+// here creates the file world-writable as the configured owner: the real
+// record lives at the master, and after a promotion the §2 recovery
+// window, not permissions, protects the bytes.
 func (c *Core) ApplyReplicated(path string, seq uint64, data []byte) (applied bool, err error) {
+	var op vfs.Op
+	if path != ClassStatePath {
+		d := proto.NewDec(data)
+		if op = d.DecodeOp(); d.Err != nil {
+			return false, d.Err
+		}
+	}
 	c.mu.Lock()
 	if seq <= c.seq[path] {
 		c.mu.Unlock()
@@ -144,15 +153,31 @@ func (c *Core) ApplyReplicated(path string, seq uint64, data []byte) (applied bo
 		return true, nil
 	}
 	c.mu.Unlock()
-	store := c.cfg.Store
-	attr, err := store.Lookup(path)
-	if err != nil {
-		if attr, err = store.Create(path, c.cfg.Owner, vfs.DefaultPerm|vfs.WorldWrite); err != nil {
-			return false, err
-		}
+	_, lerr := c.cfg.Store.Lookup(op.Path)
+	switch {
+	case lerr == nil && op.Kind == vfs.OpCreate:
+		op = vfs.Op{Kind: vfs.OpWrite, Path: op.Path, Data: op.Data}
+	case lerr != nil && op.Kind == vfs.OpWrite:
+		op = vfs.Op{Kind: vfs.OpCreate, Path: op.Path, Owner: c.cfg.Owner, Perm: vfs.DefaultPerm | vfs.WorldWrite, Data: op.Data}
 	}
-	_, _, err = store.WriteFile(attr.ID, data)
+	_, err = c.cfg.Store.Apply(op)
 	return err == nil, err
+}
+
+// encodeOp is op's wire form, in a buffer of its own.
+func encodeOp(op vfs.Op) []byte {
+	e := proto.EncOn(make([]byte, 0, 16+len(op.Path)+len(op.To)+len(op.Owner)+len(op.Data)))
+	return e.EncodeOp(op).Bytes()
+}
+
+// moveIn is the wire form of the move-in that recreates the file id at
+// path as it stands: its contents, owner and permissions.
+func (c *Core) moveIn(path string, id vfs.NodeID) ([]byte, bool) {
+	data, attr, err := c.cfg.Store.ReadFile(id)
+	if err != nil {
+		return nil, false
+	}
+	return encodeOp(vfs.Op{Kind: vfs.OpCreate, Path: path, Owner: attr.Owner, Perm: attr.Perm, Data: data}), true
 }
 
 // Seq is the replication sequence of the bytes this replica holds for
@@ -214,7 +239,7 @@ func (c *Core) ReplState() []ReplFile {
 	})
 	var out []ReplFile
 	for _, f := range files {
-		if data, _, rerr := store.ReadFile(f.id); rerr == nil {
+		if data, ok := c.moveIn(f.path, f.id); ok {
 			out = append(out, ReplFile{Path: f.path, Seq: c.Seq(f.path), Data: data})
 		}
 	}
@@ -287,7 +312,7 @@ func (c *Core) Merge(files []ReplFile) (unsettled []ReplFile) {
 	sort.Strings(paths)
 	for _, path := range paths {
 		if attr, err := c.cfg.Store.Lookup(path); err == nil {
-			if data, _, err := c.cfg.Store.ReadFile(attr.ID); err == nil {
+			if data, ok := c.moveIn(path, attr.ID); ok {
 				unsettled = append(unsettled, ReplFile{Path: path, Seq: c.nextSeq(path), Data: data})
 			}
 		}

@@ -1,6 +1,7 @@
 package srvcore
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -137,7 +138,7 @@ func TestAllocFreeUnsharedWritePlan(t *testing.T) {
 func TestMergeSettlesWhatAQuorumMayNotHold(t *testing.T) {
 	c := New(Config{Store: vfs.New(clock.NewSim(), "srv"), Owner: "srv", Policy: core.FixedTerm(time.Minute), Master: func(time.Time) bool { return true }})
 	file := func(path string, seq uint64, data string) ReplFile {
-		return ReplFile{Path: path, Seq: seq, Data: []byte(data)}
+		return ReplFile{Path: path, Seq: seq, Data: shippedWrite(path, data)}
 	}
 	for _, f := range []ReplFile{file("/same", 3, "s"), file("/mine", 2, "m"), file("/behind", 1, "old")} {
 		if applied, err := c.ApplyReplicated(f.Path, f.Seq, f.Data); !applied || err != nil {
@@ -170,7 +171,8 @@ func TestMergeSettlesWhatAQuorumMayNotHold(t *testing.T) {
 func TestReplStateBesideReplicatedWrites(t *testing.T) {
 	c := New(Config{Store: vfs.New(clock.NewSim(), "srv"), Owner: "srv", Policy: core.FixedTerm(time.Minute)})
 	for i := 0; i < 64; i++ {
-		if _, err := c.ApplyReplicated(fmt.Sprintf("/f%d", i), 1, []byte("x")); err != nil {
+		path := fmt.Sprintf("/f%d", i)
+		if _, err := c.ApplyReplicated(path, 1, shippedWrite(path, "x")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -183,7 +185,7 @@ func TestReplStateBesideReplicatedWrites(t *testing.T) {
 				return
 			default:
 			}
-			c.ApplyReplicated("/f0", seq, []byte("y"))
+			c.ApplyReplicated("/f0", seq, shippedWrite("/f0", "y"))
 		}
 	}()
 	dumped := make(chan int)
@@ -204,4 +206,59 @@ func TestReplStateBesideReplicatedWrites(t *testing.T) {
 	}
 	close(stop)
 	<-done
+}
+
+// shippedWrite is a write of data to path as a master ships it.
+func shippedWrite(path, data string) []byte {
+	return encodeOp(vfs.Op{Kind: vfs.OpWrite, Path: path, Data: []byte(data)})
+}
+
+// TestFollowerCreatesWhatItLacks: a follower that lacks the path of a
+// shipped move-in creates the file with the op's owner and permissions; a
+// shipped write to a path it lacks creates the file as the configured
+// owner, world-writable, until the namespace ships (ROADMAP item 1). Both
+// hold the bytes at version 1, and so does a move-in to a path it holds.
+func TestFollowerCreatesWhatItLacks(t *testing.T) {
+	store := vfs.New(clock.NewSim(), "srv")
+	c := New(Config{Store: store, Owner: "srv", Policy: core.FixedTerm(time.Minute)})
+	if _, err := store.Apply(vfs.Op{Kind: vfs.OpCreate, Path: "/held", Owner: "bob", Perm: vfs.DefaultPerm}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		op    vfs.Op
+		owner string
+		perm  vfs.Perm
+	}{
+		{vfs.Op{Kind: vfs.OpCreate, Path: "/moved", Owner: "alice", Perm: vfs.OwnerRead | vfs.OwnerWrite, Data: []byte("m")}, "alice", vfs.OwnerRead | vfs.OwnerWrite},
+		{vfs.Op{Kind: vfs.OpWrite, Path: "/written", Data: []byte("w")}, "srv", vfs.DefaultPerm | vfs.WorldWrite},
+		{vfs.Op{Kind: vfs.OpCreate, Path: "/held", Owner: "alice", Perm: vfs.OwnerRead, Data: []byte("h")}, "bob", vfs.DefaultPerm},
+	} {
+		if applied, err := c.ApplyReplicated(tc.op.Path, 1, encodeOp(tc.op)); !applied || err != nil {
+			t.Fatalf("%s: applied=%v err=%v", tc.op.Path, applied, err)
+		}
+		a, err := store.Lookup(tc.op.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, a, err := store.ReadFile(a.ID)
+		if err != nil || string(data) != string(tc.op.Data) || a.Version != 1 || a.Owner != tc.owner || a.Perm != tc.perm {
+			t.Errorf("%s holds %q v%d owned by %s perm %v (%v), want %q v1 owned by %s perm %v",
+				tc.op.Path, data, a.Version, a.Owner, a.Perm, err, tc.op.Data, tc.owner, tc.perm)
+		}
+	}
+}
+
+// TestShippedOpOfUnknownKindRefused: a pushed op that does not decode is
+// refused with the decode error — the master counts no quorum on it — and
+// neither its sequence nor the store moves.
+func TestShippedOpOfUnknownKindRefused(t *testing.T) {
+	store := vfs.New(clock.NewSim(), "srv")
+	c := New(Config{Store: store, Owner: "srv", Policy: core.FixedTerm(time.Minute)})
+	bad := encodeOp(vfs.Op{Kind: vfs.OpSetPerm + 1, Path: "/f", Data: []byte("x")})
+	if applied, err := c.ApplyReplicated("/f", 1, bad); applied || !errors.Is(err, vfs.ErrBadOp) {
+		t.Fatalf("unknown op kind: applied=%v err=%v, want refused with ErrBadOp", applied, err)
+	}
+	if _, err := store.Lookup("/f"); err == nil || c.Seq("/f") != 0 {
+		t.Fatalf("a refused op left /f in the store (%v) or took sequence %d", err, c.Seq("/f"))
+	}
 }

@@ -37,11 +37,11 @@ const (
 	// Demoted: the write dropped Dropped from the installed class. Path,
 	// Seq and Data are the membership image, to replicate best effort.
 	Demoted
-	// Ship: replicate Data as Path's write number Seq to a quorum, then
-	// report Shipped.
+	// Ship: replicate Data — the plan's op in its wire form — as Path's
+	// write number Seq to a quorum, then report Shipped.
 	Ship
-	// Apply: every datum is cleared and held, the quorum holds the bytes:
-	// change the store, then report Applied.
+	// Apply: every datum is cleared and held, the quorum holds the op:
+	// apply it to the store, then report Applied.
 	Apply
 	// Done and Fail end the plan; no held entry is left behind.
 	Done
@@ -104,10 +104,12 @@ type Plan struct {
 	// demoted: the class table counts this plan among the writes in flight
 	// on its data (ClassTable.demote) until it ends.
 	demoted bool
-	path    string
-	bytes   []byte
-	seq     uint64
-	err     error
+	// op is what the plan ships (a zero Kind: nothing), bytes its wire
+	// form once the Ship step is handed out.
+	op    vfs.Op
+	bytes []byte
+	seq   uint64
+	err   error
 }
 
 // Plan begins a mutation by writer that writes data.
@@ -126,13 +128,14 @@ func (c *Core) Plan(writer core.ClientID, data ...vfs.Datum) Plan {
 	return p
 }
 
-// Replicate makes the plan ship data as path's next replicated write
-// before its apply (replicate-before-apply: a reader at the master only
-// ever sees data a quorum already holds, so a master crash immediately
-// after the read can never roll the write back under a failover — the
-// new master's catch-up sync intersects every write quorum and recovers
-// it). A standalone server skips the step.
-func (p *Plan) Replicate(path string, data []byte) { p.path, p.bytes = path, data }
+// Ship makes the plan ship op, path-addressed, as op.Path's next
+// replicated write before its apply (replicate-before-apply: a reader at
+// the master only ever sees data a quorum already holds, so a master
+// crash immediately after the read can never roll the write back under a
+// failover — the new master's catch-up sync intersects every write
+// quorum and recovers it). A standalone server skips the step and
+// encodes nothing.
+func (p *Plan) Ship(op vfs.Op) { p.op = op }
 
 // Data is the plan's data in clearance order.
 func (p *Plan) Data() []vfs.Datum { return p.data[:p.n] }
@@ -226,8 +229,9 @@ func (p *Plan) Next(now time.Time) Step {
 	}
 	switch p.stage {
 	case atShip:
-		if p.path != "" && c.cfg.Master != nil {
-			p.seq = c.nextSeq(p.path)
+		if p.op.Kind != 0 && c.cfg.Master != nil {
+			p.seq = c.nextSeq(p.op.Path)
+			p.bytes = encodeOp(p.op)
 			p.stage = shipping
 			return p.ship()
 		}
@@ -241,7 +245,7 @@ func (p *Plan) Next(now time.Time) Step {
 }
 
 func (p *Plan) ship() Step {
-	return Step{Kind: Ship, Path: p.path, Seq: p.seq, Data: p.bytes}
+	return Step{Kind: Ship, Path: p.op.Path, Seq: p.seq, Data: p.bytes}
 }
 
 func (p *Plan) apply() Step {
@@ -286,7 +290,7 @@ func (p *Plan) Applied(err error, now time.Time) {
 		return
 	}
 	if p.seq != 0 {
-		p.c.shippedApplied(p.path, p.seq)
+		p.c.shippedApplied(p.op.Path, p.seq)
 	}
 	p.stage = done
 }

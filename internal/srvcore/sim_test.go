@@ -89,12 +89,12 @@ func newSimWorld() *simWorld {
 	w.store = vfs.New(w.clk, "srv")
 	for f := 0; f < simFiles; f++ {
 		path := fmt.Sprintf("/f%d", f)
-		attr, err := w.store.Create(path, "srv", vfs.DefaultPerm|vfs.WorldWrite)
+		res, err := w.store.Apply(vfs.Op{Kind: vfs.OpCreate, Path: path, Owner: "srv", Perm: vfs.DefaultPerm | vfs.WorldWrite})
 		if err != nil {
 			panic(err)
 		}
 		w.paths = append(w.paths, path)
-		w.data = append(w.data, vfs.Datum{Kind: vfs.FileData, Node: attr.ID})
+		w.data = append(w.data, res.Attr.Datum())
 	}
 	w.data = append(w.data, vfs.Datum{Kind: vfs.DirBinding, Node: vfs.RootID})
 	w.core = New(Config{
@@ -155,7 +155,7 @@ func (w *simWorld) submit(slot int, writer core.ClientID, data []vfs.Datum, repl
 	sp := &simPlan{writer: writer, data: data, p: w.core.Plan(writer, data...)}
 	if replicate && data[0].Kind == vfs.FileData {
 		path, _ := w.store.Path(data[0].Node)
-		sp.p.Replicate(path, []byte(fmt.Sprintf("%s@%d", writer, len(w.trace))))
+		sp.p.Ship(vfs.Op{Kind: vfs.OpWrite, Node: data[0].Node, Path: path, Data: []byte(fmt.Sprintf("%s@%d", writer, len(w.trace)))})
 	}
 	w.plans[slot] = sp
 	w.logf("submit #%d by %s on %v", slot, writer, data)
@@ -271,7 +271,7 @@ func (w *simWorld) promote(files byte, floor time.Duration) {
 	var synced []ReplFile
 	for f, path := range w.paths {
 		if files&(1<<f) != 0 {
-			synced = append(synced, ReplFile{Path: path, Seq: w.core.Seq(path) + 1, Data: []byte("synced")})
+			synced = append(synced, ReplFile{Path: path, Seq: w.core.Seq(path) + 1, Data: shippedWrite(path, "synced")})
 		}
 	}
 	for _, f := range w.core.Merge(synced) {
@@ -347,7 +347,7 @@ func (w *simWorld) step(op, arg byte) {
 		}
 	case opApplyReplicated:
 		path := w.paths[int(arg)%simFiles]
-		if applied, _ := w.core.ApplyReplicated(path, w.core.Seq(path)+uint64(arg>>6), []byte("pushed")); applied != (arg>>6 > 0) {
+		if applied, _ := w.core.ApplyReplicated(path, w.core.Seq(path)+uint64(arg>>6), shippedWrite(path, "pushed")); applied != (arg>>6 > 0) {
 			w.fail("ApplyReplicated(%s, +%d) applied=%v", path, arg>>6, applied)
 		}
 		w.lastSeq[path] = max(w.lastSeq[path], w.core.Seq(path))

@@ -39,6 +39,7 @@ var (
 	ErrPerm     = errors.New("vfs: permission denied")
 	ErrBadPath  = errors.New("vfs: invalid path")
 	ErrRootOp   = errors.New("vfs: operation not permitted on root")
+	ErrBadOp    = errors.New("vfs: unknown op kind")
 )
 
 // NodeID identifies a file or directory for the life of the store.
@@ -126,6 +127,15 @@ type node struct {
 	perm    Perm
 	modTime time.Time
 	version uint64
+}
+
+// Datum is the node's leased datum: a file's contents, a directory's
+// binding.
+func (a Attr) Datum() Datum {
+	if a.IsDir {
+		return Datum{DirBinding, a.ID}
+	}
+	return Datum{FileData, a.ID}
 }
 
 func (n *node) attr() Attr {
@@ -294,141 +304,165 @@ func (s *Store) Stat(id NodeID) (Attr, error) {
 	return n.attr(), nil
 }
 
-// Create makes an empty file at path p owned by owner. It fails if the
-// name exists.
-func (s *Store) Create(p, owner string, perm Perm) (Attr, error) {
+// OpKind names a mutation of the store.
+type OpKind uint8
+
+// The mutations Apply performs.
+const (
+	OpWrite OpKind = iota + 1
+	OpCreate
+	OpMkdir
+	OpRemove
+	OpRename
+	OpSetPerm
+)
+
+// Op is one mutation of the store. Its wire form (proto.Enc.EncodeOp) is
+// path-addressed, because node IDs differ per replica; Node is never
+// encoded.
+type Op struct {
+	Kind OpKind
+	// Node, when set, is the node a write or setperm changes (a rename
+	// racing the op cannot redirect it), and the node a remove must still
+	// find at Path.
+	Node  NodeID
+	Path  string
+	To    string // rename: the new path
+	Owner string // create, mkdir, setperm
+	Perm  Perm   // create, mkdir, setperm
+	// Data is a write's contents. A create carrying Data is a move-in: the
+	// name and its bytes appear together, at version 1, so no reader — and
+	// no lease grant — can observe the file empty.
+	Data []byte
+}
+
+// Result is what Apply changed: the node the op made, wrote, renamed,
+// changed or removed; a removed file's contents; and the directories whose
+// binding changed (a rename's old parent, then its new; 0 past the last).
+type Result struct {
+	Attr Attr
+	Data []byte
+	Dirs [2]NodeID
+}
+
+// Apply performs op under one store lock.
+func (s *Store) Apply(op Op) (Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	dir, base, err := s.lookupParent(p)
+	switch op.Kind {
+	case OpWrite, OpSetPerm:
+		return s.change(op)
+	case OpCreate, OpMkdir:
+		return s.create(op)
+	case OpRemove:
+		return s.remove(op)
+	case OpRename:
+		return s.rename(op.Path, op.To)
+	}
+	return Result{}, fmt.Errorf("%w: %d", ErrBadOp, op.Kind)
+}
+
+// create makes a file, a directory, or a file with its bytes (a move-in).
+func (s *Store) create(op Op) (Result, error) {
+	dir, base, err := s.lookupParent(op.Path)
 	if err != nil {
-		return Attr{}, err
+		return Result{}, err
 	}
 	if _, exists := dir.entries[base]; exists {
-		return Attr{}, fmt.Errorf("%w: %q", ErrExist, p)
+		return Result{}, fmt.Errorf("%w: %q", ErrExist, op.Path)
 	}
-	n := &node{
-		id:      s.alloc(),
-		name:    base,
-		parent:  dir,
-		owner:   owner,
-		perm:    perm,
-		modTime: s.clk.Now(),
+	n := &node{id: s.alloc(), name: base, parent: dir, owner: op.Owner, perm: op.Perm, modTime: s.clk.Now()}
+	switch {
+	case op.Kind == OpMkdir:
+		n.isDir, n.entries = true, make(map[string]*node)
+	case op.Data != nil:
+		n.data, n.version = append([]byte(nil), op.Data...), 1
 	}
 	s.nodes[n.id] = n
 	dir.entries[base] = n
 	s.touchBinding(dir)
-	return n.attr(), nil
+	return Result{Attr: n.attr(), Dirs: [2]NodeID{dir.id}}, nil
 }
 
-// CreateWith makes a file at path p with its initial contents, in one
-// step under the store lock: the name and the bytes become visible
-// together, so no reader — and no lease grant — can ever observe the
-// file empty. The commit of a cross-shard rename depends on this
-// atomicity; a Create-then-WriteFile pair would expose an empty file
-// a concurrent read could lease and cache.
-func (s *Store) CreateWith(p, owner string, perm Perm, data []byte) (Attr, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	dir, base, err := s.lookupParent(p)
+// change writes a file's contents, bumping its version, or sets a node's
+// owner and permissions, bumping its parent's binding version (attributes
+// are part of the binding datum; the root's are in its own). The node is
+// op.Node, or what op.Path names when no node is given.
+func (s *Store) change(op Op) (Result, error) {
+	n := s.nodes[op.Node]
+	var err error
+	if op.Node == 0 && op.Path != "" {
+		n, err = s.lookup(op.Path)
+	} else if n == nil {
+		err = ErrNotExist
+	}
 	if err != nil {
-		return Attr{}, err
+		return Result{}, err
 	}
-	if _, exists := dir.entries[base]; exists {
-		return Attr{}, fmt.Errorf("%w: %q", ErrExist, p)
+	if op.Kind == OpSetPerm {
+		n.owner, n.perm = op.Owner, op.Perm
+		dir := n.parent
+		if dir == nil {
+			dir = n
+		}
+		s.touchBinding(dir)
+		return Result{Attr: n.attr(), Dirs: [2]NodeID{dir.id}}, nil
 	}
-	n := &node{
-		id:      s.alloc(),
-		name:    base,
-		parent:  dir,
-		owner:   owner,
-		perm:    perm,
-		modTime: s.clk.Now(),
-		data:    append([]byte(nil), data...),
-		version: 1,
+	if n.isDir {
+		return Result{}, fmt.Errorf("%w: %q", ErrIsDir, n.name)
 	}
-	s.nodes[n.id] = n
-	dir.entries[base] = n
-	s.touchBinding(dir)
-	return n.attr(), nil
+	n.data = make([]byte, len(op.Data))
+	copy(n.data, op.Data)
+	n.version++
+	n.modTime = s.clk.Now()
+	return Result{Attr: n.attr()}, nil
 }
 
-// Mkdir makes a directory at path p owned by owner.
-func (s *Store) Mkdir(p, owner string, perm Perm) (Attr, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	dir, base, err := s.lookupParent(p)
+// remove deletes a file or an empty directory and hands back a file's
+// contents; one that names its Node refuses a name now bound to another.
+func (s *Store) remove(op Op) (Result, error) {
+	dir, base, err := s.lookupParent(op.Path)
 	if err != nil {
-		return Attr{}, err
-	}
-	if _, exists := dir.entries[base]; exists {
-		return Attr{}, fmt.Errorf("%w: %q", ErrExist, p)
-	}
-	n := &node{
-		id:      s.alloc(),
-		name:    base,
-		isDir:   true,
-		parent:  dir,
-		entries: make(map[string]*node),
-		owner:   owner,
-		perm:    perm,
-		modTime: s.clk.Now(),
-	}
-	s.nodes[n.id] = n
-	dir.entries[base] = n
-	s.touchBinding(dir)
-	return n.attr(), nil
-}
-
-// Remove deletes the file or empty directory at path p. It returns the
-// data affected: the removed node's datum and its parent's binding datum.
-func (s *Store) Remove(p string) ([]Datum, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	dir, base, err := s.lookupParent(p)
-	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	n, ok := dir.entries[base]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotExist, p)
+	if !ok || op.Node != 0 && n.id != op.Node {
+		return Result{}, fmt.Errorf("%w: %q", ErrNotExist, op.Path)
 	}
 	if n.isDir && len(n.entries) > 0 {
-		return nil, fmt.Errorf("%w: %q", ErrNotEmpty, p)
+		return Result{}, fmt.Errorf("%w: %q", ErrNotEmpty, op.Path)
 	}
 	delete(dir.entries, base)
 	delete(s.nodes, n.id)
 	s.touchBinding(dir)
-	kind := FileData
-	if n.isDir {
-		kind = DirBinding
+	r := Result{Attr: n.attr(), Data: n.data, Dirs: [2]NodeID{dir.id}}
+	if r.Data == nil && !n.isDir {
+		r.Data = []byte{} // a file's contents, empty: a move of it is still a move-in
 	}
-	return []Datum{{kind, n.id}, {DirBinding, dir.id}}, nil
+	return r, nil
 }
 
-// Rename moves the node at oldPath to newPath (which must not exist).
-// It returns the binding data affected (old parent, new parent).
-func (s *Store) Rename(oldPath, newPath string) ([]Datum, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// rename moves the node at oldPath to newPath, which must not exist.
+func (s *Store) rename(oldPath, newPath string) (Result, error) {
 	oldDir, oldBase, err := s.lookupParent(oldPath)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	n, ok := oldDir.entries[oldBase]
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotExist, oldPath)
+		return Result{}, fmt.Errorf("%w: %q", ErrNotExist, oldPath)
 	}
 	newDir, newBase, err := s.lookupParent(newPath)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	if _, exists := newDir.entries[newBase]; exists {
-		return nil, fmt.Errorf("%w: %q", ErrExist, newPath)
+		return Result{}, fmt.Errorf("%w: %q", ErrExist, newPath)
 	}
 	// Refuse to move a directory into its own subtree.
 	for a := newDir; a != nil; a = a.parent {
 		if a == n {
-			return nil, fmt.Errorf("%w: %q into %q", ErrBadPath, oldPath, newPath)
+			return Result{}, fmt.Errorf("%w: %q into %q", ErrBadPath, oldPath, newPath)
 		}
 	}
 	delete(oldDir.entries, oldBase)
@@ -436,10 +470,55 @@ func (s *Store) Rename(oldPath, newPath string) ([]Datum, error) {
 	n.parent = newDir
 	newDir.entries[newBase] = n
 	s.touchBinding(oldDir)
-	data := []Datum{{DirBinding, oldDir.id}}
 	if newDir != oldDir {
 		s.touchBinding(newDir)
-		data = append(data, Datum{DirBinding, newDir.id})
+	}
+	return Result{Attr: n.attr(), Dirs: [2]NodeID{oldDir.id, newDir.id}}, nil
+}
+
+// Create makes an empty file at path p owned by owner. It fails if the
+// name exists.
+func (s *Store) Create(p, owner string, perm Perm) (Attr, error) {
+	r, err := s.Apply(Op{Kind: OpCreate, Path: p, Owner: owner, Perm: perm})
+	return r.Attr, err
+}
+
+// CreateWith makes a file at path p with its initial contents: a move-in
+// (see Op.Data).
+func (s *Store) CreateWith(p, owner string, perm Perm, data []byte) (Attr, error) {
+	if data == nil {
+		data = []byte{}
+	}
+	r, err := s.Apply(Op{Kind: OpCreate, Path: p, Owner: owner, Perm: perm, Data: data})
+	return r.Attr, err
+}
+
+// Mkdir makes a directory at path p owned by owner.
+func (s *Store) Mkdir(p, owner string, perm Perm) (Attr, error) {
+	r, err := s.Apply(Op{Kind: OpMkdir, Path: p, Owner: owner, Perm: perm})
+	return r.Attr, err
+}
+
+// Remove deletes the file or empty directory at path p. It returns the
+// data affected: the removed node's datum and its parent's binding datum.
+func (s *Store) Remove(p string) ([]Datum, error) {
+	r, err := s.Apply(Op{Kind: OpRemove, Path: p})
+	if err != nil {
+		return nil, err
+	}
+	return []Datum{r.Attr.Datum(), {DirBinding, r.Dirs[0]}}, nil
+}
+
+// Rename moves the node at oldPath to newPath (which must not exist).
+// It returns the binding data affected (old parent, new parent).
+func (s *Store) Rename(oldPath, newPath string) ([]Datum, error) {
+	r, err := s.Apply(Op{Kind: OpRename, Path: oldPath, To: newPath})
+	if err != nil {
+		return nil, err
+	}
+	data := []Datum{{DirBinding, r.Dirs[0]}}
+	if r.Dirs[1] != r.Dirs[0] {
+		data = append(data, Datum{DirBinding, r.Dirs[1]})
 	}
 	return data, nil
 }
@@ -463,40 +542,22 @@ func (s *Store) ReadFile(id NodeID) ([]byte, Attr, error) {
 // WriteFile replaces the file's contents, bumping its version. It
 // returns the new attributes and the datum written.
 func (s *Store) WriteFile(id NodeID, data []byte) (Attr, Datum, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n, ok := s.nodes[id]
-	if !ok {
-		return Attr{}, Datum{}, ErrNotExist
+	r, err := s.Apply(Op{Kind: OpWrite, Node: id, Data: data})
+	if err != nil {
+		return Attr{}, Datum{}, err
 	}
-	if n.isDir {
-		return Attr{}, Datum{}, fmt.Errorf("%w: %q", ErrIsDir, n.name)
-	}
-	n.data = make([]byte, len(data))
-	copy(n.data, data)
-	n.version++
-	n.modTime = s.clk.Now()
-	return n.attr(), Datum{FileData, n.id}, nil
+	return r.Attr, Datum{FileData, id}, nil
 }
 
 // SetPerm changes a node's permissions and owner, bumping the parent's
 // binding version (attributes are part of the binding datum). It returns
 // the binding datum affected, or the node's own datum for the root.
 func (s *Store) SetPerm(id NodeID, owner string, perm Perm) (Datum, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n, ok := s.nodes[id]
-	if !ok {
-		return Datum{}, ErrNotExist
+	r, err := s.Apply(Op{Kind: OpSetPerm, Node: id, Owner: owner, Perm: perm})
+	if err != nil {
+		return Datum{}, err
 	}
-	n.owner = owner
-	n.perm = perm
-	if n.parent != nil {
-		s.touchBinding(n.parent)
-		return Datum{DirBinding, n.parent.id}, nil
-	}
-	s.touchBinding(n)
-	return Datum{DirBinding, n.id}, nil
+	return Datum{DirBinding, r.Dirs[0]}, nil
 }
 
 // ReadDir lists a directory's entries in name order.
@@ -551,19 +612,7 @@ func (s *Store) Path(id NodeID) (string, error) {
 	if !ok {
 		return "", ErrNotExist
 	}
-	if n.parent == nil {
-		return "/", nil
-	}
-	var parts []string
-	for ; n.parent != nil; n = n.parent {
-		parts = append(parts, n.name)
-	}
-	var b strings.Builder
-	for i := len(parts) - 1; i >= 0; i-- {
-		b.WriteByte('/')
-		b.WriteString(parts[i])
-	}
-	return b.String(), nil
+	return s.pathLocked(n)
 }
 
 // CheckAccess reports whether principal may perform the operation on the

@@ -551,6 +551,108 @@ func TestReadDirContentsProperty(t *testing.T) {
 	}
 }
 
+// TestApplyMatchesTheMethods is the reference for Apply: each kind leaves
+// the attributes, file version and binding versions of the exported method
+// it stands for, and those pinned here — a create at version 0, a move-in
+// at 1, a write one above, one binding bump per directory changed.
+func TestApplyMatchesTheMethods(t *testing.T) {
+	// fixture: /d (binding 1) holding /d/f (node 3, "x" at version 1);
+	// the root's binding is at 1.
+	fixture := func() *Store {
+		s, _ := newStore()
+		s.Mkdir("/d", "root", DefaultPerm)
+		f, _ := s.Create("/d/f", "alice", DefaultPerm)
+		s.WriteFile(f.ID, []byte("x"))
+		return s
+	}
+	for _, tc := range []struct {
+		name   string
+		method func(*Store) error
+		op     Op
+		at     string // where the node the op touched is found after it ("": gone)
+		ver    uint64 // its version there
+		root   uint64 // the root's binding version after
+		d      uint64 // /d's binding version after
+	}{
+		{"create", func(s *Store) error { _, err := s.Create("/d/g", "bob", WorldRead); return err },
+			Op{Kind: OpCreate, Path: "/d/g", Owner: "bob", Perm: WorldRead}, "/d/g", 0, 1, 2},
+		{"move-in", func(s *Store) error { _, err := s.CreateWith("/d/g", "bob", WorldRead, []byte("abc")); return err },
+			Op{Kind: OpCreate, Path: "/d/g", Owner: "bob", Perm: WorldRead, Data: []byte("abc")}, "/d/g", 1, 1, 2},
+		{"empty move-in", func(s *Store) error { _, err := s.CreateWith("/d/g", "bob", WorldRead, nil); return err },
+			Op{Kind: OpCreate, Path: "/d/g", Owner: "bob", Perm: WorldRead, Data: []byte{}}, "/d/g", 1, 1, 2},
+		{"mkdir", func(s *Store) error { _, err := s.Mkdir("/e", "bob", DefaultPerm); return err },
+			Op{Kind: OpMkdir, Path: "/e", Owner: "bob", Perm: DefaultPerm}, "/e", 0, 2, 1},
+		{"write", func(s *Store) error { _, _, err := s.WriteFile(3, []byte("yz")); return err },
+			Op{Kind: OpWrite, Node: 3, Data: []byte("yz")}, "/d/f", 2, 1, 1},
+		{"write by path", func(s *Store) error { _, _, err := s.WriteFile(3, []byte("yz")); return err },
+			Op{Kind: OpWrite, Path: "/d/f", Data: []byte("yz")}, "/d/f", 2, 1, 1},
+		{"remove", func(s *Store) error { _, err := s.Remove("/d/f"); return err },
+			Op{Kind: OpRemove, Path: "/d/f"}, "", 0, 1, 2},
+		{"rename", func(s *Store) error { _, err := s.Rename("/d/f", "/f"); return err },
+			Op{Kind: OpRename, Path: "/d/f", To: "/f"}, "/f", 1, 2, 2},
+		{"setperm", func(s *Store) error { _, err := s.SetPerm(3, "bob", WorldRead); return err },
+			Op{Kind: OpSetPerm, Node: 3, Owner: "bob", Perm: WorldRead}, "/d/f", 1, 1, 2},
+		{"setperm root", func(s *Store) error { _, err := s.SetPerm(RootID, "bob", DefaultPerm); return err },
+			Op{Kind: OpSetPerm, Node: RootID, Owner: "bob", Perm: DefaultPerm}, "/", 2, 2, 1},
+	} {
+		viaMethod, viaApply := fixture(), fixture()
+		if err := tc.method(viaMethod); err != nil {
+			t.Fatalf("%s: method: %v", tc.name, err)
+		}
+		if _, err := viaApply.Apply(tc.op); err != nil {
+			t.Fatalf("%s: Apply: %v", tc.name, err)
+		}
+		if got, want := walkAll(t, viaApply), walkAll(t, viaMethod); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: Apply left\n  %v\nthe method\n  %v", tc.name, got, want)
+		}
+		got := walkAll(t, viaApply)
+		if a, ok := got[tc.at]; tc.at != "" && (!ok || a.Version != tc.ver) {
+			t.Errorf("%s: %s at version %d (present %v), want %d", tc.name, tc.at, a.Version, ok, tc.ver)
+		}
+		if got["/"].Version != tc.root || got["/d"].Version != tc.d {
+			t.Errorf("%s: bindings / at %d and /d at %d, want %d and %d", tc.name, got["/"].Version, got["/d"].Version, tc.root, tc.d)
+		}
+	}
+}
+
+// walkAll maps every path of s to its attributes.
+func walkAll(t *testing.T, s *Store) map[string]Attr {
+	t.Helper()
+	out := map[string]Attr{}
+	if err := s.Walk(RootID, func(p string, a Attr) error { out[p] = a; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestApplyRefusals: a remove naming a node its path no longer binds
+// changes nothing, nor does an op of an unknown kind; a removed file's
+// contents come back, empty ones too.
+func TestApplyRefusals(t *testing.T) {
+	s, _ := newStore()
+	f, _ := s.CreateWith("/f", "u", DefaultPerm, []byte("abc"))
+	g, _ := s.Create("/g", "u", DefaultPerm)
+	if _, err := s.Apply(Op{Kind: OpRemove, Node: g.ID, Path: "/f"}); !errors.Is(err, ErrNotExist) {
+		t.Fatalf("remove of /f naming /g's node = %v, want ErrNotExist", err)
+	}
+	if _, err := s.Apply(Op{Kind: OpSetPerm + 1, Path: "/f"}); !errors.Is(err, ErrBadOp) {
+		t.Fatalf("unknown kind = %v, want ErrBadOp", err)
+	}
+	if a, err := s.Lookup("/f"); err != nil || a.ID != f.ID || a.Version != 1 {
+		t.Fatalf("/f after the refusals: %+v, %v", a, err)
+	}
+	for _, tc := range []struct {
+		path string
+		node NodeID
+		want string
+	}{{"/f", f.ID, "abc"}, {"/g", g.ID, ""}} {
+		r, err := s.Apply(Op{Kind: OpRemove, Node: tc.node, Path: tc.path})
+		if err != nil || r.Data == nil || string(r.Data) != tc.want || r.Attr.ID != tc.node {
+			t.Fatalf("remove %s = %+v, %v; want its contents %q", tc.path, r, err, tc.want)
+		}
+	}
+}
+
 func TestResolveYieldsChainAndVersions(t *testing.T) {
 	s, _ := newStore()
 	a, _ := s.Mkdir("/a", "root", DefaultPerm)
