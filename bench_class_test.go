@@ -8,9 +8,8 @@
 // prediction (clients × window/BroadcastEvery, plus a snapshot fetch
 // per client) and far below the per-file floor.
 //
-// cmd/leaseload -mode={perfile,batched,installed} runs the same
-// comparison against a long-lived server; EXPERIMENTS.md ("O1 over the
-// wire") records the measured trajectory.
+// The simulated counterpart is leasebench -exp installed (row O1);
+// EXPERIMENTS.md ("O1 over the wire") records the wire measurements.
 package leases_test
 
 import (

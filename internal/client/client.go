@@ -375,7 +375,7 @@ func (c *Cache) Metrics() Metrics {
 func (c *Cache) HeldLeases() int { return len(c.HeldData()) }
 
 // HeldData lists the data the cache holds lease records for — the
-// input for renewal policies that pick their own ExtendData batches.
+// batch ExtendAll renews and Close releases.
 func (c *Cache) HeldData() []vfs.Datum {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -533,7 +533,7 @@ func (c *Cache) observeOp(t proto.MsgType, d time.Duration) {
 // when Config.Obs is set (the same switch that enables trace events),
 // so an uninstrumented cache pays nothing; cache hits are served
 // without an RPC and never appear — drivers wanting hit latencies time
-// their own calls (see internal/replay).
+// their own calls.
 func (c *Cache) OpLatencies() map[string]stats.HistogramSnapshot {
 	c.latMu.Lock()
 	defer c.latMu.Unlock()
@@ -806,15 +806,6 @@ func (c *Cache) SetPerm(path, owner string, perm vfs.Perm) error {
 // it still holds"). It is the blocking form of StartExtendAll.
 func (c *Cache) ExtendAll() error {
 	return c.StartExtendAll().Wait()
-}
-
-// ExtendData renews leases over exactly the given data in one batched
-// request — the building block for renewal policies that pick their own
-// batches (the background loop extends only leases near expiry; drivers
-// comparing policies extend one file at a time). The reply is applied
-// under the same version fences as ExtendAll.
-func (c *Cache) ExtendData(data []vfs.Datum) error {
-	return c.startExtend(data).Wait()
 }
 
 // WireStats returns this cache's per-message-type traffic counters,

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -472,4 +474,31 @@ func TestWriterWaitsBehindInfiniteLeaseUntilApproval(t *testing.T) {
 		t.Fatal("approval did not release write")
 	}
 	m.WriteApplied(disp.WriteID, now)
+}
+
+// BenchmarkLeaseRecordStorage measures the §2 storage claim: "For a
+// client holding about one hundred leases, the total is around one
+// kilobyte per client."
+func BenchmarkLeaseRecordStorage(b *testing.B) {
+	const clients = 64
+	const leasesPer = 100
+	var perClient float64
+	for i := 0; i < b.N; i++ {
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m := NewManager(FixedTerm(10 * time.Second))
+		now := time.Now()
+		for c := 0; c < clients; c++ {
+			id := ClientID(fmt.Sprintf("client-%d", c))
+			for l := 0; l < leasesPer; l++ {
+				m.Grant(id, vfs.Datum{Kind: vfs.FileData, Node: vfs.NodeID(l + 2)}, now)
+			}
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		perClient = float64(after.HeapAlloc-before.HeapAlloc) / clients
+		runtime.KeepAlive(m)
+	}
+	b.ReportMetric(perClient, "bytes/client@100leases")
 }

@@ -175,10 +175,8 @@ type Config struct {
 	// RingSize bounds the event ring buffer (rounded up to a power of
 	// two). Zero means 4096.
 	RingSize int
-	// Sink, when non-nil, receives every event as one JSON line — the
-	// live counterpart of internal/trace's offline codec, so a recorded
-	// stream can be replayed or post-processed by the leasetrace
-	// tooling's analysis habits.
+	// Sink, when non-nil, receives every event as one JSON line, so a
+	// recorded stream can be post-processed offline.
 	Sink io.Writer
 	// SlowWrite, when positive, logs any write deferred for at least
 	// this long to SlowLog — the operator's view of formula-2 outliers.

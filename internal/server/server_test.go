@@ -90,26 +90,41 @@ func TestEndToEndFileOperations(t *testing.T) {
 	}
 }
 
+// Repeated reads are served from the cache while its lease lasts; a
+// zero-term server grants none, so every read is one TRead.
 func TestRepeatedReadServedFromCache(t *testing.T) {
-	srv, addr := startServer(t, server.Config{Term: 30 * time.Second})
-	srv.Store().Create("/latex", "root", vfs.DefaultPerm)
-	srv.Store().WriteFile(2, []byte("binary"))
-	c := dial(t, addr, "c1", client.Config{})
+	for _, term := range []time.Duration{30 * time.Second, 0} {
+		t.Run(term.String(), func(t *testing.T) {
+			srv, addr := startServer(t, server.Config{Term: term})
+			srv.Store().Create("/latex", "root", vfs.DefaultPerm)
+			srv.Store().WriteFile(2, []byte("binary"))
+			c := dial(t, addr, "c1", client.Config{})
 
-	for i := 0; i < 10; i++ {
-		if _, err := c.Read("/latex"); err != nil {
-			t.Fatalf("Read %d: %v", i, err)
-		}
-	}
-	m := c.Metrics()
-	if m.Reads != 10 {
-		t.Fatalf("Reads = %d", m.Reads)
-	}
-	if m.ReadHits < 9 {
-		t.Fatalf("ReadHits = %d, want ≥9 — the cache is not serving under its lease", m.ReadHits)
-	}
-	if m.LookupHits < 9 {
-		t.Fatalf("LookupHits = %d, want ≥9 — repeated opens should use the cached binding", m.LookupHits)
+			for i := 0; i < 10; i++ {
+				if _, err := c.Read("/latex"); err != nil {
+					t.Fatalf("Read %d: %v", i, err)
+				}
+			}
+			m := c.Metrics()
+			if m.Reads != 10 {
+				t.Fatalf("Reads = %d", m.Reads)
+			}
+			if term == 0 {
+				if m.ReadHits != 0 {
+					t.Fatalf("ReadHits = %d under a zero term, want 0", m.ReadHits)
+				}
+				if n := c.WireStats().Frames(proto.TRead, "out"); n != 10 {
+					t.Fatalf("%d TRead frames for 10 zero-term reads, want 10", n)
+				}
+				return
+			}
+			if m.ReadHits < 9 {
+				t.Fatalf("ReadHits = %d, want ≥9 — the cache is not serving under its lease", m.ReadHits)
+			}
+			if m.LookupHits < 9 {
+				t.Fatalf("LookupHits = %d, want ≥9 — repeated opens should use the cached binding", m.LookupHits)
+			}
+		})
 	}
 }
 

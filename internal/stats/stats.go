@@ -300,81 +300,6 @@ func (h *Histogram) String() string {
 	return b.String()
 }
 
-// DurationSample records every observation so that exact quantiles can
-// be extracted afterwards — the right tool for a bounded replay or
-// benchmark run where the paper's evaluation style (per-operation delay
-// distributions, §3) wants true percentiles rather than bucket upper
-// bounds. For unbounded production streams use Histogram instead. It is
-// safe for concurrent use. The zero value is ready to use.
-type DurationSample struct {
-	mu   sync.Mutex
-	vals []time.Duration
-}
-
-// Observe records one duration.
-func (s *DurationSample) Observe(v time.Duration) {
-	s.mu.Lock()
-	s.vals = append(s.vals, v)
-	s.mu.Unlock()
-}
-
-// Count reports the number of observations.
-func (s *DurationSample) Count() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return int64(len(s.vals))
-}
-
-// Mean reports the average observation, or zero if none were recorded.
-func (s *DurationSample) Mean() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.vals) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, v := range s.vals {
-		sum += v
-	}
-	return sum / time.Duration(len(s.vals))
-}
-
-// Max reports the largest observation, or zero if none were recorded.
-func (s *DurationSample) Max() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var max time.Duration
-	for _, v := range s.vals {
-		if v > max {
-			max = v
-		}
-	}
-	return max
-}
-
-// Quantile reports the exact q-quantile (0 ≤ q ≤ 1) by the nearest-rank
-// method: the smallest observation v such that at least q·n observations
-// are ≤ v. It returns zero if nothing was recorded.
-func (s *DurationSample) Quantile(q float64) time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := len(s.vals)
-	if n == 0 {
-		return 0
-	}
-	sorted := make([]time.Duration, n)
-	copy(sorted, s.vals)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	rank := int(math.Ceil(q*float64(n))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= n {
-		rank = n - 1
-	}
-	return sorted[rank]
-}
-
 // Registry is a named collection of counters and duration statistics, so
 // that a component can expose all of its metrics for snapshotting.
 type Registry struct {

@@ -318,80 +318,3 @@ func TestLatencyBoundsSortedPositive(t *testing.T) {
 	}
 	NewLatencyHistogram().Observe(0.001) // must not panic
 }
-
-func TestDurationSampleEmpty(t *testing.T) {
-	var s DurationSample
-	if s.Count() != 0 || s.Mean() != 0 || s.Max() != 0 || s.Quantile(0.5) != 0 {
-		t.Errorf("empty sample not all-zero: count=%d mean=%v max=%v p50=%v",
-			s.Count(), s.Mean(), s.Max(), s.Quantile(0.5))
-	}
-}
-
-func TestDurationSampleSingle(t *testing.T) {
-	var s DurationSample
-	s.Observe(7 * time.Millisecond)
-	for _, q := range []float64{0, 0.01, 0.5, 0.99, 1} {
-		if got := s.Quantile(q); got != 7*time.Millisecond {
-			t.Errorf("Quantile(%v) = %v, want the single sample", q, got)
-		}
-	}
-	if s.Mean() != 7*time.Millisecond || s.Max() != 7*time.Millisecond {
-		t.Errorf("mean/max = %v/%v", s.Mean(), s.Max())
-	}
-}
-
-func TestDurationSampleAllEqual(t *testing.T) {
-	var s DurationSample
-	for i := 0; i < 64; i++ {
-		s.Observe(time.Second)
-	}
-	for _, q := range []float64{0.01, 0.5, 0.95, 0.99} {
-		if got := s.Quantile(q); got != time.Second {
-			t.Errorf("Quantile(%v) = %v, want 1s", q, got)
-		}
-	}
-}
-
-// Nearest-rank on a known set: quantiles are always actual observations.
-func TestDurationSampleNearestRank(t *testing.T) {
-	var s DurationSample
-	for i := 10; i >= 1; i-- { // out of order on purpose
-		s.Observe(time.Duration(i) * time.Millisecond)
-	}
-	cases := []struct {
-		q    float64
-		want time.Duration
-	}{
-		{0.10, 1 * time.Millisecond},
-		{0.50, 5 * time.Millisecond},
-		{0.90, 9 * time.Millisecond},
-		{0.95, 10 * time.Millisecond},
-		{1.00, 10 * time.Millisecond},
-	}
-	for _, c := range cases {
-		if got := s.Quantile(c.q); got != c.want {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-	if s.Max() != 10*time.Millisecond {
-		t.Errorf("Max = %v", s.Max())
-	}
-}
-
-func TestDurationSampleConcurrent(t *testing.T) {
-	var s DurationSample
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				s.Observe(time.Duration(i))
-			}
-		}()
-	}
-	wg.Wait()
-	if s.Count() != 1600 {
-		t.Fatalf("count = %d, want 1600", s.Count())
-	}
-}

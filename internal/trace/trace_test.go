@@ -1,11 +1,8 @@
 package trace
 
 import (
-	"bytes"
-	"errors"
 	"math"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -191,69 +188,6 @@ func TestGeneratorsValidateConfig(t *testing.T) {
 	}
 }
 
-func TestCodecRoundTrip(t *testing.T) {
-	orig := V(VConfig{
-		Seed: 9, Duration: time.Hour, Clients: 3,
-		RegularFiles: 10, InstalledFiles: 4,
-		ReadRate: 0.864, WriteRate: 0.04,
-	})
-	var buf bytes.Buffer
-	if err := orig.Write(&buf); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	if got.Duration != orig.Duration || got.Clients != orig.Clients || got.Files != orig.Files {
-		t.Fatalf("header mismatch: %+v vs %+v", got, orig)
-	}
-	if len(got.Events) != len(orig.Events) {
-		t.Fatalf("event count %d vs %d", len(got.Events), len(orig.Events))
-	}
-	for i := range got.Events {
-		if got.Events[i] != orig.Events[i] {
-			t.Fatalf("event %d mismatch", i)
-		}
-	}
-	if len(got.Installed) != len(orig.Installed) {
-		t.Fatal("installed set mismatch")
-	}
-	for f := range orig.Installed {
-		if !got.Installed[f] {
-			t.Fatalf("installed file %d lost", f)
-		}
-	}
-}
-
-func TestCodecRejectsGarbage(t *testing.T) {
-	cases := [][]byte{
-		nil,
-		[]byte("XXXX"),
-		[]byte("VTR1"), // truncated header
-		append([]byte("VTR1"), make([]byte, 20)...), // truncated event count
-	}
-	for i, c := range cases {
-		if _, err := Read(bytes.NewReader(c)); !errors.Is(err, ErrBadFormat) {
-			t.Fatalf("case %d: err = %v, want ErrBadFormat", i, err)
-		}
-	}
-}
-
-func TestCodecRejectsBadOp(t *testing.T) {
-	orig := Poisson(PoissonConfig{Seed: 1, Duration: time.Minute, Clients: 1, Files: 1, ReadRate: 1})
-	if len(orig.Events) == 0 {
-		t.Skip("empty trace")
-	}
-	var buf bytes.Buffer
-	orig.Write(&buf)
-	data := buf.Bytes()
-	data[len(data)-1] = 99 // corrupt last op
-	if _, err := Read(bytes.NewReader(data)); !errors.Is(err, ErrBadFormat) {
-		t.Fatalf("err = %v, want ErrBadFormat", err)
-	}
-}
-
 func TestMeasureEmptyTrace(t *testing.T) {
 	tr := &Trace{Duration: time.Hour, Clients: 1, Files: 1}
 	s := tr.Measure()
@@ -271,36 +205,5 @@ func TestOpString(t *testing.T) {
 	}
 	if Op(9).String() == "" {
 		t.Fatal("unknown op string empty")
-	}
-}
-
-// Property: codec round-trips arbitrary well-formed traces.
-func TestCodecRoundTripProperty(t *testing.T) {
-	f := func(seed int64, clients, files uint8) bool {
-		tr := Poisson(PoissonConfig{
-			Seed:      seed,
-			Duration:  10 * time.Minute,
-			Clients:   int(clients%5) + 1,
-			Files:     int(files%5) + 1,
-			ReadRate:  0.5,
-			WriteRate: 0.05,
-		})
-		var buf bytes.Buffer
-		if err := tr.Write(&buf); err != nil {
-			return false
-		}
-		got, err := Read(&buf)
-		if err != nil || len(got.Events) != len(tr.Events) {
-			return false
-		}
-		for i := range got.Events {
-			if got.Events[i] != tr.Events[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
 	}
 }
