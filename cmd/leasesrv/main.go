@@ -7,7 +7,6 @@
 //	leasesrv -addr :7025 -term 10s -recovery 10s   # manual crash recovery
 //	leasesrv -addr :7025 -metrics-addr :9100       # HTTP admin/metrics plane
 //	leasesrv -addr :7025 -term 10s -installed-dirs /bin,/lib
-//	leasesrv -addr :7025 -term 60s -adaptive       # per-file adaptive terms
 //
 // Crash safety: with -maxterm-file the server persists the maximum
 // granted lease term (atomic temp+rename, fsync'd, updated only when
@@ -60,7 +59,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7025", "listen address")
-	term := flag.Duration("term", 10*time.Second, "lease term t_s (0 = check-on-use)")
+	term := flag.Duration("term", 10*time.Second, "lease term t_s of a fresh grant; a reused lease no other client's write has recalled within 4 terms renews for 4 (0 = check-on-use)")
 	recovery := flag.Duration("recovery", 0, "recovery window after restart (the persisted maximum granted term)")
 	writeTimeout := flag.Duration("write-timeout", time.Minute, "bound on write deferral (0 = unbounded)")
 	empty := flag.Bool("empty", false, "start with an empty store")
@@ -82,9 +81,6 @@ func main() {
 	installedTerm := flag.Duration("installed-term", 0, "term each class broadcast extension grants (0 = 30s)")
 	broadcastEvery := flag.Duration("broadcast-every", 0, "class broadcast-extension period (0 = installed-term/4)")
 	quietAfterWrite := flag.Duration("quiet-after-write", 0, "post-write holdoff before a file is eligible for class (re-)promotion (0 = installed-term)")
-	adaptive := flag.Bool("adaptive", false, "per-file adaptive lease terms from observed access rates (§3.1's α = 2R/SW break-even); -term becomes the maximum term, -adaptive-min the minimum")
-	adaptiveMin := flag.Duration("adaptive-min", time.Second, "minimum adaptive term (with -adaptive)")
-	adaptiveWindow := flag.Duration("adaptive-window", time.Minute, "sliding window for the adaptive access-rate estimator (with -adaptive)")
 	ringSpec := flag.String("ring", "", "sharded deployment ring spec \"[epoch@]id[*weight]=addr[,addr...];...\" — identical on every server and -ring client; empty disables sharding")
 	groupID := flag.Int("group-id", -1, "this server's replica-group ID in the -ring spec (required with -ring)")
 	flag.Parse()
@@ -154,15 +150,6 @@ func main() {
 			BroadcastEvery:  *broadcastEvery,
 			QuietAfterWrite: *quietAfterWrite,
 		},
-	}
-	if *adaptive {
-		// Per-file adaptive terms (§3.1): the server feeds every served
-		// read and write into the estimator and the policy grants each
-		// datum a term from its observed rates — long for read-mostly
-		// data, zero where write sharing makes caching counterproductive.
-		stats := core.NewAccessStats(*adaptiveWindow)
-		scfg.Access = stats
-		scfg.Policy = &core.AdaptiveTerm{Stats: stats, Min: *adaptiveMin, Max: *term}
 	}
 	if *ringSpec != "" {
 		ring, err := shard.Parse(*ringSpec)

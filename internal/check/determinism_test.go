@@ -70,6 +70,7 @@ func TestRunDeterministicWithBreaks(t *testing.T) {
 	}{
 		{BreakWriteDefer, plain}, {BreakFence, plain}, {BreakAllowance, plain},
 		{BreakQuiet, GenConfig{Servers: 3, Profile: ProfileAll}},
+		{BreakTermFloor, GenConfig{Servers: 3, Profile: ProfileAll}},
 		{BreakClassHorizon, GenConfig{Installed: true, Profile: ProfileAll}},
 		{BreakRenameOrder, GenConfig{Servers: 3, Groups: 2, Profile: ProfileAll}},
 	} {
@@ -83,8 +84,10 @@ func TestRunDeterministicWithBreaks(t *testing.T) {
 
 // TestServerDriverBreaksBite: the server-side breaks live in the model's
 // driver — four answer a step the shipped plan handed it without doing
-// what the step asks (server.go: ignores), and BreakRefillEarly reads a
-// refill at the approval instead of at its grant. Each must still
+// what the step asks (server.go: ignores), BreakRefillEarly reads a
+// refill at the approval instead of at its grant, and BreakTermFloor
+// raises a replica's term floor to the policy term instead of the
+// ceiling a stretched renewal reaches (server.go: boot). Each must still
 // change the outcome on its pinned counterexample, and the honest run of
 // the same schedule must be clean and byte-deterministic.
 func TestServerDriverBreaksBite(t *testing.T) {
@@ -94,6 +97,7 @@ func TestServerDriverBreaksBite(t *testing.T) {
 		BreakClassHorizon: "class-horizon-stale-covered-read",
 		BreakRenameOrder:  "rename-commit-before-source-clearance",
 		BreakRefillEarly:  "refill-built-at-approval",
+		BreakTermFloor:    "failover-window-under-stretched-lease",
 	} {
 		ce, err := LoadCounterexample("testdata/counterexamples/" + name + ".json")
 		if err != nil {

@@ -20,6 +20,8 @@ import (
 	"math/rand"
 	"sort"
 	"time"
+
+	"leases/internal/core"
 )
 
 // OpKind classifies a client operation.
@@ -163,7 +165,17 @@ const (
 	// was acknowledged: the stale read reading the file only at the grant
 	// prevents.
 	BreakRefillEarly = "refill-early"
+	// BreakTermFloor (replicated worlds only) has every replica raise
+	// its term floor to the policy term alone, not to the ceiling a
+	// renewal stretches to. A failover's recovery window is then shorter
+	// than a stretched lease the deposed master granted, and the new
+	// master applies a write the holder still reads from its cache.
+	BreakTermFloor = "term-floor"
 )
+
+// termCeiling is the longest term the server grants a per-client lease:
+// a renewal of a live, uncontended lease runs core.ReuseFactor terms.
+func (sc Scenario) termCeiling() time.Duration { return core.ReuseFactor * sc.Term }
 
 // Scenario fully determines one model-checked execution.
 type Scenario struct {
@@ -323,6 +335,9 @@ func (sc Scenario) Validate() error {
 		if op.At < 0 {
 			return fmt.Errorf("check: op %d scheduled before start", i)
 		}
+	}
+	if sc.Break == BreakTermFloor && sc.Servers < 2 {
+		return fmt.Errorf("check: break %q needs a replicated world (Servers >= 2)", sc.Break)
 	}
 	if sc.Break == BreakRenameOrder && sc.groups() < 2 {
 		return fmt.Errorf("check: break %q needs a sharded world (Groups >= 2)", sc.Break)

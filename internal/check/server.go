@@ -240,7 +240,7 @@ func (srv *mserver) newMach(start time.Time) *replica.Machine {
 // disk carries over: the store, each file's replication sequence, and
 // the max-term floor. A standalone server re-enters the §5 recovery
 // window at once; a replica imposes it at its next promotion. The
-// model's replicas know the lease terms from configuration, where the
+// model's replicas know the term ceiling from configuration, where the
 // deployment replicates every raise before the grant that needs it.
 func (srv *mserver) boot() {
 	sc := srv.w.sc
@@ -267,7 +267,11 @@ func (srv *mserver) boot() {
 	}
 	srv.core = srvcore.New(cfg)
 	if srv.mach != nil {
-		srv.core.RaiseTerm(max(sc.Term, srv.floor))
+		ceiling := sc.termCeiling()
+		if sc.Break == BreakTermFloor {
+			ceiling = sc.Term
+		}
+		srv.core.RaiseTerm(max(ceiling, srv.floor))
 		if old != nil {
 			for _, f := range old.ReplState() {
 				srv.core.ApplyReplicated(f.Path, f.Seq, f.Data)
@@ -788,7 +792,12 @@ func (srv *mserver) apply(op *mplan, now time.Time) {
 		srv.w.home[x.file] = x.dest
 		srv.w.out.Renames++
 	case planUndo:
-		// The file is home again, with the bytes it never lost here.
+		// The file is home again with the bytes that moved, as the
+		// deployment's undo re-creates it: a promotion while it was away
+		// may have merged a write here that never applied.
+		if _, err := srv.store.Apply(op.mut); err != nil {
+			panic(fmt.Sprintf("check: restore file %d: %v", op.file, err))
+		}
 		srv.w.shards[srv.group].owned[op.file] = true
 		srv.w.home[op.file] = srv.group
 	case planMove:
@@ -1042,9 +1051,10 @@ func (srv *mserver) handleXfer(m netsim.Message, p xferMsg) {
 			return
 		}
 		srv.cancel(&x.retryEv)
-		op := &mplan{kind: planUndo, file: x.file, x: x, client: core.ClientID(fmt.Sprintf("xfer-%d", x.id)), tc: x.sp.Context()}
+		op := &mplan{kind: planUndo, file: x.file, x: x, client: core.ClientID(fmt.Sprintf("xfer-%d", x.id)), tc: x.sp.Context(),
+			mut: vfs.Op{Kind: vfs.OpWrite, Node: datumForFile(x.file).Node, Path: filePath(x.file), Data: []byte(x.move.Value)}}
 		op.p = srv.core.Plan(op.client, rootBinding)
-		op.p.Ship(vfs.Op{Kind: vfs.OpWrite, Node: datumForFile(x.file).Node, Path: filePath(x.file), Data: []byte(x.move.Value)})
+		op.p.Ship(op.mut)
 		srv.begin(op)
 	case kindXferMoved:
 		x := srv.xfers[p.File]

@@ -7,6 +7,7 @@ import (
 
 	"leases/internal/client"
 	"leases/internal/clock"
+	"leases/internal/core"
 	"leases/internal/proto"
 	"leases/internal/server"
 	"leases/internal/vfs"
@@ -124,7 +125,9 @@ func TestResolveByDepth(t *testing.T) {
 
 			// Lapse: nothing resolves, one round trip revalidates the
 			// whole chain at its unchanged versions — g's edge with it.
-			clk.Advance(2 * resolveTerm)
+			// f and the names renewed live, uncontended leases, which
+			// run core.ReuseFactor terms.
+			clk.Advance(core.ReuseFactor * resolveTerm)
 			step(t, c, "lapsed read", sent{reads: 1}, 0, readN(f, 1))
 			step(t, c, "revived sibling write", sent{writes: 1}, 1, func() error { return c.Write(g, []byte("w3")) })
 			if got := c.Metrics().ReadHits; got != 6 {

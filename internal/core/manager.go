@@ -69,6 +69,9 @@ type pendingWrite struct {
 type datumState struct {
 	leases  map[ClientID]time.Time // holder → expiry (zero = never)
 	pending []*pendingWrite        // FIFO
+	// contendedAt is when a write last had to ask another holder for
+	// approval; zero if none has since the state was created.
+	contendedAt time.Time
 }
 
 func (ds *datumState) empty() bool {
@@ -116,8 +119,11 @@ type Manager struct {
 	// recoverUntil blocks all writes until the given instant after a
 	// restart, honouring leases granted before the crash.
 	recoverUntil time.Time
-	metrics      ManagerMetrics
-	installed    *InstalledSet
+	// stretch lets an uncontended renewal run ReuseFactor terms; see
+	// WithReuseStretch.
+	stretch   bool
+	metrics   ManagerMetrics
+	installed *InstalledSet
 	// freeStates and freeWrites recycle the per-datum state and queue
 	// entry an unshared held write creates and discards, so that path —
 	// the common one — allocates nothing once warm.
@@ -142,6 +148,21 @@ func WithRecoveryWindow(until time.Time) ManagerOption {
 // WithInstalled attaches an installed-file set (§4) to the manager.
 func WithInstalled(set *InstalledSet) ManagerOption {
 	return func(m *Manager) { m.installed = set }
+}
+
+// ReuseFactor is how many policy terms a stretched renewal lasts (see
+// WithReuseStretch), and so the multiple of the policy term a recovery
+// window or a replica's term floor must cover once stretching is on.
+const ReuseFactor = 4
+
+// WithReuseStretch makes a renewal of a live lease last ReuseFactor
+// policy terms, unless a write on the datum had to ask another holder
+// for approval within that span. A renewal of a live lease means the
+// datum served a hit within its term; a datum nobody else writes has an
+// unbounded benefit factor (§3.1), so only the §2 fault bound limits its
+// term. A fresh grant keeps the policy term.
+func WithReuseStretch() ManagerOption {
+	return func(m *Manager) { m.stretch = true }
 }
 
 // NewManager returns a manager granting terms from policy.
@@ -193,6 +214,8 @@ func (m *Manager) state(d vfs.Datum) *datumState {
 // the anti-starvation rule of §2 footnote 1 — and the datum may be read
 // once without caching. Installed data are never granted per-client
 // leases; clients cover them through the multicast extension instead.
+// With WithReuseStretch, an extension of a live lease on a datum no write
+// has contended for ReuseFactor terms runs ReuseFactor terms.
 func (m *Manager) Grant(client ClientID, d vfs.Datum, now time.Time) Grant {
 	if m.installed != nil && m.installed.Contains(d) {
 		// Per-client record elimination (§4): no per-client lease is
@@ -219,9 +242,14 @@ func (m *Manager) Grant(client ClientID, d vfs.Datum, now time.Time) Grant {
 		m.compactIfEmpty(d, ds)
 		return Grant{Datum: d}
 	}
+	old, held := ds.leases[client]
+	if held && m.stretch && !Expired(old, now) && term < Infinite/ReuseFactor &&
+		(ds.contendedAt.IsZero() || now.Sub(ds.contendedAt) > ReuseFactor*term) {
+		term *= ReuseFactor
+	}
 	expiry := ExpiryAt(now, term)
 	// An extension never shortens an existing lease.
-	if old, ok := ds.leases[client]; ok {
+	if held {
 		expiry = maxExpiry(old, expiry)
 	}
 	ds.leases[client] = expiry
@@ -387,6 +415,9 @@ func (m *Manager) queue(writer ClientID, d vfs.Datum, ds *datumState, holders ma
 		waitingOn:    holders,
 		blockedUntil: blocked,
 		queuedAt:     now,
+	}
+	if len(holders) > 0 {
+		ds.contendedAt = now
 	}
 	// The deadline is the latest blocker expiry; any infinite lease (zero
 	// expiry) means there is no deadline — only approvals release.
@@ -761,6 +792,7 @@ func (m *Manager) Compact(now time.Time) {
 func (m *Manager) compactIfEmpty(d vfs.Datum, ds *datumState) {
 	if ds.empty() && m.data[d] == ds {
 		delete(m.data, d)
+		ds.contendedAt = time.Time{}
 		if len(m.freeStates) < maxFree {
 			m.freeStates = append(m.freeStates, ds)
 		}

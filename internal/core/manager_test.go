@@ -502,3 +502,52 @@ func BenchmarkLeaseRecordStorage(b *testing.B) {
 	}
 	b.ReportMetric(perClient, "bytes/client@100leases")
 }
+
+// TestReuseStretch: with WithReuseStretch a renewal of a live lease runs
+// ReuseFactor terms, unless a write on the datum asked another holder for
+// approval within that span; a fresh grant — first contact, or after the
+// lease lapsed — keeps the policy term, and so does every grant without
+// the option.
+func TestReuseStretch(t *testing.T) {
+	const term = 10 * time.Second
+	now := epoch()
+	grant := func(m *Manager, c ClientID, at time.Duration, want time.Duration) {
+		t.Helper()
+		if g := m.Grant(c, datumA, now.Add(at)); !g.Leased || g.Term != want {
+			t.Fatalf("%s's grant at %v = %+v, want term %v", c, at, g, want)
+		}
+	}
+
+	plain := NewManager(FixedTerm(term))
+	grant(plain, "c1", 0, term)
+	grant(plain, "c1", 5*time.Second, term)
+
+	m := NewManager(FixedTerm(term), WithReuseStretch())
+	grant(m, "c1", 0, term)
+	grant(m, "c1", 5*time.Second, ReuseFactor*term)
+	if m.MaxTermGranted() != ReuseFactor*term {
+		t.Fatalf("MaxTermGranted = %v, want %v", m.MaxTermGranted(), ReuseFactor*term)
+	}
+	grant(m, "c1", 46*time.Second, term) // lapsed at 45 s: a fresh grant
+	// The holder's own write asks nobody, so it does not contend.
+	if d := m.SubmitWrite("c1", datumA, now.Add(50*time.Second)); !d.Ready {
+		t.Fatalf("holder's own write = %+v", d)
+	}
+	grant(m, "c1", 51*time.Second, ReuseFactor*term)
+
+	// c2's write asks c1 for approval at 60 s: renewals keep the policy
+	// term until ReuseFactor terms have passed without another such ask.
+	grant(m, "c2", 52*time.Second, term)
+	d := m.SubmitWrite("c2", datumA, now.Add(60*time.Second))
+	if d.Ready || len(d.NeedApproval) != 1 {
+		t.Fatalf("contended write = %+v", d)
+	}
+	m.Approve("c1", d.WriteID, now.Add(60*time.Second))
+	m.WriteApplied(d.WriteID, now.Add(60*time.Second))
+	grant(m, "c2", 61*time.Second, term)
+	grant(m, "c1", 62*time.Second, term)
+	for at := 70 * time.Second; at <= 100*time.Second; at += 5 * time.Second {
+		grant(m, "c1", at, term)
+	}
+	grant(m, "c1", 101*time.Second, ReuseFactor*term)
+}

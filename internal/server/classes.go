@@ -1,9 +1,6 @@
 package server
 
 import (
-	"sync"
-	"time"
-
 	"leases/internal/core"
 	"leases/internal/obs"
 	"leases/internal/obs/tracing"
@@ -136,47 +133,4 @@ func (s *Server) ClassSnapshot() (ClassInfo, bool) {
 		return ct.Info(), true
 	}
 	return ClassInfo{}, false
-}
-
-// accessPolicy couples an AccessStats estimator with the term policy it
-// feeds under one mutex: AdaptiveTerm.Term mutates the estimator's
-// sliding windows, so observations and term decisions must not
-// interleave.
-type accessPolicy struct {
-	mu    sync.Mutex
-	stats *core.AccessStats
-	inner core.TermPolicy
-}
-
-// Term implements core.TermPolicy.
-func (p *accessPolicy) Term(d vfs.Datum, client core.ClientID, now time.Time) time.Duration {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.inner.Term(d, client, now)
-}
-
-func (p *accessPolicy) observeRead(d vfs.Datum, client core.ClientID, now time.Time) {
-	p.mu.Lock()
-	p.stats.ObserveRead(d, client, now)
-	p.mu.Unlock()
-}
-
-func (p *accessPolicy) observeWrite(d vfs.Datum, now time.Time) {
-	p.mu.Lock()
-	p.stats.ObserveWrite(d, now)
-	p.mu.Unlock()
-}
-
-// observeRead/observeWrite feed the adaptive-term estimator when one is
-// configured; a branch and nothing else otherwise.
-func (s *Server) observeRead(client core.ClientID, d vfs.Datum) {
-	if s.access != nil {
-		s.access.observeRead(d, client, s.clk.Now())
-	}
-}
-
-func (s *Server) observeWrite(d vfs.Datum) {
-	if s.access != nil {
-		s.access.observeWrite(d, s.clk.Now())
-	}
 }

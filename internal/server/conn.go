@@ -435,10 +435,9 @@ func (c *serverConn) handleInstalled(f proto.Frame) {
 }
 
 // grantRead grants a lease on a datum being served to a reader and
-// feeds the read to the adaptive-term and installed-class observers.
+// feeds the read to the installed-class observer.
 func (c *serverConn) grantRead(d vfs.Datum) proto.GrantWire {
 	g := c.grant(d, obs.EvGrant)
-	c.srv.observeRead(c.client, d)
 	c.srv.classObserveRead(c.client, d)
 	return g
 }
@@ -595,8 +594,7 @@ func (c *serverConn) handleWrite(r *request) {
 // stays, ungranted, for a later reply; one asked for a term ago or more,
 // or whose file is gone or unreadable to the client, is dropped. The
 // grant is grant's: the max-term and replication ordering and the
-// write-pending refusal apply, and the adaptive-term and class heuristics
-// see no read.
+// write-pending refusal apply, and the class heuristics see no read.
 func (c *serverConn) takeRefills(own vfs.Datum, room int) []proto.RefillWire {
 	if len(c.refills) == 0 {
 		return nil

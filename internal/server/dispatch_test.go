@@ -11,6 +11,7 @@ import (
 
 	"leases/internal/client"
 	"leases/internal/clock"
+	"leases/internal/core"
 	"leases/internal/obs/tracing"
 	"leases/internal/proto"
 	"leases/internal/server"
@@ -368,6 +369,8 @@ func TestParkedWriteKeepsItsPayload(t *testing.T) {
 // socket blocks the goroutine serving its connection in a write, and
 // nothing else: other clients' reads are answered, a write its lease
 // conflicts with waits out the term (§2) and no longer, and Stop returns.
+// The stuck client's second read renews a live, uncontended lease, so
+// that term is core.ReuseFactor policy terms.
 func TestStuckClientDelaysOnlyItself(t *testing.T) {
 	clk := clock.NewSim()
 	srv, connect := startPipeServer(t, server.Config{Term: parkTerm, Clock: clk})
@@ -384,6 +387,16 @@ func TestStuckClientDelaysOnlyItself(t *testing.T) {
 	if _, err := stuck.Write(read); err != nil { // never read: the pipe buffers nothing
 		t.Fatal(err)
 	}
+	stretched := clk.Now().Add(core.ReuseFactor * parkTerm)
+	stuckUntil := func() (exp time.Time) {
+		for _, l := range srv.Snapshot() {
+			if l.Client == "stuck" {
+				exp = l.Expiry
+			}
+		}
+		return exp
+	}
+	waitFor(t, "the renewal", func() bool { return stuckUntil().Equal(stretched) })
 
 	nc, _ := connect()
 	other, err := client.NewFromConn(nc, client.Config{ID: "other", Clock: clk})
@@ -398,9 +411,20 @@ func TestStuckClientDelaysOnlyItself(t *testing.T) {
 	})
 	wc := other.StartWrite("/f", []byte("new"))
 	waitFor(t, "the conflicting write to defer", func() bool { return srv.Metrics().WritesDeferred >= 1 })
+	done := make(chan error, 1)
+	go func() { done <- wc.Wait() }()
 	clk.Advance(parkTerm + time.Second)
+	if !stuckUntil().Equal(stretched) {
+		t.Fatalf("one term on, the stuck client's lease runs to %v, want %v", stuckUntil(), stretched)
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("the conflicting write finished inside the renewed lease: %v", err)
+	default:
+	}
+	clk.Advance((core.ReuseFactor - 1) * parkTerm)
 	within(t, "the conflicting write, once the stuck client's lease ran out", func() {
-		if err := wc.Wait(); err != nil {
+		if err := <-done; err != nil {
 			t.Error(err)
 		}
 	})

@@ -96,12 +96,6 @@ type Config struct {
 	// leases with broadcast extension and drop-on-write). The zero value
 	// disables it: the server then sends no class frame. See classes.go.
 	Class ClassConfig
-	// Access, when non-nil, receives a read/write observation for every
-	// request the server serves. Pair it with a core.AdaptiveTerm policy
-	// over the same estimator and grant terms adapt per file: wide for
-	// read-mostly data, narrow-to-zero for write-contended data. The
-	// server serializes the estimator against the policy's own calls.
-	Access *core.AccessStats
 	// Shard places this server in a sharded deployment (see shard.go).
 	// The zero value is unsharded: no ownership checks, so no TNotOwner.
 	Shard ShardConfig
@@ -120,11 +114,8 @@ type Server struct {
 	obs    *obs.Observer   // nil = instrumentation disabled
 	tracer *tracing.Tracer // nil = tracing disabled
 
-	// access feeds the adaptive-term estimator; nil unless Config.Access
-	// is set. wire counts frames per type and direction across every
-	// connection.
-	access *accessPolicy
-	wire   *proto.WireStats
+	// wire counts frames per type and direction across every connection.
+	wire *proto.WireStats
 
 	// spanMu guards writeSpans: the open approval-push spans of traced
 	// deferred writes, keyed by write and holder, so the approve path
@@ -171,11 +162,6 @@ func New(cfg Config) *Server {
 	policy := cfg.Policy
 	if policy == nil {
 		policy = core.FixedTerm(cfg.Term)
-	}
-	var access *accessPolicy
-	if cfg.Access != nil {
-		access = &accessPolicy{stats: cfg.Access, inner: policy}
-		policy = access
 	}
 	cfg.Class = cfg.Class.WithDefaults()
 	var recoverUntil time.Time
@@ -224,8 +210,7 @@ func New(cfg Config) *Server {
 		maxTermF: maxTermF,
 		initErr:  initErr,
 
-		access: access,
-		wire:   &proto.WireStats{},
+		wire: &proto.WireStats{},
 	}
 }
 
@@ -409,9 +394,6 @@ func (s *Server) run(c *serverConn, r *request) bool {
 func (s *Server) drive(c *serverConn, r *request) error {
 	p, tc, writer, st := &r.plan, r.sp.Context(), c.client, r.step
 	if st.Kind == 0 {
-		for _, d := range p.Data() {
-			s.observeWrite(d)
-		}
 		r.start = s.clk.Now()
 		st = p.Next(r.start)
 	}

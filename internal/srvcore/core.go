@@ -34,7 +34,10 @@ type Config struct {
 	// master-only, so a write can arrive for a path never seen here).
 	Owner string
 	// Policy and Shards build the lease manager; RecoverUntil, when set,
-	// is the §2 restart window every shard honours.
+	// is the §2 restart window every shard honours. A core.FixedTerm
+	// policy renews a reused, uncontended lease for core.ReuseFactor
+	// terms (core.WithReuseStretch); any other policy is granted as it
+	// chooses.
 	Policy       core.TermPolicy
 	Shards       int
 	RecoverUntil time.Time
@@ -79,6 +82,9 @@ type Core struct {
 // New returns a Core over cfg.Store with no leases granted.
 func New(cfg Config) *Core {
 	var opts []core.ManagerOption
+	if _, fixed := cfg.Policy.(core.FixedTerm); fixed {
+		opts = append(opts, core.WithReuseStretch())
+	}
 	if !cfg.RecoverUntil.IsZero() {
 		opts = append(opts, core.WithRecoveryWindow(cfg.RecoverUntil))
 	}
