@@ -20,7 +20,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig1|fig2|fig3|table2|headline|installed|baselines|scaling|adaptive|writeback|faults|all")
+	exp := flag.String("exp", "all", "experiment: fig1|fig2|fig3|table2|headline|installed|baselines|scaling|adaptive|faults|all")
 	quick := flag.Bool("quick", false, "shorten simulated workloads")
 	flag.Parse()
 
@@ -70,10 +70,6 @@ func main() {
 	if run("adaptive") {
 		any = true
 		experiments.RenderTable(w, experiments.Adaptive(*quick))
-	}
-	if run("writeback") {
-		any = true
-		experiments.RenderTable(w, experiments.WriteBack(*quick))
 	}
 	if run("faults") {
 		any = true

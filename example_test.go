@@ -71,28 +71,3 @@ func ExampleChooseTerm() {
 	// term: 3.58676688s
 	// write-hot term: 0s
 }
-
-// Write-back tokens (§2/§6 extension): an exclusive write token absorbs
-// writes locally; a recall forces a flush before anyone else reads.
-func ExampleTokenManager() {
-	mgr := leases.NewTokenManager(leases.FixedTerm(10 * time.Second))
-	now := clock.Epoch
-	datum := leases.Datum{Kind: vfs.FileData, Node: 9}
-
-	w := mgr.Acquire("editor", datum, leases.TokenWrite, now)
-	fmt.Printf("write token: %v\n", w.Granted)
-
-	// A reader shows up: the write token must be recalled.
-	r := mgr.Acquire("build", datum, leases.TokenRead, now.Add(time.Second))
-	fmt.Printf("read granted immediately: %v, recall: %v\n", r.Granted, r.NeedRecall)
-
-	// The editor flushes its dirty data (driver's job), then the
-	// downgrade-ack keeps its read token while unblocking the reader.
-	ready := mgr.DowngradeAck("editor", r.ReqID, now.Add(2*time.Second))
-	fmt.Printf("reader grantable: %v\n", ready)
-
-	// Output:
-	// write token: true
-	// read granted immediately: false, recall: [editor]
-	// reader grantable: true
-}

@@ -55,9 +55,11 @@ type Config struct {
 	// in batches, when they come within half this period of expiring;
 	// the loop wakes when the next lease approaches expiry, at most
 	// once per AutoExtend and at least once per AutoExtend when
-	// something is due sooner. Zero disables it; a lease that serves
-	// hits is then renewed on the next read or write the client sends,
-	// and any other lapses.
+	// something is due sooner. The loop is also the only code path that
+	// fetches the installed-class snapshot (§4.3). Zero disables it: a
+	// lease that serves hits is then renewed on the next read or write
+	// the client sends, any other lapses, and the client never holds the
+	// installed class, so broadcasts extend nothing for it.
 	AutoExtend time.Duration
 	// OnExtendFailure runs (on the renewal loop goroutine) when a
 	// background extension round fails, with the error and the count of
@@ -383,9 +385,8 @@ func (c *Cache) HeldData() []vfs.Datum {
 }
 
 // ServerBoot reports the server incarnation ID received in the latest
-// hello ack (zero when talking to a server predating boot IDs). A
-// change across a reconnect means the server restarted and is running
-// its §2 recovery window.
+// hello ack. A change across a reconnect means the server restarted and
+// is running its §2 recovery window.
 func (c *Cache) ServerBoot() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

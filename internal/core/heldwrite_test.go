@@ -3,8 +3,6 @@ package core
 import (
 	"testing"
 	"time"
-
-	"leases/internal/clock"
 )
 
 // SubmitWriteHeld is the concurrent-driver variant used by the TCP
@@ -99,127 +97,4 @@ func TestSubmitWriteHeldInstalledDatum(t *testing.T) {
 		t.Fatalf("not released after cover expiry: %v", got)
 	}
 	m.WriteApplied(disp.WriteID, now.Add(31*time.Second))
-}
-
-func TestTokenManagerMaxTermGranted(t *testing.T) {
-	m := NewTokenManager(FixedTerm(42 * time.Second))
-	if m.MaxTermGranted() != 0 {
-		t.Fatal("fresh manager has a max term")
-	}
-	m.Acquire("c", datumA, TokenRead, epoch())
-	if m.MaxTermGranted() != 42*time.Second {
-		t.Fatalf("MaxTermGranted = %v", m.MaxTermGranted())
-	}
-}
-
-func TestTokenHolderExpiresWithin(t *testing.T) {
-	h := NewTokenHolder(HolderConfig{})
-	now := clock.Epoch
-	h.ApplyToken(datumA, TokenWrite, 1, 10*time.Second, now, now)
-	if h.ExpiresWithin(datumA, now, time.Second) {
-		t.Fatal("fresh token reported expiring")
-	}
-	if !h.ExpiresWithin(datumA, now.Add(9500*time.Millisecond), time.Second) {
-		t.Fatal("near-expiry token not reported")
-	}
-	if h.ExpiresWithin(datumA, now.Add(time.Minute), time.Second) {
-		t.Fatal("already-expired token reported as expiring")
-	}
-	if h.ExpiresWithin(datumB, now, time.Second) {
-		t.Fatal("unheld datum reported expiring")
-	}
-	h2 := NewTokenHolder(HolderConfig{})
-	h2.ApplyToken(datumA, TokenRead, 1, Infinite, now, now)
-	if h2.ExpiresWithin(datumA, now, time.Hour) {
-		t.Fatal("infinite token reported expiring")
-	}
-	if h2.Mode(datumA) != TokenRead {
-		t.Fatalf("Mode = %v", h2.Mode(datumA))
-	}
-	if h2.Mode(datumB) != 0 {
-		t.Fatal("unheld Mode nonzero")
-	}
-}
-
-// DowngradeAck and RefreshHead drive the recall-resolution paths the
-// simulator uses; exercise them directly.
-func TestDowngradeAckResolvesReadAcquisition(t *testing.T) {
-	m := NewTokenManager(FixedTerm(10 * time.Second))
-	now := epoch()
-	m.Acquire("writer", datumA, TokenWrite, now)
-	disp := m.Acquire("reader", datumA, TokenRead, now)
-	if disp.Granted {
-		t.Fatal("granted under write token")
-	}
-	if !m.DowngradeAck("writer", disp.ReqID, now.Add(time.Second)) {
-		t.Fatal("DowngradeAck did not resolve")
-	}
-	// The writer kept a read token.
-	if m.Mode("writer", datumA, now.Add(time.Second)) != TokenRead {
-		t.Fatal("writer lost its token on downgrade")
-	}
-	m.GrantReady(disp.ReqID, now.Add(time.Second))
-	if m.Mode("reader", datumA, now.Add(time.Second)) != TokenRead {
-		t.Fatal("reader not granted")
-	}
-	// DowngradeAck on a write-mode acquisition refuses.
-	disp2 := m.Acquire("w2", datumA, TokenWrite, now.Add(2*time.Second))
-	if m.DowngradeAck("writer", disp2.ReqID, now.Add(2*time.Second)) {
-		t.Fatal("DowngradeAck resolved a write acquisition")
-	}
-	// Unknown request / non-blocker are no-ops.
-	if m.DowngradeAck("writer", 999, now) {
-		t.Fatal("unknown request resolved")
-	}
-}
-
-func TestRefreshHeadPicksUpNewBlockers(t *testing.T) {
-	m := NewTokenManager(FixedTerm(10 * time.Second))
-	now := epoch()
-	m.Acquire("r1", datumA, TokenRead, now)
-	w := m.Acquire("w", datumA, TokenWrite, now) // queued behind r1
-	r2 := m.Acquire("r2", datumA, TokenRead, now)
-	_ = r2
-	// r1 acks; the writer is granted.
-	m.RecallAck("r1", w.ReqID, now)
-	m.GrantReady(w.ReqID, now)
-	// r2's recorded blockers ({r1}) are stale: the live blocker is now
-	// the writer. RefreshHead must surface it.
-	added := m.RefreshHead(datumA, now)
-	if len(added) != 1 || added[0] != "w" {
-		t.Fatalf("RefreshHead = %v, want [w]", added)
-	}
-	// And r2 is not grantable until the writer resolves.
-	if got := m.ReadyAcquisitions(now); len(got) != 0 {
-		t.Fatalf("r2 ready over a live write token: %v", got)
-	}
-	m.RecallAck("w", r2.ReqID, now)
-	if got := m.ReadyAcquisitions(now); len(got) != 1 {
-		t.Fatalf("r2 not ready after writer ack: %v", got)
-	}
-	// RefreshHead with nothing pending is nil.
-	if m.RefreshHead(datumB, now) != nil {
-		t.Fatal("RefreshHead invented blockers")
-	}
-}
-
-func TestTokenHolderConservativeAnchor(t *testing.T) {
-	// Without a delivery estimate, the token anchors at the request
-	// send time.
-	h := NewTokenHolder(HolderConfig{Allowance: 100 * time.Millisecond})
-	req := clock.Epoch
-	recv := req.Add(50 * time.Millisecond)
-	h.ApplyToken(datumA, TokenRead, 1, 10*time.Second, req, recv)
-	// Expiry = req + 10s − ε.
-	if !h.CanRead(datumA, req.Add(9800*time.Millisecond)) {
-		t.Fatal("token expired too early")
-	}
-	if h.CanRead(datumA, req.Add(9950*time.Millisecond)) {
-		t.Fatal("token valid past conservative expiry")
-	}
-	// A term shorter than ε is unusable.
-	h.ApplyToken(datumB, TokenRead, 1, 50*time.Millisecond, req, recv)
-	if h.CanRead(datumB, recv) {
-		t.Fatal("sub-ε token usable")
-	}
 }

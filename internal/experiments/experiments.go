@@ -20,7 +20,6 @@ import (
 	"leases/internal/baseline"
 	"leases/internal/core"
 	"leases/internal/netsim"
-	"leases/internal/tokensim"
 	"leases/internal/trace"
 	"leases/internal/tracesim"
 )
@@ -426,58 +425,6 @@ func Adaptive(quick bool) Table {
 	add("fixed term=10s", tracesim.Config{Term: 10 * time.Second})
 	add("fixed term=30s", tracesim.Config{Term: 30 * time.Second})
 	add("adaptive (model-driven)", tracesim.Config{Adaptive: &tracesim.AdaptiveConfig{}})
-	return t
-}
-
-// WriteBack runs the §2/§6 token-extension comparison: write-through
-// leases versus write-back tokens on a write-heavy private workload
-// (where write-back shines) and a shared read-mostly workload (where
-// the two converge).
-func WriteBack(quick bool) Table {
-	dur := time.Hour
-	if quick {
-		dur = 20 * time.Minute
-	}
-	private := trace.Poisson(trace.PoissonConfig{
-		Seed: 61, Duration: dur, Clients: 4, Files: 4,
-		ReadRate: 0.4, WriteRate: 1.0,
-	})
-	for j := range private.Events {
-		private.Events[j].File = private.Events[j].Client
-	}
-	shared := trace.Shared(trace.SharedConfig{
-		Seed: 62, Duration: dur, Clients: 4, Files: 2,
-		ReadRate: 0.864, WriteRate: 0.01,
-	})
-
-	const term = 30 * time.Second
-	t := Table{
-		Title:  "Write-back tokens vs write-through leases (§2/§6 extension)",
-		Header: []string{"workload", "regime", "server msgs (total)", "consistency msgs", "stale", "lost writes"},
-	}
-	addLease := func(name string, tr *trace.Trace) {
-		r := tracesim.Run(tracesim.Config{Trace: tr, Term: term, Net: lanNet()})
-		t.Rows = append(t.Rows, []string{
-			name, "write-through leases",
-			fmt.Sprintf("%d", r.ServerTotalMsgs),
-			fmt.Sprintf("%d", r.ServerConsistencyMsgs),
-			fmt.Sprintf("%d", r.StaleReads), "0",
-		})
-	}
-	addTokens := func(name string, tr *trace.Trace) {
-		r := tokensim.Run(tokensim.Config{Trace: tr, Term: term, Net: lanNet(), FlushInterval: 10 * time.Second})
-		t.Rows = append(t.Rows, []string{
-			name, "write-back tokens",
-			fmt.Sprintf("%d", r.ServerTotalMsgs),
-			fmt.Sprintf("%d", r.ServerConsistencyMsgs),
-			fmt.Sprintf("%d", r.StaleReads),
-			fmt.Sprintf("%d", r.LostWrites),
-		})
-	}
-	addLease("private write-heavy", private)
-	addTokens("private write-heavy", private)
-	addLease("shared read-mostly", shared)
-	addTokens("shared read-mostly", shared)
 	return t
 }
 

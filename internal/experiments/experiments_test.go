@@ -215,36 +215,6 @@ func TestAdaptiveTable(t *testing.T) {
 	}
 }
 
-func TestWriteBackTable(t *testing.T) {
-	tbl := WriteBack(true)
-	if len(tbl.Rows) != 4 {
-		t.Fatalf("rows = %d", len(tbl.Rows))
-	}
-	parse := func(s string) int64 {
-		var v int64
-		for _, c := range s {
-			if c >= '0' && c <= '9' {
-				v = v*10 + int64(c-'0')
-			}
-		}
-		return v
-	}
-	// On private write-heavy data, write-back sends far fewer total
-	// messages than write-through.
-	leaseTotal, tokenTotal := parse(tbl.Rows[0][2]), parse(tbl.Rows[1][2])
-	if tokenTotal*3 >= leaseTotal {
-		t.Fatalf("write-back total %d not well below write-through %d", tokenTotal, leaseTotal)
-	}
-	for _, row := range tbl.Rows {
-		if row[4] != "0" {
-			t.Fatalf("%s/%s produced stale reads", row[0], row[1])
-		}
-		if row[5] != "0" {
-			t.Fatalf("%s/%s lost writes without crashes", row[0], row[1])
-		}
-	}
-}
-
 func TestRenderers(t *testing.T) {
 	var sb strings.Builder
 	RenderSeries(&sb, "t", "x", "y", []Series{{Name: "a", X: []float64{1, 2}, Y: []float64{3, 4}}})

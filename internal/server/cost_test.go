@@ -191,6 +191,92 @@ func TestTermTable(t *testing.T) {
 	}
 }
 
+// idleRow is what an idle holder costs one server: the frames both ways
+// while it sits idle, the TExtend frames among them, and the leases still
+// live at the end.
+type idleRow struct {
+	frames, extends uint64
+	live            int
+}
+
+func (r idleRow) String() string {
+	return fmt.Sprintf("%d frames, %d TExtend, %d live leases", r.frames, r.extends, r.live)
+}
+
+// runIdle has one client read n private files and then sit idle for ten
+// terms, with the renewal loop armed every autoExtend (zero: none). The
+// term is 12 s so that every timer the loop arms falls on a step of the
+// simulated clock, and each step waits for the loop to park on its next
+// timer: the count is exact.
+func runIdle(t *testing.T, n int, autoExtend time.Duration) idleRow {
+	t.Helper()
+	const term = 12 * time.Second
+	clk := clock.NewSim()
+	srv, connect := startPipeServer(t, server.Config{Term: term, Clock: clk})
+	if _, err := srv.Store().Mkdir("/pv", "root", vfs.DefaultPerm|vfs.WorldWrite); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		seedWritable(t, srv, fmt.Sprintf("/pv/f%d", i), "x")
+	}
+	nc, _ := connect()
+	c, err := client.NewFromConn(nc, client.Config{ID: "idle", Clock: clk, AutoExtend: autoExtend})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	timers := 0
+	if autoExtend > 0 {
+		timers = 1
+	}
+	park := func() {
+		for start := time.Now(); clk.PendingTimers() != timers; time.Sleep(50 * time.Microsecond) {
+			if time.Since(start) > 5*time.Second {
+				t.Fatalf("%d timers armed, want %d", clk.PendingTimers(), timers)
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		mustReadAs(t, c, fmt.Sprintf("/pv/f%d", i), "x")
+	}
+	ws := srv.WireStats()
+	before, extendsBefore := frames(ws), ws.Frames(proto.TExtend, "in")
+	const step = term / 24
+	for i := 0; i < 10*24; i++ {
+		park()
+		clk.Advance(step)
+	}
+	park()
+	return idleRow{
+		frames:  frames(ws) - before,
+		extends: ws.Frames(proto.TExtend, "in") - extendsBefore,
+		live:    len(srv.Snapshot()),
+	}
+}
+
+// TestIdleHolderFrames counts what the optional renewal loop
+// (client.Config.AutoExtend) costs and buys an idle holder of 32 private
+// files over ten terms: with it, five batched TExtend round trips keep
+// all 34 leases live (the two directories' leases, already stretched to
+// core.ReuseFactor terms by the reads, renew out of phase with the
+// files'); without it, the idle span costs nothing and every lease
+// lapses. Exact: re-pin a row only for an intended traffic change.
+func TestIdleHolderFrames(t *testing.T) {
+	const n = 32
+	for _, r := range []struct {
+		name       string
+		autoExtend time.Duration
+		want       string
+	}{
+		{"loop every term/3", 4 * time.Second, "10 frames, 5 TExtend, 34 live leases"},
+		{"no loop", 0, "0 frames, 0 TExtend, 0 live leases"},
+	} {
+		if got := runIdle(t, n, r.autoExtend); got.String() != r.want {
+			t.Errorf("%s: %v, pinned %s", r.name, got, r.want)
+		}
+	}
+}
+
 // TestRefillFramesPerOp counts a recalled lease coming back, exactly:
 // the holder h reads /sh/f, the writer w writes it, and h's next request
 // (a read of /sh/g) carries /sh/f back at the new version, so h's re-read

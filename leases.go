@@ -96,32 +96,6 @@ func NewManager(policy TermPolicy, opts ...core.ManagerOption) *Manager {
 // NewHolder returns an empty client-side lease holder.
 func NewHolder(cfg HolderConfig) *Holder { return core.NewHolder(cfg) }
 
-// Token extension: leases generalized to non-write-through caches (§2,
-// §6 — "tokens ... can be regarded as limited-term leases, but
-// supporting non-write-through caches").
-type (
-	// TokenManager is the server side of the token protocol: shared
-	// read tokens, exclusive write tokens, recalls and expiry.
-	TokenManager = core.TokenManager
-	// TokenHolder is the client side, with dirty-data (write-back)
-	// tracking.
-	TokenHolder = core.TokenHolder
-	// TokenMode is TokenRead or TokenWrite.
-	TokenMode = core.TokenMode
-)
-
-// Token modes.
-const (
-	TokenRead  = core.TokenRead
-	TokenWrite = core.TokenWrite
-)
-
-// NewTokenManager returns a server-side token manager.
-func NewTokenManager(policy TermPolicy) *TokenManager { return core.NewTokenManager(policy) }
-
-// NewTokenHolder returns an empty client-side token holder.
-func NewTokenHolder(cfg HolderConfig) *TokenHolder { return core.NewTokenHolder(cfg) }
-
 // Networked deployment.
 type (
 	// Server is the TCP lease file server.
