@@ -20,7 +20,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig1|fig2|fig3|table2|headline|installed|baselines|scaling|adaptive|faults|all")
+	exp := flag.String("exp", "all", "experiment: fig1|fig2|fig3|table2|headline|installed|baselines|scaling|faults|all")
 	quick := flag.Bool("quick", false, "shorten simulated workloads")
 	flag.Parse()
 
@@ -66,10 +66,6 @@ func main() {
 			experiments.RenderSeries(w, "Scaling (§3.3): "+s.Name,
 				"sweep", s.Name, []experiments.Series{s})
 		}
-	}
-	if run("adaptive") {
-		any = true
-		experiments.RenderTable(w, experiments.Adaptive(*quick))
 	}
 	if run("faults") {
 		any = true

@@ -77,7 +77,6 @@ func main() {
 	allowance := flag.Duration("allowance", 0, "clock-uncertainty margin ε for the master lease (0 = term/10)")
 	traceSample := flag.Float64("trace-sample", 1, "head-sampling probability for locally rooted traces (elections/failovers); client-sampled requests are always recorded; negative disables the tracing subsystem entirely")
 	installedDirs := flag.String("installed-dirs", "", "comma-separated directory prefixes whose files join the installed-files lease class on first read (§4.3); empty disables the class")
-	autoInstall := flag.Bool("auto-install", false, "also promote files read by several distinct clients with no recent write into the installed class")
 	installedTerm := flag.Duration("installed-term", 0, "term each class broadcast extension grants (0 = 30s)")
 	broadcastEvery := flag.Duration("broadcast-every", 0, "class broadcast-extension period (0 = installed-term/4)")
 	quietAfterWrite := flag.Duration("quiet-after-write", 0, "post-write holdoff before a file is eligible for class (re-)promotion (0 = installed-term)")
@@ -145,7 +144,6 @@ func main() {
 		Tracer:         tr,
 		Class: server.ClassConfig{
 			InstalledDirs:   splitDirs(*installedDirs),
-			AutoInstall:     *autoInstall,
 			InstalledTerm:   *installedTerm,
 			BroadcastEvery:  *broadcastEvery,
 			QuietAfterWrite: *quietAfterWrite,

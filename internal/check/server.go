@@ -249,7 +249,7 @@ func (srv *mserver) boot() {
 		srv.floor = sc.InstalledTerm
 	}
 	cfg := srvcore.Config{
-		Store: srv.store, Owner: "srv", Policy: core.FixedTerm(sc.Term), Shards: checkShards,
+		Store: srv.store, Owner: "srv", Term: sc.Term, Shards: checkShards,
 	}
 	if sc.Installed {
 		cfg.Class = srvcore.ClassConfig{
@@ -1212,9 +1212,9 @@ func (srv *mserver) handleExtend(from netsim.NodeID, req extendReq) {
 		srv.w.obs.Record(obs.Event{
 			Type: obs.EvGrant, Client: string(req.From), Datum: d, Shard: srv.core.Leases().ShardFor(d), Term: g.Term,
 		})
-		// Feed the read to the class's promotion heuristic; the class term
-		// is durable from boot.
-		if ct := srv.core.Classes; ct != nil && ct.ObserveRead(d, filePath(f), req.From, now) {
+		// A read may install its file in the class; the class term is
+		// durable from boot.
+		if ct := srv.core.Classes; ct != nil && ct.ObserveRead(d, filePath(f), now) {
 			if _, added := srv.core.ClassAdd(d, filePath(f), now); added {
 				srv.w.obs.Record(obs.Event{Type: obs.EvClassPromote, Client: string(req.From), Datum: d})
 			}

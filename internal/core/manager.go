@@ -81,7 +81,7 @@ func (ds *datumState) empty() bool {
 // ManagerMetrics counts protocol events at the server.
 type ManagerMetrics struct {
 	Grants           int64 // leases granted or extended
-	Refusals         int64 // grants refused (write pending or zero policy)
+	Refusals         int64 // grants refused (write pending or zero term)
 	WritesImmediate  int64 // writes applied with no conflicting leases
 	WritesDeferred   int64 // writes queued behind leases
 	ApprovalsApplied int64 // approvals received and recorded
@@ -99,7 +99,7 @@ type ManagerMetrics struct {
 // not referenced: drivers apply writes to storage when the Manager says
 // they may proceed.
 type Manager struct {
-	policy TermPolicy
+	term   time.Duration
 	data   map[vfs.Datum]*datumState
 	writes map[WriteID]*pendingWrite
 	nextID WriteID
@@ -150,28 +150,27 @@ func WithInstalled(set *InstalledSet) ManagerOption {
 	return func(m *Manager) { m.installed = set }
 }
 
-// ReuseFactor is how many policy terms a stretched renewal lasts (see
-// WithReuseStretch), and so the multiple of the policy term a recovery
+// ReuseFactor is how many terms a stretched renewal lasts (see
+// WithReuseStretch), and so the multiple of the term a recovery
 // window or a replica's term floor must cover once stretching is on.
 const ReuseFactor = 4
 
 // WithReuseStretch makes a renewal of a live lease last ReuseFactor
-// policy terms, unless a write on the datum had to ask another holder
+// terms, unless a write on the datum had to ask another holder
 // for approval within that span. A renewal of a live lease means the
 // datum served a hit within its term; a datum nobody else writes has an
 // unbounded benefit factor (§3.1), so only the §2 fault bound limits its
-// term. A fresh grant keeps the policy term.
+// term. A fresh grant keeps the term.
 func WithReuseStretch() ManagerOption {
 	return func(m *Manager) { m.stretch = true }
 }
 
-// NewManager returns a manager granting terms from policy.
-func NewManager(policy TermPolicy, opts ...ManagerOption) *Manager {
-	if policy == nil {
-		panic("core: nil TermPolicy")
-	}
+// NewManager returns a manager granting leases of the given term (§4's
+// t_s). A term of zero or less grants no caching rights: every datum may
+// be read once.
+func NewManager(term time.Duration, opts ...ManagerOption) *Manager {
 	m := &Manager{
-		policy:   policy,
+		term:     term,
 		data:     make(map[vfs.Datum]*datumState),
 		writes:   make(map[WriteID]*pendingWrite),
 		nextID:   1,
@@ -236,7 +235,7 @@ func (m *Manager) Grant(client ClientID, d vfs.Datum, now time.Time) Grant {
 		m.compactIfEmpty(d, ds)
 		return Grant{Datum: d}
 	}
-	term := m.policy.Term(d, client, now)
+	term := m.term
 	if term <= 0 {
 		m.metrics.Refusals++
 		m.compactIfEmpty(d, ds)

@@ -30,7 +30,7 @@ func TestGrantRecordsLease(t *testing.T) {
 	}
 }
 
-func TestZeroTermPolicyRefuses(t *testing.T) {
+func TestZeroTermRefuses(t *testing.T) {
 	m := NewManager(FixedTerm(0))
 	g := m.Grant("c1", datumA, epoch())
 	if g.Leased || g.Term != 0 {
@@ -44,19 +44,36 @@ func TestZeroTermPolicyRefuses(t *testing.T) {
 	}
 }
 
+// TestExtensionNeverShortens: a holder whose renewal was stretched to
+// ReuseFactor terms writes a datum another client holds, which makes
+// the datum contended, so its next renewal is for one term; that renewal
+// must not cut the stretched lease short.
 func TestExtensionNeverShortens(t *testing.T) {
+	const term = 10 * time.Second
 	now := epoch()
-	terms := []time.Duration{30 * time.Second, 10 * time.Second}
-	i := 0
-	m := NewManager(TermFunc(func(vfs.Datum, ClientID, time.Time) time.Duration {
-		d := terms[i%len(terms)]
-		i++
-		return d
-	}))
-	m.Grant("c1", datumA, now) // 30s
-	m.Grant("c1", datumA, now) // 10s — must not shorten the 30s lease
-	if !m.HoldsLease("c1", datumA, now.Add(25*time.Second)) {
-		t.Fatal("extension shortened an existing lease")
+	m := NewManager(FixedTerm(term), WithReuseStretch())
+	m.Grant("c1", datumA, now)
+	if g := m.Grant("c1", datumA, now.Add(5*time.Second)); g.Term != ReuseFactor*term {
+		t.Fatalf("renewal = %+v, want a stretched term", g)
+	}
+	stretched := now.Add(5*time.Second + ReuseFactor*term)
+
+	m.Grant("c2", datumA, now.Add(6*time.Second))
+	d := m.SubmitWrite("c1", datumA, now.Add(7*time.Second))
+	if d.Ready || len(d.NeedApproval) != 1 || d.NeedApproval[0] != "c2" {
+		t.Fatalf("c1's write = %+v, want it to ask c2", d)
+	}
+	m.Approve("c2", d.WriteID, now.Add(7*time.Second))
+	m.WriteApplied(d.WriteID, now.Add(7*time.Second))
+
+	if g := m.Grant("c1", datumA, now.Add(8*time.Second)); !g.Leased || g.Term != term {
+		t.Fatalf("renewal after the contended write = %+v, want term %v", g, term)
+	}
+	if !m.HoldsLease("c1", datumA, stretched) {
+		t.Fatal("a one-term renewal shortened the stretched lease")
+	}
+	if m.HoldsLease("c1", datumA, stretched.Add(time.Nanosecond)) {
+		t.Fatal("the lease outlived its stretched expiry")
 	}
 }
 
@@ -447,15 +464,6 @@ func TestCompactReclaimsExpiredRecords(t *testing.T) {
 	}
 }
 
-func TestNilPolicyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewManager(nil) did not panic")
-		}
-	}()
-	NewManager(nil)
-}
-
 func TestWriterWaitsBehindInfiniteLeaseUntilApproval(t *testing.T) {
 	m := NewManager(FixedTerm(Infinite))
 	now := epoch()
@@ -506,8 +514,8 @@ func BenchmarkLeaseRecordStorage(b *testing.B) {
 // TestReuseStretch: with WithReuseStretch a renewal of a live lease runs
 // ReuseFactor terms, unless a write on the datum asked another holder for
 // approval within that span; a fresh grant — first contact, or after the
-// lease lapsed — keeps the policy term, and so does every grant without
-// the option.
+// lease lapsed — keeps the term, and so does every grant without the
+// option.
 func TestReuseStretch(t *testing.T) {
 	const term = 10 * time.Second
 	now := epoch()
@@ -535,8 +543,8 @@ func TestReuseStretch(t *testing.T) {
 	}
 	grant(m, "c1", 51*time.Second, ReuseFactor*term)
 
-	// c2's write asks c1 for approval at 60 s: renewals keep the policy
-	// term until ReuseFactor terms have passed without another such ask.
+	// c2's write asks c1 for approval at 60 s: renewals keep the term
+	// until ReuseFactor terms have passed without another such ask.
 	grant(m, "c2", 52*time.Second, term)
 	d := m.SubmitWrite("c2", datumA, now.Add(60*time.Second))
 	if d.Ready || len(d.NeedApproval) != 1 {

@@ -47,38 +47,17 @@ type managerShard struct {
 // enough that cross-shard sweeps stay trivial.
 const DefaultShards = 16
 
-// lockedPolicy serializes a TermPolicy shared by all shards. Policies
-// may be stateful (AdaptiveTerm trims its sliding windows inside Term),
-// so a shared instance needs its own lock once shards stop sharing one.
-type lockedPolicy struct {
-	mu sync.Mutex
-	p  TermPolicy
-}
-
-func (l *lockedPolicy) Term(d vfs.Datum, client ClientID, now time.Time) time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.p.Term(d, client, now)
-}
-
 // NewShardedManager returns a sharded manager with n shards (0 means
-// DefaultShards) granting terms from policy. The options are applied to
-// every shard (a recovery window blocks writes on all of them).
-// Stateless policies (FixedTerm) are shared as-is; anything else is
-// wrapped in a mutex, since shards call Term concurrently.
-func NewShardedManager(n int, policy TermPolicy, opts ...ManagerOption) *ShardedManager {
+// DefaultShards) granting leases of the given term. The options are
+// applied to every shard (a recovery window blocks writes on all of
+// them).
+func NewShardedManager(n int, term time.Duration, opts ...ManagerOption) *ShardedManager {
 	if n <= 0 {
 		n = DefaultShards
 	}
-	if policy == nil {
-		panic("core: nil TermPolicy")
-	}
-	if _, stateless := policy.(FixedTerm); !stateless {
-		policy = &lockedPolicy{p: policy}
-	}
 	s := &ShardedManager{shards: make([]*managerShard, n)}
 	for i := range s.shards {
-		m := NewManager(policy, opts...)
+		m := NewManager(term, opts...)
 		m.nextID = WriteID(i + 1)
 		m.idStride = WriteID(n)
 		s.shards[i] = &managerShard{mgr: m}

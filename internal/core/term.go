@@ -13,8 +13,6 @@ package core
 import (
 	"math"
 	"time"
-
-	"leases/internal/vfs"
 )
 
 // ClientID names a caching client.
@@ -57,168 +55,9 @@ func maxExpiry(a, b time.Time) time.Time {
 	return b
 }
 
-// TermPolicy chooses the lease term the server offers for a datum. The
-// server "can set the lease term based on the file access characteristics
-// for the requested file as well as the propagation delay to the client"
-// (§4); policies receive both.
-type TermPolicy interface {
-	// Term returns the lease term t_s to grant client for datum at now.
-	// Zero means grant no caching rights (the datum may be read once).
-	Term(d vfs.Datum, client ClientID, now time.Time) time.Duration
-}
-
-// FixedTerm grants every lease the same term. FixedTerm(0) is the
-// zero-term baseline (Sprite, RFS, the Andrew prototype: a consistency
-// check on every use); FixedTerm(core.Infinite) is the infinite-term
-// baseline (revised Andrew).
-type FixedTerm time.Duration
-
-// Term implements TermPolicy.
-func (t FixedTerm) Term(vfs.Datum, ClientID, time.Time) time.Duration {
-	return time.Duration(t)
-}
-
-// PerDatumTerm grants datum-specific terms with a default for data not
-// listed, modelling "a heavily write-shared file might be given a lease
-// term of zero" (§4).
-type PerDatumTerm struct {
-	// Default applies to data without an explicit entry.
-	Default time.Duration
-	// Terms overrides the term for specific data.
-	Terms map[vfs.Datum]time.Duration
-}
-
-// Term implements TermPolicy.
-func (p *PerDatumTerm) Term(d vfs.Datum, _ ClientID, _ time.Time) time.Duration {
-	if t, ok := p.Terms[d]; ok {
-		return t
-	}
-	return p.Default
-}
-
-// TermFunc adapts a function to TermPolicy.
-type TermFunc func(d vfs.Datum, client ClientID, now time.Time) time.Duration
-
-// Term implements TermPolicy.
-func (f TermFunc) Term(d vfs.Datum, client ClientID, now time.Time) time.Duration {
-	return f(d, client, now)
-}
-
-// AccessStats accumulates the per-datum read and write rates the adaptive
-// policy consumes. Rates are estimated over a sliding window.
-type AccessStats struct {
-	window time.Duration
-	data   map[vfs.Datum]*accessRecord
-}
-
-type accessRecord struct {
-	reads, writes []time.Time
-	sharers       map[ClientID]time.Time // last reader per client
-}
-
-// NewAccessStats returns an estimator using the given sliding window.
-func NewAccessStats(window time.Duration) *AccessStats {
-	if window <= 0 {
-		panic("core: non-positive AccessStats window")
-	}
-	return &AccessStats{window: window, data: make(map[vfs.Datum]*accessRecord)}
-}
-
-func (s *AccessStats) record(d vfs.Datum) *accessRecord {
-	r, ok := s.data[d]
-	if !ok {
-		r = &accessRecord{sharers: make(map[ClientID]time.Time)}
-		s.data[d] = r
-	}
-	return r
-}
-
-func trim(events []time.Time, cutoff time.Time) []time.Time {
-	i := 0
-	for i < len(events) && events[i].Before(cutoff) {
-		i++
-	}
-	return events[i:]
-}
-
-// ObserveRead records a read of d by client at now.
-func (s *AccessStats) ObserveRead(d vfs.Datum, client ClientID, now time.Time) {
-	r := s.record(d)
-	r.reads = append(trim(r.reads, now.Add(-s.window)), now)
-	r.sharers[client] = now
-}
-
-// ObserveWrite records a write of d at now.
-func (s *AccessStats) ObserveWrite(d vfs.Datum, now time.Time) {
-	r := s.record(d)
-	r.writes = append(trim(r.writes, now.Add(-s.window)), now)
-}
-
-// Rates reports the estimated per-second read and write rates and the
-// number of distinct clients that read d within the window.
-func (s *AccessStats) Rates(d vfs.Datum, now time.Time) (reads, writes float64, sharers int) {
-	r, ok := s.data[d]
-	if !ok {
-		return 0, 0, 0
-	}
-	cutoff := now.Add(-s.window)
-	r.reads = trim(r.reads, cutoff)
-	r.writes = trim(r.writes, cutoff)
-	for c, last := range r.sharers {
-		if last.Before(cutoff) {
-			delete(r.sharers, c)
-		}
-	}
-	w := s.window.Seconds()
-	return float64(len(r.reads)) / w, float64(len(r.writes)) / w, len(r.sharers)
-}
-
-// AdaptiveTerm chooses terms per datum from observed access rates using
-// the paper's analytic model (§3.1): leasing pays off when the benefit
-// factor α = 2R/(S·W) exceeds one, and then any term above 1/(R(α−1))
-// reduces server load. The policy grants zero when α ≤ 1 (heavy write
-// sharing makes caching counterproductive) and otherwise a term
-// proportional to the threshold, clamped to [Min, Max].
-type AdaptiveTerm struct {
-	// Stats supplies observed access rates. Required.
-	Stats *AccessStats
-	// Min and Max clamp granted terms. Max also serves as the term for
-	// data that are read but never written within the window.
-	Min, Max time.Duration
-	// Headroom scales the break-even threshold 1/(R(α−1)); the paper
-	// shows most of the benefit arrives within a small multiple of it.
-	// Zero means 10.
-	Headroom float64
-}
-
-// Term implements TermPolicy.
-func (a *AdaptiveTerm) Term(d vfs.Datum, _ ClientID, now time.Time) time.Duration {
-	r, w, s := a.Stats.Rates(d, now)
-	if r == 0 {
-		// First contact: nothing known, grant the minimum.
-		return a.Min
-	}
-	if w == 0 {
-		return a.Max
-	}
-	if s < 1 {
-		s = 1
-	}
-	alpha := 2 * r / (float64(s) * w)
-	if alpha <= 1 {
-		return 0
-	}
-	headroom := a.Headroom
-	if headroom == 0 {
-		headroom = 10
-	}
-	threshold := 1 / (r * (alpha - 1))
-	term := time.Duration(headroom * threshold * float64(time.Second))
-	if term < a.Min {
-		term = a.Min
-	}
-	if term > a.Max {
-		term = a.Max
-	}
-	return term
-}
+// FixedTerm is a lease term. It names the term a driver passes to
+// NewManager or NewShardedManager: FixedTerm(0) is the zero-term
+// baseline (Sprite, RFS, the Andrew prototype: a consistency check on
+// every use); FixedTerm(core.Infinite) is the infinite-term baseline
+// (revised Andrew).
+type FixedTerm = time.Duration

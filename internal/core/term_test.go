@@ -2,7 +2,6 @@ package core
 
 import (
 	"testing"
-	"testing/quick"
 	"time"
 
 	"leases/internal/clock"
@@ -43,173 +42,5 @@ func TestExpiredSemantics(t *testing.T) {
 	}
 	if Expired(time.Time{}, now.Add(1000*time.Hour)) {
 		t.Fatal("zero expiry (never) reported expired")
-	}
-}
-
-func TestFixedTermPolicy(t *testing.T) {
-	p := FixedTerm(10 * time.Second)
-	if got := p.Term(datumA, "c1", clock.Epoch); got != 10*time.Second {
-		t.Fatalf("FixedTerm = %v", got)
-	}
-	if got := FixedTerm(0).Term(datumA, "c1", clock.Epoch); got != 0 {
-		t.Fatalf("FixedTerm(0) = %v", got)
-	}
-	if got := FixedTerm(Infinite).Term(datumA, "c1", clock.Epoch); got != Infinite {
-		t.Fatalf("FixedTerm(Infinite) = %v", got)
-	}
-}
-
-func TestPerDatumTermPolicy(t *testing.T) {
-	p := &PerDatumTerm{
-		Default: 10 * time.Second,
-		Terms:   map[vfs.Datum]time.Duration{datumA: 0, datumD: time.Minute},
-	}
-	if got := p.Term(datumA, "c", clock.Epoch); got != 0 {
-		t.Fatalf("write-shared datum term = %v, want 0", got)
-	}
-	if got := p.Term(datumD, "c", clock.Epoch); got != time.Minute {
-		t.Fatalf("dir term = %v, want 1m", got)
-	}
-	if got := p.Term(datumB, "c", clock.Epoch); got != 10*time.Second {
-		t.Fatalf("default term = %v, want 10s", got)
-	}
-}
-
-func TestTermFunc(t *testing.T) {
-	p := TermFunc(func(d vfs.Datum, c ClientID, _ time.Time) time.Duration {
-		if c == "far" {
-			return 20 * time.Second
-		}
-		return 5 * time.Second
-	})
-	if got := p.Term(datumA, "far", clock.Epoch); got != 20*time.Second {
-		t.Fatalf("TermFunc = %v", got)
-	}
-	if got := p.Term(datumA, "near", clock.Epoch); got != 5*time.Second {
-		t.Fatalf("TermFunc = %v", got)
-	}
-}
-
-func TestAccessStatsRates(t *testing.T) {
-	s := NewAccessStats(10 * time.Second)
-	now := clock.Epoch
-	for i := 0; i < 20; i++ {
-		s.ObserveRead(datumA, "c1", now.Add(time.Duration(i)*500*time.Millisecond))
-	}
-	s.ObserveWrite(datumA, now.Add(5*time.Second))
-	r, w, sh := s.Rates(datumA, now.Add(10*time.Second))
-	if r != 2.0 {
-		t.Fatalf("read rate = %v, want 2.0/s", r)
-	}
-	if w != 0.1 {
-		t.Fatalf("write rate = %v, want 0.1/s", w)
-	}
-	if sh != 1 {
-		t.Fatalf("sharers = %d, want 1", sh)
-	}
-}
-
-func TestAccessStatsWindowExpiry(t *testing.T) {
-	s := NewAccessStats(10 * time.Second)
-	s.ObserveRead(datumA, "c1", clock.Epoch)
-	s.ObserveRead(datumA, "c2", clock.Epoch.Add(time.Second))
-	r, _, sh := s.Rates(datumA, clock.Epoch.Add(30*time.Second))
-	if r != 0 || sh != 0 {
-		t.Fatalf("stale events survived window: r=%v sharers=%d", r, sh)
-	}
-}
-
-func TestAccessStatsUnknownDatum(t *testing.T) {
-	s := NewAccessStats(time.Second)
-	r, w, sh := s.Rates(datumB, clock.Epoch)
-	if r != 0 || w != 0 || sh != 0 {
-		t.Fatal("unknown datum reported nonzero rates")
-	}
-}
-
-func TestAccessStatsPanicsOnBadWindow(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewAccessStats(0) did not panic")
-		}
-	}()
-	NewAccessStats(0)
-}
-
-func TestAdaptiveTermReadOnlyGetsMax(t *testing.T) {
-	s := NewAccessStats(100 * time.Second)
-	a := &AdaptiveTerm{Stats: s, Min: time.Second, Max: time.Minute}
-	now := clock.Epoch
-	for i := 0; i < 50; i++ {
-		s.ObserveRead(datumA, "c1", now.Add(time.Duration(i)*time.Second))
-	}
-	if got := a.Term(datumA, "c1", now.Add(60*time.Second)); got != time.Minute {
-		t.Fatalf("read-only datum term = %v, want Max", got)
-	}
-}
-
-func TestAdaptiveTermUnknownGetsMin(t *testing.T) {
-	s := NewAccessStats(100 * time.Second)
-	a := &AdaptiveTerm{Stats: s, Min: 2 * time.Second, Max: time.Minute}
-	if got := a.Term(datumA, "c1", clock.Epoch); got != 2*time.Second {
-		t.Fatalf("first-contact term = %v, want Min", got)
-	}
-}
-
-func TestAdaptiveTermHeavyWriteSharingGetsZero(t *testing.T) {
-	s := NewAccessStats(100 * time.Second)
-	a := &AdaptiveTerm{Stats: s, Min: time.Second, Max: time.Minute}
-	now := clock.Epoch
-	// R = 0.5/s spread over 10 sharers, W = 2/s: α = 2·0.5/(10·2) = 0.05.
-	for i := 0; i < 50; i++ {
-		at := now.Add(time.Duration(i) * 2 * time.Second)
-		s.ObserveRead(datumA, ClientID(rune('a'+i%10)), at)
-	}
-	for i := 0; i < 200; i++ {
-		s.ObserveWrite(datumA, now.Add(time.Duration(i)*500*time.Millisecond))
-	}
-	if got := a.Term(datumA, "c", now.Add(100*time.Second)); got != 0 {
-		t.Fatalf("write-shared datum term = %v, want 0 (α ≤ 1)", got)
-	}
-}
-
-func TestAdaptiveTermBeneficialGetsBoundedTerm(t *testing.T) {
-	s := NewAccessStats(100 * time.Second)
-	a := &AdaptiveTerm{Stats: s, Min: time.Second, Max: 30 * time.Second}
-	now := clock.Epoch
-	// R ≈ 0.9/s from one client, W = 0.04/s: α = 2·0.9/0.04 = 45 ≫ 1.
-	for i := 0; i < 90; i++ {
-		s.ObserveRead(datumA, "c1", now.Add(time.Duration(i)*time.Second))
-	}
-	for i := 0; i < 4; i++ {
-		s.ObserveWrite(datumA, now.Add(time.Duration(i)*25*time.Second))
-	}
-	got := a.Term(datumA, "c1", now.Add(99*time.Second))
-	if got < time.Second || got > 30*time.Second {
-		t.Fatalf("beneficial datum term = %v, want within [Min, Max]", got)
-	}
-	if got == 0 {
-		t.Fatal("beneficial datum refused a lease")
-	}
-}
-
-// Property: AdaptiveTerm never grants outside [0] ∪ [Min, Max].
-func TestAdaptiveTermRangeProperty(t *testing.T) {
-	f := func(reads, writes uint8, sharers uint8) bool {
-		s := NewAccessStats(100 * time.Second)
-		now := clock.Epoch
-		nsh := int(sharers%8) + 1
-		for i := 0; i < int(reads); i++ {
-			s.ObserveRead(datumA, ClientID(rune('a'+i%nsh)), now.Add(time.Duration(i)*100*time.Millisecond))
-		}
-		for i := 0; i < int(writes); i++ {
-			s.ObserveWrite(datumA, now.Add(time.Duration(i)*100*time.Millisecond))
-		}
-		a := &AdaptiveTerm{Stats: s, Min: time.Second, Max: time.Minute}
-		got := a.Term(datumA, "c", now.Add(50*time.Second))
-		return got == 0 || (got >= time.Second && got <= time.Minute)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -382,52 +382,6 @@ func Scaling() []Series {
 	}
 }
 
-// Adaptive runs the §4/§7 adaptive-policy experiment on a mixed
-// workload (one read-mostly file, one write-hot file): the server that
-// monitors access rates and sets terms from the model beats any single
-// fixed term.
-func Adaptive(quick bool) Table {
-	dur := time.Hour
-	if quick {
-		dur = 20 * time.Minute
-	}
-	readMostly := trace.Poisson(trace.PoissonConfig{
-		Seed: 51, Duration: dur, Clients: 6, Files: 1,
-		ReadRate: 0.864, WriteRate: 0.005,
-	})
-	writeHot := trace.Poisson(trace.PoissonConfig{
-		Seed: 52, Duration: dur, Clients: 6, Files: 1,
-		ReadRate: 0.4, WriteRate: 1.0,
-	})
-	for i := range writeHot.Events {
-		writeHot.Events[i].File = 1
-	}
-	tr := trace.Merge(readMostly, writeHot)
-	tr.Files = 2
-
-	t := Table{
-		Title:  "Adaptive terms (§4/§7): per-file terms from observed rates vs fixed terms",
-		Header: []string{"policy", "consistency msgs", "load", "hit rate", "stale"},
-	}
-	add := func(name string, cfg tracesim.Config) {
-		cfg.Trace = tr
-		cfg.Net = lanNet()
-		r := tracesim.Run(cfg)
-		t.Rows = append(t.Rows, []string{
-			name,
-			fmt.Sprintf("%d", r.ServerConsistencyMsgs),
-			fmt.Sprintf("%.2f/s", r.ConsistencyLoad),
-			fmt.Sprintf("%.2f", float64(r.CacheHits)/float64(max64(1, r.Reads))),
-			fmt.Sprintf("%d", r.StaleReads),
-		})
-	}
-	add("fixed term=0", tracesim.Config{Term: 0})
-	add("fixed term=10s", tracesim.Config{Term: 10 * time.Second})
-	add("fixed term=30s", tracesim.Config{Term: 30 * time.Second})
-	add("adaptive (model-driven)", tracesim.Config{Adaptive: &tracesim.AdaptiveConfig{}})
-	return t
-}
-
 // FaultTolerance runs the §5 experiments: bounded write delay under
 // client crash, server recovery, and the clock-failure matrix.
 func FaultTolerance() Table {

@@ -203,18 +203,6 @@ func TestFaultToleranceMatrix(t *testing.T) {
 	}
 }
 
-func TestAdaptiveTable(t *testing.T) {
-	tbl := Adaptive(true)
-	if len(tbl.Rows) != 4 {
-		t.Fatalf("rows = %d", len(tbl.Rows))
-	}
-	for _, row := range tbl.Rows {
-		if row[4] != "0" {
-			t.Fatalf("%s produced stale reads", row[0])
-		}
-	}
-}
-
 func TestRenderers(t *testing.T) {
 	var sb strings.Builder
 	RenderSeries(&sb, "t", "x", "y", []Series{{Name: "a", X: []float64{1, 2}, Y: []float64{3, 4}}})

@@ -34,15 +34,15 @@ func (s *Server) classTermDurable() error {
 	return s.replicateTermRaise(term)
 }
 
-// classObserveRead feeds one served read to the promotion heuristic,
-// installing the datum when it qualifies.
+// classObserveRead installs the datum of one served read when it
+// qualifies for the class (ClassTable.ObserveRead).
 func (s *Server) classObserveRead(client core.ClientID, d vfs.Datum) {
 	ct := s.core.Classes
 	if ct == nil {
 		return
 	}
 	path, err := s.store.Path(d.Node)
-	if err != nil || !ct.ObserveRead(d, path, client, s.clk.Now()) {
+	if err != nil || !ct.ObserveRead(d, path, s.clk.Now()) {
 		return
 	}
 	// Durability before coverage: the term must be recoverable before

@@ -399,7 +399,7 @@ func (c *serverConn) grant(d vfs.Datum, et obs.EventType) proto.GrantWire {
 		}
 	}
 	if s.obs.Enabled() {
-		// Term zero marks a refusal (write pending / zero policy).
+		// Term zero marks a refusal (write pending / zero term).
 		s.obs.Record(obs.Event{
 			Type: et, Client: string(c.client), Datum: d,
 			Shard: s.lm.ShardFor(d), Term: g.Term,
@@ -594,7 +594,7 @@ func (c *serverConn) handleWrite(r *request) {
 // stays, ungranted, for a later reply; one asked for a term ago or more,
 // or whose file is gone or unreadable to the client, is dropped. The
 // grant is grant's: the max-term and replication ordering and the
-// write-pending refusal apply, and the class heuristics see no read.
+// write-pending refusal apply, and the class sees no read.
 func (c *serverConn) takeRefills(own vfs.Datum, room int) []proto.RefillWire {
 	if len(c.refills) == 0 {
 		return nil

@@ -10,7 +10,6 @@ import (
 
 	"leases/internal/client"
 	"leases/internal/clock"
-	"leases/internal/core"
 	"leases/internal/proto"
 	"leases/internal/server"
 	"leases/internal/vfs"
@@ -165,7 +164,7 @@ func TestVmixFramesPerOp(t *testing.T) {
 // traffic change.
 func TestTermTable(t *testing.T) {
 	fixed := func(term time.Duration) server.Config {
-		return server.Config{Policy: core.TermFunc(func(vfs.Datum, core.ClientID, time.Time) time.Duration { return term })}
+		return server.FixedTermConfig(server.Config{Term: term})
 	}
 	rows := []struct {
 		name string
@@ -329,27 +328,39 @@ func TestRefillFramesPerOp(t *testing.T) {
 // two-group deployment, in frames summed over both and counted as
 // TestVmixFramesPerOp counts them. A rename within a group is its
 // request and reply; one across groups adds the move between the masters
-// and its reply.
+// and its reply. The hellos are counted apart: after a warm-up read has
+// opened the client's session, a rename within a group sends none, and
+// one across groups pays the hello pair of the source master's dial to
+// the destination, once per move.
 func TestRenameFramesPerOp(t *testing.T) {
 	clk := clock.NewSim()
 	srvs, ring := shardPair(t, clk, nil)
+	warm := ownedBy(t, ring, 0, "/d/w%d")
 	local, cross := ownedBy(t, ring, 0, "/d/l%d"), ownedBy(t, ring, 0, "/d/x%d")
+	seedWritable(t, srvs[0], warm, "w")
 	seedWritable(t, srvs[0], local, "l")
 	seedWritable(t, srvs[0], cross, "x")
 	r := router(t, ring, clk, "c1")
+	if _, err := r.Read(warm); err != nil {
+		t.Fatalf("warm-up read: %v", err)
+	}
 	for _, row := range []struct {
 		name, from, to string
-		want           uint64
+		want, hellos   uint64
 	}{
-		{"local", local, ownedBy(t, ring, 0, "/d/l%d", local), 2},
-		{"cross-shard", cross, ownedBy(t, ring, 1, "/d/x%d"), 4},
+		{"local", local, ownedBy(t, ring, 0, "/d/l%d", local), 2, 0},
+		{"cross-shard", cross, ownedBy(t, ring, 1, "/d/x%d"), 4, 2},
 	} {
 		before := frames(srvs[0].WireStats()) + frames(srvs[1].WireStats())
+		beforeHellos := hellos(srvs[0].WireStats()) + hellos(srvs[1].WireStats())
 		if err := r.Rename(row.from, row.to); err != nil {
 			t.Fatalf("%s rename: %v", row.name, err)
 		}
 		if got := frames(srvs[0].WireStats()) + frames(srvs[1].WireStats()) - before; got != row.want {
 			t.Errorf("%s rename: %d server frames, want %d", row.name, got, row.want)
+		}
+		if got := hellos(srvs[0].WireStats()) + hellos(srvs[1].WireStats()) - beforeHellos; got != row.hellos {
+			t.Errorf("%s rename: %d hello frames, want %d", row.name, got, row.hellos)
 		}
 	}
 }
@@ -359,6 +370,18 @@ func frames(ws *proto.WireStats) uint64 {
 	var n uint64
 	for _, row := range ws.Snapshot() {
 		if row.Type != proto.THello && row.Type != proto.THelloAck {
+			n += row.Frames
+		}
+	}
+	return n
+}
+
+// hellos totals the hellos a server took and answered: THello in and
+// THelloAck out.
+func hellos(ws *proto.WireStats) uint64 {
+	var n uint64
+	for _, row := range ws.Snapshot() {
+		if row.Type == proto.THello && row.Dir == "in" || row.Type == proto.THelloAck && row.Dir == "out" {
 			n += row.Frames
 		}
 	}

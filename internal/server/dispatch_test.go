@@ -370,7 +370,7 @@ func TestParkedWriteKeepsItsPayload(t *testing.T) {
 // nothing else: other clients' reads are answered, a write its lease
 // conflicts with waits out the term (§2) and no longer, and Stop returns.
 // The stuck client's second read renews a live, uncontended lease, so
-// that term is core.ReuseFactor policy terms.
+// that term is core.ReuseFactor terms.
 func TestStuckClientDelaysOnlyItself(t *testing.T) {
 	clk := clock.NewSim()
 	srv, connect := startPipeServer(t, server.Config{Term: parkTerm, Clock: clk})

@@ -45,9 +45,8 @@ import (
 
 // Config parameterizes a server.
 type Config struct {
-	// Policy chooses lease terms. Nil means FixedTerm(Term).
-	Policy core.TermPolicy
-	// Term is the fixed lease term when Policy is nil.
+	// Term is the lease term of a fresh grant; a reused, uncontended
+	// lease renews for core.ReuseFactor terms.
 	Term time.Duration
 	// Clock supplies time; nil means the real clock.
 	Clock clock.Clock
@@ -99,6 +98,10 @@ type Config struct {
 	// Shard places this server in a sharded deployment (see shard.go).
 	// The zero value is unsharded: no ownership checks, so no TNotOwner.
 	Shard ShardConfig
+
+	// noStretch grants every lease exactly Term (srvcore.Config.NoStretch).
+	// Only the package's tests set it.
+	noStretch bool
 }
 
 // Server is a running lease file server.
@@ -159,10 +162,6 @@ func New(cfg Config) *Server {
 	if cfg.Shards <= 0 {
 		cfg.Shards = core.DefaultShards
 	}
-	policy := cfg.Policy
-	if policy == nil {
-		policy = core.FixedTerm(cfg.Term)
-	}
 	cfg.Class = cfg.Class.WithDefaults()
 	var recoverUntil time.Time
 	var maxTermF *maxTermFile
@@ -185,8 +184,8 @@ func New(cfg Config) *Server {
 	}
 	store := vfs.New(cfg.Clock, cfg.Owner)
 	ccfg := srvcore.Config{
-		Store: store, Owner: cfg.Owner, Policy: policy, Shards: cfg.Shards, RecoverUntil: recoverUntil,
-		Class: cfg.Class,
+		Store: store, Owner: cfg.Owner, Term: cfg.Term, Shards: cfg.Shards, RecoverUntil: recoverUntil,
+		Class: cfg.Class, NoStretch: cfg.noStretch,
 	}
 	if r := cfg.Replica; r != nil {
 		ccfg.Master = func(time.Time) bool { return r.IsMaster() }

@@ -32,18 +32,10 @@ import (
 // ClassConfig configures the lease-class subsystem. The zero value
 // disables it entirely: no class table, so nothing is ever broadcast.
 type ClassConfig struct {
-	// InstalledDirs statically installs every file under these directory
-	// prefixes ("/bin", "/lib", ...) on first read — the operator's list
-	// of installed, rarely-written subtrees (§4.3).
+	// InstalledDirs installs every file under these directory prefixes
+	// ("/bin", "/lib", ...) on first read — the operator's list of
+	// installed, rarely-written subtrees (§4.3).
 	InstalledDirs []string
-	// AutoInstall additionally promotes any file read by
-	// PromoteReaders distinct clients with no recent write — the
-	// write-frequency heuristic for spotting installed-class data
-	// outside the static list.
-	AutoInstall bool
-	// PromoteReaders is the distinct-reader threshold for AutoInstall.
-	// Zero means 3.
-	PromoteReaders int
 	// QuietAfterWrite is how long after a write a file is ineligible for
 	// (re-)promotion. Zero means InstalledTerm.
 	QuietAfterWrite time.Duration
@@ -57,7 +49,7 @@ type ClassConfig struct {
 
 // Enabled reports whether the installed-files class is on.
 func (cc ClassConfig) Enabled() bool {
-	return len(cc.InstalledDirs) > 0 || cc.AutoInstall
+	return len(cc.InstalledDirs) > 0
 }
 
 // WithDefaults fills the zero timing fields of an enabled configuration.
@@ -70,9 +62,6 @@ func (cc ClassConfig) WithDefaults() ClassConfig {
 	}
 	if cc.BroadcastEvery <= 0 {
 		cc.BroadcastEvery = cc.InstalledTerm / 4
-	}
-	if cc.PromoteReaders <= 0 {
-		cc.PromoteReaders = 3
 	}
 	if cc.QuietAfterWrite <= 0 {
 		cc.QuietAfterWrite = cc.InstalledTerm
@@ -87,7 +76,7 @@ func (cc ClassConfig) WithDefaults() ClassConfig {
 const ClassStatePath = "/.lease-class-state"
 
 // ClassTable is the installed-files class: membership, the coverage
-// horizon, and the promotion heuristic's observations. It has its own
+// horizon, and the write times that keep a datum out. It has its own
 // mutex — class decisions span data on different manager shards, so no
 // shard lock could cover them.
 type ClassTable struct {
@@ -106,11 +95,11 @@ type ClassTable struct {
 	// demoted records, per recently demoted datum, the coverage horizon
 	// a write must wait out. Entries are dropped once they pass.
 	demoted map[vfs.Datum]time.Time
-	// readers and lastWrite feed the AutoInstall heuristic; writing counts,
-	// per datum, the write plans in flight on it. A datum being written may
-	// not (re-)enter the class: a broadcast would extend its readers' old
-	// copies past the write, whose horizon was fixed when it demoted.
-	readers   map[vfs.Datum]map[core.ClientID]struct{}
+	// lastWrite is when each datum's last write ended; writing counts,
+	// per datum, the write plans in flight on it. A datum being written,
+	// or written within QuietAfterWrite, may not (re-)enter the class: a
+	// broadcast would extend its readers' old copies past the write,
+	// whose horizon was fixed when it demoted.
 	lastWrite map[vfs.Datum]time.Time
 	writing   map[vfs.Datum]int
 }
@@ -125,7 +114,6 @@ func newClassTable(cfg ClassConfig) *ClassTable {
 		cfg:       cfg,
 		members:   make(map[vfs.Datum]string),
 		demoted:   make(map[vfs.Datum]time.Time),
-		readers:   make(map[vfs.Datum]map[core.ClientID]struct{}),
 		lastWrite: make(map[vfs.Datum]time.Time),
 		writing:   make(map[vfs.Datum]int),
 	}
@@ -161,26 +149,19 @@ func (ct *ClassTable) quietLocked(d vfs.Datum, now time.Time) bool {
 	return ct.writing[d] > 0 || ok && now.Before(lw.Add(ct.cfg.QuietAfterWrite))
 }
 
-// ObserveRead records one served read for the promotion heuristic and
-// reports whether d should be promoted into the class. The caller makes
-// the class term durable — recoverable before the first broadcast could
-// cover d — and then calls Core.ClassAdd.
-func (ct *ClassTable) ObserveRead(d vfs.Datum, path string, client core.ClientID, now time.Time) bool {
+// ObserveRead reports whether a served read of d, at path, should
+// promote d into the class: d lies under an installed directory, is not
+// a member yet and is quiet. The caller makes the class term durable —
+// recoverable before the first broadcast could cover d — and then calls
+// Core.ClassAdd.
+func (ct *ClassTable) ObserveRead(d vfs.Datum, path string, now time.Time) bool {
+	if !ct.staticPath(path) {
+		return false
+	}
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
-	if _, ok := ct.members[d]; ok {
-		return false
-	}
-	set := ct.readers[d]
-	if set == nil {
-		set = make(map[core.ClientID]struct{})
-		ct.readers[d] = set
-	}
-	set[client] = struct{}{}
-	if ct.quietLocked(d, now) {
-		return false
-	}
-	return ct.staticPath(path) || (ct.cfg.AutoInstall && len(set) >= ct.cfg.PromoteReaders)
+	_, member := ct.members[d]
+	return !member && !ct.quietLocked(d, now)
 }
 
 // ClassAdd installs d, re-checking eligibility (a write may have landed
@@ -208,9 +189,9 @@ func (c *Core) ClassAdd(d vfs.Datum, path string, now time.Time) (ReplFile, bool
 // and the returned deadline is the coverage horizon the write must wait
 // out — the max over the data's recorded demotion horizons, including
 // horizons left by earlier demotions that have not yet passed. The data
-// stay out until the write ends (written). It also resets the
-// heuristic's reader sets. dropped lists the data that actually left the
-// class, and image is the membership to replicate when any did.
+// stay out until the write ends (written). dropped lists the data that
+// actually left the class, and image is the membership to replicate when
+// any did.
 func (ct *ClassTable) demote(data []vfs.Datum, now time.Time) (deadline time.Time, dropped []vfs.Datum, image []byte) {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
@@ -221,7 +202,6 @@ func (ct *ClassTable) demote(data []vfs.Datum, now time.Time) (deadline time.Tim
 	}
 	for _, d := range data {
 		ct.writing[d]++
-		delete(ct.readers, d)
 		if _, ok := ct.members[d]; ok {
 			delete(ct.members, d)
 			if ct.coverUntil.After(now) {

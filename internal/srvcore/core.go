@@ -33,14 +33,17 @@ type Config struct {
 	// Owner owns files a replicated write creates (the namespace is
 	// master-only, so a write can arrive for a path never seen here).
 	Owner string
-	// Policy and Shards build the lease manager; RecoverUntil, when set,
-	// is the §2 restart window every shard honours. A core.FixedTerm
-	// policy renews a reused, uncontended lease for core.ReuseFactor
-	// terms (core.WithReuseStretch); any other policy is granted as it
-	// chooses.
-	Policy       core.TermPolicy
+	// Term and Shards build the lease manager; RecoverUntil, when set,
+	// is the §2 restart window every shard honours. A fresh grant runs
+	// Term; a reused, uncontended lease renews for core.ReuseFactor
+	// terms (core.WithReuseStretch).
+	Term         time.Duration
 	Shards       int
 	RecoverUntil time.Time
+	// NoStretch grants every lease exactly Term, the paper's rule,
+	// without the reuse stretch. The server's counted cost table sets it
+	// to compare fixed terms with the shipped rule; nothing else does.
+	NoStretch bool
 	// Master reports whether this replica holds the master lease at now.
 	// Nil is a standalone server: always serving, nothing to ship.
 	Master func(now time.Time) bool
@@ -82,7 +85,7 @@ type Core struct {
 // New returns a Core over cfg.Store with no leases granted.
 func New(cfg Config) *Core {
 	var opts []core.ManagerOption
-	if _, fixed := cfg.Policy.(core.FixedTerm); fixed {
+	if !cfg.NoStretch {
 		opts = append(opts, core.WithReuseStretch())
 	}
 	if !cfg.RecoverUntil.IsZero() {
@@ -90,7 +93,7 @@ func New(cfg Config) *Core {
 	}
 	c := &Core{
 		cfg:      cfg,
-		lm:       core.NewShardedManager(cfg.Shards, cfg.Policy, opts...),
+		lm:       core.NewShardedManager(cfg.Shards, cfg.Term, opts...),
 		seq:      make(map[string]uint64),
 		assigned: make(map[string]uint64),
 	}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"leases/internal/clock"
-	"leases/internal/core"
 	"leases/internal/vfs"
 )
 
@@ -116,7 +115,7 @@ func TestOracleSeesEarlyApply(t *testing.T) {
 // lease on the datum — goes from submit to Apply to Done without
 // allocating: no channel, no waiter entry, no per-write map.
 func TestAllocFreeUnsharedWritePlan(t *testing.T) {
-	c := New(Config{Store: vfs.New(clock.NewSim(), "srv"), Policy: core.FixedTerm(time.Minute), Shards: 4})
+	c := New(Config{Store: vfs.New(clock.NewSim(), "srv"), Term: time.Minute, Shards: 4})
 	d, now := vfs.Datum{Kind: vfs.FileData, Node: 7}, clock.Epoch
 	if n := testing.AllocsPerRun(1000, func() {
 		p := c.Plan("writer", d)
@@ -136,7 +135,7 @@ func TestAllocFreeUnsharedWritePlan(t *testing.T) {
 // replica hold at one sequence is settled; one a single replica holds,
 // or holds newer, comes back to be shipped under a fresh sequence.
 func TestMergeSettlesWhatAQuorumMayNotHold(t *testing.T) {
-	c := New(Config{Store: vfs.New(clock.NewSim(), "srv"), Owner: "srv", Policy: core.FixedTerm(time.Minute), Master: func(time.Time) bool { return true }})
+	c := New(Config{Store: vfs.New(clock.NewSim(), "srv"), Owner: "srv", Term: time.Minute, Master: func(time.Time) bool { return true }})
 	file := func(path string, seq uint64, data string) ReplFile {
 		return ReplFile{Path: path, Seq: seq, Data: shippedWrite(path, data)}
 	}
@@ -169,7 +168,7 @@ func TestMergeSettlesWhatAQuorumMayNotHold(t *testing.T) {
 // store's read lock again under its walk: a writer queued between the
 // two would block the second, and with it itself.
 func TestReplStateBesideReplicatedWrites(t *testing.T) {
-	c := New(Config{Store: vfs.New(clock.NewSim(), "srv"), Owner: "srv", Policy: core.FixedTerm(time.Minute)})
+	c := New(Config{Store: vfs.New(clock.NewSim(), "srv"), Owner: "srv", Term: time.Minute})
 	for i := 0; i < 64; i++ {
 		path := fmt.Sprintf("/f%d", i)
 		if _, err := c.ApplyReplicated(path, 1, shippedWrite(path, "x")); err != nil {
@@ -220,7 +219,7 @@ func shippedWrite(path, data string) []byte {
 // hold the bytes at version 1, and so does a move-in to a path it holds.
 func TestFollowerCreatesWhatItLacks(t *testing.T) {
 	store := vfs.New(clock.NewSim(), "srv")
-	c := New(Config{Store: store, Owner: "srv", Policy: core.FixedTerm(time.Minute)})
+	c := New(Config{Store: store, Owner: "srv", Term: time.Minute})
 	if _, err := store.Apply(vfs.Op{Kind: vfs.OpCreate, Path: "/held", Owner: "bob", Perm: vfs.DefaultPerm}); err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +252,7 @@ func TestFollowerCreatesWhatItLacks(t *testing.T) {
 // neither its sequence nor the store moves.
 func TestShippedOpOfUnknownKindRefused(t *testing.T) {
 	store := vfs.New(clock.NewSim(), "srv")
-	c := New(Config{Store: store, Owner: "srv", Policy: core.FixedTerm(time.Minute)})
+	c := New(Config{Store: store, Owner: "srv", Term: time.Minute})
 	bad := encodeOp(vfs.Op{Kind: vfs.OpSetPerm + 1, Path: "/f", Data: []byte("x")})
 	if applied, err := c.ApplyReplicated("/f", 1, bad); applied || !errors.Is(err, vfs.ErrBadOp) {
 		t.Fatalf("unknown op kind: applied=%v err=%v, want refused with ErrBadOp", applied, err)

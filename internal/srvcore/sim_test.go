@@ -98,7 +98,7 @@ func newSimWorld() *simWorld {
 	}
 	w.data = append(w.data, vfs.Datum{Kind: vfs.DirBinding, Node: vfs.RootID})
 	w.core = New(Config{
-		Store: w.store, Owner: "srv", Policy: core.FixedTerm(simTerm), Shards: 2,
+		Store: w.store, Owner: "srv", Term: simTerm, Shards: 2,
 		Master: func(time.Time) bool { return w.master },
 		Class:  ClassConfig{InstalledDirs: []string{"/"}, InstalledTerm: simClassTerm}.WithDefaults(),
 	})
@@ -133,7 +133,7 @@ func (w *simWorld) grant(c core.ClientID, d vfs.Datum) {
 	}
 	// The read also feeds the class, as the drivers' read paths do.
 	path, _ := w.store.Path(d.Node)
-	if w.core.Classes.ObserveRead(d, path, c, w.now) {
+	if w.core.Classes.ObserveRead(d, path, w.now) {
 		w.core.RaiseTerm(simClassTerm) // durability before coverage
 		w.termFloor = max(w.termFloor, simClassTerm)
 		if _, added := w.core.ClassAdd(d, path, w.now); added {

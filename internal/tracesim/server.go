@@ -29,9 +29,6 @@ type simServer struct {
 	deadlineEv *sim.Event
 	deadlineAt time.Time
 
-	// stats feeds the adaptive term policy, when configured.
-	stats *core.AccessStats
-
 	down            bool
 	maxLeaseRecords int
 	// snapshot persists lease records for DetailedRecovery mode.
@@ -112,17 +109,6 @@ func itoa(n int) string {
 }
 
 func (srv *simServer) initManager(recoverUntil time.Time) {
-	policy := srv.sim.cfg.Policy
-	if ac := srv.sim.cfg.Adaptive; ac != nil {
-		// Adaptive terms (§4/§7): fresh monitoring state per server
-		// incarnation — it is soft state, lost with the lease table.
-		cfg := ac.withDefaults()
-		srv.stats = core.NewAccessStats(cfg.Window)
-		policy = &core.AdaptiveTerm{Stats: srv.stats, Min: cfg.Min, Max: cfg.Max}
-	}
-	if policy == nil {
-		policy = core.FixedTerm(srv.sim.cfg.Term)
-	}
 	opts := []core.ManagerOption{}
 	if !recoverUntil.IsZero() {
 		opts = append(opts, core.WithRecoveryWindow(recoverUntil))
@@ -130,7 +116,7 @@ func (srv *simServer) initManager(recoverUntil time.Time) {
 	if srv.inst != nil {
 		opts = append(opts, core.WithInstalled(srv.inst))
 	}
-	srv.mgr = core.NewManager(policy, opts...)
+	srv.mgr = core.NewManager(srv.sim.cfg.Term, opts...)
 }
 
 func (srv *simServer) scheduleInstalledExtension() {
@@ -188,9 +174,6 @@ func (srv *simServer) trackStorage() {
 func (srv *simServer) handleExtend(from netsim.NodeID, req extendReq, now time.Time) {
 	rep := extendRep{ReqID: req.ReqID}
 	for _, d := range req.Data {
-		if srv.stats != nil {
-			srv.stats.ObserveRead(d, req.From, now)
-		}
 		g := srv.mgr.Grant(req.From, d, now)
 		version, err := srv.store.Version(d)
 		if err != nil {
@@ -222,9 +205,6 @@ func (srv *simServer) handleWrite(from netsim.NodeID, req writeReq, now time.Tim
 	}
 	seen[req.ReqID] = 0
 
-	if srv.stats != nil {
-		srv.stats.ObserveWrite(req.Datum, now)
-	}
 	disp := srv.mgr.SubmitWrite(req.From, req.Datum, now)
 	if disp.Ready {
 		srv.applyWriteNow(req.From, req.ReqID, req.Datum)

@@ -16,36 +16,12 @@ import (
 	"time"
 
 	"leases/internal/clock"
-	"leases/internal/core"
 	"leases/internal/netsim"
 	"leases/internal/sim"
 	"leases/internal/stats"
 	"leases/internal/trace"
 	"leases/internal/vfs"
 )
-
-// AdaptiveConfig parameterizes the adaptive term policy.
-type AdaptiveConfig struct {
-	// Window is the sliding window over which access rates are
-	// estimated. Zero means 60 s.
-	Window time.Duration
-	// Min and Max clamp granted terms. Zeros mean 1 s and 30 s.
-	Min, Max time.Duration
-}
-
-func (a *AdaptiveConfig) withDefaults() AdaptiveConfig {
-	out := *a
-	if out.Window == 0 {
-		out.Window = time.Minute
-	}
-	if out.Min == 0 {
-		out.Min = time.Second
-	}
-	if out.Max == 0 {
-		out.Max = 30 * time.Second
-	}
-	return out
-}
 
 // InstalledConfig enables the §4 installed-files optimization.
 type InstalledConfig struct {
@@ -82,11 +58,11 @@ type Fault struct {
 type Config struct {
 	// Trace is the workload to replay. Required.
 	Trace *trace.Trace
-	// Term is the fixed lease term t_s the server grants; 0 is the
-	// zero-term baseline and core.Infinite the callback baseline.
+	// Term is the lease term t_s the server grants on every grant, the
+	// paper's rule: renewals are not stretched as the TCP server's are
+	// (core.WithReuseStretch). 0 is the zero-term baseline and
+	// core.Infinite the callback baseline.
 	Term time.Duration
-	// Policy, when non-nil, overrides Term with an arbitrary policy.
-	Policy core.TermPolicy
 	// Net is the message fabric model (m_prop, m_proc, loss, seed).
 	Net netsim.Params
 	// Allowance is ε.
@@ -111,13 +87,6 @@ type Config struct {
 	// lease snapshot instead of waiting out the maximum granted term
 	// (the §2 alternative).
 	DetailedRecovery bool
-	// Adaptive, when non-nil, replaces the fixed term with the §4/§7
-	// adaptive policy: the server monitors per-datum access rates and
-	// sets terms from the analytic model ("we plan to explore adaptive
-	// policies that vary the coverage and term of leases in response to
-	// system behavior in place of static, administratively set
-	// policies"). Overrides Term and Policy.
-	Adaptive *AdaptiveConfig
 	// UnicastApprovals sends one approval request per leaseholder
 	// instead of a single multicast — the ablation behind the paper's
 	// footnote "Without multicast, it would require 2(S−1) messages"

@@ -361,3 +361,19 @@ func TestRunPanicsWithoutTrace(t *testing.T) {
 	}()
 	Run(Config{})
 }
+
+// Unicast approvals cost more server messages than multicast at the
+// same sharing level: S messages (1 multicast + S−1 approvals) versus
+// 2(S−1) (requests + approvals).
+func TestUnicastApprovalsCostMore(t *testing.T) {
+	tr := trace.Shared(trace.SharedConfig{
+		Seed: 13, Duration: 30 * time.Minute, Clients: 10, Files: 1,
+		ReadRate: 0.864, WriteRate: 0.01,
+	})
+	multicast := run(t, Config{Trace: tr, Term: 30 * time.Second, Net: lanNet()})
+	unicast := run(t, Config{Trace: tr, Term: 30 * time.Second, Net: lanNet(), UnicastApprovals: true})
+	if unicast.ServerConsistencyMsgs <= multicast.ServerConsistencyMsgs {
+		t.Fatalf("unicast approvals %d not above multicast %d",
+			unicast.ServerConsistencyMsgs, multicast.ServerConsistencyMsgs)
+	}
+}

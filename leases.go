@@ -69,13 +69,8 @@ type (
 	ClientID = core.ClientID
 	// WriteID identifies a deferred write.
 	WriteID = core.WriteID
-	// TermPolicy chooses the lease term the server offers.
-	TermPolicy = core.TermPolicy
-	// FixedTerm grants every lease the same term.
+	// FixedTerm is the lease term a Manager grants: a time.Duration.
 	FixedTerm = core.FixedTerm
-	// AdaptiveTerm picks terms from observed access rates using the
-	// paper's analytic model (§4).
-	AdaptiveTerm = core.AdaptiveTerm
 	// InstalledSet implements the §4 installed-files optimization.
 	InstalledSet = core.InstalledSet
 	// Datum names one leasable unit: a file's contents or a directory's
@@ -87,10 +82,10 @@ type (
 	Store = vfs.Store
 )
 
-// NewManager returns a server-side lease manager granting terms from
-// policy.
-func NewManager(policy TermPolicy, opts ...core.ManagerOption) *Manager {
-	return core.NewManager(policy, opts...)
+// NewManager returns a server-side lease manager granting leases of the
+// given term.
+func NewManager(term time.Duration, opts ...core.ManagerOption) *Manager {
+	return core.NewManager(term, opts...)
 }
 
 // NewHolder returns an empty client-side lease holder.
