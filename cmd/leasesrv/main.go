@@ -16,6 +16,12 @@
 // (atomically) at shutdown and, with -snapshot-interval, periodically,
 // so a crash loses at most one interval of records.
 //
+// Replication: -peers lists the replica set's peer-mesh addresses and
+// -replica-id this process's place in it. The process boots as a
+// cluster.Member: it negotiates the master lease on the peer mesh and,
+// on every boot but its first (its -maxterm-file absent), catches up
+// from a quorum before it serves.
+//
 // The store starts with a small demonstration tree (/bin/latex,
 // /docs/README) unless -empty is given. Writes are deferred until every
 // conflicting leaseholder approves or its lease expires; -write-timeout
@@ -34,11 +40,13 @@
 package main
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
 	"io/fs"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -51,231 +59,200 @@ import (
 	"leases/internal/core"
 	"leases/internal/obs"
 	"leases/internal/obs/tracing"
-	"leases/internal/replica"
 	"leases/internal/server"
 	"leases/internal/shard"
 	"leases/internal/vfs"
 )
 
-func main() {
-	addr := flag.String("addr", "127.0.0.1:7025", "listen address")
-	term := flag.Duration("term", 10*time.Second, "lease term t_s of a fresh grant; a reused lease no other client's write has recalled within 4 terms renews for 4 (0 = check-on-use)")
-	recovery := flag.Duration("recovery", 0, "recovery window after restart (the persisted maximum granted term)")
-	writeTimeout := flag.Duration("write-timeout", time.Minute, "bound on write deferral (0 = unbounded)")
-	empty := flag.Bool("empty", false, "start with an empty store")
-	snapshot := flag.String("snapshot", "", "lease snapshot file: loaded at startup, saved on SIGINT/SIGTERM (the §2 detailed-record recovery alternative)")
-	snapshotInterval := flag.Duration("snapshot-interval", 0, "also save the lease snapshot at this period, so a crash loses at most one interval (0 = shutdown only)")
-	maxTermFile := flag.String("maxterm-file", "", "durable max-term file: persisted before any grant raises the maximum; a restart automatically observes the §2 recovery window for the stored value (-recovery overrides)")
-	metricsAddr := flag.String("metrics-addr", "", "HTTP admin/metrics listen address (/metrics, /healthz, /leases, /debug/pprof); empty disables")
-	traceRing := flag.Int("trace-ring", 4096, "protocol trace event ring size")
-	traceOut := flag.String("trace-out", "", "mirror trace events to this JSONL file")
-	slowWrite := flag.Duration("slow-write", time.Second, "log writes deferred at least this long (0 disables)")
-	dumpEvents := flag.Int("dump-events", 32, "trace events included in the SIGUSR1/shutdown dump")
-	replicaID := flag.Int("replica-id", -1, "this replica's index into -peers; >= 0 enables the replicated lease service")
-	peersFlag := flag.String("peers", "", "comma-separated peer-mesh addresses in replica-ID order — identical on every replica (and, index-wise, every client's replica list)")
-	electionTerm := flag.Duration("election-term", 0, "master-lease term for the PaxosLease election (0 = the lease term)")
-	allowance := flag.Duration("allowance", 0, "clock-uncertainty margin ε for the master lease (0 = term/10)")
-	traceSample := flag.Float64("trace-sample", 1, "head-sampling probability for locally rooted traces (elections/failovers); client-sampled requests are always recorded; negative disables the tracing subsystem entirely")
-	installedDirs := flag.String("installed-dirs", "", "comma-separated directory prefixes whose files join the installed-files lease class on first read (§4.3); empty disables the class")
-	installedTerm := flag.Duration("installed-term", 0, "term each class broadcast extension grants (0 = 30s)")
-	broadcastEvery := flag.Duration("broadcast-every", 0, "class broadcast-extension period (0 = installed-term/4)")
-	quietAfterWrite := flag.Duration("quiet-after-write", 0, "post-write holdoff before a file is eligible for class (re-)promotion (0 = installed-term)")
-	ringSpec := flag.String("ring", "", "sharded deployment ring spec \"[epoch@]id[*weight]=addr[,addr...];...\" — identical on every server and -ring client; empty disables sharding")
-	groupID := flag.Int("group-id", -1, "this server's replica-group ID in the -ring spec (required with -ring)")
-	flag.Parse()
+// process is what only this process does with its member: where it
+// listens, the demonstration tree, lease snapshots, the admin plane and
+// the instrumentation it hands the member.
+type process struct {
+	addr, snapshot, metricsAddr, traceOut string
+	snapshotInterval, slowWrite           time.Duration
+	traceSample                           float64
+	empty                                 bool
+}
 
-	ocfg := obs.Config{RingSize: *traceRing, SlowWrite: *slowWrite}
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
+// parseFlags binds the command line into the member's configuration and
+// the process's own settings. Obs, Tracer and Logf are main's to fill.
+func parseFlags(args []string) (cluster.Config, process, error) {
+	var cfg cluster.Config
+	var p process
+	s := &cfg.Server
+	fl := flag.NewFlagSet("leasesrv", flag.ContinueOnError)
+	fl.StringVar(&p.addr, "addr", "127.0.0.1:7025", "listen address")
+	fl.DurationVar(&s.Term, "term", 10*time.Second, "lease term t_s of a fresh grant; a reused lease no other client's write has recalled within 4 terms renews for 4 (0 = check-on-use)")
+	fl.DurationVar(&s.RecoveryWindow, "recovery", 0, "recovery window after restart (the persisted maximum granted term)")
+	fl.DurationVar(&s.WriteTimeout, "write-timeout", time.Minute, "bound on write deferral (0 = unbounded)")
+	fl.BoolVar(&p.empty, "empty", false, "start with an empty store")
+	fl.StringVar(&p.snapshot, "snapshot", "", "lease snapshot file: loaded at startup, saved on SIGINT/SIGTERM (the §2 detailed-record recovery alternative)")
+	fl.DurationVar(&p.snapshotInterval, "snapshot-interval", 0, "also save the lease snapshot at this period, so a crash loses at most one interval (0 = shutdown only)")
+	fl.StringVar(&s.MaxTermPath, "maxterm-file", "", "durable max-term file: persisted before any grant raises the maximum; a restart automatically observes the §2 recovery window for the stored value (-recovery overrides)")
+	fl.StringVar(&p.metricsAddr, "metrics-addr", "", "HTTP admin/metrics listen address (/metrics, /healthz, /leases, /debug/pprof); empty disables")
+	fl.StringVar(&p.traceOut, "trace-out", "", "mirror trace events to this JSONL file")
+	fl.DurationVar(&p.slowWrite, "slow-write", time.Second, "log writes deferred at least this long (0 disables)")
+	fl.IntVar(&cfg.ID, "replica-id", -1, "this replica's index into -peers")
+	fl.Func("peers", "comma-separated peer-mesh addresses in replica-ID order — identical on every replica (and, index-wise, every client's replica list); non-empty enables the replicated lease service", listFlag(&cfg.Peers))
+	fl.DurationVar(&cfg.Allowance, "allowance", 0, "clock-uncertainty margin ε for the master lease, whose term is -term (0 = term/10)")
+	fl.Float64Var(&p.traceSample, "trace-sample", 1, "head-sampling probability for locally rooted traces (elections/failovers); client-sampled requests are always recorded; negative disables the tracing subsystem entirely")
+	fl.Func("installed-dirs", "comma-separated directory prefixes whose files join the installed-files lease class on first read (§4.3); empty disables the class", listFlag(&s.Class.InstalledDirs))
+	fl.DurationVar(&s.Class.InstalledTerm, "installed-term", 0, "term each class broadcast extension grants (0 = 30s)")
+	fl.DurationVar(&s.Class.BroadcastEvery, "broadcast-every", 0, "class broadcast-extension period (0 = installed-term/4)")
+	fl.DurationVar(&s.Class.QuietAfterWrite, "quiet-after-write", 0, "post-write holdoff before a file is eligible for class (re-)promotion (0 = installed-term)")
+	fl.Func("ring", "sharded deployment ring spec \"[epoch@]id[*weight]=addr[,addr...];...\" — identical on every server and -ring client; empty disables sharding", func(v string) (err error) {
+		if v != "" {
+			s.Shard.Ring, err = shard.Parse(v)
+		}
+		return err
+	})
+	fl.IntVar(&s.Shard.GroupID, "group-id", -1, "this server's replica-group ID in the -ring spec (required with -ring)")
+	if err := fl.Parse(args); err != nil {
+		return cfg, p, err
+	}
+	if cfg.ID >= 0 && len(cfg.Peers) == 0 {
+		return cfg, p, errors.New("-replica-id set but -peers is empty")
+	}
+	if r, g := s.Shard.Ring, s.Shard.GroupID; r == nil && g >= 0 {
+		return cfg, p, errors.New("-group-id requires -ring")
+	} else if r != nil {
+		if _, ok := r.Group(g); !ok {
+			return cfg, p, fmt.Errorf("-group-id %d not in -ring spec", g)
+		}
+	}
+	cfg.Seed = int64(cfg.ID) + 1
+	return cfg, p, nil
+}
+
+func main() {
+	cfg, p, err := parseFlags(os.Args[1:])
+	if err == flag.ErrHelp {
+		return
+	} else if err != nil {
+		log.Fatalf("leasesrv: %v", err)
+	}
+	ocfg := obs.Config{SlowWrite: p.slowWrite}
+	if p.traceOut != "" {
+		f, err := os.Create(p.traceOut)
 		if err != nil {
 			log.Fatalf("leasesrv: opening trace sink: %v", err)
 		}
 		defer f.Close()
 		ocfg.Sink = f
 	}
-	o := obs.New(ocfg)
-
+	cfg.Server.Obs = obs.New(ocfg)
 	// The tracer assembles causal spans: requests sampled at a client
 	// propagate their context on the wire and always record here;
 	// SampleRate only gates what this process roots itself (election
-	// traces). Negative -trace-sample leaves tr nil — the zero-cost
+	// traces). Negative -trace-sample leaves it nil — the zero-cost
 	// disabled state.
-	var tr *tracing.Tracer
-	if *traceSample >= 0 {
+	if p.traceSample >= 0 {
 		node := "server"
-		if *replicaID >= 0 {
-			node = fmt.Sprintf("s%d", *replicaID)
+		if len(cfg.Peers) > 0 {
+			node = fmt.Sprintf("s%d", cfg.ID)
 		}
-		tr = tracing.New(tracing.Config{Node: node, SampleRate: *traceSample, Seed: int64(*replicaID) + 1})
+		cfg.Server.Tracer = tracing.New(tracing.Config{Node: node, SampleRate: p.traceSample, Seed: cfg.Seed})
 	}
+	cfg.Logf = func(format string, args ...any) { log.Printf("leasesrv: "+format, args...) }
+	persisted, _, _ := server.LoadMaxTerm(cfg.Server.MaxTermPath) // cluster.New reports a corrupt file
+	window := cmp.Or(cfg.Server.RecoveryWindow, persisted)
 
-	// Replicated mode: a PaxosLease node negotiates the master lease on
-	// the peer mesh; the server only accepts sessions (and clears
-	// writes) while this replica holds it (internal/cluster wires the
-	// two).
-	var ncfg replica.NodeConfig
-	if *replicaID >= 0 {
-		peers := splitPeers(*peersFlag)
-		if *replicaID >= len(peers) {
-			log.Fatalf("leasesrv: -replica-id %d out of range for %d peers", *replicaID, len(peers))
-		}
-		et := *electionTerm
-		if et <= 0 {
-			et = *term
-		}
-		if et <= 0 {
-			et = 10 * time.Second
-		}
-		al := *allowance
-		if al <= 0 {
-			al = et / 10
-		}
-		ncfg = replica.NodeConfig{
-			ID: *replicaID, Peers: peers, Term: et, Allowance: al,
-			Seed: int64(*replicaID) + 1, Obs: o, Tracer: tr,
+	m, err := cluster.New(cfg)
+	if err != nil {
+		log.Fatalf("leasesrv: %v", err)
+	}
+	if !p.empty {
+		if err := seed(m.Server.Store()); err != nil {
+			log.Fatalf("leasesrv: seeding store: %v", err)
 		}
 	}
-	scfg := server.Config{
-		Term:           *term,
-		RecoveryWindow: *recovery,
-		WriteTimeout:   *writeTimeout,
-		MaxTermPath:    *maxTermFile,
-		Obs:            o,
-		Tracer:         tr,
-		Class: server.ClassConfig{
-			InstalledDirs:   splitDirs(*installedDirs),
-			InstalledTerm:   *installedTerm,
-			BroadcastEvery:  *broadcastEvery,
-			QuietAfterWrite: *quietAfterWrite,
-		},
-	}
-	if *ringSpec != "" {
-		ring, err := shard.Parse(*ringSpec)
-		if err != nil {
-			log.Fatalf("leasesrv: -ring: %v", err)
-		}
-		if _, ok := ring.Group(*groupID); !ok {
-			log.Fatalf("leasesrv: -group-id %d not in -ring spec", *groupID)
-		}
-		scfg.Shard = server.ShardConfig{GroupID: *groupID, Ring: ring}
-		log.Printf("leasesrv: sharded: group %d of %d, ring epoch %d", *groupID, len(ring.GroupIDs()), ring.Epoch)
-	} else if *groupID >= 0 {
-		log.Fatal("leasesrv: -group-id requires -ring")
-	}
-	var nd *replica.Node
-	var srv *server.Server
-	if *replicaID >= 0 {
-		var err error
-		if nd, srv, err = cluster.New(ncfg, scfg, func(format string, args ...any) {
-			log.Printf("leasesrv: "+format, args...)
-		}); err != nil {
-			log.Fatalf("leasesrv: %v", err)
-		}
-	} else {
-		srv = server.New(scfg)
-	}
-	if !*empty {
-		seed(srv.Store())
-	}
-	if nd != nil {
-		if err := nd.Start(); err != nil {
-			log.Fatalf("leasesrv: starting replica node: %v", err)
-		}
-		defer nd.Stop()
-		log.Printf("leasesrv: replica %d of %d, peer mesh on %s", *replicaID, len(splitPeers(*peersFlag)), nd.Addr())
-	}
-	if *snapshot != "" {
-		if records, err := loadSnapshot(*snapshot); err != nil {
+	if p.snapshot != "" {
+		if records, err := loadSnapshot(p.snapshot); err != nil {
 			log.Fatalf("leasesrv: loading snapshot: %v", err)
 		} else if records != nil {
-			srv.Restore(records)
-			log.Printf("leasesrv: restored %d lease records from %s", len(records), *snapshot)
+			m.Server.Restore(records)
+			log.Printf("leasesrv: restored %d lease records from %s", len(records), p.snapshot)
 		}
 	}
-	if *metricsAddr != "" {
+	if r := cfg.Server.Shard.Ring; r != nil {
+		log.Printf("leasesrv: sharded: group %d of %d, ring epoch %d", cfg.Server.Shard.GroupID, len(r.GroupIDs()), r.Epoch)
+	}
+	ln, err := net.Listen("tcp", p.addr)
+	if err != nil {
+		log.Fatalf("leasesrv: %v", err)
+	}
+	if err := m.Start(ln); err != nil {
+		log.Fatalf("leasesrv: starting replica node: %v", err)
+	}
+	if m.Node != nil {
+		log.Printf("leasesrv: replica %d of %d, peer mesh on %s", cfg.ID, len(cfg.Peers), m.Node.Addr())
+	}
+	if p.metricsAddr != "" {
 		go func() {
-			log.Printf("leasesrv: admin/metrics plane on http://%s (/metrics /healthz /leases /debug/pprof/)", *metricsAddr)
-			if err := http.ListenAndServe(*metricsAddr, srv.AdminHandler()); err != nil {
+			log.Printf("leasesrv: admin/metrics plane on http://%s (/metrics /healthz /leases /debug/pprof/)", p.metricsAddr)
+			if err := http.ListenAndServe(p.metricsAddr, m.Server.AdminHandler()); err != nil {
 				log.Fatalf("leasesrv: metrics listener: %v", err)
 			}
 		}()
 	}
-	if *snapshot != "" && *snapshotInterval > 0 {
+	if p.snapshot != "" && p.snapshotInterval > 0 {
 		go func() {
-			t := time.NewTicker(*snapshotInterval)
+			t := time.NewTicker(p.snapshotInterval)
 			defer t.Stop()
 			for range t.C {
-				if err := saveSnapshot(srv, *snapshot); err != nil {
+				if err := saveSnapshot(m.Server, p.snapshot); err != nil {
 					log.Printf("leasesrv: periodic snapshot: %v", err)
 				}
 			}
 		}()
 	}
-	go handleSignals(srv, o, *snapshot, *dumpEvents)
-	window := *recovery
-	if window == 0 && *maxTermFile != "" {
-		if d, found, err := server.LoadMaxTerm(*maxTermFile); err == nil && found {
-			window = d // ListenAndServe rejects a corrupt file below
+	go func() {
+		if err := m.Wait(); err != nil {
+			log.Fatalf("leasesrv: %v", err)
 		}
-	}
-	log.Printf("leasesrv: serving on %s, term=%v recovery=%v", *addr, *term, window)
-	if err := srv.ListenAndServe(*addr); err != nil {
-		log.Fatalf("leasesrv: %v", err)
+	}()
+	log.Printf("leasesrv: serving on %s, term=%v recovery=%v", ln.Addr(), cfg.Server.Term, window)
+	if err := handleSignals(m, cfg.Server.Obs, p.snapshot); err != nil {
+		log.Fatalf("leasesrv: saving snapshot: %v", err)
 	}
 }
 
-// splitDirs parses the -installed-dirs list, trimming whitespace; an
-// empty flag yields nil (class disabled).
-func splitDirs(s string) []string {
-	var out []string
-	for _, d := range strings.Split(s, ",") {
-		if d = strings.TrimSpace(d); d != "" {
-			out = append(out, d)
+// listFlag binds a comma-separated flag to dst, trimming whitespace; an
+// empty flag leaves nil.
+func listFlag(dst *[]string) func(string) error {
+	return func(v string) error {
+		*dst = nil
+		for _, e := range strings.Split(v, ",") {
+			if e = strings.TrimSpace(e); e != "" {
+				*dst = append(*dst, e)
+			}
 		}
+		return nil
 	}
-	return out
-}
-
-// splitPeers parses the -peers list, trimming whitespace.
-func splitPeers(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	if len(out) == 0 {
-		log.Fatal("leasesrv: -replica-id set but -peers is empty")
-	}
-	return out
 }
 
 // handleSignals gives operators state without the HTTP plane: SIGUSR1
-// dumps the metrics snapshot and recent trace events to stderr and the
-// server keeps running; SIGINT/SIGTERM dump the same, persist the lease
-// snapshot when configured, and exit.
-func handleSignals(srv *server.Server, o *obs.Observer, snapshotPath string, dumpEvents int) {
+// dumps the metrics snapshot and the 32 most recent trace events to
+// stderr and the server keeps running; SIGINT/SIGTERM dump the same,
+// persist the lease snapshot when configured, stop the member and
+// return the save's error.
+func handleSignals(m *cluster.Member, o *obs.Observer, snapshotPath string) error {
 	ch := make(chan os.Signal, 1)
 	signal.Notify(ch, os.Interrupt, syscall.SIGTERM, syscall.SIGUSR1)
 	for sig := range ch {
-		dump(srv, o, dumpEvents)
+		snap := m.Server.MetricsSnapshot()
+		obs.DumpText(os.Stderr, &snap, o.Events(32))
 		if sig == syscall.SIGUSR1 {
 			continue
 		}
+		var err error
 		if snapshotPath != "" {
-			if err := saveSnapshot(srv, snapshotPath); err != nil {
-				log.Printf("leasesrv: saving snapshot: %v", err)
-				os.Exit(1)
-			}
+			err = saveSnapshot(m.Server, snapshotPath)
 		}
-		srv.Stop()
-		os.Exit(0)
+		m.Stop()
+		return err
 	}
-}
-
-func dump(srv *server.Server, o *obs.Observer, n int) {
-	snap := srv.MetricsSnapshot()
-	obs.DumpText(os.Stderr, &snap, o.Events(n))
+	return nil
 }
 
 func loadSnapshot(path string) ([]core.LeaseSnapshot, error) {
@@ -319,22 +296,12 @@ func saveSnapshot(srv *server.Server, path string) error {
 	return nil
 }
 
-func seed(st *vfs.Store) {
-	mk := func(err error) {
-		if err != nil {
-			log.Fatalf("leasesrv: seeding store: %v", err)
-		}
-	}
-	_, err := st.Mkdir("/bin", "root", vfs.DefaultPerm)
-	mk(err)
-	a, err := st.Create("/bin/latex", "root", vfs.DefaultPerm)
-	mk(err)
-	_, _, err = st.WriteFile(a.ID, []byte("#! the latex binary (demonstration)\n"))
-	mk(err)
-	_, err = st.Mkdir("/docs", "root", vfs.DefaultPerm|vfs.WorldWrite)
-	mk(err)
-	b, err := st.Create("/docs/README", "root", vfs.DefaultPerm|vfs.WorldWrite)
-	mk(err)
-	_, _, err = st.WriteFile(b.ID, []byte("welcome to the lease file service\n"))
-	mk(err)
+// seed writes the demonstration tree.
+func seed(st *vfs.Store) error {
+	ww := vfs.DefaultPerm | vfs.WorldWrite
+	_, err1 := st.Mkdir("/bin", "root", vfs.DefaultPerm)
+	_, err2 := st.CreateWith("/bin/latex", "root", vfs.DefaultPerm, []byte("#! the latex binary (demonstration)\n"))
+	_, err3 := st.Mkdir("/docs", "root", ww)
+	_, err4 := st.CreateWith("/docs/README", "root", ww, []byte("welcome to the lease file service\n"))
+	return errors.Join(err1, err2, err3, err4)
 }

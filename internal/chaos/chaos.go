@@ -50,6 +50,7 @@ import (
 	"time"
 
 	"leases/internal/client"
+	"leases/internal/cluster"
 	"leases/internal/faultnet"
 	"leases/internal/obs"
 	"leases/internal/obs/tracing"
@@ -291,7 +292,7 @@ func Run(opts Options) (*Report, error) {
 		h.shard = ss
 		defer ss.close()
 	} else if spec.replicated {
-		rs, err := newReplSet(h, dir)
+		rs, err := bootReplSet(h, dir, replSetConfig{})
 		if err != nil {
 			return nil, err
 		}
@@ -306,7 +307,7 @@ func Run(opts Options) (*Report, error) {
 		if err := h.startServer("127.0.0.1:0"); err != nil {
 			return nil, err
 		}
-		defer h.server().Stop()
+		defer func() { h.srv.Stop() }() // the last incarnation
 
 		proxy, err := faultnet.NewProxy(faultnet.ProxyConfig{
 			Target: h.srvAddr, Seed: opts.Seed, Obs: o,
@@ -372,8 +373,7 @@ type harness struct {
 	shard       *shardedSet // non-nil for sharded scenarios
 	clients     []*client.Cache
 
-	srvMu   sync.Mutex
-	srv     *server.Server
+	srv     *cluster.Member // standalone scenarios' current incarnation
 	srvAddr string
 
 	stop chan struct{}
@@ -384,12 +384,6 @@ func (h *harness) logf(format string, args ...any) {
 	if h.o.Logf != nil {
 		h.o.Logf(format, args...)
 	}
-}
-
-func (h *harness) server() *server.Server {
-	h.srvMu.Lock()
-	defer h.srvMu.Unlock()
-	return h.srv
 }
 
 // startServer boots a server incarnation on addr ("host:0" on first
@@ -408,21 +402,32 @@ func (h *harness) startServer(addr string) error {
 	if h.spec.installed {
 		cfg.Class = h.classConfig()
 	}
-	srv := server.New(cfg)
-	if err := seedFiles(srv.Store(), h.ck.seedContents()); err != nil {
+	m, err := cluster.New(cluster.Config{Server: cfg})
+	if err != nil {
+		return err
+	}
+	if err := seedFiles(m.Server.Store(), h.ck.seedContents()); err != nil {
 		return err
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
-	h.srvMu.Lock()
-	h.srv = srv
-	h.srvMu.Unlock()
+	h.srv = m
 	h.srvAddr = ln.Addr().String()
+	return h.start(m, ln, "server")
+}
+
+// start starts a member on ln, retrying while its peer-mesh address,
+// just released by a reservation or a crashed predecessor, rebinds. A
+// server that stops serving before it is stopped fails the run.
+func (h *harness) start(m *cluster.Member, ln net.Listener, who string) error {
+	if err := retry(func() error { return m.Start(ln) }); err != nil {
+		return err
+	}
 	go func() {
-		if err := srv.Serve(ln); err != nil {
-			h.ck.violate("harness", "server terminated with error: %v", err)
+		if err := m.Wait(); err != nil {
+			h.ck.violate("harness", "%s terminated with error: %v", who, err)
 		}
 	}()
 	return nil
@@ -431,21 +436,29 @@ func (h *harness) startServer(addr string) error {
 // crashServer crash-stops the current server incarnation: connections
 // drop, deferred writes fail back, the in-memory lease table vanishes.
 func (h *harness) crashServer() {
-	h.server().Stop()
+	h.srv.Stop()
 }
 
 // restartServer boots a fresh incarnation on the same address with the
 // same durable max-term file. The listening port was just released by
 // Stop, so rebinding retries briefly.
 func (h *harness) restartServer() {
-	var err error
+	if err := retry(func() error { return h.startServer(h.srvAddr) }); err != nil {
+		h.ck.violate("harness", "server restart failed: %v", err)
+	}
+}
+
+// retry runs f until it succeeds, for a couple of seconds at most: a
+// restart rebinds an address its crashed predecessor, or a reservation,
+// just released.
+func retry(f func() error) (err error) {
 	for i := 0; i < 50; i++ {
-		if err = h.startServer(h.srvAddr); err == nil {
-			return
+		if err = f(); err == nil {
+			return nil
 		}
 		time.Sleep(40 * time.Millisecond)
 	}
-	h.ck.violate("harness", "server restart failed: %v", err)
+	return err
 }
 
 // classConfig sizes the lease-class subsystem for a chaos run, scaled

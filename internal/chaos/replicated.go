@@ -9,8 +9,6 @@ import (
 
 	"leases/internal/cluster"
 	"leases/internal/faultnet"
-	"leases/internal/obs/tracing"
-	"leases/internal/replica"
 	"leases/internal/server"
 	"leases/internal/shard"
 )
@@ -40,26 +38,24 @@ type replSetConfig struct {
 	seedBase int64
 }
 
-// replSet is a 3-replica lease deployment wired like cmd/leasesrv: per
-// replica a PaxosLease node, a lease server that only grants while its
-// node holds the master lease, and a client listener. Every DIRECTED
-// peer link i→j runs through its own faultnet proxy, so scenarios can
-// partition a replica asymmetrically — hold what it sends while it
-// still hears its peers — which per-listener proxies cannot express.
+// replSet is a 3-replica lease deployment whose members boot through
+// internal/cluster, as cmd/leasesrv's do: per replica a PaxosLease node,
+// a lease server that only grants while its node holds the master lease,
+// and a client listener. Every DIRECTED peer link i→j runs through its
+// own faultnet proxy, so scenarios can partition a replica asymmetrically
+// — hold what it sends while it still hears its peers — which
+// per-listener proxies cannot express.
 type replSet struct {
-	h     *harness
-	cfg   replSetConfig // group identity and ring for sharded runs
-	dir   string        // scratch dir for per-replica max-term files
-	term  time.Duration // election (master-lease) term
-	allow time.Duration // clock allowance ε
+	h   *harness
+	cfg replSetConfig // group identity and ring for sharded runs
+	dir string        // scratch dir for per-replica max-term files
 
 	// links[i][j] fronts j's peer-mesh listener for node i's exclusive
 	// use (nil on the diagonal).
 	links [][]*faultnet.Proxy
 
 	mu        sync.Mutex
-	nodes     []*replica.Node
-	srvs      []*server.Server
+	members   []*cluster.Member
 	peerAddrs []string // real peer-mesh listen addresses, by replica ID
 	// peerLns hold the peer addresses open from reservation until each
 	// node binds, so a parallel scenario's ephemeral port cannot claim
@@ -69,27 +65,15 @@ type replSet struct {
 	down     []bool
 }
 
-// newReplSet boots the classic single-group replicated deployment:
-// addresses reserved, the directed-link proxy mesh, then every replica.
-func newReplSet(h *harness, dir string) (*replSet, error) {
-	return bootReplSet(h, dir, replSetConfig{})
-}
-
 // bootReplSet boots one replica set under cfg — a whole deployment for
-// the replicated scenarios, one group of several for the sharded ones.
+// the replicated scenarios, one group of several for the sharded ones:
+// addresses reserved, the directed-link proxy mesh, then every replica.
 func bootReplSet(h *harness, dir string, cfg replSetConfig) (*replSet, error) {
 	rs := &replSet{
-		h:   h,
-		cfg: cfg,
-		dir: dir,
-		// Elections run on a shorter term than file leases so a failover
-		// completes well inside the workload's retry budget; the §2
-		// recovery window is governed by the replicated FILE-lease term,
-		// not this one.
-		term:      h.o.Term / 2,
-		allow:     h.o.Term / 20,
-		nodes:     make([]*replica.Node, replicas),
-		srvs:      make([]*server.Server, replicas),
+		h:         h,
+		cfg:       cfg,
+		dir:       dir,
+		members:   make([]*cluster.Member, replicas),
 		peerAddrs: make([]string, replicas),
 		cliAddrs:  make([]string, replicas),
 		down:      make([]bool, replicas),
@@ -125,7 +109,7 @@ func bootReplSet(h *harness, dir string, cfg replSetConfig) (*replSet, error) {
 		}
 	}
 	for i := 0; i < replicas; i++ {
-		if err := rs.startReplica(i, dir, false); err != nil {
+		if err := rs.startReplica(i, false); err != nil {
 			rs.close()
 			return nil, err
 		}
@@ -137,9 +121,8 @@ func bootReplSet(h *harness, dir string, cfg replSetConfig) (*replSet, error) {
 // through its own outbound link proxies), its lease server, and its
 // client listener. A restart rebinds the same addresses and — being a
 // diskless rejoin with amnesia — catches up from a quorum before it
-// can answer anyone's sync, so a later promotion never merges against
-// its empty state.
-func (rs *replSet) startReplica(i int, dir string, restart bool) error {
+// serves (cluster.Member.Start).
+func (rs *replSet) startReplica(i int, restart bool) error {
 	h := rs.h
 	peers := make([]string, replicas)
 	for j := 0; j < replicas; j++ {
@@ -149,28 +132,28 @@ func (rs *replSet) startReplica(i int, dir string, restart bool) error {
 			peers[j] = rs.links[i][j].Addr()
 		}
 	}
-	maxTermName := fmt.Sprintf("maxterm-%d", i)
-	if rs.cfg.ring != nil {
-		maxTermName = fmt.Sprintf("maxterm-g%d-%d", rs.cfg.group, i)
-	}
-	scfg := server.Config{
-		Term:         h.o.Term,
-		WriteTimeout: h.o.WriteTimeout,
-		MaxTermPath:  filepath.Join(dir, maxTermName),
-		Obs:          h.obs,
-		Tracer:       h.tracer,
-	}
-	if rs.cfg.ring != nil {
-		scfg.Shard = server.ShardConfig{GroupID: rs.cfg.group, Ring: rs.cfg.ring}
-	}
-	nd, srv, err := cluster.New(replica.NodeConfig{
-		ID: i, Peers: peers, Term: rs.term, Allowance: rs.allow,
-		Seed: h.o.Seed*31 + rs.cfg.seedBase + int64(i) + 1, Obs: h.obs, Tracer: h.tracer,
-	}, scfg, func(format string, args ...any) { h.logf("chaos: "+format, args...) })
+	m, err := cluster.New(cluster.Config{
+		Server: server.Config{
+			Term:         h.o.Term,
+			WriteTimeout: h.o.WriteTimeout,
+			MaxTermPath:  filepath.Join(rs.dir, fmt.Sprintf("maxterm-g%d-%d", rs.cfg.group, i)),
+			Obs:          h.obs,
+			Tracer:       h.tracer,
+			Shard:        server.ShardConfig{GroupID: rs.cfg.group, Ring: rs.cfg.ring},
+		},
+		ID: i, Peers: peers,
+		// Elections run on a shorter term than file leases so a failover
+		// completes well inside the workload's retry budget; the §2
+		// recovery window is governed by the replicated FILE-lease term,
+		// not this one.
+		ElectionTerm: h.o.Term / 2, Allowance: h.o.Term / 20,
+		Seed: h.o.Seed*31 + rs.cfg.seedBase + int64(i) + 1,
+		Logf: func(format string, args ...any) { h.logf("chaos: "+format, args...) },
+	})
 	if err != nil {
 		return err
 	}
-	if err := seedFiles(srv.Store(), h.ck.seedContents()); err != nil {
+	if err := seedFiles(m.Server.Store(), h.ck.seedContents()); err != nil {
 		return err
 	}
 	// A first boot takes the pre-reserved listener when one was held
@@ -185,73 +168,26 @@ func (rs *replSet) startReplica(i int, dir string, restart bool) error {
 		if restart {
 			cliAddr = rs.cliAddrs[i]
 		}
-		var lerr error
-		ln, lerr = listenRetry(cliAddr)
-		if lerr != nil {
-			return lerr
+		if err := retry(func() (err error) { ln, err = net.Listen("tcp", cliAddr); return err }); err != nil {
+			return err
 		}
 	}
 	// Release the held peer reservation at the last instant; the bind
-	// retry inside startNodeRetry covers the microscopic gap.
-	if rs.peerLns != nil && rs.peerLns[i] != nil {
-		rs.peerLns[i].Close()
+	// retry inside start covers the microscopic gap.
+	if pl := rs.peerLns[i]; pl != nil {
+		pl.Close()
 		rs.peerLns[i] = nil
 	}
-	if err := startNodeRetry(nd); err != nil {
+	if err := h.start(m, ln, fmt.Sprintf("replica %d server", i)); err != nil {
 		ln.Close()
 		return err
 	}
-	go func() {
-		if serr := srv.Serve(ln); serr != nil {
-			h.ck.violate("harness", "replica %d server terminated with error: %v", i, serr)
-		}
-	}()
-	if restart {
-		// Diskless catch-up: recover the replicated state and floor this
-		// incarnation lost in the crash before it participates again.
-		if files, floor, serr := nd.SyncFromPeers(tracing.Context{}); serr == nil {
-			for _, f := range files {
-				srv.ApplyReplicated(f.Path, f.Seq, f.Data)
-			}
-			srv.PersistMaxTerm(floor)
-		} else {
-			h.logf("chaos: replica %d rejoin sync failed: %v", i, serr)
-		}
-	}
 	rs.mu.Lock()
-	rs.nodes[i] = nd
-	rs.srvs[i] = srv
+	rs.members[i] = m
 	rs.cliAddrs[i] = ln.Addr().String()
 	rs.down[i] = false
 	rs.mu.Unlock()
 	return nil
-}
-
-// listenRetry binds addr, retrying briefly: a restart reuses the
-// address its crashed predecessor just released.
-func listenRetry(addr string) (net.Listener, error) {
-	var err error
-	for i := 0; i < 50; i++ {
-		var ln net.Listener
-		if ln, err = net.Listen("tcp", addr); err == nil {
-			return ln, nil
-		}
-		time.Sleep(40 * time.Millisecond)
-	}
-	return nil, err
-}
-
-// startNodeRetry starts a node's peer-mesh listener with the same
-// rebind tolerance.
-func startNodeRetry(nd *replica.Node) error {
-	var err error
-	for i := 0; i < 50; i++ {
-		if err = nd.Start(); err == nil {
-			return nil
-		}
-		time.Sleep(40 * time.Millisecond)
-	}
-	return err
 }
 
 // clientAddrs lists the client-plane addresses in replica-ID order —
@@ -268,11 +204,11 @@ func (rs *replSet) waitMaster(timeout time.Duration) int {
 	deadline := time.Now().Add(timeout)
 	for {
 		rs.mu.Lock()
-		for i, nd := range rs.nodes {
-			if rs.down[i] || nd == nil {
+		for i, m := range rs.members {
+			if rs.down[i] || m == nil {
 				continue
 			}
-			if nd.IsMaster() {
+			if m.Node.IsMaster() {
 				rs.mu.Unlock()
 				return i
 			}
@@ -290,21 +226,18 @@ func (rs *replSet) waitMaster(timeout time.Duration) int {
 // file (exactly the §2 crash model).
 func (rs *replSet) crash(i int) {
 	rs.mu.Lock()
-	nd, srv := rs.nodes[i], rs.srvs[i]
+	m := rs.members[i]
 	rs.down[i] = true
 	rs.mu.Unlock()
-	if nd != nil {
-		nd.Stop()
-	}
-	if srv != nil {
-		srv.Stop()
+	if m != nil {
+		m.Stop()
 	}
 }
 
 // restart reboots a crashed replica as a follower on its old
 // addresses.
 func (rs *replSet) restart(i int) {
-	if err := rs.startReplica(i, rs.dir, true); err != nil {
+	if err := rs.startReplica(i, true); err != nil {
 		rs.h.ck.violate("harness", "replica %d restart failed: %v", i, err)
 	}
 }
@@ -338,17 +271,11 @@ func (rs *replSet) healLinks() {
 
 func (rs *replSet) close() {
 	rs.mu.Lock()
-	nodes := append([]*replica.Node(nil), rs.nodes...)
-	srvs := append([]*server.Server(nil), rs.srvs...)
+	members := append([]*cluster.Member(nil), rs.members...)
 	rs.mu.Unlock()
-	for _, nd := range nodes {
-		if nd != nil {
-			nd.Stop()
-		}
-	}
-	for _, s := range srvs {
-		if s != nil {
-			s.Stop()
+	for _, m := range members {
+		if m != nil {
+			m.Stop()
 		}
 	}
 	for _, row := range rs.links {

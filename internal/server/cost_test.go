@@ -4,52 +4,70 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"net"
+	"runtime"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"leases/internal/client"
 	"leases/internal/clock"
+	"leases/internal/obs"
 	"leases/internal/proto"
 	"leases/internal/server"
 	"leases/internal/vfs"
 )
 
-// vmixStream is a closed, seeded stream of the benchmark's v_mix shape
-// without its installed files: two clients, each reading its own Zipf-1
-// set of private files and a set of shared ones half and half, and
-// writing 4.4 % of the time, half to its private files and half to the
-// shared files it owns (every file has one writer).
+// vmixStream is a closed, seeded stream of the benchmark's v_mix shape:
+// n clients, each reading its own Zipf-1 set of private files and a set
+// of shared ones half and half, and writing 4.4 % of the time, half to
+// its private files and half to the shared files it owns (every file
+// has one writer). With inst, 45 % of ops instead read one of the
+// installed files under /inst (Zipf-1), as the benchmark's do; without,
+// it is v_mix without its installed files.
 type vmixStream struct {
-	rng     *rand.Rand
-	private []float64 // Zipf-1 CDF over a client's private files
+	rng            *rand.Rand
+	n              int
+	inst           bool
+	private, zInst []float64 // Zipf-1 CDFs over a client's private files and /inst
 }
 
 const (
 	vmixShared  = 32
 	vmixPrivate = 256
+	vmixInst    = 64
 )
 
-func newVmixStream(seed int64) *vmixStream {
-	s := &vmixStream{rng: rand.New(rand.NewSource(seed)), private: make([]float64, vmixPrivate)}
+func newVmixStream(seed int64, n int, inst bool) *vmixStream {
+	return &vmixStream{rng: rand.New(rand.NewSource(seed)), n: n, inst: inst, private: zipfCDF(vmixPrivate), zInst: zipfCDF(vmixInst)}
+}
+
+func zipfCDF(n int) []float64 {
+	cdf := make([]float64, n)
 	var sum float64
-	for i := range s.private {
+	for i := range cdf {
 		sum += 1 / float64(i+1)
-		s.private[i] = sum
+		cdf[i] = sum
 	}
-	for i := range s.private {
-		s.private[i] /= sum
+	for i := range cdf {
+		cdf[i] /= sum
 	}
-	return s
+	return cdf
 }
 
 // next draws client conn's next op: its path and whether it writes.
 func (s *vmixStream) next(conn int) (path string, write bool) {
-	write = s.rng.Float64() >= 0.956
+	u := s.rng.Float64()
+	if s.inst && u < 0.45 {
+		f := min(sort.SearchFloat64s(s.zInst, s.rng.Float64()), vmixInst-1)
+		return fmt.Sprintf("/inst/f%d", f), false
+	}
+	write = u >= 0.956
 	if s.rng.Intn(2) == 0 {
 		f := s.rng.Intn(vmixShared)
 		if write {
-			f = f&^1 | conn
+			f += conn - f%s.n
 		}
 		return fmt.Sprintf("/sh/f%d", f), write
 	}
@@ -105,7 +123,7 @@ func runVmix(t *testing.T, cfg server.Config) (row vmixRow, extends uint64) {
 	}
 	ws := srv.WireStats()
 	before := frames(ws)
-	s := newVmixStream(1)
+	s := newVmixStream(1, 2, false)
 	ops := int(10 * renewTerm / opEvery)
 	for i := 0; i < ops; i++ {
 		c := i % 2
@@ -271,6 +289,188 @@ func TestIdleHolderFrames(t *testing.T) {
 		{"no loop", 0, "0 frames, 0 TExtend, 0 live leases"},
 	} {
 		if got := runIdle(t, n, r.autoExtend); got.String() != r.want {
+			t.Errorf("%s: %v, pinned %s", r.name, got, r.want)
+		}
+	}
+}
+
+// classRow is what ten terms of the v_mix-shaped stream with installed
+// files cost one server: frames per op both ways, and the most lease
+// records held at once.
+type classRow struct {
+	frames float64
+	peak   int
+}
+
+func (r classRow) String() string {
+	return fmt.Sprintf("%.4f frames/op, %d peak leases", r.frames, r.peak)
+}
+
+// readWatch marks a client connection whose reader is blocked in Read:
+// everything the reader took before has been handled.
+type readWatch struct {
+	net.Conn
+	reading atomic.Bool
+}
+
+func (c *readWatch) Read(b []byte) (int, error) {
+	c.reading.Store(true)
+	defer c.reading.Store(false)
+	return c.Conn.Read(b)
+}
+
+// runClass runs the stream with installed files for n clients against a
+// server with the installed class set as the benchmark sets it (class) or
+// not, and the clients' renewal loop armed every autoExtend (zero: none).
+// The term is 12 s and ops come every 5 ms, so every timer the loop and
+// the broadcast arm falls on a step of the simulated clock; after each op
+// and each step the run waits until the deployment is quiet — every timer
+// armed, every broadcast round and every other frame read and handled, no
+// class snapshot waiting for its refetch — twice running with no frame in
+// between: the count is exact.
+func runClass(t *testing.T, n int, class bool, autoExtend time.Duration) classRow {
+	t.Helper()
+	const (
+		term    = 12 * time.Second
+		opEvery = 5 * time.Millisecond
+	)
+	clk := clock.NewSim()
+	cfg := server.Config{Term: term, Clock: clk}
+	if class {
+		// The observer counts broadcast rounds: the server hands each
+		// round's frames to its connections' senders before it arms the
+		// next, and counts them on the wire only as those send.
+		cfg.Class = server.ClassConfig{InstalledDirs: []string{"/inst"}, InstalledTerm: term, BroadcastEvery: term / 4}
+		cfg.Obs = obs.New(obs.Config{})
+	}
+	srv, connect := startPipeServer(t, cfg)
+	seedDir := func(d string, files int) {
+		if _, err := srv.Store().Mkdir(d, "root", vfs.DefaultPerm|vfs.WorldWrite); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < files; i++ {
+			seedWritable(t, srv, fmt.Sprintf("%s/f%d", d, i), "x")
+		}
+	}
+	seedDir("/inst", vmixInst)
+	seedDir("/sh", vmixShared)
+	for c := 0; c < n; c++ {
+		seedDir(fmt.Sprintf("/pv%d", c), vmixPrivate)
+	}
+	caches := make([]*client.Cache, n)
+	conns := make([]*readWatch, n)
+	for i := range caches {
+		nc, _ := connect()
+		conns[i] = &readWatch{Conn: nc}
+		c, err := client.NewFromConn(conns[i], client.Config{ID: fmt.Sprintf("c%d", i), Clock: clk, AutoExtend: autoExtend})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		caches[i] = c
+	}
+	timers := 0
+	if class {
+		timers++
+	}
+	if autoExtend > 0 {
+		timers += n
+	}
+	total := func(ws *proto.WireStats) (in, out uint64) { // the client counts no hello
+		for _, row := range ws.Snapshot() {
+			switch {
+			case row.Type == proto.THello || row.Type == proto.THelloAck:
+			case row.Dir == "in":
+				in += row.Frames
+			default:
+				out += row.Frames
+			}
+		}
+		return in, out
+	}
+	quiet := func() (bool, uint64) {
+		if clk.PendingTimers() != timers {
+			return false, 0
+		}
+		var rounds uint64
+		if class {
+			rounds = uint64(cfg.Obs.EventCounts()[obs.EvBroadcastExt].N)
+		}
+		var in, out uint64
+		for i, c := range caches {
+			_, _, stale := c.InstalledClass()
+			if stale && autoExtend > 0 || !conns[i].reading.Load() || c.WireStats().Frames(proto.TBroadcastExt, "in") != rounds {
+				return false, 0
+			}
+			cin, cout := total(c.WireStats())
+			in, out = in+cin, out+cout
+		}
+		sin, sout := total(srv.WireStats())
+		return in == sout && out == sin, in + out
+	}
+	settle := func() {
+		var last uint64
+		for start, seen := time.Now(), false; ; runtime.Gosched() {
+			ok, frames := quiet()
+			if ok && seen && frames == last {
+				return
+			}
+			seen, last = ok, frames
+			if time.Since(start) > 5*time.Second {
+				t.Fatalf("not quiet after 5 s: %d timers armed, want %d", clk.PendingTimers(), timers)
+			}
+		}
+	}
+	settle()
+	ws := srv.WireStats()
+	before := frames(ws)
+	s := newVmixStream(1, n, true)
+	ops := int(10 * term / opEvery)
+	var row classRow
+	for i := 0; i < ops; i++ {
+		c := i % n
+		path, write := s.next(c)
+		if write {
+			mustWrite(t, caches[c], path, "y")
+		} else if _, err := caches[c].Read(path); err != nil {
+			t.Fatal(err)
+		}
+		settle()
+		row.peak = max(row.peak, srv.LeaseCount())
+		clk.Advance(opEvery)
+		settle()
+	}
+	row.frames = float64(frames(ws)-before) / float64(ops)
+	return row
+}
+
+// TestClassTable counts what the §4.3 installed class and the renewal
+// loop (client.Config.AutoExtend) cost one server on the v_mix-shaped
+// stream with the benchmark's installed files, at 2 and 8 clients: with
+// neither; with the class and a loop that only fetches its snapshot (an
+// hour-long period, the benchmark's setting); with the loop at term/3 and
+// no class; and with both. The class saves the snapshot-only rows 2-3 %
+// of the frames and no lease records; on top of the loop at term/3 it
+// adds frames. Exact: re-pin a row only for an intended traffic change.
+func TestClassTable(t *testing.T) {
+	const loop = 4 * time.Second // term/3
+	for _, r := range []struct {
+		name       string
+		clients    int
+		class      bool
+		autoExtend time.Duration
+		want       string
+	}{
+		{"2 clients, neither", 2, false, 0, "0.2264 frames/op, 679 peak leases"},
+		{"2 clients, class, snapshot-only loop", 2, true, time.Hour, "0.2213 frames/op, 680 peak leases"},
+		{"2 clients, loop", 2, false, loop, "0.2196 frames/op, 688 peak leases"},
+		{"2 clients, class and loop", 2, true, loop, "0.2238 frames/op, 688 peak leases"},
+		{"8 clients, neither", 8, false, 0, "0.6628 frames/op, 2075 peak leases"},
+		{"8 clients, class, snapshot-only loop", 8, true, time.Hour, "0.6459 frames/op, 2077 peak leases"},
+		{"8 clients, loop", 8, false, loop, "0.6932 frames/op, 2113 peak leases"},
+		{"8 clients, class and loop", 8, true, loop, "0.7031 frames/op, 2113 peak leases"},
+	} {
+		if got := runClass(t, r.clients, r.class, r.autoExtend); got.String() != r.want {
 			t.Errorf("%s: %v, pinned %s", r.name, got, r.want)
 		}
 	}

@@ -10,8 +10,8 @@ import (
 
 // Replica abstracts the replication runtime (internal/replica.Node)
 // behind plain types, so the server package does not import the
-// election machinery: cmd/leasesrv adapts a replica.Node to this
-// interface when wiring a replicated deployment. A nil Replica in
+// election machinery: internal/cluster adapts a replica.Node to this
+// interface when it boots a replicated member. A nil Replica in
 // Config is the standalone server, byte-for-byte the old behavior.
 //
 // The contract the server relies on:

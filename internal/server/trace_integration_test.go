@@ -13,18 +13,17 @@ import (
 	"leases/internal/client"
 	"leases/internal/cluster"
 	"leases/internal/obs/tracing"
-	"leases/internal/replica"
 	"leases/internal/server"
 	"leases/internal/vfs"
 )
 
-// traceCluster is a minimal 3-replica deployment over real TCP — the
-// cmd/leasesrv wiring without faultnet — with one shared tracer so a
-// distributed trace assembles in a single segment the test can walk.
+// traceCluster is a minimal 3-replica deployment over real TCP, its
+// members booted through internal/cluster as cmd/leasesrv's are, without
+// faultnet, and with one shared tracer so a distributed trace assembles
+// in a single segment the test can walk.
 type traceCluster struct {
 	tracer   *tracing.Tracer
-	nodes    []*replica.Node
-	srvs     []*server.Server
+	members  []*cluster.Member
 	cliAddrs []string
 }
 
@@ -32,8 +31,7 @@ func startTraceCluster(t *testing.T, n int) *traceCluster {
 	t.Helper()
 	tc := &traceCluster{
 		tracer:   tracing.New(tracing.Config{Node: "cluster", SampleRate: 1, Completed: 256}),
-		nodes:    make([]*replica.Node, n),
-		srvs:     make([]*server.Server, n),
+		members:  make([]*cluster.Member, n),
 		cliAddrs: make([]string, n),
 	}
 	dir := t.TempDir()
@@ -47,16 +45,16 @@ func startTraceCluster(t *testing.T, n int) *traceCluster {
 		ln.Close()
 	}
 	for i := 0; i < n; i++ {
-		i := i
-		nd, srv, err := cluster.New(replica.NodeConfig{
+		m, err := cluster.New(cluster.Config{
+			Server: server.Config{
+				Term:        10 * time.Second,
+				MaxTermPath: filepath.Join(dir, fmt.Sprintf("maxterm-%d", i)),
+				Tracer:      tc.tracer,
+			},
 			ID: i, Peers: peers,
-			Term: 2 * time.Second, Allowance: 100 * time.Millisecond,
-			Seed: int64(i) + 1, Tracer: tc.tracer,
-		}, server.Config{
-			Term:        10 * time.Second,
-			MaxTermPath: filepath.Join(dir, fmt.Sprintf("maxterm-%d", i)),
-			Tracer:      tc.tracer,
-		}, nil)
+			ElectionTerm: 2 * time.Second, Allowance: 100 * time.Millisecond,
+			Seed: int64(i) + 1,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,18 +62,14 @@ func startTraceCluster(t *testing.T, n int) *traceCluster {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := nd.Start(); err != nil {
+		if err := m.Start(ln); err != nil {
 			t.Fatal(err)
 		}
-		go srv.Serve(ln)
-		tc.nodes[i], tc.srvs[i], tc.cliAddrs[i] = nd, srv, ln.Addr().String()
+		tc.members[i], tc.cliAddrs[i] = m, ln.Addr().String()
 	}
 	t.Cleanup(func() {
-		for _, nd := range tc.nodes {
-			nd.Stop()
-		}
-		for _, s := range tc.srvs {
-			s.Stop()
+		for _, m := range tc.members {
+			m.Stop()
 		}
 	})
 	return tc
@@ -85,8 +79,8 @@ func (tc *traceCluster) waitMaster(t *testing.T) int {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		for i, nd := range tc.nodes {
-			if !nd.IsMaster() {
+		for i, m := range tc.members {
+			if !m.Node.IsMaster() {
 				continue
 			}
 			// The serving gate stays shut until Promote completes;
@@ -191,7 +185,7 @@ func TestTraceFollowsWriteAcrossCluster(t *testing.T) {
 	}
 
 	// The admin plane surfaces the same trace by ID.
-	ts := httptest.NewServer(tc.srvs[master].AdminHandler())
+	ts := httptest.NewServer(tc.members[master].Server.AdminHandler())
 	defer ts.Close()
 	id, _ := wr.ID.MarshalJSON()
 	code, body, _ := get(t, ts.URL+"/traces")
