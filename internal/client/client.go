@@ -97,10 +97,12 @@ type Config struct {
 	// RetryBudget is how many times one operation is retried across
 	// connection failures. Zero means 2 when Reconnect is set;
 	// negative disables retries. Retries only fire on connection
-	// errors (ErrClosed), never on server-reported errors, but a
-	// non-idempotent operation (Create, Remove, Rename) whose first
-	// attempt was applied before the connection died may surface a
-	// remote error (e.g. "exists") on its retry.
+	// errors (ErrClosed), never on server-reported errors. A retry is a
+	// fresh request, and the server does not know it was sent before:
+	// an operation whose first attempt applied before its reply was
+	// lost is applied again. A Write is then applied twice (the file
+	// takes two versions); a Create, Remove or Rename surfaces a remote
+	// error (e.g. "exists") on its retry.
 	RetryBudget int
 	// RetryWait bounds how long one operation waits for the session to
 	// come back before failing with ErrClosed. Zero means 30s.

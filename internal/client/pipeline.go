@@ -157,7 +157,7 @@ func (cl *Call) Wait() (proto.Frame, error) {
 			cl.span.EndNote("closed")
 			return proto.Frame{}, cl.err
 		}
-		if !cl.c.awaitReady() {
+		if !cl.c.awaitReady(cl.c.retryWait()) {
 			cl.done, cl.err = true, ErrClosed
 			cl.span.EndNote("given-up")
 			return proto.Frame{}, ErrClosed

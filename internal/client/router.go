@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"leases/internal/proto"
 	"leases/internal/shard"
@@ -47,7 +48,8 @@ type Router struct {
 
 	mu     sync.Mutex
 	ring   *shard.Ring
-	caches map[int]*Cache // connected per-group sessions, by group ID
+	caches map[int]*Cache      // connected per-group sessions, by group ID
+	dials  map[int]*sync.Mutex // held while a group's session is dialed
 	closed bool
 
 	redirects int64 // NOT_OWNER redirects followed (atomic)
@@ -65,7 +67,7 @@ func NewRouter(ring *shard.Ring, cfg Config) (*Router, error) {
 	if cfg.ID == "" {
 		return nil, fmt.Errorf("client: empty ID")
 	}
-	return &Router{cfg: cfg, ring: ring, caches: make(map[int]*Cache)}, nil
+	return &Router{cfg: cfg, ring: ring, caches: make(map[int]*Cache), dials: make(map[int]*sync.Mutex)}, nil
 }
 
 // Ring returns the current routing table snapshot.
@@ -116,28 +118,37 @@ func (r *Router) cacheFor(path string, forced int) (*Cache, int, error) {
 		return c, gid, nil
 	}
 	g, ok := r.ring.Group(gid)
+	dialing := r.dials[gid]
+	if dialing == nil {
+		dialing = new(sync.Mutex)
+		r.dials[gid] = dialing
+	}
 	r.mu.Unlock()
 	if !ok || len(g.Replicas) == 0 {
 		return nil, gid, fmt.Errorf("client: no replicas for group %d", gid)
+	}
+	// One dial per group at a time: the server closes a session when
+	// another says hello under the same ID, and with it whatever was in
+	// flight on it.
+	dialing.Lock()
+	defer dialing.Unlock()
+	r.mu.Lock()
+	c, ok := r.caches[gid]
+	r.mu.Unlock()
+	if ok {
+		return c, gid, nil
 	}
 	c, err := r.dialGroup(g)
 	if err != nil {
 		return nil, gid, err
 	}
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.closed {
-		r.mu.Unlock()
 		c.Close()
 		return nil, gid, ErrClosed
 	}
-	if existing, ok := r.caches[gid]; ok {
-		// A concurrent op dialed the same group; keep the first session.
-		r.mu.Unlock()
-		c.Close()
-		return existing, gid, nil
-	}
 	r.caches[gid] = c
-	r.mu.Unlock()
 	return c, gid, nil
 }
 
@@ -341,6 +352,64 @@ func (r *Router) Remove(path string) error {
 // there server-side, so the client sees one call either way.
 func (r *Router) Rename(oldPath, newPath string) error {
 	return r.do(oldPath, func(c *Cache) error { return c.Rename(oldPath, newPath) })
+}
+
+// ErrRefused marks a move the destination did not apply (see Move).
+var ErrRefused = errors.New("client: move refused")
+
+// Move is the source master's half of a cross-shard rename on the
+// router's sessions: it sends move, the move-in that recreates the file,
+// as one TShardMove fenced on ring epoch, on the session of the group
+// owning move.Path, and waits for the answer until timeout has passed on
+// the wall clock. It follows no NOT_OWNER redirect and sends the move at
+// most once: it waits for a session that is down to come back, and never
+// resubmits a move that was queued. The error is nil when the move was
+// applied; it wraps ErrRefused when the destination did nothing — no
+// session came up in time, or it answered TError or TNotOwner; any other
+// error leaves the outcome unknown — the move was lost after it was
+// queued, or the destination failed it after replicating it.
+func (r *Router) Move(epoch uint64, move vfs.Op, timeout time.Duration) error {
+	deadline := time.Now().Add(timeout)
+	c, _, err := r.cacheFor(move.Path, -1)
+	if err == nil && time.Now().After(deadline) {
+		err = fmt.Errorf("client: no session in %v", timeout)
+	}
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrRefused, err)
+	}
+	var e proto.Enc
+	cl := &Call{c: c, t: proto.TShardMove, payload: e.U64(epoch).EncodeOp(move).Bytes()}
+	for err = cl.submit(); err != nil; err = cl.submit() {
+		if !c.awaitReady(time.Until(deadline)) {
+			return fmt.Errorf("%w: %v", ErrRefused, err)
+		}
+	}
+	timer := time.NewTimer(time.Until(deadline))
+	defer timer.Stop()
+	select {
+	case f, ok := <-cl.ch:
+		if !ok {
+			return fmt.Errorf("client: the move's connection was lost")
+		}
+		defer f.Recycle()
+		d := proto.NewDec(f.Payload)
+		switch f.Type {
+		case proto.TOK:
+			return nil
+		case proto.TError:
+			return fmt.Errorf("%w: %s", ErrRefused, d.Str())
+		case proto.TNotOwner:
+			return fmt.Errorf("%w: group %d owns %s", ErrRefused, d.U32(), move.Path)
+		case proto.TShardMove:
+			return fmt.Errorf("client: the move failed after it was replicated: %s", d.Str())
+		}
+		return fmt.Errorf("client: unexpected move reply type %v", f.Type)
+	case <-timer.C:
+		c.mu.Lock()
+		delete(c.calls, cl.id)
+		c.mu.Unlock()
+		return fmt.Errorf("client: no answer to the move in %v", timeout)
+	}
 }
 
 // Stat routes an attribute fetch to its owning group.

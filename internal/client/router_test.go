@@ -81,6 +81,38 @@ func pathOwnedBy(t *testing.T, ring *shard.Ring, group int, pattern string) stri
 	return ""
 }
 
+// TestRouterDialsAGroupOnce: ops racing to a group the router has no
+// session with share one dial. A second session saying hello under the
+// same ID would make the server close the first, with whatever was in
+// flight on it.
+func TestRouterDialsAGroupOnce(t *testing.T) {
+	srvs, ring := startShardedPair(t, 1)
+	r, err := client.NewRouter(ring, client.Config{ID: "c1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	sessions := make(chan *client.Cache, 8)
+	for i := 0; i < cap(sessions); i++ {
+		go func() {
+			c, err := r.GroupCache(0)
+			if err != nil {
+				t.Error(err)
+			}
+			sessions <- c
+		}()
+	}
+	first := <-sessions
+	for i := 1; i < cap(sessions); i++ {
+		if c := <-sessions; c != first {
+			t.Fatalf("racing ops got different sessions")
+		}
+	}
+	if n := srvs[0].WireStats().Frames(proto.THello, "in"); n != 1 {
+		t.Fatalf("the group took %d hellos, want 1", n)
+	}
+}
+
 // TestRouterRoutesAcrossGroups is the sharded happy path: the skeleton
 // directory lands on every group, each file lands on (exactly) its
 // owning group's store, and routed reads come back with zero

@@ -216,9 +216,8 @@ func (c *Cache) finishReconnect(nc net.Conn, fr *proto.FrameReader, boot uint64,
 }
 
 // awaitReady blocks until the session is connected, the cache closes,
-// or the per-op wait bound elapses. It reports whether a retry is worth
-// attempting.
-func (c *Cache) awaitReady() bool {
+// or wait elapses. It reports whether a retry is worth attempting.
+func (c *Cache) awaitReady(wait time.Duration) bool {
 	c.mu.Lock()
 	if c.err != nil {
 		c.mu.Unlock()
@@ -226,7 +225,7 @@ func (c *Cache) awaitReady() bool {
 	}
 	ready := c.ready
 	c.mu.Unlock()
-	timeout, stopTimer := c.clk.After(c.retryWait())
+	timeout, stopTimer := c.clk.After(wait)
 	defer stopTimer()
 	select {
 	case <-ready:

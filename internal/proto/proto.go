@@ -177,7 +177,8 @@ const (
 	// and removed the file. The destination refuses any other op, clears
 	// the destination parent's binding per §2 and applies it; it answers TOK,
 	// or TError when it refuses before replicating anything, which the
-	// source undoes. A failure after that closes the connection.
+	// source undoes. A failure after that is answered with a TShardMove
+	// carrying the error: the outcome is unknown, and nothing is undone.
 	TShardMove
 )
 

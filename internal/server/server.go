@@ -34,6 +34,7 @@ import (
 	"sync"
 	"time"
 
+	"leases/internal/client"
 	"leases/internal/clock"
 	"leases/internal/core"
 	"leases/internal/obs"
@@ -128,14 +129,18 @@ type Server struct {
 	spanMu     sync.Mutex
 	writeSpans map[pushKey]tracing.Span
 
-	connMu sync.RWMutex // conns, raw, ln
+	connMu sync.RWMutex // conns, raw, ln, mover
 	conns  map[core.ClientID]*serverConn
 	raw    map[net.Conn]struct{} // every accepted conn, pre- or post-hello
 
 	waitMu  sync.Mutex
 	waiters map[core.WriteID]chan struct{}
 
-	ln       net.Listener
+	ln net.Listener
+	// mover sends a sharded server's cross-shard moves (see
+	// crossShardRename); Serve builds it once the listen address that
+	// names it is known, and Stop closes it.
+	mover    *client.Router
 	stopOnce sync.Once
 	stopped  chan struct{}
 	wg       sync.WaitGroup
@@ -258,6 +263,14 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 	s.connMu.Lock()
 	s.ln = ln
+	if ring := s.cfg.Shard.Ring; ring != nil {
+		// On the wall clock, as every socket deadline: the server's own
+		// clock may be simulated.
+		s.mover, _ = client.NewRouter(ring, client.Config{
+			ID:        fmt.Sprintf("shard-move:%d@%s", s.cfg.Shard.GroupID, ln.Addr()),
+			Reconnect: true, RetryWait: shardCallTimeout,
+		})
+	}
 	s.connMu.Unlock()
 	if s.core.Classes != nil {
 		s.wg.Add(1)
@@ -303,8 +316,8 @@ func (s *Server) Addr() net.Addr {
 	return s.ln.Addr()
 }
 
-// Stop shuts the server down: the listener closes, connections drop,
-// deferred writes fail back to their writers.
+// Stop shuts the server down: the listener closes, connections and the
+// mover's sessions drop, deferred writes fail back to their writers.
 func (s *Server) Stop() {
 	s.stopOnce.Do(func() {
 		close(s.stopped)
@@ -315,7 +328,11 @@ func (s *Server) Stop() {
 		for nc := range s.raw {
 			nc.Close()
 		}
+		mover := s.mover
 		s.connMu.Unlock()
+		if mover != nil {
+			mover.Close()
+		}
 	})
 	s.wg.Wait()
 }

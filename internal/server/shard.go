@@ -3,9 +3,9 @@ package server
 import (
 	"errors"
 	"fmt"
-	"net"
 	"time"
 
+	"leases/internal/client"
 	"leases/internal/obs"
 	"leases/internal/proto"
 	"leases/internal/shard"
@@ -67,8 +67,10 @@ func (c *serverConn) handleRing(f proto.Frame) {
 // An error reply tells the source nothing happened here, and the source
 // restores the file. So it is sent only for a failure before the plan's
 // op was shipped. Once a follower may hold it, a later promotion's merge
-// can serve the file here: the connection is closed unanswered, which the
-// source reports as an unknown outcome and does not undo.
+// can serve the file here: the failure is answered with a TShardMove,
+// which the source reports as an unknown outcome and does not undo. The
+// connection stays up: it is the source's one session to this group, and
+// the moves behind this one on it still get their own answers.
 func (c *serverConn) handleShardMove(r *request) {
 	s := c.srv
 	if r.step.Kind == 0 {
@@ -113,7 +115,8 @@ func (c *serverConn) handleShardMove(r *request) {
 		}
 		c.replyEnc(r.f.ReqID, proto.TOK, nil)
 	case r.plan.Exposed():
-		c.close()
+		msg := err.Error()
+		c.replyEnc(r.f.ReqID, proto.TShardMove, func(e *proto.Enc) { e.Str(msg) })
 	default:
 		c.fail(r.f.ReqID, err)
 	}
@@ -151,26 +154,27 @@ func (c *serverConn) create(r *request) error {
 //     queued behind it finds the file gone;
 //  2. with that plan released, one TShardMove carries the move-in built
 //     from them to the destination master, which clears the new parent
-//     binding and applies it (handleShardMove).
+//     binding and applies it (handleShardMove). It goes out on the
+//     server's mover, a client.Router over its ring: one session per
+//     destination group under one client ID, dialed on the first move.
 //
 // No plan is held across the call: two renames crossing in opposite
 // directions would each hold the binding the other's destination must
 // clear, and wait on each other until the call timed out. A move the
 // destination refused (an error reply, which it sends only before it
-// replicates anything, or a dial that sent nothing) is undone here under
-// the plan the destination would have run, applying the same move-in at
-// the old path; if that fails too, the client
-// is told the file is gone from both groups. A connection lost with the
-// move sent leaves the outcome unknown: that is reported to the client,
-// and the file is either at the destination or nowhere — closing that
-// window is the op log's job (ROADMAP item 1).
+// replicates anything, or no session up to send it on) is undone here
+// under the plan the destination would have run, applying the same
+// move-in at the old path; if that fails too, the client is told the
+// file is gone from both groups. A move lost after it was queued, or
+// failed after the destination replicated it, leaves the outcome
+// unknown: that is reported to the client, and the file is either at the
+// destination or nowhere — closing that window needs an op log.
 func (c *serverConn) crossShardRename(r *request, destGroup int) {
 	if r.parked = r.inline; r.parked {
 		return // a call to another group, and nothing done yet: the reader hands the request off to start over
 	}
 	s, f, ring := c.srv, r.f, c.srv.cfg.Shard.Ring
-	g, ok := ring.Group(destGroup)
-	if !ok || len(g.Replicas) == 0 {
+	if g, ok := ring.Group(destGroup); !ok || len(g.Replicas) == 0 {
 		c.fail(f.ReqID, fmt.Errorf("shard: no replicas for group %d", destGroup))
 		return
 	}
@@ -203,22 +207,15 @@ func (c *serverConn) crossShardRename(r *request, destGroup int) {
 	}
 	r.op = vfs.Op{Kind: vfs.OpCreate, Path: to, Owner: r.res.Attr.Owner, Perm: r.res.Attr.Perm, Data: r.res.Data}
 
-	nc, err := dialGroupMaster(g)
-	if err != nil {
-		err = &refusal{err}
-	} else {
-		defer nc.Close()
-		sp := s.tracer.StartChild(r.sp.Context(), "shard.commit")
-		err = sendMove(nc, ring.Epoch, r.op)
-		sp.End()
-	}
-	var refused *refusal
+	sp := s.tracer.StartChild(r.sp.Context(), "shard.commit")
+	err = s.mover.Move(ring.Epoch, r.op, shardCallTimeout)
+	sp.End()
 	switch {
 	case err == nil:
 		// The new parent lives on the destination group, whose clearance
 		// already called this client's session there back.
 		c.replyEnc(f.ReqID, proto.TOK, func(e *proto.Enc) { c.encodeTouched(e, oldParent.ID, 0) })
-	case errors.As(err, &refused):
+	case errors.Is(err, client.ErrRefused):
 		// The request never parked (see the top), so create plans afresh.
 		r.op.Path = from
 		if uerr := c.create(r); uerr != nil {
@@ -234,105 +231,7 @@ func (c *serverConn) crossShardRename(r *request, destGroup int) {
 	}
 }
 
-// refusal is a move the destination did not apply: it answered with an
-// error or a redirect, or the move was never sent.
-type refusal struct{ err error }
-
-func (r *refusal) Error() string { return r.err.Error() }
-
-// shardCallTimeout bounds a move, from the dial to its answer (the
-// destination may legitimately defer for a full lease term waiting out
-// holders of its parent directory).
+// shardCallTimeout bounds a move on the wall clock, from the wait for a
+// session to its answer (the destination may legitimately defer for a
+// full lease term waiting out holders of its parent directory).
 const shardCallTimeout = 45 * time.Second
-
-// sendMove sends move, a move-in, as one TShardMove on nc, a connection
-// to the destination master, and waits for the answer: nil when the file
-// is there, a *refusal when the destination did nothing, and any other
-// error when the outcome is unknown.
-func sendMove(nc net.Conn, epoch uint64, move vfs.Op) error {
-	var e proto.Enc
-	e.U64(epoch).EncodeOp(move)
-	const id = 2 // the hello was 1
-	if err := proto.WriteFrame(nc, proto.Frame{Type: proto.TShardMove, ReqID: id, Payload: e.Bytes()}); err != nil {
-		return err
-	}
-	for {
-		rep, err := proto.ReadFrame(nc)
-		if err != nil {
-			return err
-		}
-		if rep.ReqID != id {
-			rep.Recycle() // an unsolicited push
-			continue
-		}
-		defer rep.Recycle()
-		switch rep.Type {
-		case proto.TOK:
-			return nil
-		case proto.TError:
-			return &refusal{errors.New(proto.NewDec(rep.Payload).Str())}
-		case proto.TNotOwner:
-			return &refusal{fmt.Errorf("group %d owns %s", proto.NewDec(rep.Payload).U32(), move.Path)}
-		default:
-			return fmt.Errorf("unexpected reply type %v", rep.Type)
-		}
-	}
-}
-
-// dialGroupMaster connects to the group's master, following TNotMaster
-// hints the way a client's failover logic does, with a bounded number
-// of redials. The connection's deadline is shardCallTimeout away, on the
-// wall clock: the server's own clock may be simulated.
-func dialGroupMaster(g shard.Group) (net.Conn, error) {
-	idx := 0
-	var lastErr error
-	for attempt := 0; attempt < 3*len(g.Replicas); attempt++ {
-		addr := g.Replicas[idx%len(g.Replicas)]
-		nc, err := net.DialTimeout("tcp", addr, 5*time.Second)
-		if err != nil {
-			lastErr = err
-			idx++
-			continue
-		}
-		nc.SetDeadline(time.Now().Add(shardCallTimeout))
-		var e proto.Enc
-		e.Str(fmt.Sprintf("shard-move:%s", nc.LocalAddr()))
-		if err := proto.WriteFrame(nc, proto.Frame{Type: proto.THello, ReqID: 1, Payload: e.Bytes()}); err != nil {
-			nc.Close()
-			lastErr = err
-			idx++
-			continue
-		}
-		rep, err := proto.ReadFrame(nc)
-		if err != nil {
-			nc.Close()
-			lastErr = err
-			idx++
-			continue
-		}
-		switch rep.Type {
-		case proto.THelloAck:
-			rep.Recycle()
-			return nc, nil
-		case proto.TNotMaster:
-			hint := proto.NewDec(rep.Payload).I64()
-			rep.Recycle()
-			nc.Close()
-			if hint >= 0 && int(hint) < len(g.Replicas) {
-				idx = int(hint)
-			} else {
-				idx++
-			}
-			lastErr = fmt.Errorf("replica %s is not master", addr)
-			// The master may still be electing; brief pause before
-			// the next attempt.
-			time.Sleep(200 * time.Millisecond)
-		default:
-			rep.Recycle()
-			nc.Close()
-			lastErr = fmt.Errorf("unexpected hello reply %v from %s", rep.Type, addr)
-			idx++
-		}
-	}
-	return nil, lastErr
-}

@@ -5,6 +5,7 @@ import (
 	"net"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -25,27 +26,46 @@ import (
 // each with the directory /d. A non-nil dstReplica makes group 1's
 // server a promoted master replicating through it.
 func shardPair(t *testing.T, clk *clock.Sim, dstReplica server.Replica) (srvs [2]*server.Server, ring *shard.Ring) {
+	srvs, ring, _ = shardGroups(t, clk, dstReplica, nil)
+	return srvs, ring
+}
+
+// shardGroups is shardPair counting the connections each server accepts,
+// lns[i] srvs[i]'s. A non-nil standby lists a replica of group 1 ahead of
+// its server: one never promoted, which refuses every hello with
+// standby's MasterIndex as the hint, its connections counted by lns[2].
+func shardGroups(t *testing.T, clk *clock.Sim, dstReplica, standby server.Replica) (srvs [2]*server.Server, ring *shard.Ring, lns []*countingListener) {
 	t.Helper()
-	var lns [2]net.Listener
-	var addrs [2]string
-	for i := range lns {
+	n := 2
+	if standby != nil {
+		n = 3
+	}
+	addrs := make([]string, n)
+	for i := 0; i < n; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatalf("listen: %v", err)
 		}
-		lns[i], addrs[i] = ln, ln.Addr().String()
+		lns, addrs[i] = append(lns, &countingListener{Listener: ln}), ln.Addr().String()
 	}
-	ring, err := shard.New(1, []shard.Group{{ID: 0, Replicas: addrs[:1]}, {ID: 1, Replicas: addrs[1:]}}, 0)
+	groups := []shard.Group{{ID: 0, Replicas: addrs[:1]}, {ID: 1, Replicas: addrs[1:2]}}
+	if standby != nil {
+		groups[1].Replicas = []string{addrs[2], addrs[1]}
+	}
+	ring, err := shard.New(1, groups, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range srvs {
-		cfg := server.Config{Term: renewTerm, Clock: clk, Shard: server.ShardConfig{GroupID: i, Ring: ring}}
-		if i == 1 {
+	for i := 0; i < n; i++ {
+		cfg := server.Config{Term: renewTerm, Clock: clk, Shard: server.ShardConfig{GroupID: min(i, 1), Ring: ring}}
+		switch i {
+		case 1:
 			cfg.Replica = dstReplica
+		case 2:
+			cfg.Replica = standby
 		}
 		srv := server.New(cfg)
-		if cfg.Replica != nil {
+		if cfg.Replica != nil && i < 2 {
 			srv.Promote(tracing.Context{}, nil, 0)
 		}
 		done := make(chan struct{})
@@ -57,13 +77,34 @@ func shardPair(t *testing.T, clk *clock.Sim, dstReplica server.Replica) (srvs [2
 			srv.Stop()
 			<-done
 		})
-		if _, err := srv.Store().Mkdir("/d", "root", vfs.DefaultPerm|vfs.WorldWrite); err != nil {
-			t.Fatal(err)
+		if i < 2 {
+			if _, err := srv.Store().Mkdir("/d", "root", vfs.DefaultPerm|vfs.WorldWrite); err != nil {
+				t.Fatal(err)
+			}
+			srvs[i] = srv
 		}
-		srvs[i] = srv
 	}
-	return srvs, ring
+	return srvs, ring, lns
 }
+
+// countingListener counts the connections a server accepted.
+type countingListener struct {
+	net.Listener
+	accepted atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	nc, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted.Add(1)
+	}
+	return nc, err
+}
+
+// standbyReplica is a replica that points hellos at replica 1.
+type standbyReplica struct{ gateReplica }
+
+func (standbyReplica) MasterIndex() int { return 1 }
 
 // ownedBy returns the first path of the family pattern the ring gives
 // to group that is not in taken.
@@ -263,8 +304,8 @@ func (r *shipDeposer) ReplicateWrite(tracing.Context, string, uint64, []byte) er
 // TestCrossShardMoveFailedAfterShipIsNotUndone: a destination deposed
 // between replicating the moved bytes and applying them fails the move,
 // but its followers hold the file, and a later master serves it. It
-// closes the connection rather than refuse, so the source reports the
-// outcome unknown and does not put a second copy back.
+// answers that the outcome is unknown rather than refuse, so the source
+// reports it so and does not put a second copy back.
 func TestCrossShardMoveFailedAfterShipIsNotUndone(t *testing.T) {
 	clk := clock.NewSim()
 	srvs, ring := shardPair(t, clk, &shipDeposer{})
@@ -276,5 +317,110 @@ func TestCrossShardMoveFailedAfterShipIsNotUndone(t *testing.T) {
 	}
 	if _, err := srvs[0].Store().Lookup(src); err == nil {
 		t.Fatalf("%s restored on the source group while the destination's followers hold it", src)
+	}
+}
+
+// TestConcurrentMovesAtDeposedDestination: two moves from one source
+// share the mover's session to a replicated destination and park there,
+// each behind a mute holder of its new parent's binding, the holds
+// running out two seconds apart. The first move's ship deposes the
+// destination: that move failed after its bytes reached the followers,
+// so its outcome is unknown and the source does not restore the file.
+// The second fails before its ship: it is refused, and the source
+// restores its file. The first failure's answer must leave the shared
+// connection up for the second's.
+func TestConcurrentMovesAtDeposedDestination(t *testing.T) {
+	clk := clock.NewSim()
+	srvs, ring := shardPair(t, clk, &shipDeposer{})
+	for _, srv := range srvs {
+		if _, err := srv.Store().Mkdir("/e", "root", vfs.DefaultPerm|vfs.WorldWrite); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srcA, srcB := ownedBy(t, ring, 0, "/d/a%d"), ownedBy(t, ring, 0, "/d/b%d")
+	dstA, dstB := ownedBy(t, ring, 1, "/d/a%d"), ownedBy(t, ring, 1, "/e/b%d")
+	seedWritable(t, srvs[0], srcA, "a")
+	seedWritable(t, srvs[0], srcB, "b")
+	hold := func(dir string) {
+		a, err := srvs[1].Store().Lookup(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		muteHolder(t, func() (net.Conn, *gidConn) {
+			nc, err := net.Dial("tcp", ring.Groups[1].Replicas[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { nc.Close() })
+			return nc, nil
+		}, vfs.Datum{Kind: vfs.DirBinding, Node: a.ID})
+	}
+	hold("/d")
+	clk.Advance(2 * time.Second)
+	hold("/e")
+
+	r := router(t, ring, clk, "renamer")
+	var renamed [2]chan error
+	for i, mv := range [][2]string{{srcA, dstA}, {srcB, dstB}} {
+		renamed[i] = make(chan error, 1)
+		go func() { renamed[i] <- r.Rename(mv[0], mv[1]) }()
+	}
+	waitFor(t, "both moves to park at the destination", func() bool {
+		return srvs[1].Metrics().WritesDeferred == 2 && clk.PendingTimers() == 2
+	})
+
+	clk.Advance(renewTerm - time.Second) // past the hold on /d, not the one on /e
+	if err := <-renamed[0]; err == nil || !strings.Contains(err.Error(), "lost") {
+		t.Fatalf("the move failed after its ship = %v, want an unknown outcome", err)
+	}
+	clk.Advance(2 * time.Second)
+	if err := <-renamed[1]; err == nil || !strings.Contains(err.Error(), "restored") {
+		t.Fatalf("the move refused before its ship = %v, want it restored", err)
+	}
+	if _, err := srvs[0].Store().Lookup(srcA); err == nil {
+		t.Fatalf("%s restored on the source group while the destination's followers hold it", srcA)
+	}
+	if got := stored(t, srvs[0], srcB); got != "b" {
+		t.Fatalf("the source's %s holds %q after the refused move, want b", srcB, got)
+	}
+}
+
+// TestCrossShardMoveFollowsNotMaster: the mover finds a replicated
+// destination group's master through its session's replica cursor. The
+// replica listed first refuses the hello with a hint at the second, and
+// the move lands there. The next move rides the same session: it opens
+// no connection and sends no hello.
+func TestCrossShardMoveFollowsNotMaster(t *testing.T) {
+	clk := clock.NewSim()
+	srvs, ring, lns := shardGroups(t, clk, nil, standbyReplica{})
+	r := router(t, ring, clk, "c1")
+	if _, err := r.Lookup("/d"); err != nil { // the client's own session
+		t.Fatal(err)
+	}
+	var srcs, dsts []string
+	for i := 0; i < 2; i++ {
+		srcs = append(srcs, ownedBy(t, ring, 0, "/d/src%d", srcs...))
+		dsts = append(dsts, ownedBy(t, ring, 1, "/d/dst%d", dsts...))
+		seedWritable(t, srvs[0], srcs[i], fmt.Sprint("v", i))
+	}
+	for i, want := range []struct{ standby, master, hellos int64 }{{1, 1, 2}, {0, 0, 0}} {
+		var accepted [3]int64
+		for j, ln := range lns {
+			accepted[j] = ln.accepted.Load()
+		}
+		hellosBefore := hellos(srvs[0].WireStats()) + hellos(srvs[1].WireStats())
+		if err := r.Rename(srcs[i], dsts[i]); err != nil {
+			t.Fatalf("move %d: %v", i, err)
+		}
+		if got := stored(t, srvs[1], dsts[i]); got != fmt.Sprint("v", i) {
+			t.Fatalf("move %d: the master's %s holds %q", i, dsts[i], got)
+		}
+		got := [3]int64{lns[0].accepted.Load() - accepted[0], lns[1].accepted.Load() - accepted[1], lns[2].accepted.Load() - accepted[2]}
+		if want := [3]int64{0, want.master, want.standby}; got != want {
+			t.Errorf("move %d: connections accepted by the source, master and standby %v, want %v", i, got, want)
+		}
+		if got := int64(hellos(srvs[0].WireStats()) + hellos(srvs[1].WireStats()) - hellosBefore); got != want.hellos {
+			t.Errorf("move %d: %d hello frames at the source and master, want %d", i, got, want.hellos)
+		}
 	}
 }
