@@ -95,7 +95,9 @@ func (rc *replicaCursor) note(err error) bool {
 // (Config.Replicas, in the replica-ID order every server's -peers flag
 // uses) and enables session failover: on disconnect the reconnect loop
 // redials by redirect hint. The initial connect rides out elections —
-// a fresh replica set answers nothing for a quiet period of one term —
+// a fresh replica set elects within a few round trips once every
+// replica vouches for every other, but waits out a term while one stays
+// silent, and a new master serves only after its catch-up sync —
 // bounded by Config.RetryWait (default 30s).
 func DialReplicas(cfg Config) (*Cache, error) {
 	if len(cfg.Replicas) == 0 {

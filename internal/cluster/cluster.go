@@ -83,20 +83,22 @@ func New(cfg Config) (*Member, error) {
 	return m, nil
 }
 
-// Start starts the node, catches up from a quorum, and serves ln. The
+// Start catches up from a quorum, starts the node, and serves ln. The
 // catch-up is a diskless rejoin: a restarted replica recovers the
 // replicated state and term floor its crash lost, so a later promotion
 // never merges against its empty store. It is tried once on every boot
 // but a first one (the configured max-term file absent); with no quorum
-// the member carries on as a follower. An error means the peer listener
-// did not bind: nothing started, ln is still open, Start may be retried.
+// the member carries on as a follower. It runs before the node starts,
+// so the machine cannot ask to be vouched for, and vote, without the
+// term floor its peers hold. An error means the peer listener did not
+// bind: ln is still open, Start may be retried.
 func (m *Member) Start(ln net.Listener) error {
 	if m.Node != nil {
-		if err := m.Node.Start(); err != nil {
-			return err
-		}
 		if !m.firstBoot {
 			m.rejoin()
+		}
+		if err := m.Node.Start(); err != nil {
+			return err
 		}
 	}
 	go func() { m.served <- m.Server.Serve(ln) }()

@@ -10,6 +10,7 @@ import (
 
 	"leases/internal/client"
 	"leases/internal/cluster"
+	"leases/internal/proto"
 	"leases/internal/server"
 	"leases/internal/vfs"
 )
@@ -113,6 +114,114 @@ func TestRestartedFollowerRejoins(t *testing.T) {
 	m := boot(follower, ln)
 	if got := content(m.Server.Store(), "/f"); got != "acked" {
 		t.Fatalf("restarted follower %d: /f = %q after Start, want the acked write", follower, got)
+	}
+}
+
+// TestRejoinBeforeQuery: a rejoining member asks no peer to vouch for
+// it — the first step to leaving its quiet period early and voting —
+// until its rejoin has applied the term floor a quorum holds. Its two
+// peers are fakes that hold the rejoin's sync unanswered and watch its
+// connections for a query.
+func TestRejoinBeforeQuery(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "maxterm")
+	if err := os.WriteFile(path, []byte("1000000000\n"), 0o644); err != nil { // not a first boot
+		t.Fatal(err)
+	}
+	type frame struct {
+		proto.Frame
+		c net.Conn
+	}
+	frames := make(chan frame, 64)
+	peers := make([]string, 3)
+	for i := range peers {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		peers[i] = ln.Addr().String()
+		if i == 2 { // the member's own peer address
+			ln.Close()
+			continue
+		}
+		t.Cleanup(func() { ln.Close() })
+		go func() {
+			for {
+				c, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				t.Cleanup(func() { c.Close() })
+				go func() {
+					for {
+						f, err := proto.ReadFrame(c)
+						if err != nil {
+							return
+						}
+						frames <- frame{f, c}
+					}
+				}()
+			}
+		}()
+	}
+	m, err := cluster.New(cluster.Config{
+		Server: server.Config{Term: time.Second, MaxTermPath: path},
+		ID:     2, Peers: peers, ElectionTerm: 2 * time.Second, Allowance: 10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	started := make(chan error, 1)
+	go func() { started <- m.Start(ln) }()
+	t.Cleanup(func() {
+		<-started
+		m.Stop()
+	})
+
+	// Twenty query periods with the sync held: no query may go out.
+	var sync frame
+	for hold := time.After(200 * time.Millisecond); ; {
+		select {
+		case f := <-frames:
+			switch f.Type {
+			case proto.TQuery:
+				t.Fatal("the member asked to be vouched for before its rejoin applied")
+			case proto.TReplSync:
+				sync = f
+			}
+			continue
+		case <-hold:
+		}
+		break
+	}
+	if sync.c == nil {
+		t.Fatal("the member sent no rejoin sync")
+	}
+	var e proto.Enc
+	e.U32(0).Dur(5 * time.Second) // no files, a 5 s term floor
+	if err := proto.WriteFrame(sync.c, proto.Frame{Type: proto.TReplSyncRep, ReqID: sync.ReqID, Payload: e.Bytes()}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-started; err != nil {
+		t.Fatal(err)
+	}
+	started <- nil
+	if floor, _, err := server.LoadMaxTerm(path); err != nil || floor != 5*time.Second {
+		t.Fatalf("max-term file after Start: %v, %v; want the quorum's 5s floor", floor, err)
+	}
+	// Now the node runs, and its machine asks.
+	for deadline := time.After(time.Second); ; {
+		select {
+		case f := <-frames:
+			if f.Type == proto.TQuery {
+				return
+			}
+		case <-deadline:
+			t.Fatal("the member never asked to be vouched for after its rejoin")
+		}
 	}
 }
 

@@ -121,9 +121,11 @@ type Manager struct {
 	recoverUntil time.Time
 	// stretch lets an uncontended renewal run ReuseFactor terms; see
 	// WithReuseStretch.
-	stretch   bool
-	metrics   ManagerMetrics
-	installed *InstalledSet
+	stretch bool
+	// nextCompact is when compactDue next sweeps.
+	nextCompact time.Time
+	metrics     ManagerMetrics
+	installed   *InstalledSet
 	// freeStates and freeWrites recycle the per-datum state and queue
 	// entry an unshared held write creates and discards, so that path —
 	// the common one — allocates nothing once warm.
@@ -775,7 +777,9 @@ func (m *Manager) HoldsLease(client ClientID, d vfs.Datum, now time.Time) bool {
 
 // Compact discards expired lease records and empty datum states: "short
 // lease terms reduce the storage requirements at the server, since the
-// record of expired leases could be reclaimed" (§2).
+// record of expired leases could be reclaimed" (§2). It changes no grant
+// and no write's release: a datum's state stays while writes are queued
+// on it or while its contention mark still decides a renewal's term.
 func (m *Manager) Compact(now time.Time) {
 	for d, ds := range m.data {
 		for c, exp := range ds.leases {
@@ -783,9 +787,19 @@ func (m *Manager) Compact(now time.Time) {
 				delete(ds.leases, c)
 			}
 		}
-		m.promote(d, ds, now)
-		m.compactIfEmpty(d, ds)
+		if ds.contendedAt.IsZero() || now.Sub(ds.contendedAt) > ReuseFactor*m.term {
+			m.compactIfEmpty(d, ds)
+		}
 	}
+}
+
+// compactDue runs Compact once a term, for drivers on the request path.
+func (m *Manager) compactDue(now time.Time) {
+	if m.term <= 0 || m.term >= Infinite/ReuseFactor || now.Before(m.nextCompact) {
+		return
+	}
+	m.nextCompact = now.Add(m.term)
+	m.Compact(now)
 }
 
 func (m *Manager) compactIfEmpty(d vfs.Datum, ds *datumState) {

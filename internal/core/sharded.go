@@ -104,10 +104,13 @@ func (s *ShardedManager) writeShard(id WriteID) *managerShard {
 }
 
 // Grant records (or extends) a lease on d for client. See Manager.Grant.
+// Once a term it first sweeps the shard's expired records (Compact), so
+// a server's record count tracks its live leases.
 func (s *ShardedManager) Grant(client ClientID, d vfs.Datum, now time.Time) Grant {
 	sh := s.shard(d)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	sh.mgr.compactDue(now)
 	return sh.mgr.Grant(client, d, now)
 }
 

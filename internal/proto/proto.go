@@ -180,6 +180,10 @@ const (
 	// source undoes. A failure after that is answered with a TShardMove
 	// carrying the error: the outcome is unknown, and nothing is undone.
 	TShardMove
+	// TQuery / TAnswer carry a quiet replica's request to be vouched for
+	// and its peers' answers (internal/replica), routed like TPrepare.
+	TQuery
+	TAnswer
 )
 
 // TraceFlag marks a frame's type byte as carrying a trace header.
@@ -238,6 +242,8 @@ var msgTypeNames = map[MsgType]string{
 	TRingRep:      "ring",
 	TNotOwner:     "not-owner",
 	TShardMove:    "shard-move",
+	TQuery:        "query",
+	TAnswer:       "answer",
 }
 
 // String names the message's operation: request and reply share a name

@@ -6,12 +6,14 @@
 // margin ε before it expires on any acceptor's clock, so a partitioned
 // master provably steps down before its peers can elect a successor.
 //
-// The negotiation is diskless: acceptors persist nothing. Safety
-// instead comes from a quiet period — a restarted replica answers no
-// election traffic for one full maximum lease duration after boot, so
-// any promise it made before crashing has expired before it can
-// contradict it. This mirrors the paper's §2 recovery argument for
-// file leases, applied one level up.
+// The negotiation is diskless: acceptors persist nothing. A restarted
+// replica sits out a quiet period, answering no prepare or propose, and
+// asks its peers to vouch for its new nonce. A peer vouches unless it
+// is master by a lease, or candidate in a round, begun before it first
+// heard the nonce — the only rounds that can have counted a forgotten
+// promise. Once every peer has vouched the replica joins; while any is
+// silent it waits out a full term, as the paper's §2 recovering server
+// does only when it cannot learn which leases are outstanding.
 //
 // The package is split in two layers:
 //
@@ -34,25 +36,26 @@ import (
 // MsgKind identifies an election message between replicas.
 type MsgKind uint8
 
-// Election message kinds; they map 1:1 onto proto.TPrepare..TAccept on
-// the wire and onto netsim payload kinds in the model.
+// Election message kinds; they map 1:1 onto proto.TPrepare..TAccept,
+// TQuery and TAnswer on the wire. MsgQuery and MsgAnswer carry the
+// quiet period's vouching (see Machine.vouches).
 const (
 	MsgPrepare MsgKind = iota + 1
 	MsgPromise
 	MsgPropose
 	MsgAccept
+	MsgQuery
+	MsgAnswer
 )
 
+var msgNames = [...]string{
+	MsgPrepare: "prepare", MsgPromise: "promise", MsgPropose: "propose",
+	MsgAccept: "accept", MsgQuery: "query", MsgAnswer: "answer",
+}
+
 func (k MsgKind) String() string {
-	switch k {
-	case MsgPrepare:
-		return "prepare"
-	case MsgPromise:
-		return "promise"
-	case MsgPropose:
-		return "propose"
-	case MsgAccept:
-		return "accept"
+	if int(k) < len(msgNames) && msgNames[k] != "" {
+		return msgNames[k]
 	}
 	return fmt.Sprintf("msg%d", uint8(k))
 }
@@ -72,7 +75,12 @@ type Msg struct {
 	Remaining time.Duration
 	// Ack reports whether a promise/accept is positive; a negative
 	// reply (rejected ballot) just updates the proposer's ballot floor.
+	// On MsgAnswer it reports that the sender vouches for Echo.
 	Ack bool
+	// Nonce names the sender's incarnation; Echo is the querier's nonce
+	// an answer replies to. On MsgQuery and MsgAnswer, Ballot carries
+	// the sender's ballot floor.
+	Nonce, Echo uint64
 }
 
 // Role is a replica's current standing in the election.
@@ -101,11 +109,15 @@ type Config struct {
 	// view of its lease, covering bounded drift between replicas.
 	Allowance time.Duration
 	// Quiet is how long a freshly-started machine stays silent before
-	// joining elections — the diskless-safety window. It must be at
-	// least Term; zero defaults to Term.
+	// joining elections when some peer does not vouch for it — the
+	// diskless-safety window. It must be at least Term; zero defaults
+	// to Term.
 	Quiet time.Duration
 	// Seed drives election backoff jitter deterministically.
 	Seed int64
+	// vouchAll makes every answer vouch, whatever rounds are live: the
+	// broken rule the election fuzz must catch. Set only by tests.
+	vouchAll bool
 }
 
 func (c Config) withDefaults() Config {
@@ -134,11 +146,27 @@ type proposer struct {
 	preparing bool
 	proposing bool
 	sentAt    time.Time // prepare send instant anchoring the lease
+	round     uint64    // this round's index in Machine.rounds
 	promises  int
 	accepts   int
 	// othersLease reports that some prepare round saw a live lease
 	// owned by another replica; the round is abandoned.
 	othersLease bool
+}
+
+// peerView is what a machine knows of one peer's incarnation.
+type peerView struct {
+	// nonce is the peer's incarnation as last heard (0: none), and
+	// heardAt the value of Machine.rounds when it was first heard: a
+	// round with an index above it began after this machine heard the
+	// incarnation, so it cannot have counted a promise the peer forgot.
+	nonce, heardAt uint64
+	// vouched: the peer vouched for this machine's nonce. refused: this
+	// machine last answered the peer's nonce without vouching.
+	vouched, refused bool
+	// held is the last election message the peer sent while this
+	// machine was quiet (Kind 0: none), handled when it leaves early.
+	held Msg
 }
 
 // Machine is the pure PaxosLease state machine for one replica. It is
@@ -149,8 +177,16 @@ type Machine struct {
 	prp proposer
 	rng *rand.Rand
 
-	// quietUntil gates all participation after (re)start.
-	quietUntil time.Time
+	// quiet gates all participation after (re)start; it ends once every
+	// peer vouches for nonce (vouchedBy counts them), or at quietUntil.
+	quiet                 bool
+	quietUntil, nextQuery time.Time
+	nonce                 uint64
+	peers                 []peerView
+	vouchedBy             int
+	// rounds counts the rounds this incarnation began; masterRound is
+	// the index of the one that won the master lease it holds.
+	rounds, masterRound uint64
 	// masterUntil is this replica's own conservative view of the lease
 	// it holds (zero when not master).
 	masterUntil time.Time
@@ -169,17 +205,23 @@ type Machine struct {
 	wake time.Time
 }
 
-// NewMachine returns a machine that stays quiet until start+Quiet and
-// then campaigns whenever it observes no live master.
+// NewMachine returns a machine that stays quiet until every peer has
+// vouched for it, or until start+Quiet, and then campaigns whenever it
+// observes no live master.
 func NewMachine(cfg Config, start time.Time) *Machine {
-	cfg = cfg.withDefaults()
-	m := &Machine{
-		cfg: cfg,
-		rng: rand.New(rand.NewSource(cfg.Seed ^ int64(cfg.ID)<<32 ^ 0x9e3779b9)),
-	}
-	m.quietUntil = start.Add(cfg.Quiet)
-	m.wake = m.quietUntil
+	m := &Machine{}
+	m.incarnate(cfg.withDefaults(), cfg.Seed^int64(cfg.ID)<<32^0x9e3779b9, start)
 	return m
+}
+
+// incarnate resets m to a new incarnation booted at now. The nonce mixes
+// the seed with the boot instant, so a process restarted with the same
+// configured seed still names itself afresh, and draws nothing from rng.
+func (m *Machine) incarnate(cfg Config, seed int64, now time.Time) {
+	*m = Machine{cfg: cfg, rng: rand.New(rand.NewSource(seed)), quiet: true, wake: now}
+	m.quietUntil = now.Add(cfg.Quiet)
+	m.nonce = uint64(seed)*0x9e3779b97f4a7c15 ^ uint64(now.UnixNano()) | 1
+	m.peers = make([]peerView, cfg.N)
 }
 
 // Config reports the machine's configuration.
@@ -261,14 +303,10 @@ func (m *Machine) NextWake() time.Time { return m.wake }
 
 // Restart re-enters the post-boot quiet period, as after a crash: all
 // volatile promise/accept state is gone and the machine must not
-// answer election traffic until every promise it might have made has
-// expired.
+// answer election traffic until no live round or lease can count a
+// promise it might have made.
 func (m *Machine) Restart(now time.Time) {
-	cfg := m.cfg
-	seed := m.rng.Int63()
-	*m = Machine{cfg: cfg, rng: rand.New(rand.NewSource(seed))}
-	m.quietUntil = now.Add(cfg.Quiet)
-	m.wake = m.quietUntil
+	m.incarnate(m.cfg, m.rng.Int63(), now)
 }
 
 // nextBallot returns a fresh ballot unique to this replica: ballots
@@ -299,9 +337,11 @@ func (m *Machine) Tick(now time.Time) []Msg {
 		m.masterUntil = time.Time{}
 		m.masterBallot = 0
 	}
-	if now.Before(m.quietUntil) {
-		m.wake = m.quietUntil
-		return nil
+	if m.quiet {
+		if now.Before(m.quietUntil) && m.vouchedBy < m.cfg.N-1 {
+			return m.query(now)
+		}
+		m.quiet = false
 	}
 	// Renew early (at T/2 before our own expiry) while master;
 	// otherwise campaign when nobody holds a live lease.
@@ -335,10 +375,122 @@ func (m *Machine) Tick(now time.Time) []Msg {
 	return m.startRound(now)
 }
 
+// query asks every peer that has not vouched yet, once per queryEvery.
+func (m *Machine) query(now time.Time) []Msg {
+	var out []Msg
+	if !now.Before(m.nextQuery) {
+		m.nextQuery = now.Add(m.queryEvery())
+		for i, p := range m.peers {
+			if !p.vouched && i != m.cfg.ID {
+				out = append(out, m.msg(MsgQuery, i))
+			}
+		}
+	}
+	m.wake = m.nextQuery
+	if m.quietUntil.Before(m.wake) {
+		m.wake = m.quietUntil
+	}
+	return out
+}
+
+// msg starts a message of kind k to peer to, stamped with the nonce; a
+// query or answer carries the ballot floor too, so a restarted machine
+// campaigns above every ballot its peers have seen.
+func (m *Machine) msg(k MsgKind, to int) Msg {
+	out := Msg{Kind: k, From: m.cfg.ID, To: to, Nonce: m.nonce}
+	if k == MsgQuery || k == MsgAnswer {
+		out.Ballot = m.ballotFloor
+	}
+	return out
+}
+
+// queryEvery is the period of a quiet machine's queries, the step by
+// which replica IDs stagger the first campaign after an early leave, and
+// how long a promise to a peer's round holds off a round of one's own.
+func (m *Machine) queryEvery() time.Duration { return max(m.cfg.Allowance, m.cfg.Term/10) }
+
+// vouches reports whether this machine vouches for a peer incarnation
+// it first heard when m.rounds was heard: no lease it holds and no
+// round it runs began before then, so none counted a promise or an
+// acceptance the peer's previous incarnations made and forgot.
+func (m *Machine) vouches(now time.Time, heard uint64) bool {
+	switch {
+	case m.cfg.vouchAll:
+		return true
+	case m.IsMaster(now) && m.masterRound <= heard:
+		return false
+	case (m.prp.preparing || m.prp.proposing) && m.prp.round <= heard:
+		return false
+	}
+	return true
+}
+
+// onQuery handles a query or an answer: it notes the sender's nonce,
+// answers a query, and counts an answer's vouch. The last vouch ends
+// the quiet period, and the election messages held during it are
+// handled then.
+func (m *Machine) onQuery(now time.Time, msg Msg) []Msg {
+	p := &m.peers[msg.From]
+	if p.nonce != msg.Nonce {
+		p.nonce, p.heardAt = msg.Nonce, m.rounds
+	}
+	m.ballotFloor = max(m.ballotFloor, msg.Ballot)
+	if msg.Kind == MsgQuery {
+		ans := m.msg(MsgAnswer, msg.From)
+		ans.Echo, ans.Ack = msg.Nonce, m.vouches(now, p.heardAt)
+		p.refused = !ans.Ack
+		out := []Msg{ans}
+		if m.quiet && !p.vouched {
+			// A peer that was down when asked is up now: ask it again.
+			out = append(out, m.msg(MsgQuery, msg.From))
+		}
+		return out
+	}
+	if !msg.Ack || msg.Echo != m.nonce || !m.quiet || !now.Before(m.quietUntil) {
+		return nil
+	}
+	if !p.vouched {
+		p.vouched, m.vouchedBy = true, m.vouchedBy+1
+	}
+	if m.vouchedBy < m.cfg.N-1 {
+		return nil
+	}
+	// Peers that left together campaign in replica-ID order, a query
+	// period apart, so the first one's round is not cut short by the
+	// next's higher ballot.
+	m.quiet, m.wake = false, now
+	m.backoffUntil = now.Add(time.Duration(m.cfg.ID) * m.queryEvery())
+	var out []Msg
+	for i := range m.peers {
+		// A message an earlier incarnation of the peer sent is stale.
+		if held := m.peers[i].held; held.Kind != 0 && held.Nonce == m.peers[i].nonce {
+			out = append(out, m.HandleMessage(now, held)...)
+		}
+		m.peers[i].held = Msg{}
+	}
+	return out
+}
+
+// revouch answers again, vouching, every peer it refused that it can
+// vouch for now — after a renewal won, so a follower restarted under a
+// live master joins with no wait for its next query.
+func (m *Machine) revouch(now time.Time) []Msg {
+	var out []Msg
+	for i := range m.peers {
+		if p := &m.peers[i]; p.refused && m.vouches(now, p.heardAt) {
+			ans := m.msg(MsgAnswer, i)
+			ans.Echo, ans.Ack, p.refused = p.nonce, true, false
+			out = append(out, ans)
+		}
+	}
+	return out
+}
+
 // startRound begins a prepare phase and returns the prepares to send.
 func (m *Machine) startRound(now time.Time) []Msg {
 	b := m.nextBallot()
-	m.prp = proposer{ballot: b, preparing: true, sentAt: now}
+	m.rounds++
+	m.prp = proposer{ballot: b, preparing: true, sentAt: now, round: m.rounds}
 	// Stall timeout: if the round hasn't completed in a term, abandon
 	// and re-campaign with jittered backoff.
 	m.wake = now.Add(m.cfg.Term)
@@ -347,7 +499,9 @@ func (m *Machine) startRound(now time.Time) []Msg {
 		if i == m.cfg.ID {
 			continue
 		}
-		out = append(out, Msg{Kind: MsgPrepare, From: m.cfg.ID, To: i, Ballot: b})
+		p := m.msg(MsgPrepare, i)
+		p.Ballot = b
+		out = append(out, p)
 	}
 	// Self-delivery: count our own promise/accept locally. (At N=1
 	// the self promise completes the round immediately.)
@@ -375,10 +529,18 @@ func (m *Machine) handlePrepareSelf(now time.Time) []Msg {
 }
 
 // HandleMessage applies one incoming election message at now and
-// returns messages to send in response. Messages during the quiet
-// period are dropped unanswered.
+// returns messages to send in response. Queries are answered at any
+// time; other messages during the quiet period go unanswered, the last
+// from each peer held for the moment the machine leaves it early.
 func (m *Machine) HandleMessage(now time.Time, msg Msg) []Msg {
-	if now.Before(m.quietUntil) {
+	if msg.From < 0 || msg.From >= len(m.peers) || msg.From == m.cfg.ID {
+		return nil
+	}
+	if msg.Kind == MsgQuery || msg.Kind == MsgAnswer {
+		return m.onQuery(now, msg)
+	}
+	if m.quiet && now.Before(m.quietUntil) {
+		m.peers[msg.From].held = msg
 		return nil
 	}
 	switch msg.Kind {
@@ -392,7 +554,7 @@ func (m *Machine) HandleMessage(now time.Time, msg Msg) []Msg {
 		return m.onPromise(now, msg)
 	case MsgAccept:
 		m.onAccept(now, msg)
-		return nil
+		return m.revouch(now)
 	}
 	return nil
 }
@@ -404,12 +566,18 @@ func (m *Machine) acceptPrepare(now time.Time, from int, ballot uint64) Msg {
 	if ballot > m.ballotFloor {
 		m.ballotFloor = ballot
 	}
-	rep := Msg{Kind: MsgPromise, From: m.cfg.ID, To: from, Ballot: ballot}
+	rep := m.msg(MsgPromise, from)
+	rep.Ballot = ballot
 	if ballot <= m.acc.promised {
 		return rep // Ack stays false: ballot too old.
 	}
 	m.acc.promised = ballot
 	rep.Ack = true
+	if from != m.cfg.ID && m.backoffUntil.Before(now.Add(m.queryEvery())) {
+		// Give the round just promised a query period to win before
+		// starting one that would cut it short.
+		m.backoffUntil = now.Add(m.queryEvery())
+	}
 	if m.acc.accepted != 0 && now.Before(m.acc.expires) {
 		rep.Owner = m.acc.owner
 		rep.Remaining = m.acc.expires.Sub(now)
@@ -423,7 +591,8 @@ func (m *Machine) acceptPrepare(now time.Time, from int, ballot uint64) Msg {
 // acceptPropose is the acceptor's propose handler: accept the lease if
 // the ballot still holds the promise.
 func (m *Machine) acceptPropose(now time.Time, msg Msg) Msg {
-	rep := Msg{Kind: MsgAccept, From: m.cfg.ID, To: msg.From, Ballot: msg.Ballot}
+	rep := m.msg(MsgAccept, msg.From)
+	rep.Ballot = msg.Ballot
 	if msg.Ballot < m.acc.promised {
 		return rep
 	}
@@ -460,7 +629,8 @@ func (m *Machine) onPromise(now time.Time, msg Msg) []Msg {
 	m.prp.preparing = false
 	m.prp.proposing = true
 	out := make([]Msg, 0, m.cfg.N)
-	prop := Msg{Kind: MsgPropose, From: m.cfg.ID, Ballot: m.prp.ballot, Owner: m.cfg.ID, Remaining: m.cfg.Term}
+	prop := m.msg(MsgPropose, m.cfg.ID)
+	prop.Ballot, prop.Owner, prop.Remaining = m.prp.ballot, m.cfg.ID, m.cfg.Term
 	for i := 0; i < m.cfg.N; i++ {
 		if i == m.cfg.ID {
 			continue
@@ -487,7 +657,7 @@ func (m *Machine) onAccept(now time.Time, msg Msg) {
 		return
 	}
 	until := m.prp.sentAt.Add(m.cfg.Term - m.cfg.Allowance)
-	ballot := m.prp.ballot
+	ballot, round := m.prp.ballot, m.prp.round
 	m.prp = proposer{}
 	if !until.After(now) {
 		// The round took longer than the lease itself; worthless.
@@ -495,7 +665,7 @@ func (m *Machine) onAccept(now time.Time, msg Msg) {
 		return
 	}
 	m.masterUntil = until
-	m.masterBallot = ballot
+	m.masterBallot, m.masterRound = ballot, round
 	// Wake at the renewal point.
 	m.wake = until.Add(-m.cfg.Term / 2)
 	if m.wake.Before(now) {

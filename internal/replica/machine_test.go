@@ -1,20 +1,29 @@
 package replica
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 )
 
 // bus is a tiny deterministic test harness: N machines, messages
-// delivered after a fixed delay, time advanced in lockstep.
+// delivered after a fixed delay (plus up to jitter more, drawn from
+// rng), time advanced in lockstep.
 type bus struct {
-	t        *testing.T
+	t        *testing.T // nil: record the first split in err instead of failing
 	machines []*Machine
 	now      time.Time
 	delay    time.Duration
+	jitter   time.Duration
+	rng      *rand.Rand
 	queue    []busMsg
 	// cut[i][j] drops messages from i to j when true.
 	cut [][]bool
+	// down[i]: machine i has crashed. It neither ticks nor receives;
+	// what it sent before is still delivered.
+	down []bool
+	err  error
 }
 
 type busMsg struct {
@@ -32,6 +41,7 @@ func newBus(t *testing.T, n int, term, allowance time.Duration) *bus {
 		}, start))
 		b.cut = append(b.cut, make([]bool, n))
 	}
+	b.down = make([]bool, n)
 	return b
 }
 
@@ -41,14 +51,18 @@ func (b *bus) send(from int, out []Msg) {
 		if b.cut[from][m.To] {
 			continue
 		}
-		b.queue = append(b.queue, busMsg{at: b.now.Add(b.delay), to: m.To, msg: m})
+		d := b.delay
+		if b.jitter > 0 {
+			d += time.Duration(b.rng.Int63n(int64(b.jitter) + 1))
+		}
+		b.queue = append(b.queue, busMsg{at: b.now.Add(d), to: m.To, msg: m})
 	}
 }
 
 // step advances time by d, running ticks and deliveries in order.
 func (b *bus) step(d time.Duration) {
 	target := b.now.Add(d)
-	for b.now.Before(target) {
+	for b.now.Before(target) && b.err == nil {
 		b.now = b.now.Add(time.Millisecond)
 		// Deliveries first, then ticks. send appends replies to
 		// b.queue, so drain into a local slice first.
@@ -59,10 +73,12 @@ func (b *bus) step(d time.Duration) {
 				b.queue = append(b.queue, qm)
 				continue
 			}
-			b.send(qm.to, b.machines[qm.to].HandleMessage(b.now, qm.msg))
+			if !b.down[qm.to] {
+				b.send(qm.to, b.machines[qm.to].HandleMessage(b.now, qm.msg))
+			}
 		}
 		for i, m := range b.machines {
-			if !b.now.Before(m.NextWake()) {
+			if !b.down[i] && !b.now.Before(m.NextWake()) {
 				b.send(i, m.Tick(b.now))
 			}
 		}
@@ -78,7 +94,10 @@ func (b *bus) assertAtMostOneMaster() {
 		}
 	}
 	if masters > 1 {
-		b.t.Fatalf("%v: %d simultaneous masters", b.now, masters)
+		b.err = fmt.Errorf("%v: %d simultaneous masters", b.now, masters)
+		if b.t != nil {
+			b.t.Fatal(b.err)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"net"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"leases/internal/clock"
@@ -248,6 +249,10 @@ func (n *Node) quorum() int { return len(n.cfg.Peers)/2 + 1 }
 
 // deliver feeds one incoming election message to the machine.
 func (n *Node) deliver(msg Msg) {
+	if msg.From >= 0 && msg.From < len(n.peers) && n.peers[msg.From] != nil {
+		// The peer is up: replies need not wait out an old dial backoff.
+		n.peers[msg.From].nextDialAt.Store(0)
+	}
 	n.mu.Lock()
 	out := n.m.HandleMessage(n.clk.Now(), msg)
 	n.roleCheckLocked()
@@ -907,7 +912,7 @@ type peer struct {
 
 	mu         sync.Mutex // guards conn and writes on it
 	conn       net.Conn
-	nextDialAt time.Time
+	nextDialAt atomic.Int64 // unix nanoseconds; deliver clears it
 
 	// callsMu guards the call table and the send queue. An RPC always
 	// queues (its waiting caller bounds their number): a burst is delayed,
@@ -1086,12 +1091,12 @@ func (p *peer) dialLocked() error {
 		return nil
 	}
 	now := time.Now()
-	if now.Before(p.nextDialAt) {
+	if now.UnixNano() < p.nextDialAt.Load() {
 		return errors.New("replica: peer dial backoff")
 	}
 	c, err := net.DialTimeout("tcp", p.addr, p.n.cfg.DialTimeout)
 	if err != nil {
-		p.nextDialAt = now.Add(100 * time.Millisecond)
+		p.nextDialAt.Store(now.Add(100 * time.Millisecond).UnixNano())
 		return err
 	}
 	p.attachLocked(c)

@@ -10,33 +10,27 @@ import (
 // Election messages travel as proto frames with reqID 0; the frame
 // type encodes the Msg kind, the payload the rest.
 
+// msgFrames maps each Msg kind onto its frame type.
+var msgFrames = [...]proto.MsgType{
+	MsgPrepare: proto.TPrepare, MsgPromise: proto.TPromise, MsgPropose: proto.TPropose,
+	MsgAccept: proto.TAccept, MsgQuery: proto.TQuery, MsgAnswer: proto.TAnswer,
+}
+
 // msgFrameType maps a Msg kind onto its frame type.
 func msgFrameType(k MsgKind) proto.MsgType {
-	switch k {
-	case MsgPrepare:
-		return proto.TPrepare
-	case MsgPromise:
-		return proto.TPromise
-	case MsgPropose:
-		return proto.TPropose
-	case MsgAccept:
-		return proto.TAccept
+	if int(k) >= len(msgFrames) || msgFrames[k] == 0 {
+		panic(fmt.Sprintf("replica: unknown msg kind %d", k))
 	}
-	panic(fmt.Sprintf("replica: unknown msg kind %d", k))
+	return msgFrames[k]
 }
 
 // frameMsgKind maps a frame type back onto a Msg kind (0 if not an
 // election frame).
 func frameMsgKind(t proto.MsgType) MsgKind {
-	switch t {
-	case proto.TPrepare:
-		return MsgPrepare
-	case proto.TPromise:
-		return MsgPromise
-	case proto.TPropose:
-		return MsgPropose
-	case proto.TAccept:
-		return MsgAccept
+	for k, ft := range msgFrames {
+		if ft == t && t != 0 {
+			return MsgKind(k)
+		}
 	}
 	return 0
 }
@@ -50,6 +44,7 @@ func encodeMsg(m Msg) []byte {
 	} else {
 		e.U8(0)
 	}
+	e.U64(m.Nonce).U64(m.Echo)
 	return e.Bytes()
 }
 
@@ -64,6 +59,8 @@ func decodeMsg(k MsgKind, payload []byte) (Msg, error) {
 		Owner:     int(d.I64()),
 		Remaining: d.Dur(),
 		Ack:       d.U8() == 1,
+		Nonce:     d.U64(),
+		Echo:      d.U64(),
 	}
 	return m, d.Err
 }

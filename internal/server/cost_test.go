@@ -190,10 +190,10 @@ func TestTermTable(t *testing.T) {
 		want string
 	}{
 		{"fixed 0", fixed(0), "2.0865 frames/op, 0.9567 TRead, 0.0000 approval, 0 deferred, 0 peak leases"},
-		{"fixed 1s", fixed(time.Second), "0.7330 frames/op, 0.3050 TRead, 0.0170 approval, 340 deferred, 565 peak leases"},
-		{"fixed 10s", fixed(renewTerm), "0.2841 frames/op, 0.0775 TRead, 0.0202 approval, 403 deferred, 572 peak leases"},
+		{"fixed 1s", fixed(time.Second), "0.7330 frames/op, 0.3050 TRead, 0.0170 approval, 340 deferred, 174 peak leases"},
+		{"fixed 10s", fixed(renewTerm), "0.2841 frames/op, 0.0775 TRead, 0.0202 approval, 403 deferred, 445 peak leases"},
 		{"fixed 100s", fixed(10 * renewTerm), "0.1971 frames/op, 0.0341 TRead, 0.0200 approval, 400 deferred, 576 peak leases"},
-		{"shipped 10s", server.Config{Term: renewTerm}, "0.2299 frames/op, 0.0505 TRead, 0.0200 approval, 401 deferred, 574 peak leases"},
+		{"shipped 10s", server.Config{Term: renewTerm}, "0.2299 frames/op, 0.0505 TRead, 0.0200 approval, 401 deferred, 501 peak leases"},
 	}
 	got := make(map[string]vmixRow)
 	for _, r := range rows {
@@ -523,7 +523,7 @@ func runClass(t *testing.T, shape classShape) classRow {
 // neither; with the class and a loop that only fetches its snapshot (an
 // hour-long period, the benchmark's setting); with the loop at term/3 and
 // no class; and with both. The class saves the snapshot-only rows 2-3 %
-// of the frames and no lease records; on top of the loop at term/3 it
+// of the frames and a few lease records; on top of the loop at term/3 it
 // adds frames. Two more rows take the benchmark's setting. With 30 idle
 // clients, each of which read 8 installed files before the count, every
 // broadcast goes to 32 connections: the idle clients cost 0.065 frames
@@ -541,16 +541,16 @@ func TestClassTable(t *testing.T) {
 		shape classShape
 		want  string
 	}{
-		{"2 clients, neither", classShape{clients: 2}, "0.2264 frames/op, 679 peak leases"},
-		{"2 clients, class, snapshot-only loop", classShape{clients: 2, class: true, autoExtend: time.Hour}, "0.2213 frames/op, 680 peak leases"},
+		{"2 clients, neither", classShape{clients: 2}, "0.2264 frames/op, 575 peak leases"},
+		{"2 clients, class, snapshot-only loop", classShape{clients: 2, class: true, autoExtend: time.Hour}, "0.2213 frames/op, 573 peak leases"},
 		{"2 clients, loop", classShape{clients: 2, autoExtend: loop}, "0.2196 frames/op, 688 peak leases"},
-		{"2 clients, class and loop", classShape{clients: 2, class: true, autoExtend: loop}, "0.2238 frames/op, 688 peak leases"},
-		{"8 clients, neither", classShape{clients: 8}, "0.6628 frames/op, 2075 peak leases"},
-		{"8 clients, class, snapshot-only loop", classShape{clients: 8, class: true, autoExtend: time.Hour}, "0.6459 frames/op, 2077 peak leases"},
+		{"2 clients, class and loop", classShape{clients: 2, class: true, autoExtend: loop}, "0.2238 frames/op, 560 peak leases"},
+		{"8 clients, neither", classShape{clients: 8}, "0.6628 frames/op, 1395 peak leases"},
+		{"8 clients, class, snapshot-only loop", classShape{clients: 8, class: true, autoExtend: time.Hour}, "0.6459 frames/op, 1328 peak leases"},
 		{"8 clients, loop", classShape{clients: 8, autoExtend: loop}, "0.6932 frames/op, 2113 peak leases"},
-		{"8 clients, class and loop", classShape{clients: 8, class: true, autoExtend: loop}, "0.7031 frames/op, 2113 peak leases"},
-		{"2 clients and 30 idle, class, snapshot-only loop", classShape{clients: 2, idle: 30, class: true, autoExtend: time.Hour}, "0.2863 frames/op, 980 peak leases"},
-		{"2 clients, class write, snapshot-only loop", classShape{clients: 2, class: true, classWrite: true, autoExtend: time.Hour}, "0.2132 frames/op, 685 peak leases"},
+		{"8 clients, class and loop", classShape{clients: 8, class: true, autoExtend: loop}, "0.7031 frames/op, 1603 peak leases"},
+		{"2 clients and 30 idle, class, snapshot-only loop", classShape{clients: 2, idle: 30, class: true, autoExtend: time.Hour}, "0.2863 frames/op, 865 peak leases"},
+		{"2 clients, class write, snapshot-only loop", classShape{clients: 2, class: true, classWrite: true, autoExtend: time.Hour}, "0.2132 frames/op, 649 peak leases"},
 	} {
 		if got := runClass(t, r.shape); got.String() != r.want {
 			t.Errorf("%s: %v, pinned %s", r.name, got, r.want)
