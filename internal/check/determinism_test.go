@@ -61,7 +61,7 @@ func TestRunDeterministicInstalled(t *testing.T) {
 // the shrinker replays them and relies on identical verdicts: every
 // break, in the kind of world it applies to. BreakFence and
 // BreakAllowance live in the client driver (client.go: fence, reset);
-// the rest in the server driver (server.go: ignores, restart).
+// the rest in the server shell (server.go: effects, restart).
 func TestRunDeterministicWithBreaks(t *testing.T) {
 	plain := GenConfig{Profile: ProfileAll}
 	for _, tc := range []struct {
@@ -83,8 +83,8 @@ func TestRunDeterministicWithBreaks(t *testing.T) {
 }
 
 // TestServerDriverBreaksBite: the server-side breaks live in the model's
-// driver — four answer a step the shipped plan handed it without doing
-// what the step asks (server.go: ignores), BreakRefillEarly reads a
+// shell — four answer what the shipped machine handed it without doing
+// what it asks (server.go: effects), BreakRefillEarly reads a
 // refill at the approval instead of at its grant, and BreakTermFloor
 // raises a replica's term floor to the policy term instead of the
 // ceiling a stretched renewal reaches (server.go: boot). Each must still

@@ -51,9 +51,9 @@ const (
 )
 
 // mplan is one mutation in flight at the model server: the shipped plan
-// (srvcore.Plan) plus what this driver needs to act on its steps — who
-// to answer, the timers and retransmissions of the step it is blocked
-// on, and its trace spans.
+// (srvcore.Plan), which the shipped machine drives, plus what this shell
+// needs to perform its steps — who to answer, the round its Ship step
+// rides, and its request's span.
 type mplan struct {
 	p    srvcore.Plan
 	id   uint64
@@ -75,13 +75,9 @@ type mplan struct {
 	// sp is the server span of the request, tc its context (a transfer's
 	// source plan runs under the rename's span instead): write.defer,
 	// repl.ship and write.apply parent under it, like the TCP server's.
-	sp      tracing.Span
-	tc      tracing.Context
-	waitEv  *sim.Event // Wait step timer
-	waitID  core.WriteID
-	deferSp tracing.Span
-	pushes  map[core.ClientID]tracing.Span
-	ship    *round // Ship step in flight
+	sp   tracing.Span
+	tc   tracing.Context
+	ship *round // Ship step in flight
 }
 
 // round is one at-least-once exchange with the group's peers — a file on
@@ -139,11 +135,14 @@ type mserver struct {
 	rep   int
 	store *vfs.Store
 	core  *srvcore.Core
-	// plans are the mutations in flight by serial; waiting indexes the
-	// ones blocked on a held write, shipping the files awaiting a quorum.
+	// m drives the core's plans, and wakeEv is the one timer for the
+	// instant it wants ticked.
+	m      *srvcore.Machine
+	wakeEv *sim.Event
+	// plans are the mutations in flight by serial, shipping the files
+	// awaiting a quorum.
 	plans    map[uint64]*mplan
 	nextPlan uint64
-	waiting  map[core.WriteID]*mplan
 	shipping map[replAck]*round
 	// seen dedupes at-least-once requests per client: reqID → applied
 	// version, 0 while in flight (lost on crash, so duplicates across a
@@ -278,8 +277,8 @@ func (srv *mserver) boot() {
 			}
 		}
 	}
+	srv.m = srvcore.NewMachine(srv.core, 0, srv.w.tracer, srv.w.obs, string(srv.node))
 	srv.plans = make(map[uint64]*mplan)
-	srv.waiting = make(map[core.WriteID]*mplan)
 	srv.shipping = make(map[replAck]*round)
 	srv.seen = make(map[core.ClientID]map[uint64]uint64)
 	srv.refills = make(map[core.ClientID][]mrefill)
@@ -390,17 +389,17 @@ func (srv *mserver) machChanged() {
 	srv.armMach()
 }
 
-// demote closes the core's serving gate and steps every plan in flight
-// into the failure the gate hands it. Lease records are left to expire
-// on their own, as in the deployment.
+// demote closes the core's serving gate and fails every plan in flight:
+// the machine its parked ones, the gate the ones on a Ship round. Lease
+// records are left to expire on their own, as in the deployment.
 func (srv *mserver) demote() {
-	srv.core.Demote()
+	srv.effects(srv.m.Demote(srv.localNow()))
 	srv.endPromotion()
 	// A transfer inside its clearance plan fails with the plan; one past
 	// the commit point keeps sending its move, as the deployment's does.
 	for _, id := range sortedKeys(srv.plans) {
-		if op := srv.plans[id]; op != nil {
-			srv.step(op)
+		if op := srv.plans[id]; op != nil && op.ship != nil {
+			srv.endRound(op.ship, srvcore.ErrNotMaster)
 		}
 	}
 }
@@ -599,9 +598,9 @@ func (srv *mserver) read(f int) string {
 	return string(data)
 }
 
-// ---- the plan driver ----
+// ---- the plan shell ----
 
-// begin registers a plan and takes its first step.
+// begin registers a plan and hands it to the machine.
 func (srv *mserver) begin(op *mplan) {
 	srv.nextPlan++
 	op.id = srv.nextPlan
@@ -610,166 +609,109 @@ func (srv *mserver) begin(op *mplan) {
 		op.tc = op.sp.Context()
 	}
 	srv.plans[op.id] = op
-	srv.step(op)
+	srv.run(op, srv.m.Begin(&op.p, op.tc, op.queuedAt))
 }
 
-// ignores reports whether this scenario's sabotage has the driver
-// answer step st without doing what it asks.
-func (srv *mserver) ignores(op *mplan, st srvcore.Step) bool {
-	switch srv.w.sc.Break {
-	case BreakWriteDefer:
-		return st.Kind == srvcore.Approval && op.kind == planWrite
-	case BreakRenameOrder:
-		return st.Kind == srvcore.Approval && op.kind == planSource
-	case BreakClassHorizon:
-		return st.Kind == srvcore.Wait && st.Cause == srvcore.ClassHorizon
-	case BreakQuiet:
-		// The second half of the sabotage (restart has the first): a
-		// freshly promoted master serves without the §5 recovery window.
-		return st.Kind == srvcore.Wait && st.Cause == srvcore.RecoveryWindow
-	}
-	return false
-}
-
-// step drives op as far as it goes without waiting: each step the plan
-// hands out is acted on — a timer, approval pushes, replication frames,
-// the store change — and whatever event ends the wait calls step again.
-func (srv *mserver) step(op *mplan) {
-	now := srv.localNow()
-	for srv.plans[op.id] == op {
-		if op.kind == planWrite && !srv.present(op.file) {
-			op.p.Abort(errMoved, now) // the file left this group meanwhile
-		}
-		st := op.p.Next(now)
-		if op.waitID != 0 && (st.Kind != srvcore.Approval || st.WriteID != op.waitID) {
-			// Cleared, or failed: pushes still open went unanswered — the
-			// blocking leases expired instead.
-			note := ""
-			if st.Kind == srvcore.Fail {
-				note = "dropped"
-			}
-			srv.endDefer(op, note)
-		}
-		switch st.Kind {
-		case srvcore.Wait:
-			if srv.ignores(op, st) {
-				// Sabotage: do not wait; tell the plan the instant has come.
-				now = st.Until
-				continue
-			}
-			srv.cancel(&op.waitEv)
-			op.waitEv = srv.at(st.Until, func() {
-				op.waitEv = nil
-				if !srv.down {
-					srv.step(op)
-				}
-			})
-			return
+// run performs the steps the machine hands op, which this shell holds,
+// until op parks, waits on its Ship round — whose end runs it on — or
+// ends; and after each, what else the input handed out.
+func (srv *mserver) run(op *mplan, e srvcore.Effects) {
+	for e.Step.Kind != 0 {
+		var next srvcore.Effects
+		now := srv.localNow()
+		switch st := e.Step; st.Kind {
+		case srvcore.Wait, srvcore.Approval:
+			next = srv.m.Park(&op.p, op, st, now)
 		case srvcore.Demoted:
-			for _, d := range st.Dropped {
-				srv.w.obs.Record(obs.Event{Type: obs.EvClassDemote, Datum: d})
-			}
-		case srvcore.Approval:
-			if st.WriteID == op.waitID {
-				return // still waiting; approvals or the deadline timer step again
-			}
-			if srv.ignores(op, st) && len(st.Holders) > 0 {
-				// Sabotage: ask nobody; answer for the holders.
-				for _, h := range st.Holders {
-					srv.core.Leases().Approve(h, st.WriteID, now)
-				}
-				continue
-			}
-			srv.askHolders(op, st)
-			if !st.Until.IsZero() {
-				// The leases in the way run out then at the latest; a write
-				// still queued behind another is stepped by that one's end.
-				op.waitEv = srv.at(st.Until, func() {
-					op.waitEv = nil
-					if !srv.down {
-						srv.applyReady()
-					}
-				})
-			}
-			return
+			next = srv.m.Next(&op.p, now) // the model replicates no class image
 		case srvcore.Ship:
+			if op.kind == planWrite && !srv.present(op.file) {
+				next = srv.m.Report(&op.p, errMoved, now) // the file left this group while it waited
+				break
+			}
 			if op.kind == planWrite {
 				srv.w.orc.shipped(op.file, op.value)
 			}
 			op.seq = st.Seq
 			op.ship = srv.ship(srvcore.ReplFile{Path: st.Path, Seq: st.Seq, Data: st.Data}, op.tc, func(err error) {
 				op.ship = nil
-				op.p.Shipped(err, srv.localNow())
-				srv.step(op)
+				srv.run(op, srv.m.Report(&op.p, err, srv.localNow()))
 			})
-			return
 		case srvcore.Apply:
-			srv.apply(op, now)
-			op.p.Applied(nil, now)
-		case srvcore.Done, srvcore.Fail:
+			next = srv.m.Report(&op.p, srv.apply(op, now), now)
+		default: // Done, Fail
 			srv.finish(op, st.Err)
-			// The released entries may have been all that blocked the next
-			// write queued on the same datum.
-			srv.applyReady()
-			return
+		}
+		srv.effects(e)
+		e = next
+	}
+	srv.effects(e)
+}
+
+// effects performs what the machine handed out for its parked plans: it
+// asks a parked write's holders for approval, and runs each plan past its
+// wait on. A scenario's sabotage acts here, on the code both shells run:
+// it ticks the machine at once to the instant a wait ends, or approves for
+// the holders a write asks.
+func (srv *mserver) effects(e srvcore.Effects) {
+	if len(e.Parked) > 0 {
+		srv.rearm()
+	}
+	for _, st := range e.Parked {
+		op, br := st.Owner.(*mplan), srv.w.sc.Break
+		switch st.Kind {
+		case srvcore.Wait:
+			// BreakQuiet's second half (restart has the first): a freshly
+			// promoted master serves without the §5 recovery window.
+			if br == BreakClassHorizon && st.Cause == srvcore.ClassHorizon || br == BreakQuiet && st.Cause == srvcore.RecoveryWindow {
+				srv.effects(srv.m.Tick(st.Until))
+			}
+		case srvcore.Approval:
+			if br == BreakWriteDefer && op.kind == planWrite || br == BreakRenameOrder && op.kind == planSource {
+				for _, h := range st.Holders {
+					_, e := srv.m.Approve(h, st.WriteID, srv.localNow())
+					srv.effects(e)
+				}
+			} else if len(st.Holders) > 0 {
+				targets := make([]netsim.NodeID, 0, len(st.Holders))
+				for _, holder := range st.Holders {
+					targets = append(targets, netsim.NodeID(holder))
+				}
+				srv.w.fabric.Multicast(srv.node, targets, kindApprovalReq, proto.ApprovalWire{WriteID: st.WriteID, Datum: st.Datum})
+			}
+		default:
+			srv.run(op, srvcore.Effects{Step: st})
 		}
 	}
 }
 
-// askHolders acts on a plan's first Approval step for a held write:
-// approval requests go to the holders, and the plan is parked until the
-// lease manager reports the write ready.
-func (srv *mserver) askHolders(op *mplan, st srvcore.Step) {
-	op.waitID = st.WriteID
-	srv.waiting[st.WriteID] = op
-	shard := srv.core.Leases().ShardFor(st.Datum)
-	srv.w.obs.Record(obs.Event{
-		Type: obs.EvWriteDefer, Client: string(op.client), Datum: st.Datum, Shard: shard, WriteID: uint64(st.WriteID),
-	})
-	op.deferSp = srv.w.tracer.StartChildNode(string(srv.node), op.tc, "write.defer")
-	op.deferSp.SetFanout(len(st.Holders))
-	op.pushes = make(map[core.ClientID]tracing.Span, len(st.Holders))
-	targets := make([]netsim.NodeID, 0, len(st.Holders))
-	for _, holder := range st.Holders {
-		targets = append(targets, netsim.NodeID(holder))
-		op.pushes[holder] = srv.w.tracer.StartChildNode(string(srv.node), op.deferSp.Context(), "approve.push")
-		srv.w.obs.Record(obs.Event{
-			Type: obs.EvApproveRequest, Client: string(holder), Datum: st.Datum, Shard: shard, WriteID: uint64(st.WriteID),
+// rearm keeps the server's one wake timer at the instant the machine
+// next wants ticked.
+func (srv *mserver) rearm() {
+	srv.cancel(&srv.wakeEv)
+	if wake := srv.m.NextWake(); !wake.IsZero() {
+		srv.wakeEv = srv.at(wake, func() {
+			srv.wakeEv = nil
+			if !srv.down {
+				e := srv.m.Tick(srv.localNow())
+				srv.rearm()
+				srv.effects(e)
+			}
 		})
 	}
-	srv.w.fabric.Multicast(srv.node, targets, kindApprovalReq, proto.ApprovalWire{WriteID: st.WriteID, Datum: st.Datum})
-}
-
-// endDefer closes a deferral's trace spans: any push still open gets
-// "expire" (or note, when the plan failed), then the write.defer parent
-// ends with note.
-func (srv *mserver) endDefer(op *mplan, note string) {
-	srv.cancel(&op.waitEv)
-	delete(srv.waiting, op.waitID)
-	op.waitID = 0
-	holders := make([]core.ClientID, 0, len(op.pushes))
-	for h := range op.pushes {
-		holders = append(holders, h)
-	}
-	sort.Slice(holders, func(i, j int) bool { return holders[i] < holders[j] })
-	pushNote := note
-	if note == "" {
-		pushNote = "expire"
-	}
-	for _, h := range holders {
-		op.pushes[h].EndNote(pushNote)
-	}
-	op.pushes = nil
-	op.deferSp.EndNote(note)
 }
 
 // apply performs a plan's store change: the one thing per mutation kind
-// that is not order.
-func (srv *mserver) apply(op *mplan, now time.Time) {
+// that is not order. A write whose file left this group while it waited
+// fails, as the deployment's store refuses a write to a removed file.
+func (srv *mserver) apply(op *mplan, now time.Time) error {
 	applySp := srv.w.tracer.StartChildNode(string(srv.node), op.tc, "write.apply")
 	defer applySp.End()
 	switch op.kind {
 	case planWrite:
+		if !srv.present(op.file) {
+			return errMoved
+		}
 		res, err := srv.store.Apply(op.mut)
 		if err != nil {
 			panic(fmt.Sprintf("check: apply write to file %d: %v", op.file, err))
@@ -812,6 +754,7 @@ func (srv *mserver) apply(op *mplan, now time.Time) {
 		sh.base[op.file] = int64(op.xm.Version+1) - int64(srv.versionAt(op.file, op.seq, res.Attr.Version))
 		sh.owned[op.file], sh.lastXfer[op.file] = true, op.xm.XferID
 	}
+	return nil
 }
 
 // finish ends a plan: the requester hears of a success, and a failure
@@ -819,7 +762,6 @@ func (srv *mserver) apply(op *mplan, now time.Time) {
 // whichever master then serves.
 func (srv *mserver) finish(op *mplan, err error) {
 	delete(srv.plans, op.id)
-	srv.cancel(&op.waitEv)
 	srv.endRound(op.ship, errDropped)
 	note := ""
 	if err != nil {
@@ -862,24 +804,6 @@ func (srv *mserver) finish(op *mplan, err error) {
 		}
 	}
 	op.sp.EndNote(note)
-}
-
-// applyReady steps the plans whose held writes the lease manager now
-// reports ready — approvals arrived, or deadlines passed — in the
-// manager's deterministic (sorted WriteID) order, to a fixpoint:
-// finishing one plan promotes its successor on the datum, which may
-// already be releasable.
-func (srv *mserver) applyReady() {
-	for again := true; again; {
-		again = false
-		for _, id := range srv.core.Leases().ReadyWrites(srv.localNow()) {
-			if op := srv.waiting[id]; op != nil {
-				srv.step(op)
-				again = true
-				break // the id snapshot is stale after a step
-			}
-		}
-	}
 }
 
 // ---- cross-shard transfers (sharded worlds) ----
@@ -1315,16 +1239,11 @@ func (srv *mserver) handleApprove(ap approveMsg) {
 	if ap.Refill {
 		srv.askRefill(ap.From, ap.Datum, now)
 	}
-	if srv.core.Leases().Approve(ap.From, ap.WriteID, now) {
+	ready, e := srv.m.Approve(ap.From, ap.WriteID, now)
+	if ready {
 		srv.w.obs.Record(obs.Event{Type: obs.EvApprove, Client: string(ap.From), WriteID: uint64(ap.WriteID)})
 	}
-	if op := srv.waiting[ap.WriteID]; op != nil {
-		if psp, ok := op.pushes[ap.From]; ok {
-			psp.EndNote("approve")
-			delete(op.pushes, ap.From)
-		}
-	}
-	srv.applyReady()
+	srv.effects(e)
 }
 
 // askRefill puts d on client's refill list, or restamps it there.
@@ -1357,6 +1276,7 @@ func (srv *mserver) crash() {
 	srv.w.fabric.SetDown(srv.node, true)
 	srv.cancel(&srv.classEv)
 	srv.cancel(&srv.machEv)
+	srv.cancel(&srv.wakeEv)
 	// Plans, rounds and transfers die with the process: their timers find
 	// them ended, or gone from the tables boot replaces. Their spans are
 	// swept here.

@@ -9,6 +9,7 @@ import (
 
 	"leases/internal/client"
 	"leases/internal/obs/tracing"
+	"leases/internal/proto"
 	"leases/internal/server"
 	"leases/internal/vfs"
 )
@@ -63,7 +64,11 @@ func failoverCfg(id string) client.Config {
 // and ExtendAll futures in flight across a NOT_MASTER failover: the
 // old master demotes (severing the session), the hello retry is
 // refused with a redirect hint, and every future must complete against
-// the new master within its retry budget.
+// the new master within its retry budget. Whether the write reached the
+// old master before the demotion is a race the test does not fix; what
+// the protocol promises is that it applied exactly once, at the master
+// that acknowledged it, and that the session is then pinned to the new
+// master, where a later write lands.
 func TestFailoverRedirectsInFlightPipeline(t *testing.T) {
 	srvs, addrs, master := startReplicaPair(t)
 
@@ -102,17 +107,29 @@ func TestFailoverRedirectsInFlightPipeline(t *testing.T) {
 		t.Fatalf("pipelined extend-all across failover: %v", err)
 	}
 
-	// The session must now be pinned to the new master: the write above
-	// landed on server 1 (stores are independent in this stub world).
-	data, err := c.Read("/f")
-	if err != nil {
-		t.Fatalf("read after failover: %v", err)
+	// The stores are independent in this stub world: the write is on the
+	// one master that applied and acknowledged it, and only there.
+	var at []int
+	for i, srv := range srvs {
+		got, _, _ := srv.Store().ReadFile(mustLookup(t, srv, "/f"))
+		acked := srv.WireStats().Frames(proto.TWriteRep, "out")
+		switch {
+		case string(got) == "v2" && acked == 1:
+			at = append(at, i)
+		case string(got) != "v1" || acked != 0:
+			t.Errorf("server %d holds %q and acknowledged %d writes", i, got, acked)
+		}
 	}
-	if got := string(data); got != "v2" {
-		t.Fatalf("read after failover = %q, want %q (write applied at the old master?)", got, "v2")
+	if len(at) != 1 {
+		t.Fatalf("the pipelined write applied and acknowledged at servers %v, want exactly one", at)
 	}
-	if got, _, _ := srvs[1].Store().ReadFile(mustLookup(t, srvs[1], "/f")); string(got) != "v2" {
-		t.Fatalf("new master holds %q, want %q", got, "v2")
+
+	// The session is now pinned to the new master.
+	if err := c.Write("/f", []byte("v3")); err != nil {
+		t.Fatalf("write after failover: %v", err)
+	}
+	if got, _, _ := srvs[1].Store().ReadFile(mustLookup(t, srvs[1], "/f")); string(got) != "v3" {
+		t.Fatalf("new master holds %q after the next write, want %q", got, "v3")
 	}
 	if c.Metrics().Reconnects == 0 {
 		t.Fatal("failover never counted a reconnect")

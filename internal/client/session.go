@@ -186,11 +186,22 @@ func (c *Cache) reconnectLoop(downSince time.Time) {
 }
 
 // finishReconnect installs the new connection — with a fresh coalescer
-// incarnation — and wakes every operation parked on the session.
+// incarnation — and wakes every operation parked on the session. A Close
+// that ran while the dial was in flight closed the connection it found,
+// not this one, so this one is dropped here.
 func (c *Cache) finishReconnect(nc net.Conn, fr *proto.FrameReader, boot uint64, attempts int, downSince time.Time) {
 	co := c.newCoalescer(nc)
 	fr.Stats = c.wire
 	c.mu.Lock()
+	select {
+	case <-c.stopping:
+		c.mu.Unlock()
+		co.Close()
+		nc.Close()
+		proto.PutReader(fr)
+		return
+	default:
+	}
 	c.nc = nc
 	c.fr = fr
 	c.co = co

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -490,4 +491,45 @@ func TestMeshSweepPrunesQueueBehindHungPeer(t *testing.T) {
 	if got := queued(); got != 0 {
 		t.Errorf("%d requests still queued after their calls timed out", got)
 	}
+}
+
+// TestMeshRedialsLeaveNoGoroutine: a mesh connection's goroutines end
+// with it. k times the peer severs the node's outgoing link and the next
+// RPC re-dials it, and k times a peer dials in and hangs up; the node's
+// goroutine count then comes back to where one dial left it.
+func TestMeshRedialsLeaveNoGoroutine(t *testing.T) {
+	sp := startSilentPeer(t, true)
+	nd, _, _ := frozenNode(t, sp)
+	if err := nd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	ship := func() {
+		t.Helper()
+		if acks := nd.broadcastRPC(tracing.Context{}, "", nd.shipOps, proto.TReplApply, applyPayload(), 1, appliedReply); acks != 1 {
+			t.Fatalf("RPC counted %d acks, want 1", acks)
+		}
+	}
+	link := func() net.Conn {
+		p := nd.peers[1]
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return p.conn
+	}
+	ship()
+	want := runtime.NumGoroutine()
+	const k = 8
+	for i := 0; i < k; i++ {
+		severed := link()
+		sp.sever()
+		waitFor(t, "the severed link to drop", func() bool { return link() != severed })
+		ship()
+		c, err := net.Dial("tcp", nd.ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+	}
+	waitFor(t, fmt.Sprintf("the goroutine count after one dial (%d), %d re-dials later", want, k), func() bool {
+		return runtime.NumGoroutine() <= want
+	})
 }

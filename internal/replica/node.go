@@ -454,6 +454,26 @@ func (n *Node) notifyLoop() {
 	}
 }
 
+// closeOnStop closes c when the node stops, to unblock a read on it, or
+// when the returned func is called — on the connection's own end — so a
+// re-dialed link leaves no goroutine behind.
+func (n *Node) closeOnStop(c net.Conn) (done func()) {
+	ended := make(chan struct{})
+	n.wg.Add(1) // under the caller's own count, so never racing Stop's Wait
+	go func() {
+		defer n.wg.Done()
+		select {
+		case <-n.stopped:
+		case <-ended:
+		}
+		c.Close()
+	}()
+	return func() {
+		close(ended)
+		c.Close()
+	}
+}
+
 // acceptLoop serves inbound peer-mesh connections.
 func (n *Node) acceptLoop() {
 	defer n.wg.Done()
@@ -499,11 +519,7 @@ const maxBatch = 256 << 10
 // by one write and a lone request at once.
 func (n *Node) serveConn(c net.Conn) {
 	defer n.wg.Done()
-	defer c.Close()
-	go func() { // unblock the read on shutdown
-		<-n.stopped
-		c.Close()
-	}()
+	defer n.closeOnStop(c)()
 	fr := proto.GetReader(c)
 	defer proto.PutReader(fr)
 	in := inbound{n: n, from: -1}
@@ -1114,10 +1130,7 @@ func (p *peer) attachLocked(c net.Conn) {
 // readLoop demultiplexes RPC responses on the outgoing connection.
 func (p *peer) readLoop(c net.Conn) {
 	defer p.n.wg.Done()
-	go func() {
-		<-p.n.stopped
-		c.Close()
-	}()
+	defer p.n.closeOnStop(c)()
 	fr := proto.GetReader(c)
 	defer proto.PutReader(fr)
 	for {

@@ -83,26 +83,31 @@ type connPush struct {
 }
 
 // request is one frame being served, run to completion by the goroutine
-// that read it. It is a value: a request that must wait (parked) is
-// copied to a goroutine of its own, which enters the same handler again.
-// A mutation that parked on a step of its plan finds what it decoded,
-// checked and planned here and goes on from that step; a request that
-// parked before doing anything starts over.
+// that read it. It is a value: a request that must wait is copied — into
+// the plan machine's table (srvcore.Machine) while its plan waits on a
+// lease or a window, to a goroutine of its own while it waits on a quorum
+// round or another shard group — and whoever takes the copy up enters the
+// same handler again. A mutation finds what it decoded, checked and
+// planned here and goes on from the step its plan was handed back at; a
+// request handed off before doing anything starts over.
 type request struct {
+	c      *serverConn
 	f      proto.Frame  // recycled when the request ends
 	sp     tracing.Span // the dispatch span, when the frame carried a sampled context
 	began  time.Time    // for the op-latency histogram, when observed
 	inline bool         // the connection's reader is running it, and must not wait
-	parked bool         // it has to: the reader hands it off
-	// A mutation: its plan, the step that plan parked on (zero until then),
-	// when it began, the store change its handler decoded and what
-	// applying that returned.
+	parked bool         // it has to: this copy of the request is done with
+	// A mutation: its plan, the step it goes on from (zero: from the
+	// start), the store change its handler decoded and what applying that
+	// returned.
 	plan  srvcore.Plan
 	step  srvcore.Step
-	start time.Time
 	op    vfs.Op
 	res   vfs.Result
 	renew []vfs.Datum // a write's renewals, granted with its reply
+	// moved is why another group refused a cross-shard rename's move,
+	// while the undo runs.
+	moved error
 }
 
 // pushQueue bounds the per-connection approval push queue; see
@@ -220,8 +225,6 @@ func (s *Server) serveConn(nc net.Conn) {
 		s.connMu.Unlock()
 	}()
 
-	var reqWG sync.WaitGroup // parked requests
-	defer reqWG.Wait()
 	held := false
 	for {
 		f, err := fr.Next()
@@ -234,20 +237,14 @@ func (s *Server) serveConn(nc net.Conn) {
 		if more && !held {
 			c.co.Hold(true)
 		}
+		// A request that must wait leaves the reader (request): it blocks
+		// itself alone, and the TApprove frames behind it are still read.
 		if f.Type == proto.TApprove {
 			c.handleApprove(f)
 			f.Recycle()
-		} else if r := (request{f: f, inline: true}); !c.serve(&r) {
-			// The hand-off, paid for by a request that must wait and by no
-			// other (only the copy escapes): a deferred write blocks itself
-			// alone, and the TApprove frames behind it are still read.
-			pr := r
-			pr.inline, pr.parked = false, false
-			reqWG.Add(1)
-			go func() {
-				defer reqWG.Done()
-				c.serve(&pr)
-			}()
+		} else {
+			r := request{c: c, f: f, inline: true}
+			c.serve(&r)
 		}
 		if held && !more {
 			c.co.Hold(false)
@@ -304,13 +301,13 @@ func (c *serverConn) fail(reqID uint64, err error) {
 	c.replyEnc(reqID, proto.TError, func(e *proto.Enc) { e.Str(msg) })
 }
 
-// serve runs a request's handler and, unless it parked (false), what
-// follows its reply. The op-latency histogram covers decode through
-// reply, including any write deferral — what a client would see minus
-// the network — and so does the dispatch span of a sampled frame, which
-// parents the approval fan-out, apply and replication spans downstream:
-// both start on the reader and end wherever the request does.
-func (c *serverConn) serve(r *request) bool {
+// serve runs a request's handler and, unless it parked, what follows its
+// reply. The op-latency histogram covers decode through reply, including
+// any write deferral — what a client would see minus the network — and so
+// does the dispatch span of a sampled frame, which parents the approval
+// fan-out, apply and replication spans downstream: both start on the
+// reader and end wherever the request does.
+func (c *serverConn) serve(r *request) {
 	s := c.srv
 	if r.inline && r.f.Trace.Valid() {
 		r.sp = s.tracer.StartChild(r.f.Trace, serverSpanName(r.f.Type))
@@ -320,14 +317,13 @@ func (c *serverConn) serve(r *request) bool {
 	}
 	c.dispatch(r)
 	if r.parked {
-		return false
+		return
 	}
 	if o := s.obs; o.Enabled() {
 		o.ObserveOp(r.f.Type.String(), s.clk.Now().Sub(r.began))
 	}
 	r.sp.End()
 	r.f.Recycle() // handlers decode with copying Dec methods: nothing outlives the frame
-	return true
 }
 
 func (c *serverConn) dispatch(r *request) {
@@ -662,17 +658,9 @@ func (c *serverConn) handleRelease(f proto.Frame) {
 		c.fail(f.ReqID, dec.Err)
 		return
 	}
+	// A released lease may have been the last blocker on a deferred write.
 	s := c.srv
-	s.lm.Release(c.client, data, s.clk.Now())
-	// A released lease may have been the last blocker on a deferred
-	// write; re-check each touched shard.
-	touched := make([]bool, s.lm.Shards())
-	for _, d := range data {
-		if shard := s.lm.ShardFor(d); !touched[shard] {
-			touched[shard] = true
-			s.releaseReady(shard)
-		}
-	}
+	s.perform(s.m.Release(c.client, data, s.clk.Now()))
 	c.replyEnc(f.ReqID, proto.TOK, nil)
 }
 
@@ -806,11 +794,9 @@ func (c *serverConn) handleRename(r *request) {
 		if !c.checkOwner(r.f.ReqID, r.op.Path) {
 			return
 		}
-		if ring := s.cfg.Shard.Ring; ring != nil {
-			if dest := ring.Lookup(r.op.To); dest != s.cfg.Shard.GroupID {
-				c.crossShardRename(r, dest)
-				return
-			}
+		if ring := s.cfg.Shard.Ring; ring != nil && ring.Lookup(r.op.To) != s.cfg.Shard.GroupID {
+			c.crossShardRename(r)
+			return
 		}
 		oldParent, err := s.store.Lookup(parentOf(r.op.Path))
 		if err != nil {
@@ -827,6 +813,9 @@ func (c *serverConn) handleRename(r *request) {
 			data = append(data, vfs.Datum{Kind: vfs.DirBinding, Node: newParent.ID})
 		}
 		r.plan = s.core.Plan(c.client, data...)
+	} else if r.op.Kind != vfs.OpRename {
+		c.crossShardRename(r) // its commit point or its undo, handed back
+		return
 	}
 	if s.run(c, r) {
 		c.replyEnc(r.f.ReqID, proto.TOK, func(e *proto.Enc) { c.encodeTouched(e, r.res.Dirs[:]...) })
@@ -881,10 +870,7 @@ func (c *serverConn) handleApprove(f proto.Frame) {
 	if a.Refill && a.Datum.Kind == vfs.FileData {
 		c.askRefill(a.Datum, now)
 	}
-	ready := s.lm.Approve(c.client, a.WriteID, now)
-	if s.tracer.Enabled() {
-		s.endApprovalSpan(a.WriteID, c.client, "approve")
-	}
+	_, e := s.m.Approve(c.client, a.WriteID, now)
 	if s.obs.Enabled() {
 		shard := s.lm.ShardForWrite(a.WriteID)
 		s.obs.Record(obs.Event{
@@ -898,9 +884,7 @@ func (c *serverConn) handleApprove(f proto.Frame) {
 			Shard: shard, WriteID: uint64(a.WriteID),
 		})
 	}
-	if ready {
-		s.releaseReady(s.lm.ShardForWrite(a.WriteID))
-	}
+	s.perform(e)
 }
 
 // askRefill puts d on the refill list, or restamps it there.

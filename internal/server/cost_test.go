@@ -682,3 +682,76 @@ func hellos(ws *proto.WireStats) uint64 {
 	}
 	return n
 }
+
+// TestParkedPlanCosts counts what a parked write costs the server. With
+// 64 writes parked behind parkFixture's mute holder the process runs as
+// many goroutines as with none parked: a parked write is a record in the
+// plan machine's table, woken by the server's one timer, and no goroutine
+// of its own. When the clock passes the holder's term all 64 apply and
+// reply. Stop with all 64 parked fails them — the writer reads an error
+// reply for each it reads anything for, none applies — and leaves no
+// goroutine behind.
+func TestParkedPlanCosts(t *testing.T) {
+	const n = 64
+	for _, stop := range []bool{false, true} {
+		base := runtime.NumGoroutine()
+		srv, clk, connect, held := parkFixture(t)
+		nc, _ := connect()
+		hello(t, nc, "writer")
+		idle := runtime.NumGoroutine()
+		var burst []byte
+		for i := 0; i < n; i++ {
+			burst = append(burst, frame(t, proto.TWrite, uint64(10+i), func(e *proto.Enc) {
+				e.U64(uint64(held)).Blob([]byte(fmt.Sprint("w", i))).EncodeData(nil)
+			})...)
+		}
+		replies := make(chan proto.Frame, n)
+		go func() { // the writer's reader: every reply, until the connection closes
+			defer close(replies)
+			for {
+				f, err := proto.ReadFrame(nc)
+				if err != nil {
+					return
+				}
+				replies <- f
+			}
+		}()
+		if _, err := nc.Write(burst); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "64 writes to park", func() bool {
+			return srv.WireStats().Frames(proto.TApprovalReq, "out") == n
+		})
+		waitFor(t, fmt.Sprintf("the goroutine count of an idle server (%d) with 64 writes parked", idle-1), func() bool {
+			return runtime.NumGoroutine() == idle+1 // the writer's reader
+		})
+		if !stop {
+			clk.Advance(parkTerm + time.Second)
+			seen := map[uint64]bool{}
+			for len(seen) < n {
+				var f proto.Frame
+				within(t, "the parked writes' replies", func() { f = <-replies })
+				if f.Type != proto.TWriteRep || f.ReqID < 10 || f.ReqID >= 10+n || seen[f.ReqID] {
+					t.Fatalf("reply %v to %d after %d replies", f.Type, f.ReqID, len(seen))
+				}
+				seen[f.ReqID] = true
+			}
+			if data, _, _ := srv.Store().ReadFile(held); string(data) != fmt.Sprint("w", n-1) {
+				t.Fatalf("/held = %q after the parked writes, want the last one's", data)
+			}
+			continue
+		}
+		srv.Stop()
+		for f := range replies {
+			if f.Type != proto.TError {
+				t.Fatalf("reply %v to %d at Stop, want an error", f.Type, f.ReqID)
+			}
+		}
+		if data, _, _ := srv.Store().ReadFile(held); string(data) != "old" {
+			t.Fatalf("/held = %q after Stop failed its parked writes", data)
+		}
+		waitFor(t, fmt.Sprintf("the goroutine count before the server started (%d)", base), func() bool {
+			return runtime.NumGoroutine() <= base
+		})
+	}
+}

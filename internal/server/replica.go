@@ -127,7 +127,7 @@ func (s *Server) Promote(tc tracing.Context, files []ReplFile, termFloor time.Du
 	}
 	for _, f := range s.core.Merge(files) {
 		for s.cfg.Replica.ReplicateWrite(tc, f.Path, f.Seq, f.Data) != nil {
-			if !s.cfg.Replica.IsMaster() || !s.sleepUntil(s.clk.Now().Add(100*time.Millisecond)) {
+			if !s.cfg.Replica.IsMaster() || !s.pause(100*time.Millisecond) {
 				sp.EndNote("abandoned")
 				return
 			}
@@ -155,6 +155,19 @@ func (s *Server) Promote(tc tracing.Context, files []ReplFile, termFloor time.Du
 	}
 }
 
+// pause waits d on the server's clock; false means the server stopped
+// first.
+func (s *Server) pause(d time.Duration) bool {
+	fire, stopTimer := s.clk.After(d)
+	defer stopTimer()
+	select {
+	case <-fire:
+		return true
+	case <-s.stopped:
+		return false
+	}
+}
+
 // ReplTermFloor is the largest lease term this replica knows
 // replicated or persisted — its contribution to a new master's
 // recovery window.
@@ -166,14 +179,15 @@ func (s *Server) ReplTermFloor() time.Duration {
 	return floor
 }
 
-// Demote closes the serving gate and severs every client connection so
-// their sessions redial and discover the new master; the hello path
-// then refuses them here. The listener stays up (this replica may be
-// promoted again — through a fresh Promote, which reopens the gate)
-// and lease records are left to expire on their own — the successor's
-// recovery window already covers them. The gate closes BEFORE the
-// sever so no hello admitted concurrently can land after its conn was
-// missed by the sweep.
+// Demote closes the serving gate, severs every client connection so
+// their sessions redial and discover the new master — the hello path
+// then refuses them here — and fails every parked write, whose writer
+// resubmits it there. The listener stays up (this replica may be
+// promoted again — through a fresh Promote, which reopens the gate) and
+// lease records are left to expire on their own — the successor's
+// recovery window already covers them. The gate closes BEFORE the sever
+// so no hello admitted concurrently can land after its conn was missed
+// by the sweep.
 func (s *Server) Demote() {
 	s.core.Demote()
 	s.connMu.Lock()
@@ -181,6 +195,7 @@ func (s *Server) Demote() {
 		nc.Close()
 	}
 	s.connMu.Unlock()
+	s.perform(s.m.Demote(s.clk.Now()))
 }
 
 // ReplicaInfo reports the replication role for the admin plane; ok is

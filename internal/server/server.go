@@ -8,21 +8,24 @@
 // binding mutation needs clearance on more than one datum (the removed
 // file's data and its directory's binding); clearances are acquired in
 // a global datum order so concurrent multi-datum writes cannot
-// deadlock. That order, and the replication and class tables it reads,
-// live in internal/srvcore; this package is its blocking TCP driver.
+// deadlock. That order, the machine that drives it and the replication
+// and class tables it reads live in internal/srvcore; this package is
+// its TCP shell.
 //
 // Concurrency model: one goroutine per connection reads frames and runs
 // each request to completion — handler, reply, next frame — so a request
-// that finishes without waiting starts no goroutine. One that must wait
-// (a write deferred behind another client's lease, a recovery window, a
-// quorum round, a call to another shard group) moves, at the first step
-// that waits, to a goroutine of its own: it blocks only itself, and holds
-// the timer for the instant its blocking leases run out, while the reader
-// goes on to the frames behind it, the approvals it waits for among them.
-// Lease state is lock-striped across the shards of a core.ShardedManager,
-// so connections touching different data proceed in parallel; the vfs
-// store carries its own lock. Connection registry and write waiters sit
-// behind two small dedicated locks (connMu, waitMu) that are never held
+// that finishes without waiting starts no goroutine. A write deferred
+// behind another client's lease, a recovery window or a class horizon is
+// parked: a record in the srvcore.Machine's table, woken by approvals,
+// releases, other writes' ends and the server's one wake timer, and run
+// on (apply and reply) by a goroutine of its own once handed back. One
+// that waits on a quorum round or a call to another shard group moves to
+// a goroutine of its own at that step. Either way the reader goes on to
+// the frames behind it, the approvals a parked write waits for among
+// them. Lease state is lock-striped across the shards of a
+// core.ShardedManager, so connections touching different data proceed
+// in parallel; the vfs store carries its own lock, the machine its own,
+// and the connection registry a small dedicated lock (connMu) never held
 // across lease-manager calls.
 package server
 
@@ -121,20 +124,15 @@ type Server struct {
 	// wire counts frames per type and direction across every connection.
 	wire *proto.WireStats
 
-	// spanMu guards writeSpans: the open approval-push spans of traced
-	// deferred writes, keyed by write and holder, so the approve path
-	// (conn.go), the expiry release and the timeout path can each end
-	// the spans of the holders they unblocked. Populated only for
-	// sampled writes — untraced writes never touch the map.
-	spanMu     sync.Mutex
-	writeSpans map[pushKey]tracing.Span
+	// m runs every plan: a write that waits is a record in its table, and
+	// rewake tells wakeLoop, which keeps the one timer for them all, that
+	// the instant it wants ticked moved.
+	m      *srvcore.Machine
+	rewake chan struct{}
 
 	connMu sync.RWMutex // conns, raw, ln, mover
 	conns  map[core.ClientID]*serverConn
 	raw    map[net.Conn]struct{} // every accepted conn, pre- or post-hello
-
-	waitMu  sync.Mutex
-	waiters map[core.WriteID]chan struct{}
 
 	ln net.Listener
 	// mover sends a sharded server's cross-shard moves (see
@@ -197,18 +195,18 @@ func New(cfg Config) *Server {
 	}
 	pc := srvcore.New(ccfg)
 	return &Server{
-		cfg:        cfg,
-		clk:        cfg.Clock,
-		obs:        cfg.Obs,
-		tracer:     cfg.Tracer,
-		store:      store,
-		core:       pc,
-		lm:         pc.Leases(),
-		conns:      make(map[core.ClientID]*serverConn),
-		raw:        make(map[net.Conn]struct{}),
-		waiters:    make(map[core.WriteID]chan struct{}),
-		writeSpans: make(map[pushKey]tracing.Span),
-		stopped:    make(chan struct{}),
+		cfg:     cfg,
+		clk:     cfg.Clock,
+		obs:     cfg.Obs,
+		tracer:  cfg.Tracer,
+		store:   store,
+		core:    pc,
+		lm:      pc.Leases(),
+		m:       srvcore.NewMachine(pc, cfg.WriteTimeout, cfg.Tracer, cfg.Obs, ""),
+		rewake:  make(chan struct{}, 1),
+		conns:   make(map[core.ClientID]*serverConn),
+		raw:     make(map[net.Conn]struct{}),
+		stopped: make(chan struct{}),
 
 		boot:     uint64(time.Now().UnixNano()),
 		maxTermF: maxTermF,
@@ -261,7 +259,15 @@ func (s *Server) Serve(ln net.Listener) error {
 		ln.Close()
 		return s.initErr
 	}
+	// Every wg.Add below is made under connMu after a look at stopped:
+	// Stop closes stopped before it takes connMu, and Waits after, so a
+	// server stopped first starts nothing and no Add races the Wait.
 	s.connMu.Lock()
+	if s.isStopped() {
+		s.connMu.Unlock()
+		ln.Close()
+		return nil
+	}
 	s.ln = ln
 	if ring := s.cfg.Shard.Ring; ring != nil {
 		// On the wall clock, as every socket deadline: the server's own
@@ -271,11 +277,13 @@ func (s *Server) Serve(ln net.Listener) error {
 			Reconnect: true, RetryWait: shardCallTimeout,
 		})
 	}
-	s.connMu.Unlock()
+	s.wg.Add(1)
+	go s.wakeLoop()
 	if s.core.Classes != nil {
 		s.wg.Add(1)
 		go s.broadcastLoop()
 	}
+	s.connMu.Unlock()
 	for {
 		c, err := ln.Accept()
 		if err != nil {
@@ -295,10 +303,24 @@ func (s *Server) Serve(ln net.Listener) error {
 			tc.SetKeepAlivePeriod(30 * time.Second)
 		}
 		s.connMu.Lock()
+		if s.isStopped() {
+			s.connMu.Unlock()
+			c.Close()
+			continue // the closed listener ends the loop
+		}
 		s.raw[c] = struct{}{}
-		s.connMu.Unlock()
 		s.wg.Add(1)
+		s.connMu.Unlock()
 		go s.serveConn(c)
+	}
+}
+
+func (s *Server) isStopped() bool {
+	select {
+	case <-s.stopped:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -316,10 +338,11 @@ func (s *Server) Addr() net.Addr {
 	return s.ln.Addr()
 }
 
-// Stop shuts the server down: the listener closes, connections and the
-// mover's sessions drop, deferred writes fail back to their writers.
+// Stop shuts the server down: the listener closes, deferred writes fail
+// back to their writers, connections and the mover's sessions drop.
 func (s *Server) Stop() {
 	s.stopOnce.Do(func() {
+		s.perform(s.m.Close(errShutdown, s.clk.Now()))
 		close(s.stopped)
 		s.connMu.Lock()
 		if s.ln != nil {
@@ -337,291 +360,144 @@ func (s *Server) Stop() {
 	s.wg.Wait()
 }
 
-// releaseReady signals the waiter of every write the shard considers
-// releasable and returns the writes whose waiters it woke — the return
-// is collected only when the observer is enabled (it exists to label
-// expiry events) so the common path never allocates. Readiness is
-// sticky (a ready write stays ready until applied or cancelled), so
-// concurrent callers cannot lose a wakeup: whoever registered the
-// waiter last re-checks after registering.
-func (s *Server) releaseReady(shard int) []core.WriteID {
-	ready := s.lm.ReadyWritesShard(shard, s.clk.Now())
-	if len(ready) == 0 {
-		return nil
-	}
-	var released []core.WriteID
-	s.waitMu.Lock()
-	for _, id := range ready {
-		if ch, ok := s.waiters[id]; ok {
-			delete(s.waiters, id)
-			close(ch)
-			if s.obs.Enabled() {
-				released = append(released, id)
-			}
-		}
-	}
-	s.waitMu.Unlock()
-	return released
-}
-
-// errShutdown reports a write aborted by server shutdown or timeout.
+// errShutdown fails a write parked at server shutdown.
 var errShutdown = errors.New("server: shutting down")
 
-// pushKey names one holder's approval-push span of a traced write.
-type pushKey struct {
-	id     core.WriteID
-	holder core.ClientID
-}
-
-// endApprovalSpan ends one holder's approval-push span, whichever path
-// unblocked the holder: its approval ("approve"), its lease expiring
-// ("expire"), the write timeout ("timeout"), or shutdown ("cancel"). A
-// miss is fine — the write was untraced or the span already ended.
-func (s *Server) endApprovalSpan(id core.WriteID, holder core.ClientID, note string) {
-	s.spanMu.Lock()
-	sp, ok := s.writeSpans[pushKey{id, holder}]
-	delete(s.writeSpans, pushKey{id, holder})
-	s.spanMu.Unlock()
-	if ok {
-		sp.EndNote(note)
-	}
-}
-
-// run drives r's plan (drive) and answers a failed one with its error.
+// run drives r's plan (advance) and answers a failed one with its error.
 // It reports whether r.op has been applied and the reply is due.
 func (s *Server) run(c *serverConn, r *request) bool {
-	err := s.drive(c, r)
-	if err != nil {
+	err := s.advance(r)
+	if err != nil && !r.parked {
 		c.fail(r.f.ReqID, err)
 	}
 	return err == nil && !r.parked
 }
 
-// drive drives r's plan to its end for connection c, blocking the calling
-// goroutine on whatever step the plan returns — unless that is the
-// connection's reader (r.inline), which must not wait: at the first step
-// that has to (a recovery window or class horizon, another client's
-// lease, a quorum round) drive leaves the step in r, marks r parked and
-// returns nil, and the request takes it up again on a goroutine of its
-// own. Otherwise it returns the plan's error: nil when r.op has been
-// applied to the store, what that returned in r.res. A sampled request's
-// deferrals and its apply record spans (write.defer, one child per holder
-// asked, ended with the reason the holder stopped blocking; write.apply).
-func (s *Server) drive(c *serverConn, r *request) error {
-	p, tc, writer, st := &r.plan, r.sp.Context(), c.client, r.step
-	if st.Kind == 0 {
-		r.start = s.clk.Now()
-		st = p.Next(r.start)
+// advance performs the steps the machine hands r's plan, from r.step or
+// its beginning, until it ends — returning its error: nil once r.op was
+// applied, with what that returned in r.res — or r.parked: its plan
+// waits in the machine's table, or on a quorum round, which the
+// connection's reader (r.inline) must not wait on. Whoever takes the
+// request up from there enters its handler again.
+func (s *Server) advance(r *request) error {
+	p, e := &r.plan, srvcore.Effects{Step: r.step}
+	if r.step = (srvcore.Step{}); e.Step.Kind == 0 {
+		e = s.m.Begin(p, r.sp.Context(), s.clk.Now())
 	}
-	// waiting is the held write this request is blocked on, deferSpan its
-	// open write.defer span, failNote what ends them if the plan fails.
-	var waiting core.WriteID
-	var holders []core.ClientID
-	var deadline time.Time
-	var deferSpan tracing.Span
-	failNote := "cancel"
-	for ; ; st = p.Next(s.clk.Now()) {
-		// A demotion only waits where its image has a quorum to go to.
-		if k := st.Kind; r.inline && (k == srvcore.Wait || k == srvcore.Approval || k == srvcore.Ship ||
-			k == srvcore.Demoted && s.cfg.Replica != nil) {
-			r.step, r.parked = st, true
+	for {
+		s.perform(e)
+		st := e.Step
+		switch {
+		case st.Kind == srvcore.Wait || st.Kind == srvcore.Approval:
+			// The table holds a copy, paid for by a request that waits and
+			// by no other: whoever is handed it back may run it before this
+			// goroutine is done with r.
+			pr := *r
+			pr.inline, r.parked = false, true
+			s.perform(s.m.Park(&pr.plan, &pr, st, s.clk.Now()))
 			return nil
-		}
-		if waiting != 0 && (st.Kind != srvcore.Approval || st.WriteID != waiting) {
-			// Any push span still open belongs to a holder that never
-			// approved: the release came from its lease expiring (§2).
-			pushNote, note := "expire", "cleared"
-			if st.Kind == srvcore.Fail {
-				pushNote, note = failNote, failNote
-			}
-			if deferSpan.Recording() {
-				for _, h := range holders {
-					s.endApprovalSpan(waiting, h, pushNote)
-				}
-			}
-			deferSpan.EndNote(note)
-			waiting = 0
-		}
-		switch st.Kind {
-		case srvcore.Wait:
-			if !s.sleepUntil(st.Until) {
-				p.Abort(errShutdown, s.clk.Now())
-			}
-		case srvcore.Demoted:
-			if s.obs.Enabled() {
-				for _, d := range st.Dropped {
-					s.obs.Record(obs.Event{Type: obs.EvClassDemote, Datum: d, Shard: s.lm.ShardFor(d)})
-				}
-			}
+		case r.inline && (st.Kind == srvcore.Ship || st.Kind == srvcore.Demoted && s.cfg.Replica != nil):
+			s.handOff(r, st) // a quorum round
+			return nil
+		case st.Kind == srvcore.Demoted:
 			s.shipClassImage(srvcore.ReplFile{Path: st.Path, Seq: st.Seq, Data: st.Data})
-		case srvcore.Approval:
-			if st.WriteID != waiting {
-				waiting, holders, deadline = st.WriteID, st.Holders, st.Until
-				deferSpan = s.askHolders(st, writer, tc)
-			}
-			if note, err := s.awaitReady(st, &deadline, writer, r.start); err != nil {
-				failNote = note
-				p.Abort(err, s.clk.Now())
-			}
-		case srvcore.Ship:
-			var err error
-			if o := s.obs; o.Enabled() {
-				// The quorum wait is the replication tax every write pays
-				// before it may apply — the /metrics histogram an operator
-				// reads next to the per-peer ship latencies.
-				t0 := s.clk.Now()
-				err = s.cfg.Replica.ReplicateWrite(tc, st.Path, st.Seq, st.Data)
-				o.ObserveOp("repl-quorum-wait", s.clk.Now().Sub(t0))
-			} else {
-				err = s.cfg.Replica.ReplicateWrite(tc, st.Path, st.Seq, st.Data)
-			}
-			p.Shipped(err, s.clk.Now())
-		case srvcore.Apply:
+			e = s.m.Next(p, s.clk.Now())
+		case st.Kind == srvcore.Ship:
+			// The quorum wait is the replication tax every write pays before
+			// it may apply — the /metrics histogram an operator reads next to
+			// the per-peer ship latencies.
+			t0 := s.clk.Now()
+			err := s.cfg.Replica.ReplicateWrite(r.sp.Context(), st.Path, st.Seq, st.Data)
 			if s.obs.Enabled() {
-				// One apply event per write operation; Wait is the full
-				// clearance time across every datum — the paper's formula-2
-				// added delay as a writer experiences it.
-				s.obs.Record(obs.Event{
-					Type: obs.EvWriteApply, Client: string(writer), Datum: st.Datum,
-					Shard: s.lm.ShardFor(st.Datum), WriteID: uint64(st.WriteID),
-					Wait: s.clk.Now().Sub(r.start),
-				})
+				s.obs.ObserveOp("repl-quorum-wait", s.clk.Now().Sub(t0))
 			}
-			applySpan := s.tracer.StartChild(tc, "write.apply")
+			e = s.m.Report(p, err, s.clk.Now())
+		case st.Kind == srvcore.Apply:
+			applySpan := s.tracer.StartChild(r.sp.Context(), "write.apply")
 			var err error
-			r.res, err = s.store.Apply(r.op)
-			if err != nil {
+			if r.res, err = s.store.Apply(r.op); err != nil {
 				applySpan.EndNote("error")
 			} else {
 				applySpan.End()
 			}
-			p.Applied(err, s.clk.Now())
-		case srvcore.Done, srvcore.Fail:
-			// Releasing or cancelling the held entries may unblock the next
-			// write queued on the same datum.
-			for _, d := range p.Data() {
-				s.releaseReady(s.lm.ShardFor(d))
-			}
+			e = s.m.Report(p, err, s.clk.Now())
+		default: // Done, Fail
 			return st.Err
 		}
 	}
 }
 
-// sleepUntil blocks until the clock reads t; false means the server
-// stopped first.
-func (s *Server) sleepUntil(t time.Time) bool {
-	fire, stopTimer := s.clk.After(t.Sub(s.clk.Now()))
-	select {
-	case <-fire:
-		return true
-	case <-s.stopped:
-		stopTimer()
-		return false
-	}
+// handOff moves r, at step st (zero: before it began), off the
+// connection's reader to a goroutine of its own.
+func (s *Server) handOff(r *request, st srvcore.Step) {
+	hr := *r
+	hr.inline, hr.step, r.parked = false, st, true
+	s.resume(&hr)
 }
 
-// askHolders pushes an approval request to every connected holder a
-// deferred write waits on. For a traced write each push opens a child
-// span ended by the approve, expire, or timeout path; the returned
-// write.defer span carries the fan-out width the span-tree lens checks
-// against the recorded pushes.
-func (s *Server) askHolders(st srvcore.Step, writer core.ClientID, tc tracing.Context) tracing.Span {
-	shard := s.lm.ShardForWrite(st.WriteID)
-	if s.obs.Enabled() && (len(st.Holders) > 0 || !st.Until.IsZero()) {
-		s.obs.Record(obs.Event{
-			Type: obs.EvWriteDefer, Client: string(writer), Datum: st.Datum,
-			Shard: shard, WriteID: uint64(st.WriteID),
-		})
-	}
-	deferSpan := s.tracer.StartChild(tc, "write.defer")
-	pushed := 0
+// resume runs r's handler again on a goroutine of its own, unless the
+// server stopped: Stop has failed every parked write back before that.
+func (s *Server) resume(r *request) {
 	s.connMu.RLock()
-	for _, holder := range st.Holders {
-		if hc, ok := s.conns[holder]; ok {
-			if deferSpan.Recording() {
-				sp := s.tracer.StartChild(deferSpan.Context(), "approve.push")
-				sp.Annotate("holder=" + string(holder))
-				s.spanMu.Lock()
-				s.writeSpans[pushKey{st.WriteID, holder}] = sp
-				s.spanMu.Unlock()
-			}
-			hc.pushApproval(proto.ApprovalWire{WriteID: st.WriteID, Datum: st.Datum})
-			pushed++
-			if s.obs.Enabled() {
-				s.obs.Record(obs.Event{
-					Type: obs.EvApproveRequest, Client: string(holder), Datum: st.Datum,
-					Shard: shard, WriteID: uint64(st.WriteID),
-				})
-			}
-		}
+	defer s.connMu.RUnlock()
+	if s.isStopped() {
+		return
 	}
-	s.connMu.RUnlock()
-	deferSpan.SetFanout(pushed)
-	return deferSpan
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		r.c.serve(r)
+	}()
 }
 
-// awaitReady blocks until the lease manager reports the step's held
-// write ready (the plan then verifies it): approvals and releases signal
-// its waiter, and the request's own timer fires when the last blocking
-// lease runs out at deadline — only ever earlier than first told, since
-// no lease is extended under a pending write. It also returns when the
-// write timeout passes or the server stops: a non-nil error is why the
-// driver gives the plan up, and note labels the trace spans it leaves.
-func (s *Server) awaitReady(st srvcore.Step, deadline *time.Time, writer core.ClientID, start time.Time) (note string, err error) {
-	shard := s.lm.ShardForWrite(st.WriteID)
-	ch := make(chan struct{})
-	s.waitMu.Lock()
-	s.waiters[st.WriteID] = ch
-	s.waitMu.Unlock()
-	defer func() {
-		s.waitMu.Lock()
-		delete(s.waiters, st.WriteID)
-		s.waitMu.Unlock()
-	}()
-	// Re-check after registering the waiter: approvals or expiries that
-	// landed before the registration left the write ready (readiness is
-	// sticky), and this call claims it.
-	s.releaseReady(shard)
-
-	var expiry, timeout <-chan time.Time
-	if !deadline.IsZero() {
-		var stopTimer func() bool
-		expiry, stopTimer = s.clk.After(deadline.Sub(s.clk.Now()) + time.Millisecond)
-		defer stopTimer()
-	}
-	if s.cfg.WriteTimeout > 0 {
-		var stopTimer func() bool
-		timeout, stopTimer = s.clk.After(s.cfg.WriteTimeout)
-		defer stopTimer()
-	}
-	select {
-	case <-ch:
-		return "", nil
-	case <-expiry:
-		// Released by the passage of time — the fault-tolerance path (§2).
-		// A write still queued behind another is woken by that one's end.
-		*deadline = time.Time{}
-		released := s.releaseReady(shard)
-		if s.obs.Enabled() {
-			for _, id := range released {
-				s.obs.Record(obs.Event{Type: obs.EvExpire, WriteID: uint64(id), Shard: shard})
+// perform does, without blocking, what the machine handed out for its
+// parked plans: it pushes a parked write's approval requests, and hands
+// each plan past its wait to a goroutine that applies (or ships) it and
+// replies. A changed table moves the server's one wake timer.
+func (s *Server) perform(e srvcore.Effects) {
+	for _, st := range e.Parked {
+		switch r := st.Owner.(*request); st.Kind {
+		case srvcore.Wait:
+		case srvcore.Approval:
+			a := proto.ApprovalWire{WriteID: st.WriteID, Datum: st.Datum}
+			s.connMu.RLock()
+			for _, holder := range st.Holders {
+				if hc, ok := s.conns[holder]; ok {
+					hc.pushApproval(a)
+				}
 			}
+			s.connMu.RUnlock()
+		default:
+			r.parked, r.step = false, st
+			s.resume(r)
 		}
-		return "", nil
-	case <-s.stopped:
-		return "cancel", errShutdown
-	case <-timeout:
-		now := s.clk.Now()
-		if s.lm.WriteReady(st.WriteID, now) {
-			return "", nil // cleared concurrently with the timeout: proceed
+	}
+	if len(e.Parked) > 0 {
+		select {
+		case s.rewake <- struct{}{}:
+		default:
 		}
-		if s.obs.Enabled() {
-			s.obs.Record(obs.Event{
-				Type: obs.EvWriteTimeout, Client: string(writer), Datum: st.Datum,
-				Shard: shard, WriteID: uint64(st.WriteID), Wait: now.Sub(start),
-			})
+	}
+}
+
+// wakeLoop keeps the server's one wake timer at the instant the machine
+// next wants ticked.
+func (s *Server) wakeLoop() {
+	defer s.wg.Done()
+	for {
+		fire, stop := (<-chan time.Time)(nil), func() bool { return false }
+		if t := s.m.NextWake(); !t.IsZero() {
+			fire, stop = s.clk.After(t.Sub(s.clk.Now()))
 		}
-		return "timeout", fmt.Errorf("server: write timed out awaiting lease clearance on %v", st.Datum)
+		select {
+		case <-fire:
+			s.perform(s.m.Tick(s.clk.Now()))
+		case <-s.rewake:
+			stop()
+		case <-s.stopped:
+			stop()
+			return
+		}
 	}
 }
 

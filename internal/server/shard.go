@@ -9,6 +9,7 @@ import (
 	"leases/internal/obs"
 	"leases/internal/proto"
 	"leases/internal/shard"
+	"leases/internal/srvcore"
 	"leases/internal/vfs"
 )
 
@@ -128,8 +129,8 @@ func (c *serverConn) handleShardMove(r *request) {
 // bytes — and the name and bytes applied in one store step. A
 // create-then-write pair would expose an empty file that a concurrent
 // read could lease and cache, a stale read the chaos shard-split scenario
-// catches. The plan is made on the request's first pass; a parked request
-// resumes it (see Server.drive).
+// catches. The plan is made on the request's first pass; a request
+// handed back its plan goes on with it (see Server.advance).
 func (c *serverConn) create(r *request) error {
 	s := c.srv
 	if r.step.Kind == 0 {
@@ -140,7 +141,7 @@ func (c *serverConn) create(r *request) error {
 		r.plan = s.core.Plan(c.client, vfs.Datum{Kind: vfs.DirBinding, Node: parent.ID})
 		r.plan.Ship(r.op)
 	}
-	return s.drive(c, r)
+	return s.advance(r)
 }
 
 // crossShardRename runs the source half of a rename whose destination
@@ -169,66 +170,87 @@ func (c *serverConn) create(r *request) error {
 // failed after the destination replicated it, leaves the outcome
 // unknown: that is reported to the client, and the file is either at the
 // destination or nowhere — closing that window needs an op log.
-func (c *serverConn) crossShardRename(r *request, destGroup int) {
-	if r.parked = r.inline; r.parked {
-		return // a call to another group, and nothing done yet: the reader hands the request off to start over
+//
+// Either plan may park; the request comes back here when it is handed
+// back, and r.op's kind says which plan it was: the remove of the commit
+// point, or the undo's move-in.
+func (c *serverConn) crossShardRename(r *request) {
+	if r.inline {
+		c.srv.handOff(r, srvcore.Step{}) // a call to another group, and nothing done yet: start over off the reader
+		return
 	}
 	s, f, ring := c.srv, r.f, c.srv.cfg.Shard.Ring
-	if g, ok := ring.Group(destGroup); !ok || len(g.Replicas) == 0 {
-		c.fail(f.ReqID, fmt.Errorf("shard: no replicas for group %d", destGroup))
+	switch r.op.Kind {
+	case vfs.OpCreate:
+		c.undoMove(r)
 		return
+	case vfs.OpRename:
+		from := r.op.Path
+		if g, ok := ring.Group(ring.Lookup(r.op.To)); !ok || len(g.Replicas) == 0 {
+			c.fail(f.ReqID, fmt.Errorf("shard: no replicas for group %d", ring.Lookup(r.op.To)))
+			return
+		}
+		attr, err := s.store.Lookup(from)
+		if err != nil {
+			c.fail(f.ReqID, err)
+			return
+		}
+		if attr.IsDir {
+			c.fail(f.ReqID, fmt.Errorf("shard: cross-shard directory rename unsupported"))
+			return
+		}
+		if err := s.store.CheckAccess(attr.ID, string(c.client), true); err != nil {
+			c.fail(f.ReqID, err)
+			return
+		}
+		oldParent, err := s.store.Lookup(parentOf(from))
+		if err != nil {
+			c.fail(f.ReqID, err)
+			return
+		}
+		r.plan = s.core.Plan(c.client, vfs.Datum{Kind: vfs.FileData, Node: attr.ID}, vfs.Datum{Kind: vfs.DirBinding, Node: oldParent.ID})
+		// What moves is read by the apply, behind every mutation cleared
+		// first: a write, or a chmod on the parent binding. The name must
+		// still be the file the plan cleared.
+		r.op = vfs.Op{Kind: vfs.OpRemove, Node: attr.ID, Path: from, To: r.op.To}
 	}
-	from, to := r.op.Path, r.op.To
-	attr, err := s.store.Lookup(from)
-	if err != nil {
-		c.fail(f.ReqID, err)
-		return
-	}
-	if attr.IsDir {
-		c.fail(f.ReqID, fmt.Errorf("shard: cross-shard directory rename unsupported"))
-		return
-	}
-	if err := s.store.CheckAccess(attr.ID, string(c.client), true); err != nil {
-		c.fail(f.ReqID, err)
-		return
-	}
-	oldParent, err := s.store.Lookup(parentOf(from))
-	if err != nil {
-		c.fail(f.ReqID, err)
-		return
-	}
-	r.plan = s.core.Plan(c.client, vfs.Datum{Kind: vfs.FileData, Node: attr.ID}, vfs.Datum{Kind: vfs.DirBinding, Node: oldParent.ID})
-	// What moves is read by the apply, behind every mutation cleared first:
-	// a write, or a chmod on the parent binding. The name must still be the
-	// file the plan cleared.
-	r.op = vfs.Op{Kind: vfs.OpRemove, Node: attr.ID, Path: from}
 	if !s.run(c, r) {
 		return
 	}
+	from, to, dest := r.op.Path, r.op.To, ring.Lookup(r.op.To)
 	r.op = vfs.Op{Kind: vfs.OpCreate, Path: to, Owner: r.res.Attr.Owner, Perm: r.res.Attr.Perm, Data: r.res.Data}
 
 	sp := s.tracer.StartChild(r.sp.Context(), "shard.commit")
-	err = s.mover.Move(ring.Epoch, r.op, shardCallTimeout)
+	err := s.mover.Move(ring.Epoch, r.op, shardCallTimeout)
 	sp.End()
 	switch {
 	case err == nil:
 		// The new parent lives on the destination group, whose clearance
 		// already called this client's session there back.
-		c.replyEnc(f.ReqID, proto.TOK, func(e *proto.Enc) { c.encodeTouched(e, oldParent.ID, 0) })
+		c.replyEnc(f.ReqID, proto.TOK, func(e *proto.Enc) { c.encodeTouched(e, r.res.Dirs[0], 0) })
 	case errors.Is(err, client.ErrRefused):
-		// The request never parked (see the top), so create plans afresh.
-		r.op.Path = from
-		if uerr := c.create(r); uerr != nil {
-			c.fail(f.ReqID, fmt.Errorf("shard: %s left this group, its move to group %d was refused (%v), and restoring it failed: %v", from, destGroup, err, uerr))
-			return
-		}
-		if s.obs.Enabled() {
-			s.obs.Record(obs.Event{Type: obs.EvShardUndo, Client: string(c.client)})
-		}
-		c.fail(f.ReqID, fmt.Errorf("shard: %s restored, its move to group %d failed: %v", from, destGroup, err))
+		r.op.Path, r.moved = from, fmt.Errorf("its move to group %d was refused: %w", dest, err)
+		c.undoMove(r)
 	default:
-		c.fail(f.ReqID, fmt.Errorf("shard: %s left this group but its move to group %d was lost: %v", from, destGroup, err))
+		c.fail(f.ReqID, fmt.Errorf("shard: %s left this group but its move to group %d was lost: %v", from, dest, err))
 	}
+}
+
+// undoMove puts back, under the plan the destination would have run, a
+// file whose move the destination refused (r.moved): r.op is the move-in
+// at its old path.
+func (c *serverConn) undoMove(r *request) {
+	s, f, from := c.srv, r.f, r.op.Path
+	if err := c.create(r); r.parked {
+		return
+	} else if err != nil {
+		c.fail(f.ReqID, fmt.Errorf("shard: %s left this group, %v, and restoring it failed: %v", from, r.moved, err))
+		return
+	}
+	if s.obs.Enabled() {
+		s.obs.Record(obs.Event{Type: obs.EvShardUndo, Client: string(c.client)})
+	}
+	c.fail(f.ReqID, fmt.Errorf("shard: %s restored, %v", from, r.moved))
 }
 
 // shardCallTimeout bounds a move on the wall clock, from the wait for a

@@ -1,13 +1,14 @@
 // Package srvcore is the lease server's protocol core, sans IO: the
-// order every mutation goes through (plan.go) and the state tables that
-// order reads — replication state and the serving gate (this file) and
-// the installed-files class (class.go).
+// order every mutation goes through (plan.go), the machine that drives
+// every plan (machine.go), and the state tables that order reads —
+// replication state and the serving gate (this file) and the
+// installed-files class (class.go).
 //
 // Like replica.Machine and cache.Core it has no goroutine, channel,
 // timer, socket or clock: every entry point takes now. internal/server
-// drives it with blocking goroutines over TCP; internal/check drives the
-// same type with events on the simulated fabric, so what the model
-// checker explores is the code that ships.
+// is its TCP shell and internal/check its shell on the simulated fabric:
+// both perform what one Machine hands them, so what the model checker
+// explores is the code that ships.
 package srvcore
 
 import (

@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"leases/internal/clock"
+	"leases/internal/core"
+	"leases/internal/obs/tracing"
 	"leases/internal/vfs"
 )
 
@@ -113,18 +115,18 @@ func TestOracleSeesEarlyApply(t *testing.T) {
 
 // TestAllocFreeUnsharedWritePlan: the common write — nobody else holds a
 // lease on the datum — goes from submit to Apply to Done without
-// allocating: no channel, no waiter entry, no per-write map.
+// allocating: it never enters the machine's table.
 func TestAllocFreeUnsharedWritePlan(t *testing.T) {
 	c := New(Config{Store: vfs.New(clock.NewSim(), "srv"), Term: time.Minute, Shards: 4})
 	d, now := vfs.Datum{Kind: vfs.FileData, Node: 7}, clock.Epoch
+	m := NewMachine(c, 0, nil, nil, "")
 	if n := testing.AllocsPerRun(1000, func() {
 		p := c.Plan("writer", d)
-		if st := p.Next(now); st.Kind != Apply {
-			t.Fatalf("unshared write was handed step %d, want Apply", st.Kind)
+		if e := m.Begin(&p, tracing.Context{}, now); e.Step.Kind != Apply || e.Parked != nil {
+			t.Fatalf("unshared write was handed step %d and %d others, want Apply alone", e.Step.Kind, len(e.Parked))
 		}
-		p.Applied(nil, now)
-		if st := p.Next(now); st.Kind != Done {
-			t.Fatalf("applied write was handed step %d, want Done", st.Kind)
+		if e := m.Report(&p, nil, now); e.Step.Kind != Done || e.Parked != nil {
+			t.Fatalf("applied write was handed step %d and %d others, want Done alone", e.Step.Kind, len(e.Parked))
 		}
 	}); n != 0 {
 		t.Fatalf("an unshared write plan allocates %v times, want 0", n)
@@ -260,4 +262,48 @@ func TestShippedOpOfUnknownKindRefused(t *testing.T) {
 	if _, err := store.Lookup("/f"); err == nil || c.Seq("/f") != 0 {
 		t.Fatalf("a refused op left /f in the store (%v) or took sequence %d", err, c.Seq("/f"))
 	}
+}
+
+// TestMachineGivesUpAndCloses: a write parked behind a holder that never
+// answers fails at the write timeout, well inside the holder's lease,
+// and leaves nothing held or timed; Close fails a parked write at once,
+// and every write parked after it.
+func TestMachineGivesUpAndCloses(t *testing.T) {
+	c := New(Config{Store: vfs.New(clock.NewSim(), "srv"), Term: time.Minute, Shards: 2})
+	m := NewMachine(c, 10*time.Second, nil, nil, "")
+	d, now := vfs.Datum{Kind: vfs.FileData, Node: 7}, clock.Epoch
+	c.Leases().Grant("holder", d, now)
+	// handed checks that e hands back exactly one step, a Fail for owner
+	// with want.
+	handed := func(what string, e Effects, owner string, want error) {
+		t.Helper()
+		if len(e.Parked) != 1 || e.Parked[0].Kind != Fail || e.Parked[0].Owner != owner || !errors.Is(e.Parked[0].Err, want) {
+			t.Fatalf("%s handed back %+v, want one Fail for %s with %v", what, e.Parked, owner, want)
+		}
+		if len(c.Leases().Pending(d)) != 0 || !m.NextWake().IsZero() {
+			t.Fatalf("%s left %d writes held, a wake at %v", what, len(c.Leases().Pending(d)), m.NextWake())
+		}
+	}
+	park := func(owner string) Effects {
+		t.Helper()
+		p := c.Plan(core.ClientID(owner), d)
+		e := m.Begin(&p, tracing.Context{}, now)
+		if e.Step.Kind != Approval {
+			t.Fatalf("%s's write was handed step %d, want Approval", owner, e.Step.Kind)
+		}
+		return m.Park(&p, owner, e.Step, now)
+	}
+	if e := park("a"); len(e.Parked) != 1 || e.Parked[0].Kind != Approval || len(e.Parked[0].Holders) != 1 {
+		t.Fatalf("parking a's write handed out %+v, want one ask of the holder", e.Parked)
+	}
+	if w := m.NextWake(); !w.Equal(now.Add(10 * time.Second)) {
+		t.Fatalf("wake at %v, want the write timeout's 10s", w.Sub(now))
+	}
+	if e := m.Tick(now.Add(10*time.Second - 1)); len(e.Parked) != 0 {
+		t.Fatalf("a tick before the timeout handed back %+v", e.Parked)
+	}
+	handed("the timeout", m.Tick(now.Add(10*time.Second)), "a", errWriteTimeout)
+	park("b")
+	handed("Close", m.Close(errSim, now), "b", errSim)
+	handed("a park after Close", park("c"), "c", errSim)
 }

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"leases/internal/core"
+	"leases/internal/obs/tracing"
 	"leases/internal/vfs"
 )
 
@@ -12,10 +13,9 @@ import (
 // order: serving gate and recovery window → §4.3 class horizon →
 // clearance over every datum, in the global datum order so concurrent
 // multi-datum writes cannot deadlock → replicate to a quorum → apply →
-// release. The driver asks Next what to do, does it — by blocking a
-// goroutine or by scheduling an event — and asks again; whatever the
-// plan waits on is judged against the now the driver passes, so no step
-// is taken early however the driver wakes.
+// release. Only a Machine steps a plan (machine.go): whatever the plan
+// waits on is judged against the now it is stepped at, so no step is
+// taken early however the machine is woken.
 
 // MaxData is the most data one mutation writes (a remove or rename: the
 // node's datum and a parent binding, or two parent bindings).
@@ -27,12 +27,12 @@ type StepKind uint8
 const (
 	// Wait: nothing may happen before Until — the §2 recovery window of a
 	// freshly promoted master, or the coverage horizon of installed data
-	// the write just demoted (Cause says which). Call Next again then.
+	// the write just demoted (Cause says which).
 	Wait StepKind = iota + 1
 	// Approval: the held write WriteID on Datum waits for Holders to
 	// approve or for their leases to run out at Until (zero: approvals
-	// only). Ask the holders, and call Next again when the lease manager
-	// reports the write ready. Holders is set the first time only.
+	// only), until the lease manager reports it ready. Holders is set the
+	// first time only.
 	Approval
 	// Demoted: the write dropped Dropped from the installed class. Path,
 	// Seq and Data are the membership image, to replicate best effort.
@@ -70,6 +70,9 @@ type Step struct {
 	Seq     uint64
 	Data    []byte
 	Err     error
+	// Owner is the driver's record of a parked plan (Machine.Park), on
+	// every step the machine hands back for it.
+	Owner any
 }
 
 type stage uint8
@@ -110,6 +113,26 @@ type Plan struct {
 	bytes []byte
 	seq   uint64
 	err   error
+	// freed: the plan released or cancelled held entries the machine has
+	// yet to wake the writes queued behind.
+	freed bool
+
+	// The machine's books: when the plan began and the context its spans
+	// hang under; and, while parked, its shell's record, its park number
+	// (zero: not parked) and place in the table, its Wait instant or its
+	// blocking leases' expiry, when it gives up, and the held write it is
+	// deferred on, with that deferral's spans.
+	start     time.Time
+	tc        tracing.Context
+	owner     any
+	park      uint64
+	until     time.Time
+	giveUp    time.Time
+	pi        int
+	waitID    core.WriteID
+	deferSp   tracing.Span
+	deferNote string
+	pushes    []push
 }
 
 // Plan begins a mutation by writer that writes data.
@@ -163,8 +186,8 @@ func datumLess(a, b vfs.Datum) bool {
 	return a.Node < b.Node
 }
 
-// Next reports what the plan needs at now.
-func (p *Plan) Next(now time.Time) Step {
+// next reports what the plan needs at now.
+func (p *Plan) next(now time.Time) Step {
 	c := p.c
 	switch p.stage {
 	case done:
@@ -256,9 +279,9 @@ func (p *Plan) apply() Step {
 	return st
 }
 
-// Shipped reports the Ship step's outcome: nil only once a quorum of
+// shipped reports the Ship step's outcome: nil only once a quorum of
 // replicas (counting this one) holds the write.
-func (p *Plan) Shipped(err error, now time.Time) {
+func (p *Plan) shipped(err error, now time.Time) {
 	if p.stage != shipping {
 		return
 	}
@@ -274,15 +297,16 @@ func (p *Plan) Shipped(err error, now time.Time) {
 // them, so its failure from then on does not mean nothing happened.
 func (p *Plan) Exposed() bool { return p.seq != 0 }
 
-// Applied reports the Apply step's outcome and releases the plan's held
+// applied reports the Apply step's outcome and releases the plan's held
 // entries; the next write queued on each datum may then proceed.
-func (p *Plan) Applied(err error, now time.Time) {
+func (p *Plan) applied(err error, now time.Time) {
 	if p.stage != applying {
 		return
 	}
 	for _, id := range p.held[:p.nheld] {
 		p.c.lm.WriteApplied(id, now)
 	}
+	p.freed = p.freed || p.nheld > 0
 	p.nheld = 0
 	p.written(now)
 	if p.err = err; err != nil {
@@ -295,9 +319,9 @@ func (p *Plan) Applied(err error, now time.Time) {
 	p.stage = done
 }
 
-// Abort fails a plan the driver gives up on (a deferral timeout,
+// abort fails a plan its driver gives up on (a deferral timeout,
 // shutdown). It is a no-op once the plan has reached Apply or ended.
-func (p *Plan) Abort(err error, now time.Time) {
+func (p *Plan) abort(err error, now time.Time) {
 	if p.stage < applying {
 		p.fail(err, now)
 	}
@@ -311,6 +335,7 @@ func (p *Plan) fail(err error, now time.Time) Step {
 	if p.cur != 0 {
 		p.c.lm.CancelWrite(p.cur, now)
 	}
+	p.freed = p.freed || p.nheld > 0 || p.cur != 0
 	p.nheld, p.cur = 0, 0
 	p.written(now)
 	p.stage, p.err = failed, err

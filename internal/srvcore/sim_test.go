@@ -1,23 +1,29 @@
 package srvcore
 
-// A byte-program simulation around the Core, shared by the fuzz target,
-// the seeded random walk and the pinned regressions. The driver half is
-// the dumbest honest one: it steps plans only when told to, reports
-// ships and applies when told to, and lets time pass when told to. The
-// oracle half keeps its own small books — who was granted what until
-// when and has not approved it away, when the recovery window armed by
-// the last promotion ends, the coverage horizon of every broadcast sent,
-// whether the gate is open — and after every step a plan hands out
+// A byte-program simulation around the Core and its Machine, shared by
+// the fuzz target, the seeded random walk and the pinned regressions. The
+// driver half is the dumbest honest shell: it parks, reports ships and
+// applies and performs demotions when told to, lets time pass when told
+// to — ticking the machine at each wake instant it was handed, as a shell's
+// one timer would — and approves for a holder when told to. The oracle
+// half keeps its own small books — who was granted what until when and
+// has not approved it away, when the recovery window armed by the last
+// promotion ends, the coverage horizon of every broadcast sent, whether
+// the gate is open — and after every step the machine hands out
 // requires:
 //
 //   - no Apply (and no Ship) while a client other than the writer holds
 //     an unexpired, unapproved lease on one of the plan's data, or before
 //     the recovery window or a demoted datum's class horizon has passed;
 //   - no Ship or Apply with the serving gate closed;
+//   - a parked plan stepped past its wait no earlier than the approval or
+//     expiry that readies it: not past a Wait before its instant, not past
+//     an Approval while another client's lease on its datum stands;
 //   - each path's shipped sequence strictly above the last;
 //   - a plan Exposed exactly once it has been handed a Ship step;
 //   - every plan ending in exactly one of Done and Fail, with no held
-//     entry of its writer left in the lease manager.
+//     entry of its writer left in the lease manager, and none lost: once
+//     the program ends and time runs on, every plan ends.
 
 import (
 	"errors"
@@ -27,6 +33,7 @@ import (
 
 	"leases/internal/clock"
 	"leases/internal/core"
+	"leases/internal/obs/tracing"
 	"leases/internal/vfs"
 )
 
@@ -44,14 +51,17 @@ var (
 )
 
 type simPlan struct {
-	p       Plan
-	writer  core.ClientID
-	data    []vfs.Datum
-	last    StepKind
-	waitID  core.WriteID
-	holders []core.ClientID
-	ended   bool
-	shipped bool // it was handed a Ship step
+	p      Plan
+	slot   int
+	writer core.ClientID
+	data   []vfs.Datum
+	// st is the step the driver holds the plan at (zero: it is parked);
+	// parkedAt the step it is parked on.
+	st       Step
+	parkedAt Step
+	holders  []core.ClientID
+	ended    bool
+	shipped  bool // it was handed a Ship step
 }
 
 type simWorld struct {
@@ -59,6 +69,8 @@ type simWorld struct {
 	clk   *clock.Sim
 	store *vfs.Store
 	core  *Core
+	m     *Machine
+	wake  time.Time   // the instant the machine wants ticked
 	data  []vfs.Datum // the files' data, then the root binding
 	paths []string
 	plans [simSlots]*simPlan
@@ -102,8 +114,17 @@ func newSimWorld() *simWorld {
 		Master: func(time.Time) bool { return w.master },
 		Class:  ClassConfig{InstalledDirs: []string{"/"}, InstalledTerm: simClassTerm}.WithDefaults(),
 	})
+	w.m = NewMachine(w.core, 0, nil, nil, "")
 	w.promote(0, 0)
 	return w
+}
+
+// at is the instant the driver hands the machine.
+func (w *simWorld) at() time.Time {
+	if w.lie {
+		return w.now.Add(2 * simClassTerm)
+	}
+	return w.now
 }
 
 func (w *simWorld) logf(format string, args ...any) {
@@ -152,13 +173,71 @@ func (w *simWorld) submit(slot int, writer core.ClientID, data []vfs.Datum, repl
 	if sp := w.plans[slot]; sp != nil && !sp.ended {
 		return
 	}
-	sp := &simPlan{writer: writer, data: data, p: w.core.Plan(writer, data...)}
+	sp := &simPlan{slot: slot, writer: writer, data: data, p: w.core.Plan(writer, data...)}
 	if replicate && data[0].Kind == vfs.FileData {
 		path, _ := w.store.Path(data[0].Node)
 		sp.p.Ship(vfs.Op{Kind: vfs.OpWrite, Node: data[0].Node, Path: path, Data: []byte(fmt.Sprintf("%s@%d", writer, len(w.trace)))})
 	}
 	w.plans[slot] = sp
 	w.logf("submit #%d by %s on %v", slot, writer, data)
+	w.effects(sp, w.m.Begin(&sp.p, tracing.Context{}, w.at()))
+}
+
+// effects takes what one machine input handed out: sp's own next step
+// (sp nil: the input was about no plan the driver holds), the steps of
+// parked plans, and the wake instant.
+func (w *simWorld) effects(sp *simPlan, e Effects) {
+	if sp != nil {
+		w.take(sp, e.Step)
+	}
+	for _, st := range e.Parked {
+		sp, ok := st.Owner.(*simPlan)
+		if !ok {
+			w.fail("the machine handed out step %d with owner %v", st.Kind, st.Owner)
+		}
+		w.logf("machine: #%d -> %d (id %d until %v)", sp.slot, st.Kind, st.WriteID, st.Until.Sub(simStart))
+		if st.Kind == Wait || st.Kind == Approval {
+			if sp.ended || sp.st.Kind != 0 && sp.st.Kind != st.Kind {
+				w.fail("plan #%d parked on step %d while its driver holds it at %d", sp.slot, st.Kind, sp.st.Kind)
+			}
+			if sp.parkedAt.Kind != 0 {
+				w.waitOver(sp, st)
+			}
+			sp.st, sp.parkedAt = Step{}, st
+			if st.Kind == Approval {
+				sp.holders = st.Holders
+			}
+			continue
+		}
+		if sp.parkedAt.Kind == 0 {
+			w.fail("plan #%d handed back at step %d, never parked", sp.slot, st.Kind)
+		}
+		w.waitOver(sp, st)
+		sp.parkedAt = Step{}
+		w.take(sp, st)
+	}
+	w.wake = w.m.NextWake()
+}
+
+// waitOver is the oracle's rule for a parked plan the machine steps on to
+// st: past a Wait no earlier than its instant, past an Approval only once
+// no other client's lease on its datum stands.
+func (w *simWorld) waitOver(sp *simPlan, st Step) {
+	if st.Kind == Fail {
+		return
+	}
+	switch was := sp.parkedAt; was.Kind {
+	case Wait:
+		if w.now.Before(was.Until) {
+			w.fail("plan #%d stepped to %d %v before its wait ends", sp.slot, st.Kind, was.Until.Sub(w.now))
+		}
+	case Approval:
+		for _, c := range simClients {
+			if exp, held := w.lease[c][was.Datum]; held && c != sp.writer && !core.Expired(exp, w.now) {
+				w.fail("plan #%d stepped past its approval on %v to %d while %s holds an unapproved lease for another %v", sp.slot, was.Datum, st.Kind, c, exp.Sub(w.now))
+			}
+		}
+	}
 }
 
 // checkClear is the §2 half of the oracle: called when a plan is handed
@@ -182,29 +261,16 @@ func (w *simWorld) checkClear(slot int, sp *simPlan, what string) {
 	}
 }
 
-func (w *simWorld) next(slot int) {
-	sp := w.plans[slot]
-	if sp == nil || sp.ended {
-		return
-	}
-	at := w.now
-	if w.lie {
-		at = at.Add(2 * simClassTerm)
-	}
-	st := sp.p.Next(at)
-	w.logf("next #%d -> %d (id %d until %v)", slot, st.Kind, st.WriteID, st.Until.Sub(simStart))
-	if (sp.last == Ship || sp.last == Apply) && st.Kind != sp.last && st.Kind != Fail {
-		w.fail("plan #%d left step %d for %d without a report", slot, sp.last, st.Kind)
-	}
+// take checks a step the driver now holds sp at.
+func (w *simWorld) take(sp *simPlan, st Step) {
+	slot := sp.slot
+	w.logf("#%d -> %d (id %d until %v)", slot, st.Kind, st.WriteID, st.Until.Sub(simStart))
 	switch st.Kind {
 	case Wait:
 		if !st.Until.After(w.now) && !w.lie {
 			w.fail("plan #%d waits for an instant already past", slot)
 		}
 	case Approval:
-		if st.WriteID != sp.waitID {
-			sp.waitID, sp.holders = st.WriteID, st.Holders
-		}
 	case Demoted:
 		for _, d := range st.Dropped {
 			if !w.members[d] {
@@ -217,17 +283,13 @@ func (w *simWorld) next(slot int) {
 		}
 	case Ship:
 		sp.shipped = true
-		if sp.last != Ship { // a step handed out again is the same step
-			w.checkClear(slot, sp, "Ship")
-			if st.Seq <= w.lastSeq[st.Path] {
-				w.fail("plan #%d ships %s#%d, not above #%d", slot, st.Path, st.Seq, w.lastSeq[st.Path])
-			}
-			w.lastSeq[st.Path] = st.Seq
+		w.checkClear(slot, sp, "Ship")
+		if st.Seq <= w.lastSeq[st.Path] {
+			w.fail("plan #%d ships %s#%d, not above #%d", slot, st.Path, st.Seq, w.lastSeq[st.Path])
 		}
+		w.lastSeq[st.Path] = st.Seq
 	case Apply:
-		if sp.last != Apply {
-			w.checkClear(slot, sp, "Apply")
-		}
+		w.checkClear(slot, sp, "Apply")
 	case Done, Fail:
 		sp.ended = true
 		for _, d := range sp.data {
@@ -243,26 +305,51 @@ func (w *simWorld) next(slot int) {
 	if sp.p.Exposed() != sp.shipped {
 		w.fail("plan #%d reports Exposed=%v, handed a Ship step: %v", slot, sp.p.Exposed(), sp.shipped)
 	}
-	sp.last = st.Kind
+	sp.st = st
+}
+
+// drive has the driver act on slot's plan at the step it holds it at: park
+// it at a Wait or Approval, or go on past a demotion.
+func (w *simWorld) drive(slot int) {
+	sp := w.plans[slot]
+	if sp == nil || sp.ended {
+		return
+	}
+	switch st := sp.st; st.Kind {
+	case Wait, Approval:
+		w.effects(nil, w.m.Park(&sp.p, sp, st, w.at()))
+	case Demoted:
+		w.effects(sp, w.m.Next(&sp.p, w.at()))
+	}
+}
+
+// advance lets d pass, ticking the machine at each wake instant it
+// handed out on the way.
+func (w *simWorld) advance(d time.Duration) {
+	end := w.now.Add(d)
+	for !w.wake.IsZero() && !w.wake.After(end) {
+		if w.wake.After(w.now) {
+			w.now = w.wake
+			w.clk.AdvanceTo(w.now)
+		}
+		w.logf("tick")
+		w.effects(nil, w.m.Tick(w.at()))
+	}
+	w.now = end
+	w.clk.AdvanceTo(w.now)
 }
 
 func (w *simWorld) approve(slot int, which byte) {
 	sp := w.plans[slot]
-	if sp == nil || sp.ended || len(sp.holders) == 0 {
+	if sp == nil || sp.ended || sp.parkedAt.Kind != Approval || len(sp.holders) == 0 {
 		return
 	}
-	h := sp.holders[int(which)%len(sp.holders)]
-	w.core.Leases().Approve(h, sp.waitID, w.now)
-	// An approval surrenders the lease on the write's datum; which of the
-	// plan's data that is, the pending queues say.
-	for _, d := range sp.data {
-		for _, pw := range w.core.Leases().Pending(d) {
-			if pw.WriteID == sp.waitID {
-				delete(w.lease[h], d)
-			}
-		}
-	}
+	h, was := sp.holders[int(which)%len(sp.holders)], sp.parkedAt
 	w.logf("approve #%d by %s", slot, h)
+	// An approval surrenders the lease on the write's datum.
+	delete(w.lease[h], was.Datum)
+	_, e := w.m.Approve(h, was.WriteID, w.at())
+	w.effects(nil, e)
 }
 
 // promote runs a whole promotion: merge (files: one bit per path, each
@@ -321,29 +408,26 @@ func (w *simWorld) step(op, arg byte) {
 		}
 		w.submit(slot, simClients[int(arg>>2)%len(simClients)], data, arg&0x40 == 0)
 	case opNext:
-		w.next(slot)
+		w.drive(slot)
 	case opApprove:
 		w.approve(slot, arg>>2)
 	case opAdvance:
-		w.now = w.now.Add(time.Duration(arg) * 200 * time.Millisecond)
-		w.clk.AdvanceTo(w.now)
+		w.advance(time.Duration(arg) * 200 * time.Millisecond)
 	case opShipped:
-		if sp != nil && sp.last == Ship {
+		if sp != nil && sp.st.Kind == Ship {
 			var err error
 			if arg&4 != 0 {
 				err = errSim
 			}
-			sp.p.Shipped(err, w.now)
-			sp.last = 0
+			w.effects(sp, w.m.Report(&sp.p, err, w.at()))
 		}
 	case opApplied:
-		if sp != nil && sp.last == Apply {
+		if sp != nil && sp.st.Kind == Apply {
 			var err error
 			if arg&4 != 0 {
 				err = errSim
 			}
-			sp.p.Applied(err, w.now)
-			sp.last = 0
+			w.effects(sp, w.m.Report(&sp.p, err, w.at()))
 		}
 	case opApplyReplicated:
 		path := w.paths[int(arg)%simFiles]
@@ -356,11 +440,11 @@ func (w *simWorld) step(op, arg byte) {
 		w.promote(arg&7, time.Duration(arg>>3)*time.Second)
 	case opDemote:
 		w.master = false
-		if arg&1 == 0 {
-			w.core.Demote()
-			w.serving = false
-		}
 		w.logf("deposed (demote=%v)", arg&1 == 0)
+		if arg&1 == 0 {
+			w.serving = false
+			w.effects(nil, w.m.Demote(w.at()))
+		}
 	case opBroadcast:
 		if !w.core.Serving(w.now) {
 			return
@@ -378,22 +462,20 @@ func (w *simWorld) step(op, arg byte) {
 			w.cover = w.now.Add(simClassTerm)
 		}
 	case opAbort:
-		if sp != nil && !sp.ended {
-			sp.p.Abort(errSim, w.now)
-			if sp.last != Apply {
-				sp.last = 0
-			}
+		if sp != nil && !sp.ended && sp.st.Kind != 0 && sp.st.Kind != Apply {
+			sp.p.abort(errSim, w.at())
+			w.effects(sp, w.m.Next(&sp.p, w.at()))
 		}
 	case opRelease:
 		c, d := simClients[int(arg)%len(simClients)], w.data[int(arg>>2)%len(w.data)]
-		w.core.Leases().Release(c, []vfs.Datum{d}, w.now)
 		delete(w.lease[c], d)
+		w.effects(nil, w.m.Release(c, []vfs.Datum{d}, w.at()))
 	}
 }
 
 // runProgram runs prog from a fresh world and returns the oracle's first
-// complaint, or "". Plans still in flight at the end are given up, and
-// must then leave nothing behind either.
+// complaint, or "". Then the driver finishes honestly what it holds and
+// time runs on: every plan must end, and leave nothing behind.
 func runProgram(prog []byte, lie bool) (found string) {
 	defer func() {
 		switch v := recover().(type) {
@@ -409,11 +491,22 @@ func runProgram(prog []byte, lie bool) (found string) {
 	for i := 0; i+1 < len(prog); i += 2 {
 		w.step(prog[i], prog[i+1])
 	}
+	w.logf("drain")
+	for round := 0; round < 8; round++ {
+		for slot, sp := range w.plans {
+			for sp != nil && !sp.ended && sp.st.Kind != 0 {
+				if k := sp.st.Kind; k == Ship || k == Apply {
+					w.effects(sp, w.m.Report(&sp.p, nil, w.at()))
+				} else {
+					w.drive(slot)
+				}
+			}
+		}
+		w.advance(2 * simClassTerm)
+	}
 	for slot, sp := range w.plans {
-		if sp != nil && !sp.ended && sp.last != Apply {
-			sp.p.Abort(errSim, w.now)
-			sp.last = 0
-			w.next(slot)
+		if sp != nil && !sp.ended {
+			w.fail("plan #%d lost: parked at step %d (id %d), held at %d", slot, sp.parkedAt.Kind, sp.parkedAt.WriteID, sp.st.Kind)
 		}
 	}
 	return ""
