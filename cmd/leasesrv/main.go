@@ -8,13 +8,12 @@
 //	leasesrv -addr :7025 -metrics-addr :9100       # HTTP admin/metrics plane
 //	leasesrv -addr :7025 -term 10s -installed-dirs /bin,/lib
 //
-// Crash safety: with -maxterm-file the server persists the maximum
-// granted lease term (atomic temp+rename, fsync'd, updated only when
-// the maximum grows) and a restart automatically observes the §2
-// recovery window for the persisted value — no operator-supplied
-// -recovery needed. -snapshot persists the detailed lease records
-// (atomically) at shutdown and, with -snapshot-interval, periodically,
-// so a crash loses at most one interval of records.
+// Crash safety: with -maxterm-file the server writes the longest term
+// its configuration can grant — 4 × -term, or -installed-term when the
+// class runs and that is longer — to the file before it accepts a
+// connection (atomic temp+rename, fsync'd; never lowered), and a restart
+// automatically observes the §2 recovery window for the persisted value,
+// no operator-supplied -recovery needed. No grant touches the disk.
 //
 // Replication: -peers lists the replica set's peer-mesh addresses and
 // -replica-id this process's place in it. The process boots as a
@@ -44,19 +43,16 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"log"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
 
 	"leases/internal/cluster"
-	"leases/internal/core"
 	"leases/internal/obs"
 	"leases/internal/obs/tracing"
 	"leases/internal/server"
@@ -65,13 +61,13 @@ import (
 )
 
 // process is what only this process does with its member: where it
-// listens, the demonstration tree, lease snapshots, the admin plane and
-// the instrumentation it hands the member.
+// listens, the demonstration tree, the admin plane and the
+// instrumentation it hands the member.
 type process struct {
-	addr, snapshot, metricsAddr, traceOut string
-	snapshotInterval, slowWrite           time.Duration
-	traceSample                           float64
-	empty                                 bool
+	addr, metricsAddr, traceOut string
+	slowWrite                   time.Duration
+	traceSample                 float64
+	empty                       bool
 }
 
 // parseFlags binds the command line into the member's configuration and
@@ -86,9 +82,7 @@ func parseFlags(args []string) (cluster.Config, process, error) {
 	fl.DurationVar(&s.RecoveryWindow, "recovery", 0, "recovery window after restart (the persisted maximum granted term)")
 	fl.DurationVar(&s.WriteTimeout, "write-timeout", time.Minute, "bound on write deferral (0 = unbounded)")
 	fl.BoolVar(&p.empty, "empty", false, "start with an empty store")
-	fl.StringVar(&p.snapshot, "snapshot", "", "lease snapshot file: loaded at startup, saved on SIGINT/SIGTERM (the §2 detailed-record recovery alternative)")
-	fl.DurationVar(&p.snapshotInterval, "snapshot-interval", 0, "also save the lease snapshot at this period, so a crash loses at most one interval (0 = shutdown only)")
-	fl.StringVar(&s.MaxTermPath, "maxterm-file", "", "durable max-term file: persisted before any grant raises the maximum; a restart automatically observes the §2 recovery window for the stored value (-recovery overrides)")
+	fl.StringVar(&s.MaxTermPath, "maxterm-file", "", "durable max-term file: raised to the longest term this configuration can grant before the first accept; a restart automatically observes the §2 recovery window for the stored value (-recovery overrides)")
 	fl.StringVar(&p.metricsAddr, "metrics-addr", "", "HTTP admin/metrics listen address (/metrics, /healthz, /leases, /debug/pprof); empty disables")
 	fl.StringVar(&p.traceOut, "trace-out", "", "mirror trace events to this JSONL file")
 	fl.DurationVar(&p.slowWrite, "slow-write", time.Second, "log writes deferred at least this long (0 disables)")
@@ -166,14 +160,6 @@ func main() {
 			log.Fatalf("leasesrv: seeding store: %v", err)
 		}
 	}
-	if p.snapshot != "" {
-		if records, err := loadSnapshot(p.snapshot); err != nil {
-			log.Fatalf("leasesrv: loading snapshot: %v", err)
-		} else if records != nil {
-			m.Server.Restore(records)
-			log.Printf("leasesrv: restored %d lease records from %s", len(records), p.snapshot)
-		}
-	}
 	if r := cfg.Server.Shard.Ring; r != nil {
 		log.Printf("leasesrv: sharded: group %d of %d, ring epoch %d", cfg.Server.Shard.GroupID, len(r.GroupIDs()), r.Epoch)
 	}
@@ -195,26 +181,13 @@ func main() {
 			}
 		}()
 	}
-	if p.snapshot != "" && p.snapshotInterval > 0 {
-		go func() {
-			t := time.NewTicker(p.snapshotInterval)
-			defer t.Stop()
-			for range t.C {
-				if err := saveSnapshot(m.Server, p.snapshot); err != nil {
-					log.Printf("leasesrv: periodic snapshot: %v", err)
-				}
-			}
-		}()
-	}
 	go func() {
 		if err := m.Wait(); err != nil {
 			log.Fatalf("leasesrv: %v", err)
 		}
 	}()
 	log.Printf("leasesrv: serving on %s, term=%v recovery=%v", ln.Addr(), cfg.Server.Term, window)
-	if err := handleSignals(m, cfg.Server.Obs, p.snapshot); err != nil {
-		log.Fatalf("leasesrv: saving snapshot: %v", err)
-	}
+	handleSignals(m, cfg.Server.Obs)
 }
 
 // listFlag binds a comma-separated flag to dst, trimming whitespace; an
@@ -233,10 +206,9 @@ func listFlag(dst *[]string) func(string) error {
 
 // handleSignals gives operators state without the HTTP plane: SIGUSR1
 // dumps the metrics snapshot and the 32 most recent trace events to
-// stderr and the server keeps running; SIGINT/SIGTERM dump the same,
-// persist the lease snapshot when configured, stop the member and
-// return the save's error.
-func handleSignals(m *cluster.Member, o *obs.Observer, snapshotPath string) error {
+// stderr and the server keeps running; SIGINT/SIGTERM dump the same and
+// stop the member.
+func handleSignals(m *cluster.Member, o *obs.Observer) {
 	ch := make(chan os.Signal, 1)
 	signal.Notify(ch, os.Interrupt, syscall.SIGTERM, syscall.SIGUSR1)
 	for sig := range ch {
@@ -245,55 +217,9 @@ func handleSignals(m *cluster.Member, o *obs.Observer, snapshotPath string) erro
 		if sig == syscall.SIGUSR1 {
 			continue
 		}
-		var err error
-		if snapshotPath != "" {
-			err = saveSnapshot(m.Server, snapshotPath)
-		}
 		m.Stop()
-		return err
+		return
 	}
-	return nil
-}
-
-func loadSnapshot(path string) ([]core.LeaseSnapshot, error) {
-	f, err := os.Open(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil // first boot
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return core.ReadSnapshot(f)
-}
-
-// saveSnapshot persists the lease table atomically: temp file, fsync,
-// rename. A crash mid-save leaves the previous snapshot intact instead
-// of a torn file, which matters now that saves also run on a periodic
-// ticker rather than only at clean shutdown.
-func saveSnapshot(srv *server.Server, path string) error {
-	records := srv.Snapshot()
-	f, err := os.CreateTemp(filepath.Dir(path), ".snapshot-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(f.Name()) // no-op after a successful rename
-	if err := core.WriteSnapshot(f, records); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(f.Name(), path); err != nil {
-		return err
-	}
-	log.Printf("leasesrv: saved %d lease records to %s", len(records), path)
-	return nil
 }
 
 // seed writes the demonstration tree.

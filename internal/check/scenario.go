@@ -20,8 +20,6 @@ import (
 	"math/rand"
 	"sort"
 	"time"
-
-	"leases/internal/core"
 )
 
 // OpKind classifies a client operation.
@@ -166,16 +164,13 @@ const (
 	// prevents.
 	BreakRefillEarly = "refill-early"
 	// BreakTermFloor (replicated worlds only) has every replica raise
-	// its term floor to the policy term alone, not to the ceiling a
-	// renewal stretches to. A failover's recovery window is then shorter
-	// than a stretched lease the deposed master granted, and the new
-	// master applies a write the holder still reads from its cache.
+	// its term floor to the policy term alone, not to the configured
+	// ceiling a renewal stretches to (srvcore.Config.Ceiling). A
+	// failover's recovery window is then shorter than a stretched lease
+	// the deposed master granted, and the new master applies a write the
+	// holder still reads from its cache.
 	BreakTermFloor = "term-floor"
 )
-
-// termCeiling is the longest term the server grants a per-client lease:
-// a renewal of a live, uncontended lease runs core.ReuseFactor terms.
-func (sc Scenario) termCeiling() time.Duration { return core.ReuseFactor * sc.Term }
 
 // Scenario fully determines one model-checked execution.
 type Scenario struct {

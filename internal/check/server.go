@@ -234,21 +234,10 @@ func (srv *mserver) newMach(start time.Time) *replica.Machine {
 	}, start)
 }
 
-// boot installs a fresh server core over the (durable) store, at
-// construction and after a crash. What the previous incarnation kept on
-// disk carries over: the store, each file's replication sequence, and
-// the max-term floor. A standalone server re-enters the §5 recovery
-// window at once; a replica imposes it at its next promotion. The
-// model's replicas know the term ceiling from configuration, where the
-// deployment replicates every raise before the grant that needs it.
-func (srv *mserver) boot() {
-	sc := srv.w.sc
-	old := srv.core
-	if sc.Installed && sc.InstalledTerm > srv.floor {
-		srv.floor = sc.InstalledTerm
-	}
+// coreConfig is the configuration every server core of sc is built from.
+func coreConfig(sc Scenario, store *vfs.Store) srvcore.Config {
 	cfg := srvcore.Config{
-		Store: srv.store, Owner: "srv", Term: sc.Term, Shards: checkShards,
+		Store: store, Owner: "srv", Term: sc.Term, Shards: checkShards,
 	}
 	if sc.Installed {
 		cfg.Class = srvcore.ClassConfig{
@@ -256,6 +245,26 @@ func (srv *mserver) boot() {
 			QuietAfterWrite: sc.QuietAfterWrite,
 		}.WithDefaults()
 	}
+	return cfg
+}
+
+// boot installs a fresh server core over the (durable) store, at
+// construction and after a crash. What the previous incarnation kept on
+// disk carries over: the store, each file's replication sequence, and
+// the max-term floor — the configured ceiling, which boot makes durable
+// as the TCP server's Serve does. A standalone server re-enters the §5
+// recovery window at once; a replica imposes it at its next promotion.
+// The model's replicas know the ceiling from configuration, where the
+// deployment's master replicates it to a quorum before it serves.
+func (srv *mserver) boot() {
+	sc := srv.w.sc
+	old := srv.core
+	cfg := coreConfig(sc, srv.store)
+	ceiling := cfg.Ceiling()
+	if sc.Break == BreakTermFloor {
+		ceiling = sc.Term
+	}
+	srv.floor = max(srv.floor, ceiling)
 	switch {
 	case srv.mach != nil:
 		// Mastership is judged on the server's clock, whatever instant a
@@ -266,11 +275,7 @@ func (srv *mserver) boot() {
 	}
 	srv.core = srvcore.New(cfg)
 	if srv.mach != nil {
-		ceiling := sc.termCeiling()
-		if sc.Break == BreakTermFloor {
-			ceiling = sc.Term
-		}
-		srv.core.RaiseTerm(max(ceiling, srv.floor))
+		srv.core.RaiseTerm(srv.floor)
 		if old != nil {
 			for _, f := range old.ReplState() {
 				srv.core.ApplyReplicated(f.Path, f.Seq, f.Data)
@@ -1272,7 +1277,6 @@ func (srv *mserver) crash() {
 		return
 	}
 	srv.down = true
-	srv.floor = max(srv.floor, srv.core.Leases().MaxTermGranted())
 	srv.w.fabric.SetDown(srv.node, true)
 	srv.cancel(&srv.classEv)
 	srv.cancel(&srv.machEv)

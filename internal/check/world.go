@@ -342,12 +342,11 @@ func RunScenario(sc Scenario, opt Options) (*Outcome, error) {
 	// Post-run lens: under the honest protocol a write may be deferred
 	// at most one lease term (§2) plus the crash-recovery window;
 	// 2·term + slack bounds both with margin, at the longest term the
-	// server grants (termCeiling). Installed worlds add the
+	// server grants (srvcore.Config.Ceiling). Installed worlds add the
 	// class term: a write to an installed file additionally waits out
-	// the broadcast coverage horizon (§4.3 drop-on-write), and crash
-	// recovery windows stretch to the durable class term.
+	// the broadcast coverage horizon (§4.3 drop-on-write).
 	if sc.Break == "" {
-		bound := 2*sc.termCeiling() + time.Second
+		bound := 2*coreConfig(sc, nil).Ceiling() + time.Second
 		if sc.Installed {
 			bound += 2 * sc.InstalledTerm
 		}

@@ -136,6 +136,36 @@ func TestFailoverRedirectsInFlightPipeline(t *testing.T) {
 	}
 }
 
+// TestWriteRefusedByClosedGateResubmitsAtMaster: the old master's gate
+// closes before it severs its sessions — it lost the master lease and has
+// not run Demote yet — and a write arrives in between. The server severs
+// the session rather than answer "not master", so the client redials, is
+// redirected to the new master, and the write succeeds there.
+func TestWriteRefusedByClosedGateResubmitsAtMaster(t *testing.T) {
+	srvs, addrs, master := startReplicaPair(t)
+	cfg := failoverCfg("c1")
+	cfg.Replicas = addrs
+	c, err := client.DialReplicas(cfg)
+	if err != nil {
+		t.Fatalf("DialReplicas: %v", err)
+	}
+	defer c.Close()
+	if _, err := c.Read("/f"); err != nil {
+		t.Fatalf("read before failover: %v", err)
+	}
+
+	master.Store(1) // server 0's gate is closed; its sessions are still up
+	if err := c.Write("/f", []byte("v2")); err != nil {
+		t.Fatalf("write between the gate closing and the sever: %v", err)
+	}
+	for i, want := range []string{"v1", "v2"} {
+		if got, _, _ := srvs[i].Store().ReadFile(mustLookup(t, srvs[i], "/f")); string(got) != want {
+			t.Errorf("server %d holds %q, want %q", i, got, want)
+		}
+	}
+	srvs[0].Demote()
+}
+
 func mustLookup(t *testing.T, srv *server.Server, path string) vfs.NodeID {
 	t.Helper()
 	a, err := srv.Store().Lookup(path)

@@ -189,8 +189,9 @@ func NewManager(term time.Duration, opts ...ManagerOption) *Manager {
 func (m *Manager) Metrics() ManagerMetrics { return m.metrics }
 
 // MaxTermGranted reports the longest lease term the manager has ever
-// granted. A server persists (only) this value so that after a crash it
-// can delay writes long enough to honour every outstanding lease.
+// granted. A crash-recovery window must cover it (§2); the TCP server
+// covers it from its configuration instead, by persisting the longest
+// term the manager can grant before the first grant.
 func (m *Manager) MaxTermGranted() time.Duration { return m.maxTerm }
 
 // Recovering reports whether the manager is still inside a post-restart
@@ -822,17 +823,17 @@ func (m *Manager) LeaseCount() int {
 	return n
 }
 
-// LeaseSnapshot is one lease record in a persistent snapshot — the
-// "more detailed record of leases on persistent storage" alternative to
-// the max-term recovery rule (§2).
+// LeaseSnapshot is one lease record: a row of the admin plane's lease
+// table, and the simulator's "more detailed record of leases on
+// persistent storage", the alternative to the max-term recovery rule
+// (§2).
 type LeaseSnapshot struct {
 	Client ClientID
 	Datum  vfs.Datum
 	Expiry time.Time
 }
 
-// Snapshot returns every live lease record, sorted by datum then client,
-// for persisting.
+// Snapshot returns every live lease record, sorted by datum then client.
 func (m *Manager) Snapshot(now time.Time) []LeaseSnapshot {
 	var out []LeaseSnapshot
 	for d, ds := range m.data {

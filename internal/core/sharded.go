@@ -336,7 +336,7 @@ func (s *ShardedManager) CompactShard(shard int, now time.Time) {
 }
 
 // Snapshot returns every live lease record across shards, sorted by
-// datum then client — the persistent-record recovery alternative (§2).
+// datum then client (the admin plane's lease table).
 func (s *ShardedManager) Snapshot(now time.Time) []LeaseSnapshot {
 	var out []LeaseSnapshot
 	for _, sh := range s.shards {
@@ -346,17 +346,6 @@ func (s *ShardedManager) Snapshot(now time.Time) []LeaseSnapshot {
 	}
 	sortSnapshots(out)
 	return out
-}
-
-// Restore reloads lease records from a snapshot, routing each record to
-// its datum's shard.
-func (s *ShardedManager) Restore(records []LeaseSnapshot, now time.Time) {
-	for _, r := range records {
-		sh := s.shard(r.Datum)
-		sh.mu.Lock()
-		sh.mgr.Restore([]LeaseSnapshot{r}, now)
-		sh.mu.Unlock()
-	}
 }
 
 // WriteReady reports whether the identified write may be applied at now.

@@ -126,10 +126,9 @@ func TestShardedManagerExpiryHeap(t *testing.T) {
 	}
 }
 
-// TestShardedManagerSnapshotRestore: a snapshot taken across shards
-// restores the same holders into a manager with a different shard
-// count, and matches a single Manager fed the same grants.
-func TestShardedManagerSnapshotRestore(t *testing.T) {
+// TestShardedManagerSnapshotMatchesSingle: a snapshot taken across
+// shards matches a single Manager fed the same grants.
+func TestShardedManagerSnapshotMatchesSingle(t *testing.T) {
 	now := time.Now()
 	s := NewShardedManager(8, FixedTerm(10*time.Second))
 	single := NewManager(FixedTerm(10 * time.Second))
@@ -147,14 +146,6 @@ func TestShardedManagerSnapshotRestore(t *testing.T) {
 	for i := range snap {
 		if snap[i] != want[i] {
 			t.Fatalf("snapshot[%d] = %+v, want %+v", i, snap[i], want[i])
-		}
-	}
-	s2 := NewShardedManager(3, FixedTerm(10*time.Second))
-	s2.Restore(snap, now)
-	for i, d := range data {
-		c := ClientID(fmt.Sprintf("c%d", i%5))
-		if !s2.HoldsLease(c, d, now) {
-			t.Fatalf("restored manager lost lease of %s on %v", c, d)
 		}
 	}
 }

@@ -136,8 +136,8 @@ const (
 	// (payload: seq, path, the op in its wire form, EncodeOp); answered by
 	// TOK with the same reqID. TReplSync asks a peer for its full replicated file state
 	// during a new master's catch-up; TReplSyncRep answers it.
-	// TReplMaxTerm replicates a raise of the durable max lease term to a
-	// quorum before the grant that caused it is sent.
+	// TReplMaxTerm replicates a promoted master's term ceiling, the
+	// durable max lease term, to a quorum before its gate opens.
 	TReplApply
 	TReplSync
 	TReplSyncRep

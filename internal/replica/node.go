@@ -788,11 +788,11 @@ func (n *Node) ReplicateWrite(tc tracing.Context, fs FileState) error {
 	return lastErr
 }
 
-// ReplicateMaxTerm pushes a durable max-term raise to a quorum before
-// the grant that caused it is released to the client, preserving the
-// §2 ordering across failover: any future master's recovery window
-// covers every lease any past master granted. Ballot-stamped and
-// retried once, like ReplicateWrite.
+// ReplicateMaxTerm pushes a durable max-term raise — a promoted master's
+// term ceiling, before it serves — to a quorum, preserving the §2
+// ordering across failover: any future master's recovery window covers
+// every lease any past master granted. Ballot-stamped and retried once,
+// like ReplicateWrite.
 func (n *Node) ReplicateMaxTerm(d time.Duration) error {
 	need := n.quorum() - 1
 	if need <= 0 {

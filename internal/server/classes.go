@@ -21,19 +21,6 @@ import (
 // empty class.
 type ClassConfig = srvcore.ClassConfig
 
-// classTermDurable makes the installed term crash- and failover-safe
-// BEFORE any coverage at that term is extended: the same durability
-// ordering grant() observes, and a no-op after the first success.
-func (s *Server) classTermDurable() error {
-	term := s.cfg.Class.InstalledTerm
-	if s.maxTermF != nil {
-		if err := s.maxTermF.update(term); err != nil {
-			return err
-		}
-	}
-	return s.replicateTermRaise(term)
-}
-
 // classObserveRead installs the datum of one served read when it
 // qualifies for the class (ClassTable.ObserveRead).
 func (s *Server) classObserveRead(client core.ClientID, d vfs.Datum) {
@@ -43,11 +30,6 @@ func (s *Server) classObserveRead(client core.ClientID, d vfs.Datum) {
 	}
 	path, err := s.store.Path(d.Node)
 	if err != nil || !ct.ObserveRead(d, path, s.clk.Now()) {
-		return
-	}
-	// Durability before coverage: the term must be recoverable before
-	// the first broadcast could cover this datum.
-	if err := s.classTermDurable(); err != nil {
 		return
 	}
 	image, added := s.core.ClassAdd(d, path, s.clk.Now())
@@ -64,7 +46,7 @@ func (s *Server) classObserveRead(client core.ClientID, d vfs.Datum) {
 // covering extension.
 func (s *Server) installedSnapshot() proto.InstalledWire {
 	ct := s.core.Classes
-	if ct == nil || s.classTermDurable() != nil {
+	if ct == nil {
 		return proto.InstalledWire{}
 	}
 	return ct.Snapshot(s.clk.Now())
@@ -94,7 +76,7 @@ func (s *Server) broadcastLoop() {
 // (AppendPayload copies into each coalescer).
 func (s *Server) broadcastInstalled() {
 	ct := s.core.Classes
-	if ct == nil || !s.core.Serving(s.clk.Now()) || s.classTermDurable() != nil {
+	if ct == nil || !s.core.Serving(s.clk.Now()) {
 		return
 	}
 	w, ok := ct.Broadcast(s.clk.Now())

@@ -364,36 +364,12 @@ func (c *serverConn) dispatch(r *request) {
 
 // grant grants a lease on d and packages it for the wire, recording the
 // trace event as et (EvGrant for first-contact grants, EvExtend for
-// renewals). The sharded manager locks d's stripe internally.
+// renewals). The sharded manager locks d's stripe internally. Nothing
+// durable runs here: no grant outlasts the term ceiling that Serve, or a
+// promotion, made durable before the first grant.
 func (c *serverConn) grant(d vfs.Datum, et obs.EventType) proto.GrantWire {
 	s := c.srv
 	g := s.lm.Grant(c.client, d, s.clk.Now())
-	if g.Leased && s.maxTermF != nil {
-		// Durability ordering: the recovery window must cover this term
-		// before any client holds it. The update is a no-op unless the
-		// term exceeds every term ever persisted, so steady state pays
-		// one comparison, not an fsync — so the raise, like the quorum
-		// round below, may run on the connection's reader: the maximum is
-		// monotone, and each is paid once. If persistence fails, withdraw
-		// the lease — the client may still use the reply's data once,
-		// it just cannot cache it — rather than risk a post-crash
-		// window shorter than an outstanding lease.
-		if err := s.maxTermF.update(g.Term); err != nil {
-			s.lm.Release(c.client, []vfs.Datum{d}, s.clk.Now())
-			g = core.Grant{Datum: d}
-		}
-	}
-	if g.Leased {
-		// Same ordering discipline at the replication layer: a quorum
-		// must know the new maximum term before any client holds a
-		// lease that long, or a failing-over master could compute too
-		// short a recovery window. No-op for standalone servers and for
-		// terms already covered by a replicated raise.
-		if err := s.replicateTermRaise(g.Term); err != nil {
-			s.lm.Release(c.client, []vfs.Datum{d}, s.clk.Now())
-			g = core.Grant{Datum: d}
-		}
-	}
 	if s.obs.Enabled() {
 		// Term zero marks a refusal (write pending / zero term).
 		s.obs.Record(obs.Event{
@@ -589,8 +565,8 @@ func (c *serverConn) handleWrite(r *request) {
 // the write that recalled it is still pending — or that does not fit
 // stays, ungranted, for a later reply; one asked for a term ago or more,
 // or whose file is gone or unreadable to the client, is dropped. The
-// grant is grant's: the max-term and replication ordering and the
-// write-pending refusal apply, and the class sees no read.
+// grant is grant's: the write-pending refusal applies, and the class
+// sees no read.
 func (c *serverConn) takeRefills(own vfs.Datum, room int) []proto.RefillWire {
 	if len(c.refills) == 0 {
 		return nil

@@ -8,19 +8,18 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 )
 
 // Durable max-term recovery (§2): "the server need only remember the
 // maximum term for which it has granted a lease … after a crash it
-// delays writes to all files for that period." The file holds one
-// decimal integer — the maximum granted term in nanoseconds — and is
-// replaced atomically (temp file, fsync, rename, directory fsync), so a
-// crash at any instant leaves either the old value or the new one,
-// never a torn write. Because the value only ever grows and changes at
-// most once per policy change, the fsync cost is a one-time event, not
-// a per-grant tax.
+// delays writes to all files for that period." Every term a server can
+// grant is fixed by its configuration (srvcore.Config.Ceiling), so Serve
+// writes that ceiling once, before its first accept, and no grant
+// touches the disk. The file holds one decimal integer — a term in
+// nanoseconds — and is replaced atomically (temp file, fsync, rename,
+// directory fsync), so a crash at any instant leaves either the old
+// value or the new one, never a torn write.
 
 // MaxDurableTerm bounds what a max-term file may claim. No sane
 // configuration grants year-long leases, so a larger value is corruption
@@ -51,31 +50,19 @@ func LoadMaxTerm(path string) (time.Duration, bool, error) {
 	return time.Duration(n), true, nil
 }
 
-// maxTermFile persists the largest lease term ever granted. update is
-// called on the grant path before the grant is sent, so the durability
-// ordering is correct: no client ever holds a lease longer than the
-// persisted recovery window.
-type maxTermFile struct {
-	mu   sync.Mutex
-	path string
-	last time.Duration
-}
-
-// update persists t if it exceeds the last persisted value. The write
-// is atomic and fsync'd; on error nothing is recorded and the caller
-// must not grant the term.
-func (f *maxTermFile) update(t time.Duration) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if t <= f.last {
-		return nil
+// raiseMaxTerm makes the file at path hold at least t: a larger value
+// already there stays, and a missing file is created. The write is
+// atomic and fsync'd; a term past MaxDurableTerm is refused, since the
+// restart it is meant to protect could not load it back.
+func raiseMaxTerm(path string, t time.Duration) error {
+	old, _, err := LoadMaxTerm(path)
+	if err != nil || old >= t {
+		return err
 	}
 	if t > MaxDurableTerm {
-		// A term this long would be unloadable after the restart it is
-		// supposed to protect; the grant must be refused instead.
 		return fmt.Errorf("server: max term %v exceeds durable cap %v", t, MaxDurableTerm)
 	}
-	dir := filepath.Dir(f.path)
+	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".maxterm-*")
 	if err != nil {
 		return err
@@ -92,7 +79,7 @@ func (f *maxTermFile) update(t time.Duration) error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp.Name(), f.path); err != nil {
+	if err := os.Rename(tmp.Name(), path); err != nil {
 		return err
 	}
 	// Make the rename itself durable.
@@ -100,6 +87,5 @@ func (f *maxTermFile) update(t time.Duration) error {
 		d.Sync()
 		d.Close()
 	}
-	f.last = t
 	return nil
 }

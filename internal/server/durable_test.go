@@ -17,38 +17,36 @@ func TestLoadMaxTermMissingFileIsFreshBoot(t *testing.T) {
 
 func TestMaxTermFilePersistsMonotonically(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "maxterm")
-	f := &maxTermFile{path: path}
 
-	if err := f.update(5 * time.Second); err != nil {
+	if err := raiseMaxTerm(path, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	term, found, err := LoadMaxTerm(path)
 	if err != nil || !found || term != 5*time.Second {
-		t.Fatalf("after update(5s): %v, %v, %v", term, found, err)
+		t.Fatalf("after raising to 5s: %v, %v, %v", term, found, err)
 	}
 
 	// A smaller term must not regress the persisted maximum — the
 	// recovery window must cover the longest lease ever granted.
-	if err := f.update(3 * time.Second); err != nil {
+	if err := raiseMaxTerm(path, 3*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if term, _, _ = LoadMaxTerm(path); term != 5*time.Second {
-		t.Fatalf("update(3s) regressed the maximum to %v", term)
+		t.Fatalf("raising to 3s regressed the maximum to %v", term)
 	}
 
-	if err := f.update(8 * time.Second); err != nil {
+	if err := raiseMaxTerm(path, 8*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if term, _, _ = LoadMaxTerm(path); term != 8*time.Second {
-		t.Fatalf("update(8s) not persisted: %v", term)
+		t.Fatalf("raising to 8s not persisted: %v", term)
 	}
 }
 
 func TestMaxTermFileLeavesNoTempDebris(t *testing.T) {
 	dir := t.TempDir()
-	f := &maxTermFile{path: filepath.Join(dir, "maxterm")}
 	for i := 1; i <= 5; i++ {
-		if err := f.update(time.Duration(i) * time.Second); err != nil {
+		if err := raiseMaxTerm(filepath.Join(dir, "maxterm"), time.Duration(i)*time.Second); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -113,20 +111,19 @@ func TestLoadMaxTermAcceptsCapBoundary(t *testing.T) {
 
 func TestMaxTermFileRefusesUncappedTerm(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "maxterm")
-	f := &maxTermFile{path: path}
-	if err := f.update(MaxDurableTerm + time.Second); err == nil {
-		t.Fatal("update beyond MaxDurableTerm succeeded; such a file could never be loaded back")
+	if err := raiseMaxTerm(path, MaxDurableTerm+time.Second); err == nil {
+		t.Fatal("raising beyond MaxDurableTerm succeeded; such a file could never be loaded back")
 	}
 	// The refusal must leave no file behind: a fresh boot, not corruption.
 	if _, found, err := LoadMaxTerm(path); err != nil || found {
 		t.Fatalf("after refused update: found=%v err=%v; want a missing file", found, err)
 	}
 	// And the cap itself must still be grantable.
-	if err := f.update(MaxDurableTerm); err != nil {
-		t.Fatalf("update at the cap: %v", err)
+	if err := raiseMaxTerm(path, MaxDurableTerm); err != nil {
+		t.Fatalf("raising to the cap: %v", err)
 	}
 	if term, _, err := LoadMaxTerm(path); err != nil || term != MaxDurableTerm {
-		t.Fatalf("after update at cap: %v, %v", term, err)
+		t.Fatalf("after raising to the cap: %v, %v", term, err)
 	}
 }
 
@@ -138,5 +135,19 @@ func TestServeReportsCorruptMaxTermFile(t *testing.T) {
 	s := New(Config{Term: time.Second, MaxTermPath: path})
 	if err := s.ListenAndServe("127.0.0.1:0"); err == nil {
 		t.Fatal("Serve with corrupt max-term file returned nil; serving with an unknown recovery window risks a stale read")
+	}
+}
+
+// TestServeRefusesCeilingPastDurableCap: a server whose longest grant
+// (4 × Term) could not be loaded back after a restart does not serve,
+// and leaves no file behind.
+func TestServeRefusesCeilingPastDurableCap(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "maxterm")
+	s := New(Config{Term: MaxDurableTerm, MaxTermPath: path})
+	if err := s.ListenAndServe("127.0.0.1:0"); err == nil {
+		t.Fatal("Serve with a term ceiling past MaxDurableTerm returned nil")
+	}
+	if _, found, err := LoadMaxTerm(path); err != nil || found {
+		t.Fatalf("after the refusal: found=%v err=%v; want a missing file", found, err)
 	}
 }

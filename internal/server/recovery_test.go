@@ -1,14 +1,21 @@
 package server_test
 
 import (
+	"errors"
+	"net"
 	"path/filepath"
 	"testing"
 	"time"
 
-	"leases/internal/client"
+	"leases/internal/clock"
+	"leases/internal/core"
+	"leases/internal/proto"
 	"leases/internal/server"
 	"leases/internal/vfs"
 )
+
+// The §2 restart rule on the TCP server, over in-memory pipes on a
+// simulated clock: a recovery window of four terms costs no wall time.
 
 // seedWritable creates a world-writable file and returns its node.
 func seedWritable(t *testing.T, srv *server.Server, path, content string) vfs.NodeID {
@@ -23,116 +30,143 @@ func seedWritable(t *testing.T, srv *server.Server, path, content string) vfs.No
 	return a.ID
 }
 
-// TestRecoveryWindowFromDurableMaxTermOverTCP is experiment FT2 run
-// against the real deployment instead of the simulator: a client takes
-// a lease over TCP, the server crash-stops, and the restarted
-// incarnation — given only the durable max-term file, no operator
-// -recovery flag — must defer a conflicting write until the full
-// recovery window has elapsed, because the crash forgot who holds
-// leases and the window is the only safe answer (§2).
+// startWrite sends a write of data to node on a raw session and returns
+// what its reply comes to: nil for a TWriteRep.
+func startWrite(t *testing.T, nc net.Conn, node vfs.NodeID, data string) <-chan error {
+	t.Helper()
+	done := make(chan error, 1)
+	if _, err := nc.Write(frame(t, proto.TWrite, 2, func(e *proto.Enc) { e.U64(uint64(node)).Blob([]byte(data)).EncodeData(nil) })); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		rep, err := proto.ReadFrame(nc)
+		if err == nil && rep.Type != proto.TWriteRep {
+			err = errors.New("write answered " + rep.Type.String())
+		}
+		done <- err
+	}()
+	return done
+}
+
+// serveAndWrite boots cfg's server — on a restart, its next incarnation —
+// with /f seeded, and starts a write to /f on it.
+func serveAndWrite(t *testing.T, cfg server.Config) (*server.Server, <-chan error) {
+	t.Helper()
+	srv, connect := startPipeServer(t, cfg)
+	node := seedWritable(t, srv, "/f", "v0")
+	w, _ := connect()
+	hello(t, w, "writer")
+	return srv, startWrite(t, w, node, "v1")
+}
+
+// TestRecoveryWindowFromDurableMaxTermOverTCP is experiment FT2 on the
+// server that ships: a client takes a one-term lease, the server
+// crash-stops, and the restarted incarnation — given only the durable
+// max-term file, no operator window — defers a conflicting write for
+// exactly the term ceiling (core.ReuseFactor terms) that Serve made
+// durable before its first accept, though the first incarnation granted
+// only one term: the file records what the configuration can grant,
+// not what it did.
 func TestRecoveryWindowFromDurableMaxTermOverTCP(t *testing.T) {
-	const term = 1200 * time.Millisecond
+	clk := clock.NewSim()
 	path := filepath.Join(t.TempDir(), "maxterm")
+	cfg := server.Config{Term: parkTerm, Clock: clk, MaxTermPath: path}
 
-	srv1, addr1 := startServer(t, server.Config{Term: term, MaxTermPath: path})
-	seedWritable(t, srv1, "/ft2", "v0")
-
-	holder := dial(t, addr1, "holder", client.Config{})
-	if _, err := holder.Read("/ft2"); err != nil {
-		t.Fatalf("holder read: %v", err)
+	srv1, connect1 := startPipeServer(t, cfg)
+	node := seedWritable(t, srv1, "/f", "v0")
+	holder, _ := connect1()
+	hello(t, holder, "holder")
+	if _, err := holder.Write(frame(t, proto.TRead, 2, func(e *proto.Enc) { e.U64(uint64(node)).Str("").EncodeData(nil) })); err != nil {
+		t.Fatal(err)
 	}
-	// Crash: the client vanishes without releasing, then the server
-	// stops with the lease outstanding. Only the max-term file survives.
-	holder.Abandon()
+	if rep, err := proto.ReadFrame(holder); err != nil || rep.Type != proto.TReadRep {
+		t.Fatalf("holder's read: %v %v", rep.Type, err)
+	}
+	if got := srv1.MaxTermGranted(); got != parkTerm {
+		t.Fatalf("the first incarnation granted up to %v, want one term (%v)", got, parkTerm)
+	}
 	srv1.Stop()
-	if got, found, err := server.LoadMaxTerm(path); err != nil || !found || got != term {
-		t.Fatalf("persisted max term = %v, %v, %v; want %v", got, found, err, term)
+	ceiling := core.ReuseFactor * parkTerm
+	if got, found, err := server.LoadMaxTerm(path); err != nil || !found || got != ceiling {
+		t.Fatalf("persisted max term = %v, %v, %v; want the ceiling %v", got, found, err, ceiling)
 	}
 
-	restartAt := time.Now()
-	srv2, addr2 := startServer(t, server.Config{Term: term, MaxTermPath: path, WriteTimeout: 30 * time.Second})
-	seedWritable(t, srv2, "/ft2", "v0")
-
-	writer := dial(t, addr2, "writer", client.Config{})
-	if err := writer.Write("/ft2", []byte("v1")); err != nil {
-		t.Fatalf("write after restart: %v", err)
+	srv2, done := serveAndWrite(t, cfg)
+	waitFor(t, "the write to defer", func() bool { return srv2.Metrics().WritesDeferred >= 1 })
+	// The window, like a lease, holds through its last instant.
+	clk.Advance(ceiling)
+	select {
+	case err := <-done:
+		t.Fatalf("the write finished %v into a %v recovery window: %v", ceiling, ceiling, err)
+	case <-time.After(20 * time.Millisecond):
 	}
-	windowEnd := restartAt.Add(term)
-	if done := time.Now(); done.Before(windowEnd.Add(-100 * time.Millisecond)) {
-		t.Fatalf("write applied %v before the recovery window elapsed", windowEnd.Sub(done))
-	}
-	_ = srv2
+	clk.Advance(time.Nanosecond)
+	within(t, "the write, once the recovery window closed", func() {
+		if err := <-done; err != nil {
+			t.Error(err)
+		}
+	})
 }
 
 // TestFreshServerWithMaxTermFileDoesNotDelay is the control: a first
 // boot finds no max-term file and must not observe any recovery window.
 func TestFreshServerWithMaxTermFileDoesNotDelay(t *testing.T) {
-	const term = 2 * time.Second
-	srv, addr := startServer(t, server.Config{Term: term, MaxTermPath: filepath.Join(t.TempDir(), "maxterm")})
-	seedWritable(t, srv, "/f", "v0")
-
-	writer := dial(t, addr, "writer", client.Config{})
-	start := time.Now()
-	if err := writer.Write("/f", []byte("v1")); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	if d := time.Since(start); d > term/2 {
-		t.Fatalf("fresh boot deferred a write %v; no recovery window applies", d)
-	}
+	_, done := serveAndWrite(t, server.Config{Term: parkTerm, Clock: clock.NewSim(), MaxTermPath: filepath.Join(t.TempDir(), "maxterm")})
+	within(t, "a write on a first boot, the clock standing still", func() {
+		if err := <-done; err != nil {
+			t.Error(err)
+		}
+	})
 }
 
 // TestExplicitRecoveryWindowOverridesPersisted: an operator-supplied
 // RecoveryWindow wins over the durable file's value.
 func TestExplicitRecoveryWindowOverridesPersisted(t *testing.T) {
-	const term = 5 * time.Second
+	clk := clock.NewSim()
 	path := filepath.Join(t.TempDir(), "maxterm")
-
-	srv1, addr1 := startServer(t, server.Config{Term: term, MaxTermPath: path})
-	seedWritable(t, srv1, "/f", "v0")
-	c := dial(t, addr1, "holder", client.Config{})
-	if _, err := c.Read("/f"); err != nil {
-		t.Fatal(err)
-	}
-	c.Abandon()
+	srv1, connect := startPipeServer(t, server.Config{Term: parkTerm, Clock: clk, MaxTermPath: path})
+	nc, _ := connect() // Serve has written the file once it accepts
+	nc.Close()
 	srv1.Stop()
 
-	// Restart with a much shorter explicit window: the write clears in
-	// ~300ms, far below the 5s the persisted term would impose.
 	const window = 300 * time.Millisecond
-	restartAt := time.Now()
-	srv2, addr2 := startServer(t, server.Config{
-		Term: term, MaxTermPath: path, RecoveryWindow: window, WriteTimeout: 30 * time.Second,
+	srv2, done := serveAndWrite(t, server.Config{Term: parkTerm, Clock: clk, MaxTermPath: path, RecoveryWindow: window})
+	waitFor(t, "the write to defer", func() bool { return srv2.Metrics().WritesDeferred >= 1 })
+	clk.Advance(window + time.Nanosecond)
+	within(t, "the write, once the explicit window closed", func() {
+		if err := <-done; err != nil {
+			t.Error(err)
+		}
 	})
-	seedWritable(t, srv2, "/f", "v0")
-	writer := dial(t, addr2, "writer", client.Config{})
-	if err := writer.Write("/f", []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(restartAt); d > 2*time.Second {
-		t.Fatalf("explicit %v window did not override persisted %v term (write took %v)", window, term, d)
-	}
 }
 
 // TestBootIDChangesAcrossRestart: the hello ack carries the server
 // incarnation, which is how a reconnecting client tells a restart from
 // a transient fault.
 func TestBootIDChangesAcrossRestart(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "maxterm")
-	srv1, addr1 := startServer(t, server.Config{Term: time.Second, MaxTermPath: path})
-	if srv1.BootID() == 0 {
-		t.Fatal("boot ID is zero")
+	bootOf := func(srv *server.Server, connect func() (net.Conn, *gidConn)) uint64 {
+		nc, _ := connect()
+		defer nc.Close()
+		var e proto.Enc
+		if err := proto.WriteFrame(nc, proto.Frame{Type: proto.THello, ReqID: 1, Payload: e.Str("c").Bytes()}); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := proto.ReadFrame(nc)
+		if err != nil || rep.Type != proto.THelloAck {
+			t.Fatalf("hello: %v %v", rep.Type, err)
+		}
+		boot := proto.NewDec(rep.Payload).U64()
+		if boot == 0 || boot != srv.BootID() {
+			t.Fatalf("the ack carries boot %d, the server reports %d", boot, srv.BootID())
+		}
+		return boot
 	}
-	c1 := dial(t, addr1, "c", client.Config{})
-	if c1.ServerBoot() != srv1.BootID() {
-		t.Fatalf("client saw boot %d, server reports %d", c1.ServerBoot(), srv1.BootID())
-	}
-	c1.Abandon()
+	cfg := server.Config{Term: parkTerm, Clock: clock.NewSim(), MaxTermPath: filepath.Join(t.TempDir(), "maxterm")}
+	srv1, connect1 := startPipeServer(t, cfg)
+	b1 := bootOf(srv1, connect1)
 	srv1.Stop()
-
-	srv2, addr2 := startServer(t, server.Config{Term: time.Second, MaxTermPath: path})
-	c2 := dial(t, addr2, "c", client.Config{})
-	if c2.ServerBoot() == 0 || c2.ServerBoot() == c1.ServerBoot() {
-		t.Fatalf("restart not distinguishable: boots %d then %d", c1.ServerBoot(), c2.ServerBoot())
+	srv2, connect2 := startPipeServer(t, cfg)
+	if b2 := bootOf(srv2, connect2); b2 == b1 {
+		t.Fatalf("restart not distinguishable: boot %d twice", b1)
 	}
-	_ = srv2
 }

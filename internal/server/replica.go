@@ -41,50 +41,14 @@ type Replica interface {
 	// per-peer ships record child spans under it (the zero context —
 	// untraced — costs nothing).
 	ReplicateWrite(tc tracing.Context, path string, seq uint64, data []byte) error
-	// ReplicateMaxTerm pushes a new maximum granted term to a quorum.
+	// ReplicateMaxTerm pushes a term ceiling to a quorum: Promote's one
+	// raise, before the gate opens.
 	ReplicateMaxTerm(d time.Duration) error
 }
 
 // ReplFile is one replicated file's state, as exchanged during a new
 // master's catch-up sync.
 type ReplFile = srvcore.ReplFile
-
-// floor reads the persisted maximum without touching durable.go's
-// update path.
-func (f *maxTermFile) floor() time.Duration {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.last
-}
-
-// replicateTermRaise mirrors maxTermFile.update at the replication
-// layer: before a grant whose term exceeds every quorum-acknowledged
-// maximum reaches a client, the new maximum is pushed to a quorum, so
-// a failing-over master reconstructs the §2 recovery window without
-// this replica's disk. Raises are monotonic and rare (once per policy
-// change under a fixed-term policy), so the steady-state cost is one
-// mutex'd comparison.
-func (s *Server) replicateTermRaise(term time.Duration) error {
-	r := s.cfg.Replica
-	if r == nil || term <= s.core.TermFloor() {
-		return nil
-	}
-	if o := s.obs; o.Enabled() {
-		start := s.clk.Now()
-		err := r.ReplicateMaxTerm(term)
-		o.ObserveOp("repl-term-quorum-wait", s.clk.Now().Sub(start))
-		if err != nil {
-			return err
-		}
-	} else if err := r.ReplicateMaxTerm(term); err != nil {
-		return err
-	}
-	s.core.RaiseTerm(term)
-	return nil
-}
 
 // ApplyReplicated installs one replicated write pushed by the master,
 // reporting whether it was actually applied (false: dropped as stale).
@@ -97,43 +61,66 @@ func (s *Server) ApplyReplicated(path string, seq uint64, data []byte) (applied 
 // master's catch-up sync.
 func (s *Server) ReplState() []ReplFile { return s.core.ReplState() }
 
-// PersistMaxTerm records a master's replicated term raise: the floor a
-// future promotion on this replica must wait out. When this replica
-// keeps its own durable max-term file the raise is persisted there
-// too, so even a restart-then-promote sequence observes it.
+// PersistMaxTerm records a master's replicated term raise: this
+// replica's contribution to a future promotion's floor. When this replica
+// keeps its own durable max-term file the raise is persisted there too,
+// so even a restart-then-promote sequence observes it.
 func (s *Server) PersistMaxTerm(d time.Duration) error {
 	s.core.RaiseTerm(d)
-	if s.maxTermF != nil {
-		return s.maxTermF.update(d)
+	return s.persist(d)
+}
+
+// persist raises the max-term file, when one is configured, to d.
+func (s *Server) persist(d time.Duration) error {
+	if s.cfg.MaxTermPath == "" {
+		return nil
 	}
-	return nil
+	s.fileMu.Lock()
+	defer s.fileMu.Unlock()
+	return raiseMaxTerm(s.cfg.MaxTermPath, d)
 }
 
 // Promote applies the catch-up state synced from a quorum of peers,
-// ships whatever the merge left unsettled to a quorum, and opens the §2
-// recovery window (srvcore.Core has the merge, the settle rule and the
-// window arithmetic; this replica's own persisted floor joins the
-// quorum's here). Serving opens only then: hellos and every plan check
-// the core's gate. If the mastership lapses first the gate stays closed
-// and the next election retries the whole sequence.
+// ships whatever the merge left unsettled to a quorum, replicates this
+// server's term ceiling to a quorum, and opens the §2 recovery window
+// (srvcore.Core has the merge, the settle rule and the window
+// arithmetic; this replica's own floor joins the quorum's here, taken
+// before the raise: the window covers what earlier masters granted).
+// Serving opens only then: hellos and every plan check the core's gate,
+// and no grant raises anything, since this master grants nothing past
+// the ceiling the quorum now knows. If the mastership lapses first the
+// gate stays closed and the next election retries the whole sequence.
 // tc is the failover's trace context (the election trace from
 // internal/replica); when sampled, the promotion records a span and
 // the armed recovery window gets its own span ending when the window
 // elapses, so a failover trace shows exactly how long §2 held writes.
 func (s *Server) Promote(tc tracing.Context, files []ReplFile, termFloor time.Duration) {
 	sp := s.tracer.StartChild(tc, "failover.promote")
-	if p := s.maxTermF.floor(); p > termFloor {
-		termFloor = p
+	termFloor = max(termFloor, s.core.TermFloor())
+	r := s.cfg.Replica
+	// retry waits out a failed quorum round, false once this replica
+	// should give the promotion up.
+	retry := func() bool {
+		if r.IsMaster() && s.pause(100*time.Millisecond) {
+			return true
+		}
+		sp.EndNote("abandoned")
+		return false
 	}
 	for _, f := range s.core.Merge(files) {
-		for s.cfg.Replica.ReplicateWrite(tc, f.Path, f.Seq, f.Data) != nil {
-			if !s.cfg.Replica.IsMaster() || !s.pause(100*time.Millisecond) {
-				sp.EndNote("abandoned")
+		for r.ReplicateWrite(tc, f.Path, f.Seq, f.Data) != nil {
+			if !retry() {
 				return
 			}
 		}
 		s.core.Settled(f)
 	}
+	for r.ReplicateMaxTerm(s.ceiling) != nil {
+		if !retry() {
+			return
+		}
+	}
+	s.core.RaiseTerm(s.ceiling) // Serve put it in the max-term file, if any
 	window := s.core.Promote(termFloor, s.clk.Now())
 	if sp.Recording() {
 		sp.EndNote(fmt.Sprintf("files=%d window=%s", len(files), window))
@@ -171,13 +158,7 @@ func (s *Server) pause(d time.Duration) bool {
 // ReplTermFloor is the largest lease term this replica knows
 // replicated or persisted — its contribution to a new master's
 // recovery window.
-func (s *Server) ReplTermFloor() time.Duration {
-	floor := s.core.TermFloor()
-	if p := s.maxTermF.floor(); p > floor {
-		floor = p
-	}
-	return floor
-}
+func (s *Server) ReplTermFloor() time.Duration { return s.core.TermFloor() }
 
 // Demote closes the serving gate, severs every client connection so
 // their sessions redial and discover the new master — the hello path

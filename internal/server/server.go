@@ -30,6 +30,7 @@
 package server
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"net"
@@ -68,15 +69,16 @@ type Config struct {
 	// Shards is the number of lock stripes in the lease manager. Zero
 	// means core.DefaultShards; 1 degenerates to a single global lock.
 	Shards int
-	// MaxTermPath, when non-empty, makes crash recovery automatic: the
-	// largest lease term ever granted is persisted to this file
-	// (atomic temp+rename, fsync'd) *before* the grant is sent, and a
-	// restarting server finding the file observes the §2 recovery
-	// window for the persisted value without the operator passing
-	// RecoveryWindow by hand. An explicit RecoveryWindow still wins. A
-	// load or parse failure is reported by Serve/ListenAndServe —
-	// serving with a recovery window shorter than an outstanding lease
-	// would risk the one thing leases never allow, a stale read.
+	// MaxTermPath, when non-empty, makes crash recovery automatic:
+	// Serve raises this file (atomic temp+rename, fsync'd) to the
+	// longest term the configuration can grant (srvcore.Config.Ceiling)
+	// before it accepts a connection, and a restarting server finding
+	// the file observes the §2 recovery window for the persisted value
+	// without the operator passing RecoveryWindow by hand. An explicit
+	// RecoveryWindow still wins. A load or parse failure, or a ceiling
+	// past MaxDurableTerm, is reported by Serve/ListenAndServe — serving
+	// with a recovery window shorter than an outstanding lease would
+	// risk the one thing leases never allow, a stale read.
 	MaxTermPath string
 	// Obs, when non-nil, receives protocol trace events and per-op
 	// latency observations. Nil disables instrumentation; the request
@@ -92,8 +94,8 @@ type Config struct {
 	// replicated lease service: hellos are refused (with a redirect
 	// hint) unless this replica holds the master lease, committed
 	// writes are pushed to a quorum before they apply locally, and
-	// max-term raises replicate before the grant is sent. See
-	// internal/server/replica.go for the contract.
+	// a promotion replicates this server's term ceiling before its gate
+	// opens. See internal/server/replica.go for the contract.
 	Replica Replica
 	// Class configures the §4.3 lease-class subsystem (installed-files
 	// leases with broadcast extension and drop-on-write). The zero value
@@ -147,11 +149,14 @@ type Server struct {
 	// hello ack so a reconnecting client can tell a restart (leases
 	// gone, recovery window running) from a transient network fault.
 	boot uint64
-	// maxTermF persists MaxTermGranted for crash recovery; nil when
-	// Config.MaxTermPath is empty. initErr defers a max-term load
-	// failure from New (which cannot fail) to Serve (which can).
-	maxTermF *maxTermFile
-	initErr  error
+	// ceiling is the longest term this server can grant
+	// (srvcore.Config.Ceiling): what Serve makes durable and a promotion
+	// replicates. initErr defers a max-term load failure from New (which
+	// cannot fail) to Serve (which can). fileMu orders the max-term
+	// file's read-compare-write between Serve and the replica's raises.
+	ceiling time.Duration
+	initErr error
+	fileMu  sync.Mutex
 }
 
 // New creates a server with an empty store.
@@ -166,24 +171,16 @@ func New(cfg Config) *Server {
 		cfg.Shards = core.DefaultShards
 	}
 	cfg.Class = cfg.Class.WithDefaults()
-	var recoverUntil time.Time
-	var maxTermF *maxTermFile
+	// Restart after a crash: defer all writes for the persisted maximum
+	// term (§2), unless the operator passed a window.
+	var persisted time.Duration
 	var initErr error
-	if cfg.RecoveryWindow > 0 {
-		recoverUntil = cfg.Clock.Now().Add(cfg.RecoveryWindow)
-	}
 	if cfg.MaxTermPath != "" {
-		persisted, found, err := LoadMaxTerm(cfg.MaxTermPath)
-		if err != nil {
-			initErr = err
-		} else {
-			maxTermF = &maxTermFile{path: cfg.MaxTermPath, last: persisted}
-			if found && persisted > 0 && cfg.RecoveryWindow == 0 {
-				// Restart after a crash: automatically defer all writes
-				// for the persisted maximum granted term (§2).
-				recoverUntil = cfg.Clock.Now().Add(persisted)
-			}
-		}
+		persisted, _, initErr = LoadMaxTerm(cfg.MaxTermPath)
+	}
+	var recoverUntil time.Time
+	if w := cmp.Or(cfg.RecoveryWindow, persisted); w > 0 {
+		recoverUntil = cfg.Clock.Now().Add(w)
 	}
 	store := vfs.New(cfg.Clock, cfg.Owner)
 	ccfg := srvcore.Config{
@@ -194,6 +191,7 @@ func New(cfg Config) *Server {
 		ccfg.Master = func(time.Time) bool { return r.IsMaster() }
 	}
 	pc := srvcore.New(ccfg)
+	pc.RaiseTerm(persisted) // a replica's contribution to the next promotion's floor
 	return &Server{
 		cfg:     cfg,
 		clk:     cfg.Clock,
@@ -208,9 +206,9 @@ func New(cfg Config) *Server {
 		raw:     make(map[net.Conn]struct{}),
 		stopped: make(chan struct{}),
 
-		boot:     uint64(time.Now().UnixNano()),
-		maxTermF: maxTermF,
-		initErr:  initErr,
+		boot:    uint64(time.Now().UnixNano()),
+		ceiling: ccfg.Ceiling(),
+		initErr: initErr,
 
 		wire: &proto.WireStats{},
 	}
@@ -235,14 +233,9 @@ func (s *Server) Metrics() core.ManagerMetrics { return s.lm.Metrics() }
 // LeaseCount reports the current number of lease records across shards.
 func (s *Server) LeaseCount() int { return s.lm.LeaseCount() }
 
-// Snapshot returns the current lease records (the detailed persistent
-// record recovery alternative), merged across shards in deterministic
-// order.
+// Snapshot returns the current lease records, merged across shards in
+// deterministic order (the admin plane's /leases).
 func (s *Server) Snapshot() []core.LeaseSnapshot { return s.lm.Snapshot(s.clk.Now()) }
-
-// Restore loads lease records persisted before a crash, routing each to
-// its shard.
-func (s *Server) Restore(records []core.LeaseSnapshot) { s.lm.Restore(records, s.clk.Now()) }
 
 // ListenAndServe binds addr and serves until Stop.
 func (s *Server) ListenAndServe(addr string) error {
@@ -254,10 +247,16 @@ func (s *Server) ListenAndServe(addr string) error {
 }
 
 // Serve accepts connections on ln until Stop. It returns nil after Stop.
+// Before its first accept it raises the max-term file, when configured,
+// to the server's term ceiling, and returns the error if that fails.
 func (s *Server) Serve(ln net.Listener) error {
-	if s.initErr != nil {
+	err := s.initErr
+	if err == nil {
+		err = s.persist(s.ceiling)
+	}
+	if err != nil {
 		ln.Close()
-		return s.initErr
+		return err
 	}
 	// Every wg.Add below is made under connMu after a look at stopped:
 	// Stop closes stopped before it takes connMu, and Waits after, so a
@@ -364,13 +363,21 @@ func (s *Server) Stop() {
 var errShutdown = errors.New("server: shutting down")
 
 // run drives r's plan (advance) and answers a failed one with its error.
-// It reports whether r.op has been applied and the reply is due.
+// It reports whether r.op has been applied and the reply is due. A plan
+// the closed serving gate refused is answered as Demote answers it: the
+// connection is severed, so the client's session redials toward the
+// master and resubmits there.
 func (s *Server) run(c *serverConn, r *request) bool {
 	err := s.advance(r)
-	if err != nil && !r.parked {
+	switch {
+	case r.parked:
+		return false
+	case errors.Is(err, srvcore.ErrNotMaster):
+		c.close()
+	case err != nil:
 		c.fail(r.f.ReqID, err)
 	}
-	return err == nil && !r.parked
+	return err == nil
 }
 
 // advance performs the steps the machine hands r's plan, from r.step or

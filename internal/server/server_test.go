@@ -394,29 +394,6 @@ func TestExtendAllRevalidatesStaleData(t *testing.T) {
 	}
 }
 
-func TestSnapshotRestoreAcrossRestart(t *testing.T) {
-	srv1, addr1 := startServer(t, server.Config{Term: time.Hour})
-	srv1.Store().Create("/f", "root", vfs.DefaultPerm|vfs.WorldWrite)
-	c := dial(t, addr1, "c1", client.Config{})
-	if _, err := c.Read("/f"); err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	snap := srv1.Snapshot()
-	if len(snap) == 0 {
-		t.Fatal("no lease records snapshotted")
-	}
-
-	// "Restart": a new server restores the snapshot; the old lease
-	// still blocks a write (until timeout fails it).
-	srv2, addr2 := startServer(t, server.Config{Term: time.Hour, WriteTimeout: 400 * time.Millisecond})
-	srv2.Store().Create("/f", "root", vfs.DefaultPerm|vfs.WorldWrite)
-	srv2.Restore(snap)
-	w := dial(t, addr2, "writer", client.Config{})
-	if err := w.Write("/f", []byte("x")); err == nil {
-		t.Fatal("restored lease did not block the write")
-	}
-}
-
 func TestServerMetricsAndLeaseCount(t *testing.T) {
 	srv, addr := startServer(t, server.Config{Term: time.Minute})
 	srv.Store().Create("/f", "root", vfs.DefaultPerm|vfs.WorldWrite)

@@ -23,8 +23,9 @@ import (
 )
 
 // ErrNotMaster fails a plan on a replica that is not (or is no longer)
-// the serving master. Clients treat it like a severed session and redial
-// toward the master.
+// the serving master. The TCP shell answers it by severing the
+// connection, so the client's session redials toward the master and
+// resubmits there.
 var ErrNotMaster = errors.New("server: not master")
 
 // Config parameterizes a Core.
@@ -52,6 +53,24 @@ type Config struct {
 	Class ClassConfig
 }
 
+// Ceiling is the longest term a Core built from cfg can grant: Term,
+// stretched core.ReuseFactor times unless NoStretch or the product
+// overflows, and at least the class's InstalledTerm when the class is
+// on. It is the §2 recovery window — "the maximum term for which it has
+// granted a lease" — known from the configuration alone, so both shells
+// make it durable once, before they serve, and nothing durable runs on a
+// grant.
+func (cfg Config) Ceiling() time.Duration {
+	t := cfg.Term
+	if !cfg.NoStretch && t < core.Infinite/core.ReuseFactor {
+		t *= core.ReuseFactor
+	}
+	if cc := cfg.Class.WithDefaults(); cc.Enabled() {
+		t = max(t, cc.InstalledTerm)
+	}
+	return t
+}
+
 // Core is one server's protocol state. Safe for concurrent use.
 type Core struct {
 	cfg Config
@@ -63,8 +82,9 @@ type Core struct {
 	// each path's replicated writes: it is the sequence of the bytes this
 	// replica's store holds, so it only ever moves together with them;
 	// assigned is the highest sequence this replica has shipped as master,
-	// applied or not. term is the largest lease term known
-	// replicated to a quorum; recoverUntil gates writes on a freshly
+	// applied or not. term is the largest lease term this replica knows a
+	// master may have granted (a quorum's raise, or its own durable file);
+	// recoverUntil gates writes on a freshly
 	// promoted master (§2 window after failover). serving opens only at
 	// the end of Promote — after the catch-up state merged and the window
 	// was armed — and closes on Demote, so the gap between the election
@@ -262,7 +282,8 @@ func (c *Core) ReplState() []ReplFile {
 }
 
 // RaiseTerm records that a quorum (or this replica's durable file) knows
-// lease terms up to d: the floor a future promotion here must wait out.
+// lease terms up to d: this replica's contribution to a future
+// promotion's floor.
 func (c *Core) RaiseTerm(d time.Duration) {
 	c.mu.Lock()
 	if d > c.term {
@@ -335,13 +356,14 @@ func (c *Core) Settled(f ReplFile) { c.shippedApplied(f.Path, f.Seq) }
 
 // Promote opens the §2 recovery window and the serving gate on a master
 // whose merged state is settled, returning the window's length. floor is
-// the quorum's merged max-term floor (the caller folds in its own
-// durable one); the window is the worst lease any previous master could
-// have granted, so every outstanding lease has provably expired before
-// this replica clears its first write. A cluster that never granted a
-// lease has all-zero floors and serves immediately. Serving opens in the
-// same critical section that arms the window, so no session or write can
-// slip in between the election win and the merged state.
+// the merged max-term floor of a quorum, this replica's own TermFloor
+// among them, taken before this master raised its own ceiling: the
+// window is the worst lease any previous master could have granted, so
+// every outstanding lease has provably expired before this replica
+// clears its first write. A cluster no master ever served has all-zero
+// floors and serves immediately. Serving opens in the same critical
+// section that arms the window, so no session or write can slip in
+// between the election win and the merged state.
 func (c *Core) Promote(floor time.Duration, now time.Time) time.Duration {
 	c.mu.Lock()
 	image := c.classImage
@@ -351,9 +373,6 @@ func (c *Core) Promote(floor time.Duration, now time.Time) time.Duration {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.term > floor {
-		floor = c.term
-	}
 	c.recoverUntil = now.Add(floor)
 	c.serving = true
 	c.reign++

@@ -133,6 +133,28 @@ func TestAllocFreeUnsharedWritePlan(t *testing.T) {
 	}
 }
 
+// TestCeiling: the longest term a Core can grant is the stretched term,
+// the plain term with the stretch off or when stretching would overflow,
+// and never less than an enabled class's installed term.
+func TestCeiling(t *testing.T) {
+	class := ClassConfig{InstalledDirs: []string{"/"}, InstalledTerm: time.Minute}
+	for _, tc := range []struct {
+		cfg  Config
+		want time.Duration
+	}{
+		{Config{Term: 10 * time.Second}, core.ReuseFactor * 10 * time.Second},
+		{Config{Term: 10 * time.Second, NoStretch: true}, 10 * time.Second},
+		{Config{Term: core.Infinite}, core.Infinite},
+		{Config{Term: 10 * time.Second, Class: class}, time.Minute},
+		{Config{Term: 10 * time.Second, Class: ClassConfig{InstalledDirs: []string{"/"}}}, 40 * time.Second},
+		{Config{Term: time.Second, NoStretch: true, Class: ClassConfig{InstalledDirs: []string{"/"}}}, 30 * time.Second},
+	} {
+		if got := tc.cfg.Ceiling(); got != tc.want {
+			t.Errorf("%+v: Ceiling() = %v, want %v", tc.cfg, got, tc.want)
+		}
+	}
+}
+
 // TestMergeSettlesWhatAQuorumMayNotHold: a file the repliers and this
 // replica hold at one sequence is settled; one a single replica holds,
 // or holds newer, comes back to be shipped under a fresh sequence.

@@ -20,6 +20,9 @@ package srvcore
 //     expiry that readies it: not past a Wait before its instant, not past
 //     an Approval while another client's lease on its datum stands;
 //   - each path's shipped sequence strictly above the last;
+//   - no grant, and no class extension, for a term past the Config's
+//     Ceiling: the recovery window a shell makes durable before it
+//     serves;
 //   - a plan Exposed exactly once it has been handed a Ship step;
 //   - every plan ending in exactly one of Done and Fail, with no held
 //     entry of its writer left in the lease manager, and none lost: once
@@ -34,6 +37,7 @@ import (
 	"leases/internal/clock"
 	"leases/internal/core"
 	"leases/internal/obs/tracing"
+	"leases/internal/proto"
 	"leases/internal/vfs"
 )
 
@@ -79,7 +83,7 @@ type simWorld struct {
 	master, serving bool
 	lease           map[core.ClientID]map[vfs.Datum]time.Time
 	recoverUntil    time.Time
-	termFloor       time.Duration
+	ceiling         time.Duration
 	cover           time.Time
 	members         map[vfs.Datum]bool
 	demotedUntil    map[vfs.Datum]time.Time
@@ -109,11 +113,18 @@ func newSimWorld() *simWorld {
 		w.data = append(w.data, res.Attr.Datum())
 	}
 	w.data = append(w.data, vfs.Datum{Kind: vfs.DirBinding, Node: vfs.RootID})
-	w.core = New(Config{
+	cfg := Config{
 		Store: w.store, Owner: "srv", Term: simTerm, Shards: 2,
 		Master: func(time.Time) bool { return w.master },
 		Class:  ClassConfig{InstalledDirs: []string{"/"}, InstalledTerm: simClassTerm}.WithDefaults(),
-	})
+	}
+	w.core = New(cfg)
+	// The oracle's own reckoning of the longest term: a stretched renewal,
+	// or the class term if that is longer.
+	w.ceiling = max(core.ReuseFactor*simTerm, simClassTerm)
+	if c := cfg.Ceiling(); c != w.ceiling {
+		w.fail("Config.Ceiling() = %v, want %v", c, w.ceiling)
+	}
 	w.m = NewMachine(w.core, 0, nil, nil, "")
 	w.promote(0, 0)
 	return w
@@ -140,7 +151,10 @@ func (w *simWorld) fail(format string, args ...any) {
 
 func (w *simWorld) grant(c core.ClientID, d vfs.Datum) {
 	g := w.core.Leases().Grant(c, d, w.now)
-	w.logf("grant %s %v leased=%v", c, d, g.Leased)
+	w.logf("grant %s %v leased=%v term=%v", c, d, g.Leased, g.Term)
+	if g.Term > w.ceiling {
+		w.fail("%s granted %v on %v, past the ceiling %v", c, g.Term, d, w.ceiling)
+	}
 	if g.Leased {
 		if w.lease[c] == nil {
 			w.lease[c] = map[vfs.Datum]time.Time{}
@@ -155,8 +169,6 @@ func (w *simWorld) grant(c core.ClientID, d vfs.Datum) {
 	// The read also feeds the class, as the drivers' read paths do.
 	path, _ := w.store.Path(d.Node)
 	if w.core.Classes.ObserveRead(d, path, w.now) {
-		w.core.RaiseTerm(simClassTerm) // durability before coverage
-		w.termFloor = max(w.termFloor, simClassTerm)
 		if _, added := w.core.ClassAdd(d, path, w.now); added {
 			w.members[d] = true
 			w.logf("installed %v", d)
@@ -352,9 +364,12 @@ func (w *simWorld) approve(slot int, which byte) {
 	w.effects(nil, e)
 }
 
-// promote runs a whole promotion: merge (files: one bit per path, each
-// reported one sequence above this replica's), settle, open.
+// promote runs a whole promotion as the TCP shell does: merge (files:
+// one bit per path, each reported one sequence above this replica's),
+// settle, raise the ceiling, open — over floor, the peers' merged floor,
+// and this replica's own, taken before the raise.
 func (w *simWorld) promote(files byte, floor time.Duration) {
+	floor = max(floor, w.core.TermFloor())
 	var synced []ReplFile
 	for f, path := range w.paths {
 		if files&(1<<f) != 0 {
@@ -371,9 +386,10 @@ func (w *simWorld) promote(files byte, floor time.Duration) {
 	for _, path := range w.paths {
 		w.lastSeq[path] = max(w.lastSeq[path], w.core.Seq(path))
 	}
+	w.core.RaiseTerm(w.ceiling)
 	w.core.Promote(floor, w.now)
 	w.master, w.serving = true, true
-	w.recoverUntil = w.now.Add(max(floor, w.termFloor))
+	w.recoverUntil = w.now.Add(floor)
 	w.logf("promoted files=%b floor=%v", files, floor)
 }
 
@@ -449,17 +465,24 @@ func (w *simWorld) step(op, arg byte) {
 		if !w.core.Serving(w.now) {
 			return
 		}
+		var term time.Duration
 		sent := false
 		if arg&1 == 0 {
-			_, sent = w.core.Classes.Broadcast(w.now)
+			var bw proto.BroadcastExtWire
+			bw, sent = w.core.Classes.Broadcast(w.now)
+			term = bw.Term
 		} else {
-			sent = len(w.core.Classes.Snapshot(w.now).Data) > 0
+			iw := w.core.Classes.Snapshot(w.now)
+			sent, term = len(iw.Data) > 0, iw.Term
 		}
 		if sent != (len(w.members) > 0) {
 			w.fail("class extension sent=%v with %d members", sent, len(w.members))
 		}
 		if sent {
-			w.cover = w.now.Add(simClassTerm)
+			if term > w.ceiling {
+				w.fail("class extension for %v, past the ceiling %v", term, w.ceiling)
+			}
+			w.cover = w.now.Add(term)
 		}
 	case opAbort:
 		if sp != nil && !sp.ended && sp.st.Kind != 0 && sp.st.Kind != Apply {
