@@ -55,6 +55,7 @@ import (
 	"leases/internal/obs"
 	"leases/internal/obs/tracing"
 	"leases/internal/server"
+	"leases/internal/srvcore"
 	"leases/internal/vfs"
 )
 
@@ -608,11 +609,18 @@ func (h *harness) report() *Report {
 	ck.mu.Unlock()
 
 	// Formula-2 bound, server side: one term for the longest blocking
-	// lease or the post-crash recovery window, one more for an orphaned
-	// attempt ahead in the FIFO queue, plus scheduling slack. The ring
-	// may evict early events under heavy traffic, which can only
-	// understate MaxApplyWait — never fabricate a violation.
-	rep.ApplyBound = 2*h.o.Term + 2*time.Second
+	// lease or the post-restart recovery window, one more for an orphaned
+	// attempt ahead in the FIFO queue, plus scheduling slack. Both are the
+	// configured term ceiling (srvcore.Config.Ceiling, 4 terms: a reused
+	// lease's stretch, and the window it forces), so each "term" here is
+	// that ceiling. The ring may evict early events under heavy traffic,
+	// which can only understate MaxApplyWait — never fabricate a
+	// violation.
+	ccfg := srvcore.Config{Term: h.o.Term}
+	if h.spec.installed {
+		ccfg.Class = h.classConfig()
+	}
+	rep.ApplyBound = 2*ccfg.Ceiling() + 2*time.Second
 	if h.spec.installed {
 		// A write demoting installed data first waits out the recorded
 		// class-coverage horizon — at most one class term past the send

@@ -35,6 +35,18 @@ type Clock interface {
 	Sleep(d time.Duration)
 }
 
+// At arms a timer on c for instant t: exactly t on a clock that arms
+// absolute instants (Sim), else t less one reading of Now, which on a
+// wall clock moves only by the time the arming takes.
+func At(c Clock, t time.Time) (<-chan time.Time, func() bool) {
+	if a, ok := c.(interface {
+		At(time.Time) (<-chan time.Time, func() bool)
+	}); ok {
+		return a.At(t)
+	}
+	return c.After(t.Sub(c.Now()))
+}
+
 // Real is the wall clock. The zero value is ready to use.
 type Real struct{}
 
@@ -90,15 +102,20 @@ func (s *Sim) Now() time.Time {
 	return s.now
 }
 
-// After implements Clock. A timer with a non-positive duration fires on
-// the next Advance call (or immediately if the clock is advanced to or
-// past its deadline), never synchronously inside After.
+// After implements Clock: a timer for d past the clock's reading at the
+// call. A timer with a non-positive duration is delivered at once.
 func (s *Sim) After(d time.Duration) (<-chan time.Time, func() bool) {
+	return s.At(s.Now().Add(d))
+}
+
+// At arms a timer for instant at itself, however far the clock moves
+// while it is armed: one the clock has reached is delivered at once.
+func (s *Sim) At(at time.Time) (<-chan time.Time, func() bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	t := &simTimer{at: s.now.Add(d), seq: s.seq, ch: make(chan time.Time, 1)}
+	t := &simTimer{at: at, seq: s.seq, ch: make(chan time.Time, 1)}
 	s.seq++
-	if d <= 0 {
+	if !at.After(s.now) {
 		// Fire immediately: the deadline has already passed.
 		t.ch <- s.now
 		return t.ch, func() bool { return false }

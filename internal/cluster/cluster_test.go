@@ -15,70 +15,95 @@ import (
 	"leases/internal/vfs"
 )
 
+// group is three members on loopback, each with its max-term file in a
+// directory of its own test.
+type group struct {
+	t       *testing.T
+	dir     string
+	peerLns []net.Listener
+	peers   []string
+	members []*cluster.Member
+	addrs   []string
+}
+
+// newGroup boots three members, seeding each store with seed (when
+// non-nil) before it starts.
+func newGroup(t *testing.T, seed func(*vfs.Store)) *group {
+	g := &group{t: t, dir: t.TempDir(), peerLns: make([]net.Listener, 3), peers: make([]string, 3)}
+	// The peer addresses stay reserved until each member binds its own,
+	// so no client listener, here or in a test running beside this one,
+	// takes one in between.
+	for i := range g.peers {
+		g.peerLns[i] = g.listen()
+		g.peers[i] = g.peerLns[i].Addr().String()
+		t.Cleanup(func() { g.peerLns[i].Close() })
+	}
+	for i := 0; i < 3; i++ {
+		ln := g.listen()
+		g.members, g.addrs = append(g.members, g.boot(i, ln, seed)), append(g.addrs, ln.Addr().String())
+	}
+	return g
+}
+
+func (g *group) listen() net.Listener {
+	g.t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		g.t.Fatal(err)
+	}
+	return ln
+}
+
+func (g *group) maxTerm(i int) string { return filepath.Join(g.dir, fmt.Sprintf("maxterm-%d", i)) }
+
+// boot builds member i, seeds its store and starts it serving ln.
+func (g *group) boot(i int, ln net.Listener, seed func(*vfs.Store)) *cluster.Member {
+	g.t.Helper()
+	m, err := cluster.New(cluster.Config{
+		Server: server.Config{Term: time.Second, MaxTermPath: g.maxTerm(i)},
+		ID:     i, Peers: g.peers,
+		ElectionTerm: 500 * time.Millisecond, Allowance: 50 * time.Millisecond,
+		Seed: int64(i) + 1,
+	})
+	if err != nil {
+		g.t.Fatal(err)
+	}
+	if seed != nil {
+		seed(m.Server.Store())
+	}
+	g.peerLns[i].Close()
+	if err := m.Start(ln); err != nil {
+		g.t.Fatal(err)
+	}
+	g.t.Cleanup(m.Stop)
+	return m
+}
+
+// dialMaster waits for a member to promote to serving master and opens a
+// session to it.
+func (g *group) dialMaster(within time.Duration) (*client.Cache, int) {
+	g.t.Helper()
+	for deadline := time.Now().Add(within); ; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			g.t.Fatalf("no member promoted to serving master within %v", within)
+		}
+		for i, m := range g.members {
+			if m.Node.IsMaster() {
+				if c, err := client.Dial(g.addrs[i], client.Config{ID: "w"}); err == nil {
+					return c, i
+				}
+			}
+		}
+	}
+}
+
 // TestRestartedFollowerRejoins boots three members on loopback, acks a
 // write, then stops a follower and boots it again with an empty store:
 // when Start returns, the member has caught up the acked write from a
 // quorum.
 func TestRestartedFollowerRejoins(t *testing.T) {
-	dir := t.TempDir()
-	listen := func() net.Listener {
-		t.Helper()
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ln
-	}
-	// The peer addresses stay reserved until each member binds its own,
-	// so no client listener, here or in a test running beside this one,
-	// takes one in between.
-	peerLns, peers := make([]net.Listener, 3), make([]string, 3)
-	for i := range peers {
-		peerLns[i] = listen()
-		peers[i] = peerLns[i].Addr().String()
-		t.Cleanup(func() { peerLns[i].Close() })
-	}
-	maxTerm := func(i int) string { return filepath.Join(dir, fmt.Sprintf("maxterm-%d", i)) }
-	boot := func(i int, ln net.Listener) *cluster.Member {
-		t.Helper()
-		m, err := cluster.New(cluster.Config{
-			Server: server.Config{Term: time.Second, MaxTermPath: maxTerm(i)},
-			ID:     i, Peers: peers,
-			ElectionTerm: 500 * time.Millisecond, Allowance: 50 * time.Millisecond,
-			Seed: int64(i) + 1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		peerLns[i].Close()
-		if err := m.Start(ln); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(m.Stop)
-		return m
-	}
-	members, addrs := make([]*cluster.Member, 3), make([]string, 3)
-	for i := range members {
-		ln := listen()
-		members[i], addrs[i] = boot(i, ln), ln.Addr().String()
-	}
-
-	// The master serves once its promotion completes.
-	var c *client.Cache
-	master := -1
-	for deadline := time.Now().Add(10 * time.Second); c == nil; time.Sleep(10 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("no member promoted to serving master")
-		}
-		for i, m := range members {
-			if m.Node.IsMaster() {
-				if cc, err := client.Dial(addrs[i], client.Config{ID: "w"}); err == nil {
-					c, master = cc, i
-					break
-				}
-			}
-		}
-	}
+	g := newGroup(t, nil)
+	c, master := g.dialMaster(10 * time.Second)
 	defer c.Close()
 	if _, err := c.Create("/f", vfs.DefaultPerm|vfs.WorldWrite); err != nil {
 		t.Fatal(err)
@@ -94,12 +119,12 @@ func TestRestartedFollowerRejoins(t *testing.T) {
 	// peer answers the rejoin's sync has the write, and the restart is
 	// not a first boot.
 	follower := (master + 1) % 3
-	for i, m := range members {
+	for i, m := range g.members {
 		if i == master {
 			continue
 		}
 		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
-			_, statErr := os.Stat(maxTerm(i))
+			_, statErr := os.Stat(g.maxTerm(i))
 			if statErr == nil && content(m.Server.Store(), "/f") == "acked" {
 				break
 			}
@@ -109,11 +134,43 @@ func TestRestartedFollowerRejoins(t *testing.T) {
 		}
 	}
 
-	ln := listen() // before the stop frees the follower's peer address
-	members[follower].Stop()
-	m := boot(follower, ln)
+	ln := g.listen() // before the stop frees the follower's peer address
+	g.members[follower].Stop()
+	m := g.boot(follower, ln, nil)
 	if got := content(m.Server.Store(), "/f"); got != "acked" {
 		t.Fatalf("restarted follower %d: /f = %q after Start, want the acked write", follower, got)
+	}
+}
+
+// TestPromotionPastMaxFrameOfSeededFiles: every member is seeded with
+// more than proto.MaxFrame of files replication never wrote. The
+// catch-up sync lists none of them, so the group still elects, promotes
+// and acknowledges a write within 10 s.
+func TestPromotionPastMaxFrameOfSeededFiles(t *testing.T) {
+	const n, size = 17, 1 << 20
+	if n*size <= proto.MaxFrame {
+		t.Fatalf("%d seeded files of %d bytes fit one frame", n, size)
+	}
+	data := make([]byte, size)
+	start := time.Now()
+	g := newGroup(t, func(st *vfs.Store) {
+		for i := 0; i < n; i++ {
+			op := vfs.Op{Kind: vfs.OpCreate, Path: fmt.Sprintf("/seed%d", i), Owner: "root", Perm: vfs.DefaultPerm, Data: data}
+			if _, err := st.Apply(op); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	c, _ := g.dialMaster(10 * time.Second)
+	defer c.Close()
+	if _, err := c.Create("/f", vfs.DefaultPerm|vfs.WorldWrite); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Write("/f", []byte("acked")); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Fatalf("the write was acknowledged %v after boot, want within 10s", d)
 	}
 }
 

@@ -6,7 +6,9 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
+	"runtime/pprof"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -683,8 +685,27 @@ func hellos(ws *proto.WireStats) uint64 {
 	return n
 }
 
+// serverGoroutines counts the goroutines running code of this package:
+// a frame of it on the stack, the profile's "created by" lines aside. The
+// test's own goroutines, the runtime's and other packages' (a client's
+// loops winding down after an earlier test) count for nothing.
+func serverGoroutines() int {
+	var b strings.Builder
+	pprof.Lookup("goroutine").WriteTo(&b, 2)
+	n := 0
+	for _, g := range strings.Split(b.String(), "\n\n") {
+		for _, line := range strings.Split(g, "\n") {
+			if strings.HasPrefix(line, "leases/internal/server.") {
+				n++
+				break
+			}
+		}
+	}
+	return n
+}
+
 // TestParkedPlanCosts counts what a parked write costs the server. With
-// 64 writes parked behind parkFixture's mute holder the process runs as
+// 64 writes parked behind parkFixture's mute holder the server runs as
 // many goroutines as with none parked: a parked write is a record in the
 // plan machine's table, woken by the server's one timer, and no goroutine
 // of its own. When the clock passes the holder's term all 64 apply and
@@ -694,11 +715,11 @@ func hellos(ws *proto.WireStats) uint64 {
 func TestParkedPlanCosts(t *testing.T) {
 	const n = 64
 	for _, stop := range []bool{false, true} {
-		base := runtime.NumGoroutine()
+		base := serverGoroutines()
 		srv, clk, connect, held := parkFixture(t)
 		nc, _ := connect()
 		hello(t, nc, "writer")
-		idle := runtime.NumGoroutine()
+		idle := serverGoroutines()
 		var burst []byte
 		for i := 0; i < n; i++ {
 			burst = append(burst, frame(t, proto.TWrite, uint64(10+i), func(e *proto.Enc) {
@@ -722,8 +743,8 @@ func TestParkedPlanCosts(t *testing.T) {
 		waitFor(t, "64 writes to park", func() bool {
 			return srv.WireStats().Frames(proto.TApprovalReq, "out") == n
 		})
-		waitFor(t, fmt.Sprintf("the goroutine count of an idle server (%d) with 64 writes parked", idle-1), func() bool {
-			return runtime.NumGoroutine() == idle+1 // the writer's reader
+		waitFor(t, fmt.Sprintf("the goroutine count of an idle server (%d) with 64 writes parked", idle), func() bool {
+			return serverGoroutines() == idle
 		})
 		if !stop {
 			clk.Advance(parkTerm + time.Second)
@@ -751,7 +772,7 @@ func TestParkedPlanCosts(t *testing.T) {
 			t.Fatalf("/held = %q after Stop failed its parked writes", data)
 		}
 		waitFor(t, fmt.Sprintf("the goroutine count before the server started (%d)", base), func() bool {
-			return runtime.NumGoroutine() <= base
+			return serverGoroutines() <= base
 		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -240,6 +241,41 @@ func muteHolder(t *testing.T, connect func() (net.Conn, *gidConn), d vfs.Datum) 
 }
 
 const parkTerm = 10 * time.Second
+
+// lurchClock is a simulated clock that jumps ahead by its lurch inside
+// the next After, before it arms the timer: a clock that moves between a
+// caller's reading of Now and its arming.
+type lurchClock struct {
+	*clock.Sim
+	lurch atomic.Int64
+}
+
+func (c *lurchClock) After(d time.Duration) (<-chan time.Time, func() bool) {
+	c.Advance(time.Duration(c.lurch.Swap(0)))
+	return c.Sim.After(d)
+}
+
+// TestParkedWriteWakesAtItsInstant: a write parked behind a mute holder
+// wakes as soon as the holder's lease has run out, even if the clock
+// moved while the server armed its wake timer.
+func TestParkedWriteWakesAtItsInstant(t *testing.T) {
+	clk := &lurchClock{Sim: clock.NewSim()}
+	srv, connect := startPipeServer(t, server.Config{Term: parkTerm, Clock: clk})
+	held := seedWritable(t, srv, "/held", "old")
+	muteHolder(t, connect, vfs.Datum{Kind: vfs.FileData, Node: held})
+	expiry := clk.Now().Add(parkTerm)
+	nc, _ := connect()
+	hello(t, nc, "writer")
+	clk.lurch.Store(int64(parkTerm / 2))
+	done := startWrite(t, nc, held, "new")
+	waitFor(t, "the wake timer", func() bool { return clk.PendingTimers() == 1 })
+	clk.AdvanceTo(expiry.Add(time.Nanosecond)) // a lease is valid through its expiry
+	within(t, "the parked write, once the holder's lease ran out", func() {
+		if err := <-done; err != nil {
+			t.Error(err)
+		}
+	})
+}
 
 // TestParkedWriteBlocksOnlyItself: behind a write parked on another
 // client's lease, the same connection's read is answered, and so is the

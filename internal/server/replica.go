@@ -57,8 +57,9 @@ func (s *Server) ApplyReplicated(path string, seq uint64, data []byte) (applied 
 	return s.core.ApplyReplicated(path, seq, data)
 }
 
-// ReplState dumps every file's replicated state, answering a new
-// master's catch-up sync.
+// ReplState answers a catch-up sync with the files replication wrote
+// here, each at its sequence, and the class image: never the files it
+// did not write. See srvcore.Core.ReplState.
 func (s *Server) ReplState() []ReplFile { return s.core.ReplState() }
 
 // PersistMaxTerm records a master's replicated term raise: this

@@ -494,7 +494,7 @@ func (s *Server) wakeLoop() {
 	for {
 		fire, stop := (<-chan time.Time)(nil), func() bool { return false }
 		if t := s.m.NextWake(); !t.IsZero() {
-			fire, stop = s.clk.After(t.Sub(s.clk.Now()))
+			fire, stop = clock.At(s.clk, t)
 		}
 		select {
 		case <-fire:

@@ -200,10 +200,15 @@ func encodeOp(op vfs.Op) []byte {
 	return e.EncodeOp(op).Bytes()
 }
 
-// moveIn is the wire form of the move-in that recreates the file id at
-// path as it stands: its contents, owner and permissions.
-func (c *Core) moveIn(path string, id vfs.NodeID) ([]byte, bool) {
-	data, attr, err := c.cfg.Store.ReadFile(id)
+// moveIn is the wire form of the move-in that recreates the file at
+// path as it stands: its contents, owner and permissions (false: no file
+// is there).
+func (c *Core) moveIn(path string) ([]byte, bool) {
+	a, err := c.cfg.Store.Lookup(path)
+	if err != nil {
+		return nil, false
+	}
+	data, attr, err := c.cfg.Store.ReadFile(a.ID)
 	if err != nil {
 		return nil, false
 	}
@@ -240,45 +245,39 @@ func (c *Core) shippedApplied(path string, seq uint64) {
 	c.mu.Unlock()
 }
 
-// ReplState dumps every file's replicated state, answering a new
-// master's catch-up sync. Files that predate replication (seeded
-// fixtures, identical on every replica by construction) report sequence
-// zero and lose every merge, which is correct: nothing newer exists
-// anywhere. The class-membership image rides the same sync under its
-// reserved key, so a new master inherits the installed set (traffic
-// continuity; safety never depends on it).
+// ReplState answers a catch-up sync — a new master's promotion or a
+// restarted replica's rejoin — with every file this replica holds a
+// replication sequence for, sorted by path, each as the move-in that
+// recreates it. A file replication never wrote (a seeded fixture,
+// identical on every replica by construction) is left out: listed, it
+// would sit at sequence zero, which ApplyReplicated drops and Merge
+// settles exactly as it does a path a reply lacks. So a sync costs what
+// replication wrote, not the size of the store. The class-membership
+// image rides the same sync under its reserved key, so a new master
+// inherits the installed set (traffic continuity; safety never depends
+// on it).
 func (c *Core) ReplState() []ReplFile {
-	store := c.cfg.Store
-	root, err := store.Lookup("/")
-	if err != nil {
-		return nil
-	}
-	// The walk holds the store's read lock: the files are read after it,
-	// since a second read lock taken under it would wait behind any writer
-	// queued in between, which waits for the walk.
-	type file struct {
-		path string
-		id   vfs.NodeID
-	}
-	var files []file
-	store.Walk(root.ID, func(path string, a vfs.Attr) error {
-		if !a.IsDir {
-			files = append(files, file{path, a.ID})
-		}
-		return nil
-	})
 	var out []ReplFile
-	for _, f := range files {
-		if data, ok := c.moveIn(f.path, f.id); ok {
-			out = append(out, ReplFile{Path: f.path, Seq: c.Seq(f.path), Data: data})
+	c.mu.Lock()
+	for path, seq := range c.seq {
+		if path != ClassStatePath {
+			out = append(out, ReplFile{Path: path, Seq: seq})
 		}
 	}
-	c.mu.Lock()
-	if len(c.classImage) > 0 {
-		out = append(out, ReplFile{Path: ClassStatePath, Seq: c.seq[ClassStatePath], Data: c.classImage})
-	}
+	image := ReplFile{Path: ClassStatePath, Seq: c.seq[ClassStatePath], Data: c.classImage}
 	c.mu.Unlock()
-	return out
+	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
+	files := out[:0]
+	for _, f := range out {
+		var ok bool
+		if f.Data, ok = c.moveIn(f.Path); ok {
+			files = append(files, f)
+		}
+	}
+	if len(image.Data) > 0 {
+		files = append(files, image)
+	}
+	return files
 }
 
 // RaiseTerm records that a quorum (or this replica's durable file) knows
@@ -342,10 +341,8 @@ func (c *Core) Merge(files []ReplFile) (unsettled []ReplFile) {
 	c.mu.Unlock()
 	sort.Strings(paths)
 	for _, path := range paths {
-		if attr, err := c.cfg.Store.Lookup(path); err == nil {
-			if data, ok := c.moveIn(path, attr.ID); ok {
-				unsettled = append(unsettled, ReplFile{Path: path, Seq: c.nextSeq(path), Data: data})
-			}
+		if data, ok := c.moveIn(path); ok {
+			unsettled = append(unsettled, ReplFile{Path: path, Seq: c.nextSeq(path), Data: data})
 		}
 	}
 	return unsettled

@@ -188,9 +188,9 @@ func TestMergeSettlesWhatAQuorumMayNotHold(t *testing.T) {
 }
 
 // TestReplStateBesideReplicatedWrites: a catch-up dump taken while a
-// follower applies shipped writes completes. It must not take the
-// store's read lock again under its walk: a writer queued between the
-// two would block the second, and with it itself.
+// follower applies shipped writes completes and lists every replicated
+// file. It must never take the store's read lock under another: a writer
+// queued between the two would block the second, and with it itself.
 func TestReplStateBesideReplicatedWrites(t *testing.T) {
 	c := New(Config{Store: vfs.New(clock.NewSim(), "srv"), Owner: "srv", Term: time.Minute})
 	for i := 0; i < 64; i++ {

@@ -649,22 +649,6 @@ func (s *Store) NodeCount() int {
 	return len(s.nodes)
 }
 
-// Walk visits every node under the given directory in depth-first name
-// order, invoking fn with the absolute path and attributes.
-func (s *Store) Walk(id NodeID, fn func(path string, a Attr) error) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n, ok := s.nodes[id]
-	if !ok {
-		return ErrNotExist
-	}
-	base, err := s.pathLocked(n)
-	if err != nil {
-		return err
-	}
-	return s.walkLocked(n, base, fn)
-}
-
 func (s *Store) pathLocked(n *node) (string, error) {
 	if n.parent == nil {
 		return "/", nil
@@ -679,28 +663,4 @@ func (s *Store) pathLocked(n *node) (string, error) {
 		b.WriteString(parts[i])
 	}
 	return b.String(), nil
-}
-
-func (s *Store) walkLocked(n *node, path string, fn func(string, Attr) error) error {
-	if err := fn(path, n.attr()); err != nil {
-		return err
-	}
-	if !n.isDir {
-		return nil
-	}
-	names := make([]string, 0, len(n.entries))
-	for name := range n.entries {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		childPath := path + "/" + name
-		if path == "/" {
-			childPath = "/" + name
-		}
-		if err := s.walkLocked(n.entries[name], childPath, fn); err != nil {
-			return err
-		}
-	}
-	return nil
 }

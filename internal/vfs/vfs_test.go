@@ -381,49 +381,6 @@ func TestCheckAccess(t *testing.T) {
 	}
 }
 
-func TestWalkVisitsAllDepthFirstSorted(t *testing.T) {
-	s, _ := newStore()
-	s.Mkdir("/b", "u", DefaultPerm)
-	s.Create("/b/y", "u", DefaultPerm)
-	s.Create("/b/x", "u", DefaultPerm)
-	s.Create("/a", "u", DefaultPerm)
-	var paths []string
-	err := s.Walk(RootID, func(p string, _ Attr) error {
-		paths = append(paths, p)
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("Walk: %v", err)
-	}
-	want := []string{"/", "/a", "/b", "/b/x", "/b/y"}
-	if len(paths) != len(want) {
-		t.Fatalf("paths = %v, want %v", paths, want)
-	}
-	for i := range want {
-		if paths[i] != want[i] {
-			t.Fatalf("paths = %v, want %v", paths, want)
-		}
-	}
-}
-
-func TestWalkStopsOnError(t *testing.T) {
-	s, _ := newStore()
-	s.Create("/a", "u", DefaultPerm)
-	s.Create("/b", "u", DefaultPerm)
-	sentinel := errors.New("stop")
-	count := 0
-	err := s.Walk(RootID, func(string, Attr) error {
-		count++
-		if count == 2 {
-			return sentinel
-		}
-		return nil
-	})
-	if !errors.Is(err, sentinel) || count != 2 {
-		t.Fatalf("Walk err=%v count=%d", err, count)
-	}
-}
-
 func TestNodeCount(t *testing.T) {
 	s, _ := newStore()
 	if s.NodeCount() != 1 {
@@ -618,9 +575,15 @@ func TestApplyMatchesTheMethods(t *testing.T) {
 // walkAll maps every path of s to its attributes.
 func walkAll(t *testing.T, s *Store) map[string]Attr {
 	t.Helper()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	out := map[string]Attr{}
-	if err := s.Walk(RootID, func(p string, a Attr) error { out[p] = a; return nil }); err != nil {
-		t.Fatal(err)
+	for _, n := range s.nodes {
+		p, err := s.pathLocked(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[p] = n.attr()
 	}
 	return out
 }
