@@ -117,8 +117,8 @@ var (
 )
 
 // mserver is the model file server: the real vfs store and the shipped
-// server core (internal/srvcore — write plans, replication state and
-// class table) under the model's message loop. What is the model's own
+// server core (internal/srvcore — write plans, the read path, replication
+// state and class table) under the model's message loop. What is the model's own
 // is transport: the election pump, quorum counting and retransmission of
 // a plan's Ship step, the promotion sync exchange, the rename's move
 // between masters, and at-least-once dedupe. In replicated worlds
@@ -148,10 +148,10 @@ type mserver struct {
 	// version, 0 while in flight (lost on crash, so duplicates across a
 	// crash re-apply — the at-least-once behaviour the oracle tolerates).
 	seen map[core.ClientID]map[uint64]uint64
-	// refills are, per client, the files it approved a write on while
-	// reading them and asked back for; its next grant or ack reply
-	// carries them (the TCP server's per-connection list).
-	refills map[core.ClientID][]mrefill
+	// refills are, per client, the files it asked back for; early, under
+	// BreakRefillEarly, each as it was when asked.
+	refills map[core.ClientID]srvcore.Refills
+	early   map[core.ClientID]map[vfs.Datum]grantInfo
 
 	down bool
 	// floor survives crashes, like the durable max-term file in
@@ -286,7 +286,8 @@ func (srv *mserver) boot() {
 	srv.plans = make(map[uint64]*mplan)
 	srv.shipping = make(map[replAck]*round)
 	srv.seen = make(map[core.ClientID]map[uint64]uint64)
-	srv.refills = make(map[core.ClientID][]mrefill)
+	srv.refills = make(map[core.ClientID]srvcore.Refills)
+	srv.early = make(map[core.ClientID]map[vfs.Datum]grantInfo)
 	srv.xfers = make(map[int]*xferState)
 	srv.newClassBase()
 }
@@ -734,7 +735,7 @@ func (srv *mserver) apply(op *mplan, now time.Time) error {
 		// The commit point. The bytes are read here, behind every write
 		// cleared before it, so the move carries them.
 		x := op.x
-		x.move = &xferMsg{XferID: x.id, File: x.file, Value: srv.read(x.file), Version: srv.fileVersion(x.file)}
+		x.move = &xferMsg{XferID: x.id, File: x.file, Value: srv.read(x.file), Version: srv.version(datumForFile(x.file))}
 		srv.w.shards[srv.group].owned[x.file] = false
 		srv.w.home[x.file] = x.dest
 		srv.w.out.Renames++
@@ -775,10 +776,9 @@ func (srv *mserver) finish(op *mplan, err error) {
 	switch op.kind {
 	case planWrite:
 		if err == nil {
-			srv.w.fabric.Unicast(srv.node, netsim.NodeID(op.client), kindAck, writeAck{
-				ReqID: op.reqID, Version: srv.seen[op.client][op.reqID], Renewed: srv.renew(op.client, op.renew),
-				Refills: srv.takeRefills(op.client, datumForFile(op.file)),
-			})
+			ack := writeAck{ReqID: op.reqID, Version: srv.seen[op.client][op.reqID]}
+			ack.Renewed, ack.Refills = srv.carried(op.client, op.renew, datumForFile(op.file))
+			srv.w.fabric.Unicast(srv.node, netsim.NodeID(op.client), kindAck, ack)
 		} else if m := srv.seen[op.client]; m[op.reqID] == 0 {
 			delete(m, op.reqID)
 		}
@@ -825,18 +825,17 @@ func (srv *mserver) present(f int) bool {
 	return srv.w.groups() <= 1 || srv.w.shards[srv.group].owned[f]
 }
 
-func (srv *mserver) notOwner(to netsim.NodeID, reqID uint64, f int) {
-	srv.w.fabric.Unicast(srv.node, to, kindNotOwner, notOwnerRep{ReqID: reqID, File: f, Owner: srv.w.home[f]})
-}
+// here reports whether this group serves file f: it owns and holds it.
+func (srv *mserver) here(f int) bool { return srv.owns(f) && srv.present(f) }
 
 // routed gates a client request for file f on ownership, redirecting
 // when redirect is set; a file in flight toward this group is met with
 // silence (it does not exist yet), and the retry ladder re-asks.
 func (srv *mserver) routed(from netsim.NodeID, reqID uint64, f int, redirect bool) bool {
 	if !srv.owns(f) && redirect {
-		srv.notOwner(from, reqID, f)
+		srv.w.fabric.Unicast(srv.node, from, kindNotOwner, notOwnerRep{ReqID: reqID, File: f, Owner: srv.w.home[f]})
 	}
-	return srv.owns(f) && srv.present(f)
+	return srv.here(f)
 }
 
 // versionAt is the client-facing version of file f held at replication
@@ -854,12 +853,20 @@ func (srv *mserver) versionAt(f int, seq, storeVer uint64) uint64 {
 	return v
 }
 
-func (srv *mserver) fileVersion(f int) uint64 {
-	v, err := srv.store.Version(datumForFile(f))
+// version is the client-facing version of the file d is of.
+func (srv *mserver) version(d vfs.Datum) uint64 {
+	v, err := srv.store.Version(d)
 	if err != nil {
-		panic(fmt.Sprintf("check: version of file %d: %v", f, err))
+		panic(fmt.Sprintf("check: version of %v: %v", d, err))
 	}
+	f := fileForDatum(d)
 	return srv.versionAt(f, srv.core.Seq(filePath(f)), v)
+}
+
+// valued is g at the version of the file it leases, with its value.
+func (srv *mserver) valued(g proto.GrantWire) grantInfo {
+	g.Version = srv.version(g.Datum)
+	return grantInfo{GrantWire: g, Value: srv.read(fileForDatum(g.Datum))}
 }
 
 // dedupe reports whether (client, reqID) was seen before, re-acking a
@@ -1011,40 +1018,18 @@ func (srv *mserver) armClass() {
 		return
 	}
 	srv.classEv = srv.w.engine.At(at, func() {
-		srv.classEv = nil
-		if srv.down {
-			return
-		}
-		// One §4.3 broadcast extension; the table records the coverage
-		// horizon before the frames leave.
-		if !srv.servingMaster() {
-			srv.armClass()
-			return
-		}
-		if bc, ok := srv.core.Classes.Broadcast(srv.localNow()); ok {
+		srv.classEv = nil // a crash cancels it, so the server is up
+		// One §4.3 broadcast extension, to every client.
+		if bc, ok := srv.m.Broadcast(len(srv.w.clients), srv.localNow()); ok {
 			targets := make([]netsim.NodeID, 0, len(srv.w.clients))
 			for _, c := range srv.w.clients {
 				targets = append(targets, c.node)
 			}
 			bc.Generation += srv.classBase
 			srv.w.fabric.Multicast(srv.node, targets, kindBroadcast, bc)
-			srv.w.obs.Record(obs.Event{Type: obs.EvBroadcastExt, Depth: len(targets)})
 		}
 		srv.armClass()
 	})
-}
-
-// handleClassFetch serves the membership snapshot. A non-serving
-// replica stays silent: broadcasts only ever come from the live
-// master, so the client's next mismatching broadcast re-aims the
-// fetch there.
-func (srv *mserver) handleClassFetch(from netsim.NodeID, p classFetch) {
-	if srv.core.Classes == nil || !srv.servingMaster() {
-		return
-	}
-	sn := srv.core.Classes.Snapshot(srv.localNow())
-	sn.Generation += srv.classBase
-	srv.w.fabric.Unicast(srv.node, from, kindClassSnap, classSnap{ReqID: p.ReqID, InstalledWire: sn})
 }
 
 // ---- client-facing handlers ----
@@ -1087,7 +1072,14 @@ func (srv *mserver) handle(m netsim.Message) {
 	case syncRep:
 		srv.handleSyncRep(p)
 	case classFetch:
-		srv.handleClassFetch(m.From, p)
+		// A non-serving replica stays silent: broadcasts only ever come from
+		// the live master, so the client's next mismatching broadcast re-aims
+		// the fetch there.
+		if srv.core.Classes != nil && srv.servingMaster() {
+			sn := srv.m.Installed(srv.localNow())
+			sn.Generation += srv.classBase
+			srv.w.fabric.Unicast(srv.node, m.From, kindClassSnap, classSnap{ReqID: p.ReqID, InstalledWire: sn})
+		}
 	default:
 		panic(fmt.Sprintf("check: server got %T", m.Payload))
 	}
@@ -1116,7 +1108,6 @@ func (srv *mserver) gateClient(from netsim.NodeID, reqID uint64) bool {
 }
 
 func (srv *mserver) handleExtend(from netsim.NodeID, req extendReq) {
-	now := srv.localNow()
 	sp := srv.w.tracer.StartChildNode(string(srv.node), req.TC, "server.extend")
 	defer sp.End()
 	rep := extendRep{ReqID: req.ReqID}
@@ -1131,90 +1122,37 @@ func (srv *mserver) handleExtend(from netsim.NodeID, req extendReq) {
 			}
 			continue
 		}
-		// While a write holds clearance on the datum the grant is refused:
-		// the value is served usable-once.
-		g := srv.core.Leases().Grant(req.From, d, now)
-		rep.Grants = append(rep.Grants, grantInfo{
-			GrantWire: proto.GrantWire{Datum: d, Term: g.Term, Version: srv.fileVersion(f), Leased: g.Leased},
-			Value:     srv.read(f),
-		})
-		srv.w.obs.Record(obs.Event{
-			Type: obs.EvGrant, Client: string(req.From), Datum: d, Shard: srv.core.Leases().ShardFor(d), Term: g.Term,
-		})
-		// A read may install its file in the class; the class term is
-		// durable from boot.
-		if ct := srv.core.Classes; ct != nil && ct.ObserveRead(d, filePath(f), now) {
-			if _, added := srv.core.ClassAdd(d, filePath(f), now); added {
-				srv.w.obs.Record(obs.Event{Type: obs.EvClassPromote, Client: string(req.From), Datum: d})
-			}
-		}
+		// While a write holds clearance on the datum the grant is refused: the
+		// value is served usable-once. There is no peer to ship a class image to.
+		g, _, _ := srv.m.GrantRead(req.From, d, srv.localNow())
+		rep.Grants = append(rep.Grants, srv.valued(g))
 	}
-	rep.Renewed = srv.renew(req.From, req.Renew)
-	rep.Refills = srv.takeRefills(req.From, req.Data...)
+	rep.Renewed, rep.Refills = srv.carried(req.From, req.Renew, req.Data...)
 	srv.w.fabric.Unicast(srv.node, from, kindGrant, rep)
 }
 
-// mrefill is one file a client asked back for (approveMsg.Refill) and
-// when. Under BreakRefillEarly it also holds the file as it was then.
-type mrefill struct {
-	d       vfs.Datum
-	at      time.Time
-	value   string
-	version uint64
-}
-
-// takeRefills grants client the files it asked back for, each read at
-// the granted version, as the TCP server's takeRefills does: the entry
-// for a file the reply itself carries (own) is dropped; an entry whose
-// grant is refused (the write that recalled it is still pending) stays
-// for a later reply; one a term old, or whose file left this group, is
-// dropped.
-func (srv *mserver) takeRefills(client core.ClientID, own ...vfs.Datum) []grantInfo {
-	pending := srv.refills[client]
-	if len(pending) == 0 {
-		return nil
-	}
-	now := srv.localNow()
-	var out []grantInfo
-	keep := pending[:0]
-	for _, p := range pending {
-		f := fileForDatum(p.d)
-		if slices.Contains(own, p.d) || now.Sub(p.at) >= srv.core.Leases().MaxTermGranted() || !srv.owns(f) || !srv.present(f) {
-			continue
+// carried is what a reply to client carries after its own data (own): the
+// renewals its request carried and its refill list, each file read at its
+// grant (under BreakRefillEarly, as it was when asked). A file that left
+// this group is neither renewed, its lease left to lapse, nor refilled.
+func (srv *mserver) carried(client core.ClientID, renew []vfs.Datum, own ...vfs.Datum) (renewed []proto.GrantWire, refills []grantInfo) {
+	renew = slices.DeleteFunc(slices.Clone(renew), func(d vfs.Datum) bool { return !srv.here(fileForDatum(d)) })
+	renewed = srv.m.Renew(client, renew, srv.localNow(), srv.version)
+	r := srv.refills[client]
+	r.Take(srv.m, client, own, srv.localNow(), func(d vfs.Datum) srvcore.Admit {
+		if !srv.here(fileForDatum(d)) {
+			return srvcore.RefillDrop
 		}
-		g := srv.core.Leases().Grant(client, p.d, now)
-		srv.w.obs.Record(obs.Event{
-			Type: obs.EvGrant, Client: string(client), Datum: p.d, Shard: srv.core.Leases().ShardFor(p.d), Term: g.Term,
-		})
-		if !g.Leased {
-			keep = append(keep, p)
-			continue
+		return srvcore.RefillGrant
+	}, func(g proto.GrantWire) {
+		ri := srv.valued(g)
+		if was, ok := srv.early[client][g.Datum]; ok {
+			ri.Value, ri.Version = was.Value, was.Version
 		}
-		value, version := srv.read(f), srv.fileVersion(f)
-		if srv.w.sc.Break == BreakRefillEarly {
-			value, version = p.value, p.version // the file as it was at the approval
-		}
-		out = append(out, grantInfo{GrantWire: proto.GrantWire{Datum: p.d, Term: g.Term, Version: version, Leased: true}, Value: value})
-	}
-	srv.refills[client] = keep
-	return out
-}
-
-// renew grants the renewals a read or write carried, as the TCP server
-// grants a TExtend batch; a file that moved away is left to lapse.
-func (srv *mserver) renew(client core.ClientID, data []vfs.Datum) []proto.GrantWire {
-	var out []proto.GrantWire
-	now := srv.localNow()
-	for _, d := range data {
-		if f := fileForDatum(d); srv.owns(f) && srv.present(f) {
-			g := srv.core.Leases().Grant(client, d, now)
-			out = append(out, proto.GrantWire{Datum: d, Term: g.Term, Version: srv.fileVersion(f), Leased: g.Leased})
-			srv.w.obs.Record(obs.Event{
-				Type: obs.EvExtend, Client: string(client), Datum: d, Shard: srv.core.Leases().ShardFor(d), Term: g.Term,
-			})
-		}
-	}
-	return out
+		refills = append(refills, ri)
+	})
+	srv.refills[client] = r
+	return renewed, refills
 }
 
 func (srv *mserver) handleWrite(from netsim.NodeID, req writeReq) {
@@ -1223,9 +1161,9 @@ func (srv *mserver) handleWrite(from netsim.NodeID, req writeReq) {
 	// moved away must still re-ack its retransmits.
 	f := fileForDatum(req.Datum)
 	if srv.dedupe(req.From, req.ReqID, func(version uint64) {
-		srv.w.fabric.Unicast(srv.node, from, kindAck, writeAck{
-			ReqID: req.ReqID, Version: version, Renewed: srv.renew(req.From, req.Renew), Refills: srv.takeRefills(req.From, req.Datum),
-		})
+		ack := writeAck{ReqID: req.ReqID, Version: version}
+		ack.Renewed, ack.Refills = srv.carried(req.From, req.Renew, req.Datum)
+		srv.w.fabric.Unicast(srv.node, from, kindAck, ack)
 	}) || !srv.routed(from, req.ReqID, f, true) {
 		return
 	}
@@ -1242,30 +1180,22 @@ func (srv *mserver) handleWrite(from netsim.NodeID, req writeReq) {
 func (srv *mserver) handleApprove(ap approveMsg) {
 	now := srv.localNow()
 	if ap.Refill {
-		srv.askRefill(ap.From, ap.Datum, now)
+		r := srv.refills[ap.From]
+		r.Ask(ap.Datum, now)
+		srv.refills[ap.From] = r
+		// BreakRefillEarly reads the refill now, before the write applies.
+		if srv.w.sc.Break == BreakRefillEarly && srv.present(fileForDatum(ap.Datum)) {
+			if srv.early[ap.From] == nil {
+				srv.early[ap.From] = make(map[vfs.Datum]grantInfo)
+			}
+			srv.early[ap.From][ap.Datum] = srv.valued(proto.GrantWire{Datum: ap.Datum})
+		}
 	}
 	ready, e := srv.m.Approve(ap.From, ap.WriteID, now)
 	if ready {
 		srv.w.obs.Record(obs.Event{Type: obs.EvApprove, Client: string(ap.From), WriteID: uint64(ap.WriteID)})
 	}
 	srv.effects(e)
-}
-
-// askRefill puts d on client's refill list, or restamps it there.
-// BreakRefillEarly builds the refill now, before the write applies.
-func (srv *mserver) askRefill(client core.ClientID, d vfs.Datum, now time.Time) {
-	p := mrefill{d: d, at: now}
-	if f := fileForDatum(d); srv.w.sc.Break == BreakRefillEarly && srv.present(f) {
-		p.value, p.version = srv.read(f), srv.fileVersion(f)
-	}
-	list := srv.refills[client]
-	for i := range list {
-		if list[i].d == d {
-			list[i] = p
-			return
-		}
-	}
-	srv.refills[client] = append(list, p)
 }
 
 // crash loses all volatile server state — the core with its lease

@@ -56,22 +56,11 @@ type serverConn struct {
 	// through s.conns under connMu, which serializes against the
 	// deregistration), so a send never races the close.
 	pushes chan connPush
-	// refills are the files this client approved a write on while reading
-	// them and asked back for (TApprove), each with when it asked; the next
-	// reply the reader sends to a TRead or TWrite carries them. Only the
-	// reader touches the list.
-	refills []refillReq
+	// refills are the files this client asked back for (TApprove); the
+	// next reply the reader sends to a TRead or TWrite carries them. Only
+	// the reader touches the list.
+	refills srvcore.Refills
 }
-
-// refillReq is one file a client asked back for, and when it asked.
-type refillReq struct {
-	d  vfs.Datum
-	at time.Time
-}
-
-// maxRefills bounds a connection's refill list; an approval past it asks
-// for nothing, and the client's next read of that file fetches it.
-const maxRefills = 256
 
 // connPush is one queued unsolicited frame: an approval request, or a
 // pre-encoded payload (broadcast extension) shared read-only across
@@ -362,55 +351,31 @@ func (c *serverConn) dispatch(r *request) {
 	}
 }
 
-// grant grants a lease on d and packages it for the wire, recording the
-// trace event as et (EvGrant for first-contact grants, EvExtend for
-// renewals). The sharded manager locks d's stripe internally. Nothing
-// durable runs here: no grant outlasts the term ceiling that Serve, or a
-// promotion, made durable before the first grant.
-func (c *serverConn) grant(d vfs.Datum, et obs.EventType) proto.GrantWire {
-	s := c.srv
-	g := s.lm.Grant(c.client, d, s.clk.Now())
-	if s.obs.Enabled() {
-		// Term zero marks a refusal (write pending / zero term).
-		s.obs.Record(obs.Event{
-			Type: et, Client: string(c.client), Datum: d,
-			Shard: s.lm.ShardFor(d), Term: g.Term,
-		})
-	}
-	version, err := s.store.Version(d)
-	if err != nil {
-		version = 0
-	}
-	return proto.GrantWire{Datum: d, Term: g.Term, Version: version, Leased: g.Leased}
-}
-
-// renew extends this client's leases on data: a TExtend batch, or the
-// renewals a read or write carries. A datum a write is waiting on comes
-// back unleased, and the client drops its copy.
-func (c *serverConn) renew(data []vfs.Datum) []proto.GrantWire {
-	if len(data) == 0 {
-		return nil
-	}
-	grants := make([]proto.GrantWire, 0, len(data))
-	for _, d := range data {
-		grants = append(grants, c.grant(d, obs.EvExtend))
-	}
-	return grants
+// version is d's version in the store, which a grant goes out with: read
+// after the grant, so a write that slipped in before it shows.
+func (s *Server) version(d vfs.Datum) uint64 {
+	v, _ := s.store.Version(d)
+	return v
 }
 
 // handleInstalled answers a TInstalled class-snapshot fetch.
 func (c *serverConn) handleInstalled(f proto.Frame) {
 	d := proto.NewDec(f.Payload)
 	_ = d.U64() // the client's current generation; reserved
-	w := c.srv.installedSnapshot()
+	w := c.srv.m.Installed(c.srv.clk.Now())
 	c.replyEnc(f.ReqID, proto.TInstalledRep, func(e *proto.Enc) { e.EncodeInstalled(w) })
 }
 
-// grantRead grants a lease on a datum being served to a reader and
-// feeds the read to the installed-class observer.
-func (c *serverConn) grantRead(d vfs.Datum) proto.GrantWire {
-	g := c.grant(d, obs.EvGrant)
-	c.srv.classObserveRead(c.client, d)
+// served is the grant on a datum served to this client
+// (srvcore.Machine.GrantRead) at the store's version; a class image the
+// read changed ships to the peers.
+func (c *serverConn) served(d vfs.Datum) proto.GrantWire {
+	s := c.srv
+	g, image, changed := s.m.GrantRead(c.client, d, s.clk.Now())
+	if changed {
+		s.shipClassImage(image)
+	}
+	g.Version = s.version(d)
 	return g
 }
 
@@ -429,12 +394,12 @@ func (c *serverConn) resolve(path string, grants []proto.GrantWire) ([]vfs.Edge,
 		return nil, vfs.Attr{}, nil, err
 	}
 	for _, e := range chain {
-		g := c.grantRead(vfs.Datum{Kind: vfs.DirBinding, Node: e.Dir})
+		g := c.served(vfs.Datum{Kind: vfs.DirBinding, Node: e.Dir})
 		g.Leased = g.Leased && g.Version == e.Version
 		grants = append(grants, g)
 	}
 	if len(chain) == 0 {
-		grants = append(grants, c.grantRead(vfs.Datum{Kind: vfs.DirBinding, Node: attr.ID}))
+		grants = append(grants, c.served(vfs.Datum{Kind: vfs.DirBinding, Node: attr.ID}))
 	}
 	return chain, attr, grants, nil
 }
@@ -496,7 +461,7 @@ func (c *serverConn) handleRead(f proto.Frame) {
 		c.fail(f.ReqID, err)
 		return
 	}
-	grant := c.grantRead(vfs.Datum{Kind: vfs.FileData, Node: node})
+	grant := c.served(vfs.Datum{Kind: vfs.FileData, Node: node})
 	// Re-read under the granted version if a write slipped between the
 	// read and the grant, so data and version always agree.
 	if grant.Version != attr.Version {
@@ -508,7 +473,7 @@ func (c *serverConn) handleRead(f proto.Frame) {
 		grant.Version = attr.Version
 	}
 	grants = append(grants, grant)
-	renewed := c.renew(renew)
+	renewed := s.m.Renew(c.client, renew, s.clk.Now(), s.version)
 	// A read never parks: this is the connection's reader.
 	refills := c.takeRefills(vfs.Datum{Kind: vfs.FileData, Node: node}, proto.ReadRepRoom(attr, len(chain), len(grants), len(data), len(renewed)))
 	c.replyEnc(f.ReqID, proto.TReadRep, func(e *proto.Enc) {
@@ -548,7 +513,7 @@ func (c *serverConn) handleWrite(r *request) {
 		// Renewed after the apply, so the write's own datum renews at the
 		// version the writer now holds. Refills ride only a reply the reader
 		// sends: a parked write's goroutine leaves the list alone.
-		renewed := c.renew(r.renew)
+		renewed := s.m.Renew(c.client, r.renew, s.clk.Now(), s.version)
 		var refills []proto.RefillWire
 		if r.inline {
 			refills = c.takeRefills(vfs.Datum{Kind: vfs.FileData, Node: r.op.Node}, proto.WriteRepRoom(r.res.Attr, len(renewed)))
@@ -557,49 +522,38 @@ func (c *serverConn) handleWrite(r *request) {
 	}
 }
 
-// takeRefills grants this client the files on its refill list and reads
-// each at the granted version, as many as fit in room bytes; it runs on
-// the connection's reader. own is the file the reply itself carries (a
-// read's file, a write's file): its entry is dropped, since the reply
-// already hands the client that file. An entry whose grant is refused —
-// the write that recalled it is still pending — or that does not fit
-// stays, ungranted, for a later reply; one asked for a term ago or more,
-// or whose file is gone or unreadable to the client, is dropped. The
-// grant is grant's: the write-pending refusal applies, and the class
-// sees no read.
+// takeRefills takes the connection's refill list (srvcore.Refills.Take)
+// into a reply with room bytes to spare, which carries own; it runs on
+// the connection's reader. A file gone or unreadable to the client is
+// dropped, and one that does not fit is kept for a later reply.
 func (c *serverConn) takeRefills(own vfs.Datum, room int) []proto.RefillWire {
-	if len(c.refills) == 0 {
+	if c.refills.Len() == 0 {
 		return nil
 	}
 	s := c.srv
-	now := s.clk.Now()
-	term := s.lm.MaxTermGranted()
 	var out []proto.RefillWire
-	keep := c.refills[:0]
-	for _, p := range c.refills {
-		if p.d == own || now.Sub(p.at) >= term || s.store.CheckAccess(p.d.Node, string(c.client), false) != nil {
-			continue
+	c.refills.Take(s.m, c.client, []vfs.Datum{own}, s.clk.Now(), func(d vfs.Datum) srvcore.Admit {
+		if s.store.CheckAccess(d.Node, string(c.client), false) != nil {
+			return srvcore.RefillDrop
 		}
 		// Sized before the grant, so no lease is granted that the reply
 		// cannot carry.
-		attr, err := s.store.Stat(p.d.Node)
+		attr, err := s.store.Stat(d.Node)
 		if err != nil {
-			continue
+			return srvcore.RefillDrop
 		}
 		if proto.RefillLen(attr) > room {
-			keep = append(keep, p)
-			continue
+			return srvcore.RefillKeep
 		}
-		r := proto.RefillWire{Grant: c.grant(p.d, obs.EvGrant)}
-		if !r.Grant.Leased {
-			keep = append(keep, p)
-			continue
-		}
+		return srvcore.RefillGrant
+	}, func(g proto.GrantWire) {
 		// Read after the grant: a write now waits for this client's
 		// approval, which this reader has yet to read, so the store holds
 		// the version granted.
-		if r.Data, r.Attr, err = s.store.ReadFile(p.d.Node); err != nil {
-			continue
+		r := proto.RefillWire{Grant: g}
+		var err error
+		if r.Data, r.Attr, err = s.store.ReadFile(g.Datum.Node); err != nil {
+			return
 		}
 		r.Grant.Version = r.Attr.Version
 		n := proto.RefillLen(r.Attr)
@@ -607,12 +561,11 @@ func (c *serverConn) takeRefills(own vfs.Datum, room int) []proto.RefillWire {
 			// A write that applied between the sizing and the grant grew
 			// the file. The lease stands unknown to the client: the next
 			// write on the file asks it, and it approves, holding nothing.
-			continue
+			return
 		}
 		room -= n
 		out = append(out, r)
-	}
-	c.refills = keep
+	})
 	return out
 }
 
@@ -623,7 +576,8 @@ func (c *serverConn) handleExtend(f proto.Frame) {
 		c.fail(f.ReqID, dec.Err)
 		return
 	}
-	grants := c.renew(data)
+	s := c.srv
+	grants := s.m.Renew(c.client, data, s.clk.Now(), s.version)
 	c.replyEnc(f.ReqID, proto.TExtendRep, func(e *proto.Enc) { e.EncodeGrants(grants) })
 }
 
@@ -653,7 +607,7 @@ func (c *serverConn) handleReadDir(f proto.Frame) {
 		c.fail(f.ReqID, err)
 		return
 	}
-	grant := c.grantRead(vfs.Datum{Kind: vfs.DirBinding, Node: node})
+	grant := c.served(vfs.Datum{Kind: vfs.DirBinding, Node: node})
 	c.replyEnc(f.ReqID, proto.TReadDirRep, func(e *proto.Enc) {
 		e.Attr(attr).EncodeGrants([]proto.GrantWire{grant}).U32(uint32(len(entries)))
 		for _, ent := range entries {
@@ -844,7 +798,7 @@ func (c *serverConn) handleApprove(f proto.Frame) {
 	s := c.srv
 	now := s.clk.Now()
 	if a.Refill && a.Datum.Kind == vfs.FileData {
-		c.askRefill(a.Datum, now)
+		c.refills.Ask(a.Datum, now)
 	}
 	_, e := s.m.Approve(c.client, a.WriteID, now)
 	if s.obs.Enabled() {
@@ -861,17 +815,4 @@ func (c *serverConn) handleApprove(f proto.Frame) {
 		})
 	}
 	s.perform(e)
-}
-
-// askRefill puts d on the refill list, or restamps it there.
-func (c *serverConn) askRefill(d vfs.Datum, now time.Time) {
-	for i := range c.refills {
-		if c.refills[i].d == d {
-			c.refills[i].at = now
-			return
-		}
-	}
-	if len(c.refills) < maxRefills {
-		c.refills = append(c.refills, refillReq{d, now})
-	}
 }

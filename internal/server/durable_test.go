@@ -1,6 +1,7 @@
 package server
 
 import (
+	"net"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -149,5 +150,24 @@ func TestServeRefusesCeilingPastDurableCap(t *testing.T) {
 	}
 	if _, found, err := LoadMaxTerm(path); err != nil || found {
 		t.Fatalf("after the refusal: found=%v err=%v; want a missing file", found, err)
+	}
+}
+
+// TestServeAfterStopWritesNothing: a Serve that begins after Stop returns
+// nil and leaves no max-term file behind, so whoever stopped the server
+// may remove the file's directory at once.
+func TestServeAfterStopWritesNothing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "maxterm")
+	s := New(Config{Term: time.Second, MaxTermPath: path})
+	s.Stop()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Serve(ln); err != nil {
+		t.Fatalf("Serve after Stop: %v", err)
+	}
+	if _, found, err := LoadMaxTerm(path); err != nil || found {
+		t.Fatalf("after Stop then Serve: found=%v err=%v; want no max-term file", found, err)
 	}
 }

@@ -250,22 +250,20 @@ func (s *Server) ListenAndServe(addr string) error {
 // Before its first accept it raises the max-term file, when configured,
 // to the server's term ceiling, and returns the error if that fails.
 func (s *Server) Serve(ln net.Listener) error {
-	err := s.initErr
-	if err == nil {
-		err = s.persist(s.ceiling)
-	}
-	if err != nil {
-		ln.Close()
-		return err
-	}
 	// Every wg.Add below is made under connMu after a look at stopped:
 	// Stop closes stopped before it takes connMu, and Waits after, so a
-	// server stopped first starts nothing and no Add races the Wait.
+	// server stopped first starts nothing and no Add races the Wait. The
+	// max-term write runs under connMu too, so a Serve that begins after
+	// Stop writes nothing, and a Stop waits out a write already running.
 	s.connMu.Lock()
-	if s.isStopped() {
+	err := s.initErr
+	if err == nil && !s.isStopped() {
+		err = s.persist(s.ceiling)
+	}
+	if err != nil || s.isStopped() {
 		s.connMu.Unlock()
 		ln.Close()
-		return nil
+		return err
 	}
 	s.ln = ln
 	if ring := s.cfg.Shard.Ring; ring != nil {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"leases/internal/core"
+	"leases/internal/obs"
 	"leases/internal/proto"
 	"leases/internal/vfs"
 )
@@ -131,17 +132,6 @@ func (ct *ClassTable) staticPath(path string) bool {
 	return false
 }
 
-// Contains reports membership; safe on a nil table.
-func (ct *ClassTable) Contains(d vfs.Datum) bool {
-	if ct == nil {
-		return false
-	}
-	ct.mu.Lock()
-	_, ok := ct.members[d]
-	ct.mu.Unlock()
-	return ok
-}
-
 // quietLocked reports whether d is being written, or was written too
 // recently, to (re-)enter the class.
 func (ct *ClassTable) quietLocked(d vfs.Datum, now time.Time) bool {
@@ -149,32 +139,20 @@ func (ct *ClassTable) quietLocked(d vfs.Datum, now time.Time) bool {
 	return ct.writing[d] > 0 || ok && now.Before(lw.Add(ct.cfg.QuietAfterWrite))
 }
 
-// ObserveRead reports whether a served read of d, at path, should
-// promote d into the class: d lies under an installed directory, is not
-// a member yet and is quiet. The caller makes the class term durable —
-// recoverable before the first broadcast could cover d — and then calls
-// Core.ClassAdd.
-func (ct *ClassTable) ObserveRead(d vfs.Datum, path string, now time.Time) bool {
-	if !ct.staticPath(path) {
-		return false
+// observeRead installs d on a served read of it when it lies under an
+// installed directory, is not a member yet and is quiet. When membership
+// changed it returns the image to replicate to the peers, best effort:
+// unlike file writes, class state is a traffic optimization — failover
+// SAFETY rests on the replicated installed term and the §2 recovery
+// window, so a failed push costs renewal traffic, never correctness.
+func (c *Core) observeRead(d vfs.Datum, now time.Time) (ReplFile, bool) {
+	ct := c.Classes
+	path, err := c.cfg.Store.Path(d.Node)
+	if err != nil || !ct.staticPath(path) {
+		return ReplFile{}, false
 	}
 	ct.mu.Lock()
-	defer ct.mu.Unlock()
-	_, member := ct.members[d]
-	return !member && !ct.quietLocked(d, now)
-}
-
-// ClassAdd installs d, re-checking eligibility (a write may have landed
-// during the caller's durability step). When membership changed it
-// returns the image to replicate to the peers, best effort: unlike file
-// writes, class state is a traffic optimization — failover SAFETY rests
-// on the replicated installed term and the §2 recovery window, so a
-// failed push costs renewal traffic, never correctness.
-func (c *Core) ClassAdd(d vfs.Datum, path string, now time.Time) (ReplFile, bool) {
-	ct := c.Classes
-	ct.mu.Lock()
-	_, member := ct.members[d]
-	if member || ct.quietLocked(d, now) {
+	if _, member := ct.members[d]; member || ct.quietLocked(d, now) {
 		ct.mu.Unlock()
 		return ReplFile{}, false
 	}
@@ -241,13 +219,17 @@ func (ct *ClassTable) coverLocked(now time.Time) {
 	}
 }
 
-// Snapshot answers TInstalled: the current membership plus a covering
-// extension, its horizon recorded before the reply can leave. The caller
-// has made the installed term durable.
-func (ct *ClassTable) Snapshot(now time.Time) proto.InstalledWire {
+// Installed answers a class-snapshot fetch (TInstalled): the membership
+// plus a covering extension, its horizon recorded before the reply can
+// leave; empty while the class is off.
+func (m *Machine) Installed(now time.Time) (w proto.InstalledWire) {
+	ct := m.c.Classes
+	if ct == nil {
+		return w
+	}
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
-	w := proto.InstalledWire{Generation: ct.gen, Term: ct.cfg.InstalledTerm, SentAt: now}
+	w = proto.InstalledWire{Generation: ct.gen, Term: ct.cfg.InstalledTerm, SentAt: now}
 	if len(ct.members) > 0 {
 		ct.coverLocked(now)
 		w.Data = make([]vfs.Datum, 0, len(ct.members))
@@ -259,17 +241,26 @@ func (ct *ClassTable) Snapshot(now time.Time) proto.InstalledWire {
 	return w
 }
 
-// Broadcast stamps one broadcast-extension round — O(1) per client,
-// independent of how many files each caches (§4.3) — recording its
-// horizon first; ok is false while the class is empty.
-func (ct *ClassTable) Broadcast(now time.Time) (w proto.BroadcastExtWire, ok bool) {
-	ct.mu.Lock()
-	defer ct.mu.Unlock()
-	if len(ct.members) == 0 {
+// Broadcast stamps one broadcast-extension round for n connections — O(1)
+// per client, however many files each caches (§4.3) — its horizon
+// recorded before any frame can leave, and records EvBroadcastExt when
+// anyone hears it. ok is false, and nothing is sent, while the class is
+// off or empty or this replica does not serve.
+func (m *Machine) Broadcast(n int, now time.Time) (w proto.BroadcastExtWire, ok bool) {
+	ct := m.c.Classes
+	if ct == nil || !m.c.Serving(now) {
 		return w, false
 	}
-	ct.coverLocked(now)
-	return proto.BroadcastExtWire{Generation: ct.gen, Term: ct.cfg.InstalledTerm, SentAt: now}, true
+	ct.mu.Lock()
+	if ok = len(ct.members) > 0; ok {
+		ct.coverLocked(now)
+		w = proto.BroadcastExtWire{Generation: ct.gen, Term: ct.cfg.InstalledTerm, SentAt: now}
+	}
+	ct.mu.Unlock()
+	if ok && n > 0 && m.obs.Enabled() {
+		m.obs.Record(obs.Event{Type: obs.EvBroadcastExt, Depth: n, Term: w.Term})
+	}
+	return w, ok
 }
 
 // encodeLocked serializes generation and membership (kind+path pairs,

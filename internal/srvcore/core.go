@@ -1,8 +1,9 @@
 // Package srvcore is the lease server's protocol core, sans IO: the
 // order every mutation goes through (plan.go), the machine that drives
-// every plan (machine.go), and the state tables that order reads —
-// replication state and the serving gate (this file) and the
-// installed-files class (class.go).
+// every plan (machine.go), the read side — grants, renewals and refills
+// (read.go) — and the state tables that order reads: replication state
+// and the serving gate (this file) and the installed-files class
+// (class.go).
 //
 // Like replica.Machine and cache.Core it has no goroutine, channel,
 // timer, socket or clock: every entry point takes now. internal/server
@@ -124,8 +125,8 @@ func New(cfg Config) *Core {
 	return c
 }
 
-// Leases is the lease manager: grants, approvals and releases go to it
-// directly; writes reach it only through a Plan.
+// Leases is the lease manager, for a shell to read: grants, approvals and
+// releases reach it through the Machine, and writes only through a Plan.
 func (c *Core) Leases() *core.ShardedManager { return c.lm }
 
 // Serving reports whether this replica may accept sessions and clear

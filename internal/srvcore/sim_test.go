@@ -149,8 +149,10 @@ func (w *simWorld) fail(format string, args ...any) {
 	panic(violation(fmt.Sprintf("%s\ntrace:\n  %s", fmt.Sprintf(format, args...), strings.Join(w.trace, "\n  "))))
 }
 
+// grant serves c a read of d through the machine's read path, which the
+// class observes as both shells' read paths do.
 func (w *simWorld) grant(c core.ClientID, d vfs.Datum) {
-	g := w.core.Leases().Grant(c, d, w.now)
+	g, _, installed := w.m.GrantRead(c, d, w.now)
 	w.logf("grant %s %v leased=%v term=%v", c, d, g.Leased, g.Term)
 	if g.Term > w.ceiling {
 		w.fail("%s granted %v on %v, past the ceiling %v", c, g.Term, d, w.ceiling)
@@ -163,16 +165,9 @@ func (w *simWorld) grant(c core.ClientID, d vfs.Datum) {
 			w.lease[c][d] = exp
 		}
 	}
-	if d.Kind != vfs.FileData {
-		return
-	}
-	// The read also feeds the class, as the drivers' read paths do.
-	path, _ := w.store.Path(d.Node)
-	if w.core.Classes.ObserveRead(d, path, w.now) {
-		if _, added := w.core.ClassAdd(d, path, w.now); added {
-			w.members[d] = true
-			w.logf("installed %v", d)
-		}
+	if installed {
+		w.members[d] = true
+		w.logf("installed %v", d)
 	}
 }
 
@@ -462,18 +457,21 @@ func (w *simWorld) step(op, arg byte) {
 			w.effects(nil, w.m.Demote(w.at()))
 		}
 	case opBroadcast:
-		if !w.core.Serving(w.now) {
-			return
-		}
 		var term time.Duration
 		sent := false
 		if arg&1 == 0 {
 			var bw proto.BroadcastExtWire
-			bw, sent = w.core.Classes.Broadcast(w.now)
+			bw, sent = w.m.Broadcast(1, w.now)
 			term = bw.Term
-		} else {
-			iw := w.core.Classes.Snapshot(w.now)
+		} else if w.core.Serving(w.now) {
+			iw := w.m.Installed(w.now)
 			sent, term = len(iw.Data) > 0, iw.Term
+		}
+		if !w.core.Serving(w.now) {
+			if sent {
+				w.fail("class extension sent by a replica that does not serve")
+			}
+			return
 		}
 		if sent != (len(w.members) > 0) {
 			w.fail("class extension sent=%v with %d members", sent, len(w.members))
