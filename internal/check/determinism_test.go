@@ -163,3 +163,23 @@ func TestDriverBreaksBite(t *testing.T) {
 			honest.Ok(), honest.CacheHits, broken.Ok(), broken.CacheHits)
 	}
 }
+
+// TestWriteApplyRecordedOnce: the write-apply event is the machine's, as
+// on the TCP server, so the model's event stream holds one per write it
+// applies.
+func TestWriteApplyRecordedOnce(t *testing.T) {
+	events, applied := 0, 0
+	for seed := int64(1); seed <= 20; seed++ {
+		var sink bytes.Buffer
+		out, err := RunScenario(Generate(seed, GenConfig{Profile: ProfileAll}), Options{Sink: &sink})
+		if err != nil {
+			t.Fatal(err)
+		}
+		events += bytes.Count(sink.Bytes(), []byte(`"type":"write-apply"`))
+		applied += out.WritesApplied
+	}
+	if applied == 0 || events != applied {
+		t.Fatalf("%d write-apply events for %d writes applied", events, applied)
+	}
+	t.Logf("%d write-apply events for %d writes applied", events, applied)
+}

@@ -3,6 +3,12 @@ package check
 import (
 	"testing"
 	"time"
+
+	"leases/internal/clock"
+	"leases/internal/proto"
+	"leases/internal/replica"
+	"leases/internal/srvcore"
+	"leases/internal/vfs"
 )
 
 // replicatedGen is the standard 3-replica generator configuration the
@@ -219,5 +225,57 @@ func splitBrainTemplate(seed int64, ms func(int) time.Duration) Scenario {
 			// client 0's back.
 			{Kind: FaultPartition, Client: 1, Server: 2, At: ms(340), Dur: ms(700)},
 		},
+	}
+}
+
+// TestSyncRepliesKeepMergeContract: at five replicas a new master syncs
+// from two peers. A file the master and only one of them hold must come
+// back from the merge unsettled, since the other peer lacks it: the
+// model combines the replies it counted as srvcore.Core.Merge requires,
+// listing a path a reply lacks at sequence zero, where plain
+// concatenation would settle it.
+func TestSyncRepliesKeepMergeContract(t *testing.T) {
+	var e proto.Enc
+	held := srvcore.ReplFile{Path: filePath(0), Seq: 1, Data: e.EncodeOp(vfs.Op{Kind: vfs.OpWrite, Path: filePath(0), Data: []byte("v1")}).Bytes()}
+	srv := &mserver{
+		w:    &world{sc: Scenario{Servers: 5}},
+		core: srvcore.New(srvcore.Config{Store: vfs.New(clock.NewSim(), "srv"), Owner: "srv", Term: time.Second, Shards: checkShards}),
+	}
+	if applied, err := srv.core.ApplyReplicated(held.Path, held.Seq, held.Data); !applied || err != nil {
+		t.Fatalf("master's own copy: applied %v, %v", applied, err)
+	}
+	settled := false
+	srv.syncID = 1
+	srv.sync = &round{Round: replica.NewRound(srv.rep, srv.w.sc.Servers, replica.WhileMaster), done: func(err error) { settled = err == nil }}
+	srv.handleSyncRep(syncRep{From: 1, ReqID: 1, Files: []srvcore.ReplFile{held}})
+	srv.handleSyncRep(syncRep{From: 1, ReqID: 1, Files: []srvcore.ReplFile{held}}) // a retransmission's duplicate
+	srv.handleSyncRep(syncRep{From: 2, ReqID: 1})
+	if !settled || len(srv.syncReplies) != 2 {
+		t.Fatalf("sync ended %v with %d replies, want a quorum of 2", settled, len(srv.syncReplies))
+	}
+	unsettled := srv.mergeSynced()
+	if len(unsettled) != 1 || unsettled[0].Path != held.Path || unsettled[0].Seq <= held.Seq {
+		t.Fatalf("merge left %v unsettled, want %s under a fresh sequence", unsettled, held.Path)
+	}
+}
+
+// TestModelCheckFiveReplicasQuick runs the replicated grammar at five
+// replicas, where a quorum counts two peers: a quorum that only some
+// transmissions reach, and sync replies that disagree with each other,
+// first show here.
+func TestModelCheckFiveReplicasQuick(t *testing.T) {
+	base := baseSeed(t)
+	rep, err := Explore(ExploreConfig{
+		Gen:      GenConfig{Servers: 5, Profile: ProfileAll},
+		Mode:     "random",
+		Seeds:    50,
+		BaseSeed: base,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Violating != nil {
+		t.Fatalf("5-replica schedule %d (seed %d, replay: LEASECHECK_SEED=%d) violated: %v",
+			rep.Schedules, rep.Violating.Seed, base, rep.Outcome.Violations)
 	}
 }

@@ -23,13 +23,6 @@ import (
 // without drowning the small model configurations.
 const checkShards = 2
 
-// maxShipRetries bounds replication-frame retransmission — like the
-// deployment's master, which re-sends a frame once. A write that cannot
-// reach quorum fails unacked while it still holds clearance on its
-// datum, so giving up early is what keeps the datum live; the client's
-// own retry ladder starts the write over.
-const maxShipRetries = 2
-
 // engineClock adapts the discrete-event engine to clock.Clock for the
 // vfs store; only Now is meaningful inside the simulation.
 type engineClock struct{ engine *sim.Engine }
@@ -80,19 +73,14 @@ type mplan struct {
 	ship *round // Ship step in flight
 }
 
-// round is one at-least-once exchange with the group's peers — a file on
-// its way to a quorum (a plan's Ship step, or one a promotion must
-// settle), or a promotion's sync: send goes to every peer that has not
-// answered, again after each backoff, until quorum-1 have answered
-// (done(nil)) or the tries run out (done(err)).
+// round drives a replica.Round over the fabric, a backoff between
+// transmissions, until it is done (done(nil)) or spent (done(err)).
 type round struct {
-	got   []bool
-	tries int // so far, of max
-	max   int
-	ev    *sim.Event
-	send  func(node netsim.NodeID)
-	done  func(err error)
-	span  tracing.Span // repl.ship: first transmit to quorum, retries included
+	*replica.Round
+	ev   *sim.Event
+	send func(node netsim.NodeID)
+	done func(err error)
+	span tracing.Span // repl.ship: first transmit to quorum, retransmit included
 }
 
 // xferState is the source master's record of one outbound cross-shard
@@ -118,12 +106,12 @@ var (
 
 // mserver is the model file server: the real vfs store and the shipped
 // server core (internal/srvcore — write plans, the read path, replication
-// state and class table) under the model's message loop. What is the model's own
-// is transport: the election pump, quorum counting and retransmission of
-// a plan's Ship step, the promotion sync exchange, the rename's move
-// between masters, and at-least-once dedupe. In replicated worlds
-// (sc.Servers > 1) it additionally runs the real PaxosLease Machine;
-// mach is nil in single-server worlds.
+// state and class table) under the model's message loop. Its replication
+// rounds count through the shipped replica.Round. What is the model's own
+// is transport: the election pump, the timers and frames of a round, the
+// rename's move between masters, and at-least-once dedupe. In replicated
+// worlds (sc.Servers > 1) it additionally runs the real PaxosLease
+// Machine; mach is nil in single-server worlds.
 type mserver struct {
 	w    *world
 	idx  int // global server index
@@ -170,12 +158,12 @@ type mserver struct {
 	machEv    *sim.Event
 	wasMaster bool
 	// The promotion in progress: its sync round (replies are told apart by
-	// syncID) and what it has gathered, then the files it is settling.
-	syncID    uint64
-	sync      *round
-	syncFiles []srvcore.ReplFile
-	syncFloor time.Duration
-	settling  []*round
+	// syncID) and the replies it counted, then the files it is settling.
+	syncID      uint64
+	sync        *round
+	syncReplies [][]srvcore.ReplFile
+	syncFloor   time.Duration
+	settling    []*round
 
 	// Sharding state (Groups > 1 only). peerBelief[g] is the replica this
 	// server currently believes is group g's master, rotated when retries
@@ -326,19 +314,6 @@ func (srv *mserver) peerNode(g, r int) netsim.NodeID {
 	return srv.w.serverNodeID(srv.w.globalIdx(g, r))
 }
 
-// eachPeer calls fn for every other replica of this server's group.
-func (srv *mserver) eachPeer(fn func(r int, node netsim.NodeID)) {
-	for r := 0; r < srv.w.sc.Servers; r++ {
-		if r != srv.rep {
-			fn(r, srv.peerNode(srv.group, r))
-		}
-	}
-}
-
-// quorumPeers is how many peer acknowledgements (excluding the master
-// itself) a shipped write or promotion sync needs.
-func (srv *mserver) quorumPeers() int { return srv.w.sc.Servers / 2 }
-
 func (srv *mserver) backoff(retries int) time.Duration {
 	return srv.w.retryBase() << uint(min(retries, 6))
 }
@@ -421,48 +396,33 @@ func sortedKeys[V any](m map[uint64]V) []uint64 {
 
 // ---- rounds: promotion sync, and shipping a file to a quorum ----
 
-func (srv *mserver) startRound(max int, send func(netsim.NodeID), done func(error)) *round {
-	rd := &round{got: make([]bool, srv.w.sc.Servers), max: max, send: send, done: done}
+func (srv *mserver) startRound(budget int, send func(netsim.NodeID), done func(error)) *round {
+	rd := &round{Round: replica.NewRound(srv.rep, srv.w.sc.Servers, budget), send: send, done: done}
 	srv.sendRound(rd)
 	return rd
 }
 
 func (srv *mserver) sendRound(rd *round) {
-	srv.eachPeer(func(r int, node netsim.NodeID) {
-		if !rd.got[r] {
-			rd.send(node)
-		}
-	})
-	rd.ev = srv.w.engine.After(srv.backoff(rd.tries), func() {
+	to, ok := rd.Send(srv.mach.IsMaster(srv.localNow()))
+	if !ok {
+		srv.endRound(rd, errNoQuorum)
+		return
+	}
+	for _, r := range to {
+		rd.send(srv.peerNode(srv.group, r))
+	}
+	rd.ev = srv.w.engine.After(srv.backoff(rd.Sent()-1), func() {
 		rd.ev = nil
-		if srv.down || rd.done == nil {
-			return
+		if !srv.down && rd.done != nil {
+			srv.sendRound(rd)
 		}
-		if rd.tries++; rd.tries > rd.max {
-			srv.endRound(rd, errNoQuorum)
-			return
-		}
-		srv.sendRound(rd)
 	})
 }
 
-// answered records peer from's answer to rd, ending the round on the
-// one that makes a quorum; it reports whether the answer was news.
-func (srv *mserver) answered(rd *round, from int) bool {
-	if rd == nil || rd.done == nil || from < 0 || from >= len(rd.got) || rd.got[from] {
-		return false
-	}
-	rd.got[from] = true
-	n := 0
-	for _, g := range rd.got {
-		if g {
-			n++
-		}
-	}
-	if n >= srv.quorumPeers() {
+func (srv *mserver) answered(rd *round, from int) {
+	if rd != nil && rd.done != nil && rd.Count(from) && rd.Done() {
 		srv.endRound(rd, nil)
 	}
-	return true
 }
 
 // endRound ends rd (nil, or ended: a no-op), telling its owner unless
@@ -490,9 +450,9 @@ func (srv *mserver) endRound(rd *round, err error) {
 func (srv *mserver) beginSync() {
 	srv.endPromotion()
 	srv.syncID++
-	srv.syncFiles, srv.syncFloor = nil, srv.termFloor()
+	srv.syncReplies, srv.syncFloor = nil, srv.termFloor()
 	req := syncReq{From: srv.rep, ReqID: srv.syncID}
-	srv.sync = srv.startRound(maxRetries,
+	srv.sync = srv.startRound(replica.WhileMaster,
 		func(node netsim.NodeID) { srv.w.fabric.Unicast(srv.node, node, kindSyncReq, req) },
 		func(err error) {
 			if err == nil {
@@ -515,8 +475,8 @@ func (srv *mserver) endPromotion() {
 func (srv *mserver) termFloor() time.Duration { return max(srv.core.TermFloor(), srv.floor) }
 
 func (srv *mserver) handleSyncRep(p syncRep) {
-	if p.ReqID == srv.syncID && srv.sync != nil && srv.sync.done != nil && !srv.sync.got[p.From] {
-		srv.syncFiles = append(srv.syncFiles, p.Files...)
+	if p.ReqID == srv.syncID && srv.sync != nil && srv.sync.done != nil && srv.sync.Wants(p.From) {
+		srv.syncReplies = append(srv.syncReplies, p.Files)
 		srv.syncFloor = max(srv.syncFloor, p.Floor)
 		srv.answered(srv.sync, p.From)
 	}
@@ -530,7 +490,7 @@ func (srv *mserver) settle() {
 	if !srv.mach.IsMaster(srv.localNow()) {
 		return
 	}
-	unsettled := srv.core.Merge(srv.syncFiles)
+	unsettled := srv.mergeSynced()
 	left := len(unsettled)
 	for _, f := range unsettled {
 		srv.settling = append(srv.settling, srv.ship(f, tracing.Context{}, func(err error) {
@@ -549,13 +509,16 @@ func (srv *mserver) settle() {
 	}
 }
 
-// ship starts the round that carries f to a quorum. Every (re)transmit
-// is stamped with the current ballot: a frame sent just before this
-// master renewed its own lease would otherwise be rejected by peers that
-// already accepted the renewal's ballot.
+// mergeSynced merges the sync replies counted and returns what is unsettled.
+func (srv *mserver) mergeSynced() []srvcore.ReplFile {
+	return srv.core.Merge(replica.CombineSync(srv.syncReplies))
+}
+
+// ship starts the round that carries f to a quorum, each transmission
+// stamped with the ballot current when it goes out.
 func (srv *mserver) ship(f srvcore.ReplFile, tc tracing.Context, done func(error)) *round {
 	key := replAck{Path: f.Path, Seq: f.Seq}
-	rd := srv.startRound(maxShipRetries, func(node netsim.NodeID) {
+	rd := srv.startRound(replica.ShipTransmissions, func(node netsim.NodeID) {
 		fr := replFrame{From: srv.rep, Ballot: srv.mach.MasterBallot(srv.localNow()), File: f}
 		srv.w.fabric.Unicast(srv.node, node, kindReplWrite, fr)
 	}, func(err error) {
@@ -725,12 +688,8 @@ func (srv *mserver) apply(op *mplan, now time.Time) error {
 		srv.w.orc.applied(op.file, op.value)
 		version := srv.versionAt(op.file, op.seq, res.Attr.Version)
 		srv.seen[op.client][op.reqID] = version
-		wait := max(now.Sub(op.queuedAt), 0)
-		srv.w.out.MaxWriteWait = max(srv.w.out.MaxWriteWait, wait)
-		srv.w.obs.Record(obs.Event{
-			Type: obs.EvWriteApply, Client: string(op.client), Datum: datumForFile(op.file),
-			Shard: srv.core.Leases().ShardFor(datumForFile(op.file)), Wait: wait,
-		})
+		srv.w.out.MaxWriteWait = max(srv.w.out.MaxWriteWait, now.Sub(op.queuedAt))
+		srv.w.out.WritesApplied++
 	case planSource:
 		// The commit point. The bytes are read here, behind every write
 		// cleared before it, so the move carries them.

@@ -139,7 +139,9 @@ type Outcome struct {
 	CacheHits   int
 	Writes      int
 	WritesAcked int
-	Extends     int
+	// WritesApplied counts writes a master applied, re-applies included.
+	WritesApplied int
+	Extends       int
 	// Renewals counts renewal grants that came back on reads and writes;
 	// Refills the files that came back on them after their holder
 	// approved a write while reading them.

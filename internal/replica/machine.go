@@ -17,12 +17,12 @@
 //
 // The package is split in two layers:
 //
-//   - Machine (this file): the pure protocol state machine. It owns no
-//     goroutines, sockets, or timers; callers feed it messages and
-//     explicit `now` instants and it returns messages to send. The
-//     model checker (internal/check) drives a Machine per simulated
-//     replica directly on the netsim substrate.
-//   - Node (node.go): the TCP runtime that runs a Machine over
+//   - Machine (this file) and Round (round.go): the pure state machines
+//     of the election and of a replication quorum. They own no
+//     goroutines, sockets, or timers; callers feed them messages and
+//     explicit `now` instants and they say what to send. The model
+//     checker (internal/check) drives both per simulated replica.
+//   - Node (node.go): the TCP runtime that runs them over
 //     internal/proto framing with internal/clock timers — the form
 //     cmd/leasesrv embeds.
 package replica

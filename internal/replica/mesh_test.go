@@ -359,12 +359,20 @@ func applyPayload() []byte {
 	return e.Bytes()
 }
 
+// shipOnce broadcasts applyPayload from nd in a round of one transmission
+// and returns how many peers counted it.
+func shipOnce(nd *Node) int {
+	rd := NewRound(nd.cfg.ID, len(nd.cfg.Peers), 1)
+	nd.broadcastRPC(tracing.Context{}, "", nd.shipOps, proto.TReplApply, rd, func() ([]byte, error) { return applyPayload(), nil }, appliedReply)
+	return rd.Counted()
+}
+
 // TestMeshLoneFrameNeedsNoTimer: a single RPC is written as soon as the
 // send goroutine runs and completes with the clock standing still.
 func TestMeshLoneFrameNeedsNoTimer(t *testing.T) {
 	sp := startSilentPeer(t, true)
 	nd, _, o := frozenNode(t, sp)
-	if acks := nd.broadcastRPC(tracing.Context{}, "", nd.shipOps, proto.TReplApply, applyPayload(), 1, appliedReply); acks != 1 {
+	if acks := shipOnce(nd); acks != 1 {
 		t.Fatalf("lone RPC counted %d acks, want 1", acks)
 	}
 	if got := sp.frames.Load(); got != 1 {
@@ -385,7 +393,7 @@ func TestMeshSeveredConnFailsPendingOnce(t *testing.T) {
 	acks := make(chan int, k)
 	for i := 0; i < k; i++ {
 		go func() {
-			acks <- nd.broadcastRPC(tracing.Context{}, "", nd.shipOps, proto.TReplApply, applyPayload(), 1, appliedReply)
+			acks <- shipOnce(nd)
 		}()
 	}
 	waitFor(t, "the peer to hold every request", func() bool { return sp.frames.Load() == k })
@@ -414,7 +422,7 @@ func TestMeshBroadcastDeadlineAndSweep(t *testing.T) {
 	}
 	acks := make(chan int, 1)
 	go func() {
-		acks <- nd.broadcastRPC(tracing.Context{}, "", nd.shipOps, proto.TReplApply, applyPayload(), 1, appliedReply)
+		acks <- shipOnce(nd)
 	}()
 	waitFor(t, "the peer to hold the request", func() bool { return sp.frames.Load() >= 1 })
 	select {
@@ -468,7 +476,7 @@ func TestMeshSweepPrunesQueueBehindHungPeer(t *testing.T) {
 	acks := make(chan int, k)
 	for i := 0; i < k; i++ {
 		go func() {
-			acks <- nd.broadcastRPC(tracing.Context{}, "", nd.shipOps, proto.TReplApply, applyPayload(), 1, appliedReply)
+			acks <- shipOnce(nd)
 		}()
 		// One at a time, so that the first is alone in the write that hangs.
 		waitFor(t, "the request to be registered", func() bool { return pendingCalls(p) == i+1 })
@@ -505,7 +513,7 @@ func TestMeshRedialsLeaveNoGoroutine(t *testing.T) {
 	}
 	ship := func() {
 		t.Helper()
-		if acks := nd.broadcastRPC(tracing.Context{}, "", nd.shipOps, proto.TReplApply, applyPayload(), 1, appliedReply); acks != 1 {
+		if acks := shipOnce(nd); acks != 1 {
 			t.Fatalf("RPC counted %d acks, want 1", acks)
 		}
 	}

@@ -244,9 +244,6 @@ func (n *Node) MasterBallot() uint64 {
 // ID reports the replica's index.
 func (n *Node) ID() int { return n.cfg.ID }
 
-// quorum is the majority size over the full replica set.
-func (n *Node) quorum() int { return len(n.cfg.Peers)/2 + 1 }
-
 // deliver feeds one incoming election message to the machine.
 func (n *Node) deliver(msg Msg) {
 	if msg.From >= 0 && msg.From < len(n.peers) && n.peers[msg.From] != nil {
@@ -675,12 +672,13 @@ func (n *Node) masterFrameOK(from int, ballot uint64) bool {
 // result is one peer's answer to a broadcast RPC, or the reason there
 // will be none.
 type result struct {
-	f   proto.Frame
-	err error
+	peer int
+	f    proto.Frame
+	err  error
 }
 
 // call is one RPC pending at one peer. done is shared by the calls of
-// one broadcast and buffered for all of them, so completing a call
+// one transmission and buffered for all of them, so completing a call
 // never blocks; span and op (when set) record the round-trip.
 type call struct {
 	done  chan<- result
@@ -689,59 +687,73 @@ type call struct {
 	start time.Time
 }
 
-// broadcastRPC queues one RPC on every peer's send queue and returns
-// the number of COUNTED acknowledgements, waiting only until enough
-// have counted, all have answered, or the node's RPC timeout — one
-// deadline for the whole broadcast — has passed. each consumes (and
-// must recycle) every successful non-error reply and reports whether it
-// counts toward the quorum; nil counts every TOK-class reply.
-//
-// tc and span attach one child span per peer round-trip to a sampled
-// request's trace (the zero context records nothing); ops, when
-// non-nil, is the per-peer latency histogram name table (indexed by
-// peer id) each round-trip is observed under.
-func (n *Node) broadcastRPC(tc tracing.Context, span string, ops []string, t proto.MsgType, payload []byte, need int, each func(proto.Frame) bool) int {
-	// Replies the caller does not wait for (it returns on a quorum) land
-	// in the buffer and are left to the collector.
-	done := make(chan result, len(n.peers))
-	sent, now := 0, n.clk.Now()
-	for _, p := range n.peers {
-		if p == nil {
-			continue
-		}
-		cl := call{done: done, span: n.cfg.Tracer.StartChild(tc, span), start: now}
-		if ops != nil {
-			cl.op = ops[p.id]
-		}
-		p.enqueue(&cl, t, payload)
-		sent++
-	}
-	if sent == 0 {
-		return 0
-	}
-	timeout, cancel := n.clk.After(n.cfg.RPCTimeout)
-	defer cancel()
-	acks := 0
-	for i := 0; i < sent && acks < need; i++ {
-		select {
-		case r := <-done:
-			switch {
-			case r.err != nil:
-			case r.f.Type == proto.TError:
-				r.f.Recycle()
-			case each == nil:
-				r.f.Recycle()
-				acks++
-			case each(r.f):
-				acks++
+var errNotMaster = errors.New("replica: not master")
+
+// retryPause is the least time between the starts of two transmissions
+// after the second: the first re-send goes at once, as a frame that raced
+// a lease renewal at a peer passes re-stamped, and later ones are paced.
+const retryPause = 100 * time.Millisecond
+
+// broadcastRPC drives rd over the mesh until it is spent or the node
+// stops. Each transmission queues the RPC frame encodes at that moment
+// (a retransmission carries the current ballot; an error ends the round)
+// for every peer rd names, and lasts until every call has answered or
+// the RPC timeout has passed (see retryPause for the next). A reply
+// that is not an error counts for its peer if each, which consumes (and
+// must recycle) it, accepts it. tc and span attach a child span per peer
+// round-trip to a sampled trace; ops, when non-nil, names each peer's
+// latency histogram.
+func (n *Node) broadcastRPC(tc tracing.Context, span string, ops []string, t proto.MsgType, rd *Round, frame func() ([]byte, error), each func(proto.Frame) bool) error {
+	var done chan result
+	pending := 0
+	// await counts the last transmission's answers until rd is done, until
+	// passes or, with all, every call has answered; false: the node stopped.
+	await := func(until time.Time, all bool) bool {
+		timeout, cancel := n.clk.After(until.Sub(n.clk.Now()))
+		defer cancel()
+		for !rd.Done() && (!all || pending > 0) {
+			select {
+			case r := <-done:
+				pending--
+				switch {
+				case r.err != nil:
+				case r.f.Type == proto.TError || !rd.Wants(r.peer):
+					r.f.Recycle()
+				case each(r.f):
+					rd.Count(r.peer)
+				}
+			case <-timeout:
+				return true
+			case <-n.stopped:
+				return false
 			}
-		case <-timeout:
-			return acks
-		case <-n.stopped:
-			return acks
+		}
+		return true
+	}
+	for {
+		to, ok := rd.Send(n.IsMaster())
+		if !ok {
+			return nil
+		}
+		payload, err := frame()
+		if err != nil {
+			return err
+		}
+		began := n.clk.Now()
+		// Answers nobody waits for land in the buffer, left to the collector.
+		done, pending = make(chan result, len(to)), len(to)
+		for _, id := range to {
+			cl := call{done: done, span: n.cfg.Tracer.StartChild(tc, span), start: began}
+			if ops != nil {
+				cl.op = ops[id]
+			}
+			n.peers[id].enqueue(&cl, t, payload)
+		}
+		if !await(began.Add(n.cfg.RPCTimeout), true) || rd.Spent(n.IsMaster()) ||
+			rd.Sent() > 1 && !await(began.Add(retryPause), false) {
+			return nil
 		}
 	}
-	return acks
 }
 
 // appliedReply reports whether a TReplApply TOK reply marks a real
@@ -753,166 +765,92 @@ func appliedReply(f proto.Frame) bool {
 	return applied
 }
 
+// replicate sends a master-fenced frame — this replica's ID and ballot,
+// then body — in a round of ShipTransmissions, each stamped with the
+// ballot current when it goes out.
+func (n *Node) replicate(tc tracing.Context, span string, ops []string, t proto.MsgType, body func(*proto.Enc), each func(proto.Frame) bool) (*Round, error) {
+	rd := NewRound(n.cfg.ID, len(n.cfg.Peers), ShipTransmissions)
+	return rd, n.broadcastRPC(tc, span, ops, t, rd, func() ([]byte, error) {
+		ballot := n.MasterBallot()
+		if ballot == 0 {
+			return nil, errNotMaster
+		}
+		var e proto.Enc
+		body(e.I64(int64(n.cfg.ID)).U64(ballot))
+		return e.Bytes(), nil
+	}, each)
+}
+
 // ReplicateWrite pushes one committed write to the peer set and
 // returns nil once a quorum (counting this replica) has actually
 // applied it — stale-sequence drops and fencing rejections do not
-// count, so a successful return really means the bytes are durable on
-// a quorum. The master calls this BEFORE applying locally and acking
-// the client, so no reader ever observes a value a failover could
-// lose. Frames are stamped with the master lease's election ballot;
-// one retry re-stamps the current ballot to cover a frame racing a
-// lease renewal at a peer.
-//
-// tc is the causing write's trace context: a sampled write records one
-// "repl.ship" child span per peer round-trip, so /traces shows which
-// peer the quorum waited on. The zero context records nothing.
+// count. The master calls this BEFORE applying locally and acking the
+// client, so no reader ever observes a value a failover could lose. A
+// sampled tc records one "repl.ship" span per peer round-trip, so
+// /traces shows which peer the quorum waited on.
 func (n *Node) ReplicateWrite(tc tracing.Context, fs FileState) error {
-	need := n.quorum() - 1 // counting ourselves
-	if need <= 0 {
-		return nil
+	rd, err := n.replicate(tc, "repl.ship", n.shipOps, proto.TReplApply, func(e *proto.Enc) {
+		e.U64(fs.Seq).Str(fs.Path).Blob(fs.Data)
+	}, appliedReply)
+	if err == nil && !rd.Done() {
+		err = fmt.Errorf("replica: write %s#%d applied at %d/%d peers", fs.Path, fs.Seq, rd.Counted(), rd.Need())
 	}
-	var lastErr error
-	for attempt := 0; attempt < 2; attempt++ {
-		ballot := n.MasterBallot()
-		if ballot == 0 {
-			return errors.New("replica: not master")
-		}
-		var e proto.Enc
-		e.I64(int64(n.cfg.ID)).U64(ballot).U64(fs.Seq).Str(fs.Path).Blob(fs.Data)
-		acks := n.broadcastRPC(tc, "repl.ship", n.shipOps, proto.TReplApply, e.Bytes(), need, appliedReply)
-		if acks >= need {
-			return nil
-		}
-		lastErr = fmt.Errorf("replica: write %s#%d applied at %d/%d peers", fs.Path, fs.Seq, acks, need)
-	}
-	return lastErr
+	return err
 }
 
-// ReplicateMaxTerm pushes a durable max-term raise — a promoted master's
-// term ceiling, before it serves — to a quorum, preserving the §2
-// ordering across failover: any future master's recovery window covers
-// every lease any past master granted. Ballot-stamped and retried once,
-// like ReplicateWrite.
+// ReplicateMaxTerm pushes a promoted master's term ceiling to a quorum
+// before it serves, so any future master's §2 recovery window covers
+// every lease any past master granted.
 func (n *Node) ReplicateMaxTerm(d time.Duration) error {
-	need := n.quorum() - 1
-	if need <= 0 {
-		return nil
+	rd, err := n.replicate(tracing.Context{}, "", nil, proto.TReplMaxTerm, func(e *proto.Enc) { e.Dur(d) }, func(f proto.Frame) bool { f.Recycle(); return true })
+	if err == nil && !rd.Done() {
+		err = fmt.Errorf("replica: max-term %v replicated to %d/%d peers", d, rd.Counted(), rd.Need())
 	}
-	var lastErr error
-	for attempt := 0; attempt < 2; attempt++ {
-		ballot := n.MasterBallot()
-		if ballot == 0 {
-			return errors.New("replica: not master")
-		}
-		var e proto.Enc
-		e.I64(int64(n.cfg.ID)).U64(ballot).Dur(d)
-		acks := n.broadcastRPC(tracing.Context{}, "", nil, proto.TReplMaxTerm, e.Bytes(), need, nil)
-		if acks >= need {
-			return nil
-		}
-		lastErr = fmt.Errorf("replica: max-term %v replicated to %d/%d peers", d, acks, need)
-	}
-	return lastErr
+	return err
 }
 
-// SyncFromPeers collects the replicated file state and max-term floor
-// from a quorum of the full set (counting this replica): the floor
-// merged by maximum, the files NOT merged — every reply's list, one
-// after the other, with a path some reply lacks listed for it at
-// sequence zero — because the caller's promotion needs to know not only
-// the newest state of each file (any write or term raise that was ever
-// quorum-acked is present in at least one member of any quorum, and
-// applying the lists through a seq-guarded apply keeps the newest) but
-// also whether the repliers hold it unanimously.
-//
-// tc is the election trace's context during a promotion catch-up (one
-// "repl.sync" child span per peer round-trip); the zero context — a
-// follower's diskless rejoin — records nothing.
+// SyncFromPeers collects, in one transmission, the replicated file state
+// and max-term floor of a quorum (counting this replica): the floor by
+// maximum, the files by CombineSync, since a promotion needs each file's
+// newest state and whether the repliers hold it unanimously. The zero tc
+// — a follower's diskless rejoin — records no "repl.sync" spans.
 func (n *Node) SyncFromPeers(tc tracing.Context) ([]FileState, time.Duration, error) {
-	need := n.quorum() - 1
-	if need <= 0 {
-		return nil, 0, nil
-	}
+	return n.sync(tc, 1)
+}
+
+// SyncForPromotion is a freshly elected master's SyncFromPeers, re-sent
+// to the peers not yet counted while its lease stands: a transient
+// shortfall must not let it serve without the merged state the §2
+// recovery window and the sequence floors come from. On an error (the
+// node stopped or the mastership lapsed) the caller must NOT promote.
+func (n *Node) SyncForPromotion(tc tracing.Context) ([]FileState, time.Duration, error) {
+	return n.sync(tc, WhileMaster)
+}
+
+func (n *Node) sync(tc tracing.Context, budget int) ([]FileState, time.Duration, error) {
+	rd := NewRound(n.cfg.ID, len(n.cfg.Peers), budget)
 	var replies [][]FileState
 	var maxTerm time.Duration
-	var mu sync.Mutex
-	// The request carries (from, ballot) like every replication frame;
-	// peers bind from to the connection but do not master-fence syncs,
-	// which also serve a restarted follower's diskless rejoin (ballot
-	// zero).
-	var e proto.Enc
-	e.I64(int64(n.cfg.ID)).U64(n.MasterBallot())
-	acks := n.broadcastRPC(tc, "repl.sync", nil, proto.TReplSync, e.Bytes(), need, func(f proto.Frame) bool {
-		if f.Type != proto.TReplSyncRep {
-			f.Recycle()
-			return false
-		}
+	err := n.broadcastRPC(tc, "repl.sync", nil, proto.TReplSync, rd, func() ([]byte, error) {
+		var e proto.Enc
+		return e.I64(int64(n.cfg.ID)).U64(n.MasterBallot()).Bytes(), nil
+	}, func(f proto.Frame) bool {
+		defer f.Recycle()
 		files, floor, err := decodeSyncRep(f.Payload)
-		f.Recycle()
-		if err != nil {
+		if f.Type != proto.TReplSyncRep || err != nil {
 			return false
 		}
-		mu.Lock()
 		replies = append(replies, files)
 		maxTerm = max(maxTerm, floor)
-		mu.Unlock()
 		return true
 	})
-	if acks < need {
-		return nil, 0, fmt.Errorf("replica: sync reached %d/%d peers", acks, need)
+	if err == nil && !rd.Done() {
+		err = fmt.Errorf("replica: sync reached %d/%d peers", rd.Counted(), rd.Need())
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	paths := map[string]int{}
-	for _, files := range replies {
-		for _, fs := range files {
-			paths[fs.Path]++
-		}
+	if err != nil {
+		return nil, 0, err
 	}
-	var out []FileState
-	for _, files := range replies {
-		out = append(out, files...)
-		if len(replies) == 1 {
-			break
-		}
-		held := make(map[string]bool, len(files))
-		for _, fs := range files {
-			held[fs.Path] = true
-		}
-		for p := range paths {
-			if !held[p] {
-				out = append(out, FileState{Path: p})
-			}
-		}
-	}
-	return out, maxTerm, nil
-}
-
-// SyncForPromotion runs the catch-up sync for a freshly elected
-// master, retrying while the election lease still stands: a transient
-// quorum shortfall (a peer mid-restart, a partition healing) must not
-// let a master serve without the merged state — the §2 recovery window
-// and the per-path sequence floor both come from this merge. It
-// returns an error only when the node stops or the mastership lapses,
-// in which case the caller must NOT promote: serving stays gated and
-// the next election retries the whole sequence.
-func (n *Node) SyncForPromotion(tc tracing.Context) ([]FileState, time.Duration, error) {
-	for {
-		files, floor, err := n.SyncFromPeers(tc)
-		if err == nil {
-			return files, floor, nil
-		}
-		if !n.IsMaster() {
-			return nil, 0, fmt.Errorf("replica: mastership lapsed during catch-up sync: %w", err)
-		}
-		wait, cancel := n.clk.After(100 * time.Millisecond)
-		select {
-		case <-wait:
-		case <-n.stopped:
-			cancel()
-			return nil, 0, errors.New("replica: node stopped during catch-up sync")
-		}
-	}
+	return CombineSync(replies), maxTerm, nil
 }
 
 // peer is one outgoing peer-mesh connection. Election messages and
@@ -1011,7 +949,7 @@ func (p *peer) finish(cl call, f proto.Frame, err error) {
 			cl.span.EndNote(fmt.Sprintf("peer=%d ok", p.id))
 		}
 	}
-	cl.done <- result{f, err}
+	cl.done <- result{p.id, f, err}
 }
 
 // failCalls aborts the pending RPCs issued no later than cutoff: every

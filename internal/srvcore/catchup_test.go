@@ -9,6 +9,7 @@ import (
 
 	"leases/internal/clock"
 	"leases/internal/proto"
+	"leases/internal/replica"
 	"leases/internal/vfs"
 )
 
@@ -95,8 +96,8 @@ func TestMergeIgnoresNeverReplicatedFiles(t *testing.T) {
 			return cs
 		}
 		cs := build()
-		trimmed := gather([][]ReplFile{cs[1].ReplState(), cs[2].ReplState()})
-		padded := gather([][]ReplFile{walkState(cs[1], paths), walkState(cs[2], paths)})
+		trimmed := replica.CombineSync([][]ReplFile{cs[1].ReplState(), cs[2].ReplState()})
+		padded := replica.CombineSync([][]ReplFile{walkState(cs[1], paths), walkState(cs[2], paths)})
 		got, want := cs[0], build()[0]
 		gotUnsettled, wantUnsettled := got.Merge(trimmed), want.Merge(padded)
 		if !reflect.DeepEqual(gotUnsettled, wantUnsettled) {
@@ -112,32 +113,6 @@ func TestMergeIgnoresNeverReplicatedFiles(t *testing.T) {
 			}
 		}
 	}
-}
-
-// gather concatenates catch-up replies as replica.Node.SyncFromPeers
-// does: with more than one reply, each also lists at sequence zero every
-// path another reply holds and it lacks.
-func gather(replies [][]ReplFile) []ReplFile {
-	paths := map[string]bool{}
-	for _, files := range replies {
-		for _, f := range files {
-			paths[f.Path] = true
-		}
-	}
-	var out []ReplFile
-	for _, files := range replies {
-		out = append(out, files...)
-		held := map[string]bool{}
-		for _, f := range files {
-			held[f.Path] = true
-		}
-		for p := range paths {
-			if !held[p] && len(replies) > 1 {
-				out = append(out, ReplFile{Path: p})
-			}
-		}
-	}
-	return out
 }
 
 // walkState is c's catch-up reply padded with every file of its store
