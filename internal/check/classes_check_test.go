@@ -1,6 +1,9 @@
 package check
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
 	"testing"
 	"time"
 )
@@ -67,6 +70,44 @@ func TestDropOnWriteDemotionModel(t *testing.T) {
 	}
 	if out.CacheHits == 0 {
 		t.Fatal("the covered reread should have been a cache hit")
+	}
+}
+
+// TestFailoverCarriesInstalledClass: the master ships the class image a
+// read changed to its peers, as the TCP server does, so the master
+// elected after it crashes holds the member it promoted without a read of
+// its own: its snapshot is not empty, and it broadcasts the class.
+func TestFailoverCarriesInstalledClass(t *testing.T) {
+	sc := Scenario{
+		Clients: 1, Files: 1, Servers: 3, Installed: true,
+		Ops:    []Op{{At: 30 * time.Millisecond, Client: 0, File: 0, Kind: OpRead}},
+		Faults: []Fault{{Kind: FaultMasterCrash, At: 300 * time.Millisecond, Dur: 1500 * time.Millisecond}},
+	}
+	var events bytes.Buffer
+	out, err := RunScenario(sc, Options{Sink: &events})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Ok() {
+		t.Fatalf("failover violated: %v", out.Violations)
+	}
+	var elected, promoted, broadcasts int
+	for lines := bufio.NewScanner(&events); lines.Scan(); {
+		var ev struct{ Type string }
+		if err := json.Unmarshal(lines.Bytes(), &ev); err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case ev.Type == "elected":
+			elected++
+		case ev.Type == "class-promote":
+			promoted++
+		case ev.Type == "broadcast-ext" && elected > 1:
+			broadcasts++
+		}
+	}
+	if elected < 2 || promoted != 1 || broadcasts == 0 {
+		t.Fatalf("%d elections, %d class promotions, %d broadcasts from the successor: want 2+, 1 and some", elected, promoted, broadcasts)
 	}
 }
 

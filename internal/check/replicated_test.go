@@ -253,7 +253,7 @@ func TestSyncRepliesKeepMergeContract(t *testing.T) {
 	if !settled || len(srv.syncReplies) != 2 {
 		t.Fatalf("sync ended %v with %d replies, want a quorum of 2", settled, len(srv.syncReplies))
 	}
-	unsettled := srv.mergeSynced()
+	unsettled := srv.core.Merge(replica.CombineSync(srv.syncReplies))
 	if len(unsettled) != 1 || unsettled[0].Path != held.Path || unsettled[0].Seq <= held.Seq {
 		t.Fatalf("merge left %v unsettled, want %s under a fresh sequence", unsettled, held.Path)
 	}

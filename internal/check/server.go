@@ -158,12 +158,15 @@ type mserver struct {
 	machEv    *sim.Event
 	wasMaster bool
 	// The promotion in progress: its sync round (replies are told apart by
-	// syncID) and the replies it counted, then the files it is settling.
+	// syncID) and the replies it counted, then the driver, with the round
+	// or the pause its step is on.
 	syncID      uint64
 	sync        *round
 	syncReplies [][]srvcore.ReplFile
 	syncFloor   time.Duration
-	settling    []*round
+	promo       *srvcore.Promotion
+	promoRd     *round
+	promoEv     *sim.Event
 
 	// Sharding state (Groups > 1 only). peerBelief[g] is the replica this
 	// server currently believes is group g's master, rotated when retries
@@ -240,10 +243,9 @@ func coreConfig(sc Scenario, store *vfs.Store) srvcore.Config {
 // construction and after a crash. What the previous incarnation kept on
 // disk carries over: the store, each file's replication sequence, and
 // the max-term floor — the configured ceiling, which boot makes durable
-// as the TCP server's Serve does. A standalone server re-enters the §5
-// recovery window at once; a replica imposes it at its next promotion.
-// The model's replicas know the ceiling from configuration, where the
-// deployment's master replicates it to a quorum before it serves.
+// as the TCP server's Serve does, and which a promotion raises. A
+// standalone server re-enters the §5 recovery window at once; a replica
+// imposes it at its next promotion.
 func (srv *mserver) boot() {
 	sc := srv.w.sc
 	old := srv.core
@@ -394,7 +396,7 @@ func sortedKeys[V any](m map[uint64]V) []uint64 {
 	return keys
 }
 
-// ---- rounds: promotion sync, and shipping a file to a quorum ----
+// ---- rounds: promotion sync, the ceiling raise, and shipping a file to a quorum ----
 
 func (srv *mserver) startRound(budget int, send func(netsim.NodeID), done func(error)) *round {
 	rd := &round{Round: replica.NewRound(srv.rep, srv.w.sc.Servers, budget), send: send, done: done}
@@ -456,7 +458,10 @@ func (srv *mserver) beginSync() {
 		func(node netsim.NodeID) { srv.w.fabric.Unicast(srv.node, node, kindSyncReq, req) },
 		func(err error) {
 			if err == nil {
-				srv.settle()
+				// The ceiling the raise carries is the floor boot made durable.
+				var st srvcore.Step
+				srv.promo, st = srv.core.Promotion(replica.CombineSync(srv.syncReplies), srv.syncFloor, srv.floor, srv.localNow())
+				srv.promote(st)
 			} // else stranded: serves nothing until its lease lapses
 		})
 }
@@ -464,10 +469,9 @@ func (srv *mserver) beginSync() {
 // endPromotion abandons whatever promotion is in progress.
 func (srv *mserver) endPromotion() {
 	srv.endRound(srv.sync, errDropped)
-	for _, rd := range srv.settling {
-		srv.endRound(rd, errDropped)
-	}
-	srv.sync, srv.settling = nil, nil
+	srv.endRound(srv.promoRd, errDropped)
+	srv.cancel(&srv.promoEv)
+	srv.sync, srv.promo, srv.promoRd = nil, nil, nil
 }
 
 // termFloor is this replica's contribution to a new master's recovery
@@ -482,45 +486,17 @@ func (srv *mserver) handleSyncRep(p syncRep) {
 	}
 }
 
-// settle merges the synced snapshots into the core (per file, the
-// highest sequence wins). Whatever that leaves on fewer than a quorum is
-// shipped to one before this master serves it; a file that cannot settle
-// sends the promotion back to its sync.
-func (srv *mserver) settle() {
-	if !srv.mach.IsMaster(srv.localNow()) {
-		return
+// ship starts the round that carries fr's file or ceiling raise to a
+// quorum, each transmission stamped with the ballot current when it goes
+// out.
+func (srv *mserver) ship(fr replFrame, tc tracing.Context, done func(error)) *round {
+	key, kind := replAck{Path: fr.File.Path, Seq: fr.File.Seq}, kindReplWrite
+	if fr.Term > 0 {
+		kind = kindReplMaxTerm
 	}
-	unsettled := srv.mergeSynced()
-	left := len(unsettled)
-	for _, f := range unsettled {
-		srv.settling = append(srv.settling, srv.ship(f, tracing.Context{}, func(err error) {
-			if err != nil {
-				srv.beginSync()
-				return
-			}
-			srv.core.Settled(f)
-			if left--; left == 0 {
-				srv.promote()
-			}
-		}))
-	}
-	if left == 0 {
-		srv.promote()
-	}
-}
-
-// mergeSynced merges the sync replies counted and returns what is unsettled.
-func (srv *mserver) mergeSynced() []srvcore.ReplFile {
-	return srv.core.Merge(replica.CombineSync(srv.syncReplies))
-}
-
-// ship starts the round that carries f to a quorum, each transmission
-// stamped with the ballot current when it goes out.
-func (srv *mserver) ship(f srvcore.ReplFile, tc tracing.Context, done func(error)) *round {
-	key := replAck{Path: f.Path, Seq: f.Seq}
 	rd := srv.startRound(replica.ShipTransmissions, func(node netsim.NodeID) {
-		fr := replFrame{From: srv.rep, Ballot: srv.mach.MasterBallot(srv.localNow()), File: f}
-		srv.w.fabric.Unicast(srv.node, node, kindReplWrite, fr)
+		fr.From, fr.Ballot = srv.rep, srv.mach.MasterBallot(srv.localNow())
+		srv.w.fabric.Unicast(srv.node, node, kind, fr)
 	}, func(err error) {
 		delete(srv.shipping, key)
 		done(err)
@@ -530,30 +506,56 @@ func (srv *mserver) ship(f srvcore.ReplFile, tc tracing.Context, done func(error
 	return rd
 }
 
+// shipImage ships a class-membership image to a quorum, best effort, as
+// the TCP shell does: only while master, then telling then however the
+// round ends (nil: nothing shipped).
+func (srv *mserver) shipImage(f srvcore.ReplFile, then func()) *round {
+	if srv.mach == nil || !srv.mach.IsMaster(srv.localNow()) {
+		return nil
+	}
+	return srv.ship(replFrame{File: f}, tracing.Context{}, func(error) { then() })
+}
+
 // handleReplFrame is the follower side: fenced by the acceptor's own
-// election state, then the core's sequence guard decides. Only a real
+// election state, then a raise joins the core's floor and the durable
+// one, and for a write the core's sequence guard decides. Only a real
 // apply is acknowledged — a stale drop means this replica does not hold
 // those bytes.
 func (srv *mserver) handleReplFrame(p replFrame) {
 	if srv.mach == nil || !srv.mach.AcceptsMasterFrame(srv.localNow(), p.From, p.Ballot) {
 		return
 	}
-	if applied, _ := srv.core.ApplyReplicated(p.File.Path, p.File.Seq, p.File.Data); applied {
-		srv.w.fabric.Unicast(srv.node, srv.peerNode(srv.group, p.From), kindReplAck,
-			replAck{From: srv.rep, Path: p.File.Path, Seq: p.File.Seq})
+	if p.Term > 0 {
+		srv.core.RaiseTerm(p.Term)
+		srv.floor = max(srv.floor, p.Term)
+	} else if applied, _ := srv.core.ApplyReplicated(p.File.Path, p.File.Seq, p.File.Data); !applied {
+		return
 	}
+	srv.w.fabric.Unicast(srv.node, srv.peerNode(srv.group, p.From), kindReplAck,
+		replAck{From: srv.rep, Path: p.File.Path, Seq: p.File.Seq})
 }
 
-// promote opens the recovery window and the gate over settled state.
-func (srv *mserver) promote() {
-	srv.endPromotion()
-	srv.newClassBase()
-	srv.core.Promote(srv.syncFloor, srv.localNow())
-	// A write that was shipped but never applied by its master may have
-	// survived on a follower and take effect now.
-	for f := 0; f < srv.w.sc.Files; f++ {
-		if srv.present(f) {
-			srv.w.orc.surfaced(f, srv.read(f))
+// promote performs the promotion's step st: a settle ship or the raise
+// on a round, a pause on a timer, each reported to the driver; at Done
+// the gate is open.
+func (srv *mserver) promote(st srvcore.Step) {
+	report := func(err error) { srv.promote(srv.promo.Report(err, srv.localNow())) }
+	switch st.Kind {
+	case srvcore.Ship:
+		srv.promoRd = srv.ship(replFrame{File: srvcore.ReplFile{Path: st.Path, Seq: st.Seq, Data: st.Data}}, tracing.Context{}, report)
+	case srvcore.Raise:
+		srv.promoRd = srv.ship(replFrame{File: srvcore.ReplFile{Seq: uint64(st.Term)}, Term: st.Term}, tracing.Context{}, report)
+	case srvcore.Wait:
+		srv.promoEv = srv.at(st.Until, func() { srv.promoEv = nil; report(nil) })
+	case srvcore.Done:
+		srv.endPromotion()
+		srv.newClassBase()
+		// A write that was shipped but never applied by its master may have
+		// survived on a follower and take effect now.
+		for f := 0; f < srv.w.sc.Files; f++ {
+			if srv.present(f) {
+				srv.w.orc.surfaced(f, srv.read(f))
+			}
 		}
 	}
 }
@@ -592,7 +594,13 @@ func (srv *mserver) run(op *mplan, e srvcore.Effects) {
 		case srvcore.Wait, srvcore.Approval:
 			next = srv.m.Park(&op.p, op, st, now)
 		case srvcore.Demoted:
-			next = srv.m.Next(&op.p, now) // the model replicates no class image
+			// The image ships before the plan goes on, best effort.
+			if op.ship = srv.shipImage(srvcore.ReplFile{Path: st.Path, Seq: st.Seq, Data: st.Data}, func() {
+				op.ship = nil
+				srv.run(op, srv.m.Next(&op.p, srv.localNow()))
+			}); op.ship == nil {
+				next = srv.m.Next(&op.p, now)
+			}
 		case srvcore.Ship:
 			if op.kind == planWrite && !srv.present(op.file) {
 				next = srv.m.Report(&op.p, errMoved, now) // the file left this group while it waited
@@ -602,7 +610,7 @@ func (srv *mserver) run(op *mplan, e srvcore.Effects) {
 				srv.w.orc.shipped(op.file, op.value)
 			}
 			op.seq = st.Seq
-			op.ship = srv.ship(srvcore.ReplFile{Path: st.Path, Seq: st.Seq, Data: st.Data}, op.tc, func(err error) {
+			op.ship = srv.ship(replFrame{File: srvcore.ReplFile{Path: st.Path, Seq: st.Seq, Data: st.Data}}, op.tc, func(err error) {
 				op.ship = nil
 				srv.run(op, srv.m.Report(&op.p, err, srv.localNow()))
 			})
@@ -1082,8 +1090,11 @@ func (srv *mserver) handleExtend(from netsim.NodeID, req extendReq) {
 			continue
 		}
 		// While a write holds clearance on the datum the grant is refused: the
-		// value is served usable-once. There is no peer to ship a class image to.
-		g, _, _ := srv.m.GrantRead(req.From, d, srv.localNow())
+		// value is served usable-once.
+		g, image, changed := srv.m.GrantRead(req.From, d, srv.localNow())
+		if changed {
+			srv.shipImage(image, func() {})
+		}
 		rep.Grants = append(rep.Grants, srv.valued(g))
 	}
 	rep.Renewed, rep.Refills = srv.carried(req.From, req.Renew, req.Data...)
@@ -1179,7 +1190,8 @@ func (srv *mserver) crash() {
 	for _, rd := range srv.shipping {
 		rd.done = nil
 	}
-	srv.sync, srv.settling, srv.wasMaster = nil, nil, false
+	srv.cancel(&srv.promoEv)
+	srv.sync, srv.promo, srv.promoRd, srv.wasMaster = nil, nil, nil, false
 	srv.w.tracer.AbandonNode(string(srv.node), "crash")
 }
 

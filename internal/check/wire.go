@@ -116,10 +116,13 @@ type electMsg struct{ M replica.Msg }
 // the election ballot the sender's master lease was won (or last
 // renewed) with; receivers fence on it, so a deposed master's late
 // frames die even at a peer whose belief has not yet caught up.
+// With Term set it is instead a promotion's ceiling raise (the mesh's
+// TReplMaxTerm), acked as the write of File, which names no path.
 type replFrame struct {
 	From   int
 	Ballot uint64
 	File   proto.ReplFile
+	Term   time.Duration
 }
 
 type replAck struct {

@@ -27,12 +27,13 @@ const (
 	// Replicated-world kinds: the election machine's traffic, the
 	// replicate-before-apply pipeline, promotion state sync, and the
 	// NOT_MASTER redirect.
-	kindElect     = "repl.elect"
-	kindReplWrite = "repl.write"
-	kindReplAck   = "repl.write-ack"
-	kindSyncReq   = "repl.sync-req"
-	kindSyncRep   = "repl.sync-rep"
-	kindNotMaster = "lease.notmaster"
+	kindElect       = "repl.elect"
+	kindReplWrite   = "repl.write"
+	kindReplAck     = "repl.write-ack"
+	kindReplMaxTerm = "repl.maxterm"
+	kindSyncReq     = "repl.sync-req"
+	kindSyncRep     = "repl.sync-rep"
+	kindNotMaster   = "lease.notmaster"
 	// Installed-class kinds (§4.3): the periodic broadcast extension,
 	// the client's membership-snapshot fetch, and its reply — the model
 	// analogues of TBroadcastExt, TInstalled, and TInstalledRep.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"leases/internal/clock"
 	"leases/internal/obs/tracing"
 	"leases/internal/srvcore"
 )
@@ -81,78 +82,58 @@ func (s *Server) persist(d time.Duration) error {
 	return raiseMaxTerm(s.cfg.MaxTermPath, d)
 }
 
-// Promote applies the catch-up state synced from a quorum of peers,
-// ships whatever the merge left unsettled to a quorum, replicates this
-// server's term ceiling to a quorum, and opens the §2 recovery window
-// (srvcore.Core has the merge, the settle rule and the window
-// arithmetic; this replica's own floor joins the quorum's here, taken
-// before the raise: the window covers what earlier masters granted).
-// Serving opens only then: hellos and every plan check the core's gate,
-// and no grant raises anything, since this master grants nothing past
-// the ceiling the quorum now knows. If the mastership lapses first the
-// gate stays closed and the next election retries the whole sequence.
-// tc is the failover's trace context (the election trace from
-// internal/replica); when sampled, the promotion records a span and
-// the armed recovery window gets its own span ending when the window
-// elapses, so a failover trace shows exactly how long §2 held writes.
+// Promote performs the steps of srvcore.Core.Promotion over the state
+// synced from a quorum of peers (files, and termFloor, their largest
+// floor): settle ships and the ceiling raise go through the Replica, and
+// serving opens only at its Done. No grant raises anything, since this
+// master grants nothing past the ceiling the quorum now knows. tc is the
+// failover's trace context (the election trace from internal/replica);
+// when sampled, the promotion records a span and the armed recovery
+// window gets its own span ending when the window elapses, so a failover
+// trace shows exactly how long §2 held writes.
 func (s *Server) Promote(tc tracing.Context, files []ReplFile, termFloor time.Duration) {
 	sp := s.tracer.StartChild(tc, "failover.promote")
-	termFloor = max(termFloor, s.core.TermFloor())
 	r := s.cfg.Replica
-	// retry waits out a failed quorum round, false once this replica
-	// should give the promotion up.
-	retry := func() bool {
-		if r.IsMaster() && s.pause(100*time.Millisecond) {
-			return true
-		}
-		sp.EndNote("abandoned")
-		return false
-	}
-	for _, f := range s.core.Merge(files) {
-		for r.ReplicateWrite(tc, f.Path, f.Seq, f.Data) != nil {
-			if !retry() {
+	p, st := s.core.Promotion(files, termFloor, s.ceiling, s.clk.Now())
+	for st.Kind != srvcore.Done {
+		var err error
+		switch st.Kind {
+		case srvcore.Ship:
+			err = r.ReplicateWrite(tc, st.Path, st.Seq, st.Data)
+		case srvcore.Raise:
+			err = r.ReplicateMaxTerm(st.Term)
+		case srvcore.Wait:
+			fire, stopTimer := clock.At(s.clk, st.Until)
+			select {
+			case <-fire:
+			case <-s.stopped:
+				stopTimer()
+				sp.EndNote("abandoned")
 				return
 			}
-		}
-		s.core.Settled(f)
-	}
-	for r.ReplicateMaxTerm(s.ceiling) != nil {
-		if !retry() {
+		default: // Fail
+			sp.EndNote("abandoned")
 			return
 		}
+		st = p.Report(err, s.clk.Now())
 	}
-	s.core.RaiseTerm(s.ceiling) // Serve put it in the max-term file, if any
-	window := s.core.Promote(termFloor, s.clk.Now())
-	if sp.Recording() {
-		sp.EndNote(fmt.Sprintf("files=%d window=%s", len(files), window))
-		if window > 0 {
-			winSp := s.tracer.StartChild(tc, "recovery.window")
-			fire, stopTimer := s.clk.After(window)
-			go func() {
-				select {
-				case <-fire:
-					winSp.End()
-				case <-s.stopped:
-					stopTimer()
-					winSp.EndNote("shutdown")
-				}
-			}()
-		}
-	} else {
+	if !sp.Recording() {
 		sp.End()
+		return
 	}
-}
-
-// pause waits d on the server's clock; false means the server stopped
-// first.
-func (s *Server) pause(d time.Duration) bool {
-	fire, stopTimer := s.clk.After(d)
-	defer stopTimer()
-	select {
-	case <-fire:
-		return true
-	case <-s.stopped:
-		return false
+	sp.EndNote(fmt.Sprintf("files=%d window=%s", len(files), st.Term))
+	if st.Term > 0 {
+		winSp := s.tracer.StartChild(tc, "recovery.window")
+		fire, stopTimer := clock.At(s.clk, st.Until)
+		go func() {
+			select {
+			case <-fire:
+				winSp.End()
+			case <-s.stopped:
+				stopTimer()
+				winSp.EndNote("shutdown")
+			}
+		}()
 	}
 }
 

@@ -1,7 +1,9 @@
 package server_test
 
 import (
+	"errors"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -55,6 +57,69 @@ func TestServingGateOpensAtPromote(t *testing.T) {
 	if c, err := client.Dial(addr, cfg); err == nil {
 		c.Close()
 		t.Fatal("server accepted a session after Demote")
+	}
+}
+
+// lossyFollower models the one live follower of a 3-replica set, so its
+// answer alone decides each quorum: it applies a ship numbered above what
+// it holds, but the ack of each path's first ship is lost; a ship at or
+// below what it holds is a stale drop. Its mastership ends when the test
+// deposes it.
+type lossyFollower struct {
+	gateReplica
+	deposed atomic.Bool
+	mu      sync.Mutex
+	held    map[string]uint64
+	ships   int
+}
+
+func (r *lossyFollower) IsMaster() bool { return !r.deposed.Load() }
+
+func (r *lossyFollower) ReplicateWrite(_ tracing.Context, path string, seq uint64, _ []byte) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.ships++
+	held, seen := r.held[path]
+	if seq <= held {
+		return errors.New("stale drop")
+	}
+	r.held[path] = seq
+	if !seen {
+		return errors.New("ack lost")
+	}
+	return nil
+}
+
+// TestPromoteSettlesPastALostAck: a settle ship whose ack was lost is
+// tried again under a fresh sequence, which the follower holding the
+// first attempt applies and acks. Re-sent under the same sequence it is
+// a stale drop every time, and the gate never opens.
+func TestPromoteSettlesPastALostAck(t *testing.T) {
+	r := &lossyFollower{held: map[string]uint64{}}
+	srv, addr := startServer(t, server.Config{Term: time.Second, Replica: r})
+	var e proto.Enc
+	x := server.ReplFile{Path: "/x", Seq: 1, Data: e.EncodeOp(vfs.Op{Kind: vfs.OpCreate, Path: "/x", Owner: "srv", Perm: vfs.DefaultPerm, Data: []byte("v")}).Bytes()}
+	promoted := make(chan struct{})
+	go func() {
+		srv.Promote(tracing.Context{}, []server.ReplFile{x}, 0)
+		close(promoted)
+	}()
+	select {
+	case <-promoted:
+	case <-time.After(2 * time.Second):
+		r.deposed.Store(true)
+		<-promoted
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		t.Fatalf("the gate stayed closed for 2s, after %d ships of /x", r.ships)
+	}
+	c, err := client.Dial(addr, client.Config{ID: "after"})
+	if err != nil {
+		t.Fatalf("dial after Promote: %v", err)
+	}
+	c.Close()
+	if r.ships != 2 {
+		t.Errorf("%d ships of /x, want 2: the lost ack and its retry", r.ships)
 	}
 }
 

@@ -1,15 +1,16 @@
 // Package srvcore is the lease server's protocol core, sans IO: the
 // order every mutation goes through (plan.go), the machine that drives
 // every plan (machine.go), the read side — grants, renewals and refills
-// (read.go) — and the state tables that order reads: replication state
-// and the serving gate (this file) and the installed-files class
-// (class.go).
+// (read.go) — the promotion that takes a new master from its merged sync
+// to serving (promotion.go), and the state tables that order reads:
+// replication state and the serving gate (this file) and the
+// installed-files class (class.go).
 //
 // Like replica.Machine and cache.Core it has no goroutine, channel,
 // timer, socket or clock: every entry point takes now. internal/server
 // is its TCP shell and internal/check its shell on the simulated fabric:
-// both perform what one Machine hands them, so what the model checker
-// explores is the code that ships.
+// both perform what one Machine and one Promotion hand them, so what the
+// model checker explores is the code that ships.
 package srvcore
 
 import (
@@ -314,7 +315,7 @@ func (c *Core) TermFloor() time.Duration {
 // may miss the lone holder — would show readers a value and then take
 // it back. So Merge returns every file whose sequence the replies and
 // this replica do not hold unanimously, under a fresh sequence: the
-// driver ships each to a quorum, reports Settled, and only then calls
+// Promotion ships each to a quorum, reports Settled, and only then calls
 // Promote.
 func (c *Core) Merge(files []ReplFile) (unsettled []ReplFile) {
 	type tally struct {

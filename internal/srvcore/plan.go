@@ -46,6 +46,8 @@ const (
 	// Done and Fail end the plan; no held entry is left behind.
 	Done
 	Fail
+	// Raise (a Promotion's step): replicate the ceiling Term to a quorum.
+	Raise
 )
 
 // Cause says what a Wait step waits out.
@@ -70,6 +72,7 @@ type Step struct {
 	Seq     uint64
 	Data    []byte
 	Err     error
+	Term    time.Duration // a Raise's ceiling; a Promotion's window on its Done
 	// Owner is the driver's record of a parked plan (Machine.Park), on
 	// every step the machine hands back for it.
 	Owner any

@@ -359,10 +359,11 @@ func (w *simWorld) approve(slot int, which byte) {
 	w.effects(nil, e)
 }
 
-// promote runs a whole promotion as the TCP shell does: merge (files:
-// one bit per path, each reported one sequence above this replica's),
-// settle, raise the ceiling, open — over floor, the peers' merged floor,
-// and this replica's own, taken before the raise.
+// promote runs a whole promotion through the driver both shells step,
+// every round reaching its quorum: merge (files: one bit per path, each
+// reported one sequence above this replica's), settle, raise the
+// ceiling, open — over floor, the peers' merged floor, and this
+// replica's own, taken before the raise.
 func (w *simWorld) promote(files byte, floor time.Duration) {
 	floor = max(floor, w.core.TermFloor())
 	var synced []ReplFile
@@ -371,18 +372,19 @@ func (w *simWorld) promote(files byte, floor time.Duration) {
 			synced = append(synced, ReplFile{Path: path, Seq: w.core.Seq(path) + 1, Data: shippedWrite(path, "synced")})
 		}
 	}
-	for _, f := range w.core.Merge(synced) {
-		if f.Seq <= w.lastSeq[f.Path] || f.Seq <= w.core.Seq(f.Path) {
-			w.fail("promotion settles %s#%d, not above what was shipped or is held", f.Path, f.Seq)
+	p, st := w.core.Promotion(synced, floor, w.ceiling, w.now)
+	for ; st.Kind == Ship; st = p.Report(nil, w.now) {
+		if st.Seq <= w.lastSeq[st.Path] || st.Seq <= w.core.Seq(st.Path) {
+			w.fail("promotion settles %s#%d, not above what was shipped or is held", st.Path, st.Seq)
 		}
-		w.lastSeq[f.Path] = f.Seq
-		w.core.Settled(f)
+		w.lastSeq[st.Path] = st.Seq
 	}
 	for _, path := range w.paths {
 		w.lastSeq[path] = max(w.lastSeq[path], w.core.Seq(path))
 	}
-	w.core.RaiseTerm(w.ceiling)
-	w.core.Promote(floor, w.now)
+	if st.Kind != Raise || p.Report(nil, w.now).Kind != Done {
+		w.fail("promotion handed out step %d where the raise and its Done belong", st.Kind)
+	}
 	w.master, w.serving = true, true
 	w.recoverUntil = w.now.Add(floor)
 	w.logf("promoted files=%b floor=%v", files, floor)
