@@ -57,7 +57,6 @@ type mplan struct {
 	file     int
 	value    string
 	renew    []vfs.Datum // a write's renewals, granted with its ack
-	mut      vfs.Op      // the store change a write or a move applies
 	queuedAt time.Time   // server-local, for the write-wait lens
 	x        *xferState
 	xm       xferMsg
@@ -177,8 +176,11 @@ type mserver struct {
 
 func filePath(f int) string { return "/f" + strconv.Itoa(f) }
 
-// rootBinding is the parent binding every model file lives under.
-var rootBinding = vfs.Datum{Kind: vfs.DirBinding, Node: vfs.RootID}
+// moveIn is the move-in that brings file f in with value. Every model
+// file is seeded so, world-writable, in every group's store.
+func moveIn(f int, value string) vfs.Op {
+	return vfs.Op{Kind: vfs.OpCreate, Path: filePath(f), Owner: "srv", Perm: vfs.DefaultPerm | vfs.WorldWrite, Data: []byte(value)}
+}
 
 func newMserver(w *world, idx int) *mserver {
 	srv := &mserver{
@@ -191,8 +193,7 @@ func newMserver(w *world, idx int) *mserver {
 	srv.store = vfs.New(engineClock{w.engine}, string(srv.node))
 	for f := 0; f < w.sc.Files; f++ {
 		val := "init#" + strconv.Itoa(f)
-		seed := vfs.Op{Kind: vfs.OpCreate, Path: filePath(f), Owner: "srv", Perm: vfs.DefaultPerm | vfs.WorldWrite, Data: []byte(val)}
-		if _, err := srv.store.Apply(seed); err != nil {
+		if _, err := srv.store.Apply(moveIn(f, val)); err != nil {
 			panic(fmt.Sprintf("check: seeding %s: %v", filePath(f), err))
 		}
 		if idx == 0 {
@@ -571,8 +572,10 @@ func (srv *mserver) read(f int) string {
 
 // ---- the plan shell ----
 
-// begin registers a plan and hands it to the machine.
-func (srv *mserver) begin(op *mplan) {
+// begin registers a plan for mut, which srvcore's mutation rule makes
+// (what it clears, checks and ships, as at the TCP server), and hands it
+// to the machine.
+func (srv *mserver) begin(op *mplan, mut vfs.Op) {
 	srv.nextPlan++
 	op.id = srv.nextPlan
 	op.queuedAt = srv.localNow()
@@ -580,6 +583,11 @@ func (srv *mserver) begin(op *mplan) {
 		op.tc = op.sp.Context()
 	}
 	srv.plans[op.id] = op
+	var err error
+	if op.p, err = srv.core.Plan(op.client, mut); err != nil {
+		srv.finish(op, err)
+		return
+	}
 	srv.run(op, srv.m.Begin(&op.p, op.tc, op.queuedAt))
 }
 
@@ -680,7 +688,9 @@ func (srv *mserver) rearm() {
 
 // apply performs a plan's store change: the one thing per mutation kind
 // that is not order. A write whose file left this group while it waited
-// fails, as the deployment's store refuses a write to a removed file.
+// fails, as the deployment's store refuses a write to a removed file. The
+// model's files exist in every group's store, so a move source removes
+// nothing and a move-in writes its bytes in place.
 func (srv *mserver) apply(op *mplan, now time.Time) error {
 	applySp := srv.w.tracer.StartChildNode(string(srv.node), op.tc, "write.apply")
 	defer applySp.End()
@@ -689,7 +699,7 @@ func (srv *mserver) apply(op *mplan, now time.Time) error {
 		if !srv.present(op.file) {
 			return errMoved
 		}
-		res, err := srv.store.Apply(op.mut)
+		res, err := srv.store.Apply(op.p.Op())
 		if err != nil {
 			panic(fmt.Sprintf("check: apply write to file %d: %v", op.file, err))
 		}
@@ -710,13 +720,13 @@ func (srv *mserver) apply(op *mplan, now time.Time) error {
 		// The file is home again with the bytes that moved, as the
 		// deployment's undo re-creates it: a promotion while it was away
 		// may have merged a write here that never applied.
-		if _, err := srv.store.Apply(op.mut); err != nil {
+		if _, err := srv.store.Apply(inPlace(op.p.Op())); err != nil {
 			panic(fmt.Sprintf("check: restore file %d: %v", op.file, err))
 		}
 		srv.w.shards[srv.group].owned[op.file] = true
 		srv.w.home[op.file] = srv.group
 	case planMove:
-		res, err := srv.store.Apply(op.mut)
+		res, err := srv.store.Apply(inPlace(op.p.Op()))
 		if err != nil {
 			panic(fmt.Sprintf("check: commit moved file %d: %v", op.file, err))
 		}
@@ -729,6 +739,9 @@ func (srv *mserver) apply(op *mplan, now time.Time) error {
 	}
 	return nil
 }
+
+// inPlace is the write of move-in in's bytes to the file its name holds.
+func inPlace(in vfs.Op) vfs.Op { return vfs.Op{Kind: vfs.OpWrite, Path: in.Path, Data: in.Data} }
 
 // finish ends a plan: the requester hears of a success, and a failure
 // releases the dedupe marker so a retransmit can start over at
@@ -877,11 +890,11 @@ func (srv *mserver) handleRename(from netsim.NodeID, req renameReq) {
 		sp: srv.w.tracer.StartChildNode(string(srv.node), req.TC, "server.rename"),
 	}
 	srv.xfers[f] = x
-	// The move behaves like a §2 write on the file: every conflicting
-	// leaseholder approves or expires before ownership transfers.
-	op := &mplan{kind: planSource, file: f, x: x, client: core.ClientID(fmt.Sprintf("xfer-%d", x.id)), tc: x.sp.Context()}
-	op.p = srv.core.Plan(op.client, datumForFile(f), rootBinding)
-	srv.begin(op)
+	// The move source behaves like a §2 write on the file and its name:
+	// every conflicting leaseholder approves or expires before ownership
+	// transfers.
+	srv.begin(&mplan{kind: planSource, file: f, x: x, client: core.ClientID(fmt.Sprintf("xfer-%d", x.id)), tc: x.sp.Context()},
+		vfs.Op{Kind: vfs.OpRemove, Path: filePath(f), To: filePath(f)})
 }
 
 // sendMove (re)transmits a transfer's move to the believed destination
@@ -940,12 +953,8 @@ func (srv *mserver) handleXfer(m netsim.Message, p xferMsg) {
 				return
 			}
 		}
-		op := &mplan{kind: planMove, file: p.File, xm: p, peer: m.From, client: core.ClientID(m.From), mut: vfs.Op{Kind: vfs.OpWrite, Node: datumForFile(p.File).Node, Path: filePath(p.File), Data: []byte(p.Value)}}
-		op.p = srv.core.Plan(op.client, rootBinding)
-		// The bytes replicate to a quorum before the name appears, as a write:
-		// the model's files exist in every group (ownership is groupShard's).
-		op.p.Ship(op.mut)
-		srv.begin(op)
+		// The bytes replicate to a quorum before the name appears.
+		srv.begin(&mplan{kind: planMove, file: p.File, xm: p, peer: m.From, client: core.ClientID(m.From)}, moveIn(p.File, p.Value))
 	case kindXferRefused:
 		// Source side: the undo runs the plan the destination would have
 		// run (a nil retry timer: it already is).
@@ -954,11 +963,8 @@ func (srv *mserver) handleXfer(m netsim.Message, p xferMsg) {
 			return
 		}
 		srv.cancel(&x.retryEv)
-		op := &mplan{kind: planUndo, file: x.file, x: x, client: core.ClientID(fmt.Sprintf("xfer-%d", x.id)), tc: x.sp.Context(),
-			mut: vfs.Op{Kind: vfs.OpWrite, Node: datumForFile(x.file).Node, Path: filePath(x.file), Data: []byte(x.move.Value)}}
-		op.p = srv.core.Plan(op.client, rootBinding)
-		op.p.Ship(op.mut)
-		srv.begin(op)
+		srv.begin(&mplan{kind: planUndo, file: x.file, x: x, client: core.ClientID(fmt.Sprintf("xfer-%d", x.id)), tc: x.sp.Context()},
+			moveIn(x.file, x.move.Value))
 	case kindXferMoved:
 		x := srv.xfers[p.File]
 		if x == nil || x.id != p.XferID || x.move == nil {
@@ -1140,11 +1146,8 @@ func (srv *mserver) handleWrite(from netsim.NodeID, req writeReq) {
 	srv.markSeen(req.From, req.ReqID, 0)
 	op := &mplan{
 		kind: planWrite, client: req.From, reqID: req.ReqID, file: f, value: req.Value, renew: req.Renew, sp: srv.w.tracer.StartChildNode(string(srv.node), req.TC, "server.write"),
-		mut: vfs.Op{Kind: vfs.OpWrite, Node: req.Datum.Node, Path: filePath(f), Data: []byte(req.Value)},
 	}
-	op.p = srv.core.Plan(req.From, req.Datum)
-	op.p.Ship(op.mut)
-	srv.begin(op)
+	srv.begin(op, vfs.Op{Kind: vfs.OpWrite, Node: req.Datum.Node, Path: filePath(f), Data: []byte(req.Value)})
 }
 
 func (srv *mserver) handleApprove(ap approveMsg) {

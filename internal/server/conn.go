@@ -76,9 +76,9 @@ type connPush struct {
 // the plan machine's table (srvcore.Machine) while its plan waits on a
 // lease or a window, to a goroutine of its own while it waits on a quorum
 // round or another shard group — and whoever takes the copy up enters the
-// same handler again. A mutation finds what it decoded, checked and
-// planned here and goes on from the step its plan was handed back at; a
-// request handed off before doing anything starts over.
+// same handler again. A mutation finds its plan here, which holds its op,
+// and goes on from the step the plan was handed back at; a request handed
+// off before doing anything starts over.
 type request struct {
 	c      *serverConn
 	f      proto.Frame  // recycled when the request ends
@@ -87,11 +87,9 @@ type request struct {
 	inline bool         // the connection's reader is running it, and must not wait
 	parked bool         // it has to: this copy of the request is done with
 	// A mutation: its plan, the step it goes on from (zero: from the
-	// start), the store change its handler decoded and what applying that
-	// returned.
+	// start) and what applying the plan's op returned.
 	plan  srvcore.Plan
 	step  srvcore.Step
-	op    vfs.Op
 	res   vfs.Result
 	renew []vfs.Datum // a write's renewals, granted with its reply
 	// moved is why another group refused a cross-shard rename's move,
@@ -483,40 +481,24 @@ func (c *serverConn) handleRead(f proto.Frame) {
 
 func (c *serverConn) handleWrite(r *request) {
 	s := c.srv
+	var op vfs.Op
 	if r.step.Kind == 0 {
 		dec := proto.NewDec(r.f.Payload)
-		r.op = vfs.Op{Kind: vfs.OpWrite, Node: vfs.NodeID(dec.U64()), Data: dec.Blob()}
+		op = vfs.Op{Kind: vfs.OpWrite, Node: vfs.NodeID(dec.U64()), Data: dec.Blob()}
 		r.renew = dec.DecodeData()
 		if dec.Err != nil {
 			c.fail(r.f.ReqID, dec.Err)
 			return
 		}
-		if err := s.store.CheckAccess(r.op.Node, string(c.client), true); err != nil {
-			c.fail(r.f.ReqID, err)
-			return
-		}
-		r.plan = s.core.Plan(c.client, vfs.Datum{Kind: vfs.FileData, Node: r.op.Node})
-		if s.cfg.Replica != nil {
-			// Replicate-before-apply: a quorum of replicas must hold the
-			// write before the local store does, so nothing a reader can
-			// observe at this master is ever lost to a failover. It ships by
-			// path and applies here by node.
-			var err error
-			if r.op.Path, err = s.store.Path(r.op.Node); err != nil {
-				c.fail(r.f.ReqID, err)
-				return
-			}
-			r.plan.Ship(r.op)
-		}
 	}
-	if s.run(c, r) {
+	if s.run(c, r, op) {
 		// Renewed after the apply, so the write's own datum renews at the
 		// version the writer now holds. Refills ride only a reply the reader
 		// sends: a parked write's goroutine leaves the list alone.
 		renewed := s.m.Renew(c.client, r.renew, s.clk.Now(), s.version)
 		var refills []proto.RefillWire
 		if r.inline {
-			refills = c.takeRefills(vfs.Datum{Kind: vfs.FileData, Node: r.op.Node}, proto.WriteRepRoom(r.res.Attr, len(renewed)))
+			refills = c.takeRefills(vfs.Datum{Kind: vfs.FileData, Node: r.res.Attr.ID}, proto.WriteRepRoom(r.res.Attr, len(renewed)))
 		}
 		c.replyEnc(r.f.ReqID, proto.TWriteRep, func(e *proto.Enc) { e.Attr(r.res.Attr).EncodeGrants(renewed).EncodeRefills(refills) })
 	}
@@ -636,35 +618,28 @@ func (c *serverConn) handleStat(f proto.Frame) {
 	c.replyEnc(f.ReqID, proto.TStatRep, func(e *proto.Enc) { e.Attr(attr) })
 }
 
-// handleCreate covers TCreate (files) and TMkdir (directories): a write
-// to the parent directory's binding datum.
+// handleCreate covers TCreate (files) and TMkdir (directories).
 func (c *serverConn) handleCreate(r *request) {
-	s := c.srv
+	var op vfs.Op
 	if r.step.Kind == 0 {
 		dec := proto.NewDec(r.f.Payload)
-		r.op = vfs.Op{Kind: vfs.OpCreate, Path: dec.Str(), Owner: string(c.client), Perm: vfs.Perm(dec.U8())}
+		op = vfs.Op{Kind: vfs.OpCreate, Path: dec.Str(), Owner: string(c.client), Perm: vfs.Perm(dec.U8())}
 		if dec.Err != nil {
 			c.fail(r.f.ReqID, dec.Err)
 			return
 		}
 		if r.f.Type == proto.TMkdir {
-			r.op.Kind = vfs.OpMkdir
+			op.Kind = vfs.OpMkdir
 		}
 		// Directories are the namespace skeleton, not sharded data: files
 		// under one directory hash across every group, so the directory must
 		// exist on all of them (the Router mkdirs group-wide) and only file
 		// creation is ownership-gated.
-		if r.op.Kind == vfs.OpCreate && !c.checkOwner(r.f.ReqID, r.op.Path) {
+		if op.Kind == vfs.OpCreate && !c.checkOwner(r.f.ReqID, op.Path) {
 			return
 		}
-		parentAttr, err := s.store.Lookup(parentOf(r.op.Path))
-		if err != nil {
-			c.fail(r.f.ReqID, err)
-			return
-		}
-		r.plan = s.core.Plan(c.client, vfs.Datum{Kind: vfs.DirBinding, Node: parentAttr.ID})
 	}
-	if s.run(c, r) {
+	if c.srv.run(c, r, op) {
 		c.replyEnc(r.f.ReqID, proto.TCreateRep, func(e *proto.Enc) { c.encodeTouched(e.Attr(r.res.Attr), r.res.Dirs[0]) })
 	}
 }
@@ -682,72 +657,47 @@ func (c *serverConn) encodeTouched(e *proto.Enc, dirs ...vfs.NodeID) {
 }
 
 func (c *serverConn) handleRemove(r *request) {
-	s := c.srv
+	var op vfs.Op
 	if r.step.Kind == 0 {
 		dec := proto.NewDec(r.f.Payload)
-		r.op = vfs.Op{Kind: vfs.OpRemove, Path: dec.Str()}
+		op = vfs.Op{Kind: vfs.OpRemove, Path: dec.Str()}
 		if dec.Err != nil {
 			c.fail(r.f.ReqID, dec.Err)
 			return
 		}
-		if !c.checkOwner(r.f.ReqID, r.op.Path) {
+		if !c.checkOwner(r.f.ReqID, op.Path) {
 			return
 		}
-		attr, err := s.store.Lookup(r.op.Path)
-		if err != nil {
-			c.fail(r.f.ReqID, err)
-			return
-		}
-		parentAttr, err := s.store.Lookup(parentOf(r.op.Path))
-		if err != nil {
-			c.fail(r.f.ReqID, err)
-			return
-		}
-		r.plan = s.core.Plan(c.client, attr.Datum(), vfs.Datum{Kind: vfs.DirBinding, Node: parentAttr.ID})
 	}
-	if s.run(c, r) {
+	if c.srv.run(c, r, op) {
 		c.replyEnc(r.f.ReqID, proto.TOK, func(e *proto.Enc) { c.encodeTouched(e, r.res.Dirs[0]) })
 	}
 }
 
 func (c *serverConn) handleRename(r *request) {
 	s := c.srv
+	var op vfs.Op
 	if r.step.Kind == 0 {
 		dec := proto.NewDec(r.f.Payload)
-		r.op = vfs.Op{Kind: vfs.OpRename, Path: dec.Str(), To: dec.Str()}
+		op = vfs.Op{Kind: vfs.OpRename, Path: dec.Str(), To: dec.Str()}
 		if dec.Err != nil {
 			c.fail(r.f.ReqID, dec.Err)
 			return
 		}
 		// The rename is homed at the source shard; a destination that hashes
 		// to another group is moved there (crossShardRename).
-		if !c.checkOwner(r.f.ReqID, r.op.Path) {
+		if !c.checkOwner(r.f.ReqID, op.Path) {
 			return
 		}
-		if ring := s.cfg.Shard.Ring; ring != nil && ring.Lookup(r.op.To) != s.cfg.Shard.GroupID {
-			c.crossShardRename(r)
+		if ring := s.cfg.Shard.Ring; ring != nil && ring.Lookup(op.To) != s.cfg.Shard.GroupID {
+			c.crossShardRename(r, op)
 			return
 		}
-		oldParent, err := s.store.Lookup(parentOf(r.op.Path))
-		if err != nil {
-			c.fail(r.f.ReqID, err)
-			return
-		}
-		newParent, err := s.store.Lookup(parentOf(r.op.To))
-		if err != nil {
-			c.fail(r.f.ReqID, err)
-			return
-		}
-		data := []vfs.Datum{{Kind: vfs.DirBinding, Node: oldParent.ID}}
-		if newParent.ID != oldParent.ID {
-			data = append(data, vfs.Datum{Kind: vfs.DirBinding, Node: newParent.ID})
-		}
-		r.plan = s.core.Plan(c.client, data...)
-	} else if r.op.Kind != vfs.OpRename {
-		c.crossShardRename(r) // its commit point or its undo, handed back
+	} else if op := r.plan.Op(); op.Kind != vfs.OpRename {
+		c.crossShardRename(r, op) // its commit point or its undo, handed back
 		return
 	}
-	if s.run(c, r) {
+	if s.run(c, r, op) {
 		c.replyEnc(r.f.ReqID, proto.TOK, func(e *proto.Enc) { c.encodeTouched(e, r.res.Dirs[:]...) })
 	}
 }
@@ -756,37 +706,16 @@ func (c *serverConn) handleRename(r *request) {
 // changes are writes to the parent's binding datum, so they defer on
 // conflicting binding leases like a rename would.
 func (c *serverConn) handleSetPerm(r *request) {
-	s := c.srv
+	var op vfs.Op
 	if r.step.Kind == 0 {
 		dec := proto.NewDec(r.f.Payload)
-		r.op = vfs.Op{Kind: vfs.OpSetPerm, Node: vfs.NodeID(dec.U64()), Owner: dec.Str(), Perm: vfs.Perm(dec.U8())}
+		op = vfs.Op{Kind: vfs.OpSetPerm, Node: vfs.NodeID(dec.U64()), Owner: dec.Str(), Perm: vfs.Perm(dec.U8())}
 		if dec.Err != nil {
 			c.fail(r.f.ReqID, dec.Err)
 			return
 		}
-		attr, err := s.store.Stat(r.op.Node)
-		if err != nil {
-			c.fail(r.f.ReqID, err)
-			return
-		}
-		// Only the current owner may change attributes.
-		if attr.Owner != string(c.client) {
-			c.fail(r.f.ReqID, vfs.ErrPerm)
-			return
-		}
-		path, err := s.store.Path(r.op.Node)
-		if err != nil {
-			c.fail(r.f.ReqID, err)
-			return
-		}
-		parentAttr, err := s.store.Lookup(parentOf(path))
-		if err != nil {
-			c.fail(r.f.ReqID, err)
-			return
-		}
-		r.plan = s.core.Plan(c.client, vfs.Datum{Kind: vfs.DirBinding, Node: parentAttr.ID})
 	}
-	if s.run(c, r) {
+	if c.srv.run(c, r, op) {
 		c.replyEnc(r.f.ReqID, proto.TOK, nil)
 	}
 }

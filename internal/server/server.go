@@ -34,7 +34,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"time"
 
@@ -361,12 +360,12 @@ func (s *Server) Stop() {
 var errShutdown = errors.New("server: shutting down")
 
 // run drives r's plan (advance) and answers a failed one with its error.
-// It reports whether r.op has been applied and the reply is due. A plan
+// It reports whether its op has been applied and the reply is due. A plan
 // the closed serving gate refused is answered as Demote answers it: the
 // connection is severed, so the client's session redials toward the
 // master and resubmits there.
-func (s *Server) run(c *serverConn, r *request) bool {
-	err := s.advance(r)
+func (s *Server) run(c *serverConn, r *request, op vfs.Op) bool {
+	err := s.advance(r, op)
 	switch {
 	case r.parked:
 		return false
@@ -379,14 +378,20 @@ func (s *Server) run(c *serverConn, r *request) bool {
 }
 
 // advance performs the steps the machine hands r's plan, from r.step or
-// its beginning, until it ends — returning its error: nil once r.op was
-// applied, with what that returned in r.res — or r.parked: its plan
-// waits in the machine's table, or on a quorum round, which the
-// connection's reader (r.inline) must not wait on. Whoever takes the
-// request up from there enters its handler again.
-func (s *Server) advance(r *request) error {
+// else from the start: the plan of op, which srvcore's mutation rule
+// makes (srvcore.Core.Plan: what op clears, checks and ships). It goes
+// until the plan ends — returning its error: nil once its op was applied,
+// with what that returned in r.res — or r.parked: its plan waits in the
+// machine's table, or on a quorum round, which the connection's reader
+// (r.inline) must not wait on. Whoever takes the request up from there
+// enters its handler again.
+func (s *Server) advance(r *request, op vfs.Op) error {
 	p, e := &r.plan, srvcore.Effects{Step: r.step}
 	if r.step = (srvcore.Step{}); e.Step.Kind == 0 {
+		var err error
+		if *p, err = s.core.Plan(r.c.client, op); err != nil {
+			return err
+		}
 		e = s.m.Begin(p, r.sp.Context(), s.clk.Now())
 	}
 	for {
@@ -420,7 +425,7 @@ func (s *Server) advance(r *request) error {
 		case st.Kind == srvcore.Apply:
 			applySpan := s.tracer.StartChild(r.sp.Context(), "write.apply")
 			var err error
-			if r.res, err = s.store.Apply(r.op); err != nil {
+			if r.res, err = s.store.Apply(p.Op()); err != nil {
 				applySpan.EndNote("error")
 			} else {
 				applySpan.End()
@@ -504,13 +509,4 @@ func (s *Server) wakeLoop() {
 			return
 		}
 	}
-}
-
-// parentOf returns the directory part of a path.
-func parentOf(p string) string {
-	i := strings.LastIndexByte(p, '/')
-	if i <= 0 {
-		return "/"
-	}
-	return p[:i]
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"leases/internal/client"
+	"leases/internal/clock"
 	"leases/internal/proto"
 	"leases/internal/server"
 	"leases/internal/vfs"
@@ -276,6 +277,38 @@ func TestBindingMutationDefersOnDirLease(t *testing.T) {
 	}
 }
 
+// A remove and a rename are writes to the file they unbind: a client
+// without write access on another client's owner-only file can do
+// neither, in place or not, and the file stays as it was.
+func TestRemoveAndRenameNeedWriteAccess(t *testing.T) {
+	srv, addr := startServer(t, server.Config{Term: 10 * time.Second})
+	srv.Store().Mkdir("/docs", "root", vfs.DefaultPerm|vfs.WorldWrite)
+	owner := dial(t, addr, "owner", client.Config{})
+	if _, err := owner.Create("/docs/f", vfs.DefaultPerm); err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	if err := owner.Write("/docs/f", []byte("mine")); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	other := dial(t, addr, "other", client.Config{})
+	if err := other.Remove("/docs/f"); !errors.Is(err, client.ErrRemote) {
+		t.Errorf("a remove without write access: %v, want a refusal", err)
+	}
+	if err := other.Rename("/docs/f", "/docs/g"); !errors.Is(err, client.ErrRemote) {
+		t.Errorf("a rename in place without write access: %v, want a refusal", err)
+	}
+	a, err := srv.Store().Lookup("/docs/f")
+	if err != nil {
+		t.Fatalf("the file is gone: %v", err)
+	}
+	if data, _, err := srv.Store().ReadFile(a.ID); err != nil || string(data) != "mine" || a.Owner != "owner" {
+		t.Fatalf("the file is %q owned by %s (%v), want %q owned by owner", data, a.Owner, err, "mine")
+	}
+	if _, err := srv.Store().Lookup("/docs/g"); err == nil {
+		t.Fatal("the refused rename bound the new name")
+	}
+}
+
 func TestRecoveryWindowDelaysWrites(t *testing.T) {
 	srv, addr := startServer(t, server.Config{
 		Term:           time.Minute,
@@ -366,17 +399,18 @@ func TestConcurrentClientsRace(t *testing.T) {
 }
 
 func TestExtendAllRevalidatesStaleData(t *testing.T) {
-	srv, addr := startServer(t, server.Config{Term: 400 * time.Millisecond})
+	clk := clock.NewSim()
+	srv, addr := startServer(t, server.Config{Term: 400 * time.Millisecond, Clock: clk})
 	srv.Store().Create("/f", "root", vfs.DefaultPerm|vfs.WorldWrite)
 	srv.Store().WriteFile(2, []byte("v1"))
 
-	c := dial(t, addr, "c1", client.Config{})
+	c := dial(t, addr, "c1", client.Config{Clock: clk})
 	if _, err := c.Read("/f"); err != nil {
 		t.Fatalf("Read: %v", err)
 	}
 	// Let the lease lapse, then change the file via a second client.
-	time.Sleep(600 * time.Millisecond)
-	w := dial(t, addr, "w", client.Config{})
+	clk.Advance(600 * time.Millisecond)
+	w := dial(t, addr, "w", client.Config{Clock: clk})
 	if err := w.Write("/f", []byte("v2")); err != nil {
 		t.Fatalf("Write: %v", err)
 	}

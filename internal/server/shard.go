@@ -63,7 +63,13 @@ func (c *serverConn) handleRing(f proto.Frame) {
 // source has cleared and removed the file, and the move is the move-in
 // that recreates it here. It fences on the ring epoch and checks
 // ownership of the destination path, then applies the move-in under the
-// plan an undo runs at the source (create).
+// plan an undo runs at the source: §2 clearance on the parent's binding,
+// then the op replicated to a quorum — before the name exists at this
+// master, so no reader here can observe it before the quorum holds its
+// bytes — and the name and bytes applied in one store step. A
+// create-then-write pair would expose an empty file that a concurrent
+// read could lease and cache, a stale read the chaos shard-split scenario
+// catches.
 //
 // An error reply tells the source nothing happened here, and the source
 // restores the file. So it is sent only for a failure before the plan's
@@ -74,18 +80,19 @@ func (c *serverConn) handleRing(f proto.Frame) {
 // the moves behind this one on it still get their own answers.
 func (c *serverConn) handleShardMove(r *request) {
 	s := c.srv
+	var op vfs.Op
 	if r.step.Kind == 0 {
 		dec := proto.NewDec(r.f.Payload)
 		var epoch uint64
-		epoch, r.op = dec.U64(), dec.DecodeOp()
+		epoch, op = dec.U64(), dec.DecodeOp()
 		if dec.Err != nil {
 			c.fail(r.f.ReqID, dec.Err)
 			return
 		}
 		// Only a move-in moves: any other op would change this group's
 		// namespace under a plan that cleared nothing but the parent.
-		if r.op.Kind != vfs.OpCreate || r.op.Data == nil {
-			c.fail(r.f.ReqID, fmt.Errorf("shard: a move carries a move-in, not op kind %d", r.op.Kind))
+		if op.Kind != vfs.OpCreate || op.Data == nil {
+			c.fail(r.f.ReqID, fmt.Errorf("shard: a move carries a move-in, not op kind %d", op.Kind))
 			return
 		}
 		ring := s.cfg.Shard.Ring
@@ -97,17 +104,17 @@ func (c *serverConn) handleShardMove(r *request) {
 			c.fail(r.f.ReqID, fmt.Errorf("shard: epoch mismatch (theirs %d, ours %d)", epoch, ring.Epoch))
 			return
 		}
-		if !c.checkOwner(r.f.ReqID, r.op.Path) {
+		if !c.checkOwner(r.f.ReqID, op.Path) {
 			return
 		}
 		// Refused before anything is replicated: the bytes must not reach
 		// this group's followers under a name that holds another file.
-		if _, err := s.store.Lookup(r.op.Path); err == nil {
-			c.fail(r.f.ReqID, fmt.Errorf("shard: destination %s exists", r.op.Path))
+		if _, err := s.store.Lookup(op.Path); err == nil {
+			c.fail(r.f.ReqID, fmt.Errorf("shard: destination %s exists", op.Path))
 			return
 		}
 	}
-	err := c.create(r)
+	err := s.advance(r, op)
 	switch {
 	case r.parked:
 	case err == nil:
@@ -123,36 +130,16 @@ func (c *serverConn) handleShardMove(r *request) {
 	}
 }
 
-// create applies r.op, a move-in: §2 clearance on the parent's binding,
-// then the op replicated to a quorum — before the name exists at this
-// master, so no reader here can observe it before the quorum holds its
-// bytes — and the name and bytes applied in one store step. A
-// create-then-write pair would expose an empty file that a concurrent
-// read could lease and cache, a stale read the chaos shard-split scenario
-// catches. The plan is made on the request's first pass; a request
-// handed back its plan goes on with it (see Server.advance).
-func (c *serverConn) create(r *request) error {
-	s := c.srv
-	if r.step.Kind == 0 {
-		parent, err := s.store.Lookup(parentOf(r.op.Path))
-		if err != nil {
-			return err
-		}
-		r.plan = s.core.Plan(c.client, vfs.Datum{Kind: vfs.DirBinding, Node: parent.ID})
-		r.plan.Ship(r.op)
-	}
-	return s.advance(r)
-}
-
-// crossShardRename runs the source half of a rename whose destination
-// hashes to another group, in one inter-group round trip:
+// crossShardRename runs the source half of the rename op, whose
+// destination hashes to another group, in one inter-group round trip:
 //
 //  1. the commit point: §2 clearance over the file's data and the old
 //     parent binding (a move changes the node identity, so every cached
 //     copy approves or expires), then one apply of a remove naming the
-//     cleared node, which hands back the file's bytes, owner and
-//     permissions — a write cleared before it moves with the file, one
-//     queued behind it finds the file gone;
+//     cleared node — the move source, which srvcore's rule refuses for a
+//     directory or a writer without write access — which hands back the
+//     file's bytes, owner and permissions: a write cleared before it
+//     moves with the file, one queued behind it finds the file gone;
 //  2. with that plan released, one TShardMove carries the move-in built
 //     from them to the destination master, which clears the new parent
 //     binding and applies it (handleShardMove). It goes out on the
@@ -172,56 +159,37 @@ func (c *serverConn) create(r *request) error {
 // destination or nowhere — closing that window needs an op log.
 //
 // Either plan may park; the request comes back here when it is handed
-// back, and r.op's kind says which plan it was: the remove of the commit
-// point, or the undo's move-in.
-func (c *serverConn) crossShardRename(r *request) {
+// back, with its plan's op: the move source of the commit point, or the
+// undo's move-in.
+func (c *serverConn) crossShardRename(r *request, op vfs.Op) {
 	if r.inline {
 		c.srv.handOff(r, srvcore.Step{}) // a call to another group, and nothing done yet: start over off the reader
 		return
 	}
 	s, f, ring := c.srv, r.f, c.srv.cfg.Shard.Ring
-	switch r.op.Kind {
+	switch op.Kind {
 	case vfs.OpCreate:
-		c.undoMove(r)
+		c.undoMove(r, op)
 		return
 	case vfs.OpRename:
-		from := r.op.Path
-		if g, ok := ring.Group(ring.Lookup(r.op.To)); !ok || len(g.Replicas) == 0 {
-			c.fail(f.ReqID, fmt.Errorf("shard: no replicas for group %d", ring.Lookup(r.op.To)))
+		if g, ok := ring.Group(ring.Lookup(op.To)); !ok || len(g.Replicas) == 0 {
+			c.fail(f.ReqID, fmt.Errorf("shard: no replicas for group %d", ring.Lookup(op.To)))
 			return
 		}
-		attr, err := s.store.Lookup(from)
-		if err != nil {
-			c.fail(f.ReqID, err)
-			return
-		}
-		if attr.IsDir {
-			c.fail(f.ReqID, fmt.Errorf("shard: cross-shard directory rename unsupported"))
-			return
-		}
-		if err := s.store.CheckAccess(attr.ID, string(c.client), true); err != nil {
-			c.fail(f.ReqID, err)
-			return
-		}
-		oldParent, err := s.store.Lookup(parentOf(from))
-		if err != nil {
-			c.fail(f.ReqID, err)
-			return
-		}
-		r.plan = s.core.Plan(c.client, vfs.Datum{Kind: vfs.FileData, Node: attr.ID}, vfs.Datum{Kind: vfs.DirBinding, Node: oldParent.ID})
 		// What moves is read by the apply, behind every mutation cleared
 		// first: a write, or a chmod on the parent binding. The name must
 		// still be the file the plan cleared.
-		r.op = vfs.Op{Kind: vfs.OpRemove, Node: attr.ID, Path: from, To: r.op.To}
+		op = vfs.Op{Kind: vfs.OpRemove, Path: op.Path, To: op.To}
 	}
-	if !s.run(c, r) {
+	if !s.run(c, r, op) {
 		return
 	}
-	from, to, dest := r.op.Path, r.op.To, ring.Lookup(r.op.To)
-	r.op = vfs.Op{Kind: vfs.OpCreate, Path: to, Owner: r.res.Attr.Owner, Perm: r.res.Attr.Perm, Data: r.res.Data}
+	op = r.plan.Op()
+	from, dest := op.Path, ring.Lookup(op.To)
+	in := vfs.Op{Kind: vfs.OpCreate, Path: op.To, Owner: r.res.Attr.Owner, Perm: r.res.Attr.Perm, Data: r.res.Data}
 
 	sp := s.tracer.StartChild(r.sp.Context(), "shard.commit")
-	err := s.mover.Move(ring.Epoch, r.op, shardCallTimeout)
+	err := s.mover.Move(ring.Epoch, in, shardCallTimeout)
 	sp.End()
 	switch {
 	case err == nil:
@@ -229,28 +197,28 @@ func (c *serverConn) crossShardRename(r *request) {
 		// already called this client's session there back.
 		c.replyEnc(f.ReqID, proto.TOK, func(e *proto.Enc) { c.encodeTouched(e, r.res.Dirs[0], 0) })
 	case errors.Is(err, client.ErrRefused):
-		r.op.Path, r.moved = from, fmt.Errorf("its move to group %d was refused: %w", dest, err)
-		c.undoMove(r)
+		in.Path, r.moved = from, fmt.Errorf("its move to group %d was refused: %w", dest, err)
+		c.undoMove(r, in)
 	default:
 		c.fail(f.ReqID, fmt.Errorf("shard: %s left this group but its move to group %d was lost: %v", from, dest, err))
 	}
 }
 
 // undoMove puts back, under the plan the destination would have run, a
-// file whose move the destination refused (r.moved): r.op is the move-in
+// file whose move the destination refused (r.moved): in is the move-in
 // at its old path.
-func (c *serverConn) undoMove(r *request) {
-	s, f, from := c.srv, r.f, r.op.Path
-	if err := c.create(r); r.parked {
+func (c *serverConn) undoMove(r *request, in vfs.Op) {
+	s, f := c.srv, r.f
+	if err := s.advance(r, in); r.parked {
 		return
 	} else if err != nil {
-		c.fail(f.ReqID, fmt.Errorf("shard: %s left this group, %v, and restoring it failed: %v", from, r.moved, err))
+		c.fail(f.ReqID, fmt.Errorf("shard: %s left this group, %v, and restoring it failed: %v", in.Path, r.moved, err))
 		return
 	}
 	if s.obs.Enabled() {
 		s.obs.Record(obs.Event{Type: obs.EvShardUndo, Client: string(c.client)})
 	}
-	c.fail(f.ReqID, fmt.Errorf("shard: %s restored, %v", from, r.moved))
+	c.fail(f.ReqID, fmt.Errorf("shard: %s restored, %v", in.Path, r.moved))
 }
 
 // shardCallTimeout bounds a move on the wall clock, from the wait for a

@@ -1,7 +1,8 @@
 // Package srvcore is the lease server's protocol core, sans IO: the
-// order every mutation goes through (plan.go), the machine that drives
-// every plan (machine.go), the read side — grants, renewals and refills
-// (read.go) — the promotion that takes a new master from its merged sync
+// order every mutation goes through and the rule for what each clears,
+// checks and ships (plan.go), the machine that drives every plan
+// (machine.go), the read side — grants, renewals and refills (read.go) —
+// the promotion that takes a new master from its merged sync
 // to serving (promotion.go), and the state tables that order reads:
 // replication state and the serving gate (this file) and the
 // installed-files class (class.go).

@@ -114,14 +114,22 @@ func TestOracleSeesEarlyApply(t *testing.T) {
 }
 
 // TestAllocFreeUnsharedWritePlan: the common write — nobody else holds a
-// lease on the datum — goes from submit to Apply to Done without
-// allocating: it never enters the machine's table.
+// lease on the datum — goes from its op through submit to Apply to Done
+// without allocating: it never enters the machine's table.
 func TestAllocFreeUnsharedWritePlan(t *testing.T) {
-	c := New(Config{Store: vfs.New(clock.NewSim(), "srv"), Term: time.Minute, Shards: 4})
-	d, now := vfs.Datum{Kind: vfs.FileData, Node: 7}, clock.Epoch
+	store := vfs.New(clock.NewSim(), "srv")
+	a, err := store.Create("/f", "writer", vfs.DefaultPerm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(Config{Store: store, Term: time.Minute, Shards: 4})
+	op, now := vfs.Op{Kind: vfs.OpWrite, Node: a.ID, Data: []byte("x")}, clock.Epoch
 	m := NewMachine(c, 0, nil, nil, "")
 	if n := testing.AllocsPerRun(1000, func() {
-		p := c.Plan("writer", d)
+		p, err := c.Plan("writer", op)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if e := m.Begin(&p, tracing.Context{}, now); e.Step.Kind != Apply || e.Parked != nil {
 			t.Fatalf("unshared write was handed step %d and %d others, want Apply alone", e.Step.Kind, len(e.Parked))
 		}
@@ -308,7 +316,7 @@ func TestMachineGivesUpAndCloses(t *testing.T) {
 	}
 	park := func(owner string) Effects {
 		t.Helper()
-		p := c.Plan(core.ClientID(owner), d)
+		p := c.plan(core.ClientID(owner), d)
 		e := m.Begin(&p, tracing.Context{}, now)
 		if e.Step.Kind != Approval {
 			t.Fatalf("%s's write was handed step %d, want Approval", owner, e.Step.Kind)

@@ -1,6 +1,9 @@
 package srvcore
 
 import (
+	"errors"
+	"fmt"
+	"path"
 	"time"
 
 	"leases/internal/core"
@@ -17,9 +20,9 @@ import (
 // waits on is judged against the now it is stepped at, so no step is
 // taken early however the machine is woken.
 
-// MaxData is the most data one mutation writes (a remove or rename: the
-// node's datum and a parent binding, or two parent bindings).
-const MaxData = 3
+// MaxData is the most data one mutation clears (a remove: the node's
+// datum and its parent's binding; a rename: two parents' bindings).
+const MaxData = 2
 
 // StepKind says what a plan needs from its driver next.
 type StepKind uint8
@@ -110,8 +113,8 @@ type Plan struct {
 	// demoted: the class table counts this plan among the writes in flight
 	// on its data (ClassTable.demote) until it ends.
 	demoted bool
-	// op is what the plan ships (a zero Kind: nothing), bytes its wire
-	// form once the Ship step is handed out.
+	// op is the mutation, resolved against the store (Core.Plan), bytes
+	// its wire form once the Ship step is handed out.
 	op    vfs.Op
 	bytes []byte
 	seq   uint64
@@ -138,10 +141,99 @@ type Plan struct {
 	pushes    []push
 }
 
-// Plan begins a mutation by writer that writes data.
-func (c *Core) Plan(writer core.ClientID, data ...vfs.Datum) Plan {
+// rule is one op kind's row of the mutation rule: the data it clears
+// and the access it needs on the node it changes.
+type rule struct {
+	node         bool // the node's own datum: a file's contents, a directory's binding
+	dirs         int  // the binding of op.Path's directory, then op.To's
+	write, owner bool // write permission on the node; owning it
+}
+
+// rules is the mutation rule. Paper §2 makes every mutation a write to
+// the data it changes — a file's contents, or the binding of the
+// directory that holds a name and its owner and permissions — so every
+// lease on them clears first. A create carrying Data is a move-in; a
+// remove carrying To is a cross-shard rename's move source, which also
+// refuses a directory.
+var rules = [...]rule{
+	vfs.OpWrite:   {node: true, write: true},
+	vfs.OpCreate:  {dirs: 1},
+	vfs.OpMkdir:   {dirs: 1},
+	vfs.OpRemove:  {node: true, dirs: 1, write: true},
+	vfs.OpRename:  {dirs: 2, write: true},
+	vfs.OpSetPerm: {dirs: 1, owner: true},
+}
+
+// ships reports whether op replicates, path-addressed, to a quorum before
+// it applies on a replicated server: a write and a move-in.
+// Replicate-before-apply: a reader at the master only ever sees data a
+// quorum already holds, so a master crash immediately after the read can
+// never roll the write back under a failover — the new master's catch-up
+// sync intersects every write quorum and recovers it.
+func ships(op vfs.Op) bool {
+	return op.Kind == vfs.OpWrite || op.Kind == vfs.OpCreate && op.Data != nil
+}
+
+var errDirMove = errors.New("shard: cross-shard directory rename unsupported")
+
+// Plan begins writer's mutation op. It resolves op against the store —
+// the node it changes and that node's path, the directories it binds —
+// checks the access its kind needs, and returns the plan that clears its
+// kind's data and ships it if it ships. The plan keeps op, its Node and
+// Path filled in, for the Apply step (Op).
+func (c *Core) Plan(writer core.ClientID, op vfs.Op) (Plan, error) {
+	if op.Kind == 0 || int(op.Kind) >= len(rules) {
+		return Plan{}, fmt.Errorf("%w: %d", vfs.ErrBadOp, op.Kind)
+	}
+	r, st := rules[op.Kind], c.cfg.Store
+	var data [MaxData]vfs.Datum
+	var a vfs.Attr
+	var err error
+	n := 0
+	if r.node || r.write || r.owner {
+		if op.Node != 0 {
+			a, err = st.Stat(op.Node)
+		} else {
+			a, err = st.Lookup(op.Path)
+		}
+		switch {
+		case err != nil:
+		case op.Kind == vfs.OpRemove && op.To != "" && a.IsDir:
+			err = errDirMove
+		case r.write:
+			err = st.CheckAccess(a.ID, string(writer), true)
+		case r.owner && a.Owner != string(writer):
+			err = vfs.ErrPerm
+		}
+		if err != nil {
+			return Plan{}, err
+		}
+		if op.Node = a.ID; r.node {
+			data[0], n = a.Datum(), 1
+		}
+	}
+	if op.Path == "" && (r.dirs > 0 || ships(op) && c.cfg.Master != nil) {
+		if op.Path, err = st.Path(op.Node); err != nil {
+			return Plan{}, err
+		}
+	}
+	for _, name := range []string{op.Path, op.To}[:r.dirs] {
+		if a, err = st.Lookup(path.Dir(name)); err != nil {
+			return Plan{}, err
+		}
+		if d := (vfs.Datum{Kind: vfs.DirBinding, Node: a.ID}); n == 0 || data[n-1] != d {
+			data[n], n = d, n+1
+		}
+	}
+	p := c.plan(writer, data[:n]...)
+	p.op = op
+	return p, nil
+}
+
+// plan begins a mutation by writer that clears data.
+func (c *Core) plan(writer core.ClientID, data ...vfs.Datum) Plan {
 	if len(data) > MaxData {
-		panic("srvcore: a mutation writes at most MaxData data")
+		panic("srvcore: a mutation clears at most MaxData data")
 	}
 	p := Plan{c: c, writer: writer, n: len(data)}
 	copy(p.data[:], data)
@@ -154,14 +246,11 @@ func (c *Core) Plan(writer core.ClientID, data ...vfs.Datum) Plan {
 	return p
 }
 
-// Ship makes the plan ship op, path-addressed, as op.Path's next
-// replicated write before its apply (replicate-before-apply: a reader at
-// the master only ever sees data a quorum already holds, so a master
-// crash immediately after the read can never roll the write back under a
-// failover — the new master's catch-up sync intersects every write
-// quorum and recovers it). A standalone server skips the step and
-// encodes nothing.
-func (p *Plan) Ship(op vfs.Op) { p.op = op }
+// ship makes a plan of data alone ship op.
+func (p *Plan) ship(op vfs.Op) { p.op = op }
+
+// Op is the plan's mutation, resolved: what its Apply step applies.
+func (p *Plan) Op() vfs.Op { return p.op }
 
 // Data is the plan's data in clearance order.
 func (p *Plan) Data() []vfs.Datum { return p.data[:p.n] }
@@ -255,22 +344,22 @@ func (p *Plan) next(now time.Time) Step {
 	}
 	switch p.stage {
 	case atShip:
-		if p.op.Kind != 0 && c.cfg.Master != nil {
+		if ships(p.op) && c.cfg.Master != nil {
 			p.seq = c.nextSeq(p.op.Path)
 			p.bytes = encodeOp(p.op)
 			p.stage = shipping
-			return p.ship()
+			return p.shipStep()
 		}
 		p.stage = applying
 	case shipping:
-		return p.ship()
+		return p.shipStep()
 	case atApply:
 		p.stage = applying
 	}
 	return p.apply()
 }
 
-func (p *Plan) ship() Step {
+func (p *Plan) shipStep() Step {
 	return Step{Kind: Ship, Path: p.op.Path, Seq: p.seq, Data: p.bytes}
 }
 

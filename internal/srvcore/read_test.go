@@ -60,7 +60,7 @@ func TestRefills(t *testing.T) {
 			if tc.pending != 0 {
 				d := file(tc.pending)
 				m.grant("h", d, obs.EvGrant, t0)
-				p := c.Plan("w", d)
+				p := c.plan("w", d)
 				if st := m.Begin(&p, tracing.Context{}, t0).Step; st.Kind != Approval {
 					t.Fatalf("the write on %v was handed step %d, want Approval", d, st.Kind)
 				} else {

@@ -180,10 +180,10 @@ func (w *simWorld) submit(slot int, writer core.ClientID, data []vfs.Datum, repl
 	if sp := w.plans[slot]; sp != nil && !sp.ended {
 		return
 	}
-	sp := &simPlan{slot: slot, writer: writer, data: data, p: w.core.Plan(writer, data...)}
+	sp := &simPlan{slot: slot, writer: writer, data: data, p: w.core.plan(writer, data...)}
 	if replicate && data[0].Kind == vfs.FileData {
 		path, _ := w.store.Path(data[0].Node)
-		sp.p.Ship(vfs.Op{Kind: vfs.OpWrite, Node: data[0].Node, Path: path, Data: []byte(fmt.Sprintf("%s@%d", writer, len(w.trace)))})
+		sp.p.ship(vfs.Op{Kind: vfs.OpWrite, Node: data[0].Node, Path: path, Data: []byte(fmt.Sprintf("%s@%d", writer, len(w.trace)))})
 	}
 	w.plans[slot] = sp
 	w.logf("submit #%d by %s on %v", slot, writer, data)
